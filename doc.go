@@ -27,12 +27,13 @@
 // lifecycles across fleets that mix hardware classes (BlueField-2 and
 // Pensando presets, per-class model sets through the hardware-keyed
 // model registry) under pluggable, prediction-guided placement policies
-// whose hot path scores all (NIC, class) slots through one batched
-// feasibility pass. Workload streams come from pluggable generators
+// whose decisions re-score only the NICs that changed since the last
+// one. Workload streams come from pluggable generators
 // (churn, diurnal, flashcrowd, heavytail) and can be frozen to
 // versioned JSONL traces and replayed bit-identically (internal/trace);
-// the committed golden trace plus expected per-policy reports, and the
-// BENCH_cluster.json scheduler baseline, gate determinism and hot-path
-// regressions in CI. The benchmarks in bench_test.go regenerate each of
-// the paper's experiments.
+// the committed golden trace plus expected per-policy reports gate
+// determinism in CI, and the fleet-sched workload of the benchmark of
+// record (bench/, BENCHMARK.json) gates scheduler decision cost. The
+// benchmarks in bench_test.go regenerate each of the paper's
+// experiments.
 package repro

@@ -107,28 +107,23 @@ func playReference(f *Fleet, sched Scheduler, events []refEvent) error {
 	return nil
 }
 
-// benchReference measures all 120 reference scheduling decisions (plus
-// fleet bookkeeping) per iteration, on the batched or per-slot path.
-func benchReference(b *testing.B, perSlot bool) {
+// BenchmarkScheduleReference is the package's scheduler micro-benchmark:
+// all 120 reference scheduling decisions (plus fleet bookkeeping) per
+// iteration, each on a fresh fleet and scheduler as a run would start.
+// bench's fleet-sched workload is the gate of record.
+func BenchmarkScheduleReference(b *testing.B) {
 	env := testEnv(b, testModels(b))
 	sc := referenceScenario()
 	if err := env.Prewarm(context.Background(), sc, []string{"yala"}); err != nil {
 		b.Fatal(err)
 	}
 	events := referenceEvents(sc.Stream())
-	sched := predictFit{env: env, strat: placement.YalaAware, name: "yala", perSlot: perSlot}
-	// One warm pass populates the simulator's measurement caches so the
-	// timed passes measure scheduling, not first-touch simulation.
-	f, err := env.ScenarioFleet(sc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := playReference(f, sched, events); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	pass := func() {
 		f, err := env.ScenarioFleet(sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sched, err := NewScheduler("yala", env, sc.Seed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,10 +131,11 @@ func benchReference(b *testing.B, perSlot bool) {
 			b.Fatal(err)
 		}
 	}
+	// One warm pass populates the simulator's measurement caches so the
+	// timed passes measure scheduling, not first-touch simulation.
+	pass()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
 }
-
-// BenchmarkScheduleReferenceBatched is the committed scheduler hot-path
-// benchmark (BENCH_cluster.json); PerSlot is the reference loop it is
-// gated against.
-func BenchmarkScheduleReferenceBatched(b *testing.B) { benchReference(b, false) }
-func BenchmarkScheduleReferencePerSlot(b *testing.B) { benchReference(b, true) }

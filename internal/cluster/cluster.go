@@ -18,10 +18,12 @@
 //     burst, heavy-tail tenant mix — replayed identically against every
 //     policy, and recordable/replayable through internal/trace.
 //   - Scheduler is the pluggable placement policy: random, first-fit,
-//     and prediction-guided best-fit driven by Yala or SLOMO models. The
-//     guided policies score all feasible (NIC, class) slots through one
-//     batched feasibility pass (placement.FeasibleBatch) with reused
-//     feature buffers.
+//     and prediction-guided best-fit driven by Yala or SLOMO models. A
+//     guided decision costs what changed since the last one, not the
+//     fleet: NICs are visited tightest first until one is feasible, and
+//     each keeps its SLA-independent placement.Score per arrival type
+//     for as long as its resident sequence and its class's model
+//     generation stand (see predictFit).
 //   - The orchestrator (Env.RunPolicy) replays a stream on sim.Engine,
 //     enforces SLAs against simulator ground truth (a placement that
 //     immediately breaches an SLA is rolled back), migrates tenants whose
@@ -36,7 +38,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/backend"
 	"repro/internal/feedback"
@@ -108,12 +109,18 @@ type Fleet struct {
 	// placement simulators so scheduler capacity checks and feasibility
 	// checks agree. Per-NIC totals live on each NIC (classes differ).
 	NFCores int
+
+	// home maps each tenant placed through place to its NIC index — the
+	// orchestrator's O(1) locate, and (tenant IDs being stream-unique)
+	// its resident count. Direct writes to NIC.Tenants bypass it; only
+	// code that mutates solely through place/remove may read it.
+	home map[int]int
 }
 
 // NewFleet returns an empty homogeneous fleet of n NICs on the
 // environment's base hardware class.
 func (e *Env) NewFleet(n int) *Fleet {
-	f := &Fleet{NFCores: e.Sim.NFCores}
+	f := &Fleet{NFCores: e.Sim.NFCores, home: map[int]int{}}
 	for i := 0; i < n; i++ {
 		f.NICs = append(f.NICs, &NIC{ID: i, Cores: e.Sim.NICCores})
 	}
@@ -124,7 +131,7 @@ func (e *Env) NewFleet(n int) *Fleet {
 // resolving each class's simulator so per-NIC budgets agree with
 // feasibility checks.
 func (e *Env) ScenarioFleet(sc Scenario) (*Fleet, error) {
-	f := &Fleet{NFCores: e.Sim.NFCores}
+	f := &Fleet{NFCores: e.Sim.NFCores, home: map[int]int{}}
 	for _, slot := range sc.classSlots() {
 		ce, err := e.classEnv(slot)
 		if err != nil {
@@ -182,6 +189,7 @@ func (f *Fleet) Tenants() int {
 // place adds a tenant to NIC i.
 func (f *Fleet) place(i int, t Tenant) {
 	f.NICs[i].Tenants = append(f.NICs[i].Tenants, t)
+	f.home[t.ID] = i
 }
 
 // remove deletes the tenant by ID from NIC i, reporting the removed
@@ -191,6 +199,7 @@ func (f *Fleet) remove(i, id int) (Tenant, bool) {
 	for j, t := range n.Tenants {
 		if t.ID == id {
 			n.Tenants = append(n.Tenants[:j], n.Tenants[j+1:]...)
+			delete(f.home, id)
 			return t, true
 		}
 	}
@@ -200,12 +209,8 @@ func (f *Fleet) remove(i, id int) (Tenant, bool) {
 // locate finds the NIC hosting tenant id, or -1: lifecycle events may
 // outlive their tenant (an SLA eviction beats a scheduled departure).
 func (f *Fleet) locate(id int) int {
-	for i, n := range f.NICs {
-		for _, t := range n.Tenants {
-			if t.ID == id {
-				return i
-			}
-		}
+	if i, ok := f.home[id]; ok {
+		return i
 	}
 	return -1
 }
@@ -291,27 +296,9 @@ func NewEnv(cfg nicsim.Config, seed uint64, models ModelSource) *Env {
 // SetObs installs a metric registry for scheduler telemetry. The serve
 // layer passes its own registry so cluster_* series appear in the
 // server's /metrics exposition; nil (the default) disables recording.
+// Schedulers and runs resolve their series when constructed, so install
+// the registry first.
 func (e *Env) SetObs(r *obs.Registry) { e.obsReg = r }
-
-// observeDecision records one scheduling decision's wall-clock latency
-// under the policy's cluster_decision_seconds series.
-func (e *Env) observeDecision(policy string, d time.Duration) {
-	if e.obsReg == nil {
-		return
-	}
-	e.obsReg.Histogram("cluster_decision_seconds", nil, "policy", policy).Observe(d.Seconds())
-}
-
-// countSlots records one decision's candidate-slot work: scanned is
-// every NIC examined, scored the subset that went through a predictor
-// feasibility check.
-func (e *Env) countSlots(policy string, scanned, scored int) {
-	if e.obsReg == nil {
-		return
-	}
-	e.obsReg.Counter("cluster_slots_scanned_total", "policy", policy).Add(uint64(scanned))
-	e.obsReg.Counter("cluster_slots_scored_total", "policy", policy).Add(uint64(scored))
-}
 
 // sortedClassKeys returns every class environment's key ordered by
 // (name, cores) — the deterministic way to walk e.class, which replay
@@ -476,39 +463,4 @@ func (e *Env) Prewarm(ctx context.Context, sc Scenario, policies []string) error
 		}
 	}
 	return nil
-}
-
-// feasible is the per-slot prediction-guided admission check: load the
-// models involved, then ask placement.Feasible whether adding a to the
-// resident set keeps every SLA intact per the strategy's predictor on
-// the NIC's class simulator. The batched scheduler path supersedes it on
-// the hot path; it remains the reference implementation (and the
-// benchmark baseline).
-func (e *Env) feasible(ce *classEnv, residents []placement.Arrival, a placement.Arrival, strat placement.Strategy) (bool, error) {
-	names := make([]string, 0, len(residents)+1)
-	names = append(names, a.Name)
-	for _, r := range residents {
-		names = append(names, r.Name)
-	}
-	if err := e.ensureModels(ce, strat, names); err != nil {
-		return false, err
-	}
-	return ce.sim.Feasible(residents, a, strat)
-}
-
-// feasibleBatch scores adding a to every candidate resident set on one
-// class through placement.FeasibleBatch, loading the models involved
-// once for the whole batch.
-func (e *Env) feasibleBatch(ce *classEnv, sets [][]placement.Arrival, a placement.Arrival, strat placement.Strategy) ([]bool, error) {
-	names := make([]string, 0, 8)
-	names = append(names, a.Name)
-	for _, set := range sets {
-		for _, r := range set {
-			names = append(names, r.Name)
-		}
-	}
-	if err := e.ensureModels(ce, strat, names); err != nil {
-		return nil, err
-	}
-	return ce.sim.FeasibleBatch(sets, a, strat)
 }

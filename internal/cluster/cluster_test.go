@@ -352,67 +352,6 @@ func stripLatencies(rs []PolicyResult) []PolicyResult {
 	return out
 }
 
-// TestBatchedMatchesPerSlot pins the batched scheduler hot path to the
-// per-slot reference loop: over a mixed, partially loaded fleet, both
-// must make the identical decision for a spread of arrivals — the
-// invariant every future hot-path refactor must keep.
-func TestBatchedMatchesPerSlot(t *testing.T) {
-	env := testEnv(t, testModels(t))
-	sc := Scenario{
-		Classes:   []ClassSpec{{Class: "bluefield2", Count: 3}, {Class: "pensando", Count: 2}},
-		NFs:       testNFs,
-		Profiles:  3,
-		Seed:      11,
-		DriftProb: 0.5,
-	}.WithDefaults()
-	if err := env.Prewarm(context.Background(), sc, []string{"yala", "slomo"}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := env.ScenarioFleet(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := sc.ProfilePool()
-	// Load the fleet unevenly so empty, partial and full NICs all occur.
-	id := 0
-	for i := range f.NICs {
-		for j := 0; j < i%3; j++ {
-			f.place(i, Tenant{ID: id, Arrival: placement.Arrival{
-				Name:    testNFs[id%len(testNFs)],
-				Profile: pool[id%len(pool)],
-				SLA:     0.3 + 0.1*float64(id%4),
-			}})
-			id++
-		}
-	}
-	for _, strat := range []placement.Strategy{placement.YalaAware, placement.SLOMOAware} {
-		name := "yala"
-		if strat == placement.SLOMOAware {
-			name = "slomo"
-		}
-		batched := predictFit{env: env, strat: strat, name: name}
-		perSlot := predictFit{env: env, strat: strat, name: name, perSlot: true}
-		for k := 0; k < 12; k++ {
-			a := placement.Arrival{
-				Name:    testNFs[k%len(testNFs)],
-				Profile: pool[k%len(pool)],
-				SLA:     0.05 + 0.08*float64(k%8),
-			}
-			got, err := batched.Choose(f, a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := perSlot.Choose(f, a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("%s arrival %d: batched chose %d, per-slot chose %d", name, k, got, want)
-			}
-		}
-	}
-}
-
 // TestHeterogeneousFleet checks class resolution end to end: per-class
 // core budgets (including the capacity override), scenario totals, and a
 // full comparison run over a mixed fleet.

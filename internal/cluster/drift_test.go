@@ -113,7 +113,11 @@ func driftFeedbackConfig() *feedback.Config {
 }
 
 // runDriftComparison replays the identical stream under the yala policy
-// twice — loop open, then loop closed — on fresh environments.
+// twice — loop open, then loop closed — on fresh environments. Both
+// runs go through freshChecked, so every decision of the long-lived
+// scheduler — across drift re-placements, migrations and, loop closed,
+// the promotions that move the model generation mid-run — is also held
+// to a freshly constructed scheduler's.
 func runDriftComparison(t *testing.T, sc Scenario) (static, online PolicyResult) {
 	t.Helper()
 	ctx := context.Background()
@@ -130,7 +134,7 @@ func runDriftComparison(t *testing.T, sc Scenario) (static, online PolicyResult)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := env.RunPolicyStream(ctx, s, sc.Stream(), sched)
+		res, err := env.RunPolicyStream(ctx, s, sc.Stream(), &freshChecked{Scheduler: sched, t: t, env: env})
 		if err != nil {
 			t.Fatal(err)
 		}

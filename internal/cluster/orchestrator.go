@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/sim"
 	"repro/internal/traffic"
@@ -72,6 +73,9 @@ type orchestrator struct {
 
 	res       PolicyResult
 	decisions []time.Duration
+	// decisionHist is the policy's cluster_decision_seconds series,
+	// resolved once per run; nil without a registry.
+	decisionHist *obs.Histogram
 
 	// Utilization integral: allocated core-seconds accumulated at every
 	// state transition.
@@ -95,6 +99,9 @@ func newOrchestrator(ctx context.Context, env *Env, sc Scenario, policy Schedule
 		fleet:  fleet,
 		engine: sim.NewEngine(),
 		res:    PolicyResult{Policy: policy.Name()},
+	}
+	if env.obsReg != nil {
+		o.decisionHist = env.obsReg.Histogram("cluster_decision_seconds", nil, "policy", policy.Name())
 	}
 	if sc.Online {
 		o.online = newOnlineLoop(env, sc, policy)
@@ -176,7 +183,7 @@ func (e *Env) RunPolicyStream(ctx context.Context, sc Scenario, stream []TenantS
 // core-seconds integral.
 func (o *orchestrator) tick() {
 	now := o.engine.Now()
-	o.coreSeconds += float64(o.fleet.UsedCores()) * (now - o.lastT)
+	o.coreSeconds += float64(len(o.fleet.home)*o.fleet.NFCores) * (now - o.lastT)
 	o.lastT = now
 }
 
@@ -199,7 +206,9 @@ func (o *orchestrator) decide(a placement.Arrival) (int, error) {
 	idx, err := o.policy.Choose(o.fleet, a)
 	d := decisionClock().Sub(t0)
 	o.decisions = append(o.decisions, d)
-	o.env.observeDecision(o.policy.Name(), d)
+	if o.decisionHist != nil {
+		o.decisionHist.Observe(d.Seconds())
+	}
 	return idx, err
 }
 
@@ -266,7 +275,7 @@ func (o *orchestrator) arrive(spec TenantSpec) {
 		return
 	}
 	o.res.Admitted++
-	if n := o.fleet.Tenants(); n > o.res.PeakTenants {
+	if n := len(o.fleet.home); n > o.res.PeakTenants {
 		o.res.PeakTenants = n
 	}
 	o.engine.After(spec.Lifetime, func() { o.depart(spec.ID) })

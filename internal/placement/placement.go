@@ -109,8 +109,17 @@ type Simulator struct {
 	// strategies consult, keyed backend name → NF name. Opaque: only the
 	// owning backend ever looks inside.
 	models map[string]map[string]backend.Model
+	// gen counts SetModel and SeedSolo calls — the only ways a
+	// prediction-side input changes under a fixed resident sequence.
+	gen uint64
+	// scorers holds one batched evaluator per prediction backend. Its
+	// memos only cache derivations of the installed models and solos, so
+	// it lives until gen moves.
+	scorers map[string]*scorer
 
-	soloCache  map[string]*nicsim.Measurement
+	// soloCache is struct-keyed: rendering a string key per lookup would
+	// dominate tight scheduling loops.
+	soloCache  map[backend.Key]*nicsim.Measurement
 	coRunCache map[string][]nicsim.Measurement
 }
 
@@ -122,7 +131,8 @@ func NewSimulator(tb *testbed.Testbed) *Simulator {
 		NFCores:    2,
 		NICCores:   tb.Config().Cores,
 		models:     map[string]map[string]backend.Model{},
-		soloCache:  map[string]*nicsim.Measurement{},
+		scorers:    map[string]*scorer{},
+		soloCache:  map[backend.Key]*nicsim.Measurement{},
 		coRunCache: map[string][]nicsim.Measurement{},
 	}
 }
@@ -135,7 +145,13 @@ func (s *Simulator) SetModel(backendName, nf string, m backend.Model) {
 		s.models[backendName] = byNF
 	}
 	byNF[nf] = m
+	s.gen++
 }
+
+// Generation stamps the prediction-side state Score reads: it moves on
+// every SetModel and SeedSolo (lazy model install, online promotion,
+// solo recalibration) and on nothing else.
+func (s *Simulator) Generation() uint64 { return s.gen }
 
 // HasModel reports whether the backend's model for an NF is installed.
 func (s *Simulator) HasModel(backendName, nf string) bool {
@@ -160,7 +176,7 @@ func arrivalKey(a Arrival) string {
 // is stable for the simulator's lifetime, so prediction scenarios can
 // share it without copying.
 func (s *Simulator) solo(a Arrival) (*nicsim.Measurement, error) {
-	key := arrivalKey(a)
+	key := backend.Key{NF: a.Name, Profile: a.Profile}
 	if m, ok := s.soloCache[key]; ok {
 		return m, nil
 	}
@@ -257,10 +273,7 @@ func (s *Simulator) chooseNIC(nics []*nic, a Arrival, strat Strategy) (int, erro
 		return best, nil
 	case kindPredict, kindOracle:
 		for i, n := range nics {
-			if !fits(n) {
-				continue
-			}
-			ok, err := s.feasible(n, a, strat)
+			ok, err := s.Feasible(n.residents, a, strat)
 			if err != nil {
 				return 0, err
 			}
@@ -284,152 +297,48 @@ func (s *Simulator) Fits(residents int) bool {
 // so online feasibility checks skip re-simulating solos the server has
 // already measured.
 func (s *Simulator) SeedSolo(a Arrival, m nicsim.Measurement) {
-	s.soloCache[arrivalKey(a)] = &m
+	s.soloCache[backend.Key{NF: a.Name, Profile: a.Profile}] = &m
+	s.gen++
 }
 
 // Feasible reports whether adding a to a NIC already hosting residents
 // keeps every NF (including a) within its SLA according to the strategy's
 // predictor, and within the NIC's core budget — the same fits-plus-SLA
 // pair Place applies. It is the admission-control primitive the serving
-// layer (internal/serve) exposes online; Oracle additionally consults
-// ground-truth co-runs.
+// layer (internal/serve) exposes online: for prediction strategies one
+// Score finished by a's own SLA; Oracle consults ground-truth co-runs.
 func (s *Simulator) Feasible(residents []Arrival, a Arrival, strat Strategy) (bool, error) {
 	if !s.Fits(len(residents)) {
 		return false, nil
 	}
-	return s.feasible(&nic{residents: residents}, a, strat)
-}
-
-// feasible predicts whether adding a to the NIC keeps every resident
-// (including a) within its SLA, according to the strategy's predictor.
-func (s *Simulator) feasible(n *nic, a Arrival, strat Strategy) (bool, error) {
-	all := append(append([]Arrival(nil), n.residents...), a)
-	if strat.kind == kindOracle {
-		ms, ordered, err := s.coRun(all)
-		if err != nil {
-			return false, err
-		}
-		for i, r := range ordered {
-			solo, err := s.solo(r)
-			if err != nil {
-				return false, err
-			}
-			if ms[i].Throughput < (1-r.SLA)*solo.Throughput {
-				return false, nil
-			}
-		}
-		return true, nil
+	if strat.kind != kindOracle {
+		sc, err := s.Score(residents, a, strat)
+		return sc.Admits(a.SLA), err
 	}
-	b, ok := backend.Get(strat.backend)
-	if !ok {
-		return false, fmt.Errorf("placement: unknown prediction backend %q", strat.backend)
+	ms, ordered, err := s.coRun(append(append([]Arrival(nil), residents...), a))
+	if err != nil {
+		return false, err
 	}
-	for ti, target := range all {
-		var comps []backend.Competitor
-		// Skip by index, not value: two identical arrivals (same NF,
-		// profile and SLA) are distinct residents and contend with each
-		// other.
-		for oi, other := range all {
-			if oi == ti {
-				continue
-			}
-			m, err := s.solo(other)
-			if err != nil {
-				return false, err
-			}
-			comps = append(comps, backend.Competitor{NF: other.Name, Profile: other.Profile, Solo: m})
-		}
-		solo, err := s.solo(target)
+	for i, r := range ordered {
+		solo, err := s.solo(r)
 		if err != nil {
 			return false, err
 		}
-		model, err := s.Model(strat.backend, target.Name)
-		if err != nil {
-			return false, err
-		}
-		pred, err := b.Predict(model, backend.Scenario{
-			Profile:     target.Profile,
-			Competitors: comps,
-			Solo:        func() (float64, error) { return solo.Throughput, nil },
-		})
-		if err != nil {
-			return false, err
-		}
-		if pred.PredictedPPS < (1-target.SLA)*solo.Throughput {
+		if ms[i].Throughput < (1-r.SLA)*solo.Throughput {
 			return false, nil
 		}
 	}
 	return true, nil
 }
 
-// batchKey identifies one (NF, profile) pair without string formatting —
-// the per-call memo key FeasibleBatch uses instead of the simulator's
-// string-keyed caches, whose fmt.Sprintf rendering dominates tight
-// scheduling loops.
-type batchKey struct {
-	name string
-	prof traffic.Profile
-}
-
-// batchState carries the buffers one FeasibleBatch call reuses across
-// candidate sets: a struct-keyed solo-measurement memo, the backend's
-// own memoizing Batch (feature vectors, solo-model predictions), and a
-// competitor slice that grows once and is re-sliced per evaluation.
-type batchState struct {
-	batch   backend.Batch
-	solos   map[batchKey]*nicsim.Measurement
-	compBuf []backend.Competitor
-}
-
-// solo resolves a measured solo through the per-call memo.
-func (e *batchState) solo(s *Simulator, a Arrival) (*nicsim.Measurement, error) {
-	key := batchKey{a.Name, a.Profile}
-	if m, ok := e.solos[key]; ok {
-		return m, nil
-	}
-	m, err := s.solo(a)
-	if err != nil {
-		return nil, err
-	}
-	e.solos[key] = m
-	return m, nil
-}
-
-// FeasibleBatch evaluates adding a to every candidate resident set in
-// one pass — the batched form of Feasible the class-aware fleet
-// scheduler scores all (NIC, class) slots through. Verdicts are
-// bit-identical to calling Feasible per set (same fits-plus-SLA pair,
-// same feature-assembly order), but the per-arrival work is amortized:
-// solo measurements resolve once per distinct (NF, profile) in the
-// simulator's cache, and the backend's Batch memoizes its derived
-// features (competitor vectors, solo-model predictions) across the
-// whole call. Oracle feasibility needs per-set ground-truth co-runs, so
-// it falls back to the per-set path.
+// FeasibleBatch is Feasible over many candidate resident sets. The
+// amortization (solo resolution, the backend's feature and solo-model
+// memos) lives in the simulator's per-backend scorer, so the batch is
+// just the loop.
 func (s *Simulator) FeasibleBatch(sets [][]Arrival, a Arrival, strat Strategy) ([]bool, error) {
 	out := make([]bool, len(sets))
-	if strat.kind == kindOracle {
-		for i, set := range sets {
-			ok, err := s.Feasible(set, a, strat)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = ok
-		}
-		return out, nil
-	}
-	if strat.kind != kindPredict {
-		return nil, fmt.Errorf("placement: FeasibleBatch does not support strategy %v", strat)
-	}
-	b, ok := backend.Get(strat.backend)
-	if !ok {
-		return nil, fmt.Errorf("placement: unknown prediction backend %q", strat.backend)
-	}
-	e := &batchState{
-		batch: backend.NewBatch(b),
-		solos: map[batchKey]*nicsim.Measurement{},
-	}
 	for i, set := range sets {
-		ok, err := s.feasibleBatched(e, set, a, strat)
+		ok, err := s.Feasible(set, a, strat)
 		if err != nil {
 			return nil, err
 		}
@@ -438,52 +347,91 @@ func (s *Simulator) FeasibleBatch(sets [][]Arrival, a Arrival, strat Strategy) (
 	return out, nil
 }
 
-// feasibleBatched answers one set through the batch state. The SLA pass
-// iterates targets and competitors in the same index order as feasible,
-// so float accumulation (and therefore the verdict) matches it exactly.
-func (s *Simulator) feasibleBatched(e *batchState, set []Arrival, a Arrival, strat Strategy) (bool, error) {
-	if !s.Fits(len(set)) {
-		return false, nil
+// Score is the SLA-independent part of one feasibility verdict: whether
+// every resident keeps its SLA with the newcomer added, plus the
+// newcomer's predicted co-located and measured solo throughput. It is a
+// function of the ordered resident sequence, the newcomer's (NF,
+// profile) and Generation alone, so a caller may keep it for as long as
+// those stand — the newcomer's SLA enters only in Admits.
+type Score struct {
+	ResidentsOK     bool
+	Predicted, Solo float64
+}
+
+// Admits finishes the verdict for the newcomer's own SLA.
+func (sc Score) Admits(sla float64) bool {
+	return sc.ResidentsOK && !(sc.Predicted < (1-sla)*sc.Solo)
+}
+
+// scorer is one backend's evaluator for the generation it was built at:
+// the backend's memoizing Batch and a competitor slice that grows once
+// and is re-sliced per prediction.
+type scorer struct {
+	gen     uint64
+	batch   backend.Batch
+	compBuf []backend.Competitor
+}
+
+// Score predicts every member of set+a beside the others. Targets and
+// competitors are visited in index order, newcomer last: feature
+// accumulation is order-sensitive, so the order is part of the result.
+// The core budget is not consulted — callers pair Score with Fits.
+func (s *Simulator) Score(set []Arrival, a Arrival, strat Strategy) (Score, error) {
+	if strat.kind != kindPredict {
+		return Score{}, fmt.Errorf("placement: Score does not support strategy %v", strat)
 	}
-	n := len(set) + 1
+	e := s.scorers[strat.backend]
+	if e == nil || e.gen != s.gen {
+		b, ok := backend.Get(strat.backend)
+		if !ok {
+			return Score{}, fmt.Errorf("placement: unknown prediction backend %q", strat.backend)
+		}
+		e = &scorer{gen: s.gen, batch: backend.NewBatch(b)}
+		s.scorers[strat.backend] = e
+	}
 	at := func(i int) Arrival {
 		if i < len(set) {
 			return set[i]
 		}
 		return a
 	}
-	for ti := 0; ti < n; ti++ {
+	for ti := 0; ; ti++ {
 		target := at(ti)
-		soloMeas, err := e.solo(s, target)
+		solo, err := s.solo(target)
 		if err != nil {
-			return false, err
+			return Score{}, err
 		}
 		model, err := s.Model(strat.backend, target.Name)
 		if err != nil {
-			return false, err
+			return Score{}, err
 		}
 		comps := e.compBuf[:0]
-		for oi := 0; oi < n; oi++ {
+		// Skip by index, not value: two identical arrivals (same NF,
+		// profile and SLA) are distinct residents and contend with each
+		// other.
+		for oi := 0; oi <= len(set); oi++ {
 			if oi == ti {
 				continue
 			}
 			other := at(oi)
-			m, err := e.solo(s, other)
+			m, err := s.solo(other)
 			if err != nil {
-				return false, err
+				return Score{}, err
 			}
 			comps = append(comps, backend.Competitor{NF: other.Name, Profile: other.Profile, Solo: m})
 		}
 		e.compBuf = comps[:0]
-		predicted, err := e.batch.Predict(model, backend.Key{NF: target.Name, Profile: target.Profile}, comps, soloMeas.Throughput)
+		predicted, err := e.batch.Predict(model, backend.Key{NF: target.Name, Profile: target.Profile}, comps, solo.Throughput)
 		if err != nil {
-			return false, err
+			return Score{}, err
 		}
-		if predicted < (1-target.SLA)*soloMeas.Throughput {
-			return false, nil
+		if ti == len(set) {
+			return Score{ResidentsOK: true, Predicted: predicted, Solo: solo.Throughput}, nil
+		}
+		if predicted < (1-target.SLA)*solo.Throughput {
+			return Score{}, nil
 		}
 	}
-	return true, nil
 }
 
 // Violations counts residents whose ground-truth throughput breaks

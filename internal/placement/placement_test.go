@@ -110,10 +110,41 @@ func TestPlacementStrategies(t *testing.T) {
 		greedy.Violations, yala.Violations, slomoRes.Violations)
 }
 
-// TestFeasibleBatchMatchesFeasible pins the batched scheduler primitive
-// to the per-set reference: identical verdicts over a spread of resident
-// sets, candidates and strategies — including sets at and over core
-// capacity, and the Oracle fallback.
+// referenceScore derives a Score the slow way: one Model-level Predict
+// per member through PredictWith, no Batch and no memo.
+func referenceScore(t *testing.T, s *Simulator, set []Arrival, a Arrival, backendName string) Score {
+	t.Helper()
+	predict := func(target Arrival, others []Arrival) (pred, solo float64) {
+		m, err := s.Model(backendName, target.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pred, err = s.PredictWith(backendName, m, target, others); err != nil {
+			t.Fatal(err)
+		}
+		meas, err := s.solo(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pred, meas.Throughput
+	}
+	for i, r := range set {
+		others := append(append(append([]Arrival(nil), set[:i]...), set[i+1:]...), a)
+		if pred, solo := predict(r, others); pred < (1-r.SLA)*solo {
+			return Score{}
+		}
+	}
+	pred, solo := predict(a, set)
+	return Score{ResidentsOK: true, Predicted: pred, Solo: solo}
+}
+
+// TestFeasibleBatchMatchesFeasible pins the feasibility primitives to
+// each other and to the predictor: FeasibleBatch agrees with Feasible
+// per set over a spread of resident sets, candidates and strategies —
+// including sets at and over core capacity, and Oracle — and the Score
+// under both equals the Model-level reference bit for bit, also after
+// SeedSolo and SetModel have moved the generation under the long-lived
+// Batch.
 func TestFeasibleBatchMatchesFeasible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model training is slow")
@@ -149,6 +180,51 @@ func TestFeasibleBatchMatchesFeasible(t *testing.T) {
 			}
 		}
 	}
+	checkScores := func(when string) {
+		t.Helper()
+		for _, name := range []string{"yala", "slomo"} {
+			for k, cand := range pool[6:9] {
+				for i, set := range sets {
+					got, err := s.Score(set, cand, PredictionAware(name))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := referenceScore(t, s, set, cand, name); got != want {
+						t.Fatalf("%s, %s candidate %d set %d: Score %+v, reference %+v", when, name, k, i, got, want)
+					}
+				}
+			}
+		}
+	}
+	checkScores("as trained")
+	gen := s.Generation()
+	meas, err := s.solo(pool[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Halve the throughput and double the counters: the first is read
+	// per prediction, the second feeds features the Batch memoizes.
+	recal := *meas
+	recal.Throughput *= 0.5
+	recal.Counters.Add(meas.Counters)
+	s.SeedSolo(pool[1], recal)
+	checkScores("after SeedSolo")
+	// Every candidate NF gets another NF's model.
+	swap := map[string]string{"FlowStats": "ACL", "ACL": "FlowClassifier", "FlowClassifier": "FlowTracker", "FlowTracker": "FlowStats"}
+	for _, name := range []string{"yala", "slomo"} {
+		for _, cand := range pool[6:9] {
+			m, err := s.Model(name, swap[cand.Name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetModel(name, cand.Name, m)
+		}
+	}
+	checkScores("after SetModel")
+	if s.Generation() == gen {
+		t.Fatal("SeedSolo and SetModel left the generation unmoved")
+	}
+
 	// A missing model surfaces as an error, exactly like Feasible.
 	bare := NewSimulator(s.TB)
 	if _, err := bare.FeasibleBatch(sets[:3], pool[0], YalaAware); err == nil {
