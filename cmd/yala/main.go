@@ -377,7 +377,6 @@ func cmdServe(args []string) error {
 	fmt.Printf("  GET  /v2/models /v2/stats /v2/cluster/policies /healthz /metrics\n")
 	fmt.Printf("  POST /v2/models:batchPredict /v2/models/{nf[@hw]}/{backend}:predict|:admit|:reload\n")
 	fmt.Printf("       /v2/models/{nf[@hw]}:compare|:diagnose /v2/cluster/runs\n")
-	fmt.Printf("  /v1 endpoints remain available (deprecated; Deprecation header set)\n")
 	if wa := svc.WireAddr(); wa != "" {
 		fmt.Printf("  wire: yalawire binary listener on %s (advertised via /v2/stats wire_addr)\n", wa)
 	}
@@ -543,7 +542,7 @@ func cmdLoadgen(args []string) error {
 	n := fs.Int("n", 20000, "total request count")
 	c := fs.Int("c", 8, "concurrent client workers")
 	profiles := fs.Int("profiles", 4, "distinct traffic-profile pool size (small = warm cache)")
-	batch := fs.Int("batch", 1, "scenarios per Predict round trip (/v1/predict/batch)")
+	batch := fs.Int("batch", 1, "scenarios per Predict round trip (/v2/models:batchPredict)")
 	maxComp := fs.Int("maxcomp", 3, "max competitors per scenario")
 	nfs := fs.String("nfs", "", "comma-separated NF pool (default: a standard mix)")
 	compare := fs.Float64("compare", 0, "fraction of Compare requests")

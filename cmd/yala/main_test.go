@@ -269,32 +269,18 @@ func TestServeLoadgenE2E(t *testing.T) {
 		t.Fatalf("remote comparison: %+v", c)
 	}
 
-	// Every /v1 response must keep advertising its deprecation — the
-	// compatibility contract this PR's CI step gates on.
-	resp, err := http.Get(url + "/v1/models")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if dep := resp.Header.Get("Deprecation"); dep != "true" {
-		t.Fatalf("/v1/models Deprecation header %q, want \"true\"", dep)
-	}
-
-	// The cluster endpoint validates class and workload specs as 400s —
-	// on /v1 (flat envelope) and /v2 (structured envelope) alike.
-	for _, path := range []string{"/v1/cluster/run", "/v2/cluster/runs"} {
-		for _, body := range []string{
-			`{"classes":[{"class":"wat","count":1}]}`,
-			`{"workload":"bogus"}`,
-		} {
-			resp, err := http.Post(url+path, "application/json", bytes.NewReader([]byte(body)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("%s %s: status %d, want 400", path, body, resp.StatusCode)
-			}
+	// The cluster endpoint validates class and workload specs as 400s.
+	for _, body := range []string{
+		`{"classes":[{"class":"wat","count":1}]}`,
+		`{"workload":"bogus"}`,
+	} {
+		resp, err := http.Post(url+"/v2/cluster/runs", "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("/v2/cluster/runs %s: status %d, want 400", body, resp.StatusCode)
 		}
 	}
 

@@ -11,9 +11,9 @@
 // registry, HTTP layer, placement simulator and fleet scheduler consume
 // predictions only through it. The serving subsystem exposes a
 // versioned, resource-oriented /v2 HTTP API (hardware-qualified model
-// resources, structured error envelopes, paginated listings) with the
-// flat /v1 endpoints kept as deprecated byte-compatible adapters, and
-// pkg/yalaclient is the supported stdlib-only Go SDK for it.
+// resources, structured error envelopes, paginated listings; the flat
+// /v1 endpoints were removed in PR 13), and pkg/yalaclient is the
+// supported stdlib-only Go SDK for it.
 // internal/gateway scales the serving tier out: `yala gateway` shards
 // /v2 traffic across N serve replicas by rendezvous hashing on
 // (NF, hardware class, backend), with health-checked transparent

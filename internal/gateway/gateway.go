@@ -15,10 +15,10 @@
 // retries transparently on the next replica in rank order and clients
 // see zero errors across a replica kill.
 //
-// Mutating custom methods (:reload, /v1/reload) fan out to every
-// replica so no replica serves a stale model; a replica that misses a
-// fan-out while down has the reload queued and replayed by the health
-// loop when it recovers, so it never rejoins stale. :batchPredict
+// The mutating custom method (:reload) fans out to every replica so no
+// replica serves a stale model; a replica that misses a fan-out while
+// down has the reload queued and replayed by the health loop when it
+// recovers, so it never rejoins stale. :batchPredict
 // scatters its elements to their home replicas in per-replica
 // sub-batches and gathers the responses back in request order.
 //
@@ -145,7 +145,7 @@ type pendingReload struct {
 	seq         uint64
 }
 
-// Gateway routes /v2 (and compatibility /v1) traffic across replicas.
+// Gateway routes /v2 traffic across replicas.
 type Gateway struct {
 	cfg      Config
 	replicas []*replica
@@ -433,7 +433,6 @@ type route struct {
 	key         string // rendezvous key
 	cacheable   bool   // deterministic 200, edge-cacheable
 	fanout      bool   // mutating verb: all replicas
-	v1Reload    bool   // fan-out target comes from the body
 	backend, nf string // fan-out target from the path
 }
 
@@ -447,9 +446,6 @@ type route struct {
 // coherent while health holds.
 func classify(r *http.Request) route {
 	path := r.URL.Path
-	if path == "/v1/reload" && r.Method == http.MethodPost {
-		return route{fanout: true, v1Reload: true}
-	}
 	rest, ok := strings.CutPrefix(path, "/v2/models/")
 	if !ok {
 		return route{key: "path|" + path}
@@ -660,10 +656,11 @@ func (g *Gateway) writeProxyError(w http.ResponseWriter, r *http.Request, err er
 	g.writeError(w, http.StatusServiceUnavailable, "unavailable", fmt.Sprintf("no replica answered: %v", err))
 }
 
-// copyResponseHeaders forwards the replica headers clients key on; hop
-// metadata stays behind.
+// copyResponseHeaders forwards the replica headers clients key on
+// (serve.ForwardedHeaders, the same list a wire upstream's TypeCallResp
+// carries); hop metadata stays behind.
 func copyResponseHeaders(w http.ResponseWriter, hdr http.Header) {
-	for _, k := range []string{"Content-Type", "X-Request-Id", "Deprecation", "Link", "Allow"} {
+	for _, k := range serve.ForwardedHeaders {
 		if v := hdr.Get(k); v != "" {
 			w.Header().Set(k, v)
 		}
@@ -823,19 +820,6 @@ func (g *Gateway) sendWire(ctx context.Context, ep *endpoint, wp *wire.Pool, met
 // invalid on all), and a 503 only when nothing answered.
 func (g *Gateway) fanoutReload(w http.ResponseWriter, r *http.Request, rt route, body []byte) {
 	backendName, nfName := rt.backend, rt.nf
-	if rt.v1Reload {
-		var req struct {
-			NF      string `json:"nf"`
-			Backend string `json:"backend"`
-		}
-		if len(bytes.TrimSpace(body)) > 0 {
-			if err := json.Unmarshal(body, &req); err != nil {
-				g.writeError(w, http.StatusBadRequest, "invalid_argument", "decoding reload body: "+err.Error())
-				return
-			}
-		}
-		backendName, nfName = req.Backend, req.NF
-	}
 	if backendName == "" {
 		backendName = yalaclient.DefaultBackend
 	}
@@ -1152,47 +1136,56 @@ func (g *Gateway) handleAggregateStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, agg)
 }
 
-// handleBatchScatter splits a :batchPredict body by each element's
-// routing key, issues the per-replica sub-batches concurrently, and
-// reassembles responses in request order — one client round trip fans
-// out to every shard at once instead of serializing N proxied calls.
-func (g *Gateway) handleBatchScatter(w http.ResponseWriter, r *http.Request) {
+// subBatch is one replica's share of a scattered request: the client
+// indices of its elements in order, and the replica's answer.
+type subBatch struct {
+	key    string // first element's routing key: the sub-batch's failover order
+	idxs   []int
+	status int
+	body   []byte
+	err    error
+}
+
+// scatter is the shared first half of the two array verbs
+// (:batchPredict's "requests", /v2/ingest's "measurements"): read the
+// body, split the named array, group the elements by home replica, and
+// send every group to uri concurrently. Each element ranks on its own
+// (nf, hw, backend) key and joins the sub-batch of the top-ranked
+// replica, so every model stays on its cache-hot shard — for ingest,
+// the one whose feedback window, shadow candidate and predict cache
+// describe that model. It returns the element count and the answered
+// sub-batches in first-seen order; ok=false means the client has
+// already been answered (unreadable body, no replica, a sub-batch that
+// failed everywhere, or a replica's non-200 proxied back with its
+// element indices remapped to the client's).
+func (g *Gateway) scatter(w http.ResponseWriter, r *http.Request, field, uri string) (n int, subs []*subBatch, ok bool) {
 	g.requests.Add(1)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		g.writeError(w, http.StatusBadRequest, "invalid_argument", "reading request body: "+err.Error())
-		return
+		return 0, nil, false
 	}
 	var params struct {
-		Requests []json.RawMessage `json:"requests"`
+		Requests     []json.RawMessage `json:"requests"`
+		Measurements []json.RawMessage `json:"measurements"`
 	}
 	if len(bytes.TrimSpace(body)) > 0 {
 		if err := json.Unmarshal(body, &params); err != nil {
 			g.writeError(w, http.StatusBadRequest, "invalid_argument", "decoding request body: "+err.Error())
-			return
+			return 0, nil, false
 		}
 	}
+	elems := params.Requests
+	if field == "measurements" {
+		elems = params.Measurements
+	}
 
-	// Group elements by home replica: each element ranks on its own
-	// (nf, hw, backend) key and joins the sub-batch of the top-ranked
-	// replica, so every model stays on its cache-hot shard. The group
-	// remembers its first element's key — the failover order for the
-	// whole sub-batch if that replica dies between grouping and send.
-	type elemID struct {
-		Model   string `json:"model"`
-		Backend string `json:"backend"`
-	}
-	type subBatch struct {
-		key    string
-		idxs   []int
-		status int
-		body   []byte
-		err    error
-	}
 	byReplica := map[*replica]*subBatch{}
-	var subs []*subBatch
-	for i, raw := range params.Requests {
-		var e elemID
+	for i, raw := range elems {
+		var e struct {
+			Model   string `json:"model"`
+			Backend string `json:"backend"`
+		}
 		// A malformed element still routes (somewhere); the replica owns
 		// validation and its whole-batch 400 proxies back.
 		_ = json.Unmarshal(raw, &e)
@@ -1201,13 +1194,12 @@ func (g *Gateway) handleBatchScatter(w http.ResponseWriter, r *http.Request) {
 		ranked := g.rank(key)
 		if len(ranked) == 0 {
 			g.writeError(w, http.StatusServiceUnavailable, "unavailable", "no replica attached")
-			return
+			return 0, nil, false
 		}
-		home := ranked[0].rep
-		sub, ok := byReplica[home]
-		if !ok {
+		sub, seen := byReplica[ranked[0].rep]
+		if !seen {
 			sub = &subBatch{key: key}
-			byReplica[home] = sub
+			byReplica[ranked[0].rep] = sub
 			subs = append(subs, sub)
 		}
 		sub.idxs = append(sub.idxs, i)
@@ -1217,37 +1209,50 @@ func (g *Gateway) handleBatchScatter(w http.ResponseWriter, r *http.Request) {
 	for _, sub := range subs {
 		raws := make([]json.RawMessage, len(sub.idxs))
 		for j, idx := range sub.idxs {
-			raws[j] = params.Requests[idx]
+			raws[j] = elems[idx]
 		}
-		subBody, err := json.Marshal(map[string]any{"requests": raws})
+		subBody, err := json.Marshal(map[string]any{field: raws})
 		if err != nil {
 			g.writeError(w, http.StatusInternalServerError, "internal", err.Error())
-			return
+			return 0, nil, false
 		}
 		wg.Add(1)
-		go func(sub *subBatch, subBody []byte) {
+		go func(sub *subBatch) {
 			defer wg.Done()
-			_, sub.status, _, sub.body, sub.err = g.sendWithFailover(r.Context(), sub.key, http.MethodPost, "/v2/models:batchPredict", "application/json", subBody)
-		}(sub, subBody)
+			_, sub.status, _, sub.body, sub.err = g.sendWithFailover(r.Context(), sub.key, http.MethodPost, uri, "application/json", subBody)
+		}(sub)
 	}
 	wg.Wait()
 
-	responses := make([]json.RawMessage, len(params.Requests))
-	errs := make([]string, len(params.Requests))
-	anyErr := false
 	for _, sub := range subs {
 		if sub.err != nil {
-			g.writeProxyError(w, r, fmt.Errorf("sub-batch failed on every replica: %w", sub.err))
-			return
+			g.writeProxyError(w, r, fmt.Errorf("%s sub-batch failed on every replica: %w", field, sub.err))
+			return 0, nil, false
 		}
 		if sub.status != http.StatusOK {
 			// The replica's whole-batch error names sub-batch indices;
 			// remap them to the client's before proxying the status.
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(sub.status)
-			w.Write(remapIndices(sub.body, "requests[", sub.idxs))
-			return
+			w.Write(remapIndices(sub.body, field+"[", sub.idxs))
+			return 0, nil, false
 		}
+	}
+	return len(elems), subs, true
+}
+
+// handleBatchScatter scatters a :batchPredict and reassembles the
+// responses in request order — one client round trip fans out to every
+// shard at once instead of serializing N proxied calls.
+func (g *Gateway) handleBatchScatter(w http.ResponseWriter, r *http.Request) {
+	n, subs, ok := g.scatter(w, r, "requests", "/v2/models:batchPredict")
+	if !ok {
+		return
+	}
+	responses := make([]json.RawMessage, n)
+	errs := make([]string, n)
+	anyErr := false
+	for _, sub := range subs {
 		var decoded struct {
 			Responses []json.RawMessage `json:"responses"`
 			Errors    []string          `json:"errors"`
@@ -1268,108 +1273,22 @@ func (g *Gateway) handleBatchScatter(w http.ResponseWriter, r *http.Request) {
 		Responses []json.RawMessage `json:"responses"`
 		Errors    []string          `json:"errors,omitempty"`
 	}{Responses: responses}
-	if out.Responses == nil {
-		out.Responses = []json.RawMessage{}
-	}
 	if anyErr {
 		out.Errors = errs
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleIngestScatter splits a /v2/ingest body by each measurement's
-// routing key and issues per-replica sub-batches concurrently, so every
-// measurement lands on its model's home replica — the one whose
-// feedback window, shadow candidate and predict cache describe that
-// model. Responses sum: the client sees one fleet-wide accept count.
+// handleIngestScatter scatters a /v2/ingest so feedback accumulates
+// where each model serves, and sums the answers: the client sees one
+// fleet-wide accept count.
 func (g *Gateway) handleIngestScatter(w http.ResponseWriter, r *http.Request) {
-	g.requests.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		g.writeError(w, http.StatusBadRequest, "invalid_argument", "reading request body: "+err.Error())
+	_, subs, ok := g.scatter(w, r, "measurements", "/v2/ingest")
+	if !ok {
 		return
 	}
-	var params struct {
-		Measurements []json.RawMessage `json:"measurements"`
-	}
-	if len(bytes.TrimSpace(body)) > 0 {
-		if err := json.Unmarshal(body, &params); err != nil {
-			g.writeError(w, http.StatusBadRequest, "invalid_argument", "decoding request body: "+err.Error())
-			return
-		}
-	}
-
-	// Group measurements by home replica on the same (nf, hw, backend)
-	// key predictions route by — feedback must accumulate where the
-	// model serves.
-	type elemID struct {
-		Model   string `json:"model"`
-		Backend string `json:"backend"`
-	}
-	type subBatch struct {
-		key    string
-		idxs   []int
-		status int
-		body   []byte
-		err    error
-	}
-	byReplica := map[*replica]*subBatch{}
-	var subs []*subBatch
-	for i, raw := range params.Measurements {
-		var e elemID
-		// A malformed measurement still routes (somewhere); the replica
-		// owns validation and its whole-batch 400 proxies back.
-		_ = json.Unmarshal(raw, &e)
-		nf, hw := splitModelID(e.Model)
-		key := modelKey(nf, hw, e.Backend)
-		ranked := g.rank(key)
-		if len(ranked) == 0 {
-			g.writeError(w, http.StatusServiceUnavailable, "unavailable", "no replica attached")
-			return
-		}
-		home := ranked[0].rep
-		sub, ok := byReplica[home]
-		if !ok {
-			sub = &subBatch{key: key}
-			byReplica[home] = sub
-			subs = append(subs, sub)
-		}
-		sub.idxs = append(sub.idxs, i)
-	}
-
-	var wg sync.WaitGroup
-	for _, sub := range subs {
-		raws := make([]json.RawMessage, len(sub.idxs))
-		for j, idx := range sub.idxs {
-			raws[j] = params.Measurements[idx]
-		}
-		subBody, err := json.Marshal(map[string]any{"measurements": raws})
-		if err != nil {
-			g.writeError(w, http.StatusInternalServerError, "internal", err.Error())
-			return
-		}
-		wg.Add(1)
-		go func(sub *subBatch, subBody []byte) {
-			defer wg.Done()
-			_, sub.status, _, sub.body, sub.err = g.sendWithFailover(r.Context(), sub.key, http.MethodPost, "/v2/ingest", "application/json", subBody)
-		}(sub, subBody)
-	}
-	wg.Wait()
-
 	var accepted, quarantined int
 	for _, sub := range subs {
-		if sub.err != nil {
-			g.writeProxyError(w, r, fmt.Errorf("ingest sub-batch failed on every replica: %w", sub.err))
-			return
-		}
-		if sub.status != http.StatusOK {
-			// The replica's error names sub-batch indices; remap them to
-			// the client's before proxying the status.
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(sub.status)
-			w.Write(remapIndices(sub.body, "measurements[", sub.idxs))
-			return
-		}
 		var res struct {
 			Accepted    int `json:"accepted"`
 			Quarantined int `json:"quarantined"`

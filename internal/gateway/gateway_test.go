@@ -101,7 +101,7 @@ func (s *stubReplica) handler() http.Handler {
 		s.served++
 		s.paths[r.URL.Path]++
 		s.lastRID = r.Header.Get("X-Request-Id")
-		isReload := strings.HasSuffix(r.URL.Path, ":reload") || r.URL.Path == "/v1/reload"
+		isReload := strings.HasSuffix(r.URL.Path, ":reload")
 		if isReload {
 			s.reloads++
 			s.entries = 0
@@ -271,7 +271,7 @@ func TestRoutingDefaultPoolSpreads(t *testing.T) {
 }
 
 // TestReloadFanout: a /v2 reload reaches every replica exactly once and
-// reports the fan-out width; the /v1 body-addressed form fans out too.
+// reports the fan-out width, whichever (backend, NF) it names.
 func TestReloadFanout(t *testing.T) {
 	a, b := newStubReplica(t, "a"), newStubReplica(t, "b")
 	g, ts := testGateway(t, 0, a, b)
@@ -294,14 +294,14 @@ func TestReloadFanout(t *testing.T) {
 		t.Fatalf("replica b reloads = %d, want 1", rb)
 	}
 
-	if status, body := post(t, ts.URL+"/v1/reload", `{"nf":"ACL","backend":"slomo"}`); status != 200 {
-		t.Fatalf("/v1/reload: %d %s", status, body)
+	if status, body := post(t, ts.URL+"/v2/models/ACL/slomo:reload", ""); status != 200 {
+		t.Fatalf("second reload: %d %s", status, body)
 	}
 	if _, ra := a.counts(); ra != 2 {
-		t.Fatalf("replica a reloads after /v1 = %d, want 2", ra)
+		t.Fatalf("replica a reloads after the second = %d, want 2", ra)
 	}
 	if _, rb := b.counts(); rb != 2 {
-		t.Fatalf("replica b reloads after /v1 = %d, want 2", rb)
+		t.Fatalf("replica b reloads after the second = %d, want 2", rb)
 	}
 	if got := g.fanouts.Load(); got != 2 {
 		t.Fatalf("gateway fanouts = %d, want 2", got)

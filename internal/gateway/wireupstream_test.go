@@ -2,7 +2,9 @@ package gateway
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -10,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/serve"
 	"repro/pkg/yalaclient"
 )
 
@@ -72,5 +75,90 @@ func TestGatewayWireUpstreamDiscovery(t *testing.T) {
 	}
 	if n, _ := strconv.Atoi(string(m[1])); n == 0 {
 		t.Fatal("gateway proxied over HTTP despite a discovered wire pool")
+	}
+}
+
+// TestRetryAfterCrossesGateway: a replica's 429 reaches the client with
+// its Retry-After backoff hint intact, whether the gateway reached the
+// replica over HTTP or tunneled the call over a wire upstream — one
+// allow-list (serve.ForwardedHeaders) decides what crosses the hop on
+// both.
+func TestRetryAfterCrossesGateway(t *testing.T) {
+	shed := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Retry-After", "2")
+		w.WriteHeader(http.StatusTooManyRequests)
+		io.WriteString(w, `{"error":{"code":"resource_exhausted","message":"stub: shed"}}`)
+	})
+	for _, upstream := range []string{"http", "wire"} {
+		t.Run(upstream, func(t *testing.T) {
+			// The stub's HTTP side answers probes; with a wire listener
+			// mounted it advertises it and refuses to serve anything else,
+			// so a 429 can only have come through the tunnel.
+			wireAddr := ""
+			mux := http.NewServeMux()
+			mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "ok\n") })
+			mux.HandleFunc("/v2/stats", func(w http.ResponseWriter, r *http.Request) {
+				fmt.Fprintf(w, `{"wire_addr":%q}`, wireAddr)
+			})
+			if upstream == "wire" {
+				svc := serve.NewService(quickServiceConfig(t.TempDir()))
+				t.Cleanup(svc.Close)
+				wlis, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				ws := svc.ServeWire(wlis, shed)
+				t.Cleanup(ws.Close)
+				wireAddr = ws.Addr()
+				mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+					t.Errorf("%s %s reached the stub over HTTP despite its wire listener", r.Method, r.URL.Path)
+				})
+			} else {
+				mux.Handle("/", shed)
+			}
+			stub := httptest.NewServer(mux)
+			t.Cleanup(stub.Close)
+			g, err := New(Config{Backends: []string{stub.URL}, HealthInterval: 20 * time.Millisecond, EdgeCacheEntries: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(g.Close)
+			ts := httptest.NewServer(g.Handler())
+			t.Cleanup(ts.Close)
+			if upstream == "wire" {
+				deadline := time.Now().Add(5 * time.Second)
+				for g.replicas[0].ep.Load().wire.Load() == nil {
+					if time.Now().After(deadline) {
+						t.Fatal("gateway never discovered the stub's wire listener")
+					}
+					time.Sleep(10 * time.Millisecond)
+				}
+			}
+
+			// The coalescing path (a predict) and the plain proxy path (a
+			// listing) both forward the hint.
+			for _, req := range []struct{ method, path string }{
+				{http.MethodPost, "/v2/models/FlowStats/yala:predict"},
+				{http.MethodGet, "/v2/models"},
+			} {
+				r, err := http.NewRequest(req.method, ts.URL+req.path, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusTooManyRequests {
+					t.Fatalf("%s %s: status %d (%s), want the replica's 429", req.method, req.path, resp.StatusCode, body)
+				}
+				if ra := resp.Header.Get("Retry-After"); ra != "2" {
+					t.Fatalf("%s %s: Retry-After %q, want \"2\"", req.method, req.path, ra)
+				}
+			}
+		})
 	}
 }

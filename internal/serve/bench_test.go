@@ -36,12 +36,12 @@ func benchService(b *testing.B) *Service {
 func BenchmarkPredictCacheHit(b *testing.B) {
 	s := benchService(b)
 	req := PredictRequest{NF: "FlowStats", Competitors: []CompetitorSpec{{Name: "ACL"}}}
-	if _, err := s.Predict(context.Background(), req); err != nil {
+	if _, err := s.PredictOn(context.Background(), "", req); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Predict(context.Background(), req); err != nil {
+		if _, err := s.PredictOn(context.Background(), "", req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -54,7 +54,7 @@ func BenchmarkPredictCacheMiss(b *testing.B) {
 	s := benchService(b)
 	// Pre-train and warm the competitor solo measurement so iterations
 	// measure the per-scenario cost, not one-time setup.
-	if _, err := s.Predict(context.Background(), PredictRequest{NF: "FlowStats", Competitors: []CompetitorSpec{{Name: "ACL"}}}); err != nil {
+	if _, err := s.PredictOn(context.Background(), "", PredictRequest{NF: "FlowStats", Competitors: []CompetitorSpec{{Name: "ACL"}}}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -64,7 +64,7 @@ func BenchmarkPredictCacheMiss(b *testing.B) {
 			Profile:     ProfileSpec{MTBR: F64(100 + float64(i%100000)*0.001)},
 			Competitors: []CompetitorSpec{{Name: "ACL"}},
 		}
-		if _, err := s.Predict(context.Background(), req); err != nil {
+		if _, err := s.PredictOn(context.Background(), "", req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -82,7 +82,7 @@ func BenchmarkMixedArrivalWorkload(b *testing.B) {
 		for _, p := range profiles {
 			for _, comp := range nfs {
 				req := PredictRequest{NF: nf, Profile: p, Competitors: []CompetitorSpec{{Name: comp}}}
-				if _, err := s.Predict(context.Background(), req); err != nil {
+				if _, err := s.PredictOn(context.Background(), "", req); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -100,7 +100,7 @@ func BenchmarkMixedArrivalWorkload(b *testing.B) {
 			if rng.Float64() < 0.02 { // 2% cold tail
 				req.Profile = ProfileSpec{MTBR: F64(rng.Range(100, 1000))}
 			}
-			if _, err := s.Predict(context.Background(), req); err != nil {
+			if _, err := s.PredictOn(context.Background(), "", req); err != nil {
 				b.Fatal(err)
 			}
 		}

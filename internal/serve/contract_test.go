@@ -1,13 +1,13 @@
 package serve
 
-// Contract tests for the v1→v2 API transition: the /v1 adapters and the
-// /v2 resource API must return identical logical results for the same
-// scenario, every /v1 response must carry the Deprecation header, and
+// Contract tests for the /v2 API: every /v2 route must return exactly
+// what the service method behind it returns for the same scenario, and
 // the /v2 error envelope and paginated model listing are pinned by
 // golden JSON fixtures (regenerate with `go test ./internal/serve -run
 // TestV2Golden -update`).
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"io"
@@ -59,107 +59,110 @@ func roundTrip(t *testing.T, ts *httptest.Server, method, path, body string) (*h
 	return resp, data
 }
 
-// TestV1V2Contract is the table-driven equivalence suite: each case
-// names a /v1 call and its /v2 counterpart; both must return the same
-// status and the same canonical JSON body.
+// TestV1V2Contract is the table-driven equivalence suite. Its name
+// predates PR 13, which removed the /v1 routes: what /v1 carried
+// verbatim — the flat service requests, NF and backend in the body —
+// is still the Service API, so each case names one such request and its
+// /v2 resource call, and the route must answer with the status and the
+// canonical JSON body the service method produces.
 func TestV1V2Contract(t *testing.T) {
-	ts := testServer(t)
+	svc, ts := testServerSvc(t)
+	ctx := context.Background()
+	acl := []CompetitorSpec{{Name: "ACL"}}
+	full := []ColoNF{{Name: "ACL", SLA: 1}, {Name: "ACL", SLA: 1}, {Name: "ACL", SLA: 1}, {Name: "ACL", SLA: 1}}
 	cases := []struct {
 		name           string
-		v1Path, v1Body string
+		direct         func() (any, error)
 		v2Path, v2Body string
 	}{
 		{
-			name:   "predict default backend",
-			v1Path: "/v1/predict", v1Body: `{"nf":"FlowStats","competitors":[{"name":"ACL"}]}`,
+			name: "predict default backend",
+			direct: func() (any, error) {
+				return svc.PredictOn(ctx, "", PredictRequest{NF: "FlowStats", Competitors: acl})
+			},
 			v2Path: "/v2/models/FlowStats/yala:predict", v2Body: `{"competitors":[{"name":"ACL"}]}`,
 		},
 		{
-			name:   "predict slomo with profile",
-			v1Path: "/v1/predict", v1Body: `{"nf":"ACL","backend":"slomo","profile":{"flows":64000},"competitors":[{"name":"FlowStats"}]}`,
+			name: "predict slomo with profile",
+			direct: func() (any, error) {
+				return svc.PredictOn(ctx, "", PredictRequest{NF: "ACL", Backend: "slomo",
+					Profile: ProfileSpec{Flows: 64000}, Competitors: []CompetitorSpec{{Name: "FlowStats"}}})
+			},
 			v2Path: "/v2/models/ACL/slomo:predict", v2Body: `{"profile":{"flows":64000},"competitors":[{"name":"FlowStats"}]}`,
 		},
 		{
-			name:   "batch",
-			v1Path: "/v1/predict/batch", v1Body: `{"requests":[{"nf":"FlowStats"},{"nf":"ACL","competitors":[{"name":"FlowStats"}]}]}`,
+			name: "batch",
+			direct: func() (any, error) {
+				return svc.predictBatch(ctx, []hwPredict{
+					{req: PredictRequest{NF: "FlowStats"}},
+					{req: PredictRequest{NF: "ACL", Competitors: []CompetitorSpec{{Name: "FlowStats"}}}},
+				})
+			},
 			v2Path: "/v2/models:batchPredict", v2Body: `{"requests":[{"model":"FlowStats"},{"model":"ACL","competitors":[{"name":"FlowStats"}]}]}`,
 		},
 		{
-			name:   "compare",
-			v1Path: "/v1/compare", v1Body: `{"nf":"FlowStats","competitors":[{"name":"ACL"}]}`,
+			name: "compare",
+			direct: func() (any, error) {
+				return svc.CompareOn(ctx, "", CompareRequest{NF: "FlowStats", Competitors: acl})
+			},
 			v2Path: "/v2/models/FlowStats:compare", v2Body: `{"competitors":[{"name":"ACL"}]}`,
 		},
 		{
-			name:   "diagnose",
-			v1Path: "/v1/diagnose", v1Body: `{"nf":"FlowStats","competitors":[{"name":"ACL"}]}`,
+			name: "diagnose",
+			direct: func() (any, error) {
+				return svc.DiagnoseOn(ctx, "", DiagnoseRequest{NF: "FlowStats", Competitors: acl})
+			},
 			v2Path: "/v2/models/FlowStats:diagnose", v2Body: `{"competitors":[{"name":"ACL"}]}`,
 		},
 		{
-			name:   "admit",
-			v1Path: "/v1/admit", v1Body: `{"residents":[{"name":"ACL","sla":0.9}],"candidate":{"name":"FlowStats","sla":0.9}}`,
+			name: "admit",
+			direct: func() (any, error) {
+				return svc.AdmitOn(ctx, "", AdmitRequest{
+					Residents: []ColoNF{{Name: "ACL", SLA: 0.9}}, Candidate: ColoNF{Name: "FlowStats", SLA: 0.9}})
+			},
 			v2Path: "/v2/models/FlowStats/yala:admit", v2Body: `{"residents":[{"name":"ACL","sla":0.9}],"sla":0.9}`,
 		},
 		{
-			name:   "admit rejected on cores",
-			v1Path: "/v1/admit", v1Body: `{"residents":[{"name":"ACL","sla":1},{"name":"ACL","sla":1},{"name":"ACL","sla":1},{"name":"ACL","sla":1}],"candidate":{"name":"ACL","sla":1}}`,
+			name: "admit rejected on cores",
+			direct: func() (any, error) {
+				return svc.AdmitOn(ctx, "", AdmitRequest{Residents: full, Candidate: ColoNF{Name: "ACL", SLA: 1}})
+			},
 			v2Path: "/v2/models/ACL/yala:admit", v2Body: `{"residents":[{"name":"ACL","sla":1},{"name":"ACL","sla":1},{"name":"ACL","sla":1},{"name":"ACL","sla":1}],"sla":1}`,
 		},
 		{
-			name:   "bad request statuses agree",
-			v1Path: "/v1/predict", v1Body: `{"nf":"NoSuchNF"}`,
+			name: "bad request statuses agree",
+			direct: func() (any, error) {
+				return svc.PredictOn(ctx, "", PredictRequest{NF: "NoSuchNF"})
+			},
 			v2Path: "/v2/models/NoSuchNF/yala:predict", v2Body: `{}`,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r1, b1 := roundTrip(t, ts, "POST", tc.v1Path, tc.v1Body)
-			r2, b2 := roundTrip(t, ts, "POST", tc.v2Path, tc.v2Body)
-			if r1.StatusCode != r2.StatusCode {
-				t.Fatalf("status diverged: v1 %d, v2 %d\nv1 %s\nv2 %s", r1.StatusCode, r2.StatusCode, b1, b2)
-			}
-			if r1.StatusCode != http.StatusOK {
-				// Error bodies use different envelopes by design; the
-				// contract is the status code and that both name the cause.
+			want, err := tc.direct()
+			resp, body := roundTrip(t, ts, "POST", tc.v2Path, tc.v2Body)
+			if err != nil {
+				// The contract on a failure is the status and that the
+				// envelope names the cause.
+				status, code := errorStatus(ctx, err)
+				var env errorBodyV2
+				if json.Unmarshal(body, &env) != nil || resp.StatusCode != status ||
+					env.Error.Code != code || env.Error.Message != err.Error() {
+					t.Fatalf("service failed with %v (%d %s); /v2 answered %d %s", err, status, code, resp.StatusCode, body)
+				}
 				return
 			}
-			if got, want := canonJSON(t, b2), canonJSON(t, b1); got != want {
-				t.Fatalf("body diverged:\nv1 %s\nv2 %s", want, got)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("service answered, /v2 did not: %d %s", resp.StatusCode, body)
+			}
+			direct, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := canonJSON(t, body), canonJSON(t, direct); got != want {
+				t.Fatalf("body diverged:\nservice %s\n/v2 %s", want, got)
 			}
 		})
-	}
-}
-
-// TestV1DeprecationHeaders asserts every /v1 route advertises its
-// deprecation and /v2 successor — the CI smoke gates on this.
-func TestV1DeprecationHeaders(t *testing.T) {
-	ts := testServer(t)
-	routes := []struct{ method, path, body string }{
-		{"POST", "/v1/predict", `{"nf":"FlowStats"}`},
-		{"POST", "/v1/predict/batch", `{"requests":[{"nf":"FlowStats"}]}`},
-		{"POST", "/v1/compare", `{"nf":"FlowStats"}`},
-		{"POST", "/v1/admit", `{"candidate":{"name":"FlowStats","sla":0.5}}`},
-		{"POST", "/v1/diagnose", `{"nf":"FlowStats"}`},
-		{"POST", "/v1/reload", `{"nf":"FlowStats"}`},
-		{"GET", "/v1/models", ""},
-		{"GET", "/v1/stats", ""},
-		{"GET", "/v1/cluster/policies", ""},
-	}
-	for _, rt := range routes {
-		resp, _ := roundTrip(t, ts, rt.method, rt.path, rt.body)
-		if dep := resp.Header.Get("Deprecation"); dep != "true" {
-			t.Errorf("%s %s: Deprecation header %q, want \"true\"", rt.method, rt.path, dep)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, "successor-version") {
-			t.Errorf("%s %s: Link header %q lacks successor-version", rt.method, rt.path, link)
-		}
-		if rid := resp.Header.Get("X-Request-Id"); rid == "" {
-			t.Errorf("%s %s: missing X-Request-Id", rt.method, rt.path)
-		}
-	}
-	// /v2 responses must NOT be marked deprecated.
-	resp, _ := roundTrip(t, ts, "GET", "/v2/models", "")
-	if dep := resp.Header.Get("Deprecation"); dep != "" {
-		t.Errorf("/v2/models: unexpected Deprecation header %q", dep)
 	}
 }
 

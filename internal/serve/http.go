@@ -1,42 +1,20 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"sync/atomic"
-
-	"repro/internal/cluster"
-	"repro/internal/obs"
-	"repro/internal/tenant"
 )
 
-// Handler exposes the service over HTTP/JSON. The resource-oriented,
-// versioned /v2 API (httpv2.go) is the supported surface; the flat /v1
-// endpoints remain as thin adapters over the same service methods —
-// byte-for-byte compatible bodies, plus a Deprecation header pointing
-// clients at their /v2 successor:
-//
-//	POST /v1/predict        PredictRequest  → PredictResponse
-//	POST /v1/predict/batch  BatchRequest    → BatchResponse
-//	POST /v1/compare        CompareRequest  → CompareResponse
-//	POST /v1/admit          AdmitRequest    → AdmitResponse
-//	POST /v1/diagnose       DiagnoseRequest → DiagnoseResponse
-//	POST /v1/cluster/run    ClusterRunRequest → cluster.Comparison
-//	GET  /v1/cluster/policies          → ClusterPoliciesResponse
-//	GET  /v1/models                    → []ModelInfo
-//	GET  /v1/stats                     → ServiceStats
-//	POST /v1/reload    reloadRequest   → {"ok": true}
-//	GET  /healthz                      → ok
+// Handler exposes the service over HTTP/JSON: the resource-oriented,
+// versioned /v2 API (httpv2.go), GET /healthz and GET /metrics. The
+// flat /v1 surface was removed in PR 13; its paths answer the same
+// structured 404 as any other unknown route.
 //
 // Every error path — including unknown routes and wrong methods —
-// returns a JSON error envelope: /v1 keeps its flat {"error": "..."}
-// shape, /v2 the structured code/message/request-id envelope.
+// returns the structured /v2 envelope (code, message, request ID).
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	s.registerV1(mux)
 	s.registerV2(mux)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
@@ -58,185 +36,36 @@ func (s *Service) Handler() http.Handler {
 	return s.withObs(h)
 }
 
-// v1Route registers one /v1 endpoint: the method-bound handler, a
-// deprecation header on every response, and a methodless fallback that
-// turns net/http's text 405 into the /v1 JSON envelope.
-func v1Route(mux *http.ServeMux, method, path string, h http.HandlerFunc) {
-	mux.HandleFunc(method+" "+path, func(w http.ResponseWriter, r *http.Request) {
-		setDeprecation(w, path)
-		h(w, r)
-	})
-	mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-		setDeprecation(w, path)
-		w.Header().Set("Allow", method)
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{fmt.Sprintf("method %s not allowed on %s (use %s)", r.Method, path, method)})
-	})
+// statusRecorder captures the response status for endRequest.
+type statusRecorder struct {
+	http.ResponseWriter
+	status int
 }
 
-// v1Successor maps a /v1 path to the /v2 surface the Deprecation link
-// advertises.
-var v1Successor = map[string]string{
-	"/v1/predict":          "/v2/models/{nf}/{backend}:predict",
-	"/v1/predict/batch":    "/v2/models:batchPredict",
-	"/v1/compare":          "/v2/models/{nf}:compare",
-	"/v1/admit":            "/v2/models/{nf}/{backend}:admit",
-	"/v1/diagnose":         "/v2/models/{nf}:diagnose",
-	"/v1/reload":           "/v2/models/{nf}/{backend}:reload",
-	"/v1/models":           "/v2/models",
-	"/v1/stats":            "/v2/stats",
-	"/v1/cluster/run":      "/v2/cluster/runs",
-	"/v1/cluster/policies": "/v2/cluster/policies",
+func (r *statusRecorder) WriteHeader(code int) {
+	r.status = code
+	r.ResponseWriter.WriteHeader(code)
 }
 
-// setDeprecation stamps the RFC 9745 deprecation header plus a
-// successor-version link on a /v1 response. The CI smoke step gates on
-// this header staying present.
-func setDeprecation(w http.ResponseWriter, path string) {
-	w.Header().Set("Deprecation", "true")
-	if succ, ok := v1Successor[path]; ok {
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", succ))
-	}
-}
-
-func (s *Service) registerV1(mux *http.ServeMux) {
-	v1Route(mux, "POST", "/v1/cluster/run", func(w http.ResponseWriter, r *http.Request) {
-		handleJSON(w, r, func(req ClusterRunRequest) (cluster.Comparison, error) {
-			return s.ClusterRun(r.Context(), req)
-		})
+// withObs is the HTTP end of the request lifecycle: it opens the
+// request (adopting the client's X-Request-Id), echoes the ID on the
+// response, and observes the request once the handler has written its
+// answer. Requests tunneled off the wire listener (TypeCall dispatch)
+// carry a context marker so the transport split stays honest even
+// though they run this same handler.
+func (s *Service) withObs(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		tunneled := r.Context().Value(wireTransportKey{}) != nil
+		rq := s.beginRequest(r.Context(), tunneled, r.Header.Get("X-Request-Id"))
+		w.Header().Set("X-Request-Id", rq.tr.ID)
+		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		next.ServeHTTP(rec, r.WithContext(rq.ctx))
+		s.endRequest(rq, r.Method, r.URL.Path, rec.status)
 	})
-	v1Route(mux, "GET", "/v1/cluster/policies", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, ClusterPoliciesResponse{Policies: cluster.Policies()})
-	})
-	v1Route(mux, "POST", "/v1/predict", func(w http.ResponseWriter, r *http.Request) {
-		handleJSON(w, r, func(req PredictRequest) (PredictResponse, error) {
-			return s.Predict(r.Context(), req)
-		})
-	})
-	v1Route(mux, "POST", "/v1/predict/batch", func(w http.ResponseWriter, r *http.Request) {
-		handleJSON(w, r, func(req BatchRequest) (BatchResponse, error) {
-			return s.PredictBatch(r.Context(), req)
-		})
-	})
-	v1Route(mux, "POST", "/v1/compare", func(w http.ResponseWriter, r *http.Request) {
-		handleJSON(w, r, func(req CompareRequest) (CompareResponse, error) {
-			return s.Compare(r.Context(), req)
-		})
-	})
-	v1Route(mux, "POST", "/v1/admit", func(w http.ResponseWriter, r *http.Request) {
-		handleJSON(w, r, func(req AdmitRequest) (AdmitResponse, error) {
-			return s.Admit(r.Context(), req)
-		})
-	})
-	v1Route(mux, "POST", "/v1/diagnose", func(w http.ResponseWriter, r *http.Request) {
-		handleJSON(w, r, func(req DiagnoseRequest) (DiagnoseResponse, error) {
-			return s.Diagnose(r.Context(), req)
-		})
-	})
-	v1Route(mux, "GET", "/v1/models", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.reg.Models())
-	})
-	v1Route(mux, "GET", "/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Stats())
-	})
-	v1Route(mux, "POST", "/v1/reload", func(w http.ResponseWriter, r *http.Request) {
-		handleJSON(w, r, func(req reloadRequest) (map[string]bool, error) {
-			// An unknown backend or NF is the client's mistake: reject it
-			// with a 400 rather than silently reloading nothing.
-			backendName, err := ParseBackend(req.Backend)
-			if err != nil {
-				return nil, badRequestf("%v", err)
-			}
-			if err := validNF(req.NF); err != nil {
-				return nil, err
-			}
-			s.Reload(backendName, req.NF)
-			return map[string]bool{"ok": true}, nil
-		})
-	})
-}
-
-// reloadRequest names the model to evict from the registry.
-type reloadRequest struct {
-	NF      string `json:"nf"`
-	Backend string `json:"backend,omitempty"`
-}
-
-// errorBody is the flat /v1 JSON error envelope. /v2 uses the structured
-// envelope in httpv2.go.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-// errorStatus maps a service error to its HTTP status. Client-caused
-// errors (unknown NF, malformed profile, unknown backend/policy) are
-// 400; transient server conditions are 503 so retry policies keyed on
-// 4xx-vs-5xx retry them; everything else is a scenario the client asked
-// for that the service cannot answer (422).
-func errorStatus(err error) int {
-	switch {
-	case errors.Is(err, ErrBadRequest):
-		return http.StatusBadRequest
-	case errors.Is(err, ErrClosed), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusUnprocessableEntity
-}
-
-// errorStatusReq is errorStatus with the caller's request in hand: a
-// cancellation error whose origin is the *request's own context* means
-// the client went away, which is 499 (client closed request), not a
-// 503 — a 5xx here would feed the tenant gate's windowed error rate
-// and let a burst of client disconnects shed healthy traffic.
-func errorStatusReq(r *http.Request, err error) int {
-	if r.Context().Err() != nil &&
-		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		return tenant.StatusClientClosedRequest
-	}
-	return errorStatus(err)
-}
-
-// handleJSON decodes one request type, runs the service call and encodes
-// the response — the /v1 adapter.
-func handleJSON[Req, Resp any](w http.ResponseWriter, r *http.Request, fn func(Req) (Resp, error)) {
-	var req Req
-	dsp := obs.StartSpan(r.Context(), "decode")
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
-	dsp.End()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
-		return
-	}
-	resp, err := fn(req)
-	if err != nil {
-		writeJSON(w, errorStatusReq(r, err), errorBody{err.Error()})
-		return
-	}
-	esp := obs.StartSpan(r.Context(), "encode")
-	writeJSON(w, http.StatusOK, resp)
-	esp.End()
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
-}
-
-// requestCounter feeds the per-request IDs; the header lets clients and
-// the /v2 error envelope name a failing request in bug reports. The
-// middleware that assigns (or adopts) the ID is withObs in metrics.go —
-// it took over from the old withRequestID when IDs became the trace
-// handle too.
-var requestCounter atomic.Uint64
-
-type ridKey struct{}
-
-// requestID reads the request's ID back out of the context.
-func requestID(r *http.Request) string {
-	if rid, ok := r.Context().Value(ridKey{}).(string); ok {
-		return rid
-	}
-	return ""
 }

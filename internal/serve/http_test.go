@@ -33,6 +33,13 @@ func TestMain(m *testing.M) {
 // training config and the shared model directory.
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
+	_, ts := testServerSvc(t)
+	return ts
+}
+
+// testServerSvc is testServer, also handing back the service.
+func testServerSvc(t *testing.T) (*Service, *httptest.Server) {
+	t.Helper()
 	httpModelDirOnce.Do(func() {
 		dir, err := os.MkdirTemp("", "serve-http-models-")
 		if err != nil {
@@ -50,7 +57,7 @@ func testServer(t *testing.T) *httptest.Server {
 	t.Cleanup(svc.Close)
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(ts.Close)
-	return ts
+	return svc, ts
 }
 
 // postRaw round-trips a raw JSON body and returns (status, body).
@@ -69,8 +76,8 @@ func postRaw(t *testing.T, ts *httptest.Server, path, body string) (int, string)
 }
 
 // postAs posts a typed request and decodes the 200 response into Resp —
-// the raw-HTTP stand-in for the removed internal client (the public SDK
-// in pkg/yalaclient speaks /v2; these tests pin /v1).
+// the raw-HTTP stand-in for the removed internal client (these tests
+// pin the /v2 routes byte-for-byte, below the public SDK).
 func postAs[Resp any](t *testing.T, ts *httptest.Server, path string, req any) Resp {
 	t.Helper()
 	body, err := json.Marshal(req)
@@ -112,8 +119,7 @@ func getAs[Resp any](t *testing.T, ts *httptest.Server, path string) Resp {
 
 func TestHTTPPredict(t *testing.T) {
 	ts := testServer(t)
-	resp := postAs[PredictResponse](t, ts, "/v1/predict", PredictRequest{
-		NF:          "FlowStats",
+	resp := postAs[PredictResponse](t, ts, "/v2/models/FlowStats/yala:predict", predictParamsV2{
 		Competitors: []CompetitorSpec{{Name: "ACL"}},
 	})
 	if resp.NF != "FlowStats" || resp.SoloPPS <= 0 || resp.PredictedPPS <= 0 {
@@ -126,19 +132,20 @@ func TestHTTPPredict(t *testing.T) {
 // names the problem, not as an opaque 5xx.
 func TestHTTPPredictBadRequest(t *testing.T) {
 	ts := testServer(t)
+	const flowStats = "/v2/models/FlowStats/yala:predict"
 	cases := []struct {
-		name, body, wantMsg string
+		name, path, body, wantMsg string
 	}{
-		{"unknown nf", `{"nf":"NoSuchNF"}`, "unknown NF"},
-		{"missing nf", `{}`, "missing NF name"},
-		{"unknown competitor", `{"nf":"FlowStats","competitors":[{"name":"Bogus"}]}`, "unknown NF"},
-		{"negative flows", `{"nf":"FlowStats","profile":{"flows":-5}}`, "flows"},
-		{"oversized pktsize", `{"nf":"FlowStats","profile":{"pktsize":100000}}`, "pktsize"},
-		{"negative mtbr", `{"nf":"FlowStats","profile":{"mtbr":-1}}`, "mtbr"},
-		{"unknown backend", `{"nf":"FlowStats","backend":"magic"}`, "unknown backend"},
+		{"unknown nf", "/v2/models/NoSuchNF/yala:predict", `{}`, "unknown NF"},
+		{"missing nf", "/v2/models/%20/yala:predict", `{}`, "missing NF name"},
+		{"unknown competitor", flowStats, `{"competitors":[{"name":"Bogus"}]}`, "unknown NF"},
+		{"negative flows", flowStats, `{"profile":{"flows":-5}}`, "flows"},
+		{"oversized pktsize", flowStats, `{"profile":{"pktsize":100000}}`, "pktsize"},
+		{"negative mtbr", flowStats, `{"profile":{"mtbr":-1}}`, "mtbr"},
+		{"unknown backend", "/v2/models/FlowStats/magic:predict", `{}`, "unknown backend"},
 	}
 	for _, tc := range cases {
-		status, body := postRaw(t, ts, "/v1/predict", tc.body)
+		status, body := postRaw(t, ts, tc.path, tc.body)
 		if status != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (body %s)", tc.name, status, body)
 		}
@@ -150,16 +157,16 @@ func TestHTTPPredictBadRequest(t *testing.T) {
 
 func TestHTTPPredictBatch(t *testing.T) {
 	ts := testServer(t)
-	resp := postAs[BatchResponse](t, ts, "/v1/predict/batch", BatchRequest{Requests: []PredictRequest{
-		{NF: "FlowStats"},
-		{NF: "ACL", Competitors: []CompetitorSpec{{Name: "FlowStats"}}},
+	resp := postAs[BatchResponse](t, ts, "/v2/models:batchPredict", batchParamsV2{Requests: []batchItemV2{
+		{Model: "FlowStats"},
+		{Model: "ACL", Competitors: []CompetitorSpec{{Name: "FlowStats"}}},
 	}})
 	if len(resp.Responses) != 2 || len(resp.Errors) != 0 {
 		t.Fatalf("batch response: %+v", resp)
 	}
 	// A malformed element fails the whole batch with 400 and an index.
-	status, body := postRaw(t, ts, "/v1/predict/batch",
-		`{"requests":[{"nf":"FlowStats"},{"nf":"NoSuchNF"}]}`)
+	status, body := postRaw(t, ts, "/v2/models:batchPredict",
+		`{"requests":[{"model":"FlowStats"},{"model":"NoSuchNF"}]}`)
 	if status != http.StatusBadRequest {
 		t.Fatalf("bad batch element: status %d, want 400 (body %s)", status, body)
 	}
@@ -170,24 +177,23 @@ func TestHTTPPredictBatch(t *testing.T) {
 
 func TestHTTPCompareAdmitDiagnose(t *testing.T) {
 	ts := testServer(t)
-	cmp := postAs[CompareResponse](t, ts, "/v1/compare", CompareRequest{NF: "FlowStats", Competitors: []CompetitorSpec{{Name: "ACL"}}})
+	cmp := postAs[CompareResponse](t, ts, "/v2/models/FlowStats:compare", compareParamsV2{Competitors: []CompetitorSpec{{Name: "ACL"}}})
 	if cmp.Yala.PredictedPPS <= 0 || cmp.SLOMO.PredictedPPS <= 0 {
 		t.Fatalf("implausible compare: %+v", cmp)
 	}
-	adm := postAs[AdmitResponse](t, ts, "/v1/admit", AdmitRequest{
+	adm := postAs[AdmitResponse](t, ts, "/v2/models/FlowStats/yala:admit", admitParamsV2{
 		Residents: []ColoNF{{Name: "ACL", SLA: 0.9}},
-		Candidate: ColoNF{Name: "FlowStats", SLA: 0.9},
+		SLA:       0.9,
 	})
 	if adm.Residents != 1 {
 		t.Fatalf("admit response: %+v", adm)
 	}
-	diag := postAs[DiagnoseResponse](t, ts, "/v1/diagnose", DiagnoseRequest{NF: "FlowStats", Competitors: []CompetitorSpec{{Name: "ACL"}}})
+	diag := postAs[DiagnoseResponse](t, ts, "/v2/models/FlowStats:diagnose", predictParamsV2{Competitors: []CompetitorSpec{{Name: "ACL"}}})
 	if diag.Bottleneck == "" {
 		t.Fatalf("diagnose response: %+v", diag)
 	}
 	// Admission validation: an out-of-range SLA is a 400.
-	status, body := postRaw(t, ts, "/v1/admit",
-		`{"candidate":{"name":"FlowStats","sla":1.5}}`)
+	status, body := postRaw(t, ts, "/v2/models/FlowStats/yala:admit", `{"sla":1.5}`)
 	if status != http.StatusBadRequest || !strings.Contains(body, "SLA") {
 		t.Fatalf("bad admit SLA: status %d body %s", status, body)
 	}
@@ -195,8 +201,8 @@ func TestHTTPCompareAdmitDiagnose(t *testing.T) {
 
 func TestHTTPStatsModelsHealthz(t *testing.T) {
 	ts := testServer(t)
-	postAs[PredictResponse](t, ts, "/v1/predict", PredictRequest{NF: "FlowStats"})
-	stats := getAs[ServiceStats](t, ts, "/v1/stats")
+	postAs[PredictResponse](t, ts, "/v2/models/FlowStats/yala:predict", predictParamsV2{})
+	stats := getAs[statsV2](t, ts, "/v2/stats")
 	if stats.Requests["predict"] != 1 || len(stats.Models) == 0 {
 		t.Fatalf("stats: %+v", stats)
 	}
@@ -208,8 +214,8 @@ func TestHTTPStatsModelsHealthz(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
-	models := getAs[[]ModelInfo](t, ts, "/v1/models")
-	if len(models) == 0 {
+	models := getAs[modelsPageV2](t, ts, "/v2/models")
+	if len(models.Models) == 0 {
 		t.Fatal("model listing empty after a predict")
 	}
 }
@@ -218,63 +224,60 @@ func TestHTTPStatsModelsHealthz(t *testing.T) {
 // unknown backends and unknown NFs are 400s, not silent no-ops.
 func TestHTTPReloadValidation(t *testing.T) {
 	ts := testServer(t)
-	status, body := postRaw(t, ts, "/v1/reload", `{"nf":"FlowStats","backend":"wat"}`)
+	status, body := postRaw(t, ts, "/v2/models/FlowStats/wat:reload", "")
 	if status != http.StatusBadRequest || !strings.Contains(body, "unknown backend") {
 		t.Fatalf("unknown backend reload: status %d body %s", status, body)
 	}
-	status, body = postRaw(t, ts, "/v1/reload", `{"nf":"NoSuchNF"}`)
+	status, body = postRaw(t, ts, "/v2/models/NoSuchNF/yala:reload", "")
 	if status != http.StatusBadRequest || !strings.Contains(body, "unknown NF") {
 		t.Fatalf("unknown NF reload: status %d body %s", status, body)
 	}
-	status, _ = postRaw(t, ts, "/v1/reload", `{"nf":"FlowStats"}`)
+	status, _ = postRaw(t, ts, "/v2/models/FlowStats/yala:reload", "")
 	if status != http.StatusOK {
 		t.Fatalf("valid reload: status %d", status)
 	}
 }
 
-// TestHTTPErrorEnvelopeEverywhere asserts no /v1 error path falls
-// through to net/http's plain-text responses: wrong methods and unknown
-// routes both return JSON envelopes.
+// TestHTTPErrorEnvelopeEverywhere asserts no error path falls through
+// to net/http's plain-text responses: wrong methods, unknown routes and
+// the removed /v1 surface all answer the structured /v2 envelope with
+// the request ID set.
 func TestHTTPErrorEnvelopeEverywhere(t *testing.T) {
 	ts := testServer(t)
-	// Wrong method on a /v1 route → 405 with the flat envelope.
-	resp, err := http.Get(ts.URL + "/v1/predict")
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		method, path string
+		wantStatus   int
+		wantCode     string
+		wantAllow    string
+	}{
+		{"GET", "/v2/models/FlowStats/yala:predict", http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST"},
+		{"POST", "/v2/stats", http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET"},
+		{"GET", "/v2/nope", http.StatusNotFound, codeNotFound, ""},
+		// /v1 was removed in PR 13: its old routes are unknown routes.
+		{"GET", "/v1/models", http.StatusNotFound, codeNotFound, ""},
+		{"POST", "/v1/predict", http.StatusNotFound, codeNotFound, ""},
 	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/predict: status %d, want 405", resp.StatusCode)
-	}
-	var flat struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(data, &flat); err != nil || flat.Error == "" {
-		t.Fatalf("GET /v1/predict: body %q is not the /v1 error envelope", data)
-	}
-	if allow := resp.Header.Get("Allow"); allow != "POST" {
-		t.Fatalf("GET /v1/predict: Allow %q, want POST", allow)
-	}
-	// Unknown route → structured 404.
-	resp, err = http.Get(ts.URL + "/v1/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /v1/nope: status %d, want 404", resp.StatusCode)
-	}
-	var v2 errorBodyV2
-	if err := json.Unmarshal(data, &v2); err != nil || v2.Error.Code != codeNotFound {
-		t.Fatalf("GET /v1/nope: body %q is not the structured envelope", data)
+	for _, tc := range cases {
+		resp, data := roundTrip(t, ts, tc.method, tc.path, "")
+		if resp.StatusCode != tc.wantStatus {
+			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.wantStatus)
+		}
+		var env errorBodyV2
+		if err := json.Unmarshal(data, &env); err != nil || env.Error.Code != tc.wantCode || env.Error.Message == "" {
+			t.Errorf("%s %s: body %q is not the structured %s envelope", tc.method, tc.path, data, tc.wantCode)
+		}
+		if rid := resp.Header.Get("X-Request-Id"); rid == "" || env.Error.RequestID != rid {
+			t.Errorf("%s %s: envelope request_id %q, header %q", tc.method, tc.path, env.Error.RequestID, rid)
+		}
+		if allow := resp.Header.Get("Allow"); allow != tc.wantAllow {
+			t.Errorf("%s %s: Allow %q, want %q", tc.method, tc.path, allow, tc.wantAllow)
+		}
 	}
 }
 
 func TestHTTPClusterPolicies(t *testing.T) {
 	ts := testServer(t)
-	resp, err := http.Get(ts.URL + "/v1/cluster/policies")
+	resp, err := http.Get(ts.URL + "/v2/cluster/policies")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +299,7 @@ func TestHTTPClusterPolicies(t *testing.T) {
 func TestHTTPClusterRun(t *testing.T) {
 	ts := testServer(t)
 	drift := 0.5
-	cmp := postAs[cluster.Comparison](t, ts, "/v1/cluster/run", ClusterRunRequest{
+	cmp := postAs[cluster.Comparison](t, ts, "/v2/cluster/runs", ClusterRunRequest{
 		NICs:      2,
 		Arrivals:  6,
 		Seed:      3,
@@ -334,7 +337,7 @@ func TestHTTPClusterRunBadRequest(t *testing.T) {
 		{"negative iat", `{"mean_iat":-5}`, "mean_iat"},
 	}
 	for _, tc := range cases {
-		status, body := postRaw(t, ts, "/v1/cluster/run", tc.body)
+		status, body := postRaw(t, ts, "/v2/cluster/runs", tc.body)
 		if status != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (body %s)", tc.name, status, body)
 		}

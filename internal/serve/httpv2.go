@@ -2,10 +2,8 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/base64"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,7 +15,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/feedback"
 	"repro/internal/obs"
-	"repro/internal/tenant"
 )
 
 // The /v2 API is resource-oriented: models are resources named
@@ -41,15 +38,6 @@ import (
 // details?, request_id}} with a machine-readable code; the request ID is
 // echoed in the X-Request-Id header on every response.
 
-// /v2 error codes.
-const (
-	codeInvalidArgument    = "invalid_argument"
-	codeNotFound           = "not_found"
-	codeMethodNotAllowed   = "method_not_allowed"
-	codeFailedPrecondition = "failed_precondition"
-	codeUnavailable        = "unavailable"
-)
-
 // errorInfoV2 is the structured /v2 error payload.
 type errorInfoV2 struct {
 	Code      string            `json:"code"`
@@ -63,42 +51,13 @@ type errorBodyV2 struct {
 	Error errorInfoV2 `json:"error"`
 }
 
-// errorCode maps a service error to its /v2 code, mirroring errorStatus.
-func errorCode(err error) string {
-	switch {
-	case errors.Is(err, ErrBadRequest):
-		return codeInvalidArgument
-	case errors.Is(err, ErrClosed), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return codeUnavailable
-	}
-	return codeFailedPrecondition
-}
-
 func writeErrorV2(w http.ResponseWriter, r *http.Request, status int, code, message string, details map[string]string) {
 	writeJSON(w, status, errorBodyV2{Error: errorInfoV2{
 		Code:      code,
 		Message:   message,
 		Details:   details,
-		RequestID: requestID(r),
+		RequestID: requestID(r.Context()),
 	}})
-}
-
-// codeCanceled marks a request the client abandoned (499); it is not
-// in the regular code table because only the request's own context can
-// produce it.
-const codeCanceled = "canceled"
-
-// writeServiceErrorV2 renders a service-layer error in the envelope. A
-// cancellation caused by the request's own context maps to 499/
-// "canceled" rather than 503/"unavailable" so client disconnects never
-// read as server errors (see errorStatusReq).
-func writeServiceErrorV2(w http.ResponseWriter, r *http.Request, err error) {
-	status := errorStatusReq(r, err)
-	code := errorCode(err)
-	if status == tenant.StatusClientClosedRequest {
-		code = codeCanceled
-	}
-	writeErrorV2(w, r, status, code, err.Error(), nil)
 }
 
 // decodeV2 reads a /v2 request body strictly. An empty body decodes to
@@ -131,8 +90,15 @@ func handleV2[Req, Resp any](w http.ResponseWriter, r *http.Request, fn func(Req
 		return
 	}
 	resp, err := fn(req)
+	respondV2(w, r, resp, err)
+}
+
+// respondV2 answers with a service call's outcome: the error envelope
+// (status and code from errorStatus), or the encoded response.
+func respondV2(w http.ResponseWriter, r *http.Request, resp any, err error) {
 	if err != nil {
-		writeServiceErrorV2(w, r, err)
+		status, code := errorStatus(r.Context(), err)
+		writeErrorV2(w, r, status, code, err.Error(), nil)
 		return
 	}
 	esp := obs.StartSpan(r.Context(), "encode")
@@ -221,17 +187,16 @@ type (
 	ingestParamsV2 struct {
 		Measurements []ingestItemV2 `json:"measurements"`
 	}
-	// modelInfoV2 wraps the /v1 listing entry with its resource ID.
+	// modelInfoV2 is one listing entry with its resource ID.
 	modelInfoV2 struct {
 		ID string `json:"id"`
 		ModelInfo
 	}
-	// statsV2 wraps the frozen /v1 stats shape with the registered
-	// backend list — additions land here, never on ServiceStats.
-	// UptimeSeconds duplicates the /v1 uptime_sec under the documented
-	// /v2 name; StartTime (Unix seconds) is the monotonic anchor a
-	// gateway aggregates by (min across replicas — uptimes must never
-	// be summed).
+	// statsV2 is the GET /v2/stats body: the service counters plus the
+	// registered backend list. UptimeSeconds repeats uptime_sec under
+	// the documented /v2 name; StartTime (Unix seconds) is the monotonic
+	// anchor a gateway aggregates by (min across replicas — uptimes must
+	// never be summed).
 	statsV2 struct {
 		ServiceStats
 		Backends      []string `json:"backends"`
@@ -445,13 +410,7 @@ func (s *Service) handleIngestV2(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp, err := s.Ingest(r.Context(), items)
-	if err != nil {
-		writeServiceErrorV2(w, r, err)
-		return
-	}
-	esp := obs.StartSpan(r.Context(), "encode")
-	writeJSON(w, http.StatusOK, resp)
-	esp.End()
+	respondV2(w, r, resp, err)
 }
 
 // handleBatchPredictV2 serves POST /v2/models:batchPredict — the /v2
@@ -474,11 +433,5 @@ func (s *Service) handleBatchPredictV2(w http.ResponseWriter, r *http.Request) {
 		}}
 	}
 	resp, err := s.predictBatch(r.Context(), items)
-	if err != nil {
-		writeServiceErrorV2(w, r, err)
-		return
-	}
-	esp := obs.StartSpan(r.Context(), "encode")
-	writeJSON(w, http.StatusOK, resp)
-	esp.End()
+	respondV2(w, r, resp, err)
 }

@@ -1,17 +1,11 @@
 package serve
 
 import (
-	"context"
-	"fmt"
 	"io"
-	"log"
 	"net/http"
-	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/tenant"
 )
 
 // stageNames are the request pipeline stages the span instrumentation
@@ -87,79 +81,4 @@ const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", promContentType)
 	s.obs.WriteProm(w)
-}
-
-// statusRecorder captures the response status for metrics and the
-// access log.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-// withObs is the request middleware: it assigns (or adopts) the
-// X-Request-Id, attaches a stage trace to the context, and on
-// completion feeds the request and per-stage latency histograms plus
-// the optional access log. It subsumes the former withRequestID —
-// requestID(r) still reads the ID out of the context.
-func (s *Service) withObs(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rid := fmt.Sprintf("req-%06d", requestCounter.Add(1))
-		if hdr := strings.TrimSpace(r.Header.Get("X-Request-Id")); hdr != "" && len(hdr) <= 64 {
-			rid = hdr
-		}
-		w.Header().Set("X-Request-Id", rid)
-		tr := obs.NewTrace(rid)
-		ctx := context.WithValue(r.Context(), ridKey{}, rid)
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		next.ServeHTTP(rec, r.WithContext(obs.ContextWithTrace(ctx, tr)))
-		dur := time.Since(start)
-		// Requests tunneled off the wire listener (TypeCall dispatch)
-		// carry a context marker so the transport split stays honest
-		// even though they run the same HTTP handler.
-		if r.Context().Value(wireTransportKey{}) != nil {
-			s.wireRequests.Add(1)
-		} else {
-			s.httpRequests.Add(1)
-		}
-		if rec.status == tenant.StatusClientClosedRequest {
-			s.canceled.Add(1)
-		}
-		s.reqSeconds.Observe(dur.Seconds())
-		stages := tr.Stages()
-		for name, d := range stages {
-			s.stageHistogram(name).Observe(d.Seconds())
-		}
-		if s.cfg.AccessLog {
-			log.Printf("serve: rid=%s method=%s path=%s status=%d dur=%s%s",
-				rid, r.Method, r.URL.Path, rec.status, dur.Round(time.Microsecond), renderStages(stages))
-		}
-	})
-}
-
-// renderStages renders a trace's stage totals for one access-log line,
-// sorted for deterministic output; no stages renders as nothing.
-func renderStages(stages map[string]time.Duration) string {
-	if len(stages) == 0 {
-		return ""
-	}
-	names := make([]string, 0, len(stages))
-	for n := range stages {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	b.WriteString(" stages=")
-	for i, n := range names {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s:%s", n, stages[n].Round(time.Microsecond))
-	}
-	return b.String()
 }

@@ -343,8 +343,8 @@ func (r *ModelRegistry) PersistFailures() (uint64, string) {
 }
 
 // ModelInfo describes one model the registry knows about. HW is empty
-// for models on the registry's default NIC preset. The /v1 wire shape
-// is frozen; the /v2 listing wraps it with a resource ID.
+// for models on the registry's default NIC preset. The /v2 listing
+// wraps it with a resource ID.
 type ModelInfo struct {
 	NF      string  `json:"nf"`
 	HW      string  `json:"hw,omitempty"`

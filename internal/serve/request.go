@@ -1,0 +1,142 @@
+package serve
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"log"
+	"net/http"
+	"sort"
+	"strings"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/tenant"
+)
+
+// This file is the request lifecycle both front doors share. HTTP/JSON
+// (withObs, the /v2 handlers) and yalawire (serveTyped) are codecs at
+// its two ends: each calls beginRequest, admits through the tenant
+// gate's Enter/Done, maps service errors with errorStatus, and calls
+// endRequest once the response has been encoded — handed to the
+// ResponseWriter, or appended to the frame buffer — and before it is
+// flushed to the socket, so a client never holds an answer to a request
+// the counters have not seen yet.
+
+// requestCounter feeds the per-request IDs; clients and the /v2 error
+// envelope name a failing request by them in bug reports.
+var requestCounter atomic.Uint64
+
+// request is one in-flight request: its traced context (the trace
+// carries the request ID), when it started and which transport counts
+// it.
+type request struct {
+	ctx   context.Context
+	tr    *obs.Trace
+	start time.Time
+	wire  bool
+}
+
+// beginRequest opens a request on parent: it adopts the caller's
+// request ID when one was sent (and is sane) or mints one, and attaches
+// the stage trace spans record into.
+func (s *Service) beginRequest(parent context.Context, wire bool, adoptID string) request {
+	rid := strings.TrimSpace(adoptID)
+	if rid == "" || len(rid) > 64 {
+		prefix := "req"
+		if wire {
+			prefix = "wire"
+		}
+		rid = fmt.Sprintf("%s-%06d", prefix, requestCounter.Add(1))
+	}
+	tr := obs.NewTrace(rid)
+	return request{ctx: obs.ContextWithTrace(parent, tr), tr: tr, start: time.Now(), wire: wire}
+}
+
+// endRequest is the end-of-request observation, called on every exit
+// path — refusals and undecodable payloads included — once the
+// response is encoded: the transport and canceled counters, the
+// request and per-stage latency histograms, and the optional access
+// log.
+func (s *Service) endRequest(rq request, method, path string, status int) {
+	dur := time.Since(rq.start)
+	if rq.wire {
+		s.wireRequests.Add(1)
+	} else {
+		s.httpRequests.Add(1)
+	}
+	if status == tenant.StatusClientClosedRequest {
+		s.canceled.Add(1)
+	}
+	s.reqSeconds.Observe(dur.Seconds())
+	stages := rq.tr.Stages()
+	for name, d := range stages {
+		s.stageHistogram(name).Observe(d.Seconds())
+	}
+	if s.cfg.AccessLog {
+		log.Printf("serve: rid=%s method=%s path=%s status=%d dur=%s%s",
+			rq.tr.ID, method, path, status, dur.Round(time.Microsecond), renderStages(stages))
+	}
+}
+
+// renderStages renders a trace's stage totals for one access-log line,
+// sorted for deterministic output; no stages renders as nothing.
+func renderStages(stages map[string]time.Duration) string {
+	if len(stages) == 0 {
+		return ""
+	}
+	names := make([]string, 0, len(stages))
+	for n := range stages {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	b.WriteString(" stages=")
+	for i, n := range names {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%s:%s", n, stages[n].Round(time.Microsecond))
+	}
+	return b.String()
+}
+
+// requestID reads the request's ID back out of its context.
+func requestID(ctx context.Context) string {
+	if tr := obs.FromContext(ctx); tr != nil {
+		return tr.ID
+	}
+	return ""
+}
+
+// Error codes of the /v2 envelope and the wire error frame.
+const (
+	codeInvalidArgument    = "invalid_argument"
+	codeNotFound           = "not_found"
+	codeMethodNotAllowed   = "method_not_allowed"
+	codeFailedPrecondition = "failed_precondition"
+	codeUnavailable        = "unavailable"
+	codeCanceled           = "canceled"
+)
+
+// errorStatus maps a service error to the status and code every
+// transport answers with. Client-caused errors (unknown NF, malformed
+// profile, unknown backend/policy) are 400. A cancellation whose origin
+// is the request's own context means the client went away: 499, not a
+// 5xx that would feed the tenant gate's windowed error rate and let a
+// burst of disconnects shed healthy traffic. Other transient server
+// conditions are 503 so retry policies keyed on 4xx-vs-5xx retry them;
+// everything else is a scenario the client asked for that the service
+// cannot answer (422).
+func errorStatus(ctx context.Context, err error) (status int, code string) {
+	switch {
+	case errors.Is(err, ErrBadRequest):
+		return http.StatusBadRequest, codeInvalidArgument
+	case callerCanceled(ctx, err):
+		return tenant.StatusClientClosedRequest, codeCanceled
+	case errors.Is(err, ErrClosed), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return http.StatusServiceUnavailable, codeUnavailable
+	}
+	return http.StatusUnprocessableEntity, codeFailedPrecondition
+}

@@ -38,10 +38,10 @@ import (
 )
 
 // ErrBadRequest tags request errors the client caused — unknown NF
-// names, malformed traffic profiles, unknown backends or policies. The
-// HTTP layer maps it to 400 so clients can distinguish "fix your
-// request" from "the service could not answer" (422) and transient
-// conditions (503).
+// names, malformed traffic profiles, unknown backends or policies.
+// errorStatus maps it to 400 on either transport so clients can
+// distinguish "fix your request" from "the service could not answer"
+// (422) and transient conditions (503).
 var ErrBadRequest = errors.New("bad request")
 
 // badRequestf builds an ErrBadRequest-tagged error.

@@ -290,7 +290,7 @@ func admitKeyNames(colos, nf string) bool {
 	}
 }
 
-// ErrClosed reports a request arriving after Close. The HTTP layer maps
+// ErrClosed reports a request arriving after Close. errorStatus maps
 // it to 503 so retry policies treat it as a transient server condition,
 // not a bad request.
 var ErrClosed = errors.New("serve: service closed")
@@ -441,7 +441,7 @@ type PredictRequest struct {
 }
 
 // PredictResponse is the predictor's answer. HW is set only for
-// hardware-qualified (/v2) requests, so the /v1 wire shape is unchanged.
+// hardware-qualified requests.
 type PredictResponse struct {
 	NF           string      `json:"nf"`
 	HW           string      `json:"hw,omitempty"`
@@ -456,8 +456,7 @@ type PredictResponse struct {
 }
 
 // predictKey is the shared cache key for one prediction scenario;
-// Compare and Diagnose derive from the same entries, and /v1 and /v2
-// requests for the default hardware share them too (hw = "").
+// Compare and Diagnose derive from the same entries.
 func predictKey(backendName Backend, hw, name string, prof traffic.Profile, comps []CompetitorSpec) string {
 	return fmt.Sprintf("predict|%s|%s|%s", backendName, hw, scenarioKey(name, prof, comps))
 }
@@ -479,15 +478,9 @@ func (s *Service) predictCached(backendName Backend, hw, name string, prof traff
 	return resp, nil
 }
 
-// Predict estimates throughput for the request's scenario on the default
-// hardware — the /v1 entry point.
-func (s *Service) Predict(ctx context.Context, req PredictRequest) (PredictResponse, error) {
-	return s.PredictOn(ctx, "", req)
-}
-
-// PredictOn is the hardware-qualified form behind /v2: hw names a fleet
-// hardware class ("" = the server's default NIC). Responses serve from
-// the response cache when the scenario has been answered before. Cache
+// PredictOn estimates throughput for the request's scenario: hw names a
+// fleet hardware class ("" = the server's default NIC). Responses serve
+// from the response cache when the scenario has been answered before. Cache
 // hits answer synchronously on the caller's goroutine; only predictor
 // work goes through the worker pool — the pool bounds compute, and a
 // lookup is not compute.
@@ -581,37 +574,26 @@ func (s *Service) validateScenarioOn(hw, nfName string, prof ProfileSpec, comps 
 	return validateScenario(nfName, prof, comps, backendName)
 }
 
-// BatchRequest carries many prediction scenarios in one round trip —
-// the amortization lever for high-throughput clients (an operator
-// evaluating a whole arrival wave at once).
-type BatchRequest struct {
-	Requests []PredictRequest `json:"requests"`
-}
-
-// BatchResponse returns one response per request, in order. A scenario
-// that fails reports its error in Errors at the same index and a zero
-// response; the batch itself still succeeds.
+// BatchResponse answers a batch — many prediction scenarios in one round
+// trip, the amortization lever for high-throughput clients (an operator
+// evaluating a whole arrival wave at once): one response per request,
+// in order. A scenario that fails reports its error in Errors at the
+// same index and a zero response; the batch itself still succeeds.
 type BatchResponse struct {
 	Responses []PredictResponse `json:"responses"`
 	Errors    []string          `json:"errors,omitempty"`
 }
 
-// hwPredict is one batch element with its hardware qualifier resolved —
-// /v1 elements always carry "", /v2 elements parse theirs from the
-// model ID.
+// hwPredict is one batch element with its hardware qualifier resolved
+// (parsed from the /v2 model ID or carried in the wire request).
 type hwPredict struct {
 	hw  string
 	req PredictRequest
 }
 
-// PredictBatch serves every scenario in the batch, each through the
-// cache — the /v1 entry point (default hardware throughout).
-func (s *Service) PredictBatch(ctx context.Context, req BatchRequest) (BatchResponse, error) {
-	items := make([]hwPredict, len(req.Requests))
-	for i, r := range req.Requests {
-		items[i] = hwPredict{req: r}
-	}
-	return s.predictBatch(ctx, items)
+// predictOne is PredictOn for a batch element or a typed wire request.
+func (s *Service) predictOne(ctx context.Context, it hwPredict) (PredictResponse, error) {
+	return s.PredictOn(ctx, it.hw, it.req)
 }
 
 // predictBatch serves every scenario, each through the cache. Elements
@@ -635,7 +617,7 @@ func (s *Service) predictBatch(ctx context.Context, items []hwPredict) (BatchRes
 		wg.Add(1)
 		go func(i int, it hwPredict) {
 			defer wg.Done()
-			one, err := s.PredictOn(ctx, it.hw, it.req)
+			one, err := s.predictOne(ctx, it)
 			if err != nil {
 				errs[i] = err.Error()
 				failed.Store(true)
@@ -674,15 +656,10 @@ type CompareResponse struct {
 	SLOMOErrPct float64 `json:"slomo_err_pct,omitempty"`
 }
 
-// Compare runs both predictors on the same scenario — /v1 entry point.
-func (s *Service) Compare(ctx context.Context, req CompareRequest) (CompareResponse, error) {
-	return s.CompareOn(ctx, "", req)
-}
-
-// CompareOn is the hardware-qualified Compare. It is assembled entirely
-// from predict-keyed (and measure-keyed) cache entries, so a Compare
-// after a Predict of the same scenario reuses that work instead of
-// recomputing it under a separate key.
+// CompareOn runs both predictors on the same scenario on hardware class
+// hw. It is assembled entirely from predict-keyed (and measure-keyed)
+// cache entries, so a Compare after a Predict of the same scenario
+// reuses that work instead of recomputing it under a separate key.
 func (s *Service) CompareOn(ctx context.Context, hw string, req CompareRequest) (CompareResponse, error) {
 	s.compares.Add(1)
 	if err := s.validateScenarioOn(hw, req.NF, req.Profile, req.Competitors, ""); err != nil {
@@ -813,14 +790,10 @@ type AdmitResponse struct {
 	Reason    string  `json:"reason,omitempty"`
 }
 
-// Admit answers an online admission-control query — /v1 entry point.
-func (s *Service) Admit(ctx context.Context, req AdmitRequest) (AdmitResponse, error) {
-	return s.AdmitOn(ctx, "", req)
-}
-
-// AdmitOn is the hardware-qualified admission check: it reuses the
-// placement package's feasibility primitive (§7.5.1) with registry
-// models for any backend, on the class's NIC preset and core budget.
+// AdmitOn answers an online admission-control query on hardware class
+// hw: it reuses the placement package's feasibility primitive (§7.5.1)
+// with registry models for any backend, on the class's NIC preset and
+// core budget.
 func (s *Service) AdmitOn(ctx context.Context, hw string, req AdmitRequest) (AdmitResponse, error) {
 	s.admits.Add(1)
 	if err := s.validateHW(hw); err != nil {
@@ -981,15 +954,10 @@ type DiagnoseResponse struct {
 	PerResourcePPS map[string]float64 `json:"per_resource_pps"`
 }
 
-// Diagnose attributes the scenario's predicted slowdown to a resource —
-// /v1 entry point.
-func (s *Service) Diagnose(ctx context.Context, req DiagnoseRequest) (DiagnoseResponse, error) {
-	return s.DiagnoseOn(ctx, "", req)
-}
-
-// DiagnoseOn is the hardware-qualified Diagnose. The response is pure
-// derivation from the Yala prediction, so it shares the predict-keyed
-// cache entry instead of storing its own.
+// DiagnoseOn attributes the scenario's predicted slowdown on hardware
+// class hw to a resource. The response is pure derivation from the Yala
+// prediction, so it shares the predict-keyed cache entry instead of
+// storing its own.
 func (s *Service) DiagnoseOn(ctx context.Context, hw string, req DiagnoseRequest) (DiagnoseResponse, error) {
 	s.diagnoses.Add(1)
 	if err := s.validateScenarioOn(hw, req.NF, req.Profile, req.Competitors, ""); err != nil {
@@ -1032,9 +1000,8 @@ func diagnoseFrom(pred PredictResponse) DiagnoseResponse {
 	return resp
 }
 
-// ServiceStats is the operator-facing counter snapshot. The shape is
-// the frozen /v1 wire form; /v2 wraps it with the registered-backend
-// list (statsV2).
+// ServiceStats is the operator-facing counter snapshot; GET /v2/stats
+// wraps it with the registered-backend list (statsV2).
 type ServiceStats struct {
 	UptimeSec       float64           `json:"uptime_sec"`
 	Workers         int               `json:"workers"`

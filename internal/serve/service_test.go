@@ -45,14 +45,14 @@ func TestPredictCacheMatchesDirectPredictor(t *testing.T) {
 			{Name: "NAT", Profile: ProfileSpec{Flows: 8000}},
 		},
 	}
-	first, err := s.Predict(context.Background(), req)
+	first, err := s.PredictOn(context.Background(), "", req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := s.cache.Stats(); st.Hits != 0 {
 		t.Fatalf("first request should miss, stats %+v", st)
 	}
-	second, err := s.Predict(context.Background(), req)
+	second, err := s.PredictOn(context.Background(), "", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +108,11 @@ func TestSLOMOBackendMatchesDirectPredictor(t *testing.T) {
 		Competitors: []CompetitorSpec{{Name: "FlowStats"}},
 		Backend:     "slomo",
 	}
-	got, err := s.Predict(context.Background(), req)
+	got, err := s.PredictOn(context.Background(), "", req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := s.Predict(context.Background(), req)
+	cached, err := s.PredictOn(context.Background(), "", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSLOMOBackendMatchesDirectPredictor(t *testing.T) {
 // truth is attached on request.
 func TestCompare(t *testing.T) {
 	s := testService(t)
-	resp, err := s.Compare(context.Background(), CompareRequest{
+	resp, err := s.CompareOn(context.Background(), "", CompareRequest{
 		NF:          "FlowStats",
 		Competitors: []CompetitorSpec{{Name: "ACL"}},
 		GroundTruth: true,
@@ -173,7 +173,7 @@ func TestAdmitMatchesPlacementFeasibility(t *testing.T) {
 	s := testService(t)
 	residents := []ColoNF{{Name: "ACL", SLA: 0.15}}
 	candidate := ColoNF{Name: "FlowStats", SLA: 0.15}
-	resp, err := s.Admit(context.Background(), AdmitRequest{Residents: residents, Candidate: candidate})
+	resp, err := s.AdmitOn(context.Background(), "", AdmitRequest{Residents: residents, Candidate: candidate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestAdmitMatchesPlacementFeasibility(t *testing.T) {
 	}
 
 	// An empty NIC and a 100%-drop SLA always admits.
-	free, err := s.Admit(context.Background(), AdmitRequest{Candidate: ColoNF{Name: "ACL", SLA: 1}})
+	free, err := s.AdmitOn(context.Background(), "", AdmitRequest{Candidate: ColoNF{Name: "ACL", SLA: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestAdmitMatchesPlacementFeasibility(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		full = append(full, ColoNF{Name: "ACL", SLA: 1})
 	}
-	over, err := s.Admit(context.Background(), AdmitRequest{Residents: full, Candidate: ColoNF{Name: "ACL", SLA: 1}})
+	over, err := s.AdmitOn(context.Background(), "", AdmitRequest{Residents: full, Candidate: ColoNF{Name: "ACL", SLA: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 	client := yalaclient.New(srv.URL)
 	ctx := context.Background()
 
-	direct, err := s.Predict(ctx, PredictRequest{NF: "ACL", Competitors: []CompetitorSpec{{Name: "FlowStats"}}})
+	direct, err := s.PredictOn(ctx, "", PredictRequest{NF: "ACL", Competitors: []CompetitorSpec{{Name: "FlowStats"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,14 +323,11 @@ func TestHTTPRoundTrip(t *testing.T) {
 func TestPredictBatch(t *testing.T) {
 	s := testService(t)
 	good := PredictRequest{NF: "ACL", Competitors: []CompetitorSpec{{Name: "FlowStats"}}}
-	single, err := s.Predict(context.Background(), good)
+	single, err := s.PredictOn(context.Background(), "", good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := s.PredictBatch(context.Background(), BatchRequest{Requests: []PredictRequest{
-		good,
-		good,
-	}})
+	batch, err := s.predictBatch(context.Background(), []hwPredict{{req: good}, {req: good}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,10 +337,7 @@ func TestPredictBatch(t *testing.T) {
 	if len(batch.Errors) != 0 {
 		t.Fatalf("good batch reported errors: %+v", batch.Errors)
 	}
-	_, err = s.PredictBatch(context.Background(), BatchRequest{Requests: []PredictRequest{
-		good,
-		{NF: "NoSuchNF"},
-	}})
+	_, err = s.predictBatch(context.Background(), []hwPredict{{req: good}, {req: PredictRequest{NF: "NoSuchNF"}}})
 	if !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("batch with unknown NF returned %v, want ErrBadRequest", err)
 	}
@@ -366,25 +360,25 @@ func TestReloadTargetedEviction(t *testing.T) {
 	// Warm one entry per kind: predictions for ACL under both backends
 	// and for FlowStats under yala, a ground-truth measurement for ACL,
 	// and admissions naming ACL (as resident) and not naming it.
-	if _, err := s.Predict(ctx, PredictRequest{NF: "ACL"}); err != nil {
+	if _, err := s.PredictOn(ctx, "", PredictRequest{NF: "ACL"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Predict(ctx, PredictRequest{NF: "ACL", Backend: "slomo"}); err != nil {
+	if _, err := s.PredictOn(ctx, "", PredictRequest{NF: "ACL", Backend: "slomo"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Predict(ctx, PredictRequest{NF: "FlowStats", Competitors: []CompetitorSpec{{Name: "ACL"}}}); err != nil {
+	if _, err := s.PredictOn(ctx, "", PredictRequest{NF: "FlowStats", Competitors: []CompetitorSpec{{Name: "ACL"}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Compare(ctx, CompareRequest{NF: "ACL", GroundTruth: true}); err != nil {
+	if _, err := s.CompareOn(ctx, "", CompareRequest{NF: "ACL", GroundTruth: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Admit(ctx, AdmitRequest{
+	if _, err := s.AdmitOn(ctx, "", AdmitRequest{
 		Residents: []ColoNF{{Name: "ACL", SLA: 0.5}},
 		Candidate: ColoNF{Name: "FlowStats", SLA: 0.5},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Admit(ctx, AdmitRequest{Candidate: ColoNF{Name: "FlowStats", SLA: 0.5}}); err != nil {
+	if _, err := s.AdmitOn(ctx, "", AdmitRequest{Candidate: ColoNF{Name: "FlowStats", SLA: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -448,7 +442,7 @@ func TestReloadTargetedEviction(t *testing.T) {
 	}
 
 	// The evicted scenario recomputes on demand with the fresh model.
-	if _, err := s.Predict(ctx, PredictRequest{NF: "ACL"}); err != nil {
+	if _, err := s.PredictOn(ctx, "", PredictRequest{NF: "ACL"}); err != nil {
 		t.Fatal(err)
 	}
 	if !has(aclYala) {
@@ -490,7 +484,7 @@ func TestReloadAffects(t *testing.T) {
 func TestServiceClosedRejects(t *testing.T) {
 	s := NewService(ServiceConfig{Registry: testRegistryConfig(t), Workers: 1})
 	s.Close()
-	if _, err := s.Predict(context.Background(), PredictRequest{NF: "ACL"}); err == nil {
+	if _, err := s.PredictOn(context.Background(), "", PredictRequest{NF: "ACL"}); err == nil {
 		t.Fatal("expected error from closed service")
 	}
 }

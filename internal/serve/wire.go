@@ -18,12 +18,12 @@ import (
 // Service: a persistent-connection listener that shares the Service's
 // cache, worker pool, tenant gate and observability with the HTTP
 // front end. Typed frames (TypePredict, TypeBatch) run the hot path
-// with zero JSON; TypeCall tunnels any other request through the real
-// HTTP handler so middleware semantics are byte-identical.
+// with zero JSON through the request lifecycle in request.go; TypeCall
+// tunnels any other request through the real HTTP handler so
+// middleware semantics are byte-identical.
 
-// wireTransportKey marks a request context as having arrived over the
-// wire listener, so withObs attributes it to the right transport
-// counter.
+// wireTransportKey marks a TypeCall tunnel's context, so withObs counts
+// the request on the wire transport although it runs the HTTP handler.
 type wireTransportKey struct{}
 
 // WireAddr returns the advertised yalawire listener address, "" when
@@ -145,71 +145,76 @@ func (ws *WireServer) serveFrame(fr *wire.Framer, f wire.Frame, apiKey string) b
 		// Pure transport floor: no gate, no counters, no serving.
 		return fr.WriteFrame(wire.TypeEchoAck, f.ID, f.Payload) == nil
 	case wire.TypePredict:
-		return ws.servePredict(fr, f, apiKey)
+		return serveTyped(ws, fr, f, apiKey, "predict", tenant.ClassInteractive, wire.TypePredictResp,
+			decodeWirePredict, (*Service).predictOne, encodeWirePredict)
 	case wire.TypeBatch:
-		return ws.serveBatch(fr, f, apiKey)
+		return serveTyped(ws, fr, f, apiKey, "batchPredict", tenant.ClassBulk, wire.TypeBatchResp,
+			decodeWireBatch, (*Service).predictBatch, encodeWireBatch)
 	case wire.TypeCall:
 		return ws.serveCall(fr, f, apiKey)
 	default:
-		return ws.writeError(fr, f.ID, &wire.ErrorFrame{
-			Status: http.StatusBadRequest, Code: codeInvalidArgument,
-			Message: fmt.Sprintf("unknown frame type %d", f.Type),
-		})
+		return ws.writeError(fr, f.ID, http.StatusBadRequest, codeInvalidArgument, fmt.Sprintf("unknown frame type %d", f.Type))
 	}
 }
 
-func (ws *WireServer) writeError(fr *wire.Framer, id uint64, e *wire.ErrorFrame) bool {
-	buf := wire.AppendError(wire.GetBuf(), e)
+// writeError answers a frame that never became a request (unknown
+// type, undecodable or undispatchable Call).
+func (ws *WireServer) writeError(fr *wire.Framer, id uint64, status int, code, message string) bool {
+	buf := wire.AppendError(wire.GetBuf(), &wire.ErrorFrame{Status: status, Code: code, Message: message})
 	err := fr.WriteFrame(wire.TypeError, id, buf)
 	wire.PutBuf(buf)
 	return err == nil
 }
 
-// admitWire runs the tenant gate for a typed frame. It mirrors the
-// HTTP middleware minus the tarpit (a stalled wire conn would stall
-// its whole pipeline). ok=false means the refusal frame was the
-// answer; done must be called once with the final status when ok.
-func (ws *WireServer) admitWire(fr *wire.Framer, id uint64, apiKey string, class tenant.Class, rid string) (done func(status int, dur time.Duration), ok, connOK bool) {
-	g := ws.svc.cfg.Gate
-	if g == nil {
-		return func(int, time.Duration) {}, true, true
-	}
-	d := g.Admit(apiKey, class, time.Now())
-	if !d.OK {
-		connOK = ws.writeError(fr, id, &wire.ErrorFrame{
-			Status: d.Status, Code: d.Code, Message: d.Message,
-			RequestID: rid, RetryAfterSec: d.RetryAfter.Seconds(),
-		})
-		return nil, false, connOK
-	}
-	return func(status int, dur time.Duration) {
-		if status == tenant.StatusClientClosedRequest {
-			return
-		}
-		g.Observe(d, dur, status >= http.StatusInternalServerError)
-	}, true, true
-}
-
-// wireReqContext builds one wire request's context: the server's
-// lifetime context plus a fresh request ID and stage trace, marked
-// with the wire transport.
-func (ws *WireServer) wireReqContext() (context.Context, *obs.Trace, string) {
-	rid := fmt.Sprintf("wire-%06d", requestCounter.Add(1))
-	tr := obs.NewTrace(rid)
-	ctx := context.WithValue(ws.ctx, ridKey{}, rid)
-	ctx = context.WithValue(ctx, wireTransportKey{}, true)
-	return obs.ContextWithTrace(ctx, tr), tr, rid
-}
-
-// observeWire feeds the shared request/stage histograms, mirroring
-// withObs for a typed wire request.
-func (ws *WireServer) observeWire(tr *obs.Trace, dur time.Duration) {
+// serveTyped is the yalawire end of the request lifecycle, the one
+// driver behind every typed frame: open the request, admit it through
+// the tenant gate (no tarpit here — a stalled wire conn would stall its
+// whole pipeline), then decode → run → encode into the response frame
+// or the error frame errorStatus shapes, close the gate's observation
+// and the request's on every path, and send. The verb is the decode/run/
+// encode triple — frame payload → service request, the service call,
+// service response → frame payload (values, not pointers: what is
+// handed to a func value escapes) — and name labels it in the access
+// log.
+func serveTyped[Req, Resp any](ws *WireServer, fr *wire.Framer, f wire.Frame, apiKey, name string, class tenant.Class, respType byte,
+	decode func([]byte) (Req, error),
+	run func(*Service, context.Context, Req) (Resp, error),
+	encode func([]byte, Resp) []byte) bool {
 	s := ws.svc
-	s.wireRequests.Add(1)
-	s.reqSeconds.Observe(dur.Seconds())
-	for name, d := range tr.Stages() {
-		s.stageHistogram(name).Observe(d.Seconds())
+	rq := s.beginRequest(ws.ctx, true, "")
+	buf, typ, status := wire.GetBuf(), respType, http.StatusOK
+	adm := s.cfg.Gate.Enter(apiKey, class)
+	ef := wire.ErrorFrame{Status: adm.Status, Code: adm.Code, Message: adm.Message, RetryAfterSec: adm.RetryAfter.Seconds()}
+	if adm.OK {
+		dsp := obs.StartSpan(rq.ctx, "decode")
+		req, err := decode(f.Payload)
+		dsp.End()
+		var resp Resp
+		if err != nil {
+			err = badRequestf("%v", err)
+		} else {
+			resp, err = run(s, rq.ctx, req)
+		}
+		if err != nil {
+			ef.Status, ef.Code = errorStatus(rq.ctx, err)
+			ef.Message = err.Error()
+		} else {
+			esp := obs.StartSpan(rq.ctx, "encode")
+			buf = encode(buf, resp)
+			esp.End()
+		}
 	}
+	if ef.Status != 0 {
+		ef.RequestID = rq.tr.ID
+		buf, typ, status = wire.AppendError(buf, &ef), wire.TypeError, ef.Status
+	}
+	// Observe before the flush, as net/http does for a handler: a client
+	// holding its answer must find its request already counted.
+	adm.Done(status)
+	s.endRequest(rq, "WIRE", name, status)
+	werr := fr.WriteFrame(typ, f.ID, buf)
+	wire.PutBuf(buf)
+	return werr == nil
 }
 
 // toWireResponse converts a service response to its wire shape.
@@ -240,7 +245,7 @@ func toWireResponse(r *PredictResponse) wire.PredictResponse {
 
 // fromWireRequest converts a wire predict request to the service shape
 // plus its hardware qualifier.
-func fromWireRequest(w *wire.PredictRequest) (string, PredictRequest) {
+func fromWireRequest(w *wire.PredictRequest) hwPredict {
 	req := PredictRequest{
 		NF:      w.NF,
 		Backend: w.Backend,
@@ -255,96 +260,45 @@ func fromWireRequest(w *wire.PredictRequest) (string, PredictRequest) {
 			}
 		}
 	}
-	return w.HW, req
+	return hwPredict{hw: w.HW, req: req}
 }
 
-// serviceErrorFrame maps a service error exactly like the /v2 JSON
-// envelope does.
-func serviceErrorFrame(err error, rid string) *wire.ErrorFrame {
-	return &wire.ErrorFrame{
-		Status:    errorStatus(err),
-		Code:      errorCode(err),
-		Message:   err.Error(),
-		RequestID: rid,
-	}
+// The two typed verbs' codecs: TypePredict ⇄ predictOne, TypeBatch ⇄
+// predictBatch.
+
+func decodeWirePredict(payload []byte) (hwPredict, error) {
+	wreq, err := wire.DecodePredictRequest(payload)
+	return fromWireRequest(&wreq), err
 }
 
-func (ws *WireServer) servePredict(fr *wire.Framer, f wire.Frame, apiKey string) bool {
-	start := time.Now()
-	ctx, tr, rid := ws.wireReqContext()
-	done, ok, connOK := ws.admitWire(fr, f.ID, apiKey, tenant.ClassInteractive, rid)
-	if !ok {
-		return connOK
-	}
-	wreq, err := wire.DecodePredictRequest(f.Payload)
-	if err != nil {
-		done(http.StatusBadRequest, time.Since(start))
-		return ws.writeError(fr, f.ID, &wire.ErrorFrame{
-			Status: http.StatusBadRequest, Code: codeInvalidArgument,
-			Message: err.Error(), RequestID: rid,
-		})
-	}
-	hw, req := fromWireRequest(&wreq)
-	resp, err := ws.svc.PredictOn(ctx, hw, req)
-	dur := time.Since(start)
-	ws.observeWire(tr, dur)
-	if err != nil {
-		e := serviceErrorFrame(err, rid)
-		done(e.Status, dur)
-		return ws.writeError(fr, f.ID, e)
-	}
-	done(http.StatusOK, dur)
+func encodeWirePredict(buf []byte, resp PredictResponse) []byte {
 	wresp := toWireResponse(&resp)
-	esp := obs.StartSpan(ctx, "encode")
-	buf := wire.AppendPredictResponse(wire.GetBuf(), &wresp)
-	esp.End()
-	werr := fr.WriteFrame(wire.TypePredictResp, f.ID, buf)
-	wire.PutBuf(buf)
-	return werr == nil
+	return wire.AppendPredictResponse(buf, &wresp)
 }
 
-func (ws *WireServer) serveBatch(fr *wire.Framer, f wire.Frame, apiKey string) bool {
-	start := time.Now()
-	ctx, tr, rid := ws.wireReqContext()
-	done, ok, connOK := ws.admitWire(fr, f.ID, apiKey, tenant.ClassBulk, rid)
-	if !ok {
-		return connOK
-	}
-	wreq, err := wire.DecodeBatchRequest(f.Payload)
-	if err != nil {
-		done(http.StatusBadRequest, time.Since(start))
-		return ws.writeError(fr, f.ID, &wire.ErrorFrame{
-			Status: http.StatusBadRequest, Code: codeInvalidArgument,
-			Message: err.Error(), RequestID: rid,
-		})
-	}
+func decodeWireBatch(payload []byte) ([]hwPredict, error) {
+	wreq, err := wire.DecodeBatchRequest(payload)
 	items := make([]hwPredict, len(wreq.Requests))
 	for i := range wreq.Requests {
-		items[i].hw, items[i].req = fromWireRequest(&wreq.Requests[i])
+		items[i] = fromWireRequest(&wreq.Requests[i])
 	}
-	resp, err := ws.svc.predictBatch(ctx, items)
-	dur := time.Since(start)
-	ws.observeWire(tr, dur)
-	if err != nil {
-		e := serviceErrorFrame(err, rid)
-		done(e.Status, dur)
-		return ws.writeError(fr, f.ID, e)
-	}
-	done(http.StatusOK, dur)
+	return items, err
+}
+
+func encodeWireBatch(buf []byte, resp BatchResponse) []byte {
 	wresp := wire.BatchResponse{Responses: make([]wire.PredictResponse, len(resp.Responses)), Errors: resp.Errors}
 	for i := range resp.Responses {
 		wresp.Responses[i] = toWireResponse(&resp.Responses[i])
 	}
-	buf := wire.AppendBatchResponse(wire.GetBuf(), &wresp)
-	werr := fr.WriteFrame(wire.TypeBatchResp, f.ID, buf)
-	wire.PutBuf(buf)
-	return werr == nil
+	return wire.AppendBatchResponse(buf, &wresp)
 }
 
-// callForwardHeaders are the response headers a TypeCallResp carries
-// back — the same set the gateway forwards downstream, plus
-// Retry-After so wire clients see 429 backoff hints.
-var callForwardHeaders = []string{"Content-Type", "X-Request-Id", "Deprecation", "Link", "Allow", "Retry-After", "X-Gateway-Cache"}
+// ForwardedHeaders is the one allow-list of replica response headers
+// that cross a hop: a TypeCallResp carries exactly these back, and the
+// gateway copies exactly these downstream (on HTTP and wire upstreams
+// alike), so clients behind a gateway still see a 405's Allow and a
+// 429's Retry-After backoff hint. Hop metadata stays behind.
+var ForwardedHeaders = []string{"Content-Type", "X-Request-Id", "Allow", "Retry-After"}
 
 // memResponse is the in-memory http.ResponseWriter TypeCall dispatch
 // renders into.
@@ -372,22 +326,16 @@ func (m *memResponse) Write(b []byte) (int, error) {
 func (ws *WireServer) serveCall(fr *wire.Framer, f wire.Frame, apiKey string) bool {
 	call, err := wire.DecodeCall(f.Payload)
 	if err != nil {
-		return ws.writeError(fr, f.ID, &wire.ErrorFrame{
-			Status: http.StatusBadRequest, Code: codeInvalidArgument, Message: err.Error(),
-		})
+		return ws.writeError(fr, f.ID, http.StatusBadRequest, codeInvalidArgument, err.Error())
 	}
 	if ws.handler == nil {
-		return ws.writeError(fr, f.ID, &wire.ErrorFrame{
-			Status: http.StatusNotFound, Code: codeNotFound,
-			Message: "wire listener mounted without an HTTP handler; TypeCall is disabled",
-		})
+		return ws.writeError(fr, f.ID, http.StatusNotFound, codeNotFound,
+			"wire listener mounted without an HTTP handler; TypeCall is disabled")
 	}
 	ctx := context.WithValue(ws.ctx, wireTransportKey{}, true)
 	req, err := http.NewRequestWithContext(ctx, call.Method, call.URI, bytes.NewReader(call.Body))
 	if err != nil {
-		return ws.writeError(fr, f.ID, &wire.ErrorFrame{
-			Status: http.StatusBadRequest, Code: codeInvalidArgument, Message: err.Error(),
-		})
+		return ws.writeError(fr, f.ID, http.StatusBadRequest, codeInvalidArgument, err.Error())
 	}
 	if call.ContentType != "" {
 		req.Header.Set("Content-Type", call.ContentType)
@@ -404,7 +352,7 @@ func (ws *WireServer) serveCall(fr *wire.Framer, f wire.Frame, apiKey string) bo
 		rec.status = http.StatusOK
 	}
 	out := wire.CallResp{Status: rec.status, Body: rec.buf.Bytes()}
-	for _, k := range callForwardHeaders {
+	for _, k := range ForwardedHeaders {
 		if v := rec.hdr.Get(k); v != "" {
 			out.Headers = append(out.Headers, wire.HeaderKV{Key: k, Value: v})
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -107,37 +106,68 @@ func TestWirePredictEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWireTransportMetrics pins the transport split in the exposition:
-// one wire predict and one HTTP predict produce one count on each
-// yala_requests_total{transport=...} series.
+// TestWireTransportMetrics pins what the exposition says about wire
+// traffic. One OK predict, one gate refusal (429) and one malformed
+// predict frame each count once on yala_requests_total{transport="wire"}
+// and once in yala_request_seconds — exactly as the same three outcomes
+// do over HTTP, whose one JSON predict counts on its own series — and
+// the decode and encode stages, which only the front door can span,
+// receive samples from wire requests.
 func TestWireTransportMetrics(t *testing.T) {
-	_, ts, ws := wireTestServer(t, nil)
-	wc := yalaclient.New(ts.URL, yalaclient.WithWire(ws.Addr()))
+	reg, err := tenant.Parse([]byte(`{
+		"tenants": [{"name": "capped", "key": "k-capped", "rps": 1, "burst": 1}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, ts, ws := wireTestServer(t, tenant.NewGate(reg, tenant.GateConfig{}))
+	ctx := context.Background()
+	wc := yalaclient.New(ts.URL, yalaclient.WithWire(ws.Addr()), yalaclient.WithAPIKey("k-capped"))
 	defer wc.Close()
-	if _, err := wc.Predict(context.Background(), yalaclient.ModelID{NF: "ACL"}, "fake", yalaclient.PredictParams{}); err != nil {
+	if _, err := wc.Predict(ctx, yalaclient.ModelID{NF: "ACL"}, "fake", yalaclient.PredictParams{}); err != nil {
 		t.Fatal(err)
 	}
-	jc := yalaclient.New(ts.URL)
-	if _, err := jc.Predict(context.Background(), yalaclient.ModelID{NF: "ACL"}, "fake", yalaclient.PredictParams{}); err != nil {
-		t.Fatal(err)
+	var rle *yalaclient.RateLimitError
+	if _, err := wc.Predict(ctx, yalaclient.ModelID{NF: "ACL"}, "fake", yalaclient.PredictParams{}); !errors.As(err, &rle) {
+		t.Fatalf("second capped predict: %v, want *RateLimitError", err)
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
+	pool := wire.NewPool(ws.Addr(), "", 1)
+	defer pool.Close()
+	err = pool.Do(ctx, wire.TypePredict, []byte{0xff}, func(f wire.Frame) error {
+		if ef, derr := wire.DecodeError(f.Payload); f.Type != wire.TypeError || derr != nil || ef.Status != http.StatusBadRequest {
+			return fmt.Errorf("malformed predict frame answered type %d %+v (%v), want a 400 error frame", f.Type, ef, derr)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
+	if _, err := yalaclient.New(ts.URL).Predict(ctx, yalaclient.ModelID{NF: "ACL"}, "fake", yalaclient.PredictParams{}); err != nil {
 		t.Fatal(err)
 	}
-	exposition := string(raw)
+
+	var sb strings.Builder
+	if err := svc.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	exposition := sb.String()
 	for _, want := range []string{
-		`yala_requests_total{transport="wire"} 1`,
+		`yala_requests_total{transport="wire"} 3`,
 		`yala_requests_total{transport="http"} 1`,
+		`yala_request_seconds_count 4`,
 	} {
 		if !strings.Contains(exposition, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, exposition)
 		}
+	}
+	// The JSON predict contributes one decode and one encode sample; the
+	// wire requests must add their own (OK predict: both; malformed
+	// frame: decode).
+	if got := svc.stageHist["decode"].Count(); got != 3 {
+		t.Fatalf("decode stage count = %d, want 3 (1 HTTP + 2 wire)", got)
+	}
+	if got := svc.stageHist["encode"].Count(); got != 2 {
+		t.Fatalf("encode stage count = %d, want 2 (1 HTTP + 1 wire)", got)
 	}
 }
 

@@ -41,6 +41,8 @@
 // rows in /v2/gateway/stats.
 //
 // Both the scale-out gateway and a bare serve replica mount the same
-// middleware, so the QoS contract holds whether a tenant talks to the
-// edge or to a replica directly.
+// middleware, and a replica's yalawire listener admits through the same
+// Gate.Enter / Admission.Done pair the middleware is built on, so the
+// QoS contract holds whether a tenant talks to the edge or to a replica
+// directly, over JSON or over frames.
 package tenant

@@ -235,6 +235,39 @@ func (g *Gate) Admit(key string, class Class, now time.Time) Decision {
 	return Decision{OK: true, Tenant: t, Class: class}
 }
 
+// Admission is one request's pass through the gate: the decision, and
+// for an admitted request the open SLO observation Done closes. It is
+// the transport-neutral entry every front door (the HTTP Middleware,
+// serve's yalawire listener) admits through, so "what counts as a
+// latency sample" and "what counts as a server error" are decided once.
+type Admission struct {
+	Decision
+	gate  *Gate
+	start time.Time
+}
+
+// Enter admits one request. A nil gate admits everything and observes
+// nothing, so callers need no "is a gate mounted" branch.
+func (g *Gate) Enter(key string, class Class) Admission {
+	if g == nil {
+		return Admission{Decision: Decision{OK: true}}
+	}
+	now := time.Now()
+	return Admission{Decision: g.Admit(key, class, now), gate: g, start: now}
+}
+
+// Done closes an admitted request with the status it answered. A 499
+// is not a sample at all — the client hung up, and how long an
+// abandoned request lingered measures the client's impatience, not the
+// server's SLO; a burst of disconnects must not push the windowed
+// error rate toward shedding live traffic. Anything ≥ 500 is an error.
+func (a Admission) Done(status int) {
+	if a.gate == nil || !a.OK || status == StatusClientClosedRequest {
+		return
+	}
+	a.gate.Observe(a.Decision, time.Since(a.start), status >= http.StatusInternalServerError)
+}
+
 // Observe records one completed, admitted request: its latency lands in
 // the tenant's histogram and in the sliding window behind the pressure
 // signals.

@@ -315,13 +315,13 @@ func TestMiddleware(t *testing.T) {
 
 // TestClassifyPath pins the bulk/interactive split.
 func TestClassifyPath(t *testing.T) {
-	bulk := []string{"/v2/models/m:batchPredict", "/v1/predict/batch", "/v1/cluster/run", "/v2/cluster/runs"}
+	bulk := []string{"/v2/models:batchPredict", "/v2/models/m:batchPredict", "/v2/cluster/runs", "/v2/cluster/runs/7"}
 	for _, p := range bulk {
 		if ClassifyPath(p) != ClassBulk {
 			t.Errorf("ClassifyPath(%s) = interactive, want bulk", p)
 		}
 	}
-	interactive := []string{"/v2/models/m:predict", "/v2/models/m:admit", "/v1/predict", "/v2/models"}
+	interactive := []string{"/v2/models/m:predict", "/v2/models/m:admit", "/v2/ingest", "/v2/models"}
 	for _, p := range interactive {
 		if ClassifyPath(p) != ClassInteractive {
 			t.Errorf("ClassifyPath(%s) = bulk, want interactive", p)

@@ -12,12 +12,10 @@ import (
 )
 
 // StatusClientClosedRequest is the non-standard 499 status (the nginx
-// convention) a handler writes when the *client* abandoned the request
-// — its context was canceled before a response could be sent. It is
-// neither a success nor a server error; the gate's Middleware excludes
-// it from SLO accounting entirely, because a burst of client
-// disconnects says nothing about server health and must not push the
-// windowed error-rate/latency pressure toward shedding live traffic.
+// convention) a front door answers when the *client* abandoned the
+// request — its context was canceled before a response could be sent.
+// It is neither a success nor a server error; Admission.Done excludes
+// it from SLO accounting entirely.
 const StatusClientClosedRequest = 499
 
 // KeyFromRequest extracts the API key: `Authorization: Bearer <key>`
@@ -35,10 +33,7 @@ func KeyFromRequest(r *http.Request) string {
 // ClassifyPath maps a request path to its priority class: batch and
 // cluster endpoints are bulk, everything else interactive.
 func ClassifyPath(path string) Class {
-	if strings.HasSuffix(path, ":batchPredict") ||
-		path == "/v1/predict/batch" ||
-		path == "/v1/cluster/run" ||
-		strings.HasPrefix(path, "/v2/cluster/runs") {
+	if strings.HasSuffix(path, ":batchPredict") || strings.HasPrefix(path, "/v2/cluster/runs") {
 		return ClassBulk
 	}
 	return ClassInteractive
@@ -77,9 +72,9 @@ func (g *Gate) Middleware(next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
-		d := g.Admit(KeyFromRequest(r), ClassifyPath(r.URL.Path), time.Now())
-		if !d.OK {
-			if d.RateLimited && g.cfg.ShedDelay > 0 {
+		a := g.Enter(KeyFromRequest(r), ClassifyPath(r.URL.Path))
+		if !a.OK {
+			if a.RateLimited && g.cfg.ShedDelay > 0 {
 				// Tarpit: stall the refusal so an unpaced keep-alive
 				// abuser is bounded by ShedDelay per connection, not by
 				// how fast the server can write 429s.
@@ -88,19 +83,12 @@ func (g *Gate) Middleware(next http.Handler) http.Handler {
 				case <-r.Context().Done():
 				}
 			}
-			writeRefusal(w, r, d)
+			writeRefusal(w, r, a.Decision)
 			return
 		}
 		rec := &gateRecorder{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
 		next.ServeHTTP(rec, r)
-		if rec.status == StatusClientClosedRequest {
-			// The client hung up: not an error, and not a latency sample
-			// either — how long an abandoned request lingered measures the
-			// client's impatience, not the server's SLO.
-			return
-		}
-		g.Observe(d, time.Since(start), rec.status >= http.StatusInternalServerError)
+		a.Done(rec.status)
 	})
 }
 

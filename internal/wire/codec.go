@@ -89,9 +89,8 @@ type Call struct {
 	Body        []byte
 }
 
-// CallResp is a Call's answer: status, the response headers the
-// gateway forwards (Content-Type, X-Request-Id, deprecation trio), and
-// the raw body.
+// CallResp is a Call's answer: status, the response headers that cross
+// a hop (serve.ForwardedHeaders), and the raw body.
 type CallResp struct {
 	Status  int
 	Headers []HeaderKV

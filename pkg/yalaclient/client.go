@@ -336,8 +336,8 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 	return data, resp.StatusCode, resp.Header, nil
 }
 
-// apiError decodes the /v2 error envelope (falling back to the flat /v1
-// shape and then the raw status).
+// apiError decodes the /v2 error envelope, falling back to the raw
+// status.
 func apiError(status int, data []byte) error {
 	var v2 struct {
 		Error struct {
@@ -348,12 +348,6 @@ func apiError(status int, data []byte) error {
 	}
 	if json.Unmarshal(data, &v2) == nil && v2.Error.Message != "" {
 		return &APIError{StatusCode: status, Code: v2.Error.Code, Message: v2.Error.Message, RequestID: v2.Error.RequestID}
-	}
-	var v1 struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(data, &v1) == nil && v1.Error != "" {
-		return &APIError{StatusCode: status, Message: v1.Error}
 	}
 	return &APIError{StatusCode: status}
 }

@@ -39,8 +39,9 @@ func TestWithTimeoutOrderSafe(t *testing.T) {
 	}
 }
 
-// TestAPIErrorDecoding covers both envelope shapes and the raw-status
-// fallback.
+// TestAPIErrorDecoding covers the /v2 envelope and the raw-status
+// fallback for anything else — including the flat {"error": "..."}
+// shape only the removed /v1 surface ever produced.
 func TestAPIErrorDecoding(t *testing.T) {
 	var body atomic.Value
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -57,16 +58,12 @@ func TestAPIErrorDecoding(t *testing.T) {
 		t.Fatalf("v2 envelope decoded as %v", err)
 	}
 
-	body.Store(`{"error":"flat message"}`)
-	_, err = c.Predict(context.Background(), ModelID{NF: "x"}, "", PredictParams{})
-	if !errors.As(err, &apiErr) || apiErr.Message != "flat message" || apiErr.Code != "" {
-		t.Fatalf("v1 envelope decoded as %v", err)
-	}
-
-	body.Store(`not json at all`)
-	_, err = c.Predict(context.Background(), ModelID{NF: "x"}, "", PredictParams{})
-	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
-		t.Fatalf("raw fallback decoded as %v", err)
+	for _, raw := range []string{`{"error":"flat message"}`, `not json at all`} {
+		body.Store(raw)
+		_, err = c.Predict(context.Background(), ModelID{NF: "x"}, "", PredictParams{})
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest || apiErr.Message != "" || apiErr.Code != "" {
+			t.Fatalf("body %q: raw fallback decoded as %v", raw, err)
+		}
 	}
 }
 
