@@ -41,6 +41,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gateway"
+	"repro/internal/loadgen"
 	"repro/internal/nf"
 	"repro/internal/nfbench"
 	"repro/internal/nicsim"
@@ -568,14 +569,14 @@ func cmdLoadgen(args []string) error {
 		if *wireAddr == "" {
 			return fmt.Errorf("loadgen: -wirefloor requires -wire")
 		}
-		rep, err := serve.WireEchoFloor(*wireAddr, *c, *n, 256)
+		rep, err := loadgen.WireEchoFloor(*wireAddr, *c, *n, 256)
 		if rep.Frames > 0 {
 			fmt.Println(rep)
 		}
 		if *jsonPath != "" {
 			bench := struct {
-				Kind   string                `json:"kind"`
-				Report serve.WireFloorReport `json:"report"`
+				Kind   string                  `json:"kind"`
+				Report loadgen.WireFloorReport `json:"report"`
 			}{Kind: "wirefloor", Report: rep}
 			if werr := writeJSONFile(*jsonPath, bench); werr != nil {
 				return werr
@@ -584,7 +585,7 @@ func cmdLoadgen(args []string) error {
 		return err
 	}
 
-	cfg := serve.LoadgenConfig{
+	cfg := loadgen.Config{
 		URL:            *url,
 		Workers:        *c,
 		Requests:       *n,
@@ -619,11 +620,7 @@ func cmdLoadgen(args []string) error {
 			cfg.NFs = append(cfg.NFs, strings.TrimSpace(name))
 		}
 	}
-	// Snapshot server cache counters around the run so the reported hit
-	// rate is this run's, not the server's lifetime.
-	client := yalaclient.New(*url)
-	before, beforeErr := client.Stats(context.Background())
-	rep, runErr := serve.Loadgen(cfg)
+	rep, runErr := loadgen.Run(cfg)
 	// A partially failed run still carries the measurement of everything
 	// that succeeded — print and persist the report before surfacing the
 	// error.
@@ -632,9 +629,9 @@ func cmdLoadgen(args []string) error {
 	}
 	if *jsonPath != "" {
 		bench := struct {
-			Kind   string              `json:"kind"`
-			Config serve.LoadgenConfig `json:"config"`
-			Report serve.LoadgenReport `json:"report"`
+			Kind   string         `json:"kind"`
+			Config loadgen.Config `json:"config"`
+			Report loadgen.Report `json:"report"`
 		}{Kind: "loadgen", Config: cfg, Report: rep}
 		if err := writeJSONFile(*jsonPath, bench); err != nil {
 			return err
@@ -648,13 +645,9 @@ func cmdLoadgen(args []string) error {
 	if rep.Errors > 0 {
 		return fmt.Errorf("loadgen: %d/%d requests failed", rep.Errors, rep.Requests)
 	}
-	if after, err := client.Stats(context.Background()); err == nil && beforeErr == nil {
-		hits := after.Cache.Hits - before.Cache.Hits
-		total := hits + after.Cache.Misses - before.Cache.Misses
-		if total > 0 {
-			fmt.Printf("server      cache hit rate %.1f%% this run (%d entries)\n",
-				100*float64(hits)/float64(total), after.Cache.Entries)
-		}
+	if total := rep.Cache.Hits + rep.Cache.Misses; total > 0 {
+		fmt.Printf("server      cache hit rate %.1f%% this run (%d entries)\n",
+			100*float64(rep.Cache.Hits)/float64(total), rep.Cache.Entries)
 	}
 	return nil
 }

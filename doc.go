@@ -18,8 +18,10 @@
 // /v2 traffic across N serve replicas by rendezvous hashing on
 // (NF, hardware class, backend), with health-checked transparent
 // failover, reload fan-out (plus replay for replicas that were down),
-// batch scatter/gather, and an edge response cache; BENCH_gateway.json
-// records the measured curve and the host's transport floor.
+// batch scatter/gather, and an edge response cache; `go run ./bench
+// -workload gateway-mix` measures it (gateway.edge_hit_us,
+// gateway.routed_us) beside the host's transport floor
+// (floor.http_rtt_us).
 //
 // See README.md for the package map, CLI entry points, the online
 // prediction-serving subsystem (internal/serve) and the cluster-scale

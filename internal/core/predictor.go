@@ -92,11 +92,7 @@ func (m *Model) Predict(prof traffic.Profile, comps []Competitor) Prediction {
 	// Bottleneck: the resource whose individual limit is lowest, scanned
 	// in fixed resource order so ties resolve identically every run.
 	best := math.Inf(1)
-	resOrder := []nicsim.Resource{nicsim.ResMemory}
-	for _, kind := range nicsim.AccelKinds() {
-		resOrder = append(resOrder, nicsim.AccelResource(kind))
-	}
-	for _, res := range resOrder {
+	for _, res := range resourceOrder {
 		if t, ok := pred.PerResource[res]; ok && t < best {
 			best = t
 			pred.Bottleneck = res
@@ -104,6 +100,17 @@ func (m *Model) Predict(prof traffic.Profile, comps []Competitor) Prediction {
 	}
 	return pred
 }
+
+// resourceOrder is the fixed order every walk over a prediction's
+// PerResource map takes — memory, then the accelerators in kind order —
+// so float sums and tie-breaks never depend on map iteration.
+var resourceOrder = func() []nicsim.Resource {
+	order := []nicsim.Resource{nicsim.ResMemory}
+	for _, kind := range nicsim.AccelKinds() {
+		order = append(order, nicsim.AccelResource(kind))
+	}
+	return order
+}()
 
 // PredictThroughput is the allocation-lean fast path for admission loops
 // (placement.FeasibleBatch): it composes the end-to-end throughput only,
@@ -148,8 +155,10 @@ func (m *Model) PredictThroughput(prof traffic.Profile, comps []Competitor, solo
 func (m *Model) PredictWith(c Composition, prof traffic.Profile, comps []Competitor) Prediction {
 	p := m.Predict(prof, comps)
 	drops := make([]float64, 0, len(p.PerResource))
-	for _, t := range p.PerResource {
-		drops = append(drops, math.Max(0, p.Solo-t))
+	for _, res := range resourceOrder {
+		if t, ok := p.PerResource[res]; ok {
+			drops = append(drops, math.Max(0, p.Solo-t))
+		}
 	}
 	p.Throughput = Compose(c, p.Solo, drops)
 	return p

@@ -72,19 +72,6 @@ type Config struct {
 	// MinSamples is the warmup floor: no gate decision below this many
 	// windowed samples (default 24).
 	MinSamples int
-	// DriftThreshold trips retraining when the trusted median
-	// measured/predicted ratio deviates from 1 by more than this
-	// (default 0.15).
-	DriftThreshold float64
-	// OutlierDev marks a sample an outlier when its relative deviation
-	// from the window median exceeds this (default 0.30).
-	OutlierDev float64
-	// SourceOutlierFrac quarantines a source when more than this
-	// fraction of its windowed samples are outliers (default 0.5).
-	SourceOutlierFrac float64
-	// MinTrustedFrac holds the gate when fewer than this fraction of
-	// the window survives outlier and quarantine filtering (default 0.5).
-	MinTrustedFrac float64
 	// ConsistencyMax holds the gate when the trusted set's relative
 	// median absolute deviation exceeds this — mutually inconsistent
 	// input never triggers retraining (default 0.10).
@@ -111,18 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 24
-	}
-	if c.DriftThreshold <= 0 {
-		c.DriftThreshold = 0.15
-	}
-	if c.OutlierDev <= 0 {
-		c.OutlierDev = 0.30
-	}
-	if c.SourceOutlierFrac <= 0 {
-		c.SourceOutlierFrac = 0.5
-	}
-	if c.MinTrustedFrac <= 0 {
-		c.MinTrustedFrac = 0.5
 	}
 	if c.ConsistencyMax <= 0 {
 		c.ConsistencyMax = 0.10

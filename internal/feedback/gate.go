@@ -23,9 +23,23 @@ const (
 	DecisionDrift = "drift"
 )
 
-// minSourceSamples is the floor below which a source's outlier rate is
-// not judged — two unlucky samples must not quarantine a reporter.
-const minSourceSamples = 3
+const (
+	// minSourceSamples is the floor below which a source's outlier rate
+	// is not judged — two unlucky samples must not quarantine a reporter.
+	minSourceSamples = 3
+	// driftThreshold trips retraining when the trusted median
+	// measured/predicted ratio deviates from 1 by more than this.
+	driftThreshold = 0.15
+	// outlierDev marks a sample an outlier when its relative deviation
+	// from the window median exceeds this.
+	outlierDev = 0.30
+	// sourceOutlierFrac quarantines a source when more than this
+	// fraction of its windowed samples are outliers.
+	sourceOutlierFrac = 0.5
+	// minTrustedFrac holds the gate when fewer than this fraction of the
+	// window survives outlier and quarantine filtering.
+	minTrustedFrac = 0.5
+)
 
 // gateResult is one evaluation of a key's window.
 type gateResult struct {
@@ -43,7 +57,7 @@ type gateResult struct {
 //
 // Data signal: the per-sample ratio q = measured/predicted; R = the
 // window median. Diagnostic signals: per-sample outlierness (relative
-// deviation from R beyond OutlierDev), per-source outlier rate (a
+// deviation from R beyond outlierDev), per-source outlier rate (a
 // source mostly emitting outliers is quarantined — the empty source is
 // exempt, it means "untracked"), trusted-set size and trusted-set
 // dispersion (relative MAD). The decision fuses them: distrust the
@@ -62,7 +76,7 @@ func evaluate(cfg Config, all []sample) gateResult {
 	type srcStat struct{ n, out int }
 	bySrc := map[string]*srcStat{}
 	for i, s := range all {
-		outlier[i] = abs(s.ratio-med)/med > cfg.OutlierDev
+		outlier[i] = abs(s.ratio-med)/med > outlierDev
 		if s.source == "" {
 			continue
 		}
@@ -78,7 +92,7 @@ func evaluate(cfg Config, all []sample) gateResult {
 	}
 	var quarantined map[string]bool
 	for src, st := range bySrc {
-		if st.n >= minSourceSamples && float64(st.out) > cfg.SourceOutlierFrac*float64(st.n) {
+		if st.n >= minSourceSamples && float64(st.out) > sourceOutlierFrac*float64(st.n) {
 			if quarantined == nil {
 				quarantined = map[string]bool{}
 			}
@@ -94,7 +108,7 @@ func evaluate(cfg Config, all []sample) gateResult {
 		trusted = append(trusted, s.ratio)
 	}
 	res := gateResult{quarantined: quarantined, scale: 1}
-	if float64(len(trusted)) < cfg.MinTrustedFrac*float64(len(all)) {
+	if float64(len(trusted)) < minTrustedFrac*float64(len(all)) {
 		res.decision = DecisionHold
 		return res
 	}
@@ -108,7 +122,7 @@ func evaluate(cfg Config, all []sample) gateResult {
 		return res
 	}
 	res.scale = rt
-	if abs(rt-1) > cfg.DriftThreshold {
+	if abs(rt-1) > driftThreshold {
 		res.decision = DecisionDrift
 	} else {
 		res.decision = DecisionOK

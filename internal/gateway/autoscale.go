@@ -31,17 +31,17 @@ type AutoscaleConfig struct {
 	// UpAfter is how many consecutive ticks at score ≥ 1 trigger a
 	// scale-up (default 3) — hysteresis against one bursty tick.
 	UpAfter int
-	// DownAfter is how many consecutive ticks at score ≤ IdleBelow
+	// DownAfter is how many consecutive ticks at score ≤ idleBelow
 	// trigger a scale-down (default 10): draining is cheap to defer and
 	// expensive to flap.
 	DownAfter int
-	// IdleBelow is the score under which a tick counts as idle
-	// (default 0.25).
-	IdleBelow float64
 	// DrainGrace is how long a detached replica keeps running before its
 	// process closes, letting in-flight requests finish (default 1s).
 	DrainGrace time.Duration
 }
+
+// idleBelow is the pressure score under which a tick counts as idle.
+const idleBelow = 0.25
 
 func (c *AutoscaleConfig) fillDefaults() error {
 	if c.Min <= 0 {
@@ -64,9 +64,6 @@ func (c *AutoscaleConfig) fillDefaults() error {
 	}
 	if c.DownAfter <= 0 {
 		c.DownAfter = 10
-	}
-	if c.IdleBelow <= 0 {
-		c.IdleBelow = 0.25
 	}
 	if c.DrainGrace <= 0 {
 		c.DrainGrace = time.Second
@@ -211,7 +208,7 @@ func (as *Autoscaler) tick() {
 			as.upTicks = 0
 			action = as.scaleUpLocked()
 		}
-	case score <= as.cfg.IdleBelow:
+	case score <= idleBelow:
 		as.upTicks = 0
 		as.downTicks++
 		if as.downTicks >= as.cfg.DownAfter && active > as.cfg.Min {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/loadgen"
 	"repro/internal/ml"
 	"repro/internal/profiling"
 	"repro/internal/serve"
@@ -28,11 +29,11 @@ func TestFailoverKillMidLoadgen(t *testing.T) {
 	g, ts := testGateway(t, -1, a, b) // edge off: every request must route
 
 	done := make(chan struct{})
-	var rep serve.LoadgenReport
+	var rep loadgen.Report
 	var runErr error
 	go func() {
 		defer close(done)
-		rep, runErr = serve.Loadgen(serve.LoadgenConfig{
+		rep, runErr = loadgen.Run(loadgen.Config{
 			URL:      ts.URL,
 			Workers:  4,
 			Requests: 20000,

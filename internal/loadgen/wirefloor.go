@@ -1,12 +1,9 @@
-package serve
+package loadgen
 
 import (
 	"bytes"
 	"context"
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/wire"
@@ -39,7 +36,8 @@ func (r WireFloorReport) String() string {
 
 // WireEchoFloor measures the yalawire transport floor against a live
 // wire listener: workers persistent connections exchanging frames
-// round trips of TypeEcho frames carrying payloadBytes of opaque data.
+// round trips of TypeEcho frames carrying payloadBytes of opaque data,
+// through the same closed loop a serving run uses.
 func WireEchoFloor(addr string, workers, frames, payloadBytes int) (WireFloorReport, error) {
 	if workers <= 0 {
 		workers = 8
@@ -47,68 +45,34 @@ func WireEchoFloor(addr string, workers, frames, payloadBytes int) (WireFloorRep
 	if frames <= 0 {
 		frames = 100000
 	}
-	if payloadBytes < 0 {
-		payloadBytes = 0
-	}
+	payloadBytes = max(payloadBytes, 0)
 	pool := wire.NewPool(addr, "", workers)
 	defer pool.Close()
 	payload := bytes.Repeat([]byte{0xab}, payloadBytes)
 
-	var (
-		issued    atomic.Int64
-		errs      atomic.Int64
-		firstErr  atomic.Pointer[error]
-		latencies = make([][]time.Duration, workers)
-		wg        sync.WaitGroup
-	)
 	start := time.Now()
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			for {
-				if issued.Add(1) > int64(frames) {
-					return
-				}
-				t0 := time.Now()
-				err := pool.Do(context.Background(), wire.TypeEcho, payload, func(f wire.Frame) error {
-					if f.Type != wire.TypeEchoAck {
-						return fmt.Errorf("serve: echo answered with frame type %d", f.Type)
-					}
-					return nil
-				})
-				latencies[wk] = append(latencies[wk], time.Since(t0))
-				if err != nil {
-					errs.Add(1)
-					firstErr.CompareAndSwap(nil, &err)
-				}
+	o := closedLoop(workers, frames, 0, func(int) (int, error) {
+		return 1, pool.Do(context.Background(), wire.TypeEcho, payload, func(f wire.Frame) error {
+			if f.Type != wire.TypeEchoAck {
+				return fmt.Errorf("loadgen: echo answered with frame type %d", f.Type)
 			}
-		}(wk)
-	}
-	wg.Wait()
+			return nil
+		})
+	})
 	elapsed := time.Since(start)
 
-	var all []time.Duration
-	for _, ls := range latencies {
-		all = append(all, ls...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	rep := WireFloorReport{
-		Frames:   len(all),
+		Frames:   len(o.lats) + o.errs,
 		Payload:  payloadBytes,
 		Workers:  workers,
-		Errors:   int(errs.Load()),
+		Errors:   o.errs,
 		Duration: elapsed,
+		FPS:      float64(len(o.lats)+o.errs) / max(elapsed.Seconds(), 1e-9),
+		P50:      percentile(o.lats, 0.50),
+		P99:      percentile(o.lats, 0.99),
 	}
-	if elapsed > 0 {
-		rep.FPS = float64(len(all)) / elapsed.Seconds()
-	}
-	if len(all) > 0 {
-		rep.P50 = percentile(all, 0.50)
-		rep.P99 = percentile(all, 0.99)
-	}
-	if ep := firstErr.Load(); ep != nil && rep.Errors > 0 {
-		return rep, fmt.Errorf("serve: wire floor: %d/%d frames failed (first: %w)", rep.Errors, rep.Frames, *ep)
+	if rep.Errors > 0 {
+		return rep, fmt.Errorf("loadgen: wire floor: %d/%d frames failed (first: %w)", rep.Errors, rep.Frames, o.first)
 	}
 	return rep, nil
 }

@@ -76,8 +76,8 @@ func TestLabelValueEscaping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, got := labelValue(exp.Samples[0].Labels, "path"); got != true || v != `a\"b\\c` {
-		t.Fatalf("labelValue = %q, %v", v, got)
+	if v, got := exp.Samples[0].Label("path"); got != true || v != `a"b\c` {
+		t.Fatalf("Label = %q, %v", v, got)
 	}
 }
 
@@ -341,24 +341,69 @@ func TestParseAndMergeExpositions(t *testing.T) {
 	}
 }
 
+// TestParseExpositionTolerant: the one Prometheus text parser in the
+// tree reads replica sockets (gateway.scrapeReplicas) and loadgen's
+// /metrics scrapes, so malformed lines are dropped, never fatal, and
+// quoted label values may carry braces, quotes and escapes.
 func TestParseExpositionTolerant(t *testing.T) {
 	in := `# HELP something helpful
 # TYPE m counter
 m{a="x}y"} 3
-garbage line without value
+garbage line without a value
 m_nolabels 4 1700000000
+weird{a="br{ce",b="q\"uote",c="two\nlines"} 1 1700000000000
+valueless
+valueless_labeled{a="b"}
+{} 5
+# TYPE yala_uptime_seconds gauge
+yala_uptime_seconds 123.5
+yala_stage_seconds_bucket{stage="decode",le="0.001"} 10
+yala_stage_seconds_bucket{stage="decode",le="+Inf"} 12
+yala_stage_seconds_sum{stage="decode"} 0.025
+yala_stage_seconds_count{stage="decode"} 12
 `
 	exp, err := ParseExposition(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(exp.Samples) != 2 {
-		t.Fatalf("samples = %+v", exp.Samples)
+	if len(exp.Samples) != 8 {
+		t.Fatalf("samples = %+v, want 8 (garbage, value-less and nameless lines dropped)", exp.Samples)
 	}
-	if v, _ := labelValue(exp.Samples[0].Labels, "a"); v != "x}y" {
+	if v, _ := exp.Samples[0].Label("a"); v != "x}y" {
 		t.Fatalf("brace-in-value mishandled: %q", v)
 	}
 	if exp.Samples[1].Value != 4 {
 		t.Fatalf("timestamped sample: %+v", exp.Samples[1])
+	}
+	weird := exp.Samples[2]
+	if weird.Name != "weird" || weird.Value != 1 {
+		t.Fatalf("weird sample: %+v", weird)
+	}
+	for key, want := range map[string]string{"a": "br{ce", "b": `q"uote`, "c": "two\nlines"} {
+		if got, ok := weird.Label(key); !ok || got != want {
+			t.Fatalf("weird label %s = %q (ok=%v), want %q", key, got, ok, want)
+		}
+	}
+	if got, ok := weird.Label("missing"); ok || got != "" {
+		t.Fatalf("missing label = %q (ok=%v), want absent", got, ok)
+	}
+	if _, ok := exp.Value("valueless", ""); ok {
+		t.Fatal("value-less line should have been dropped")
+	}
+	if v, ok := exp.Value("yala_uptime_seconds", ""); !ok || v != 123.5 {
+		t.Fatalf("unlabeled gauge = %g (ok=%v), want 123.5", v, ok)
+	}
+	if _, ok := exp.Samples[3].Label("le"); ok {
+		t.Fatalf("unlabeled sample answered a label: %+v", exp.Samples[3])
+	}
+	if v, ok := exp.Value("yala_stage_seconds_bucket", `le="+Inf"`); !ok || v != 12 {
+		t.Fatalf("+Inf bucket = %g (ok=%v), want 12", v, ok)
+	}
+	uppers, cum, sum, count, ok := exp.HistogramSeries("yala_stage_seconds", `stage="decode"`)
+	if !ok || len(uppers) != 1 || uppers[0] != 0.001 || len(cum) != 2 || cum[0] != 10 || cum[1] != 12 || sum != 0.025 || count != 12 {
+		t.Fatalf("decode histogram = %v %v %g %d (ok=%v)", uppers, cum, sum, count, ok)
+	}
+	if exp.Types["m"] != "counter" || exp.Types["yala_uptime_seconds"] != "gauge" {
+		t.Fatalf("TYPE lines: %v", exp.Types)
 	}
 }

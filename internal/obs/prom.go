@@ -95,7 +95,7 @@ func ParseExposition(r io.Reader) (*Exposition, error) {
 			continue
 		}
 		name, labels, rest, ok := splitSeries(line)
-		if !ok {
+		if !ok || name == "" {
 			continue
 		}
 		valStr := strings.Fields(rest) // value [timestamp]
@@ -260,7 +260,7 @@ func (e *Exposition) HistogramSeries(family, labelSubstr string) (uppers []float
 		}
 		switch s.Name {
 		case family + "_bucket":
-			le, found := labelValue(s.Labels, "le")
+			le, found := s.Label("le")
 			if !found {
 				continue
 			}
@@ -294,16 +294,20 @@ func (e *Exposition) HistogramSeries(family, labelSubstr string) (uppers []float
 	return uppers, cum, sum, count, true
 }
 
-// labelValue extracts one label's value from a rendered label block.
-func labelValue(labels, key string) (string, bool) {
-	for rest := labels; rest != ""; {
+// labelUnescaper undoes escapeLabelValue.
+var labelUnescaper = strings.NewReplacer(`\\`, `\`, `\"`, `"`, `\n`, "\n")
+
+// Label extracts one label's value from the sample's rendered label
+// block, unescaped: what the emitter passed to escapeLabelValue.
+func (s Sample) Label(key string) (string, bool) {
+	for rest := s.Labels; rest != ""; {
 		eq := strings.Index(rest, `="`)
 		if eq == -1 {
 			return "", false
 		}
 		k := strings.TrimLeft(rest[:eq], ",")
 		vStart := eq + 2
-		i, esc := vStart, false
+		i, esc, escaped := vStart, false, false
 		for ; i < len(rest); i++ {
 			c := rest[i]
 			if esc {
@@ -311,7 +315,7 @@ func labelValue(labels, key string) (string, bool) {
 				continue
 			}
 			if c == '\\' {
-				esc = true
+				esc, escaped = true, true
 				continue
 			}
 			if c == '"' {
@@ -322,7 +326,11 @@ func labelValue(labels, key string) (string, bool) {
 			return "", false
 		}
 		if k == key {
-			return rest[vStart:i], true
+			v := rest[vStart:i]
+			if escaped {
+				v = labelUnescaper.Replace(v)
+			}
+			return v, true
 		}
 		rest = rest[i+1:]
 	}

@@ -34,9 +34,6 @@ type RegistryConfig struct {
 	// SLOMO configures on-demand SLOMO training; zero value selects
 	// backend.QuickSLOMOConfig.
 	SLOMO slomo.Config
-	// SLOMOProfile is the fixed profile SLOMO trains at; zero value
-	// selects the paper default.
-	SLOMOProfile traffic.Profile
 	// Options carries training configuration for backends beyond the
 	// built-in two, keyed by backend name. The registry passes the value
 	// through opaquely (backend.TrainEnv.Options).
@@ -56,9 +53,6 @@ func (c RegistryConfig) withDefaults() RegistryConfig {
 	if c.SLOMO.Samples == 0 {
 		c.SLOMO = backend.QuickSLOMOConfig(c.Seed)
 	}
-	if c.SLOMOProfile == (traffic.Profile{}) {
-		c.SLOMOProfile = traffic.Default
-	}
 	return c
 }
 
@@ -71,7 +65,8 @@ func (c RegistryConfig) trainOptions(backendName string) any {
 	case "yala":
 		return c.Train
 	case "slomo":
-		return backend.SLOMOOptions{Config: c.SLOMO, Profile: c.SLOMOProfile}
+		// SLOMO trains at one fixed profile: the paper default.
+		return backend.SLOMOOptions{Config: c.SLOMO, Profile: traffic.Default}
 	}
 	return c.Options[backendName]
 }

@@ -15,15 +15,15 @@
 //     through a bounded worker pool, with a sharded LRU cache keyed on
 //     (NF, competitor set, traffic profile) — sound because predictions
 //     are deterministic functions of that key.
-//   - Handler exposes the service over HTTP/JSON (yala serve), and
-//     Loadgen replays randomized arrival scenarios against a live server
-//     (yala loadgen), reporting throughput and latency percentiles.
+//   - Handler exposes the service over HTTP/JSON (yala serve); its
+//     client half — the SDK-driven load generator behind yala loadgen —
+//     lives in internal/loadgen, which this package never imports.
 //   - Telemetry (internal/obs) rides every request: GET /metrics serves
 //     Prometheus-format counters, gauges and latency histograms, each
 //     request carries an X-Request-Id through a trace context, and
 //     per-stage spans (decode, cache, predict, encode) attribute where
 //     server time went — surfaced in /metrics, the optional access log,
-//     and loadgen's server-side stage breakdown.
+//     and internal/loadgen's server-side stage breakdown.
 package serve
 
 import (

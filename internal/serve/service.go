@@ -29,9 +29,6 @@ type ServiceConfig struct {
 	Registry RegistryConfig
 	// Workers bounds concurrent prediction work; default GOMAXPROCS.
 	Workers int
-	// QueueDepth is the pending-request backlog before submitters block
-	// (backpressure); default 4×Workers.
-	QueueDepth int
 	// CacheEntries is the LRU capacity across all shards; default 8192.
 	// Negative disables caching.
 	CacheEntries int
@@ -56,9 +53,6 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.Workers
-	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 8192
 	}
@@ -72,6 +66,10 @@ type soloKey struct {
 	name string
 	prof traffic.Profile
 }
+
+// queuePerWorker sizes the pending-request backlog, per worker, before
+// submitters block (backpressure).
+const queuePerWorker = 4
 
 // Service answers prediction-serving requests: Predict, Compare, Admit
 // and Diagnose run on a bounded worker pool, consult the model registry
@@ -151,7 +149,7 @@ func NewService(cfg ServiceConfig) *Service {
 		cfg:        cfg,
 		reg:        NewRegistry(cfg.Registry),
 		cache:      NewCache(cfg.CacheEntries),
-		jobs:       make(chan func(), cfg.QueueDepth),
+		jobs:       make(chan func(), queuePerWorker*cfg.Workers),
 		clusterSem: make(chan struct{}, 1),
 		started:    time.Now(),
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/loadgen"
 	"repro/internal/nicsim"
 	"repro/internal/placement"
 	"repro/internal/slomo"
@@ -273,7 +274,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 		t.Fatalf("unknown NF error = %v, want invalid_argument APIError", err)
 	}
 
-	rep, err := Loadgen(LoadgenConfig{
+	rep, err := loadgen.Run(loadgen.Config{
 		URL:          srv.URL,
 		Workers:      4,
 		Requests:     200,
@@ -295,7 +296,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 	// The /metrics scrapes around the run attribute server-side time to
 	// pipeline stages; a run this size must have recorded decode and
 	// cache spans (every request decodes and consults the cache).
-	stages := map[string]StageStat{}
+	stages := map[string]loadgen.StageStat{}
 	for _, st := range rep.Stages {
 		stages[st.Stage] = st
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/loadgen"
 	"repro/internal/tenant"
 	"repro/internal/wire"
 	"repro/pkg/yalaclient"
@@ -254,7 +255,7 @@ func TestWireGateRefusal(t *testing.T) {
 // recorded, throughput positive.
 func TestWireEchoFloor(t *testing.T) {
 	_, _, ws := wireTestServer(t, nil)
-	rep, err := WireEchoFloor(ws.Addr(), 2, 200, 64)
+	rep, err := loadgen.WireEchoFloor(ws.Addr(), 2, 200, 64)
 	if err != nil {
 		t.Fatalf("floor run: %v", err)
 	}

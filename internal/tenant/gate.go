@@ -26,10 +26,6 @@ type GateConfig struct {
 	// MaxErrorRate normalizes the windowed server-error rate; default
 	// 0.10 (a 10% error rate alone saturates the signal).
 	MaxErrorRate float64
-	// OverloadRetryAfter is the Retry-After advertised on overload sheds
-	// (rate-limit sheds advertise the bucket's own refill time); default
-	// 1s.
-	OverloadRetryAfter time.Duration
 	// WindowSize is the ring-buffer sample count behind the windowed p99
 	// and error-rate signals; default 512.
 	WindowSize int
@@ -61,9 +57,6 @@ func (c *GateConfig) fillDefaults() {
 	}
 	if c.MaxErrorRate <= 0 {
 		c.MaxErrorRate = 0.10
-	}
-	if c.OverloadRetryAfter <= 0 {
-		c.OverloadRetryAfter = time.Second
 	}
 	if c.WindowSize <= 0 {
 		c.WindowSize = 512
@@ -183,6 +176,10 @@ const (
 	CodeUnauthenticated   = "unauthenticated"
 )
 
+// overloadRetryAfter is the Retry-After advertised on overload sheds
+// (rate-limit sheds advertise the bucket's own refill time).
+const overloadRetryAfter = time.Second
+
 // Admit decides one request: resolve the key to a tenant, shed by load
 // score (bulk first), then charge the class's token bucket.
 func (g *Gate) Admit(key string, class Class, now time.Time) Decision {
@@ -213,7 +210,7 @@ func (g *Gate) Admit(key string, class Class, now time.Time) Decision {
 			Status:     http.StatusTooManyRequests,
 			Code:       CodeResourceExhausted,
 			Message:    fmt.Sprintf("server overloaded (load score %.2f), %s traffic is being shed", score, class),
-			RetryAfter: g.cfg.OverloadRetryAfter,
+			RetryAfter: overloadRetryAfter,
 		}
 	}
 	if b := t.bucketFor(class); b != nil {

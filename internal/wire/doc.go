@@ -1,9 +1,10 @@
 // Package wire implements yalawire, the persistent-connection,
 // length-prefixed binary protocol for the predict hot path.
 //
-// BENCH_gateway.json showed the warm predict path pinned to the box's
-// raw HTTP/1+JSON round-trip floor: serving cost was no longer the
-// bottleneck, transport was. yalawire removes the per-request HTTP
+// The gateway benchmark (`go run ./bench -workload gateway-mix`:
+// yalaclient.http_predict_rtt_us beside floor.http_rtt_us) shows the
+// warm predict path pinned to the box's raw HTTP/1+JSON round-trip
+// floor: serving cost is not the bottleneck there, transport is. yalawire removes the per-request HTTP
 // parse and JSON encode/decode while keeping /v2 JSON as the
 // compatible front door — the wire listener is an additive fast lane,
 // never a replacement.

@@ -14,6 +14,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // DefaultBackend is the backend used when a call names none.
@@ -75,7 +77,7 @@ type Client struct {
 	// parks the wire path for a grace period after a transport failure
 	// so a dead listener costs one failed dial, not one per request.
 	wireAddr    string
-	wire        *wirePool
+	wire        *wire.Pool
 	wireRetryAt atomic.Int64
 }
 
@@ -161,7 +163,7 @@ func New(base string, opts ...Option) *Client {
 	if c.wireAddr != "" {
 		// Built after all options resolve so the pool handshakes with
 		// the final API key regardless of option order.
-		c.wire = newWirePool(c.wireAddr, c.apiKey)
+		c.wire = wire.NewPool(c.wireAddr, c.apiKey, wireIdleConns)
 	}
 	return c
 }

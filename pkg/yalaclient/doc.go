@@ -21,7 +21,6 @@
 //	ListModels, AllModels   → GET /v2/models (paginated)
 //	ClusterRun, ClusterPolicies → /v2/cluster/runs, /v2/cluster/policies
 //	Stats, Health           → /v2/stats, /healthz
-//	Metrics                 → GET /metrics (parsed Prometheus exposition)
 //
 // Server-side failures surface as *APIError carrying the structured
 // envelope's machine-readable code, message and request ID:

@@ -17,19 +17,11 @@ import (
 // one failed dial per request.
 const wireParkDuration = 5 * time.Second
 
-// wirePool is the client's handle on the binary transport: a small
-// pool of persistent, handshaken connections toward one wire listener.
-type wirePool struct {
-	*wire.Pool
-}
-
-// newWirePool sizes the pool for load-generation fan-out, mirroring
-// the HTTP transport's generous idle-connection budget in spirit (wire
-// connections are serial per exchange, so the pool is the concurrency
-// ceiling for retained connections; extras dial-and-discard).
-func newWirePool(addr, apiKey string) *wirePool {
-	return &wirePool{wire.NewPool(addr, apiKey, 16)}
-}
+// wireIdleConns sizes the wire pool for load-generation fan-out,
+// mirroring the HTTP transport's generous idle-connection budget in
+// spirit (wire connections are serial per exchange, so the pool is the
+// concurrency ceiling for retained connections; extras dial-and-discard).
+const wireIdleConns = 16
 
 // wireReady reports whether the wire path should be attempted: it is
 // configured and not parked by a recent transport failure.
@@ -70,34 +62,22 @@ func (c *Client) wireFallback(err error) bool {
 	return errors.As(err, &ae) && ae.StatusCode >= 500
 }
 
-// wirePredict runs one Predict exchange over the wire transport.
-func (c *Client) wirePredict(ctx context.Context, m ModelID, backendName string, p PredictParams) (PredictResult, error) {
+// exchange runs one request/response over the wire transport — the
+// skeleton every wire call shares: the client's timeout, Pool.Do, and
+// the {want | TypeError | anything else is protocol damage} switch.
+// buf is a wire.GetBuf buffer holding the encoded request; exchange
+// returns it to the pool. decode runs inside Do's callback, the only
+// place the response payload is valid.
+func (c *Client) exchange(ctx context.Context, reqType, want byte, buf []byte, decode func(payload []byte) error) error {
 	if c.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.timeout)
 		defer cancel()
 	}
-	if backendName == "" {
-		backendName = DefaultBackend
-	}
-	req := wire.PredictRequest{
-		NF:          m.NF,
-		HW:          m.HW,
-		Backend:     backendName,
-		Profile:     toWireProfile(p.Profile),
-		Competitors: toWireCompetitors(p.Competitors),
-	}
-	buf := wire.AppendPredictRequest(wire.GetBuf(), &req)
-	var out PredictResult
-	err := c.wire.Do(ctx, wire.TypePredict, buf, func(f wire.Frame) error {
+	err := c.wire.Do(ctx, reqType, buf, func(f wire.Frame) error {
 		switch f.Type {
-		case wire.TypePredictResp:
-			resp, derr := wire.DecodePredictResponse(f.Payload)
-			if derr != nil {
-				return fmt.Errorf("%w: %v", wire.ErrTransport, derr)
-			}
-			out = fromWireResponse(resp)
-			return nil
+		case want:
+			return decode(f.Payload)
 		case wire.TypeError:
 			return wireError(f.Payload)
 		default:
@@ -109,19 +89,38 @@ func (c *Client) wirePredict(ctx context.Context, m ModelID, backendName string,
 		// The exchange died because the caller gave up; surface that,
 		// not a transport-flavored wrapper (and never park the wire
 		// path over it).
-		return out, ctx.Err()
+		return ctx.Err()
 	}
+	return err
+}
+
+// wirePredict runs one Predict exchange over the wire transport.
+func (c *Client) wirePredict(ctx context.Context, m ModelID, backendName string, p PredictParams) (out PredictResult, err error) {
+	if backendName == "" {
+		backendName = DefaultBackend
+	}
+	req := wire.PredictRequest{
+		NF:          m.NF,
+		HW:          m.HW,
+		Backend:     backendName,
+		Profile:     toWireProfile(p.Profile),
+		Competitors: toWireCompetitors(p.Competitors),
+	}
+	buf := wire.AppendPredictRequest(wire.GetBuf(), &req)
+	err = c.exchange(ctx, wire.TypePredict, wire.TypePredictResp, buf, func(payload []byte) error {
+		resp, derr := wire.DecodePredictResponse(payload)
+		if derr != nil {
+			return fmt.Errorf("%w: %v", wire.ErrTransport, derr)
+		}
+		out = fromWireResponse(resp)
+		return nil
+	})
 	return out, err
 }
 
 // wirePredictBatch runs one PredictBatch exchange over the wire
 // transport.
-func (c *Client) wirePredictBatch(ctx context.Context, items []BatchItem) (BatchResult, error) {
-	if c.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.timeout)
-		defer cancel()
-	}
+func (c *Client) wirePredictBatch(ctx context.Context, items []BatchItem) (out BatchResult, err error) {
 	req := wire.BatchRequest{Requests: make([]wire.PredictRequest, len(items))}
 	for i, it := range items {
 		req.Requests[i] = wire.PredictRequest{
@@ -133,45 +132,28 @@ func (c *Client) wirePredictBatch(ctx context.Context, items []BatchItem) (Batch
 		}
 	}
 	buf := wire.AppendBatchRequest(wire.GetBuf(), &req)
-	var out BatchResult
-	err := c.wire.Do(ctx, wire.TypeBatch, buf, func(f wire.Frame) error {
-		switch f.Type {
-		case wire.TypeBatchResp:
-			resp, derr := wire.DecodeBatchResponse(f.Payload)
-			if derr != nil {
-				return fmt.Errorf("%w: %v", wire.ErrTransport, derr)
-			}
-			out.Responses = make([]PredictResult, len(resp.Responses))
-			for i := range resp.Responses {
-				out.Responses[i] = fromWireResponse(resp.Responses[i])
-			}
-			out.Errors = resp.Errors
-			return nil
-		case wire.TypeError:
-			return wireError(f.Payload)
-		default:
-			return fmt.Errorf("%w: unexpected frame type %d", wire.ErrTransport, f.Type)
+	err = c.exchange(ctx, wire.TypeBatch, wire.TypeBatchResp, buf, func(payload []byte) error {
+		resp, derr := wire.DecodeBatchResponse(payload)
+		if derr != nil {
+			return fmt.Errorf("%w: %v", wire.ErrTransport, derr)
 		}
+		out.Responses = make([]PredictResult, len(resp.Responses))
+		for i := range resp.Responses {
+			out.Responses[i] = fromWireResponse(resp.Responses[i])
+		}
+		out.Errors = resp.Errors
+		return nil
 	})
-	wire.PutBuf(buf)
-	if err != nil && ctx.Err() != nil {
-		return out, ctx.Err()
-	}
 	return out, err
 }
 
 // wireIngest runs one IngestBatch exchange over the wire transport,
 // tunneled as a Call frame (the server runs the identical /v2/ingest
 // HTTP handler behind it, so validation and envelopes match exactly).
-func (c *Client) wireIngest(ctx context.Context, body any) (IngestResult, error) {
-	if c.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.timeout)
-		defer cancel()
-	}
+func (c *Client) wireIngest(ctx context.Context, body any) (out IngestResult, err error) {
 	payload, err := json.Marshal(body)
 	if err != nil {
-		return IngestResult{}, fmt.Errorf("yalaclient: encoding /v2/ingest request: %w", err)
+		return out, fmt.Errorf("yalaclient: encoding /v2/ingest request: %w", err)
 	}
 	call := wire.Call{
 		Method:      http.MethodPost,
@@ -180,38 +162,26 @@ func (c *Client) wireIngest(ctx context.Context, body any) (IngestResult, error)
 		Body:        payload,
 	}
 	buf := wire.AppendCall(wire.GetBuf(), &call)
-	var out IngestResult
-	err = c.wire.Do(ctx, wire.TypeCall, buf, func(f wire.Frame) error {
-		switch f.Type {
-		case wire.TypeCallResp:
-			resp, derr := wire.DecodeCallResp(f.Payload)
-			if derr != nil {
-				return fmt.Errorf("%w: %v", wire.ErrTransport, derr)
-			}
-			if resp.Status != http.StatusOK {
-				hdr := make(http.Header, len(resp.Headers))
-				for _, kv := range resp.Headers {
-					hdr.Set(kv.Key, kv.Value)
-				}
-				if resp.Status == http.StatusTooManyRequests {
-					return rateLimitError(resp.Status, resp.Body, hdr)
-				}
-				return apiError(resp.Status, resp.Body)
-			}
-			if derr := json.Unmarshal(resp.Body, &out); derr != nil {
-				return fmt.Errorf("%w: decoding /v2/ingest response: %v", wire.ErrTransport, derr)
-			}
-			return nil
-		case wire.TypeError:
-			return wireError(f.Payload)
-		default:
-			return fmt.Errorf("%w: unexpected frame type %d", wire.ErrTransport, f.Type)
+	err = c.exchange(ctx, wire.TypeCall, wire.TypeCallResp, buf, func(payload []byte) error {
+		resp, derr := wire.DecodeCallResp(payload)
+		if derr != nil {
+			return fmt.Errorf("%w: %v", wire.ErrTransport, derr)
 		}
+		if resp.Status != http.StatusOK {
+			hdr := make(http.Header, len(resp.Headers))
+			for _, kv := range resp.Headers {
+				hdr.Set(kv.Key, kv.Value)
+			}
+			if resp.Status == http.StatusTooManyRequests {
+				return rateLimitError(resp.Status, resp.Body, hdr)
+			}
+			return apiError(resp.Status, resp.Body)
+		}
+		if derr := json.Unmarshal(resp.Body, &out); derr != nil {
+			return fmt.Errorf("%w: decoding /v2/ingest response: %v", wire.ErrTransport, derr)
+		}
+		return nil
 	})
-	wire.PutBuf(buf)
-	if err != nil && ctx.Err() != nil {
-		return out, ctx.Err()
-	}
 	return out, err
 }
 
