@@ -5,18 +5,20 @@ import (
 	"go/constant"
 )
 
-// DefaultEnvelopePackages are the HTTP front ends whose error responses
-// must carry the structured /v2 envelope (code/message/details/
-// request_id) rather than a bare status line.
+// DefaultEnvelopePackages are the HTTP tiers whose error responses must
+// carry the structured /v2 envelope (code/message/request_id) rather
+// than a bare status line. None of them owns a writer: the envelope
+// lives in internal/api, which is deliberately not listed.
 var DefaultEnvelopePackages = []string{
 	"internal/serve",
 	"internal/gateway",
+	"internal/tenant",
 }
 
 // Envelope flags http.Error calls and WriteHeader with a constant
 // 4xx/5xx status in the serving packages: every client-visible error
-// must flow through the structured envelope writer so callers always
-// get code/message/request_id JSON. WriteHeader with a computed status
+// must flow through the structured envelope writer (api.WriteError) so
+// callers always get code/message/request_id JSON. WriteHeader with a computed status
 // (the envelope writer itself, proxied upstream statuses) is exempt —
 // the analyzer targets the hand-rolled shortcut, not the plumbing.
 func Envelope(pkgs ...string) *Analyzer {

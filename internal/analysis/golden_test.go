@@ -63,6 +63,7 @@ var goldenCases = []struct {
 	{"wallclock", "repro/internal/cluster", "wallclock"},
 	{"boundedread", "repro/fixture/boundedread", "boundedread"},
 	{"envelope", "repro/internal/serve", "envelope"},
+	{"envelopetenant", "repro/internal/tenant", "envelope"},
 	{"metricname", "repro/fixture/metricname", "metricname"},
 	{"bodyclose", "repro/fixture/bodyclose", "bodyclose"},
 	{"ignores", "repro/internal/trace", "yalalint"},

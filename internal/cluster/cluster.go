@@ -159,15 +159,6 @@ func (f *Fleet) FreeCores(i int) int {
 	return f.NICs[i].Cores - len(f.NICs[i].Tenants)*f.NFCores
 }
 
-// UsedCores is the fleet-wide allocated core count.
-func (f *Fleet) UsedCores() int {
-	used := 0
-	for _, n := range f.NICs {
-		used += len(n.Tenants) * f.NFCores
-	}
-	return used
-}
-
 // TotalCores is the fleet-wide core budget across all classes.
 func (f *Fleet) TotalCores() int {
 	total := 0

@@ -2,21 +2,11 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/backend"
 	"repro/internal/feedback"
 	"repro/internal/placement"
 	"repro/internal/testbed"
-)
-
-// Calibration bounds for feedback-driven retraining, mirroring the
-// serving layer: the gate's measured/predicted ratio is applied as a
-// DVFS-style frequency scale on the training NIC, clamped so one
-// pathological window cannot train against absurd hardware.
-const (
-	minCalibrationScale = 0.25
-	maxCalibrationScale = 4.0
 )
 
 // onlineLoop is the orchestrator's closed feedback loop: every
@@ -89,37 +79,25 @@ func (l *onlineLoop) classCfg(class string) (*classEnv, error) {
 	return nil, fmt.Errorf("cluster: no environment for class %q", class)
 }
 
-// train is the drift gate's retrain callback: fit a candidate for the
-// key's NF through the backend interface against the class's hardware
-// preset, frequency-scaled by the gate's calibration estimate. The
-// trusted median measured/predicted ratio is exactly the uniform
-// slowdown (or speedup) the enforcement measurements exhibit, so the
-// candidate learns the hardware the measurements describe rather than
-// the hardware the stale model assumed.
+// train is the drift gate's retrain callback: the calibrated retrain
+// (feedback.TrainCalibrated) against the class's hardware preset. The
+// gate's ratio is relative to the current live model, so it compounds
+// with that model's own calibration; the factor actually trained at
+// waits in pending for promotion to confirm it.
 func (l *onlineLoop) train(k feedback.Key, scale float64) (backend.Model, error) {
-	b, ok := backend.Get(k.Backend)
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown backend %q", k.Backend)
-	}
 	ce, err := l.classCfg(k.HW)
 	if err != nil {
 		return nil, err
-	}
-	eff := l.effective(k) * scale
-	eff = math.Min(math.Max(eff, minCalibrationScale), maxCalibrationScale)
-	base := ce.cfg.FreqScale
-	if base <= 0 {
-		base = 1
 	}
 	var opts any
 	if l.env.TrainOptions != nil {
 		opts = l.env.TrainOptions(k.Backend)
 	}
-	m, err := b.Train(backend.TrainEnv{
-		NIC:     ce.cfg.WithFrequencyScale(base * eff),
+	m, eff, err := feedback.TrainCalibrated(k, backend.TrainEnv{
+		NIC:     ce.cfg,
 		Seed:    l.env.seed,
 		Options: opts,
-	}, k.NF)
+	}, l.effective(k)*scale)
 	if err != nil {
 		return nil, err
 	}

@@ -28,13 +28,11 @@ type Model struct {
 // TrainConfig tunes offline training.
 type TrainConfig struct {
 	// Plan is the profiling plan for memory-contention sampling. Nil
-	// selects a random plan of DefaultMemSamples.
+	// runs the paper's adaptive profiling (Algorithm 1,
+	// AdaptivePlanSource) at a quota of DefaultMemSamples.
 	Plan *profiling.Plan
 	// GBR configures the black-box models.
 	GBR ml.GBRConfig
-	// AccelAttrPoints are the attribute values (MTBR for regex, packet
-	// size for compression) swept during accelerator calibration.
-	AccelAttrPoints []float64
 	// PatternProbes is the number of combined-contention co-runs used to
 	// detect the execution pattern.
 	PatternProbes int
@@ -45,17 +43,16 @@ type TrainConfig struct {
 	Seed uint64
 }
 
-// DefaultMemSamples is the default random-plan quota.
+// DefaultMemSamples is the default adaptive-profiling quota.
 const DefaultMemSamples = 800
 
 // DefaultTrainConfig returns Yala's standard training setup.
 func DefaultTrainConfig() TrainConfig {
 	return TrainConfig{
-		GBR:             ml.DefaultGBRConfig(),
-		AccelAttrPoints: nil, // chosen per accelerator kind at train time
-		PatternProbes:   3,
-		TrafficAware:    true,
-		Seed:            1,
+		GBR:           ml.DefaultGBRConfig(),
+		PatternProbes: 3,
+		TrafficAware:  true,
+		Seed:          1,
 	}
 }
 
@@ -290,15 +287,12 @@ func (tr *Trainer) calibrateBench(kind nicsim.AccelKind) (benchCalib, error) {
 
 // fitAccel runs the §4.1.1 estimation procedure for one accelerator.
 func (tr *Trainer) fitAccel(src WorkloadSource, kind nicsim.AccelKind) (*AccelModel, error) {
+	// The attribute values swept during calibration: packet size for
+	// compression, MTBR for regex.
 	attr := AttrFor(kind)
-	points := tr.Cfg.AccelAttrPoints
-	if len(points) == 0 {
-		switch attr {
-		case traffic.AttrPktSize:
-			points = []float64{128, 512, 1024, 1500}
-		default:
-			points = []float64{100, 400, 700, 1000}
-		}
+	points := []float64{100, 400, 700, 1000}
+	if attr == traffic.AttrPktSize {
+		points = []float64{128, 512, 1024, 1500}
 	}
 	calib, err := tr.calibrateBench(kind)
 	if err != nil {

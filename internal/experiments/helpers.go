@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/ml"
@@ -211,11 +210,3 @@ func (a *accStats) add(pred, truth float64) {
 func (a *accStats) mape() float64  { return ml.MAPE(a.preds, a.truths) }
 func (a *accStats) acc5() float64  { return ml.AccWithin(a.preds, a.truths, 0.05) }
 func (a *accStats) acc10() float64 { return ml.AccWithin(a.preds, a.truths, 0.10) }
-
-// ape returns the absolute percentage error.
-func ape(pred, truth float64) float64 {
-	if truth == 0 {
-		return 0
-	}
-	return 100 * math.Abs(pred-truth) / truth
-}

@@ -395,41 +395,6 @@ func Table9(seed uint64, scale float64) (*Report, error) {
 	return rep, nil
 }
 
-// All runs every experiment in paper order.
-func All(l *Lab) ([]*Report, error) {
-	type mk struct {
-		id string
-		fn func() (*Report, error)
-	}
-	makers := []mk{
-		{"fig1", func() (*Report, error) { return Fig1(l) }},
-		{"fig2", func() (*Report, error) { return Fig2(l) }},
-		{"fig3", func() (*Report, error) { return Fig3(l) }},
-		{"fig4", func() (*Report, error) { return Fig4(l) }},
-		{"fig5", func() (*Report, error) { return Fig5(l) }},
-		{"fig6", func() (*Report, error) { return Fig6(l) }},
-		{"fig7", func() (*Report, error) { return Fig7(l) }},
-		{"fig8", func() (*Report, error) { return Fig8(l) }},
-		{"table2", func() (*Report, error) { return Table2(l) }},
-		{"table3", func() (*Report, error) { return Table3(l) }},
-		{"table4", func() (*Report, error) { return Table4(l) }},
-		{"table5", func() (*Report, error) { return Table5(l) }},
-		{"table6", func() (*Report, error) { return Table6(l) }},
-		{"table7", func() (*Report, error) { return Table7(l) }},
-		{"table8", func() (*Report, error) { return Table8(l) }},
-		{"table9", func() (*Report, error) { return Table9(l.Seed, l.Scale) }},
-	}
-	var out []*Report
-	for _, m := range makers {
-		rep, err := m.fn()
-		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", m.id, err)
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}
-
 // ByID runs one experiment by identifier.
 func ByID(l *Lab, id string) (*Report, error) {
 	switch id {

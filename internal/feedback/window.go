@@ -28,13 +28,6 @@ func (w *window) push(s sample) {
 	}
 }
 
-func (w *window) len() int {
-	if w.full {
-		return len(w.buf)
-	}
-	return w.next
-}
-
 // samples returns the live samples in ring-storage order (the gate is
 // order-insensitive). The slice aliases the ring; callers must not
 // retain it past the controller's lock.

@@ -53,6 +53,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/tenant"
@@ -60,12 +61,8 @@ import (
 	"repro/pkg/yalaclient"
 )
 
-// Request and edge-cache size bounds, matching the serve layer's own
-// body cap.
-const (
-	maxBodyBytes      = 10 << 20
-	maxEdgeEntryBytes = 1 << 20
-)
+// maxEdgeEntryBytes bounds one memoized edge-cache response.
+const maxEdgeEntryBytes = 1 << 20
 
 // Config shapes a Gateway.
 type Config struct {
@@ -89,10 +86,6 @@ type Config struct {
 	// EdgeCacheEntries sizes the gateway's response cache: 0 selects the
 	// default 8192, negative disables edge caching entirely.
 	EdgeCacheEntries int
-	// Client optionally replaces the forwarding HTTP client (tests,
-	// instrumentation). The default keeps a deep idle-connection pool
-	// per replica, like the SDK's.
-	Client *http.Client
 	// AccessLog emits one log line per gateway request (request ID,
 	// method, path, status, latency).
 	AccessLog bool
@@ -107,12 +100,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EdgeCacheEntries == 0 {
 		c.EdgeCacheEntries = 8192
-	}
-	if c.Client == nil {
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConns = 256
-		tr.MaxIdleConnsPerHost = 256
-		c.Client = &http.Client{Transport: tr}
 	}
 	return c
 }
@@ -197,9 +184,14 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Slots < len(cfg.Backends) {
 		cfg.Slots = len(cfg.Backends)
 	}
+	// The forwarding client keeps a deep idle-connection pool per
+	// replica, like the SDK's.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 256
+	tr.MaxIdleConnsPerHost = 256
 	g := &Gateway{
 		cfg:   cfg,
-		httpc: cfg.Client,
+		httpc: &http.Client{Transport: tr},
 		edge:  serve.NewCache(cfg.EdgeCacheEntries),
 		stop:  make(chan struct{}),
 	}
@@ -261,17 +253,6 @@ func (g *Gateway) Close() {
 			ep.closeWire()
 		}
 	}
-}
-
-// Replicas lists the attached replica base URLs in slot order.
-func (g *Gateway) Replicas() []string {
-	var urls []string
-	for _, rep := range g.replicas {
-		if ep := rep.ep.Load(); ep != nil {
-			urls = append(urls, ep.url)
-		}
-	}
-	return urls
 }
 
 // healthLoop actively probes every replica and replays missed reload
@@ -445,44 +426,20 @@ type route struct {
 // paginated /v2/models walk on one replica so its offset tokens stay
 // coherent while health holds.
 func classify(r *http.Request) route {
-	path := r.URL.Path
-	rest, ok := strings.CutPrefix(path, "/v2/models/")
-	if !ok {
-		return route{key: "path|" + path}
+	rt, err := api.ParseRoute(r.URL.Path)
+	switch {
+	case err != nil:
+		// Not a model method, or a malformed model ID: hash on the path;
+		// the replica owns validation and its 404/400 proxies back.
+		return route{key: "path|" + r.URL.Path}
+	case rt.Verb == "reload" && rt.Backend != "" && r.Method == http.MethodPost:
+		// Only a POST of the backend-scoped :reload mutates; any other
+		// method proxies to one replica, whose method-bound route answers
+		// 405 — a GET must never fan out across the fleet (or count as a
+		// fan-out).
+		return route{fanout: true, backend: rt.Backend, nf: rt.NF}
 	}
-	segs := strings.Split(rest, "/")
-	switch len(segs) {
-	case 1:
-		// /v2/models/{nf[@hw]}:{compare|diagnose}
-		id, _, ok := strings.Cut(segs[0], ":")
-		if !ok {
-			return route{key: "path|" + path}
-		}
-		nf, hw := splitModelID(id)
-		return route{key: modelKey(nf, hw, ""), cacheable: r.Method == http.MethodPost}
-	case 2:
-		// /v2/models/{nf[@hw]}/{backend}:{predict|admit|reload}
-		nf, hw := splitModelID(segs[0])
-		backendName, verb, ok := strings.Cut(segs[1], ":")
-		if !ok {
-			return route{key: "path|" + path}
-		}
-		// Only a POST :reload mutates; any other method proxies to one
-		// replica, whose method-bound route answers 405 — a GET must
-		// never fan out across the fleet (or count as a fan-out).
-		if verb == "reload" && r.Method == http.MethodPost {
-			return route{fanout: true, backend: backendName, nf: nf}
-		}
-		return route{key: modelKey(nf, hw, backendName), cacheable: r.Method == http.MethodPost}
-	}
-	return route{key: "path|" + path}
-}
-
-// splitModelID cuts a "<nf>[@<hw>]" resource name. Malformed IDs pass
-// through as-is — the replica owns validation and its 400 proxies back.
-func splitModelID(id string) (nf, hw string) {
-	nf, hw, _ = strings.Cut(id, "@")
-	return nf, hw
+	return route{key: modelKey(rt.NF, rt.HW, rt.Backend), cacheable: r.Method == http.MethodPost}
 }
 
 // modelKey is the rendezvous key for one (nf, hw, backend) model.
@@ -525,7 +482,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	g.writeError(w, http.StatusServiceUnavailable, "unavailable", "no healthy replica")
+	api.WriteError(w, r, http.StatusServiceUnavailable, api.CodeUnavailable, "no healthy replica")
 }
 
 // edgeEntry is one memoized raw response.
@@ -555,9 +512,8 @@ type proxyResult struct {
 // ranked replica with transparent failover.
 func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	g.requests.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		g.writeError(w, http.StatusBadRequest, "invalid_argument", "reading request body: "+err.Error())
+	body, ok := api.ReadBody(w, r)
+	if !ok {
 		return
 	}
 	rt := classify(r)
@@ -603,7 +559,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 			w.Write(res.body)
 			return
 		}
-		copyResponseHeaders(w, res.hdr)
+		api.CopyForwarded(w.Header(), res.hdr)
 		w.Header().Set("X-Gateway-Replica", res.replicaURL)
 		w.WriteHeader(res.status)
 		w.Write(res.body)
@@ -614,7 +570,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 		g.writeProxyError(w, r, err)
 		return
 	}
-	copyResponseHeaders(w, hdr)
+	api.CopyForwarded(w.Header(), hdr)
 	w.Header().Set("X-Gateway-Replica", ep.url)
 	w.WriteHeader(status)
 	w.Write(respBody)
@@ -650,21 +606,10 @@ func (g *Gateway) proxyOnce(ctx context.Context, rt route, r *http.Request, body
 // server errors (the 499 is excluded from its windowed error rate).
 func (g *Gateway) writeProxyError(w http.ResponseWriter, r *http.Request, err error) {
 	if r.Context().Err() != nil {
-		g.writeError(w, tenant.StatusClientClosedRequest, "canceled", "client canceled request: "+err.Error())
+		api.WriteError(w, r, api.StatusClientClosedRequest, api.CodeCanceled, "client canceled request: "+err.Error())
 		return
 	}
-	g.writeError(w, http.StatusServiceUnavailable, "unavailable", fmt.Sprintf("no replica answered: %v", err))
-}
-
-// copyResponseHeaders forwards the replica headers clients key on
-// (serve.ForwardedHeaders, the same list a wire upstream's TypeCallResp
-// carries); hop metadata stays behind.
-func copyResponseHeaders(w http.ResponseWriter, hdr http.Header) {
-	for _, k := range serve.ForwardedHeaders {
-		if v := hdr.Get(k); v != "" {
-			w.Header().Set(k, v)
-		}
-	}
+	api.WriteError(w, r, http.StatusServiceUnavailable, api.CodeUnavailable, fmt.Sprintf("no replica answered: %v", err))
 }
 
 // sendWithFailover tries the key's replicas in rank order. A transport
@@ -704,11 +649,11 @@ func (g *Gateway) sendWithFailover(ctx context.Context, key, method, uri, conten
 // gateway's buffering cap. It surfaces as a transport-class failure —
 // the replica is misbehaving, so failover marks it down and moves on —
 // rather than proxying an unbounded body through the gateway's memory.
-var errUpstreamTooLarge = fmt.Errorf("gateway: upstream response exceeds %d-byte cap", maxBodyBytes)
+var errUpstreamTooLarge = fmt.Errorf("gateway: upstream response exceeds %d-byte cap", api.MaxBodyBytes)
 
 // send performs one proxied exchange and slurps the response, bounded
-// by maxBodyBytes (mirroring the request-side cap — a replica must not
-// be able to balloon the gateway's memory with one response). When the
+// by api.MaxBodyBytes (the request-side cap — a replica must not be
+// able to balloon the gateway's memory with one response). When the
 // endpoint advertised a wire listener the exchange rides a persistent
 // binary frame; any wire transport failure drops the pool and falls
 // back to HTTP for this and subsequent calls until a probe
@@ -743,7 +688,7 @@ func (g *Gateway) send(ctx context.Context, ep *endpoint, method, uri, contentTy
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
-	if rid := requestIDFrom(ctx); rid != "" {
+	if rid := api.RequestID(ctx); rid != "" {
 		req.Header.Set("X-Request-Id", rid)
 	}
 	start := time.Now()
@@ -755,11 +700,11 @@ func (g *Gateway) send(ctx context.Context, ep *endpoint, method, uri, contentTy
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, api.MaxBodyBytes+1))
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	if len(data) > maxBodyBytes {
+	if len(data) > api.MaxBodyBytes {
 		return 0, nil, nil, errUpstreamTooLarge
 	}
 	return resp.StatusCode, resp.Header, data, nil
@@ -774,7 +719,7 @@ func (g *Gateway) sendWire(ctx context.Context, ep *endpoint, wp *wire.Pool, met
 		Method:      method,
 		URI:         uri,
 		ContentType: contentType,
-		RequestID:   requestIDFrom(ctx),
+		RequestID:   api.RequestID(ctx),
 		Body:        body,
 	}
 	buf := wire.AppendCall(wire.GetBuf(), &call)
@@ -790,7 +735,7 @@ func (g *Gateway) sendWire(ctx context.Context, ep *endpoint, wp *wire.Pool, met
 		if derr != nil {
 			return fmt.Errorf("%w: %v", wire.ErrTransport, derr)
 		}
-		if len(resp.Body) > maxBodyBytes {
+		if len(resp.Body) > api.MaxBodyBytes {
 			return errUpstreamTooLarge
 		}
 		status = resp.Status
@@ -898,11 +843,11 @@ func (g *Gateway) fanoutReload(w http.ResponseWriter, r *http.Request, rt route,
 
 	switch {
 	case clientErr != nil:
-		copyResponseHeaders(w, clientErr.hdr)
+		api.CopyForwarded(w.Header(), clientErr.hdr)
 		w.WriteHeader(clientErr.status)
 		w.Write(clientErr.body)
 	case applied > 0:
-		copyResponseHeaders(w, success.hdr)
+		api.CopyForwarded(w.Header(), success.hdr)
 		w.Header().Set("X-Gateway-Fanout", fmt.Sprintf("%d/%d", applied, dialed))
 		w.WriteHeader(success.status)
 		w.Write(success.body)
@@ -925,16 +870,6 @@ func (g *Gateway) evictEdge(nf string) {
 	g.reloadGen.Add(1)
 	g.edge.EvictMatching(func(key string) bool {
 		return strings.Contains(key, nf)
-	})
-}
-
-// writeError renders the /v2 structured error envelope for
-// gateway-originated failures.
-func (g *Gateway) writeError(w http.ResponseWriter, status int, code, message string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]any{
-		"error": map[string]any{"code": code, "message": message},
 	})
 }
 
@@ -1008,7 +943,7 @@ func (g *Gateway) handleGatewayStats(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleAggregateStats sums /v2/stats across healthy replicas so
@@ -1113,7 +1048,7 @@ func (g *Gateway) handleAggregateStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if answered == 0 {
-		g.writeError(w, http.StatusServiceUnavailable, "unavailable", "no healthy replica answered /v2/stats")
+		api.WriteError(w, r, http.StatusServiceUnavailable, api.CodeUnavailable, "no healthy replica answered /v2/stats")
 		return
 	}
 	for b := range backends {
@@ -1133,7 +1068,7 @@ func (g *Gateway) handleAggregateStats(w http.ResponseWriter, r *http.Request) {
 		}
 		return a.Backend < b.Backend
 	})
-	writeJSON(w, http.StatusOK, agg)
+	api.WriteJSON(w, http.StatusOK, agg)
 }
 
 // subBatch is one replica's share of a scattered request: the client
@@ -1160,9 +1095,8 @@ type subBatch struct {
 // element indices remapped to the client's).
 func (g *Gateway) scatter(w http.ResponseWriter, r *http.Request, field, uri string) (n int, subs []*subBatch, ok bool) {
 	g.requests.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		g.writeError(w, http.StatusBadRequest, "invalid_argument", "reading request body: "+err.Error())
+	body, ok := api.ReadBody(w, r)
+	if !ok {
 		return 0, nil, false
 	}
 	var params struct {
@@ -1171,7 +1105,7 @@ func (g *Gateway) scatter(w http.ResponseWriter, r *http.Request, field, uri str
 	}
 	if len(bytes.TrimSpace(body)) > 0 {
 		if err := json.Unmarshal(body, &params); err != nil {
-			g.writeError(w, http.StatusBadRequest, "invalid_argument", "decoding request body: "+err.Error())
+			api.WriteError(w, r, http.StatusBadRequest, api.CodeInvalidArgument, "decoding request body: "+err.Error())
 			return 0, nil, false
 		}
 	}
@@ -1186,14 +1120,14 @@ func (g *Gateway) scatter(w http.ResponseWriter, r *http.Request, field, uri str
 			Model   string `json:"model"`
 			Backend string `json:"backend"`
 		}
-		// A malformed element still routes (somewhere); the replica owns
-		// validation and its whole-batch 400 proxies back.
+		// A malformed element or model ID still routes (somewhere); the
+		// replica owns validation and its whole-batch 400 proxies back.
 		_ = json.Unmarshal(raw, &e)
-		nf, hw := splitModelID(e.Model)
+		nf, hw, _ := api.ParseModelID(e.Model)
 		key := modelKey(nf, hw, e.Backend)
 		ranked := g.rank(key)
 		if len(ranked) == 0 {
-			g.writeError(w, http.StatusServiceUnavailable, "unavailable", "no replica attached")
+			api.WriteError(w, r, http.StatusServiceUnavailable, api.CodeUnavailable, "no replica attached")
 			return 0, nil, false
 		}
 		sub, seen := byReplica[ranked[0].rep]
@@ -1213,7 +1147,7 @@ func (g *Gateway) scatter(w http.ResponseWriter, r *http.Request, field, uri str
 		}
 		subBody, err := json.Marshal(map[string]any{field: raws})
 		if err != nil {
-			g.writeError(w, http.StatusInternalServerError, "internal", err.Error())
+			api.WriteError(w, r, http.StatusInternalServerError, api.CodeInternal, err.Error())
 			return 0, nil, false
 		}
 		wg.Add(1)
@@ -1258,7 +1192,7 @@ func (g *Gateway) handleBatchScatter(w http.ResponseWriter, r *http.Request) {
 			Errors    []string          `json:"errors"`
 		}
 		if err := json.Unmarshal(sub.body, &decoded); err != nil || len(decoded.Responses) != len(sub.idxs) {
-			g.writeError(w, http.StatusBadGateway, "internal", "replica returned a malformed sub-batch response")
+			api.WriteError(w, r, http.StatusBadGateway, api.CodeInternal, "replica returned a malformed sub-batch response")
 			return
 		}
 		for j, idx := range sub.idxs {
@@ -1276,7 +1210,7 @@ func (g *Gateway) handleBatchScatter(w http.ResponseWriter, r *http.Request) {
 	if anyErr {
 		out.Errors = errs
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleIngestScatter scatters a /v2/ingest so feedback accumulates
@@ -1294,13 +1228,13 @@ func (g *Gateway) handleIngestScatter(w http.ResponseWriter, r *http.Request) {
 			Quarantined int `json:"quarantined"`
 		}
 		if err := json.Unmarshal(sub.body, &res); err != nil {
-			g.writeError(w, http.StatusBadGateway, "internal", "replica returned a malformed ingest response")
+			api.WriteError(w, r, http.StatusBadGateway, api.CodeInternal, "replica returned a malformed ingest response")
 			return
 		}
 		accepted += res.Accepted
 		quarantined += res.Quarantined
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"accepted": accepted, "quarantined": quarantined})
+	api.WriteJSON(w, http.StatusOK, map[string]int{"accepted": accepted, "quarantined": quarantined})
 }
 
 // PromoteReload propagates one replica's feedback-driven model
@@ -1373,10 +1307,4 @@ func remapIndices(body []byte, marker string, idxs []int) []byte {
 		return body
 	}
 	return []byte(s[:j] + strconv.Itoa(idxs[sub]) + s[k:])
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
 }

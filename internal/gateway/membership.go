@@ -119,18 +119,6 @@ func (g *Gateway) Detach(slot int) (string, error) {
 	return ep.url, nil
 }
 
-// Attached reports the currently attached replica URLs by slot; vacant
-// slots map to "".
-func (g *Gateway) Attached() []string {
-	out := make([]string, len(g.replicas))
-	for i, rep := range g.replicas {
-		if ep := rep.ep.Load(); ep != nil {
-			out[i] = ep.url
-		}
-	}
-	return out
-}
-
 // attachedCount returns how many slots hold a live endpoint.
 func (g *Gateway) attachedCount() int {
 	n := 0

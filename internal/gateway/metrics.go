@@ -8,8 +8,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/obs"
-	"repro/internal/tenant"
 )
 
 // initObs builds the gateway's own metric registry: routing counters
@@ -124,17 +124,6 @@ func (g *Gateway) scrapeReplicas(ctx context.Context) []*obs.Exposition {
 	return exps
 }
 
-// statusRecorder captures the response status for the access log.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
 // withObs is the gateway's request middleware: it adopts the client's
 // X-Request-Id (or generates a gw- one), carries it in the request
 // context as an obs trace so send() can forward it upstream — one ID
@@ -142,34 +131,25 @@ func (r *statusRecorder) WriteHeader(code int) {
 // and records overall gateway latency plus the optional access log.
 func (g *Gateway) withObs(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rid := fmt.Sprintf("gw-%06d", g.ridCounter.Add(1))
-		if hdr := r.Header.Get("X-Request-Id"); hdr != "" && len(hdr) <= 64 {
-			rid = hdr
+		rid := api.AdoptRequestID(r.Header.Get("X-Request-Id"))
+		if rid == "" {
+			rid = fmt.Sprintf("gw-%06d", g.ridCounter.Add(1))
 		}
 		w.Header().Set("X-Request-Id", rid)
 		tr := obs.NewTrace(rid)
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		rec := api.RecordStatus(w)
 		g.inflight.Add(1)
 		start := time.Now()
 		next.ServeHTTP(rec, r.WithContext(obs.ContextWithTrace(r.Context(), tr)))
 		dur := time.Since(start)
 		g.inflight.Add(-1)
-		if rec.status == tenant.StatusClientClosedRequest {
+		if rec.Status == api.StatusClientClosedRequest {
 			g.canceled.Add(1)
 		}
 		g.reqSeconds.Observe(dur.Seconds())
 		if g.cfg.AccessLog {
 			log.Printf("gateway: rid=%s method=%s path=%s status=%d dur=%s",
-				rid, r.Method, r.URL.Path, rec.status, dur.Round(time.Microsecond))
+				rid, r.Method, r.URL.Path, rec.Status, dur.Round(time.Microsecond))
 		}
 	})
-}
-
-// requestIDFrom reads the request ID the middleware attached, "" on a
-// context without one (direct library use).
-func requestIDFrom(ctx context.Context) string {
-	if tr := obs.FromContext(ctx); tr != nil {
-		return tr.ID
-	}
-	return ""
 }

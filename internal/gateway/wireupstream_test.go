@@ -81,7 +81,7 @@ func TestGatewayWireUpstreamDiscovery(t *testing.T) {
 // TestRetryAfterCrossesGateway: a replica's 429 reaches the client with
 // its Retry-After backoff hint intact, whether the gateway reached the
 // replica over HTTP or tunneled the call over a wire upstream — one
-// allow-list (serve.ForwardedHeaders) decides what crosses the hop on
+// allow-list (api.ForwardedHeaders) decides what crosses the hop on
 // both.
 func TestRetryAfterCrossesGateway(t *testing.T) {
 	shed := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

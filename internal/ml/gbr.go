@@ -104,6 +104,3 @@ func (g *GBR) Predict(x []float64) float64 {
 	}
 	return y
 }
-
-// NumTrees reports the ensemble size.
-func (g *GBR) NumTrees() int { return len(g.trees) }

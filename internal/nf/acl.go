@@ -89,9 +89,6 @@ func (a *ACL) Process(p *packet.Packet, st *OpStats) error {
 	return nil
 }
 
-// Denied reports packets denied by policy.
-func (a *ACL) Denied() uint64 { return a.denied }
-
 // firewallWalkEntries is how many neighbouring flow entries the firewall
 // touches per packet during its flow walk.
 const firewallWalkEntries = 4

@@ -113,15 +113,6 @@ func (f *FlowClassifier) Process(p *packet.Packet, st *OpStats) error {
 	return nil
 }
 
-// Class returns the class assigned to a flow key, for tests.
-func (f *FlowClassifier) Class(key uint64) (uint64, bool) {
-	e, _ := f.table.Lookup(key)
-	if e == nil {
-		return 0, false
-	}
-	return e.Data[0], true
-}
-
 // FlowTracker follows per-flow connection state: packet counts, a logical
 // last-seen stamp, and accumulated TCP flags (DOCA flow-tracking style).
 type FlowTracker struct {
@@ -168,6 +159,3 @@ func (f *FlowTracker) Process(p *packet.Packet, st *OpStats) error {
 	st.Packets++
 	return nil
 }
-
-// ActiveFlows reports the number of tracked flows.
-func (f *FlowTracker) ActiveFlows() int { return f.table.Len() }

@@ -101,9 +101,6 @@ func (n *NIDS) Process(p *packet.Packet, st *OpStats) error {
 // AlertedFlows reports the number of flows with at least one alert.
 func (n *NIDS) AlertedFlows() int { return int(n.alerted) }
 
-// TrackedFlows reports the number of flows with stream state.
-func (n *NIDS) TrackedFlows() int { return n.streams.Len() }
-
 // PacketFilter drops packets whose payload matches the ruleset (DOCA +
 // regex), run-to-completion.
 type PacketFilter struct {

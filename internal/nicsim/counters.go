@@ -19,16 +19,10 @@ type Counters struct {
 // the contention metric the paper plots throughout (Mref/s).
 func (c Counters) CAR() float64 { return c.L2CRD + c.L2CWR }
 
-// MemBW is the DRAM traffic rate (refs/s).
-func (c Counters) MemBW() float64 { return c.MEMRD + c.MEMWR }
-
 // Vector returns the counters as an ML feature vector in a fixed order.
 func (c Counters) Vector() []float64 {
 	return []float64{c.IPC, c.IRT, c.L2CRD, c.L2CWR, c.MEMRD, c.MEMWR, c.WSS}
 }
-
-// CounterNames labels Vector() components, in order.
-var CounterNames = []string{"IPC", "IRT", "L2CRD", "L2CWR", "MEMRD", "MEMWR", "WSS"}
 
 // Add accumulates other into c (used to aggregate competitor counters).
 func (c *Counters) Add(other Counters) {

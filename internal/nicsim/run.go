@@ -56,9 +56,6 @@ func New(cfg Config, seed uint64) *NIC {
 	return &NIC{cfg: cfg, rng: sim.NewRNG(seed)}
 }
 
-// Config returns the NIC's hardware configuration.
-func (n *NIC) Config() Config { return n.cfg }
-
 // solver iteration limits.
 const (
 	maxIters    = 40

@@ -63,10 +63,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveSeconds records a duration given in nanoseconds, converting to
-// the seconds base unit the bucket bounds use.
-func (h *Histogram) ObserveSeconds(ns int64) { h.Observe(float64(ns) / 1e9) }
-
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 

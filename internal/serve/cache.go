@@ -143,17 +143,6 @@ func (c *Cache) EvictMatching(match func(key string) bool) int {
 	return dropped
 }
 
-// Flush drops every resident entry (hit/miss counters are kept).
-func (c *Cache) Flush() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.ll.Init()
-		clear(s.items)
-		s.mu.Unlock()
-	}
-}
-
 // Len is the resident entry count.
 func (c *Cache) Len() int {
 	n := 0

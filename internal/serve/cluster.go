@@ -168,8 +168,7 @@ func (s *Service) ClusterRun(ctx context.Context, req ClusterRunRequest) (cluste
 	case <-ctx.Done():
 		return cluster.Comparison{}, ctx.Err()
 	}
-	regCfg := s.cfg.Registry.withDefaults()
-	env := cluster.NewEnv(regCfg.NIC, sc.Seed, s.reg)
+	env := cluster.NewEnv(defaultNIC, sc.Seed, s.reg)
 	// Scheduler telemetry (decision latency, slots scanned) lands in the
 	// server's /metrics; the whole run is the request's predict stage.
 	env.SetObs(s.obs)

@@ -18,6 +18,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/api"
 )
 
 var update = flag.Bool("update", false, "rewrite golden /v2 fixtures")
@@ -145,7 +147,7 @@ func TestV1V2Contract(t *testing.T) {
 				// The contract on a failure is the status and that the
 				// envelope names the cause.
 				status, code := errorStatus(ctx, err)
-				var env errorBodyV2
+				var env api.ErrorBody
 				if json.Unmarshal(body, &env) != nil || resp.StatusCode != status ||
 					env.Error.Code != code || env.Error.Message != err.Error() {
 					t.Fatalf("service failed with %v (%d %s); /v2 answered %d %s", err, status, code, resp.StatusCode, body)

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/obs"
 	"repro/internal/tenant"
 	"repro/internal/wire"
@@ -338,7 +339,7 @@ func equivHTTP(t *testing.T, ts *httptest.Server, key, path, body string, batch 
 	}
 	out := equivOutcome{Status: resp.StatusCode}
 	if resp.StatusCode != http.StatusOK {
-		var env errorBodyV2
+		var env api.ErrorBody
 		if err := json.Unmarshal(data, &env); err != nil || env.Error.RequestID == "" {
 			t.Fatalf("%s: %d body %q is not the /v2 envelope with a request ID", path, resp.StatusCode, data)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 
 	"repro/internal/backend"
 	"repro/internal/feedback"
@@ -94,63 +93,31 @@ func (s *Service) shadowPredict(backendName Backend, hw, name string, prof traff
 	if !ok {
 		return 0, badRequestf("unknown backend %q", backendName)
 	}
-	comps, err := s.competitors(hw, specs)
+	sc, err := s.scenarioFor(hw, name, prof, specs)
 	if err != nil {
 		return 0, err
 	}
-	pred, err := b.Predict(m, backend.Scenario{
-		Profile:     prof,
-		Competitors: comps,
-		Solo: func() (float64, error) {
-			sm, err := s.soloMeasurement(hw, name, prof)
-			if err != nil {
-				return 0, err
-			}
-			return sm.Throughput, nil
-		},
-	})
+	pred, err := b.Predict(m, sc)
 	if err != nil {
 		return 0, err
 	}
 	return pred.PredictedPPS, nil
 }
 
-// Calibration bounds for feedback-driven retraining: the gate's
-// measured/predicted ratio is applied as a DVFS-style frequency scale
-// on the training NIC, clamped so one pathological window cannot
-// train against absurd hardware.
-const (
-	minCalibrationScale = 0.25
-	maxCalibrationScale = 4.0
-)
-
-// feedbackTrain is the controller's default Train callback: retrain
-// the key's model through the backend interface against the key's NIC
-// preset, frequency-scaled by the gate's calibration estimate. The
-// trusted median measured/predicted ratio is exactly the uniform
-// slowdown (or speedup) the live measurements exhibit, and the
-// simulator expresses that as a DVFS factor — so the candidate learns
-// the hardware the measurements describe, not the hardware the old
-// model assumed.
+// feedbackTrain is the controller's default Train callback: the
+// calibrated retrain (feedback.TrainCalibrated) against the key's NIC
+// preset with the registry's training configuration.
 func (s *Service) feedbackTrain(k feedback.Key, scale float64) (backend.Model, error) {
-	b, ok := backend.Get(k.Backend)
-	if !ok {
-		return nil, fmt.Errorf("serve: unknown backend %q (have %s)", k.Backend, strings.Join(backend.Names(), ", "))
-	}
 	nic, err := s.hwNIC(k.HW)
 	if err != nil {
 		return nil, err
 	}
-	scale = math.Min(math.Max(scale, minCalibrationScale), maxCalibrationScale)
-	base := nic.FreqScale
-	if base <= 0 {
-		base = 1
-	}
-	return b.Train(backend.TrainEnv{
-		NIC:     nic.WithFrequencyScale(base * scale),
+	m, _, err := feedback.TrainCalibrated(k, backend.TrainEnv{
+		NIC:     nic,
 		Seed:    s.cfg.Registry.Seed,
 		Options: s.cfg.Registry.trainOptions(k.Backend),
-	}, k.NF)
+	}, scale)
+	return m, err
 }
 
 // feedbackPromote is the controller's default Promote callback: the

@@ -121,16 +121,9 @@ func (g *FlightGroup[K, V]) evictResolvedLocked(max int) {
 	}
 }
 
-// Forget drops the key so the next Do recomputes (operator reloads).
-func (g *FlightGroup[K, V]) Forget(key K) {
-	g.mu.Lock()
-	delete(g.entries, key)
-	g.mu.Unlock()
-}
-
-// ForgetMatching drops every key the predicate selects — the multi-key
-// form of Forget, for reloads that span derived keys (e.g. one NF's
-// models across every hardware class).
+// ForgetMatching drops every key the predicate selects so the next Do
+// recomputes — operator reloads, which span derived keys (e.g. one
+// NF's models across every hardware class).
 func (g *FlightGroup[K, V]) ForgetMatching(match func(K) bool) {
 	g.mu.Lock()
 	for k := range g.entries {

@@ -1,13 +1,15 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
+
+	"repro/internal/api"
 )
 
 // Handler exposes the service over HTTP/JSON: the resource-oriented,
-// versioned /v2 API (httpv2.go), GET /healthz and GET /metrics. The
+// versioned /v2 API (httpv2.go; the route list and the contract are in
+// internal/api's package comment), GET /healthz and GET /metrics. The
 // flat /v1 surface was removed in PR 13; its paths answer the same
 // structured 404 as any other unknown route.
 //
@@ -21,10 +23,10 @@ func (s *Service) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	// Unknown paths get a structured 404 instead of net/http's plain
-	// text; requestID tags every response for cross-log correlation.
+	// text; the request ID tags every response for cross-log correlation.
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeErrorV2(w, r, http.StatusNotFound, codeNotFound,
-			fmt.Sprintf("no such endpoint %s %s", r.Method, r.URL.Path), nil)
+		api.WriteError(w, r, http.StatusNotFound, api.CodeNotFound,
+			fmt.Sprintf("no such endpoint %s %s", r.Method, r.URL.Path))
 	})
 	var h http.Handler = mux
 	if s.cfg.Gate != nil {
@@ -34,17 +36,6 @@ func (s *Service) Handler() http.Handler {
 		h = s.cfg.Gate.Middleware(h)
 	}
 	return s.withObs(h)
-}
-
-// statusRecorder captures the response status for endRequest.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
 }
 
 // withObs is the HTTP end of the request lifecycle: it opens the
@@ -58,14 +49,8 @@ func (s *Service) withObs(next http.Handler) http.Handler {
 		tunneled := r.Context().Value(wireTransportKey{}) != nil
 		rq := s.beginRequest(r.Context(), tunneled, r.Header.Get("X-Request-Id"))
 		w.Header().Set("X-Request-Id", rq.tr.ID)
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		rec := api.RecordStatus(w)
 		next.ServeHTTP(rec, r.WithContext(rq.ctx))
-		s.endRequest(rq, r.Method, r.URL.Path, rec.status)
+		s.endRequest(rq, r.Method, r.URL.Path, rec.Status)
 	})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/cluster"
 )
 
@@ -250,19 +251,19 @@ func TestHTTPErrorEnvelopeEverywhere(t *testing.T) {
 		wantCode     string
 		wantAllow    string
 	}{
-		{"GET", "/v2/models/FlowStats/yala:predict", http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST"},
-		{"POST", "/v2/stats", http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET"},
-		{"GET", "/v2/nope", http.StatusNotFound, codeNotFound, ""},
+		{"GET", "/v2/models/FlowStats/yala:predict", http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "POST"},
+		{"POST", "/v2/stats", http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "GET"},
+		{"GET", "/v2/nope", http.StatusNotFound, api.CodeNotFound, ""},
 		// /v1 was removed in PR 13: its old routes are unknown routes.
-		{"GET", "/v1/models", http.StatusNotFound, codeNotFound, ""},
-		{"POST", "/v1/predict", http.StatusNotFound, codeNotFound, ""},
+		{"GET", "/v1/models", http.StatusNotFound, api.CodeNotFound, ""},
+		{"POST", "/v1/predict", http.StatusNotFound, api.CodeNotFound, ""},
 	}
 	for _, tc := range cases {
 		resp, data := roundTrip(t, ts, tc.method, tc.path, "")
 		if resp.StatusCode != tc.wantStatus {
 			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.wantStatus)
 		}
-		var env errorBodyV2
+		var env api.ErrorBody
 		if err := json.Unmarshal(data, &env); err != nil || env.Error.Code != tc.wantCode || env.Error.Message == "" {
 			t.Errorf("%s %s: body %q is not the structured %s envelope", tc.method, tc.path, data, tc.wantCode)
 		}

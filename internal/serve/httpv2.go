@@ -4,61 +4,19 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/backend"
 	"repro/internal/cluster"
 	"repro/internal/feedback"
 	"repro/internal/obs"
 )
-
-// The /v2 API is resource-oriented: models are resources named
-// "<nf>[@<hw>]" (hw = a fleet hardware class; absent = the server's
-// default NIC), predictions are custom methods on a model's backend, and
-// cluster runs are a collection:
-//
-//	GET  /v2/models?page_size=&page_token=       → paginated model list
-//	POST /v2/models:batchPredict                 → batch predict across models
-//	POST /v2/models/{model}/{backend}:predict    → PredictResponse
-//	POST /v2/models/{model}/{backend}:admit      → AdmitResponse
-//	POST /v2/models/{model}/{backend}:reload     → {"ok": true}
-//	POST /v2/models/{model}:compare              → CompareResponse
-//	POST /v2/models/{model}:diagnose             → DiagnoseResponse
-//	POST /v2/ingest                              → IngestResult (online feedback)
-//	POST /v2/cluster/runs                        → cluster.Comparison
-//	GET  /v2/cluster/policies                    → ClusterPoliciesResponse
-//	GET  /v2/stats                               → ServiceStats
-//
-// Every /v2 error is the structured envelope {"error": {code, message,
-// details?, request_id}} with a machine-readable code; the request ID is
-// echoed in the X-Request-Id header on every response.
-
-// errorInfoV2 is the structured /v2 error payload.
-type errorInfoV2 struct {
-	Code      string            `json:"code"`
-	Message   string            `json:"message"`
-	Details   map[string]string `json:"details,omitempty"`
-	RequestID string            `json:"request_id,omitempty"`
-}
-
-// errorBodyV2 is the /v2 error envelope.
-type errorBodyV2 struct {
-	Error errorInfoV2 `json:"error"`
-}
-
-func writeErrorV2(w http.ResponseWriter, r *http.Request, status int, code, message string, details map[string]string) {
-	writeJSON(w, status, errorBodyV2{Error: errorInfoV2{
-		Code:      code,
-		Message:   message,
-		Details:   details,
-		RequestID: requestID(r.Context()),
-	}})
-}
 
 // decodeV2 reads a /v2 request body strictly. An empty body decodes to
 // the zero request — custom verbs like :diagnose and :reload are usable
@@ -66,9 +24,8 @@ func writeErrorV2(w http.ResponseWriter, r *http.Request, status int, code, mess
 func decodeV2[Req any](w http.ResponseWriter, r *http.Request, req *Req) bool {
 	sp := obs.StartSpan(r.Context(), "decode")
 	defer sp.End()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 10<<20))
-	if err != nil {
-		writeErrorV2(w, r, http.StatusBadRequest, codeInvalidArgument, "reading request body: "+err.Error(), nil)
+	body, ok := api.ReadBody(w, r)
+	if !ok {
 		return false
 	}
 	if len(bytes.TrimSpace(body)) == 0 {
@@ -77,7 +34,7 @@ func decodeV2[Req any](w http.ResponseWriter, r *http.Request, req *Req) bool {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
-		writeErrorV2(w, r, http.StatusBadRequest, codeInvalidArgument, "decoding request body: "+err.Error(), nil)
+		api.WriteError(w, r, http.StatusBadRequest, api.CodeInvalidArgument, "decoding request body: "+err.Error())
 		return false
 	}
 	return true
@@ -98,36 +55,12 @@ func handleV2[Req, Resp any](w http.ResponseWriter, r *http.Request, fn func(Req
 func respondV2(w http.ResponseWriter, r *http.Request, resp any, err error) {
 	if err != nil {
 		status, code := errorStatus(r.Context(), err)
-		writeErrorV2(w, r, status, code, err.Error(), nil)
+		api.WriteError(w, r, status, code, err.Error())
 		return
 	}
 	esp := obs.StartSpan(r.Context(), "encode")
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 	esp.End()
-}
-
-// parseModelID splits a /v2 model resource name "<nf>[@<hw>]".
-func parseModelID(id string) (nf, hw string, err error) {
-	var qualified bool
-	nf, hw, qualified = strings.Cut(id, "@")
-	if nf == "" {
-		return "", "", fmt.Errorf("model id %q: want <nf> or <nf>@<hw>", id)
-	}
-	if strings.Contains(hw, "@") {
-		return "", "", fmt.Errorf("model id %q: more than one @", id)
-	}
-	// A trailing "@" is a malformed qualifier, not a quiet request for
-	// the default hardware.
-	if qualified && hw == "" {
-		return "", "", fmt.Errorf("model id %q: empty hardware qualifier", id)
-	}
-	return nf, hw, nil
-}
-
-// splitVerb cuts one "name:verb" path segment.
-func splitVerb(seg string) (name, verb string, ok bool) {
-	name, verb, ok = strings.Cut(seg, ":")
-	return name, verb, ok && name != "" && verb != ""
 }
 
 // v2Route registers a /v2 endpoint plus a methodless fallback that
@@ -136,8 +69,8 @@ func v2Route(mux *http.ServeMux, method, pattern string, h http.HandlerFunc) {
 	mux.HandleFunc(method+" "+pattern, h)
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Allow", method)
-		writeErrorV2(w, r, http.StatusMethodNotAllowed, codeMethodNotAllowed,
-			fmt.Sprintf("method %s not allowed (use %s)", r.Method, method), nil)
+		api.WriteError(w, r, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
+			fmt.Sprintf("method %s not allowed (use %s)", r.Method, method))
 	})
 }
 
@@ -258,10 +191,10 @@ func (s *Service) registerV2(mux *http.ServeMux) {
 		})
 	})
 	v2Route(mux, "GET", "/v2/cluster/policies", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, ClusterPoliciesResponse{Policies: cluster.Policies()})
+		api.WriteJSON(w, http.StatusOK, ClusterPoliciesResponse{Policies: cluster.Policies()})
 	})
 	v2Route(mux, "GET", "/v2/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, statsV2{
+		api.WriteJSON(w, http.StatusOK, statsV2{
 			ServiceStats:  s.Stats(),
 			Backends:      backend.Names(),
 			UptimeSeconds: time.Since(s.started).Seconds(),
@@ -280,8 +213,8 @@ func (s *Service) handleListModels(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("page_size"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
-			writeErrorV2(w, r, http.StatusBadRequest, codeInvalidArgument,
-				fmt.Sprintf("page_size %q: want a positive integer", v), nil)
+			api.WriteError(w, r, http.StatusBadRequest, api.CodeInvalidArgument,
+				fmt.Sprintf("page_size %q: want a positive integer", v))
 			return
 		}
 		size = min(n, maxPageSize)
@@ -290,7 +223,7 @@ func (s *Service) handleListModels(w http.ResponseWriter, r *http.Request) {
 	if tok := q.Get("page_token"); tok != "" {
 		var err error
 		if off, err = decodePageToken(tok); err != nil {
-			writeErrorV2(w, r, http.StatusBadRequest, codeInvalidArgument, err.Error(), nil)
+			api.WriteError(w, r, http.StatusBadRequest, api.CodeInvalidArgument, err.Error())
 			return
 		}
 	}
@@ -305,86 +238,87 @@ func (s *Service) handleListModels(w http.ResponseWriter, r *http.Request) {
 			page.NextPageToken = encodePageToken(end)
 		}
 	}
-	writeJSON(w, http.StatusOK, page)
+	api.WriteJSON(w, http.StatusOK, page)
+}
+
+// routeOf parses the path segments the mux matched as a model-method
+// route, answering the client itself when they are none: 404 for the
+// wrong shape (want names the right one), 400 for a malformed model ID.
+func routeOf(w http.ResponseWriter, r *http.Request, want string, segs ...string) (api.Route, bool) {
+	rt, err := api.ParseRouteSegments(segs...)
+	switch {
+	case errors.Is(err, api.ErrNoRoute):
+		api.WriteError(w, r, http.StatusNotFound, api.CodeNotFound,
+			fmt.Sprintf("no such endpoint %s %s (want %s)", r.Method, r.URL.Path, want))
+	case err != nil:
+		api.WriteError(w, r, http.StatusBadRequest, api.CodeInvalidArgument, err.Error())
+	}
+	return rt, err == nil
 }
 
 // handleModelVerbV2 dispatches the model-scoped custom methods:
 // /v2/models/{nf[@hw]}:compare and :diagnose.
 func (s *Service) handleModelVerbV2(w http.ResponseWriter, r *http.Request) {
-	id, verb, ok := splitVerb(r.PathValue("modelverb"))
+	rt, ok := routeOf(w, r, "/v2/models/{model}:{verb}", r.PathValue("modelverb"))
 	if !ok {
-		writeErrorV2(w, r, http.StatusNotFound, codeNotFound,
-			fmt.Sprintf("no such endpoint %s %s (want /v2/models/{model}:{verb})", r.Method, r.URL.Path), nil)
 		return
 	}
-	nf, hw, err := parseModelID(id)
-	if err != nil {
-		writeErrorV2(w, r, http.StatusBadRequest, codeInvalidArgument, err.Error(), nil)
-		return
-	}
-	switch verb {
+	switch rt.Verb {
 	case "compare":
 		handleV2(w, r, func(p compareParamsV2) (CompareResponse, error) {
-			return s.CompareOn(r.Context(), hw, CompareRequest{
-				NF: nf, Profile: p.Profile, Competitors: p.Competitors, GroundTruth: p.GroundTruth,
+			return s.CompareOn(r.Context(), rt.HW, CompareRequest{
+				NF: rt.NF, Profile: p.Profile, Competitors: p.Competitors, GroundTruth: p.GroundTruth,
 			})
 		})
 	case "diagnose":
 		handleV2(w, r, func(p predictParamsV2) (DiagnoseResponse, error) {
-			return s.DiagnoseOn(r.Context(), hw, DiagnoseRequest{
-				NF: nf, Profile: p.Profile, Competitors: p.Competitors,
+			return s.DiagnoseOn(r.Context(), rt.HW, DiagnoseRequest{
+				NF: rt.NF, Profile: p.Profile, Competitors: p.Competitors,
 			})
 		})
 	default:
-		writeErrorV2(w, r, http.StatusNotFound, codeNotFound,
-			fmt.Sprintf("unknown verb %q on %s (have compare, diagnose)", verb, id), nil)
+		api.WriteError(w, r, http.StatusNotFound, api.CodeNotFound,
+			fmt.Sprintf("unknown verb %q on %s (have compare, diagnose)", rt.Verb, api.ModelID(rt.NF, rt.HW)))
 	}
 }
 
 // handleBackendVerbV2 dispatches the backend-scoped custom methods:
 // /v2/models/{nf[@hw]}/{backend}:predict, :admit and :reload.
 func (s *Service) handleBackendVerbV2(w http.ResponseWriter, r *http.Request) {
-	nf, hw, err := parseModelID(r.PathValue("model"))
-	if err != nil {
-		writeErrorV2(w, r, http.StatusBadRequest, codeInvalidArgument, err.Error(), nil)
-		return
-	}
-	backendName, verb, ok := splitVerb(r.PathValue("backendverb"))
+	rt, ok := routeOf(w, r, "/v2/models/{model}/{backend}:{verb}", r.PathValue("model"), r.PathValue("backendverb"))
 	if !ok {
-		writeErrorV2(w, r, http.StatusNotFound, codeNotFound,
-			fmt.Sprintf("no such endpoint %s %s (want /v2/models/{model}/{backend}:{verb})", r.Method, r.URL.Path), nil)
 		return
 	}
-	switch verb {
+	switch rt.Verb {
 	case "predict":
 		handleV2(w, r, func(p predictParamsV2) (PredictResponse, error) {
-			return s.PredictOn(r.Context(), hw, PredictRequest{
-				NF: nf, Profile: p.Profile, Competitors: p.Competitors, Backend: backendName,
+			return s.PredictOn(r.Context(), rt.HW, PredictRequest{
+				NF: rt.NF, Profile: p.Profile, Competitors: p.Competitors, Backend: rt.Backend,
 			})
 		})
 	case "admit":
 		handleV2(w, r, func(p admitParamsV2) (AdmitResponse, error) {
-			return s.AdmitOn(r.Context(), hw, AdmitRequest{
+			return s.AdmitOn(r.Context(), rt.HW, AdmitRequest{
 				Residents: p.Residents,
-				Candidate: ColoNF{Name: nf, Profile: p.Profile, SLA: p.SLA},
-				Backend:   backendName,
+				Candidate: ColoNF{Name: rt.NF, Profile: p.Profile, SLA: p.SLA},
+				Backend:   rt.Backend,
 			})
 		})
 	case "reload":
 		handleV2(w, r, func(struct{}) (map[string]bool, error) {
-			parsed, err := ParseBackend(backendName)
+			parsed, err := ParseBackend(rt.Backend)
 			if err != nil {
 				return nil, badRequestf("%v", err)
 			}
-			if err := validNF(nf); err != nil {
+			if err := validNF(rt.NF); err != nil {
 				return nil, err
 			}
-			s.Reload(parsed, nf)
+			s.Reload(parsed, rt.NF)
 			return map[string]bool{"ok": true}, nil
 		})
 	default:
-		writeErrorV2(w, r, http.StatusNotFound, codeNotFound,
-			fmt.Sprintf("unknown verb %q on %s/%s (have predict, admit, reload)", verb, nf, backendName), nil)
+		api.WriteError(w, r, http.StatusNotFound, api.CodeNotFound,
+			fmt.Sprintf("unknown verb %q on %s/%s (have predict, admit, reload)", rt.Verb, rt.NF, rt.Backend))
 	}
 }
 
@@ -397,10 +331,10 @@ func (s *Service) handleIngestV2(w http.ResponseWriter, r *http.Request) {
 	}
 	items := make([]IngestMeasurement, len(params.Measurements))
 	for i, it := range params.Measurements {
-		nf, hw, err := parseModelID(it.Model)
+		nf, hw, err := api.ParseModelID(it.Model)
 		if err != nil {
-			writeErrorV2(w, r, http.StatusBadRequest, codeInvalidArgument,
-				fmt.Sprintf("measurements[%d]: %v", i, err), nil)
+			api.WriteError(w, r, http.StatusBadRequest, api.CodeInvalidArgument,
+				fmt.Sprintf("measurements[%d]: %v", i, err))
 			return
 		}
 		items[i] = IngestMeasurement{
@@ -422,10 +356,10 @@ func (s *Service) handleBatchPredictV2(w http.ResponseWriter, r *http.Request) {
 	}
 	items := make([]hwPredict, len(params.Requests))
 	for i, it := range params.Requests {
-		nf, hw, err := parseModelID(it.Model)
+		nf, hw, err := api.ParseModelID(it.Model)
 		if err != nil {
-			writeErrorV2(w, r, http.StatusBadRequest, codeInvalidArgument,
-				fmt.Sprintf("requests[%d]: %v", i, err), nil)
+			api.WriteError(w, r, http.StatusBadRequest, api.CodeInvalidArgument,
+				fmt.Sprintf("requests[%d]: %v", i, err))
 			return
 		}
 		items[i] = hwPredict{hw: hw, req: PredictRequest{

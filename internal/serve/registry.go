@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/nicsim"
@@ -22,9 +23,6 @@ type RegistryConfig struct {
 	// and on-demand-trained models are written back to it. Empty disables
 	// persistence (every model trains on demand, in memory only).
 	Dir string
-	// NIC is the hardware preset used when a model must be trained on
-	// demand; the zero value selects BlueField-2.
-	NIC nicsim.Config
 	// Seed drives on-demand training.
 	Seed uint64
 	// Train configures on-demand Yala training. The zero value selects
@@ -34,16 +32,13 @@ type RegistryConfig struct {
 	// SLOMO configures on-demand SLOMO training; zero value selects
 	// backend.QuickSLOMOConfig.
 	SLOMO slomo.Config
-	// Options carries training configuration for backends beyond the
-	// built-in two, keyed by backend name. The registry passes the value
-	// through opaquely (backend.TrainEnv.Options).
-	Options map[string]any
 }
 
+// defaultNIC is the hardware preset behind the empty hardware key —
+// what unqualified models train and predict against. Read-only.
+var defaultNIC = nicsim.BlueField2()
+
 func (c RegistryConfig) withDefaults() RegistryConfig {
-	if c.NIC.Name == "" {
-		c.NIC = nicsim.BlueField2()
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -58,8 +53,8 @@ func (c RegistryConfig) withDefaults() RegistryConfig {
 
 // trainOptions resolves the backend-specific training configuration the
 // registry hands to backend.Train. The built-in backends read the typed
-// RegistryConfig fields; everything else flows through Options — so a
-// new backend needs no registry edits at all.
+// RegistryConfig fields; any other backend trains on its own defaults
+// (nil options) — so a new backend needs no registry edits at all.
 func (c RegistryConfig) trainOptions(backendName string) any {
 	switch backendName {
 	case "yala":
@@ -68,7 +63,7 @@ func (c RegistryConfig) trainOptions(backendName string) any {
 		// SLOMO trains at one fixed profile: the paper default.
 		return backend.SLOMOOptions{Config: c.SLOMO, Profile: traffic.Default}
 	}
-	return c.Options[backendName]
+	return nil
 }
 
 // entryKey identifies one model slot: a backend and NF, optionally
@@ -132,15 +127,9 @@ func NewRegistry(cfg RegistryConfig) *ModelRegistry {
 	return &ModelRegistry{cfg: cfg.withDefaults()}
 }
 
-// stem is the key's on-disk name component: <nf> for the default
-// hardware, <nf>@<hw> for a named key — the one place the mangling rule
-// lives.
-func (k entryKey) stem() string {
-	if k.hw == "" {
-		return k.name
-	}
-	return k.name + "@" + k.hw
-}
+// stem is the key's on-disk name component — the /v2 model ID, <nf> for
+// the default hardware and <nf>@<hw> for a named key.
+func (k entryKey) stem() string { return api.ModelID(k.name, k.hw) }
 
 // modelPath is the on-disk location for one model:
 // <dir>/<stem>.<backend>.json. The NF name keeps its catalog casing so
@@ -171,7 +160,7 @@ func validHW(hw string) error {
 // its config on first use and later lookups may omit it (zero Config).
 func (r *ModelRegistry) hwConfig(hw string, nic nicsim.Config) (nicsim.Config, error) {
 	if hw == "" {
-		return r.cfg.NIC, nil
+		return defaultNIC, nil
 	}
 	if err := validHW(hw); err != nil {
 		return nicsim.Config{}, err
@@ -355,11 +344,7 @@ type ModelInfo struct {
 
 // ResourceID is the /v2 resource name for the model: "<nf>[@<hw>]/<backend>".
 func (i ModelInfo) ResourceID() string {
-	stem := i.NF
-	if i.HW != "" {
-		stem += "@" + i.HW
-	}
-	return stem + "/" + string(i.Backend)
+	return api.ModelID(i.NF, i.HW) + "/" + string(i.Backend)
 }
 
 // infoOf renders one entry's listing form.

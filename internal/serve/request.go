@@ -11,8 +11,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/obs"
-	"repro/internal/tenant"
 )
 
 // This file is the request lifecycle both front doors share. HTTP/JSON
@@ -42,8 +42,8 @@ type request struct {
 // request ID when one was sent (and is sane) or mints one, and attaches
 // the stage trace spans record into.
 func (s *Service) beginRequest(parent context.Context, wire bool, adoptID string) request {
-	rid := strings.TrimSpace(adoptID)
-	if rid == "" || len(rid) > 64 {
+	rid := api.AdoptRequestID(adoptID)
+	if rid == "" {
 		prefix := "req"
 		if wire {
 			prefix = "wire"
@@ -66,7 +66,7 @@ func (s *Service) endRequest(rq request, method, path string, status int) {
 	} else {
 		s.httpRequests.Add(1)
 	}
-	if status == tenant.StatusClientClosedRequest {
+	if status == api.StatusClientClosedRequest {
 		s.canceled.Add(1)
 	}
 	s.reqSeconds.Observe(dur.Seconds())
@@ -102,24 +102,6 @@ func renderStages(stages map[string]time.Duration) string {
 	return b.String()
 }
 
-// requestID reads the request's ID back out of its context.
-func requestID(ctx context.Context) string {
-	if tr := obs.FromContext(ctx); tr != nil {
-		return tr.ID
-	}
-	return ""
-}
-
-// Error codes of the /v2 envelope and the wire error frame.
-const (
-	codeInvalidArgument    = "invalid_argument"
-	codeNotFound           = "not_found"
-	codeMethodNotAllowed   = "method_not_allowed"
-	codeFailedPrecondition = "failed_precondition"
-	codeUnavailable        = "unavailable"
-	codeCanceled           = "canceled"
-)
-
 // errorStatus maps a service error to the status and code every
 // transport answers with. Client-caused errors (unknown NF, malformed
 // profile, unknown backend/policy) are 400. A cancellation whose origin
@@ -132,11 +114,11 @@ const (
 func errorStatus(ctx context.Context, err error) (status int, code string) {
 	switch {
 	case errors.Is(err, ErrBadRequest):
-		return http.StatusBadRequest, codeInvalidArgument
+		return http.StatusBadRequest, api.CodeInvalidArgument
 	case callerCanceled(ctx, err):
-		return tenant.StatusClientClosedRequest, codeCanceled
+		return api.StatusClientClosedRequest, api.CodeCanceled
 	case errors.Is(err, ErrClosed), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return http.StatusServiceUnavailable, codeUnavailable
+		return http.StatusServiceUnavailable, api.CodeUnavailable
 	}
-	return http.StatusUnprocessableEntity, codeFailedPrecondition
+	return http.StatusUnprocessableEntity, api.CodeFailedPrecondition
 }

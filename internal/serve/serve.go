@@ -15,9 +15,12 @@
 //     through a bounded worker pool, with a sharded LRU cache keyed on
 //     (NF, competitor set, traffic profile) — sound because predictions
 //     are deterministic functions of that key.
-//   - Handler exposes the service over HTTP/JSON (yala serve); its
-//     client half — the SDK-driven load generator behind yala loadgen —
-//     lives in internal/loadgen, which this package never imports.
+//   - Handler exposes the service over HTTP/JSON (yala serve). The /v2
+//     routes, error envelope, request-ID rule and URL grammar it
+//     implements are specified — and the shared parts written — in
+//     internal/api. Its client half — the SDK-driven load generator
+//     behind yala loadgen — lives in internal/loadgen, which this
+//     package never imports.
 //   - Telemetry (internal/obs) rides every request: GET /metrics serves
 //     Prometheus-format counters, gauges and latency histograms, each
 //     request carries an X-Request-Id through a trace context, and

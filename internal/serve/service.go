@@ -366,7 +366,7 @@ func callerCanceled(ctx context.Context, err error) bool {
 // registry's hardware-keyed on-disk layout with cluster runs.
 func (s *Service) hwNIC(hw string) (nicsim.Config, error) {
 	if hw == "" {
-		return s.cfg.Registry.NIC, nil
+		return defaultNIC, nil
 	}
 	cfg, err := cluster.ClassConfig(hw)
 	if err != nil {
@@ -428,6 +428,27 @@ func (s *Service) competitors(hw string, specs []CompetitorSpec) ([]backend.Comp
 		comps = append(comps, backend.Competitor{NF: spec.Name, Profile: prof, Solo: &mm})
 	}
 	return comps, nil
+}
+
+// scenarioFor builds the backend-facing scenario for the NF at prof next
+// to specs: the competitors resolved to their memoized solos, and the
+// target's own solo measured only if the backend asks for it.
+func (s *Service) scenarioFor(hw, name string, prof traffic.Profile, specs []CompetitorSpec) (backend.Scenario, error) {
+	comps, err := s.competitors(hw, specs)
+	if err != nil {
+		return backend.Scenario{}, err
+	}
+	return backend.Scenario{
+		Profile:     prof,
+		Competitors: comps,
+		Solo: func() (float64, error) {
+			m, err := s.soloMeasurement(hw, name, prof)
+			if err != nil {
+				return 0, err
+			}
+			return m.Throughput, nil
+		},
+	}, nil
 }
 
 // PredictRequest asks for an NF's throughput under a co-location.
@@ -515,7 +536,7 @@ func (s *Service) predictUncached(backendName Backend, hw, name string, prof tra
 	if !ok {
 		return PredictResponse{}, badRequestf("unknown backend %q", backendName)
 	}
-	comps, err := s.competitors(hw, specs)
+	sc, err := s.scenarioFor(hw, name, prof, specs)
 	if err != nil {
 		return PredictResponse{}, err
 	}
@@ -526,17 +547,6 @@ func (s *Service) predictUncached(backendName Backend, hw, name string, prof tra
 	model, err := s.reg.ModelOn(string(backendName), hw, nic, name)
 	if err != nil {
 		return PredictResponse{}, err
-	}
-	sc := backend.Scenario{
-		Profile:     prof,
-		Competitors: comps,
-		Solo: func() (float64, error) {
-			m, err := s.soloMeasurement(hw, name, prof)
-			if err != nil {
-				return 0, err
-			}
-			return m.Throughput, nil
-		},
 	}
 	pred, err := b.Predict(model, sc)
 	if err != nil {

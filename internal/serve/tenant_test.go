@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/tenant"
 )
 
@@ -85,7 +86,7 @@ func TestTenantGateOnService(t *testing.T) {
 	if err := json.Unmarshal(body, &envelope); err != nil {
 		t.Fatalf("decoding 429 body %s: %v", body, err)
 	}
-	if envelope.Error.Code != tenant.CodeResourceExhausted {
+	if envelope.Error.Code != api.CodeResourceExhausted {
 		t.Fatalf("code = %q, want resource_exhausted", envelope.Error.Code)
 	}
 	// The envelope's request_id must match the response header — the

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/obs"
 	"repro/internal/tenant"
 	"repro/internal/wire"
@@ -153,7 +154,7 @@ func (ws *WireServer) serveFrame(fr *wire.Framer, f wire.Frame, apiKey string) b
 	case wire.TypeCall:
 		return ws.serveCall(fr, f, apiKey)
 	default:
-		return ws.writeError(fr, f.ID, http.StatusBadRequest, codeInvalidArgument, fmt.Sprintf("unknown frame type %d", f.Type))
+		return ws.writeError(fr, f.ID, http.StatusBadRequest, api.CodeInvalidArgument, fmt.Sprintf("unknown frame type %d", f.Type))
 	}
 }
 
@@ -293,13 +294,6 @@ func encodeWireBatch(buf []byte, resp BatchResponse) []byte {
 	return wire.AppendBatchResponse(buf, &wresp)
 }
 
-// ForwardedHeaders is the one allow-list of replica response headers
-// that cross a hop: a TypeCallResp carries exactly these back, and the
-// gateway copies exactly these downstream (on HTTP and wire upstreams
-// alike), so clients behind a gateway still see a 405's Allow and a
-// 429's Retry-After backoff hint. Hop metadata stays behind.
-var ForwardedHeaders = []string{"Content-Type", "X-Request-Id", "Allow", "Retry-After"}
-
 // memResponse is the in-memory http.ResponseWriter TypeCall dispatch
 // renders into.
 type memResponse struct {
@@ -326,16 +320,16 @@ func (m *memResponse) Write(b []byte) (int, error) {
 func (ws *WireServer) serveCall(fr *wire.Framer, f wire.Frame, apiKey string) bool {
 	call, err := wire.DecodeCall(f.Payload)
 	if err != nil {
-		return ws.writeError(fr, f.ID, http.StatusBadRequest, codeInvalidArgument, err.Error())
+		return ws.writeError(fr, f.ID, http.StatusBadRequest, api.CodeInvalidArgument, err.Error())
 	}
 	if ws.handler == nil {
-		return ws.writeError(fr, f.ID, http.StatusNotFound, codeNotFound,
+		return ws.writeError(fr, f.ID, http.StatusNotFound, api.CodeNotFound,
 			"wire listener mounted without an HTTP handler; TypeCall is disabled")
 	}
 	ctx := context.WithValue(ws.ctx, wireTransportKey{}, true)
 	req, err := http.NewRequestWithContext(ctx, call.Method, call.URI, bytes.NewReader(call.Body))
 	if err != nil {
-		return ws.writeError(fr, f.ID, http.StatusBadRequest, codeInvalidArgument, err.Error())
+		return ws.writeError(fr, f.ID, http.StatusBadRequest, api.CodeInvalidArgument, err.Error())
 	}
 	if call.ContentType != "" {
 		req.Header.Set("Content-Type", call.ContentType)
@@ -352,7 +346,7 @@ func (ws *WireServer) serveCall(fr *wire.Framer, f wire.Frame, apiKey string) bo
 		rec.status = http.StatusOK
 	}
 	out := wire.CallResp{Status: rec.status, Body: rec.buf.Bytes()}
-	for _, k := range ForwardedHeaders {
+	for _, k := range api.ForwardedHeaders {
 		if v := rec.hdr.Get(k); v != "" {
 			out.Headers = append(out.Headers, wire.HeaderKV{Key: k, Value: v})
 		}

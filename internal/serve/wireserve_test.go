@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/loadgen"
 	"repro/internal/tenant"
 	"repro/internal/wire"
@@ -290,7 +291,7 @@ func TestCanceledRequestsKeepGateIdle(t *testing.T) {
 		req.Header.Set("Content-Type", "application/json")
 		rec := httptest.NewRecorder()
 		handler.ServeHTTP(rec, req.WithContext(canceled))
-		if rec.Code != tenant.StatusClientClosedRequest {
+		if rec.Code != api.StatusClientClosedRequest {
 			t.Fatalf("canceled request %d answered %d, want 499: %s", i, rec.Code, rec.Body.String())
 		}
 	}

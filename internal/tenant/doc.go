@@ -25,11 +25,11 @@
 // traffic sheds first (score ≥ BulkShedAt), interactive only near
 // saturation (score ≥ InteractiveShedAt).
 //
-// A shed request is answered with the /v2 structured error envelope —
-// {"error": {code: "resource_exhausted", message, request_id}} — plus a
-// Retry-After header derived from the bucket's refill time, so
-// well-behaved clients (pkg/yalaclient) back off precisely instead of
-// hammering. Clients that hammer anyway are tarpitted: rate-limited
+// A shed request is answered with the /v2 structured error envelope
+// (code "resource_exhausted"; the envelope is specified, and written,
+// in internal/api) plus a Retry-After header derived from the bucket's
+// refill time, so well-behaved clients (pkg/yalaclient) back off
+// precisely instead of hammering. Clients that hammer anyway are tarpitted: rate-limited
 // refusals stall ShedDelay before the 429 is written, so an unpaced
 // keep-alive abuser is bounded to ~1/ShedDelay attempts per connection
 // instead of consuming the server's CPU at line rate. The latency/error

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/obs"
 )
 
@@ -170,12 +171,6 @@ type Decision struct {
 	RateLimited bool
 }
 
-// Admission error codes in the /v2 envelope vocabulary.
-const (
-	CodeResourceExhausted = "resource_exhausted"
-	CodeUnauthenticated   = "unauthenticated"
-)
-
 // overloadRetryAfter is the Retry-After advertised on overload sheds
 // (rate-limit sheds advertise the bucket's own refill time).
 const overloadRetryAfter = time.Second
@@ -191,7 +186,7 @@ func (g *Gate) Admit(key string, class Class, now time.Time) Decision {
 		}
 		return Decision{
 			Status:  http.StatusUnauthorized,
-			Code:    CodeUnauthenticated,
+			Code:    api.CodeUnauthenticated,
 			Message: msg,
 		}
 	}
@@ -208,7 +203,7 @@ func (g *Gate) Admit(key string, class Class, now time.Time) Decision {
 			Tenant:     t,
 			Class:      class,
 			Status:     http.StatusTooManyRequests,
-			Code:       CodeResourceExhausted,
+			Code:       api.CodeResourceExhausted,
 			Message:    fmt.Sprintf("server overloaded (load score %.2f), %s traffic is being shed", score, class),
 			RetryAfter: overloadRetryAfter,
 		}
@@ -221,7 +216,7 @@ func (g *Gate) Admit(key string, class Class, now time.Time) Decision {
 				Tenant:      t,
 				Class:       class,
 				Status:      http.StatusTooManyRequests,
-				Code:        CodeResourceExhausted,
+				Code:        api.CodeResourceExhausted,
 				Message:     fmt.Sprintf("tenant %q exceeded its rate limit (%.4g rps, burst %.4g)", t.name, b.Rate(), b.Burst()),
 				RetryAfter:  retry,
 				RateLimited: true,
@@ -259,7 +254,7 @@ func (g *Gate) Enter(key string, class Class) Admission {
 // server's SLO; a burst of disconnects must not push the windowed
 // error rate toward shedding live traffic. Anything ≥ 500 is an error.
 func (a Admission) Done(status int) {
-	if a.gate == nil || !a.OK || status == StatusClientClosedRequest {
+	if a.gate == nil || !a.OK || status == api.StatusClientClosedRequest {
 		return
 	}
 	a.gate.Observe(a.Decision, time.Since(a.start), status >= http.StatusInternalServerError)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/obs"
 )
 
@@ -76,7 +77,7 @@ func TestRegistryRequireKey(t *testing.T) {
 	}
 	g := NewGate(reg, GateConfig{})
 	d := g.Admit("", ClassInteractive, time.Now())
-	if d.OK || d.Status != http.StatusUnauthorized || d.Code != CodeUnauthenticated {
+	if d.OK || d.Status != http.StatusUnauthorized || d.Code != api.CodeUnauthenticated {
 		t.Fatalf("keyless admit = %+v, want 401 unauthenticated", d)
 	}
 }
@@ -97,7 +98,7 @@ func TestGateRateLimit(t *testing.T) {
 	if d.OK {
 		t.Fatal("request beyond burst admitted")
 	}
-	if d.Status != http.StatusTooManyRequests || d.Code != CodeResourceExhausted {
+	if d.Status != http.StatusTooManyRequests || d.Code != api.CodeResourceExhausted {
 		t.Fatalf("refusal = %d %s, want 429 resource_exhausted", d.Status, d.Code)
 	}
 	if d.RetryAfter <= 0 || d.RetryAfter > time.Second {
@@ -131,7 +132,7 @@ func TestGateShedsBulkFirst(t *testing.T) {
 		if d.OK != wantOK {
 			t.Fatalf("load=%.2f class=%s: OK=%v, want %v (%+v)", load, class, d.OK, wantOK, d)
 		}
-		if !d.OK && d.Code != CodeResourceExhausted {
+		if !d.OK && d.Code != api.CodeResourceExhausted {
 			t.Fatalf("shed code = %q, want resource_exhausted", d.Code)
 		}
 		// Step past the score cache so the next check recomputes.
@@ -298,11 +299,11 @@ func TestMiddleware(t *testing.T) {
 	if err != nil || ra < 1 {
 		t.Fatalf("Retry-After = %q, want integer ≥ 1", w.Header().Get("Retry-After"))
 	}
-	var body refusalBody
+	var body api.ErrorBody
 	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
 	}
-	if body.Error.Code != CodeResourceExhausted || body.Error.RequestID != "test-rid-1" || body.Error.Message == "" {
+	if body.Error.Code != api.CodeResourceExhausted || body.Error.RequestID != "test-rid-1" || body.Error.Message == "" {
 		t.Fatalf("envelope = %+v", body.Error)
 	}
 

@@ -1,22 +1,12 @@
 package tenant
 
 import (
-	"encoding/json"
-	"math"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/api"
 )
-
-// StatusClientClosedRequest is the non-standard 499 status (the nginx
-// convention) a front door answers when the *client* abandoned the
-// request — its context was canceled before a response could be sent.
-// It is neither a success nor a server error; Admission.Done excludes
-// it from SLO accounting entirely.
-const StatusClientClosedRequest = 499
 
 // KeyFromRequest extracts the API key: `Authorization: Bearer <key>`
 // wins, then `X-API-Key`; "" means anonymous.
@@ -51,17 +41,6 @@ func exempt(path string) bool {
 	return strings.HasPrefix(path, "/debug/pprof")
 }
 
-// gateRecorder captures the status for SLO accounting.
-type gateRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *gateRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
 // Middleware returns the admission handler wrapping next. Mount it
 // inside the observability middleware (withObs) so refusals carry the
 // request ID in the envelope, and outside the business mux so shed
@@ -83,45 +62,14 @@ func (g *Gate) Middleware(next http.Handler) http.Handler {
 				case <-r.Context().Done():
 				}
 			}
-			writeRefusal(w, r, a.Decision)
+			// The /v2 envelope, plus Retry-After on 429s so clients back
+			// off by the bucket's actual refill time.
+			api.SetRetryAfter(w, a.RetryAfter)
+			api.WriteError(w, r, a.Status, a.Code, a.Message)
 			return
 		}
-		rec := &gateRecorder{ResponseWriter: w, status: http.StatusOK}
+		rec := api.RecordStatus(w)
 		next.ServeHTTP(rec, r)
-		a.Done(rec.status)
+		a.Done(rec.Status)
 	})
-}
-
-// refusalBody is the /v2 structured error envelope (the same wire shape
-// internal/serve's writeErrorV2 emits; duplicated here because serve
-// imports tenant, not the other way around — the contract test in serve
-// pins both to one fixture).
-type refusalBody struct {
-	Error struct {
-		Code      string `json:"code"`
-		Message   string `json:"message"`
-		RequestID string `json:"request_id,omitempty"`
-	} `json:"error"`
-}
-
-// writeRefusal answers a shed or unauthenticated request: the /v2 error
-// envelope, plus a Retry-After header (whole seconds, rounded up, min
-// 1) on 429s so clients back off by the bucket's actual refill time.
-func writeRefusal(w http.ResponseWriter, r *http.Request, d Decision) {
-	if d.RetryAfter > 0 {
-		secs := int(math.Ceil(d.RetryAfter.Seconds()))
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-	}
-	var body refusalBody
-	body.Error.Code = d.Code
-	body.Error.Message = d.Message
-	if tr := obs.FromContext(r.Context()); tr != nil {
-		body.Error.RequestID = tr.ID
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(d.Status)
-	json.NewEncoder(w).Encode(body)
 }

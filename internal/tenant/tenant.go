@@ -168,10 +168,9 @@ func newTenant(sp Spec) *Tenant {
 // construction — reload semantics are a restart, like the model
 // directory's — so lookups are lock-free map reads.
 type Registry struct {
-	byKey      map[string]*Tenant
-	anon       *Tenant // nil when RequireKey
-	requireKey bool
-	ordered    []*Tenant // stable iteration order for stats/metrics
+	byKey   map[string]*Tenant
+	anon    *Tenant   // nil when the file sets RequireKey
+	ordered []*Tenant // stable iteration order for stats/metrics
 }
 
 // AnonymousName is the display name of the keyless default tenant.
@@ -181,7 +180,7 @@ const AnonymousName = "anonymous"
 // keys must be non-empty and unique; the anonymous spec, when present,
 // must not carry a key.
 func NewRegistry(f File) (*Registry, error) {
-	r := &Registry{byKey: make(map[string]*Tenant, len(f.Tenants)), requireKey: f.RequireKey}
+	r := &Registry{byKey: make(map[string]*Tenant, len(f.Tenants))}
 	names := map[string]bool{}
 	for i, sp := range f.Tenants {
 		if sp.Name == "" {
@@ -271,9 +270,6 @@ func (r *Registry) Lookup(key string) (*Tenant, bool) {
 	t, ok := r.byKey[key]
 	return t, ok
 }
-
-// RequireKey reports whether keyless requests are rejected.
-func (r *Registry) RequireKey() bool { return r.requireKey }
 
 // Tenants lists every tenant in stable name order.
 func (r *Registry) Tenants() []*Tenant { return r.ordered }

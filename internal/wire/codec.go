@@ -90,7 +90,7 @@ type Call struct {
 }
 
 // CallResp is a Call's answer: status, the response headers that cross
-// a hop (serve.ForwardedHeaders), and the raw body.
+// a hop (api.ForwardedHeaders), and the raw body.
 type CallResp struct {
 	Status  int
 	Headers []HeaderKV

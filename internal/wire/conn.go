@@ -47,9 +47,6 @@ func NewPool(addr, apiKey string, maxIdle int) *Pool {
 	}
 }
 
-// Addr returns the pool's target address.
-func (p *Pool) Addr() string { return p.addr }
-
 // Close drops the idle connections. In-flight exchanges finish on
 // their own connections and are discarded on release.
 func (p *Pool) Close() {

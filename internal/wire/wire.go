@@ -19,7 +19,7 @@ import (
 const Version = 1
 
 // MaxPayload bounds a single frame's payload, mirroring the HTTP
-// layer's request-body cap (maxBodyBytes) and the new response-read
+// layer's request-body cap (api.MaxBodyBytes) and the response-read
 // caps: no peer can make the other side buffer more than this.
 const MaxPayload = 10 << 20
 
