@@ -98,12 +98,12 @@ const firewallWalkEntries = 4
 // traffic. The periodic walk touches extra entries per packet, giving it
 // a distinctive memory profile.
 type Firewall struct {
-	table *FlowTable
-	walk  uint64
+	flowState
+	walk uint64
 }
 
 // NewFirewall returns an empty firewall.
-func NewFirewall() *Firewall { return &Firewall{table: NewFlowTable()} }
+func NewFirewall() *Firewall { return &Firewall{flowState: newFlowState()} }
 
 // Name implements NF.
 func (f *Firewall) Name() string { return "Firewall" }
@@ -126,7 +126,7 @@ func (f *Firewall) Process(p *packet.Packet, st *OpStats) error {
 	if err := ensureParsed(p); err != nil {
 		return err
 	}
-	e, probes, _ := f.table.Insert(p.Tuple.Hash())
+	e, probes, _ := f.table.Insert(p.FlowHash())
 	e.Data[0]++
 	e.Data[1] = f.walk
 	st.HashProbes += float64(probes)

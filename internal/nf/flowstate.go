@@ -32,11 +32,11 @@ const headerBytes = 54
 // FlowStats maintains per-flow packet and byte counters — the canonical
 // header-only, flow-sensitive NF (Click, no accelerator).
 type FlowStats struct {
-	table *FlowTable
+	flowState
 }
 
 // NewFlowStats returns an empty FlowStats NF.
-func NewFlowStats() *FlowStats { return &FlowStats{table: NewFlowTable()} }
+func NewFlowStats() *FlowStats { return &FlowStats{flowState: newFlowState()} }
 
 // Name implements NF.
 func (f *FlowStats) Name() string { return "FlowStats" }
@@ -56,7 +56,7 @@ func (f *FlowStats) Process(p *packet.Packet, st *OpStats) error {
 	if err := ensureParsed(p); err != nil {
 		return err
 	}
-	e, probes, _ := f.table.Insert(p.Tuple.Hash())
+	e, probes, _ := f.table.Insert(p.FlowHash())
 	e.Data[0]++                  // packets
 	e.Data[1] += uint64(p.Len()) // bytes
 	st.HashProbes += float64(probes)
@@ -71,12 +71,12 @@ func (f *FlowStats) Flows() int { return f.table.Len() }
 // FlowClassifier assigns each flow to one of nClasses service classes and
 // counts per-class traffic (DPDK ip_pipeline-style).
 type FlowClassifier struct {
-	table      *FlowTable
+	flowState
 	classCount [64]uint64
 }
 
 // NewFlowClassifier returns an empty classifier.
-func NewFlowClassifier() *FlowClassifier { return &FlowClassifier{table: NewFlowTable()} }
+func NewFlowClassifier() *FlowClassifier { return &FlowClassifier{flowState: newFlowState()} }
 
 // Name implements NF.
 func (f *FlowClassifier) Name() string { return "FlowClassifier" }
@@ -100,7 +100,7 @@ func (f *FlowClassifier) Process(p *packet.Packet, st *OpStats) error {
 	if err := ensureParsed(p); err != nil {
 		return err
 	}
-	key := p.Tuple.Hash()
+	key := p.FlowHash()
 	e, probes, created := f.table.Insert(key)
 	if created {
 		e.Data[0] = key & 63 // assigned class
@@ -116,12 +116,12 @@ func (f *FlowClassifier) Process(p *packet.Packet, st *OpStats) error {
 // FlowTracker follows per-flow connection state: packet counts, a logical
 // last-seen stamp, and accumulated TCP flags (DOCA flow-tracking style).
 type FlowTracker struct {
-	table *FlowTable
-	tick  uint64
+	flowState
+	tick uint64
 }
 
 // NewFlowTracker returns an empty tracker.
-func NewFlowTracker() *FlowTracker { return &FlowTracker{table: NewFlowTable()} }
+func NewFlowTracker() *FlowTracker { return &FlowTracker{flowState: newFlowState()} }
 
 // Name implements NF.
 func (f *FlowTracker) Name() string { return "FlowTracker" }
@@ -144,7 +144,7 @@ func (f *FlowTracker) Process(p *packet.Packet, st *OpStats) error {
 		return err
 	}
 	f.tick++
-	e, probes, _ := f.table.Insert(p.Tuple.Hash())
+	e, probes, _ := f.table.Insert(p.FlowHash())
 	e.Data[0]++        // packets
 	e.Data[1] = f.tick // last seen
 	if p.Tuple.Proto == packet.ProtoTCP && p.PayloadOff >= 14 {

@@ -10,12 +10,12 @@ import (
 // updates flow state while the accelerator scans payloads — the paper's
 // primary multi-resource NF.
 type FlowMonitor struct {
-	table   *FlowTable
+	flowState
 	matched uint64
 }
 
 // NewFlowMonitor returns an empty FlowMonitor.
-func NewFlowMonitor() *FlowMonitor { return &FlowMonitor{table: NewFlowTable()} }
+func NewFlowMonitor() *FlowMonitor { return &FlowMonitor{flowState: newFlowState()} }
 
 // Name implements NF.
 func (f *FlowMonitor) Name() string { return "FlowMonitor" }
@@ -37,7 +37,7 @@ func (f *FlowMonitor) Process(p *packet.Packet, st *OpStats) error {
 	if err := ensureParsed(p); err != nil {
 		return err
 	}
-	e, probes, _ := f.table.Insert(p.Tuple.Hash())
+	e, probes, _ := f.table.Insert(p.FlowHash())
 	e.Data[0]++
 	e.Data[1] += uint64(p.Len())
 	if m := scanPayload(p, st); m > 0 {
@@ -55,12 +55,12 @@ func (f *FlowMonitor) Process(p *packet.Packet, st *OpStats) error {
 // every connection (Click + regex). It runs run-to-completion: the
 // verdict must be known before the packet leaves.
 type NIDS struct {
-	streams *FlowTable
+	flowState
 	alerted uint64
 }
 
 // NewNIDS returns a NIDS with an empty stream table.
-func NewNIDS() *NIDS { return &NIDS{streams: NewFlowTable()} }
+func NewNIDS() *NIDS { return &NIDS{flowState: newFlowState()} }
 
 // Name implements NF.
 func (n *NIDS) Name() string { return "NIDS" }
@@ -69,11 +69,11 @@ func (n *NIDS) Name() string { return "NIDS" }
 func (n *NIDS) Pattern() nicsim.ExecPattern { return nicsim.RunToCompletion }
 
 // StateBytes implements NF.
-func (n *NIDS) StateBytes() float64 { return n.streams.StateBytes() }
+func (n *NIDS) StateBytes() float64 { return n.table.StateBytes() }
 
 // Reset implements NF.
 func (n *NIDS) Reset() {
-	n.streams.Reset()
+	n.table.Reset()
 	n.alerted = 0
 }
 
@@ -83,7 +83,7 @@ func (n *NIDS) Process(p *packet.Packet, st *OpStats) error {
 	if err := ensureParsed(p); err != nil {
 		return err
 	}
-	e, probes, _ := n.streams.Insert(p.Tuple.Hash())
+	e, probes, _ := n.table.Insert(p.FlowHash())
 	e.Data[0]++ // packets inspected
 	matches := scanPayload(p, st)
 	if matches > 0 {
@@ -146,11 +146,11 @@ func (f *PacketFilter) Dropped() uint64 { return f.dropped }
 // peer (Click + regex + compression), the paper's dual-accelerator NF.
 // It runs as a pipeline across the two engines.
 type IPCompGateway struct {
-	table *FlowTable
+	flowState
 }
 
 // NewIPCompGateway returns an empty gateway.
-func NewIPCompGateway() *IPCompGateway { return &IPCompGateway{table: NewFlowTable()} }
+func NewIPCompGateway() *IPCompGateway { return &IPCompGateway{flowState: newFlowState()} }
 
 // Name implements NF.
 func (g *IPCompGateway) Name() string { return "IPCompGateway" }
@@ -169,7 +169,7 @@ func (g *IPCompGateway) Process(p *packet.Packet, st *OpStats) error {
 	if err := ensureParsed(p); err != nil {
 		return err
 	}
-	e, probes, _ := g.table.Insert(p.Tuple.Hash())
+	e, probes, _ := g.table.Insert(p.FlowHash())
 	e.Data[0]++
 	scanPayload(p, st)
 	st.CompressBytes += float64(len(p.Payload()))

@@ -1,0 +1,93 @@
+package nf
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/nicsim"
+	"repro/internal/traffic"
+)
+
+// TestMeasureAllocs holds Measure to a constant number of allocations
+// (generator, flow set, table, frame buffers, the Workload itself) so a
+// per-packet or per-flow allocation cannot creep back.
+func TestMeasureAllocs(t *testing.T) {
+	n := NewFlowMonitor()
+	prof := traffic.Profile{Flows: 100000, PktSize: 1500, MTBR: 600}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Measure(n, prof, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 64 {
+		t.Fatalf("Measure allocates %v times per call, want <= 64", allocs)
+	}
+}
+
+// TestMeasurePopulatesOnlyPerFlowState: the populate pass runs for the
+// NFs that keep per-flow state — every catalog NF but the three with
+// nothing a header-only packet could change — and for no others.
+func TestMeasurePopulatesOnlyPerFlowState(t *testing.T) {
+	stateless := map[string]bool{"ACL": true, "IPRouter": true, "PacketFilter": true}
+	for _, name := range Names() {
+		if _, keeps := MustNew(name).(FlowReserver); keeps == stateless[name] {
+			t.Errorf("%s: FlowReserver = %v, want %v", name, keeps, !stateless[name])
+		}
+	}
+	prof := traffic.Profile{Flows: 5000, PktSize: 256, MTBR: 600}
+	acl := NewACL()
+	if _, err := Measure(acl, prof, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := acl.allowed + acl.denied; got != measurePackets {
+		t.Errorf("ACL saw %d packets, want the %d measured ones only", got, measurePackets)
+	}
+	fs := NewFlowStats()
+	if _, err := Measure(fs, prof, 1); err != nil {
+		t.Fatal(err)
+	}
+	if fs.Flows() < prof.Flows*99/100 {
+		t.Errorf("FlowStats tracks %d flows after Measure, want ~%d", fs.Flows(), prof.Flows)
+	}
+}
+
+// TestMeasureClampsPktSize: a sub-minimum packet size is synthesized as
+// 64-byte frames, so the footprint must describe 64-byte frames too.
+func TestMeasureClampsPktSize(t *testing.T) {
+	tiny, err := Measure(NewFlowStats(), traffic.Profile{Flows: 16000, PktSize: 10, MTBR: 600}, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor, err := Measure(NewFlowStats(), traffic.Profile{Flows: 16000, PktSize: traffic.MinPktSize, MTBR: 600}, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tiny.PktBytes != traffic.MinPktSize {
+		t.Errorf("PktBytes = %v for a 10-byte profile, want %d", tiny.PktBytes, traffic.MinPktSize)
+	}
+	if !reflect.DeepEqual(tiny, floor) {
+		t.Errorf("clamped profile measured differently:\n got %+v\nwant %+v", tiny, floor)
+	}
+}
+
+var benchWorkload *nicsim.Workload
+
+// BenchmarkMeasure times one footprint measurement of each NF the bench
+// fleet serves, at the mean flow count of a serve-novel competitor.
+func BenchmarkMeasure(b *testing.B) {
+	prof := traffic.Profile{Flows: 250000, PktSize: 1500, MTBR: 600}
+	for _, name := range []string{"FlowStats", "ACL", "NAT", "FlowMonitor", "NIDS"} {
+		b.Run(name, func(b *testing.B) {
+			n := MustNew(name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w, err := Measure(n, prof, uint64(i)+1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchWorkload = w
+			}
+		})
+	}
+}

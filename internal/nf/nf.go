@@ -9,6 +9,14 @@
 // characteristics the same way they do on hardware: more flows grow the
 // flow table (and the WSS), larger packets carry more payload to the
 // regex engine, higher MTBR means more matches per request.
+//
+// Two rules keep a measurement as cheap as the footprint needs. Populate
+// rule: before the measured packets, Measure sends one header-only packet
+// per flow through the NFs that keep per-flow state (the FlowReserver
+// set) and through no others — ACL, IPRouter and PacketFilter hold
+// nothing such a pass could change. Buffer-lifetime rule: the traffic
+// generator rebuilds its frames in place, so the packet handed to Process
+// belongs to the NF only for the duration of that call.
 package nf
 
 import (
@@ -44,7 +52,8 @@ type NF interface {
 	// resource usage).
 	Pattern() nicsim.ExecPattern
 	// Process runs the NF's per-packet logic, accumulating operation
-	// counts into st.
+	// counts into st. It may rewrite the packet but must not retain p or
+	// p.Data past the call: the caller reuses both for the next packet.
 	Process(p *packet.Packet, st *OpStats) error
 	// StateBytes is the current size of the NF's tables.
 	StateBytes() float64
@@ -75,51 +84,45 @@ const (
 // ruleset [5]).
 var Matcher = patmatch.CompileDefault()
 
-// MeasureConfig tunes footprint measurement.
-type MeasureConfig struct {
-	// MeasurePackets is the number of full packets processed in the
-	// measurement phase (after table population).
-	MeasurePackets int
-	// PopulatePasses is how many one-packet-per-flow passes warm the
-	// tables before measurement.
-	PopulatePasses int
-}
-
-// DefaultMeasure is the standard measurement configuration.
-var DefaultMeasure = MeasureConfig{MeasurePackets: 300, PopulatePasses: 1}
+// measurePackets is the number of full packets processed in the
+// measurement phase, after table population.
+const measurePackets = 300
 
 // Measure profiles the NF's packet-processing code under the given
 // traffic profile and returns the equivalent hardware workload. The NF is
-// Reset first, its tables are populated with the profile's flows, and then
-// MeasurePackets full packets (with synthesized payloads) are processed
-// while counting operations.
+// Reset first; if it keeps per-flow state its tables are populated with
+// one header-only packet per flow; then measurePackets full packets (with
+// synthesized payloads) are processed while counting operations.
 func Measure(n NF, prof traffic.Profile, seed uint64) (*nicsim.Workload, error) {
-	return MeasureWith(n, prof, seed, DefaultMeasure)
-}
-
-// MeasureWith is Measure with an explicit configuration.
-func MeasureWith(n NF, prof traffic.Profile, seed uint64, cfg MeasureConfig) (*nicsim.Workload, error) {
 	rng := sim.NewRNG(seed)
 	gen := traffic.NewGenerator(prof, rng)
 	n.Reset()
+
+	// Population phase, for NFs that keep per-flow state only: one cheap
+	// header-only packet per flow, so the state reaches its steady-state
+	// size and layout. The frames arrive in bursts — built, their table
+	// slots prefetched, then processed back to back — so one burst's
+	// table misses overlap instead of queueing behind frame construction.
 	if r, ok := n.(FlowReserver); ok {
 		r.ReserveFlows(gen.NumFlows())
-	}
-
-	// Population phase: one cheap header-only packet per flow, so
-	// per-flow state reaches its steady-state size.
-	var warm OpStats
-	for pass := 0; pass < cfg.PopulatePasses; pass++ {
-		for i := 0; i < gen.NumFlows(); i++ {
-			if err := n.Process(gen.HeaderPacket(i), &warm); err != nil {
-				return nil, fmt.Errorf("nf %s: populate: %w", n.Name(), err)
+		var warm OpStats
+		for first := 0; first < gen.NumFlows(); {
+			burst := gen.HeaderBurst(first)
+			first += len(burst)
+			for i := range burst {
+				r.PrefetchFlow(burst[i].FlowHash())
+			}
+			for i := range burst {
+				if err := n.Process(&burst[i], &warm); err != nil {
+					return nil, fmt.Errorf("nf %s: populate: %w", n.Name(), err)
+				}
 			}
 		}
 	}
 
 	// Measurement phase: full packets with payloads at the profile MTBR.
 	var st OpStats
-	for i := 0; i < cfg.MeasurePackets; i++ {
+	for i := 0; i < measurePackets; i++ {
 		if err := n.Process(gen.Packet(), &st); err != nil {
 			return nil, fmt.Errorf("nf %s: measure: %w", n.Name(), err)
 		}
@@ -145,7 +148,7 @@ func MeasureWith(n NF, prof traffic.Profile, seed uint64, cfg MeasureConfig) (*n
 			st.BytesTouched*per/64,
 		WSSBytes: n.StateBytes() + codeFootprint,
 		MemMLP:   defaultMemMLP,
-		PktBytes: float64(prof.PktSize),
+		PktBytes: float64(gen.Profile().PktSize),
 		Accel:    map[nicsim.AccelKind]nicsim.AccelUse{},
 	}
 	// NFs open one request queue per worker core (per-core queue pairs,

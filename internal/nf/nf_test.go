@@ -14,8 +14,8 @@ func processBatch(t *testing.T, n NF, prof traffic.Profile, npkts int) OpStats {
 	t.Helper()
 	gen := traffic.NewGenerator(prof, sim.NewRNG(7))
 	var st OpStats
-	for _, p := range gen.Batch(npkts) {
-		if err := n.Process(p, &st); err != nil {
+	for i := 0; i < npkts; i++ {
+		if err := n.Process(gen.Packet(), &st); err != nil {
 			t.Fatalf("%s: %v", n.Name(), err)
 		}
 	}

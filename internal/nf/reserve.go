@@ -1,35 +1,25 @@
 package nf
 
-// FlowReserver is implemented by NFs whose per-flow state can pre-size
-// for an expected flow population; Measure uses it to avoid growth
-// cascades during table population.
+// FlowReserver is implemented by the NFs that keep per-flow state. Measure
+// populates these and only these: it pre-sizes the state for the profile's
+// flow population (one allocation instead of a doubling cascade), then
+// sends one header-only packet per flow, prefetching each burst's table
+// slots before processing it.
 type FlowReserver interface {
 	ReserveFlows(n int)
+	PrefetchFlow(key uint64)
 }
 
-// ReserveFlows implements FlowReserver.
-func (f *FlowStats) ReserveFlows(n int) { f.table.Reserve(n) }
+// flowState is the per-flow table such an NF embeds; it carries the
+// FlowReserver methods.
+type flowState struct {
+	table *FlowTable
+}
+
+func newFlowState() flowState { return flowState{table: NewFlowTable()} }
 
 // ReserveFlows implements FlowReserver.
-func (f *FlowClassifier) ReserveFlows(n int) { f.table.Reserve(n) }
+func (s *flowState) ReserveFlows(n int) { s.table.Reserve(n) }
 
-// ReserveFlows implements FlowReserver.
-func (f *FlowTracker) ReserveFlows(n int) { f.table.Reserve(n) }
-
-// ReserveFlows implements FlowReserver.
-func (t *IPTunnel) ReserveFlows(n int) { t.table.Reserve(n) }
-
-// ReserveFlows implements FlowReserver.
-func (n *NAT) ReserveFlows(flows int) { n.table.Reserve(flows) }
-
-// ReserveFlows implements FlowReserver.
-func (f *FlowMonitor) ReserveFlows(n int) { f.table.Reserve(n) }
-
-// ReserveFlows implements FlowReserver.
-func (n *NIDS) ReserveFlows(flows int) { n.streams.Reserve(flows) }
-
-// ReserveFlows implements FlowReserver.
-func (g *IPCompGateway) ReserveFlows(n int) { g.table.Reserve(n) }
-
-// ReserveFlows implements FlowReserver.
-func (f *Firewall) ReserveFlows(n int) { f.table.Reserve(n) }
+// PrefetchFlow implements FlowReserver.
+func (s *flowState) PrefetchFlow(key uint64) { s.table.Prefetch(key) }

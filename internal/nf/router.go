@@ -1,6 +1,8 @@
 package nf
 
 import (
+	"sync"
+
 	"repro/internal/nicsim"
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -17,12 +19,17 @@ type IPRouter struct {
 	dropped uint64
 }
 
-// NewIPRouter returns a router with a deterministic random FIB.
-func NewIPRouter() *IPRouter {
-	r := &IPRouter{fib: NewLPM()}
-	r.fib.PopulateRandom(routerFIBRoutes, sim.NewRNG(0xf1b))
-	return r
-}
+// routerFIB is the deterministic random FIB every IPRouter forwards by,
+// built on first use. Routers only ever look routes up in it (Reset keeps
+// the FIB), so they share one copy, concurrently.
+var routerFIB = sync.OnceValue(func() *LPM {
+	fib := NewLPM()
+	fib.PopulateRandom(routerFIBRoutes, sim.NewRNG(0xf1b))
+	return fib
+})
+
+// NewIPRouter returns a router over the shared FIB.
+func NewIPRouter() *IPRouter { return &IPRouter{fib: routerFIB()} }
 
 // Name implements NF.
 func (r *IPRouter) Name() string { return "IPRouter" }
@@ -64,11 +71,11 @@ const tunnelEndpoints = 256
 // endpoint cache makes it flow-count sensitive — the NF the paper's
 // traffic-awareness evaluation leans on (Table 5).
 type IPTunnel struct {
-	table *FlowTable
+	flowState
 }
 
 // NewIPTunnel returns an empty tunnel gateway.
-func NewIPTunnel() *IPTunnel { return &IPTunnel{table: NewFlowTable()} }
+func NewIPTunnel() *IPTunnel { return &IPTunnel{flowState: newFlowState()} }
 
 // Name implements NF.
 func (t *IPTunnel) Name() string { return "IPTunnel" }
@@ -88,7 +95,7 @@ func (t *IPTunnel) Process(p *packet.Packet, st *OpStats) error {
 	if err := ensureParsed(p); err != nil {
 		return err
 	}
-	key := p.Tuple.Hash()
+	key := p.FlowHash()
 	e, probes, created := t.table.Insert(key)
 	if created {
 		e.Data[0] = key % tunnelEndpoints
@@ -108,14 +115,14 @@ const natPortBase = 20000
 
 // NAT rewrites source addresses with per-flow port allocation (Click).
 type NAT struct {
-	table    *FlowTable
+	flowState
 	nextPort uint64
 	publicIP uint32
 }
 
 // NewNAT returns a NAT with an empty translation table.
 func NewNAT() *NAT {
-	return &NAT{table: NewFlowTable(), nextPort: natPortBase, publicIP: 0xc6336401} // 198.51.100.1
+	return &NAT{flowState: newFlowState(), nextPort: natPortBase, publicIP: 0xc6336401} // 198.51.100.1
 }
 
 // Name implements NF.
@@ -139,7 +146,7 @@ func (n *NAT) Process(p *packet.Packet, st *OpStats) error {
 	if err := ensureParsed(p); err != nil {
 		return err
 	}
-	e, probes, created := n.table.Insert(p.Tuple.Hash())
+	e, probes, created := n.table.Insert(p.FlowHash())
 	if created {
 		e.Data[0] = n.nextPort
 		n.nextPort++

@@ -57,6 +57,19 @@ func (t *FlowTable) Reserve(n int) {
 	}
 }
 
+// Prefetch pulls key's home slot toward the cache ahead of the Insert or
+// Lookup that will probe it, and reports whether the slot is occupied.
+// Issued for a whole burst of keys before the first of them is inserted,
+// it lets the burst's misses overlap instead of each waiting behind the
+// occupancy branch of the one before — the rte_hash bulk-lookup shape. Go
+// has no prefetch intrinsic, so this is a plain load, kept out of line so
+// the compiler cannot discard it where the result goes unused.
+//
+//go:noinline
+func (t *FlowTable) Prefetch(key uint64) bool {
+	return t.slots[key&uint64(len(t.slots)-1)].used
+}
+
 // Lookup finds the entry for key. It returns the entry (nil if absent)
 // and the number of slots probed.
 func (t *FlowTable) Lookup(key uint64) (*FlowEntry, int) {

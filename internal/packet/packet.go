@@ -46,26 +46,28 @@ func ipString(ip uint32) string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
 }
 
-// Hash returns a 64-bit hash of the tuple (FNV-1a over the 13 key bytes).
-// NFs use it to index their flow tables.
+// Hash returns a 64-bit hash of the tuple: FNV-1a over the 13 key bytes,
+// addresses and ports in network byte order, then the protocol. NFs use it
+// to index their flow tables.
 func (t FiveTuple) Hash() uint64 {
-	var b [13]byte
-	binary.BigEndian.PutUint32(b[0:], t.SrcIP)
-	binary.BigEndian.PutUint32(b[4:], t.DstIP)
-	binary.BigEndian.PutUint16(b[8:], t.SrcPort)
-	binary.BigEndian.PutUint16(b[10:], t.DstPort)
-	b[12] = t.Proto
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
+	const offset64 = 14695981039346656037
+	h := fnv1a(offset64, byte(t.SrcIP>>24))
+	h = fnv1a(h, byte(t.SrcIP>>16))
+	h = fnv1a(h, byte(t.SrcIP>>8))
+	h = fnv1a(h, byte(t.SrcIP))
+	h = fnv1a(h, byte(t.DstIP>>24))
+	h = fnv1a(h, byte(t.DstIP>>16))
+	h = fnv1a(h, byte(t.DstIP>>8))
+	h = fnv1a(h, byte(t.DstIP))
+	h = fnv1a(h, byte(t.SrcPort>>8))
+	h = fnv1a(h, byte(t.SrcPort))
+	h = fnv1a(h, byte(t.DstPort>>8))
+	h = fnv1a(h, byte(t.DstPort))
+	return fnv1a(h, t.Proto)
 }
+
+// fnv1a folds one byte into an FNV-1a hash.
+func fnv1a(h uint64, c byte) uint64 { return (h ^ uint64(c)) * 1099511628211 }
 
 // Packet is a raw frame plus a parsed view. Data holds the full frame
 // starting at the Ethernet header.
@@ -75,12 +77,36 @@ type Packet struct {
 	// Parsed view, valid after Parse.
 	Tuple      FiveTuple
 	PayloadOff int // offset of L4 payload within Data
+
+	// flowHash memoizes Tuple.Hash() for FlowHash; hashed says it is set.
+	flowHash uint64
+	hashed   bool
+}
+
+// FlowHash returns Tuple.Hash(), computed at most once per frame: Parse,
+// Rebuild and the address setters forget it.
+func (p *Packet) FlowHash() uint64 {
+	if !p.hashed {
+		p.flowHash, p.hashed = p.Tuple.Hash(), true
+	}
+	return p.flowHash
 }
 
 // Build constructs an Ethernet+IPv4+L4 frame of exactly size bytes carrying
 // payload (truncated or zero-padded to fit). size must leave room for the
 // headers; Build panics otherwise, since callers control sizes.
 func Build(t FiveTuple, size int, payload []byte) *Packet {
+	p := new(Packet)
+	copy(p.Rebuild(t, size), payload)
+	return p
+}
+
+// Rebuild turns p into the frame Build(t, size, nil) returns, reusing
+// p.Data's storage when it is large enough, and returns the zeroed payload
+// region for the caller to fill in place. Nothing of the previous frame
+// survives — bytes, Tuple and PayloadOff are all rewritten — so a packet
+// rebuilt in a loop never shows a consumer a stale parsed view.
+func (p *Packet) Rebuild(t FiveTuple, size int) []byte {
 	l4len := TCPHeaderLen
 	if t.Proto == ProtoUDP {
 		l4len = UDPHeaderLen
@@ -89,23 +115,31 @@ func Build(t FiveTuple, size int, payload []byte) *Packet {
 	if size < hdr {
 		panic(fmt.Sprintf("packet: size %d smaller than headers %d", size, hdr))
 	}
-	data := make([]byte, size)
+	if cap(p.Data) < size {
+		p.Data = make([]byte, size)
+	}
+	data := p.Data[:size]
+	clear(data)
 
-	// Ethernet: synthetic MACs, IPv4 ethertype.
-	copy(data[0:6], []byte{0x02, 0, 0, 0, 0, 1})
-	copy(data[6:12], []byte{0x02, 0, 0, 0, 0, 2})
+	// Ethernet: synthetic MACs 02:00:00:00:00:01 and :02, IPv4 ethertype.
+	data[0], data[5] = 0x02, 1
+	data[6], data[11] = 0x02, 2
 	binary.BigEndian.PutUint16(data[12:], EtherTypeIPv4)
 
-	// IPv4.
+	// IPv4. The checksum is summed from the values being written, not
+	// read back from the bytes just stored.
 	ip := data[EthHeaderLen:]
+	totalLen := uint16(size - EthHeaderLen)
+	const ttl = 64
 	ip[0] = 0x45 // version 4, IHL 5
-	binary.BigEndian.PutUint16(ip[2:], uint16(size-EthHeaderLen))
-	ip[8] = 64 // TTL
+	binary.BigEndian.PutUint16(ip[2:], totalLen)
+	ip[8] = ttl
 	ip[9] = t.Proto
 	binary.BigEndian.PutUint32(ip[12:], t.SrcIP)
 	binary.BigEndian.PutUint32(ip[16:], t.DstIP)
-	binary.BigEndian.PutUint16(ip[10:], 0)
-	binary.BigEndian.PutUint16(ip[10:], ipChecksum(ip[:IPv4HeaderLen]))
+	sum := 0x4500 + uint32(totalLen) + ttl<<8 + uint32(t.Proto) +
+		t.SrcIP>>16 + t.SrcIP&0xffff + t.DstIP>>16 + t.DstIP&0xffff
+	binary.BigEndian.PutUint16(ip[10:], foldChecksum(sum))
 
 	// L4.
 	l4 := ip[IPv4HeaderLen:]
@@ -117,10 +151,8 @@ func Build(t FiveTuple, size int, payload []byte) *Packet {
 		binary.BigEndian.PutUint16(l4[4:], uint16(size-EthHeaderLen-IPv4HeaderLen))
 	}
 
-	off := hdr
-	copy(data[off:], payload)
-
-	return &Packet{Data: data, Tuple: t, PayloadOff: off}
+	p.Data, p.Tuple, p.PayloadOff, p.hashed = data, t, hdr, false
+	return data[hdr:]
 }
 
 // Parse decodes the headers in p.Data, filling Tuple and PayloadOff.
@@ -132,6 +164,7 @@ func (p *Packet) Parse() error {
 	if et := binary.BigEndian.Uint16(p.Data[12:]); et != EtherTypeIPv4 {
 		return fmt.Errorf("packet: unsupported ethertype %#04x", et)
 	}
+	p.hashed = false
 	ip := p.Data[EthHeaderLen:]
 	if v := ip[0] >> 4; v != 4 {
 		return fmt.Errorf("packet: unsupported IP version %d", v)
@@ -178,7 +211,7 @@ func (p *Packet) Len() int { return len(p.Data) }
 func (p *Packet) SetDstIP(ip uint32) {
 	hdr := p.Data[EthHeaderLen : EthHeaderLen+IPv4HeaderLen]
 	binary.BigEndian.PutUint32(hdr[16:], ip)
-	p.Tuple.DstIP = ip
+	p.Tuple.DstIP, p.hashed = ip, false
 	p.reIPChecksum(hdr)
 }
 
@@ -186,7 +219,7 @@ func (p *Packet) SetDstIP(ip uint32) {
 func (p *Packet) SetSrcIP(ip uint32) {
 	hdr := p.Data[EthHeaderLen : EthHeaderLen+IPv4HeaderLen]
 	binary.BigEndian.PutUint32(hdr[12:], ip)
-	p.Tuple.SrcIP = ip
+	p.Tuple.SrcIP, p.hashed = ip, false
 	p.reIPChecksum(hdr)
 }
 
@@ -217,6 +250,12 @@ func ipChecksum(hdr []byte) uint16 {
 	if len(hdr)%2 == 1 {
 		sum += uint32(hdr[len(hdr)-1]) << 8
 	}
+	return foldChecksum(sum)
+}
+
+// foldChecksum folds a sum of 16-bit words into the one's-complement
+// Internet checksum.
+func foldChecksum(sum uint32) uint16 {
 	for sum>>16 != 0 {
 		sum = sum&0xffff + sum>>16
 	}

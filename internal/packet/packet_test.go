@@ -1,6 +1,8 @@
 package packet
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 )
@@ -51,6 +53,78 @@ func TestBuildChecksumValid(t *testing.T) {
 	p := Build(tuple(), 256, nil)
 	if !p.VerifyIPChecksum() {
 		t.Fatal("fresh packet has invalid IP checksum")
+	}
+}
+
+func TestRebuildEqualsBuild(t *testing.T) {
+	// A frame rebuilt over a used one — longer or shorter, other protocol,
+	// rewritten by an NF, payload dirty — is the frame Build makes fresh.
+	f := func(src, dst uint32, sp, dp uint16, udp bool, extra, prevExtra uint8) bool {
+		tp := FiveTuple{SrcIP: src, DstIP: dst, SrcPort: sp, DstPort: dp, Proto: ProtoTCP}
+		if udp {
+			tp.Proto = ProtoUDP
+		}
+		p := Build(tuple(), 64+int(prevExtra), []byte("left over from the previous frame"))
+		p.SetSrcIP(0xc6336401)
+		p.DecTTL()
+		p.FlowHash()
+		payload := p.Rebuild(tp, 64+int(extra))
+		want := Build(tp, 64+int(extra), nil)
+		return string(p.Data) == string(want.Data) && p.Tuple == tp && p.PayloadOff == want.PayloadOff &&
+			&payload[0] == &p.Data[p.PayloadOff] && len(payload) == len(want.Payload()) &&
+			p.FlowHash() == tp.Hash() && p.VerifyIPChecksum()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRebuildReusesStorage(t *testing.T) {
+	p := Build(tuple(), 256, nil)
+	before := &p.Data[0]
+	p.Rebuild(tuple(), 64)
+	p.Rebuild(tuple(), 256)
+	if &p.Data[0] != before {
+		t.Fatal("Rebuild within capacity reallocated the frame")
+	}
+}
+
+func TestFlowHashFollowsTuple(t *testing.T) {
+	p := Build(tuple(), 64, nil)
+	if p.FlowHash() != tuple().Hash() {
+		t.Fatal("FlowHash differs from Tuple.Hash")
+	}
+	p.SetSrcIP(0x0a0000ff)
+	if p.FlowHash() != p.Tuple.Hash() {
+		t.Fatal("FlowHash stale after SetSrcIP")
+	}
+	p.SetDstIP(0x0a0000fe)
+	if p.FlowHash() != p.Tuple.Hash() {
+		t.Fatal("FlowHash stale after SetDstIP")
+	}
+	copy(p.Data, Build(FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: ProtoUDP}, 64, nil).Data)
+	if err := p.Parse(); err != nil {
+		t.Fatal(err)
+	}
+	if p.FlowHash() != p.Tuple.Hash() {
+		t.Fatal("FlowHash stale after Parse")
+	}
+}
+
+func TestHashIsFNV1a(t *testing.T) {
+	f := func(src, dst uint32, sp, dp uint16, proto uint8) bool {
+		var key [13]byte
+		binary.BigEndian.PutUint32(key[0:], src)
+		binary.BigEndian.PutUint32(key[4:], dst)
+		binary.BigEndian.PutUint16(key[8:], sp)
+		binary.BigEndian.PutUint16(key[10:], dp)
+		key[12] = proto
+		ref := fnv.New64a()
+		ref.Write(key[:])
+		return FiveTuple{SrcIP: src, DstIP: dst, SrcPort: sp, DstPort: dp, Proto: proto}.Hash() == ref.Sum64()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

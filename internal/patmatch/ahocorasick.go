@@ -3,23 +3,26 @@
 // semantics: given a compiled rule set, it scans packet payloads and counts
 // rule matches. The match count per payload byte (match-to-byte ratio,
 // MTBR) is the traffic attribute the paper's accelerator model depends on.
+//
+// The automaton is compiled to a dense DFA (the RXP compiles its rules to
+// a DFA too): one row of 256 next-state entries per state with the
+// failure links already followed, so scanning is one indexed load per
+// payload byte. The table costs states × 1 KiB (250 states, 250 KiB, for
+// DefaultRules) — the price of a scan cost that does not depend on how
+// often the input falls off a pattern.
 package patmatch
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Matcher is a compiled multi-pattern matcher. Build one with Compile; a
 // Matcher is immutable and safe for concurrent use.
 type Matcher struct {
 	patterns []string
 
-	// Automaton in flattened form: per-state child map, fail link, and the
-	// number of pattern occurrences ending at the state (output count,
-	// accumulated through suffix links at compile time).
-	next []map[byte]int32
-	fail []int32
+	// next[s<<8|c] is the state reached from state s on byte c; state 0
+	// is the root. outs[s] is the number of pattern occurrences ending at
+	// state s, accumulated through suffix links at compile time.
+	next []int32
 	outs []int32
 }
 
@@ -34,74 +37,55 @@ func Compile(patterns []string) (*Matcher, error) {
 	}
 	m := &Matcher{
 		patterns: append([]string(nil), patterns...),
-		next:     []map[byte]int32{{}},
-		fail:     []int32{0},
+		next:     make([]int32, 256),
 		outs:     []int32{0},
 	}
-	// Trie construction.
+	// Trie construction. No trie edge leads back to the root, so until the
+	// BFS below fills a row in, a zero entry in it means "no child".
 	for _, p := range patterns {
 		s := int32(0)
 		for i := 0; i < len(p); i++ {
-			c := p[i]
-			nxt, ok := m.next[s][c]
-			if !ok {
-				nxt = int32(len(m.next))
-				m.next[s][c] = nxt
-				m.next = append(m.next, map[byte]int32{})
-				m.fail = append(m.fail, 0)
+			at := int(s)<<8 | int(p[i])
+			if m.next[at] == 0 {
+				m.next[at] = int32(len(m.outs))
+				m.next = append(m.next, make([]int32, 256)...)
 				m.outs = append(m.outs, 0)
 			}
-			s = nxt
+			s = m.next[at]
 		}
 		m.outs[s]++
 	}
-	// BFS to set failure links and accumulate outputs.
-	queue := make([]int32, 0, len(m.next))
-	for _, s := range m.next[0] {
-		queue = append(queue, s)
-	}
-	sortInt32(queue)
+	// BFS from the root: a child's failure link is where its parent's
+	// failure state goes on the same byte, and every missing edge is
+	// replaced by the failure state's edge. The failure state is always
+	// shallower, so its row is complete by the time it is read. The root
+	// fails to itself: its missing edges stay 0, its children's links too.
+	fail := make([]int32, len(m.outs))
+	queue := make([]int32, 1, len(m.outs))
 	for len(queue) > 0 {
 		s := queue[0]
 		queue = queue[1:]
-		var children []byte
-		for c := range m.next[s] {
-			children = append(children, c)
-		}
-		sort.Slice(children, func(i, j int) bool { return children[i] < children[j] })
-		for _, c := range children {
-			child := m.next[s][c]
-			f := m.fail[s]
-			for f != 0 {
-				if n, ok := m.next[f][c]; ok {
-					f = n
-					goto linked
-				}
-				f = m.fail[f]
+		row, frow := m.next[int(s)<<8:][:256], m.next[int(fail[s])<<8:][:256]
+		for c, child := range row {
+			if child == 0 {
+				row[c] = frow[c]
+				continue
 			}
-			if n, ok := m.next[0][c]; ok && n != child {
-				f = n
-			} else {
-				f = 0
+			if s != 0 {
+				fail[child] = frow[c]
+				m.outs[child] += m.outs[fail[child]]
 			}
-		linked:
-			m.fail[child] = f
-			m.outs[child] += m.outs[f]
 			queue = append(queue, child)
 		}
 	}
 	return m, nil
 }
 
-func sortInt32(a []int32) {
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-}
-
 // NumPatterns reports how many patterns the matcher was compiled from.
 func (m *Matcher) NumPatterns() int { return len(m.patterns) }
 
 // NumStates reports the automaton size, a proxy for compiled-rule memory.
-func (m *Matcher) NumStates() int { return len(m.next) }
+func (m *Matcher) NumStates() int { return len(m.outs) }
 
 // Count returns the total number of pattern occurrences in data,
 // including overlapping occurrences.
@@ -109,17 +93,7 @@ func (m *Matcher) Count(data []byte) int {
 	var s int32
 	total := 0
 	for _, c := range data {
-		for s != 0 {
-			if n, ok := m.next[s][c]; ok {
-				s = n
-				goto advanced
-			}
-			s = m.fail[s]
-		}
-		if n, ok := m.next[0][c]; ok {
-			s = n
-		}
-	advanced:
+		s = m.next[int(s)<<8|int(c)]
 		total += int(m.outs[s])
 	}
 	return total
@@ -130,17 +104,7 @@ func (m *Matcher) Count(data []byte) int {
 func (m *Matcher) Contains(data []byte) bool {
 	var s int32
 	for _, c := range data {
-		for s != 0 {
-			if n, ok := m.next[s][c]; ok {
-				s = n
-				goto advanced
-			}
-			s = m.fail[s]
-		}
-		if n, ok := m.next[0][c]; ok {
-			s = n
-		}
-	advanced:
+		s = m.next[int(s)<<8|int(c)]
 		if m.outs[s] > 0 {
 			return true
 		}

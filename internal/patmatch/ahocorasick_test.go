@@ -119,6 +119,33 @@ func TestCountPropertyVsNaive(t *testing.T) {
 	}
 }
 
+// FuzzCount holds the compiled automaton to the naive reference on
+// arbitrary rule sets (rules separated by 0xff bytes) and arbitrary data.
+func FuzzCount(f *testing.F) {
+	f.Fuzz(func(t *testing.T, rules string, data []byte) {
+		if len(rules) > 4096 {
+			t.Skip("a state per rule byte, 1 KiB per state: keep the table small")
+		}
+		var pats []string
+		for _, p := range strings.Split(rules, "\xff") {
+			if p != "" {
+				pats = append(pats, p)
+			}
+		}
+		m, err := Compile(pats)
+		if err != nil {
+			t.Fatalf("Compile(%q): %v", pats, err)
+		}
+		want := naiveCount(pats, data)
+		if got := m.Count(data); got != want {
+			t.Fatalf("Count(%q) over %q = %d, want %d", data, pats, got, want)
+		}
+		if got := m.Contains(data); got != (want > 0) {
+			t.Fatalf("Contains(%q) over %q = %v with %d occurrences", data, pats, got, want)
+		}
+	})
+}
+
 func TestMTBR(t *testing.T) {
 	m := mustCompile(t, "zz")
 	data := bytes.Repeat([]byte("zzx"), 1000) // 1000 non-overlapping zz in 3000 bytes

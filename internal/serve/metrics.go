@@ -50,6 +50,7 @@ func (s *Service) initObs() {
 	r.CounterFunc("yala_drift_shadow_compares_total", func() uint64 { return s.fb.Stats().ShadowCompares })
 	r.CounterFunc("yala_drift_promotions_total", func() uint64 { return s.fb.Stats().Promotions })
 	s.reqSeconds = r.Histogram("yala_request_seconds", nil)
+	s.soloSeconds = r.Histogram("yala_solo_measure_seconds", nil)
 	s.stageHist = make(map[string]*obs.Histogram, len(stageNames))
 	for _, st := range stageNames {
 		s.stageHist[st] = r.Histogram("yala_stage_seconds", nil, "stage", st)

@@ -132,10 +132,12 @@ type Service struct {
 
 	// obs is the /metrics registry; reqSeconds and stageHist are its
 	// hot-path histograms, held directly so observations never take the
-	// registry lock (see initObs).
-	obs        *obs.Registry
-	reqSeconds *obs.Histogram
-	stageHist  map[string]*obs.Histogram
+	// registry lock (see initObs). soloSeconds times the cold path only:
+	// one observation per solo simulation actually run.
+	obs         *obs.Registry
+	reqSeconds  *obs.Histogram
+	stageHist   map[string]*obs.Histogram
+	soloSeconds *obs.Histogram
 }
 
 // NewService starts a service and its worker pool. Call Close to stop it.
@@ -406,11 +408,14 @@ const maxSoloEntries = 4096
 // deterministic — eviction only costs a re-measurement.
 func (s *Service) soloMeasurement(hw, name string, prof traffic.Profile) (nicsim.Measurement, error) {
 	return s.solo.Do(soloKey{hw, name, prof}, maxSoloEntries, func() (nicsim.Measurement, error) {
+		start := time.Now()
 		tb, err := s.freshTestbed(hw)
 		if err != nil {
 			return nicsim.Measurement{}, err
 		}
-		return tb.SoloNF(name, prof)
+		m, err := tb.SoloNF(name, prof)
+		s.soloSeconds.Observe(time.Since(start).Seconds())
+		return m, err
 	})
 }
 

@@ -489,3 +489,47 @@ func TestServiceClosedRejects(t *testing.T) {
 		t.Fatal("expected error from closed service")
 	}
 }
+
+// TestSoloMeasureMetric: yala_solo_measure_seconds counts the solo
+// simulations actually run — one per never-seen (competitor, profile),
+// none for a memoized one, and none for the target itself, whose own solo
+// the yala backend never asks for.
+func TestSoloMeasureMetric(t *testing.T) {
+	s := testService(t)
+	ctx := context.Background()
+	predict := func(nf string, comps ...CompetitorSpec) {
+		t.Helper()
+		if _, err := s.PredictOn(ctx, "", PredictRequest{NF: nf, Competitors: comps}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	simulations := s.soloSeconds.Count
+	novel := CompetitorSpec{Name: "NAT", Profile: ProfileSpec{Flows: 7919, PktSize: 701, MTBR: F64(123)}}
+
+	predict("FlowStats")
+	if got := simulations(); got != 0 {
+		t.Fatalf("competitor-free predict ran %d solo simulations, want 0", got)
+	}
+	predict("FlowStats", novel)
+	if got := simulations(); got != 1 {
+		t.Fatalf("predict beside a never-seen competitor profile: %d solo simulations, want 1", got)
+	}
+	predict("FlowStats", novel)
+	if got := simulations(); got != 1 {
+		t.Fatalf("the same request again: %d solo simulations, want 1", got)
+	}
+	predict("ACL", novel)
+	if got := simulations(); got != 1 {
+		t.Fatalf("a second target beside the memoized competitor: %d solo simulations, want 1", got)
+	}
+	if s.soloSeconds.Sum() <= 0 {
+		t.Fatal("solo simulation recorded no time")
+	}
+	var sb strings.Builder
+	if err := s.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := "yala_solo_measure_seconds_count 1\n"; !strings.Contains(sb.String(), want) {
+		t.Fatalf("/metrics missing %q:\n%s", want, sb.String())
+	}
+}

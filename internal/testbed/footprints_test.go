@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/nf"
@@ -55,13 +56,15 @@ func footprintRow(name string, prof traffic.Profile, w *nicsim.Workload) string 
 	fmt.Fprintf(&b, "%s name=%s pattern=%d cores=%d cpu=%s memrefs=%s wss=%s mlp=%s pktbytes=%s offered=%s",
 		footprintKey(name, prof), w.Name, int(w.Pattern), w.Cores,
 		hex(w.CPUSecPerPkt), hex(w.MemRefsPerPkt), hex(w.WSSBytes), hex(w.MemMLP), hex(w.PktBytes), hex(w.OfferedRate))
+	rendered := 0
 	for _, k := range nicsim.AccelKinds() {
 		if u, ok := w.Accel[k]; ok {
+			rendered++
 			fmt.Fprintf(&b, " %s=[reqs=%s bytes=%s matches=%s queues=%d]",
 				k, hex(u.ReqsPerPkt), hex(u.BytesPerReq), hex(u.MatchesPerReq), u.Queues)
 		}
 	}
-	if len(w.Accel) > len(nicsim.AccelKinds()) {
+	if rendered != len(w.Accel) {
 		b.WriteString(" unknown-accel")
 	}
 	return b.String()
@@ -124,4 +127,31 @@ func TestFootprintsBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestIPRouterSharedFIBConcurrent: every IPRouter forwards by one shared
+// FIB, so two testbeds measuring it at once must neither race on it (run
+// under -race) nor read anything but the golden footprint.
+func TestIPRouterSharedFIBConcurrent(t *testing.T) {
+	prof := traffic.Default
+	want, ok := goldenFootprints(t)[footprintKey("IPRouter", prof)]
+	if !ok {
+		t.Fatalf("no golden row for IPRouter %v", prof)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w, err := New(nicsim.BlueField2(), 1).Workload("IPRouter", prof)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got := footprintRow("IPRouter", prof, w); got != want {
+				t.Errorf("IPRouter footprint moved:\n got %s\nwant %s", got, want)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -15,15 +15,28 @@ const markerPattern = "GET "
 
 // fillerAlphabet contains bytes that cannot form any default-rule match:
 // no rule consists solely of these characters.
-var fillerAlphabet = []byte{'.', '-', '~', '#', '_'}
+const fillerAlphabet = ".-~#_"
+
+// burstSize is how many header frames HeaderBurst builds per call: a
+// DPDK-style receive burst, short enough to stay in L1, long enough that
+// a consumer's table misses for one burst overlap.
+const burstSize = 32
 
 // Generator produces packets for one traffic profile. It pre-builds the
-// flow set; Packet and Batch then draw flows uniformly (the paper's
-// uniform flow-size distribution).
+// flow set; Packet then draws flows uniformly (the paper's uniform
+// flow-size distribution).
+//
+// A Generator owns the frames it hands out and rebuilds them in place:
+// a packet from Packet or HeaderBurst is valid until the next call of
+// the same method. Consumers that need it longer copy it.
 type Generator struct {
 	profile Profile
 	flows   []packet.FiveTuple
 	rng     *sim.RNG
+
+	pkt   packet.Packet   // the frame Packet rebuilds and returns
+	perm  []int           // synthPayload's marker-slot scratch
+	burst []packet.Packet // the frames HeaderBurst rebuilds and returns
 }
 
 // NewGenerator builds a generator for profile, drawing all randomness
@@ -37,50 +50,57 @@ func NewGenerator(profile Profile, rng *sim.RNG) *Generator {
 	}
 	g := &Generator{profile: profile, rng: rng}
 	g.flows = make([]packet.FiveTuple, profile.Flows)
+	dstPorts := [...]uint16{80, 443, 53, 22, 25}
 	for i := range g.flows {
 		g.flows[i] = packet.FiveTuple{
 			SrcIP:   uint32(0x0a000000 + rng.Intn(1<<24)),
 			DstIP:   uint32(0xc0a80000 + rng.Intn(1<<16)),
 			SrcPort: uint16(1024 + rng.Intn(64000)),
-			DstPort: uint16([]int{80, 443, 53, 22, 25}[rng.Intn(5)]),
+			DstPort: dstPorts[rng.Intn(len(dstPorts))],
 			Proto:   packet.ProtoTCP,
 		}
 	}
 	return g
 }
 
-// Profile returns the generator's traffic profile.
+// Profile returns the generator's traffic profile, with the packet size
+// and flow count clamped to what is actually generated.
 func (g *Generator) Profile() Profile { return g.profile }
 
 // NumFlows returns the number of distinct flows.
 func (g *Generator) NumFlows() int { return len(g.flows) }
 
 // Packet generates one packet: a uniformly drawn flow carrying a payload
-// synthesized at the profile's MTBR.
+// synthesized at the profile's MTBR. The packet is rebuilt in place by
+// the next call.
 func (g *Generator) Packet() *packet.Packet {
 	t := g.flows[g.rng.Intn(len(g.flows))]
-	payloadLen := g.profile.PktSize - packet.EthHeaderLen - packet.IPv4HeaderLen - packet.TCPHeaderLen
-	if payloadLen < 0 {
-		payloadLen = 0
-	}
-	payload := SynthPayload(payloadLen, g.profile.MTBR, g.rng)
-	return packet.Build(t, g.profile.PktSize, payload)
+	payload := g.pkt.Rebuild(t, g.profile.PktSize)
+	g.perm = synthPayload(payload, g.profile.MTBR, g.rng, g.perm)
+	return &g.pkt
 }
 
-// HeaderPacket builds a minimum-size, payload-free packet for flow i.
-// NFs use it to populate per-flow state cheaply during footprint
-// measurement, where payload contents are irrelevant.
-func (g *Generator) HeaderPacket(i int) *packet.Packet {
-	return packet.Build(g.flows[i%len(g.flows)], MinPktSize, nil)
-}
-
-// Batch generates n packets.
-func (g *Generator) Batch(n int) []*packet.Packet {
-	pkts := make([]*packet.Packet, n)
-	for i := range pkts {
-		pkts[i] = g.Packet()
+// HeaderBurst builds minimum-size, payload-free packets for the next few
+// (at most 32) consecutive flows starting at flow first, and returns them;
+// the burst is empty only past the last flow.
+// NFs use them to populate per-flow state cheaply during footprint
+// measurement, where payload contents are irrelevant. It draws nothing
+// from the generator's RNG; the packets are rebuilt in place by the next
+// call.
+func (g *Generator) HeaderBurst(first int) []packet.Packet {
+	if g.burst == nil {
+		g.burst = make([]packet.Packet, burstSize)
+		frames := make([]byte, burstSize*MinPktSize)
+		for i := range g.burst {
+			g.burst[i].Data = frames[i*MinPktSize : (i+1)*MinPktSize : (i+1)*MinPktSize]
+		}
 	}
-	return pkts
+	flows := g.flows[min(first, len(g.flows)):]
+	burst := g.burst[:min(len(flows), burstSize)]
+	for i := range burst {
+		burst[i].Rebuild(flows[i], MinPktSize)
+	}
+	return burst
 }
 
 // SynthPayload produces size bytes whose expected match count against the
@@ -90,11 +110,20 @@ func (g *Generator) Batch(n int) []*packet.Packet {
 // controlled match-to-byte ratio.
 func SynthPayload(size int, mtbr float64, rng *sim.RNG) []byte {
 	buf := make([]byte, size)
+	synthPayload(buf, mtbr, rng, nil)
+	return buf
+}
+
+// synthPayload is SynthPayload in place over buf. perm is scratch for the
+// marker-slot permutation; the (possibly grown) scratch is returned for
+// the next call.
+func synthPayload(buf []byte, mtbr float64, rng *sim.RNG, perm []int) []int {
 	for i := range buf {
 		buf[i] = fillerAlphabet[rng.Intn(len(fillerAlphabet))]
 	}
+	size := len(buf)
 	if size < len(markerPattern) || mtbr <= 0 {
-		return buf
+		return perm
 	}
 	want := mtbr * float64(size) / 1e6
 	n := int(want)
@@ -102,13 +131,22 @@ func SynthPayload(size int, mtbr float64, rng *sim.RNG) []byte {
 		n++
 	}
 	// Place n non-overlapping markers in distinct slots so each insertion
-	// contributes exactly one match.
+	// contributes exactly one match: the first n entries of a full
+	// Fisher–Yates permutation of the slots, drawn as sim.RNG.Perm draws it.
 	slots := size / len(markerPattern)
 	if n > slots {
 		n = slots
 	}
-	for _, slot := range rng.Perm(slots)[:n] {
+	if cap(perm) < slots {
+		perm = make([]int, slots)
+	}
+	perm = perm[:slots]
+	for i := range perm {
+		perm[i] = i
+	}
+	rng.Shuffle(slots, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	for _, slot := range perm[:n] {
 		copy(buf[slot*len(markerPattern):], markerPattern)
 	}
-	return buf
+	return perm
 }

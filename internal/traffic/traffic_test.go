@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/packet"
 	"repro/internal/patmatch"
 	"repro/internal/sim"
 )
@@ -87,8 +88,8 @@ func TestGeneratorFlowCount(t *testing.T) {
 		t.Fatalf("NumFlows = %d", g.NumFlows())
 	}
 	seen := map[string]bool{}
-	for _, p := range g.Batch(2000) {
-		seen[p.Tuple.String()] = true
+	for i := 0; i < 2000; i++ {
+		seen[g.Packet().Tuple.String()] = true
 	}
 	// Uniform draws over 100 flows in 2000 packets should hit most flows.
 	if len(seen) < 90 {
@@ -98,13 +99,50 @@ func TestGeneratorFlowCount(t *testing.T) {
 
 func TestGeneratorPacketSize(t *testing.T) {
 	g := NewGenerator(Profile{Flows: 10, PktSize: 512, MTBR: 600}, sim.NewRNG(3))
-	for _, p := range g.Batch(50) {
+	for i := 0; i < 50; i++ {
+		p := g.Packet()
 		if p.Len() != 512 {
 			t.Fatalf("packet len %d, want 512", p.Len())
 		}
 		if err := p.Parse(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+func TestHeaderBurstCoversFlowsInOrder(t *testing.T) {
+	const flows = 2*burstSize + 6
+	g := NewGenerator(Profile{Flows: flows, PktSize: 512, MTBR: 600}, sim.NewRNG(8))
+	quiet := NewGenerator(Profile{Flows: flows, PktSize: 512, MTBR: 600}, sim.NewRNG(8))
+	var seen []packet.FiveTuple
+	for first := 0; first < flows; first += burstSize {
+		burst := g.HeaderBurst(first)
+		if want := min(burstSize, flows-first); len(burst) != want {
+			t.Fatalf("burst at flow %d holds %d packets, want %d", first, len(burst), want)
+		}
+		for i := range burst {
+			p := &burst[i]
+			if want := packet.Build(p.Tuple, MinPktSize, nil); string(p.Data) != string(want.Data) || p.PayloadOff != want.PayloadOff {
+				t.Fatalf("flow %d: header frame is not a fresh minimum-size frame", first+i)
+			}
+			seen = append(seen, p.Tuple)
+			// What an NF may do to a frame must not leak into the next burst.
+			p.SetSrcIP(0xc6336401)
+			p.DecTTL()
+		}
+	}
+	if len(g.HeaderBurst(flows)) != 0 {
+		t.Fatal("burst past the last flow is not empty")
+	}
+	for i, tp := range seen {
+		if tp != g.flows[i] {
+			t.Fatalf("burst packet %d carries flow %v, want flow %d = %v", i, tp, i, g.flows[i])
+		}
+	}
+	// Header packets draw nothing: the full packets that follow are the
+	// ones a generator that never built a burst produces.
+	if string(g.Packet().Data) != string(quiet.Packet().Data) {
+		t.Fatal("HeaderBurst advanced the generator's RNG")
 	}
 }
 
@@ -159,10 +197,10 @@ func TestSynthPayloadTiny(t *testing.T) {
 }
 
 func TestGeneratorDeterministic(t *testing.T) {
-	a := NewGenerator(Default, sim.NewRNG(42)).Batch(10)
-	b := NewGenerator(Default, sim.NewRNG(42)).Batch(10)
-	for i := range a {
-		if string(a[i].Data) != string(b[i].Data) {
+	a := NewGenerator(Default, sim.NewRNG(42))
+	b := NewGenerator(Default, sim.NewRNG(42))
+	for i := 0; i < 10; i++ {
+		if string(a.Packet().Data) != string(b.Packet().Data) {
 			t.Fatalf("packet %d differs between identical seeds", i)
 		}
 	}
