@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -202,6 +203,94 @@ func TestGeneratorDeterministic(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if string(a.Packet().Data) != string(b.Packet().Data) {
 			t.Fatalf("packet %d differs between identical seeds", i)
+		}
+	}
+}
+
+// pinnedPacket is one Packet() of a pinned stream: the flow it carries and
+// the FNV-1a of its payload bytes.
+type pinnedPacket struct {
+	tuple      packet.FiveTuple
+	payloadFNV uint64
+}
+
+// TestGeneratorStreamPinned pins the generator's output to literals — the
+// tuples of flows 0, 1, N/2 and N-1, the first three full packets, and the
+// RNG draw that follows them — so the flow set, the draw order and the
+// stream position after NewGenerator cannot move unnoticed.
+func TestGeneratorStreamPinned(t *testing.T) {
+	cases := []struct {
+		prof    Profile
+		seed    uint64
+		flows   [4]packet.FiveTuple // flows 0, 1, N/2, N-1
+		packets [3]pinnedPacket
+		next    uint64
+	}{
+		{
+			prof: Profile{Flows: 16000, PktSize: 1500, MTBR: 600}, seed: 0x2a,
+			flows: [4]packet.FiveTuple{
+				{SrcIP: 0x0aeb6e95, DstIP: 0xc0a8f103, SrcPort: 44882, DstPort: 25, Proto: 6},
+				{SrcIP: 0x0a4823f2, DstIP: 0xc0a8db06, SrcPort: 25949, DstPort: 22, Proto: 6},
+				{SrcIP: 0x0aca050c, DstIP: 0xc0a86b46, SrcPort: 39584, DstPort: 25, Proto: 6},
+				{SrcIP: 0x0a5cff0e, DstIP: 0xc0a84103, SrcPort: 11115, DstPort: 53, Proto: 6},
+			},
+			packets: [3]pinnedPacket{
+				{packet.FiveTuple{SrcIP: 0x0a034d55, DstIP: 0xc0a81dc6, SrcPort: 59361, DstPort: 22, Proto: 6}, 0xe815dc3339248876},
+				{packet.FiveTuple{SrcIP: 0x0af5d96a, DstIP: 0xc0a86ab7, SrcPort: 7309, DstPort: 25, Proto: 6}, 0x7422c8406aa9d99a},
+				{packet.FiveTuple{SrcIP: 0x0a4bdbe7, DstIP: 0xc0a8e03a, SrcPort: 6216, DstPort: 443, Proto: 6}, 0x6bd64fe0f043e3fe},
+			},
+			next: 0xa33523c8ffe74c8b,
+		},
+		{
+			prof: Profile{Flows: 1000, PktSize: 64, MTBR: 0}, seed: 0x7,
+			flows: [4]packet.FiveTuple{
+				{SrcIP: 0x0a320dd7, DstIP: 0xc0a8661c, SrcPort: 58370, DstPort: 22, Proto: 6},
+				{SrcIP: 0x0a1e21da, DstIP: 0xc0a8aa11, SrcPort: 24822, DstPort: 53, Proto: 6},
+				{SrcIP: 0x0a178700, DstIP: 0xc0a89741, SrcPort: 40661, DstPort: 25, Proto: 6},
+				{SrcIP: 0x0abbca83, DstIP: 0xc0a8bfb2, SrcPort: 45618, DstPort: 22, Proto: 6},
+			},
+			packets: [3]pinnedPacket{
+				{packet.FiveTuple{SrcIP: 0x0a5ea68b, DstIP: 0xc0a86ba8, SrcPort: 60741, DstPort: 53, Proto: 6}, 0xf2890226aeb2a9dd},
+				{packet.FiveTuple{SrcIP: 0x0a5fab75, DstIP: 0xc0a8898e, SrcPort: 47130, DstPort: 22, Proto: 6}, 0xb9dd0e2c81a5f455},
+				{packet.FiveTuple{SrcIP: 0x0a830cee, DstIP: 0xc0a895e2, SrcPort: 42077, DstPort: 25, Proto: 6}, 0x94548364679306f6},
+			},
+			next: 0x9742b209441f003e,
+		},
+		{
+			prof: Profile{Flows: 250000, PktSize: 777, MTBR: 333.3}, seed: 0xdeadbeef,
+			flows: [4]packet.FiveTuple{
+				{SrcIP: 0x0ac9eb9b, DstIP: 0xc0a80922, SrcPort: 52253, DstPort: 25, Proto: 6},
+				{SrcIP: 0x0a85bd1c, DstIP: 0xc0a85b3f, SrcPort: 27571, DstPort: 53, Proto: 6},
+				{SrcIP: 0x0a4914d5, DstIP: 0xc0a8607e, SrcPort: 13710, DstPort: 53, Proto: 6},
+				{SrcIP: 0x0a652f59, DstIP: 0xc0a8a046, SrcPort: 54647, DstPort: 22, Proto: 6},
+			},
+			packets: [3]pinnedPacket{
+				{packet.FiveTuple{SrcIP: 0x0ac9829c, DstIP: 0xc0a8bb26, SrcPort: 1412, DstPort: 25, Proto: 6}, 0x177c0903c98a7df3},
+				{packet.FiveTuple{SrcIP: 0x0a5846d2, DstIP: 0xc0a8799f, SrcPort: 44283, DstPort: 443, Proto: 6}, 0x8c5e42062b4b2afb},
+				{packet.FiveTuple{SrcIP: 0x0a327ef5, DstIP: 0xc0a8d95b, SrcPort: 63072, DstPort: 25, Proto: 6}, 0x4a83b67d0327a1a6},
+			},
+			next: 0xf82cc2c253f3c06f,
+		},
+	}
+	for _, c := range cases {
+		rng := sim.NewRNG(c.seed)
+		g := NewGenerator(c.prof, rng)
+		n := g.NumFlows()
+		for i, flow := range [4]int{0, 1, n / 2, n - 1} {
+			if got := g.HeaderBurst(flow)[0].Tuple; got != c.flows[i] {
+				t.Errorf("%+v seed %#x: flow %d = %+v, want %+v", c.prof, c.seed, flow, got, c.flows[i])
+			}
+		}
+		for i, want := range c.packets {
+			p := g.Packet()
+			h := fnv.New64a()
+			h.Write(p.Payload())
+			if got := (pinnedPacket{p.Tuple, h.Sum64()}); got != want {
+				t.Errorf("%+v seed %#x: packet %d = %+v, want %+v", c.prof, c.seed, i, got, want)
+			}
+		}
+		if got := rng.Uint64(); got != c.next {
+			t.Errorf("%+v seed %#x: draw after three packets = %#x, want %#x", c.prof, c.seed, got, c.next)
 		}
 	}
 }
