@@ -23,8 +23,7 @@ const benchScale = 0.05
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		lab := experiments.NewLab(uint64(i)+1, benchScale)
-		rep, err := experiments.ByID(lab, id)
+		rep, err := experiments.Run(id, uint64(i)+1, benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}

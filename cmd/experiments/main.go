@@ -5,8 +5,10 @@
 //
 //	experiments [-run id] [-scale f] [-seed n]
 //
-// With no -run flag every experiment runs in paper order. -scale trades
-// sample counts for runtime (1.0 = full protocol).
+// With no -run flag every experiment runs in paper order. Each runs in a
+// lab of its own (experiments.Run), so -run table2 prints the Table 2 the
+// full suite prints. -scale trades sample counts for runtime (1.0 = full
+// protocol).
 package main
 
 import (
@@ -24,24 +26,18 @@ func main() {
 	seed := flag.Uint64("seed", 1, "experiment seed")
 	flag.Parse()
 
-	lab := experiments.NewLab(*seed, *scale)
-	start := time.Now()
+	ids := experiments.IDs()
 	if *run != "" {
-		rep, err := experiments.ByID(lab, *run)
+		ids = []string{*run}
+	}
+	start := time.Now()
+	for _, id := range ids {
+		rep, err := experiments.Run(id, *seed, *scale)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		fmt.Println(rep)
-	} else {
-		for _, id := range experiments.IDs() {
-			rep, err := experiments.ByID(lab, id)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Println(rep)
-		}
 	}
 	fmt.Printf("(completed in %s, scale %.2f, seed %d)\n", time.Since(start).Round(time.Second), *scale, *seed)
 }

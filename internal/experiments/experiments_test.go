@@ -86,6 +86,25 @@ func TestTable9Pensando(t *testing.T) {
 	}
 }
 
+// TestRunIndependentOfOrder: through Run an experiment's report does not
+// depend on what ran before it.
+func TestRunIndependentOfOrder(t *testing.T) {
+	alone, err := Run("fig4", 51, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run("fig1", 51, 0.05); err != nil {
+		t.Fatal(err)
+	}
+	after, err := Run("fig4", 51, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alone.String() != after.String() {
+		t.Fatalf("fig4 after fig1 differs from fig4 alone:\n%s\nvs\n%s", after, alone)
+	}
+}
+
 func TestByIDUnknown(t *testing.T) {
 	if _, err := ByID(tinyLab(), "fig99"); err == nil {
 		t.Fatal("expected error")

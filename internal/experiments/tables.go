@@ -395,7 +395,15 @@ func Table9(seed uint64, scale float64) (*Report, error) {
 	return rep, nil
 }
 
-// ByID runs one experiment by identifier.
+// Run runs one experiment in a lab of its own, so its report is a
+// function of (id, seed, scale) alone: not of which experiments ran
+// before it, whose testbed run counter and model caches a shared lab
+// would carry over.
+func Run(id string, seed uint64, scale float64) (*Report, error) {
+	return ByID(NewLab(seed, scale), id)
+}
+
+// ByID runs one experiment by identifier in the given lab.
 func ByID(l *Lab, id string) (*Report, error) {
 	switch id {
 	case "fig1":

@@ -133,9 +133,8 @@ func (f *Firewall) Process(p *packet.Packet, st *OpStats) error {
 	// Flow walk: scan the next few slots for expiry metadata updates.
 	for i := 0; i < firewallWalkEntries; i++ {
 		f.walk++
-		slot := &f.table.slots[f.walk%uint64(len(f.table.slots))]
-		if slot.used {
-			slot.Data[3]++
+		if e := f.table.SlotEntry(f.walk); e != nil {
+			e.Data[3]++
 		}
 		st.HashProbes++
 	}

@@ -2,6 +2,7 @@ package nf
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/nicsim"
@@ -9,7 +10,7 @@ import (
 )
 
 // TestMeasureAllocs holds Measure to a constant number of allocations
-// (generator, flow set, table, frame buffers, the Workload itself) so a
+// (generator, table, frame buffers, the Workload itself) so a
 // per-packet or per-flow allocation cannot creep back.
 func TestMeasureAllocs(t *testing.T) {
 	n := NewFlowMonitor()
@@ -21,6 +22,35 @@ func TestMeasureAllocs(t *testing.T) {
 	})
 	if allocs > 64 {
 		t.Fatalf("Measure allocates %v times per call, want <= 64", allocs)
+	}
+}
+
+// TestMeasureBytesPerFlow holds a measurement's memory to what the host
+// layout needs: an 8-byte probe slot (at most 2/0.75 of them per flow) and
+// a 56-byte dense entry per flow for an NF that keeps per-flow state, and
+// nothing that scales with the flow count for one that does not — the
+// generator derives flows instead of storing them.
+func TestMeasureBytesPerFlow(t *testing.T) {
+	const flows = 250000
+	prof := traffic.Profile{Flows: flows, PktSize: 1500, MTBR: 600}
+	for _, c := range []struct {
+		name  string
+		limit uint64
+	}{
+		{"FlowStats", 80 * flows},
+		{"ACL", 64 << 10},
+	} {
+		n := MustNew(c.name)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Measure(n, prof, 1); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > c.limit {
+			t.Errorf("Measure(%s, %d flows) allocated %d bytes (%.1f per flow), want <= %d",
+				c.name, flows, got, float64(got)/flows, c.limit)
+		}
 	}
 }
 

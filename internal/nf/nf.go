@@ -10,6 +10,11 @@
 // flow table (and the WSS), larger packets carry more payload to the
 // regex engine, higher MTBR means more matches per request.
 //
+// The per-flow state is a FlowTable: on the host an 8-byte-per-slot probe
+// array (key tag + index) over a dense, insertion-ordered entry array,
+// whatever the modeled 64 bytes a slot (entryBytes). A *FlowEntry is
+// valid until the table's next Insert.
+//
 // Two rules keep a measurement as cheap as the footprint needs. Populate
 // rule: before the measured packets, Measure sends one header-only packet
 // per flow through the NFs that keep per-flow state (the FlowReserver
@@ -101,17 +106,20 @@ func Measure(n NF, prof traffic.Profile, seed uint64) (*nicsim.Workload, error) 
 	// Population phase, for NFs that keep per-flow state only: one cheap
 	// header-only packet per flow, so the state reaches its steady-state
 	// size and layout. The frames arrive in bursts — built, their table
-	// slots prefetched, then processed back to back — so one burst's
-	// table misses overlap instead of queueing behind frame construction.
+	// slots prefetched in one call, then processed back to back — so one
+	// burst's table misses overlap instead of queueing behind each other.
 	if r, ok := n.(FlowReserver); ok {
 		r.ReserveFlows(gen.NumFlows())
 		var warm OpStats
+		keys := make([]uint64, 0, 32) // one burst's flow hashes
 		for first := 0; first < gen.NumFlows(); {
 			burst := gen.HeaderBurst(first)
 			first += len(burst)
+			keys = keys[:0]
 			for i := range burst {
-				r.PrefetchFlow(burst[i].FlowHash())
+				keys = append(keys, burst[i].FlowHash())
 			}
+			r.PrefetchFlows(keys)
 			for i := range burst {
 				if err := n.Process(&burst[i], &warm); err != nil {
 					return nil, fmt.Errorf("nf %s: populate: %w", n.Name(), err)

@@ -4,10 +4,11 @@ package nf
 // populates these and only these: it pre-sizes the state for the profile's
 // flow population (one allocation instead of a doubling cascade), then
 // sends one header-only packet per flow, prefetching each burst's table
-// slots before processing it.
+// slots — one call with the whole burst's flow hashes — before processing
+// it.
 type FlowReserver interface {
 	ReserveFlows(n int)
-	PrefetchFlow(key uint64)
+	PrefetchFlows(keys []uint64) bool
 }
 
 // flowState is the per-flow table such an NF embeds; it carries the
@@ -21,5 +22,5 @@ func newFlowState() flowState { return flowState{table: NewFlowTable()} }
 // ReserveFlows implements FlowReserver.
 func (s *flowState) ReserveFlows(n int) { s.table.Reserve(n) }
 
-// PrefetchFlow implements FlowReserver.
-func (s *flowState) PrefetchFlow(key uint64) { s.table.Prefetch(key) }
+// PrefetchFlows implements FlowReserver.
+func (s *flowState) PrefetchFlows(keys []uint64) bool { return s.table.Prefetch(keys) }

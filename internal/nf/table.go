@@ -1,24 +1,32 @@
 package nf
 
-// FlowEntry is one slot of a FlowTable. The layout approximates a 64-byte
-// cache line: an occupancy tag, the flow key hash, and six 64-bit data
-// words for the owning NF.
+// FlowEntry is one flow's state: the flow key hash and six 64-bit data
+// words for the owning NF. A *FlowEntry from Insert, Lookup or SlotEntry
+// is valid until the table's next Insert, which may move the entries.
 type FlowEntry struct {
-	used bool
 	key  uint64
 	Data [6]uint64
 }
 
-// entryBytes is the modeled memory footprint of one slot.
+// entryBytes is the modeled memory footprint of one slot: a cache line on
+// the NIC. It is independent of how the host lays the table out.
 const entryBytes = 64
 
 // FlowTable is an open-addressing (linear probing) hash table keyed by
 // flow-key hashes, the per-flow state structure the NFs share. It exposes
 // probe counts so footprint measurement can translate lookups into cache
 // references, the way the paper's hash-table NFs stress the LLC.
+//
+// On the host the table is two arrays. slots is the probe array, 8 bytes
+// a slot: the key's high 32 bits as a tag over a 1-based index into
+// entries, 0 for an empty slot. entries is dense and in insertion order.
+// Probing touches only slots; a tag match is confirmed against the
+// entry's full key, so a lookup is exact. Home slot, probe sequence,
+// growth trigger and rehash order are those of the one-array table this
+// replaced, so probe counts are too (TestFlowTableMatchesReference).
 type FlowTable struct {
-	slots []FlowEntry
-	count int
+	slots   []uint64
+	entries []FlowEntry
 }
 
 // minTableSlots is the initial capacity (a power of two).
@@ -29,24 +37,21 @@ const maxLoad = 0.75
 
 // NewFlowTable returns an empty table.
 func NewFlowTable() *FlowTable {
-	return &FlowTable{slots: make([]FlowEntry, minTableSlots)}
+	return &FlowTable{slots: make([]uint64, minTableSlots)}
 }
 
 // Len returns the number of live entries.
-func (t *FlowTable) Len() int { return t.count }
+func (t *FlowTable) Len() int { return len(t.entries) }
 
 // StateBytes is the table's memory footprint in bytes.
 func (t *FlowTable) StateBytes() float64 { return float64(len(t.slots) * entryBytes) }
 
 // Reset drops all entries and shrinks back to the initial capacity.
-func (t *FlowTable) Reset() {
-	t.slots = make([]FlowEntry, minTableSlots)
-	t.count = 0
-}
+func (t *FlowTable) Reset() { *t = *NewFlowTable() }
 
 // Reserve grows the table so n entries fit without triggering growth —
-// one allocation instead of a doubling cascade when the flow population
-// is known up front. It never shrinks.
+// one allocation per array instead of a doubling cascade when the flow
+// population is known up front. It never shrinks.
 func (t *FlowTable) Reserve(n int) {
 	need := minTableSlots
 	for float64(n) > maxLoad*float64(need) {
@@ -55,83 +60,93 @@ func (t *FlowTable) Reserve(n int) {
 	if need > len(t.slots) {
 		t.rehash(need)
 	}
+	if n > cap(t.entries) {
+		t.entries = append(make([]FlowEntry, 0, n), t.entries...)
+	}
 }
 
-// Prefetch pulls key's home slot toward the cache ahead of the Insert or
-// Lookup that will probe it, and reports whether the slot is occupied.
-// Issued for a whole burst of keys before the first of them is inserted,
-// it lets the burst's misses overlap instead of each waiting behind the
-// occupancy branch of the one before — the rte_hash bulk-lookup shape. Go
-// has no prefetch intrinsic, so this is a plain load, kept out of line so
-// the compiler cannot discard it where the result goes unused.
-//
-//go:noinline
-func (t *FlowTable) Prefetch(key uint64) bool {
-	return t.slots[key&uint64(len(t.slots)-1)].used
+// Prefetch pulls the home slots of keys toward the cache ahead of the
+// Inserts or Lookups that will probe them, and reports whether any is
+// occupied. Given a whole burst's keys the loop is nothing but independent
+// loads, so the misses overlap — the rte_hash bulk-lookup shape. Go has
+// no prefetch intrinsic; the result keeps the loads alive.
+func (t *FlowTable) Prefetch(keys []uint64) bool {
+	mask := uint64(len(t.slots) - 1)
+	var occupied uint64
+	for _, key := range keys {
+		occupied |= t.slots[key&mask]
+	}
+	return occupied != 0
+}
+
+// find probes for key. It returns the entry (nil if absent), the number
+// of slots probed, and — for an absent key — the empty slot that ended
+// the probe (-1 if the table is full).
+func (t *FlowTable) find(key uint64) (*FlowEntry, int, int) {
+	mask := uint64(len(t.slots) - 1)
+	idx := key & mask
+	for probes := 1; probes <= len(t.slots); probes++ {
+		s := t.slots[idx]
+		if s == 0 {
+			return nil, probes, int(idx)
+		}
+		if s>>32 == key>>32 {
+			if e := &t.entries[uint32(s)-1]; e.key == key {
+				return e, probes, 0
+			}
+		}
+		idx = (idx + 1) & mask
+	}
+	return nil, len(t.slots), -1
 }
 
 // Lookup finds the entry for key. It returns the entry (nil if absent)
 // and the number of slots probed.
 func (t *FlowTable) Lookup(key uint64) (*FlowEntry, int) {
-	mask := uint64(len(t.slots) - 1)
-	idx := key & mask
-	for probes := 1; probes <= len(t.slots); probes++ {
-		e := &t.slots[idx]
-		if !e.used {
-			return nil, probes
-		}
-		if e.key == key {
-			return e, probes
-		}
-		idx = (idx + 1) & mask
-	}
-	return nil, len(t.slots)
+	e, probes, _ := t.find(key)
+	return e, probes
 }
 
 // Insert finds or creates the entry for key, growing the table if needed.
 // It returns the entry, the probe count, and whether the entry was newly
 // created.
 func (t *FlowTable) Insert(key uint64) (*FlowEntry, int, bool) {
-	if float64(t.count+1) > maxLoad*float64(len(t.slots)) {
-		t.grow()
+	if float64(len(t.entries)+1) > maxLoad*float64(len(t.slots)) {
+		t.rehash(2 * len(t.slots))
 	}
-	mask := uint64(len(t.slots) - 1)
-	idx := key & mask
-	for probes := 1; ; probes++ {
-		e := &t.slots[idx]
-		if !e.used {
-			e.used = true
-			e.key = key
-			e.Data = [6]uint64{}
-			t.count++
-			return e, probes, true
-		}
-		if e.key == key {
-			return e, probes, false
-		}
-		idx = (idx + 1) & mask
+	e, probes, free := t.find(key)
+	if e != nil {
+		return e, probes, false
 	}
+	t.entries = append(t.entries, FlowEntry{key: key})
+	t.slots[free] = key>>32<<32 | uint64(len(t.entries))
+	return &t.entries[len(t.entries)-1], probes, true
 }
 
-func (t *FlowTable) grow() { t.rehash(2 * len(t.slots)) }
+// SlotEntry returns the entry held in slot i (modulo the slot count), nil
+// if the slot is empty: the view a walk over the table in slot order has.
+func (t *FlowTable) SlotEntry(i uint64) *FlowEntry {
+	s := t.slots[i&uint64(len(t.slots)-1)]
+	if s == 0 {
+		return nil
+	}
+	return &t.entries[uint32(s)-1]
+}
 
+// rehash re-seats every entry in a probe array of size slots, visiting
+// the old array in slot order.
 func (t *FlowTable) rehash(size int) {
 	old := t.slots
-	t.slots = make([]FlowEntry, size)
-	t.count = 0
-	mask := uint64(len(t.slots) - 1)
-	for i := range old {
-		if !old[i].used {
+	t.slots = make([]uint64, size)
+	mask := uint64(size - 1)
+	for _, s := range old {
+		if s == 0 {
 			continue
 		}
-		idx := old[i].key & mask
-		for {
-			if !t.slots[idx].used {
-				t.slots[idx] = old[i]
-				t.count++
-				break
-			}
+		idx := t.entries[uint32(s)-1].key & mask
+		for t.slots[idx] != 0 {
 			idx = (idx + 1) & mask
 		}
+		t.slots[idx] = s
 	}
 }

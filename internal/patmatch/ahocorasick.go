@@ -7,9 +7,11 @@
 // The automaton is compiled to a dense DFA (the RXP compiles its rules to
 // a DFA too): one row of 256 next-state entries per state with the
 // failure links already followed, so scanning is one indexed load per
-// payload byte. The table costs states × 1 KiB (250 states, 250 KiB, for
-// DefaultRules) — the price of a scan cost that does not depend on how
-// often the input falls off a pattern.
+// payload byte — and none for a byte no pattern starts with while the
+// scan sits in the root, which is most of a payload that matches nothing.
+// The table costs states × 1 KiB (250 states, 250 KiB, for DefaultRules) —
+// the price of a scan cost that does not depend on how often the input
+// falls off a pattern.
 package patmatch
 
 import "fmt"
@@ -24,6 +26,11 @@ type Matcher struct {
 	// state s, accumulated through suffix links at compile time.
 	next []int32
 	outs []int32
+
+	// idle[c] says byte c leaves the root in the root: no pattern starts
+	// with it. A scan sitting in the root steps over such bytes without
+	// consulting next or outs (the root ends no pattern, so they add 0).
+	idle [256]bool
 }
 
 // Compile builds the automaton for the given patterns. Empty patterns are
@@ -78,6 +85,9 @@ func Compile(patterns []string) (*Matcher, error) {
 			queue = append(queue, child)
 		}
 	}
+	for c, to := range m.next[:256] {
+		m.idle[c] = to == 0
+	}
 	return m, nil
 }
 
@@ -92,8 +102,11 @@ func (m *Matcher) NumStates() int { return len(m.outs) }
 func (m *Matcher) Count(data []byte) int {
 	var s int32
 	total := 0
-	for _, c := range data {
-		s = m.next[int(s)<<8|int(c)]
+	for i := 0; i < len(data); i++ {
+		if s == 0 && m.idle[data[i]] {
+			continue
+		}
+		s = m.next[int(s)<<8|int(data[i])]
 		total += int(m.outs[s])
 	}
 	return total
@@ -103,8 +116,11 @@ func (m *Matcher) Count(data []byte) int {
 // first match.
 func (m *Matcher) Contains(data []byte) bool {
 	var s int32
-	for _, c := range data {
-		s = m.next[int(s)<<8|int(c)]
+	for i := 0; i < len(data); i++ {
+		if s == 0 && m.idle[data[i]] {
+			continue
+		}
+		s = m.next[int(s)<<8|int(data[i])]
 		if m.outs[s] > 0 {
 			return true
 		}

@@ -190,3 +190,16 @@ func BenchmarkCount1500B(b *testing.B) {
 		m.Count(payload)
 	}
 }
+
+// BenchmarkCountFiller scans what a footprint measurement scans: filler
+// no rule starts with, and a marker about once a payload.
+func BenchmarkCountFiller(b *testing.B) {
+	m := CompileDefault()
+	payload := bytes.Repeat([]byte(".-~#_"), 292)[:1446]
+	copy(payload[700:], "GET ")
+	b.SetBytes(int64(len(payload)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Count(payload)
+	}
+}

@@ -51,6 +51,7 @@ func (s *Service) initObs() {
 	r.CounterFunc("yala_drift_promotions_total", func() uint64 { return s.fb.Stats().Promotions })
 	s.reqSeconds = r.Histogram("yala_request_seconds", nil)
 	s.soloSeconds = r.Histogram("yala_solo_measure_seconds", nil)
+	s.soloFlows = r.Counter("yala_solo_measure_flows_total")
 	s.stageHist = make(map[string]*obs.Histogram, len(stageNames))
 	for _, st := range stageNames {
 		s.stageHist[st] = r.Histogram("yala_stage_seconds", nil, "stage", st)

@@ -133,11 +133,14 @@ type Service struct {
 	// obs is the /metrics registry; reqSeconds and stageHist are its
 	// hot-path histograms, held directly so observations never take the
 	// registry lock (see initObs). soloSeconds times the cold path only:
-	// one observation per solo simulation actually run.
+	// one observation per solo simulation actually run, and soloFlows
+	// adds that simulation's flow count — seconds ÷ flows is the cold
+	// path's cost per flow.
 	obs         *obs.Registry
 	reqSeconds  *obs.Histogram
 	stageHist   map[string]*obs.Histogram
 	soloSeconds *obs.Histogram
+	soloFlows   *obs.Counter
 }
 
 // NewService starts a service and its worker pool. Call Close to stop it.
@@ -415,6 +418,7 @@ func (s *Service) soloMeasurement(hw, name string, prof traffic.Profile) (nicsim
 		}
 		m, err := tb.SoloNF(name, prof)
 		s.soloSeconds.Observe(time.Since(start).Seconds())
+		s.soloFlows.Add(uint64(prof.Flows))
 		return m, err
 	})
 }

@@ -493,7 +493,8 @@ func TestServiceClosedRejects(t *testing.T) {
 // TestSoloMeasureMetric: yala_solo_measure_seconds counts the solo
 // simulations actually run — one per never-seen (competitor, profile),
 // none for a memoized one, and none for the target itself, whose own solo
-// the yala backend never asks for.
+// the yala backend never asks for — and yala_solo_measure_flows_total
+// adds up the flows those simulations measured.
 func TestSoloMeasureMetric(t *testing.T) {
 	s := testService(t)
 	ctx := context.Background()
@@ -525,11 +526,23 @@ func TestSoloMeasureMetric(t *testing.T) {
 	if s.soloSeconds.Sum() <= 0 {
 		t.Fatal("solo simulation recorded no time")
 	}
+	if got := s.soloFlows.Load(); got != 7919 {
+		t.Fatalf("yala_solo_measure_flows_total = %d after one 7919-flow simulation", got)
+	}
+	second := CompetitorSpec{Name: "NAT", Profile: ProfileSpec{Flows: 5000, PktSize: 701, MTBR: F64(123)}}
+	for _, pass := range []string{"a never-seen 5000-flow competitor", "the same competitor again"} {
+		predict("FlowStats", second)
+		if got := s.soloFlows.Load(); got != 7919+5000 {
+			t.Fatalf("yala_solo_measure_flows_total = %d after %s, want %d", got, pass, 7919+5000)
+		}
+	}
 	var sb strings.Builder
 	if err := s.WriteMetrics(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if want := "yala_solo_measure_seconds_count 1\n"; !strings.Contains(sb.String(), want) {
-		t.Fatalf("/metrics missing %q:\n%s", want, sb.String())
+	for _, want := range []string{"yala_solo_measure_seconds_count 2\n", "yala_solo_measure_flows_total 12919\n"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("/metrics missing %q:\n%s", want, sb.String())
+		}
 	}
 }

@@ -205,3 +205,33 @@ func TestRNGRangeBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestSkipEqualsDraws: Skip(n) lands where n draws land, and a cursor
+// opened with At(n) draws the same values without moving its parent.
+func TestSkipEqualsDraws(t *testing.T) {
+	pick := NewRNG(99)
+	for trial := 0; trial < 20; trial++ {
+		seed, n := pick.Uint64(), uint64(pick.Intn(1_000_001))
+		if trial == 0 {
+			n = 0
+		}
+		drawn, skipped, parent := NewRNG(seed), NewRNG(seed), NewRNG(seed)
+		for i := uint64(0); i < n; i++ {
+			drawn.Uint64()
+		}
+		skipped.Skip(n)
+		ahead := parent.At(n)
+		for i := 0; i < 3; i++ {
+			want := drawn.Uint64()
+			if got := skipped.Uint64(); got != want {
+				t.Fatalf("seed %#x: draw %d after Skip(%d) = %#x, want %#x", seed, i, n, got, want)
+			}
+			if got := ahead.Uint64(); got != want {
+				t.Fatalf("seed %#x: draw %d of At(%d) = %#x, want %#x", seed, i, n, got, want)
+			}
+		}
+		if *parent != *NewRNG(seed) {
+			t.Fatalf("seed %#x: drawing from an At copy moved its parent", seed)
+		}
+	}
+}

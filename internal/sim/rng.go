@@ -3,7 +3,9 @@
 // time, a clock, and seeded random-number streams.
 //
 // Everything in this package is deterministic given a seed, which keeps
-// experiment outputs and tests reproducible.
+// experiment outputs and tests reproducible. The random streams are also
+// seekable: RNG.Skip jumps over draws and RNG.At opens a second cursor
+// on the same stream, both in O(1).
 package sim
 
 import "math"
@@ -28,9 +30,25 @@ func (r *RNG) Split() *RNG {
 	return &RNG{state: r.Uint64() ^ 0x9e3779b97f4a7c15}
 }
 
+// gamma is splitmix64's state increment: the state is a counter, draw k
+// of a stream seeded with s is a fixed scramble of s + k·gamma, so any
+// position of the stream is reachable in O(1).
+const gamma = 0x9e3779b97f4a7c15
+
+// Skip advances the stream past its next n draws without making them:
+// r.Skip(n) leaves r exactly where n calls of Uint64 (or of anything
+// built on one Uint64 per call: Intn, Float64, Range) would.
+func (r *RNG) Skip(n uint64) { r.state += n * gamma }
+
+// At returns a copy of the stream positioned n draws ahead of r. Drawing
+// from the copy leaves r untouched, so a consumer that remembers where a
+// run of draws began can replay any part of it later instead of storing
+// what it drew.
+func (r *RNG) At(n uint64) RNG { return RNG{state: r.state + n*gamma} }
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

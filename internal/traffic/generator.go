@@ -22,8 +22,12 @@ const fillerAlphabet = ".-~#_"
 // a consumer's table misses for one burst overlap.
 const burstSize = 32
 
-// Generator produces packets for one traffic profile. It pre-builds the
-// flow set; Packet then draws flows uniformly (the paper's uniform
+// drawsPerFlow is how many RNG draws define one flow's five-tuple.
+const drawsPerFlow = 4
+
+// Generator produces packets for one traffic profile. It keeps no flow
+// set: flow i is the four draws that start 4·i draws past the generator's
+// origin (sim.RNG.At). Packet draws flows uniformly (the paper's uniform
 // flow-size distribution).
 //
 // A Generator owns the frames it hands out and rebuilds them in place:
@@ -31,7 +35,7 @@ const burstSize = 32
 // the same method. Consumers that need it longer copy it.
 type Generator struct {
 	profile Profile
-	flows   []packet.FiveTuple
+	origin  sim.RNG // where flow 0's draws begin
 	rng     *sim.RNG
 
 	pkt   packet.Packet   // the frame Packet rebuilds and returns
@@ -40,7 +44,7 @@ type Generator struct {
 }
 
 // NewGenerator builds a generator for profile, drawing all randomness
-// from rng.
+// from rng, which it leaves past every flow's draws.
 func NewGenerator(profile Profile, rng *sim.RNG) *Generator {
 	if profile.PktSize < MinPktSize {
 		profile.PktSize = MinPktSize
@@ -48,19 +52,21 @@ func NewGenerator(profile Profile, rng *sim.RNG) *Generator {
 	if profile.Flows < 1 {
 		profile.Flows = 1
 	}
-	g := &Generator{profile: profile, rng: rng}
-	g.flows = make([]packet.FiveTuple, profile.Flows)
-	dstPorts := [...]uint16{80, 443, 53, 22, 25}
-	for i := range g.flows {
-		g.flows[i] = packet.FiveTuple{
-			SrcIP:   uint32(0x0a000000 + rng.Intn(1<<24)),
-			DstIP:   uint32(0xc0a80000 + rng.Intn(1<<16)),
-			SrcPort: uint16(1024 + rng.Intn(64000)),
-			DstPort: dstPorts[rng.Intn(len(dstPorts))],
-			Proto:   packet.ProtoTCP,
-		}
-	}
+	g := &Generator{profile: profile, origin: rng.At(0), rng: rng}
+	rng.Skip(uint64(profile.Flows) * drawsPerFlow)
 	return g
+}
+
+// drawFlow makes the drawsPerFlow draws that define a flow.
+func drawFlow(rng *sim.RNG) packet.FiveTuple {
+	dstPorts := [...]uint16{80, 443, 53, 22, 25}
+	return packet.FiveTuple{
+		SrcIP:   uint32(0x0a000000 + rng.Intn(1<<24)),
+		DstIP:   uint32(0xc0a80000 + rng.Intn(1<<16)),
+		SrcPort: uint16(1024 + rng.Intn(64000)),
+		DstPort: dstPorts[rng.Intn(len(dstPorts))],
+		Proto:   packet.ProtoTCP,
+	}
 }
 
 // Profile returns the generator's traffic profile, with the packet size
@@ -68,14 +74,19 @@ func NewGenerator(profile Profile, rng *sim.RNG) *Generator {
 func (g *Generator) Profile() Profile { return g.profile }
 
 // NumFlows returns the number of distinct flows.
-func (g *Generator) NumFlows() int { return len(g.flows) }
+func (g *Generator) NumFlows() int { return g.profile.Flows }
+
+// Flow returns flow i's five-tuple, 0 <= i < NumFlows.
+func (g *Generator) Flow(i int) packet.FiveTuple {
+	rng := g.origin.At(uint64(i) * drawsPerFlow)
+	return drawFlow(&rng)
+}
 
 // Packet generates one packet: a uniformly drawn flow carrying a payload
 // synthesized at the profile's MTBR. The packet is rebuilt in place by
 // the next call.
 func (g *Generator) Packet() *packet.Packet {
-	t := g.flows[g.rng.Intn(len(g.flows))]
-	payload := g.pkt.Rebuild(t, g.profile.PktSize)
+	payload := g.pkt.Rebuild(g.Flow(g.rng.Intn(g.profile.Flows)), g.profile.PktSize)
 	g.perm = synthPayload(payload, g.profile.MTBR, g.rng, g.perm)
 	return &g.pkt
 }
@@ -95,10 +106,10 @@ func (g *Generator) HeaderBurst(first int) []packet.Packet {
 			g.burst[i].Data = frames[i*MinPktSize : (i+1)*MinPktSize : (i+1)*MinPktSize]
 		}
 	}
-	flows := g.flows[min(first, len(g.flows)):]
-	burst := g.burst[:min(len(flows), burstSize)]
+	burst := g.burst[:min(max(g.profile.Flows-first, 0), burstSize)]
+	rng := g.origin.At(uint64(first) * drawsPerFlow)
 	for i := range burst {
-		burst[i].Rebuild(flows[i], MinPktSize)
+		burst[i].Rebuild(drawFlow(&rng), MinPktSize)
 	}
 	return burst
 }

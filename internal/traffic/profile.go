@@ -2,6 +2,11 @@
 // profiles (flow count, packet size, match-to-byte ratio), flow sets,
 // packet batches, and payloads synthesized to hit a target MTBR against
 // the shared ruleset — the role DPDK-Pktgen and exrex play in the paper.
+//
+// A Generator's flows are derived, not stored: flow i is four RNG draws
+// at a known offset from where the generator was built, and sim.RNG can
+// be repositioned there in O(1), so it is recomputed when a packet needs
+// it and a generator costs the same for a million flows as for ten.
 package traffic
 
 import (

@@ -136,8 +136,8 @@ func TestHeaderBurstCoversFlowsInOrder(t *testing.T) {
 		t.Fatal("burst past the last flow is not empty")
 	}
 	for i, tp := range seen {
-		if tp != g.flows[i] {
-			t.Fatalf("burst packet %d carries flow %v, want flow %d = %v", i, tp, i, g.flows[i])
+		if tp != g.Flow(i) {
+			t.Fatalf("burst packet %d carries flow %v, want flow %d = %v", i, tp, i, g.Flow(i))
 		}
 	}
 	// Header packets draw nothing: the full packets that follow are the
