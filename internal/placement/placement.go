@@ -15,7 +15,6 @@ package placement
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/backend"
@@ -168,8 +167,10 @@ func (s *Simulator) Model(backendName, nf string) (backend.Model, error) {
 	return m, nil
 }
 
+// arrivalKey renders one resident for the co-run memo key:
+// "name@(f, p, m)", the profile as traffic.Profile.AppendText prints it.
 func arrivalKey(a Arrival) string {
-	return fmt.Sprintf("%s@%s", a.Name, a.Profile)
+	return string(a.Profile.AppendText(append(append(make([]byte, 0, 48), a.Name...), '@')))
 }
 
 // solo returns the cached solo measurement for an arrival. The pointer
@@ -189,15 +190,17 @@ func (s *Simulator) solo(a Arrival) (*nicsim.Measurement, error) {
 }
 
 // coRun measures a NIC's residents together, cached by the (sorted)
-// resident multiset. The returned slice is ordered by the sorted keys.
+// resident multiset. The returned slice is ordered by the sorted keys:
+// each resident is rendered once and inserted in place — bytewise over
+// the rendered key, residents with equal keys keeping the given order.
 func (s *Simulator) coRun(residents []Arrival) ([]nicsim.Measurement, []Arrival, error) {
-	ordered := append([]Arrival(nil), residents...)
-	sort.Slice(ordered, func(i, j int) bool {
-		return arrivalKey(ordered[i]) < arrivalKey(ordered[j])
-	})
-	keys := make([]string, len(ordered))
-	for i, a := range ordered {
-		keys[i] = arrivalKey(a)
+	ordered, keys := make([]Arrival, len(residents)), make([]string, len(residents))
+	for i, a := range residents {
+		k, j := arrivalKey(a), i
+		for ; j > 0 && keys[j-1] > k; j-- {
+			keys[j], ordered[j] = keys[j-1], ordered[j-1]
+		}
+		keys[j], ordered[j] = k, a
 	}
 	cacheKey := strings.Join(keys, "|")
 	if ms, ok := s.coRunCache[cacheKey]; ok {

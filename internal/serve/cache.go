@@ -84,8 +84,22 @@ func (c *Cache) lookup(key string, count bool) (any, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	if !ok {
+	return c.touch(s, s.items[key], count)
+}
+
+// getBytes is Get for a key still in its render buffer: maphash.Bytes
+// picks the shard maphash.String would, and indexing with string(key)
+// in place does not allocate — a hit never builds the key string.
+func (c *Cache) getBytes(key []byte) (any, bool) {
+	s := &c.shards[maphash.Bytes(c.seed, key)&(cacheShards-1)]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return c.touch(s, s.items[string(key)], true)
+}
+
+// touch finishes a lookup of el (nil: a miss) under the shard's lock.
+func (c *Cache) touch(s *cacheShard, el *list.Element, count bool) (any, bool) {
+	if el == nil {
 		if count {
 			c.misses.Add(1)
 		}

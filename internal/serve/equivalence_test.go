@@ -29,6 +29,10 @@ type equivOutcome struct {
 	RetryAfter int // whole seconds, rounded up; 0 = no hint
 	Results    []equivPrediction
 	Errors     []string
+	// Raw is the answer as the transport carried it — the JSON body, the
+	// frame payload. The transports differ there by construction; it is
+	// compared only against a repeat of the same request (stable rows).
+	Raw string
 }
 
 type equivPrediction struct {
@@ -171,9 +175,14 @@ func TestTransportEquivalence(t *testing.T) {
 		// codecMessage: the failure is the codec's own, so the message
 		// text is transport-specific by nature.
 		codecMessage bool
+		// stable: the request is sent again on each transport — a cache
+		// hit now — and must answer the very same bytes.
+		stable bool
 	}{
 		{name: "valid predict", tenant: "open", want: 200,
 			reqs: []wire.PredictRequest{predict("ACL", "", "fake", wire.Profile{Flows: 1000, PktSize: 256, MTBR: &mtbr}, "NIDS")}},
+		{name: "valid predict attributed to several resources, byte for byte", tenant: "open", want: 200, stable: true,
+			reqs: []wire.PredictRequest{predict("NIDS", "", "yala", wire.Profile{Flows: 8000}, "FlowMonitor", "ACL")}},
 		{name: "valid predict on a hardware class", tenant: "open", want: 200,
 			reqs: []wire.PredictRequest{predict("FlowStats", "pensando", "fake", wire.Profile{})}},
 		{name: "valid batch", tenant: "open", want: 200, batch: true,
@@ -258,6 +267,8 @@ func TestTransportEquivalence(t *testing.T) {
 				// Refusals name the tenant; each side has its own.
 				outs[i].Message = strings.ReplaceAll(outs[i].Message, name, "self")
 			}
+			raws := [2]string{outs[0].Raw, outs[1].Raw}
+			outs[0].Raw, outs[1].Raw = "", ""
 			if outs[0].Status != tc.want {
 				t.Fatalf("/v2 JSON answered %d, want %d: %+v", outs[0].Status, tc.want, outs[0])
 			}
@@ -275,6 +286,20 @@ func TestTransportEquivalence(t *testing.T) {
 			}
 			if deltas[0]["requests transport=self"] != 1 || deltas[0]["request seconds count"] != 1 {
 				t.Errorf("a request must count once on its transport and once in yala_request_seconds: %v", deltas[0])
+			}
+			if tc.stable {
+				if len(outs[1].Results) != 1 || len(outs[1].Results[0].PerResource) < 2 {
+					t.Fatalf("a stable row must attribute to several resources to mean anything: %+v", outs[1].Results)
+				}
+				key := "k-" + tc.tenant + "-"
+				for i := 0; i < 20; i++ {
+					if again := viaHTTP(key+"http", tc.batch, tc.reqs, tc.rawJSON); again.Raw != raws[0] {
+						t.Fatalf("/v2 JSON repeat %d answered different bytes:\n first %s\n   now %s", i, raws[0], again.Raw)
+					}
+					if again := viaWire(key+"wire", tc.batch, tc.reqs, tc.rawFrame); again.Raw != raws[1] {
+						t.Fatalf("wire repeat %d answered different bytes:\n first %x\n   now %x", i, raws[1], again.Raw)
+					}
+				}
 			}
 		})
 	}
@@ -337,7 +362,7 @@ func equivHTTP(t *testing.T, ts *httptest.Server, key, path, body string, batch 
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := equivOutcome{Status: resp.StatusCode}
+	out := equivOutcome{Status: resp.StatusCode, Raw: string(data)}
 	if resp.StatusCode != http.StatusOK {
 		var env api.ErrorBody
 		if err := json.Unmarshal(data, &env); err != nil || env.Error.RequestID == "" {
@@ -374,6 +399,7 @@ func equivWire(t *testing.T, pool *wire.Pool, typ byte, payload []byte) equivOut
 	t.Helper()
 	out := equivOutcome{Status: http.StatusOK}
 	err := pool.Do(context.Background(), typ, payload, func(f wire.Frame) error {
+		out.Raw = string(f.Payload)
 		switch f.Type {
 		case wire.TypePredictResp:
 			r, err := wire.DecodePredictResponse(f.Payload)

@@ -42,7 +42,7 @@ type IngestResult struct {
 func (s *Service) Ingest(ctx context.Context, items []IngestMeasurement) (IngestResult, error) {
 	s.ingests.Add(1)
 	for i, it := range items {
-		if err := s.validateScenarioOn(it.HW, it.NF, it.Profile, it.Competitors, it.Backend); err != nil {
+		if _, err := s.validateScenarioOn(it.HW, it.NF, it.Profile, it.Competitors, it.Backend); err != nil {
 			s.errors.Add(1)
 			return IngestResult{}, fmt.Errorf("measurements[%d]: %w", i, err)
 		}

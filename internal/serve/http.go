@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"time"
 
 	"repro/internal/api"
 )
@@ -47,10 +48,10 @@ func (s *Service) Handler() http.Handler {
 func (s *Service) withObs(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		tunneled := r.Context().Value(wireTransportKey{}) != nil
-		rq := s.beginRequest(r.Context(), tunneled, r.Header.Get("X-Request-Id"))
+		rq := s.beginRequest(r.Context(), tunneled, r.Header.Get("X-Request-Id"), time.Now())
 		w.Header().Set("X-Request-Id", rq.tr.ID)
 		rec := api.RecordStatus(w)
 		next.ServeHTTP(rec, r.WithContext(rq.ctx))
-		s.endRequest(rq, r.Method, r.URL.Path, rec.Status)
+		s.endRequest(rq, r.Method, r.URL.Path, rec.Status, time.Now())
 	})
 }

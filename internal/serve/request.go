@@ -7,6 +7,7 @@ import (
 	"log"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -23,10 +24,28 @@ import (
 // ResponseWriter, or appended to the frame buffer — and before it is
 // flushed to the socket, so a client never holds an answer to a request
 // the counters have not seen yet.
+//
+// A request is two allocations — its ID string, and the trace with the
+// traced context inside it — and the clock is read at stage boundaries
+// only: once for beginRequest and the gate's Enter, once for its Done
+// and endRequest, and a span that abuts another starts where it ended.
 
 // requestCounter feeds the per-request IDs; clients and the /v2 error
 // envelope name a failing request by them in bug reports.
 var requestCounter atomic.Uint64
+
+// requestID renders the n-th minted ID as "%s-%06d" would.
+func requestID(wire bool, n uint64) string {
+	var buf [32]byte
+	b := append(buf[:0], "req-"...)
+	if wire {
+		b = append(buf[:0], "wire-"...)
+	}
+	for pad := uint64(100_000); pad > 1 && n < pad; pad /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendUint(b, n, 10))
+}
 
 // request is one in-flight request: its traced context (the trace
 // carries the request ID), when it started and which transport counts
@@ -38,29 +57,25 @@ type request struct {
 	wire  bool
 }
 
-// beginRequest opens a request on parent: it adopts the caller's
+// beginRequest opens a request on parent at now: it adopts the caller's
 // request ID when one was sent (and is sane) or mints one, and attaches
 // the stage trace spans record into.
-func (s *Service) beginRequest(parent context.Context, wire bool, adoptID string) request {
+func (s *Service) beginRequest(parent context.Context, wire bool, adoptID string, now time.Time) request {
 	rid := api.AdoptRequestID(adoptID)
 	if rid == "" {
-		prefix := "req"
-		if wire {
-			prefix = "wire"
-		}
-		rid = fmt.Sprintf("%s-%06d", prefix, requestCounter.Add(1))
+		rid = requestID(wire, requestCounter.Add(1))
 	}
 	tr := obs.NewTrace(rid)
-	return request{ctx: obs.ContextWithTrace(parent, tr), tr: tr, start: time.Now(), wire: wire}
+	return request{ctx: obs.ContextWithTrace(parent, tr), tr: tr, start: now, wire: wire}
 }
 
 // endRequest is the end-of-request observation, called on every exit
 // path — refusals and undecodable payloads included — once the
-// response is encoded: the transport and canceled counters, the
-// request and per-stage latency histograms, and the optional access
-// log.
-func (s *Service) endRequest(rq request, method, path string, status int) {
-	dur := time.Since(rq.start)
+// response is encoded, with the instant that happened: the transport
+// and canceled counters, the request and per-stage latency histograms,
+// and the optional access log.
+func (s *Service) endRequest(rq request, method, path string, status int, now time.Time) {
+	dur := now.Sub(rq.start)
 	if rq.wire {
 		s.wireRequests.Add(1)
 	} else {
@@ -70,13 +85,10 @@ func (s *Service) endRequest(rq request, method, path string, status int) {
 		s.canceled.Add(1)
 	}
 	s.reqSeconds.Observe(dur.Seconds())
-	stages := rq.tr.Stages()
-	for name, d := range stages {
-		s.stageHistogram(name).Observe(d.Seconds())
-	}
+	rq.tr.Fold(func(name string, d time.Duration) { s.stageHistogram(name).Observe(d.Seconds()) })
 	if s.cfg.AccessLog {
 		log.Printf("serve: rid=%s method=%s path=%s status=%d dur=%s%s",
-			rq.tr.ID, method, path, status, dur.Round(time.Microsecond), renderStages(stages))
+			rq.tr.ID, method, path, status, dur.Round(time.Microsecond), renderStages(rq.tr.Stages()))
 	}
 }
 

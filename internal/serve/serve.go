@@ -30,9 +30,9 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/backend"
@@ -91,26 +91,28 @@ func (p ProfileSpec) validate() error {
 }
 
 // validateScenario checks the (NF, profile, competitors, backend) tuple
-// every prediction-shaped request carries.
-func validateScenario(nfName string, prof ProfileSpec, comps []CompetitorSpec, backend string) error {
-	if _, err := ParseBackend(backend); err != nil {
-		return badRequestf("%v", err)
+// every prediction-shaped request carries and returns the backend it
+// names, parsed once.
+func validateScenario(nfName string, prof ProfileSpec, comps []CompetitorSpec, backend string) (Backend, error) {
+	b, err := ParseBackend(backend)
+	if err != nil {
+		return "", badRequestf("%v", err)
 	}
 	if err := validNF(nfName); err != nil {
-		return err
+		return "", err
 	}
 	if err := prof.validate(); err != nil {
-		return err
+		return "", err
 	}
 	for i, c := range comps {
 		if err := validNF(c.Name); err != nil {
-			return fmt.Errorf("competitors[%d]: %w", i, err)
+			return "", fmt.Errorf("competitors[%d]: %w", i, err)
 		}
 		if err := c.Profile.validate(); err != nil {
-			return fmt.Errorf("competitors[%d]: %w", i, err)
+			return "", fmt.Errorf("competitors[%d]: %w", i, err)
 		}
 	}
-	return nil
+	return b, nil
 }
 
 // Backend selects which predictor answers a request. Valid values are
@@ -177,30 +179,77 @@ type CompetitorSpec struct {
 	Profile ProfileSpec `json:"profile,omitzero"`
 }
 
-// specKey renders one competitor canonically.
-func specKey(c CompetitorSpec) string {
-	return fmt.Sprintf("%s@%s", c.Name, c.Profile.Profile())
+// appendSpecKey renders one competitor canonically: "name@(f, p, m)".
+func appendSpecKey(b []byte, c CompetitorSpec) []byte {
+	return c.Profile.Profile().AppendText(append(append(b, c.Name...), '@'))
+}
+
+// seg is one competitor's rendering in a scratch buffer and the
+// position in the request it came from.
+type seg struct{ lo, hi, from int }
+
+// renderCanon renders each competitor once into buf and returns the
+// renderings in canonical order: bytewise over the rendered text (not
+// numeric — "(10000, …" sorts before "(9000, …"). Sets are tiny, so it
+// is an insertion sort; an ordered set costs a comparison per
+// competitor and moves nothing. Callers pass stack scratch (192 bytes,
+// 8 segs: a NIC's worth); a larger set spills to the heap.
+func renderCanon(buf []byte, segs []seg, specs []CompetitorSpec) ([]byte, []seg) {
+	for i, c := range specs {
+		lo, j := len(buf), len(segs)
+		buf, segs = appendSpecKey(buf, c), append(segs, seg{})
+		for ; j > 0 && bytes.Compare(buf[segs[j-1].lo:segs[j-1].hi], buf[lo:]) > 0; j-- {
+			segs[j] = segs[j-1]
+		}
+		segs[j] = seg{lo, len(buf), i}
+	}
+	return buf, segs
 }
 
 // canonSpecs returns the competitor set in canonical order. Both the
 // cache key and the computation must see one order: counter aggregation
 // and ground-truth co-runs are order-sensitive (IPC averaging, per-run
 // RNG draws), so serving a sorted-key cache entry for an unsorted
-// computation would break the cache-equals-direct invariant.
+// computation would break the cache-equals-direct invariant. A set
+// already in order is returned as is.
 func canonSpecs(specs []CompetitorSpec) []CompetitorSpec {
-	out := append([]CompetitorSpec(nil), specs...)
-	sort.Slice(out, func(i, j int) bool { return specKey(out[i]) < specKey(out[j]) })
+	var sb [192]byte
+	var ss [8]seg
+	_, segs := renderCanon(sb[:0], ss[:0], specs)
+	ordered := true
+	for i, s := range segs {
+		ordered = ordered && s.from == i
+	}
+	if ordered {
+		return specs
+	}
+	out := make([]CompetitorSpec, len(specs))
+	for i, s := range segs {
+		out[i] = specs[s.from]
+	}
 	return out
 }
 
-// scenarioKey renders the deterministic cache-key fragment for a target
-// NF, its profile and a canonically ordered competitor set (canonSpecs).
-func scenarioKey(nf string, prof traffic.Profile, comps []CompetitorSpec) string {
-	parts := make([]string, len(comps))
-	for i, c := range comps {
-		parts[i] = specKey(c)
+// appendScenarioKey appends the deterministic cache-key fragment for a
+// target NF, its profile and its competitors — "nf@profile|c1,c2,…",
+// canonically ordered whatever order comps is in. The text is a format:
+// reloadAffects parses it, feedback stores it, TestKeysPinned pins it.
+func appendScenarioKey(b []byte, nf string, prof traffic.Profile, comps []CompetitorSpec) []byte {
+	b = append(prof.AppendText(append(append(b, nf...), '@')), '|')
+	var sb [192]byte
+	var ss [8]seg
+	buf, segs := renderCanon(sb[:0], ss[:0], comps)
+	for i, s := range segs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, buf[s.lo:s.hi]...)
 	}
-	return fmt.Sprintf("%s@%s|%s", nf, prof, strings.Join(parts, ","))
+	return b
+}
+
+func scenarioKey(nf string, prof traffic.Profile, comps []CompetitorSpec) string {
+	return string(appendScenarioKey(nil, nf, prof, comps))
 }
 
 // The quick on-demand training configurations moved to internal/backend

@@ -22,6 +22,7 @@ import (
 	"repro/internal/tenant"
 	"repro/internal/testbed"
 	"repro/internal/traffic"
+	"repro/internal/wire"
 )
 
 // ServiceConfig tunes a Service.
@@ -481,12 +482,20 @@ type PredictResponse struct {
 	// backends that attribute (yala); extrapolating backends omit them.
 	PerResourcePPS map[string]float64 `json:"per_resource_pps,omitempty"`
 	Bottleneck     string             `json:"bottleneck,omitempty"`
+	// rows is PerResourcePPS sorted by resource, made once with the
+	// response: the wire encoding of a hit is byte-stable and ranges no map.
+	rows []wire.ResourcePPS
 }
 
-// predictKey is the shared cache key for one prediction scenario;
-// Compare and Diagnose derive from the same entries.
+// appendPredictKey appends the shared cache key for one prediction
+// scenario; Compare and Diagnose derive from the same entries.
+func appendPredictKey(b []byte, backendName Backend, hw, name string, prof traffic.Profile, comps []CompetitorSpec) []byte {
+	b = append(append(append(b, "predict|"...), backendName...), '|')
+	return appendScenarioKey(append(append(b, hw...), '|'), name, prof, comps)
+}
+
 func predictKey(backendName Backend, hw, name string, prof traffic.Profile, comps []CompetitorSpec) string {
-	return fmt.Sprintf("predict|%s|%s|%s", backendName, hw, scenarioKey(name, prof, comps))
+	return string(appendPredictKey(nil, backendName, hw, name, prof, comps))
 }
 
 // predictCached answers one scenario through the shared predict cache,
@@ -494,7 +503,11 @@ func predictKey(backendName Backend, hw, name string, prof traffic.Profile, comp
 // Its lookup is quiet: the API entry point already counted this request
 // in the hit/miss stats.
 func (s *Service) predictCached(backendName Backend, hw, name string, prof traffic.Profile, comps []CompetitorSpec) (PredictResponse, error) {
-	key := predictKey(backendName, hw, name, prof, comps)
+	return s.predictKeyed(predictKey(backendName, hw, name, prof, comps), backendName, hw, name, prof, comps)
+}
+
+// predictKeyed is predictCached given the scenario's predictKey.
+func (s *Service) predictKeyed(key string, backendName Backend, hw, name string, prof traffic.Profile, comps []CompetitorSpec) (PredictResponse, error) {
 	if v, ok := s.cache.getQuiet(key); ok {
 		return v.(PredictResponse), nil
 	}
@@ -513,27 +526,37 @@ func (s *Service) predictCached(backendName Backend, hw, name string, prof traff
 // work goes through the worker pool — the pool bounds compute, and a
 // lookup is not compute.
 func (s *Service) PredictOn(ctx context.Context, hw string, req PredictRequest) (PredictResponse, error) {
+	return s.predictAt(ctx, hw, req, time.Time{})
+}
+
+// predictAt is PredictOn with its "cache" stage — validation, key and
+// lookup: everything ahead of compute — starting at at, an instant the
+// caller already read (zero: now). The key is rendered once, into a
+// stack buffer, and looked up as bytes, so a hit allocates nothing; a
+// miss (including the rare eviction race) makes the string and always
+// goes through the worker pool, so predictor work stays bounded no
+// matter the HTTP concurrency.
+func (s *Service) predictAt(ctx context.Context, hw string, req PredictRequest, at time.Time) (PredictResponse, error) {
 	s.predicts.Add(1)
-	if err := s.validateScenarioOn(hw, req.NF, req.Profile, req.Competitors, req.Backend); err != nil {
+	csp := obs.StartSpanAt(ctx, "cache", at)
+	backendName, err := s.validateScenarioOn(hw, req.NF, req.Profile, req.Competitors, req.Backend)
+	if err != nil {
 		s.errors.Add(1)
 		return PredictResponse{}, err
 	}
-	backendName, _ := ParseBackend(req.Backend)
 	prof := req.Profile.Profile()
-	comps := canonSpecs(req.Competitors)
-	// A hit answers inline — a lookup is not compute. A miss (including
-	// the rare eviction race) always goes through the worker pool, so
-	// predictor work stays bounded no matter the HTTP concurrency.
-	csp := obs.StartSpan(ctx, "cache")
-	v, ok := s.cache.Get(predictKey(backendName, hw, req.NF, prof, comps))
-	csp.End()
+	var kb [256]byte
+	kbytes := appendPredictKey(kb[:0], backendName, hw, req.NF, prof, req.Competitors)
+	v, ok := s.cache.getBytes(kbytes)
+	at = csp.End()
 	if ok {
 		return v.(PredictResponse), nil
 	}
-	psp := obs.StartSpan(ctx, "predict")
+	psp := obs.StartSpanAt(ctx, "predict", at)
 	defer psp.End()
+	key, comps := string(kbytes), canonSpecs(req.Competitors)
 	return submit(ctx, s, func() (PredictResponse, error) {
-		return s.predictCached(backendName, hw, req.NF, prof, comps)
+		return s.predictKeyed(key, backendName, hw, req.NF, prof, comps)
 	})
 }
 
@@ -571,7 +594,7 @@ func (s *Service) predictUncached(backendName Backend, hw, name string, prof tra
 			s.fb.RecordShadowCompare(fbKey, pred.PredictedPPS, sp.PredictedPPS)
 		}
 	}
-	return PredictResponse{
+	resp := PredictResponse{
 		NF:             name,
 		HW:             hw,
 		Backend:        backendName,
@@ -580,13 +603,18 @@ func (s *Service) predictUncached(backendName Backend, hw, name string, prof tra
 		PredictedPPS:   pred.PredictedPPS,
 		PerResourcePPS: pred.PerResourcePPS,
 		Bottleneck:     pred.Bottleneck,
-	}, nil
+	}
+	for res, pps := range pred.PerResourcePPS {
+		resp.rows = append(resp.rows, wire.ResourcePPS{Resource: res, PPS: pps})
+	}
+	sort.Slice(resp.rows, func(i, j int) bool { return resp.rows[i].Resource < resp.rows[j].Resource })
+	return resp, nil
 }
 
 // validateScenarioOn is validateScenario plus the hardware qualifier.
-func (s *Service) validateScenarioOn(hw, nfName string, prof ProfileSpec, comps []CompetitorSpec, backendName string) error {
+func (s *Service) validateScenarioOn(hw, nfName string, prof ProfileSpec, comps []CompetitorSpec, backendName string) (Backend, error) {
 	if err := s.validateHW(hw); err != nil {
-		return err
+		return "", err
 	}
 	return validateScenario(nfName, prof, comps, backendName)
 }
@@ -608,9 +636,14 @@ type hwPredict struct {
 	req PredictRequest
 }
 
-// predictOne is PredictOn for a batch element or a typed wire request.
-func (s *Service) predictOne(ctx context.Context, it hwPredict) (PredictResponse, error) {
-	return s.PredictOn(ctx, it.hw, it.req)
+// predictOne and predictBatchAt are the typed wire verbs, handed the
+// instant decoding ended (a batch's elements read their own clocks).
+func (s *Service) predictOne(ctx context.Context, it hwPredict, at time.Time) (PredictResponse, error) {
+	return s.predictAt(ctx, it.hw, it.req, at)
+}
+
+func (s *Service) predictBatchAt(ctx context.Context, items []hwPredict, _ time.Time) (BatchResponse, error) {
+	return s.predictBatch(ctx, items)
 }
 
 // predictBatch serves every scenario, each through the cache. Elements
@@ -621,7 +654,7 @@ func (s *Service) predictBatch(ctx context.Context, items []hwPredict) (BatchRes
 	// Errors are for scenarios the service could not answer, not for
 	// requests the client should not have sent.
 	for i, it := range items {
-		if err := s.validateScenarioOn(it.hw, it.req.NF, it.req.Profile, it.req.Competitors, it.req.Backend); err != nil {
+		if _, err := s.validateScenarioOn(it.hw, it.req.NF, it.req.Profile, it.req.Competitors, it.req.Backend); err != nil {
 			s.errors.Add(1)
 			return BatchResponse{}, fmt.Errorf("requests[%d]: %w", i, err)
 		}
@@ -634,7 +667,7 @@ func (s *Service) predictBatch(ctx context.Context, items []hwPredict) (BatchRes
 		wg.Add(1)
 		go func(i int, it hwPredict) {
 			defer wg.Done()
-			one, err := s.predictOne(ctx, it)
+			one, err := s.PredictOn(ctx, it.hw, it.req)
 			if err != nil {
 				errs[i] = err.Error()
 				failed.Store(true)
@@ -679,7 +712,7 @@ type CompareResponse struct {
 // reuses that work instead of recomputing it under a separate key.
 func (s *Service) CompareOn(ctx context.Context, hw string, req CompareRequest) (CompareResponse, error) {
 	s.compares.Add(1)
-	if err := s.validateScenarioOn(hw, req.NF, req.Profile, req.Competitors, ""); err != nil {
+	if _, err := s.validateScenarioOn(hw, req.NF, req.Profile, req.Competitors, ""); err != nil {
 		s.errors.Add(1)
 		return CompareResponse{}, err
 	}
@@ -737,7 +770,8 @@ func assembleCompare(nf, hw string, prof traffic.Profile, yala, sl PredictRespon
 
 // measureKey caches ground-truth co-run measurements.
 func measureKey(hw, name string, prof traffic.Profile, comps []CompetitorSpec) string {
-	return fmt.Sprintf("measure|%s|%s", hw, scenarioKey(name, prof, comps))
+	b := append(append([]byte("measure|"), hw...), '|')
+	return string(appendScenarioKey(b, name, prof, comps))
 }
 
 // measureCached memoizes measureScenario in the response cache. Quiet
@@ -822,17 +856,18 @@ func (s *Service) AdmitOn(ctx context.Context, hw string, req AdmitRequest) (Adm
 		return AdmitResponse{}, err
 	}
 	backendName, _ := ParseBackend(req.Backend)
-	// Canonical resident order makes the cache key (and the fresh
-	// testbed's measurement order) independent of caller ordering.
-	residents := append([]ColoNF(nil), req.Residents...)
-	sort.Slice(residents, func(i, j int) bool {
-		return coloKey(residents[i]) < coloKey(residents[j])
-	})
-	parts := make([]string, len(residents))
-	for i, r := range residents {
-		parts[i] = coloKey(r)
+	// Canonical resident order (bytewise by coloKey, each rendered once)
+	// makes the cache key and the fresh testbed's measurement order
+	// independent of caller ordering.
+	residents, keys := make([]ColoNF, len(req.Residents)), make([]string, len(req.Residents))
+	for i, r := range req.Residents {
+		k, j := coloKey(r), i
+		for ; j > 0 && keys[j-1] > k; j-- {
+			keys[j], residents[j] = keys[j-1], residents[j-1]
+		}
+		keys[j], residents[j] = k, r
 	}
-	key := fmt.Sprintf("admit|%s|%s|%s|cand=%s", backendName, hw, strings.Join(parts, ","), coloKey(req.Candidate))
+	key := "admit|" + string(backendName) + "|" + hw + "|" + strings.Join(keys, ",") + "|cand=" + coloKey(req.Candidate)
 	csp := obs.StartSpan(ctx, "cache")
 	v, ok := s.cache.Get(key)
 	csp.End()
@@ -948,8 +983,8 @@ func (c ColoNF) validate() error {
 // at full precision — a truncated rendering would alias near-equal SLAs
 // onto one cache key and serve the wrong admission decision.
 func coloKey(c ColoNF) string {
-	return fmt.Sprintf("%s@%s~%s", c.Name, c.Profile.Profile(),
-		strconv.FormatFloat(c.SLA, 'g', -1, 64))
+	b := append(appendSpecKey(nil, CompetitorSpec{c.Name, c.Profile}), '~')
+	return string(strconv.AppendFloat(b, c.SLA, 'g', -1, 64))
 }
 
 // DiagnoseRequest asks which resource bottlenecks the NF in a scenario.
@@ -977,7 +1012,7 @@ type DiagnoseResponse struct {
 // storing its own.
 func (s *Service) DiagnoseOn(ctx context.Context, hw string, req DiagnoseRequest) (DiagnoseResponse, error) {
 	s.diagnoses.Add(1)
-	if err := s.validateScenarioOn(hw, req.NF, req.Profile, req.Competitors, ""); err != nil {
+	if _, err := s.validateScenarioOn(hw, req.NF, req.Profile, req.Competitors, ""); err != nil {
 		s.errors.Add(1)
 		return DiagnoseResponse{}, err
 	}

@@ -10,6 +10,9 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/backend"
+	"repro/internal/cluster"
+	"repro/internal/nf"
 	"repro/internal/obs"
 	"repro/internal/tenant"
 	"repro/internal/wire"
@@ -22,6 +25,11 @@ import (
 // with zero JSON through the request lifecycle in request.go; TypeCall
 // tunnels any other request through the real HTTP handler so
 // middleware semantics are byte-identical.
+//
+// A typed frame decodes straight into the service's request type
+// (requestSink), names resolved to the registries' own strings as they
+// are read; a cached answer encodes from rows sorted when it was
+// computed, so two hits of one entry put the same bytes on the wire.
 
 // wireTransportKey marks a TypeCall tunnel's context, so withObs counts
 // the request on the wire transport although it runs the HTTP handler.
@@ -115,6 +123,7 @@ func (ws *WireServer) serveConn(c net.Conn) {
 		c.Close()
 	}()
 	fr := wire.NewFramer(c)
+	var sink requestSink // reused by every typed frame on this connection
 	c.SetReadDeadline(time.Now().Add(10 * time.Second))
 	f, err := fr.ReadFrame()
 	if err != nil || f.Type != wire.TypeHello {
@@ -133,24 +142,24 @@ func (ws *WireServer) serveConn(c net.Conn) {
 		if err != nil {
 			return
 		}
-		if !ws.serveFrame(fr, f, apiKey) {
+		if !ws.serveFrame(fr, f, apiKey, &sink) {
 			return
 		}
 	}
 }
 
 // serveFrame answers one request frame; false tears the conn down.
-func (ws *WireServer) serveFrame(fr *wire.Framer, f wire.Frame, apiKey string) bool {
+func (ws *WireServer) serveFrame(fr *wire.Framer, f wire.Frame, apiKey string, sink *requestSink) bool {
 	switch f.Type {
 	case wire.TypeEcho:
 		// Pure transport floor: no gate, no counters, no serving.
 		return fr.WriteFrame(wire.TypeEchoAck, f.ID, f.Payload) == nil
 	case wire.TypePredict:
 		return serveTyped(ws, fr, f, apiKey, "predict", tenant.ClassInteractive, wire.TypePredictResp,
-			decodeWirePredict, (*Service).predictOne, encodeWirePredict)
+			sink.predict, (*Service).predictOne, encodeWirePredict)
 	case wire.TypeBatch:
 		return serveTyped(ws, fr, f, apiKey, "batchPredict", tenant.ClassBulk, wire.TypeBatchResp,
-			decodeWireBatch, (*Service).predictBatch, encodeWireBatch)
+			sink.batch, (*Service).predictBatchAt, encodeWireBatch)
 	case wire.TypeCall:
 		return ws.serveCall(fr, f, apiKey)
 	default:
@@ -173,28 +182,31 @@ func (ws *WireServer) writeError(fr *wire.Framer, id uint64, status int, code, m
 // whole pipeline), then decode → run → encode into the response frame
 // or the error frame errorStatus shapes, close the gate's observation
 // and the request's on every path, and send. The verb is the decode/run/
-// encode triple — frame payload → service request, the service call,
+// encode triple — frame payload → service request, the service call
+// (handed the instant decoding ended, where its first stage starts),
 // service response → frame payload (values, not pointers: what is
 // handed to a func value escapes) — and name labels it in the access
-// log.
+// log. An answered request reads the clock six times: on arrival, at
+// both ends of decode and of encode, and where the cache stage ends.
 func serveTyped[Req, Resp any](ws *WireServer, fr *wire.Framer, f wire.Frame, apiKey, name string, class tenant.Class, respType byte,
 	decode func([]byte) (Req, error),
-	run func(*Service, context.Context, Req) (Resp, error),
+	run func(*Service, context.Context, Req, time.Time) (Resp, error),
 	encode func([]byte, Resp) []byte) bool {
 	s := ws.svc
-	rq := s.beginRequest(ws.ctx, true, "")
+	now := time.Now() // throughout: the latest clock read
+	rq := s.beginRequest(ws.ctx, true, "", now)
 	buf, typ, status := wire.GetBuf(), respType, http.StatusOK
-	adm := s.cfg.Gate.Enter(apiKey, class)
+	adm := s.cfg.Gate.Enter(apiKey, class, now)
 	ef := wire.ErrorFrame{Status: adm.Status, Code: adm.Code, Message: adm.Message, RetryAfterSec: adm.RetryAfter.Seconds()}
 	if adm.OK {
 		dsp := obs.StartSpan(rq.ctx, "decode")
 		req, err := decode(f.Payload)
-		dsp.End()
+		now = dsp.End()
 		var resp Resp
 		if err != nil {
 			err = badRequestf("%v", err)
 		} else {
-			resp, err = run(s, rq.ctx, req)
+			resp, err = run(s, rq.ctx, req, now)
 		}
 		if err != nil {
 			ef.Status, ef.Code = errorStatus(rq.ctx, err)
@@ -202,88 +214,100 @@ func serveTyped[Req, Resp any](ws *WireServer, fr *wire.Framer, f wire.Frame, ap
 		} else {
 			esp := obs.StartSpan(rq.ctx, "encode")
 			buf = encode(buf, resp)
-			esp.End()
+			now = esp.End()
 		}
 	}
 	if ef.Status != 0 {
 		ef.RequestID = rq.tr.ID
 		buf, typ, status = wire.AppendError(buf, &ef), wire.TypeError, ef.Status
+		now = time.Now()
 	}
 	// Observe before the flush, as net/http does for a handler: a client
 	// holding its answer must find its request already counted.
-	adm.Done(status)
-	s.endRequest(rq, "WIRE", name, status)
+	adm.Done(status, now)
+	s.endRequest(rq, "WIRE", name, status, now)
 	werr := fr.WriteFrame(typ, f.ID, buf)
 	wire.PutBuf(buf)
 	return werr == nil
 }
 
+// wireNames interns the names a predict frame can carry — catalog NFs,
+// backends, hardware classes — so decoding a known name allocates
+// nothing. Filled once from the registries: a client's bytes cannot grow
+// it, and a name it lacks is copied and fails validation as ever.
+var wireNames = sync.OnceValue(func() map[string]string {
+	names := map[string]string{}
+	for _, list := range [][]string{nf.Names(), backend.Names(), cluster.ClassNames()} {
+		for _, n := range list {
+			names[n] = n
+		}
+	}
+	return names
+})
+
+func internName(b []byte) string {
+	if s, ok := wireNames()[string(b)]; ok {
+		return s
+	}
+	return string(b)
+}
+
+// requestSink decodes typed frames straight into hwPredicts
+// (wire.RequestSink). One lives per connection, reset by every decode;
+// what a decode returns shares nothing with the next frame's.
+type requestSink struct {
+	one   hwPredict   // a TypePredict frame's request
+	items []hwPredict // a TypeBatch frame's
+	cur   *hwPredict
+}
+
+func (k *requestSink) predict(payload []byte) (hwPredict, error) {
+	*k = requestSink{}
+	err := wire.DecodeRequestsInto(wire.TypePredict, payload, k)
+	return k.one, err
+}
+
+func (k *requestSink) batch(payload []byte) ([]hwPredict, error) {
+	*k = requestSink{}
+	err := wire.DecodeRequestsInto(wire.TypeBatch, payload, k)
+	return k.items, err
+}
+
+func (k *requestSink) Batch(n int) { k.items = make([]hwPredict, 0, n) }
+
+func (k *requestSink) Request(nf, hw, backendName []byte, p wire.Profile, competitors int) {
+	k.cur = &k.one
+	if k.items != nil {
+		k.items = append(k.items, hwPredict{})
+		k.cur = &k.items[len(k.items)-1]
+	}
+	*k.cur = hwPredict{hw: internName(hw), req: PredictRequest{NF: internName(nf), Backend: internName(backendName), Profile: ProfileSpec(p)}}
+	if competitors > 0 {
+		k.cur.req.Competitors = make([]CompetitorSpec, 0, competitors)
+	}
+}
+
+func (k *requestSink) Competitor(name []byte, p wire.Profile) {
+	k.cur.req.Competitors = append(k.cur.req.Competitors, CompetitorSpec{Name: internName(name), Profile: ProfileSpec(p)})
+}
+
 // toWireResponse converts a service response to its wire shape.
-// PerResourcePPS iterates a map; the slice order is not significant to
-// clients (the JSON shape is a map too).
 func toWireResponse(r *PredictResponse) wire.PredictResponse {
-	out := wire.PredictResponse{
-		NF:      r.NF,
-		HW:      r.HW,
-		Backend: string(r.Backend),
-		Profile: wire.Profile{
-			Flows:   r.Profile.Flows,
-			PktSize: r.Profile.PktSize,
-			MTBR:    r.Profile.MTBR,
-		},
+	return wire.PredictResponse{
+		NF:           r.NF,
+		HW:           r.HW,
+		Backend:      string(r.Backend),
+		Profile:      wire.Profile(r.Profile),
 		SoloPPS:      r.SoloPPS,
 		PredictedPPS: r.PredictedPPS,
 		Bottleneck:   r.Bottleneck,
+		PerResource:  r.rows,
 	}
-	if len(r.PerResourcePPS) > 0 {
-		out.PerResource = make([]wire.ResourcePPS, 0, len(r.PerResourcePPS))
-		for res, pps := range r.PerResourcePPS {
-			out.PerResource = append(out.PerResource, wire.ResourcePPS{Resource: res, PPS: pps})
-		}
-	}
-	return out
-}
-
-// fromWireRequest converts a wire predict request to the service shape
-// plus its hardware qualifier.
-func fromWireRequest(w *wire.PredictRequest) hwPredict {
-	req := PredictRequest{
-		NF:      w.NF,
-		Backend: w.Backend,
-		Profile: ProfileSpec{Flows: w.Profile.Flows, PktSize: w.Profile.PktSize, MTBR: w.Profile.MTBR},
-	}
-	if len(w.Competitors) > 0 {
-		req.Competitors = make([]CompetitorSpec, len(w.Competitors))
-		for i, c := range w.Competitors {
-			req.Competitors[i] = CompetitorSpec{
-				Name:    c.Name,
-				Profile: ProfileSpec{Flows: c.Profile.Flows, PktSize: c.Profile.PktSize, MTBR: c.Profile.MTBR},
-			}
-		}
-	}
-	return hwPredict{hw: w.HW, req: req}
-}
-
-// The two typed verbs' codecs: TypePredict ⇄ predictOne, TypeBatch ⇄
-// predictBatch.
-
-func decodeWirePredict(payload []byte) (hwPredict, error) {
-	wreq, err := wire.DecodePredictRequest(payload)
-	return fromWireRequest(&wreq), err
 }
 
 func encodeWirePredict(buf []byte, resp PredictResponse) []byte {
 	wresp := toWireResponse(&resp)
 	return wire.AppendPredictResponse(buf, &wresp)
-}
-
-func decodeWireBatch(payload []byte) ([]hwPredict, error) {
-	wreq, err := wire.DecodeBatchRequest(payload)
-	items := make([]hwPredict, len(wreq.Requests))
-	for i := range wreq.Requests {
-		items[i] = fromWireRequest(&wreq.Requests[i])
-	}
-	return items, err
 }
 
 func encodeWireBatch(buf []byte, resp BatchResponse) []byte {

@@ -238,32 +238,40 @@ type Admission struct {
 	start time.Time
 }
 
-// Enter admits one request. A nil gate admits everything and observes
-// nothing, so callers need no "is a gate mounted" branch.
-func (g *Gate) Enter(key string, class Class) Admission {
+// Enter admits one request arriving at now. A nil gate admits
+// everything and observes nothing, so callers need no "is a gate
+// mounted" branch. now is the caller's clock read — a front door
+// stamps the request's start with the same one.
+func (g *Gate) Enter(key string, class Class, now time.Time) Admission {
 	if g == nil {
 		return Admission{Decision: Decision{OK: true}}
 	}
-	now := time.Now()
 	return Admission{Decision: g.Admit(key, class, now), gate: g, start: now}
 }
 
-// Done closes an admitted request with the status it answered. A 499
-// is not a sample at all — the client hung up, and how long an
-// abandoned request lingered measures the client's impatience, not the
-// server's SLO; a burst of disconnects must not push the windowed
-// error rate toward shedding live traffic. Anything ≥ 500 is an error.
-func (a Admission) Done(status int) {
+// Done closes an admitted request with the status it answered and the
+// instant it did. A 499 is not a sample at all — the client hung up,
+// and how long an abandoned request lingered measures the client's
+// impatience, not the server's SLO; a burst of disconnects must not
+// push the windowed error rate toward shedding live traffic. Anything
+// ≥ 500 is an error.
+func (a Admission) Done(status int, now time.Time) {
 	if a.gate == nil || !a.OK || status == api.StatusClientClosedRequest {
 		return
 	}
-	a.gate.Observe(a.Decision, time.Since(a.start), status >= http.StatusInternalServerError)
+	a.gate.observe(a.Decision, now.Sub(a.start), status >= http.StatusInternalServerError, now.Sub(a.gate.epoch))
 }
 
 // Observe records one completed, admitted request: its latency lands in
 // the tenant's histogram and in the sliding window behind the pressure
 // signals.
 func (g *Gate) Observe(d Decision, dur time.Duration, isErr bool) {
+	g.observe(d, dur, isErr, time.Since(g.epoch))
+}
+
+// observe is Observe for a request that completed at after the gate's
+// epoch.
+func (g *Gate) observe(d Decision, dur time.Duration, isErr bool, at time.Duration) {
 	if d.Tenant == nil {
 		return
 	}
@@ -274,7 +282,7 @@ func (g *Gate) Observe(d Decision, dur time.Duration, isErr bool) {
 		h.Observe(dur.Seconds())
 	}
 	g.winMu.Lock()
-	g.win[g.winPos] = sample{seconds: dur.Seconds(), isErr: isErr, at: time.Since(g.epoch).Nanoseconds()}
+	g.win[g.winPos] = sample{seconds: dur.Seconds(), isErr: isErr, at: at.Nanoseconds()}
 	g.winPos = (g.winPos + 1) % len(g.win)
 	if g.winLen < len(g.win) {
 		g.winLen++

@@ -51,7 +51,7 @@ func (g *Gate) Middleware(next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
-		a := g.Enter(KeyFromRequest(r), ClassifyPath(r.URL.Path))
+		a := g.Enter(KeyFromRequest(r), ClassifyPath(r.URL.Path), time.Now())
 		if !a.OK {
 			if a.RateLimited && g.cfg.ShedDelay > 0 {
 				// Tarpit: stall the refusal so an unpaced keep-alive
@@ -70,6 +70,6 @@ func (g *Gate) Middleware(next http.Handler) http.Handler {
 		}
 		rec := api.RecordStatus(w)
 		next.ServeHTTP(rec, r)
-		a.Done(rec.Status)
+		a.Done(rec.Status, time.Now())
 	})
 }

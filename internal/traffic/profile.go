@@ -11,6 +11,7 @@ package traffic
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -103,10 +104,22 @@ func (p Profile) With(a Attribute, v float64) Profile {
 	return p
 }
 
-// String renders the profile as its attribute vector.
-func (p Profile) String() string {
-	return fmt.Sprintf("(%d, %d, %g)", p.Flows, p.PktSize, p.MTBR)
+// AppendText appends the profile's rendering, "(flows, pktsize, mtbr)"
+// with the MTBR as %g prints it, to b. It is the one renderer, and its
+// text is a cache-key format, not a display choice: serve's response
+// cache, the feedback controller's scenario keys and placement's co-run
+// memo all embed it, and serve's reloadAffects parses it back out.
+// Change it only together with that parser; TestProfileStringPinned
+// holds it to the byte.
+func (p Profile) AppendText(b []byte) []byte {
+	b = strconv.AppendInt(append(b, '('), int64(p.Flows), 10)
+	b = strconv.AppendInt(append(b, ", "...), int64(p.PktSize), 10)
+	b = strconv.AppendFloat(append(b, ", "...), p.MTBR, 'g', -1, 64)
+	return append(b, ')')
 }
+
+// String renders the profile as its attribute vector.
+func (p Profile) String() string { return string(p.AppendText(nil)) }
 
 // Random returns a profile drawn uniformly from the attribute bounds,
 // used for the "100 distinct traffic profiles" evaluations (§7.4). The

@@ -291,26 +291,28 @@ func (r *reader) byteVal() byte {
 	return v
 }
 
-func (r *reader) str() string {
-	n := r.uvarint()
-	if r.bad || uint64(len(r.b)-r.off) < n {
-		r.fail()
-		return ""
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
-func (r *reader) bytesCopy() []byte {
+// raw returns the next length-prefixed field as a view of the payload,
+// to be copied (str, bytesCopy) or resolved (RequestSink).
+func (r *reader) raw() []byte {
 	n := r.uvarint()
 	if r.bad || uint64(len(r.b)-r.off) < n {
 		r.fail()
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:r.off+int(n)])
+	b := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
+	return b
+}
+
+func (r *reader) str() string { return string(r.raw()) }
+
+func (r *reader) bytesCopy() []byte {
+	b := r.raw()
+	if r.bad {
+		return nil
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
 	return out
 }
 
@@ -400,6 +402,43 @@ func DecodePredictResponse(b []byte) (PredictResponse, error) {
 	r := reader{b: b}
 	out := r.predictResponse()
 	return out, r.done()
+}
+
+// RequestSink receives predict requests field by field, so a server
+// builds its own request type with no PredictRequest in between. Name
+// arguments are views of the payload: resolve or copy, never keep them.
+type RequestSink interface {
+	// Batch opens a TypeBatch payload of n requests (n ≤ its bytes).
+	Batch(n int)
+	// Request opens the next request; its Competitor calls follow.
+	Request(nf, hw, backend []byte, p Profile, competitors int)
+	Competitor(name []byte, p Profile)
+}
+
+// DecodeRequestsInto is DecodePredictRequest (typ TypePredict) or
+// DecodeBatchRequest (TypeBatch) into a sink: same layout, same
+// checks. After an error the sink holds a prefix; discard it.
+func DecodeRequestsInto(typ byte, b []byte, sink RequestSink) error {
+	r := reader{b: b}
+	n := 1
+	if typ == TypeBatch {
+		if n = r.count(); !r.bad {
+			sink.Batch(n)
+		}
+	}
+	for ; n > 0 && !r.bad; n-- {
+		nf, hw, backend, p, comps := r.raw(), r.raw(), r.raw(), r.profile(), r.count()
+		if r.bad {
+			break
+		}
+		sink.Request(nf, hw, backend, p, comps)
+		for ; comps > 0 && !r.bad; comps-- {
+			if name, cp := r.raw(), r.profile(); !r.bad {
+				sink.Competitor(name, cp)
+			}
+		}
+	}
+	return r.done()
 }
 
 // DecodeBatchRequest parses a TypeBatch payload.

@@ -8,10 +8,12 @@ import (
 	"time"
 )
 
-// clientConn is one established, handshaken connection.
+// clientConn is one established, handshaken connection. deadline
+// records whether the last exchange left an I/O deadline set on it.
 type clientConn struct {
-	c  net.Conn
-	fr *Framer
+	c        net.Conn
+	fr       *Framer
+	deadline bool
 }
 
 func (cc *clientConn) close() { cc.c.Close() }
@@ -119,10 +121,11 @@ func (p *Pool) Do(ctx context.Context, typ byte, payload []byte, handle func(Fra
 			return err
 		}
 	}
-	if dl, ok := ctx.Deadline(); ok {
+	// A connection without a deadline needs none cleared: callers with
+	// no timeout skip the poller's timer on every exchange.
+	if dl, ok := ctx.Deadline(); ok || cc.deadline {
 		cc.c.SetDeadline(dl)
-	} else {
-		cc.c.SetDeadline(time.Time{})
+		cc.deadline = ok
 	}
 	id := p.nextID.Add(1)
 	if err := cc.fr.WriteFrame(typ, id, payload); err != nil {

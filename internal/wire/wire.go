@@ -160,11 +160,22 @@ func (f *Framer) ReadFrame() (Frame, error) {
 
 // bufPool recycles encode buffers so the steady-state hot path
 // allocates nothing for framing: GetBuf for an empty append target,
-// PutBuf when the frame has been written.
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+// PutBuf when the frame has been written. A slice put into a sync.Pool
+// by value is boxed — an allocation per Put — so buffers travel as
+// *[]byte and hdrPool recycles the headers while their buffer is out.
+var (
+	bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+	hdrPool = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // GetBuf returns an empty pooled append buffer.
-func GetBuf() []byte { return (*(bufPool.Get().(*[]byte)))[:0] }
+func GetBuf() []byte {
+	h := bufPool.Get().(*[]byte)
+	b := (*h)[:0]
+	*h = nil
+	hdrPool.Put(h)
+	return b
+}
 
 // PutBuf returns a buffer obtained from GetBuf (possibly grown) to the
 // pool. Oversized buffers are dropped so one huge batch doesn't pin
@@ -173,6 +184,7 @@ func PutBuf(b []byte) {
 	if cap(b) > 1<<20 {
 		return
 	}
-	b = b[:0]
-	bufPool.Put(&b)
+	h := hdrPool.Get().(*[]byte)
+	*h = b[:0]
+	bufPool.Put(h)
 }

@@ -24,9 +24,14 @@ const wireParkDuration = 5 * time.Second
 const wireIdleConns = 16
 
 // wireReady reports whether the wire path should be attempted: it is
-// configured and not parked by a recent transport failure.
+// configured and not parked by a recent transport failure. A path that
+// was never parked answers without reading the clock.
 func (c *Client) wireReady() bool {
-	return c.wire != nil && time.Now().UnixNano() >= c.wireRetryAt.Load()
+	if c.wire == nil {
+		return false
+	}
+	at := c.wireRetryAt.Load()
+	return at == 0 || time.Now().UnixNano() >= at
 }
 
 // WireActive reports whether the binary wire transport is currently in
@@ -99,12 +104,13 @@ func (c *Client) wirePredict(ctx context.Context, m ModelID, backendName string,
 	if backendName == "" {
 		backendName = DefaultBackend
 	}
+	var comps [4]wire.Competitor // the usual co-location fits: no allocation
 	req := wire.PredictRequest{
 		NF:          m.NF,
 		HW:          m.HW,
 		Backend:     backendName,
 		Profile:     toWireProfile(p.Profile),
-		Competitors: toWireCompetitors(p.Competitors),
+		Competitors: toWireCompetitors(comps[:0], p.Competitors),
 	}
 	buf := wire.AppendPredictRequest(wire.GetBuf(), &req)
 	err = c.exchange(ctx, wire.TypePredict, wire.TypePredictResp, buf, func(payload []byte) error {
@@ -128,7 +134,7 @@ func (c *Client) wirePredictBatch(ctx context.Context, items []BatchItem) (out B
 			HW:          it.Model.HW,
 			Backend:     it.Backend,
 			Profile:     toWireProfile(it.Profile),
-			Competitors: toWireCompetitors(it.Competitors),
+			Competitors: toWireCompetitors(nil, it.Competitors),
 		}
 	}
 	buf := wire.AppendBatchRequest(wire.GetBuf(), &req)
@@ -212,15 +218,12 @@ func toWireProfile(p ProfileSpec) wire.Profile {
 	return wire.Profile{Flows: p.Flows, PktSize: p.PktSize, MTBR: p.MTBR}
 }
 
-func toWireCompetitors(cs []Competitor) []wire.Competitor {
-	if len(cs) == 0 {
-		return nil
+// toWireCompetitors appends cs, in wire form, to dst.
+func toWireCompetitors(dst []wire.Competitor, cs []Competitor) []wire.Competitor {
+	for _, cp := range cs {
+		dst = append(dst, wire.Competitor{Name: cp.Name, Profile: toWireProfile(cp.Profile)})
 	}
-	out := make([]wire.Competitor, len(cs))
-	for i, cp := range cs {
-		out[i] = wire.Competitor{Name: cp.Name, Profile: toWireProfile(cp.Profile)}
-	}
-	return out
+	return dst
 }
 
 func fromWireResponse(r wire.PredictResponse) PredictResult {
