@@ -236,3 +236,41 @@ func TestChooseUnresolvedClass(t *testing.T) {
 		t.Fatalf("%d slots counted as scored on the error path", n)
 	}
 }
+
+// TestPredictionsCounter tells slots scored and predictor runs apart
+// from the scheduler's own series: on the reference stream the class
+// simulator's sequence memo runs fewer predictions than slots are
+// scored, and a second replay on the same environment — a fresh
+// scheduler, so its slots are all scored again — runs none.
+func TestPredictionsCounter(t *testing.T) {
+	sc := referenceScenario()
+	env := testEnv(t, testModels(t))
+	reg := obs.NewRegistry()
+	env.SetObs(reg)
+	if err := env.Prewarm(context.Background(), sc, []string{"yala"}); err != nil {
+		t.Fatal(err)
+	}
+	scored := reg.Counter("cluster_slots_scored_total", "policy", "yala")
+	predictions := reg.Counter("cluster_predictions_total", "policy", "yala")
+	stream := sc.Stream()
+	for replay := 0; replay < 2; replay++ {
+		sched, err := NewScheduler("yala", env, sc.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s0, p0 := scored.Load(), predictions.Load()
+		if _, err := env.RunPolicyStream(context.Background(), sc, stream, sched); err != nil {
+			t.Fatal(err)
+		}
+		s, p := scored.Load()-s0, predictions.Load()-p0
+		t.Logf("replay %d: %d slots scored, %d predictions", replay, s, p)
+		switch {
+		case s == 0:
+			t.Fatalf("replay %d scored no slot", replay)
+		case replay == 0 && p >= s:
+			t.Fatalf("first replay ran %d predictions for %d scored slots, want fewer", p, s)
+		case replay == 1 && p != 0:
+			t.Fatalf("second replay ran %d predictions, want 0", p)
+		}
+	}
+}

@@ -51,6 +51,7 @@ func NewScheduler(policy string, env *Env, seed uint64) (Scheduler, error) {
 		if r := env.obsReg; r != nil {
 			p.scanned = r.Counter("cluster_slots_scanned_total", "policy", policy)
 			p.scored = r.Counter("cluster_slots_scored_total", "policy", policy)
+			p.predictions = r.Counter("cluster_predictions_total", "policy", policy)
 		}
 		return p, nil
 	}
@@ -105,28 +106,35 @@ func (firstFit) Choose(f *Fleet, a placement.Arrival) (int, error) {
 // A decision costs what changed, not the fleet. One cheap pass buckets
 // the NICs with core capacity by free cores; candidates are then visited
 // tightest first and the first feasible one wins, so looser NICs are
-// never scored. Each visited NIC answers from its slot's memo: the
-// SLA-independent placement.Score per arriving (NF, profile), finished
-// by one compare against the arrival's own SLA. A slot's scores hold
-// while the NIC's resident sequence equals the copied snapshot they were
-// computed from and its class simulator's Generation is unchanged (no
-// model install, promotion or solo recalibration since); anything else —
-// a direct write to NIC.Tenants, a departure's in-place shift, a drift
-// re-placing a tenant at the tail, another fleet's *NIC at that index —
-// fails that compare and the slot is re-scored. The memo reads nothing
-// but the *Fleet handed to Choose, so wrapping the scheduler cannot
-// stale it.
+// never scored. A visit is answered at two levels. First the slot's
+// memo: the SLA-independent placement.Score per arriving (NF, profile),
+// finished by one compare against the arrival's own SLA. A slot's scores
+// hold while the NIC's resident sequence equals the copied snapshot they
+// were computed from and its class simulator's Generation is unchanged
+// (no model install, promotion or solo recalibration since); anything
+// else — a direct write to NIC.Tenants, a departure's in-place shift, a
+// drift re-placing a tenant at the tail, another fleet's *NIC at that
+// index — fails that compare and the slot is re-scored. The memo reads
+// nothing but the *Fleet handed to Choose, so wrapping the scheduler
+// cannot stale it. A re-scored slot then asks the class simulator, whose
+// Score memoizes predictions by the ordered (NF, profile) sequence of
+// residents plus newcomer: every NIC holding the same types in the same
+// order shares one predictor run, whatever their residents' SLAs, so
+// cluster_predictions_total counts only sequences new to the simulator.
 //
 // bench's cluster.choose_us_* rungs time cold Choose calls — each is a
-// never-seen (fleet, arrival type) pair — so they show the miss path
-// plus the early exit, not the memo.
+// never-seen (fleet, arrival type) pair for the slot memo — so they show
+// the slot-miss path plus the early exit. Their half-loaded fleets repeat
+// a short resident cycle, so past the first few NICs the simulator's
+// sequence memo answers; the 16-NIC rung is mostly sequence misses.
 type predictFit struct {
 	env   *Env
 	strat placement.Strategy
 	name  string
 	// scanned and scored are the policy's cluster_slots_*_total series,
-	// resolved once at construction; nil without a registry.
-	scanned, scored *obs.Counter
+	// predictions its cluster_predictions_total, resolved once at
+	// construction; nil without a registry.
+	scanned, scored, predictions *obs.Counter
 
 	slots []slotMemo // by NIC index
 	// types numbers the arrival types seen — (NF, profile) is all a Score
@@ -240,7 +248,12 @@ func (p *predictFit) score(m *slotMemo, n *NIC, a placement.Arrival, ti int) (sc
 		}
 		clear(m.scores)
 	}
-	if sc, err = m.ce.sim.Score(m.seq, a, p.strat); err != nil {
+	ran := m.ce.sim.Predictions()
+	sc, err = m.ce.sim.Score(m.seq, a, p.strat)
+	if p.predictions != nil {
+		p.predictions.Add(m.ce.sim.Predictions() - ran)
+	}
+	if err != nil {
 		return sc, false, err
 	}
 	for len(m.scores) <= ti {

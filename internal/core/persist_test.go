@@ -76,4 +76,23 @@ func TestLoadModelRejectsGarbage(t *testing.T) {
 	if _, err := LoadModel(strings.NewReader(`{"Name":"x"}`)); err == nil {
 		t.Fatal("expected missing-submodel error")
 	}
+
+	// A model whose solo regressor holds one tree: a walkable leaf loads;
+	// trees that would hang or crash Predict do not.
+	model := func(tree string) string {
+		gbr := func(tree string) string { return `{"gbr":{"bias":1,"rate":0.1,"trees":[` + tree + `]}}` }
+		return `{"Name":"x","Solo":` + gbr(tree) + `,"Mem":` + gbr(`[{"f":0,"t":0,"l":-1,"r":-1,"v":0}]`) + `}`
+	}
+	if _, err := LoadModel(strings.NewReader(model(`[{"f":0,"t":0,"l":-1,"r":-1,"v":2}]`))); err != nil {
+		t.Fatalf("a one-leaf model did not load: %v", err)
+	}
+	for name, tree := range map[string]string{
+		"self loop":        `[{"f":0,"t":1,"l":0,"r":0,"v":0}]`,
+		"negative feature": `[{"f":-1,"t":1,"l":1,"r":2,"v":0},{"f":0,"t":0,"l":-1,"r":-1,"v":1},{"f":0,"t":0,"l":-1,"r":-1,"v":2}]`,
+		"negative right":   `[{"f":0,"t":1,"l":1,"r":-2,"v":0},{"f":0,"t":0,"l":-1,"r":-1,"v":1}]`,
+	} {
+		if _, err := LoadModel(strings.NewReader(model(tree))); err == nil {
+			t.Errorf("a model with a %s tree loaded", name)
+		}
+	}
 }

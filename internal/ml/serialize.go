@@ -24,7 +24,10 @@ func (t *Tree) MarshalJSON() ([]byte, error) {
 	return json.Marshal(nodes)
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. It accepts only trees
+// Predict can walk: a leaf has both children -1; an internal node has a
+// non-negative feature and both children after itself and inside the
+// array, so every walk moves forward and ends within len(nodes) steps.
 func (t *Tree) UnmarshalJSON(data []byte) error {
 	var nodes []treeNodeJSON
 	if err := json.Unmarshal(data, &nodes); err != nil {
@@ -35,8 +38,14 @@ func (t *Tree) UnmarshalJSON(data []byte) error {
 	}
 	t.nodes = make([]treeNode, len(nodes))
 	for i, n := range nodes {
-		if n.Left >= int32(len(nodes)) || n.Right >= int32(len(nodes)) {
-			return fmt.Errorf("ml: tree node %d has out-of-range children", i)
+		self, end := int32(i), int32(len(nodes))
+		switch {
+		case n.Left < 0 && (n.Left != -1 || n.Right != -1):
+			return fmt.Errorf("ml: tree leaf %d has children (%d, %d), want (-1, -1)", i, n.Left, n.Right)
+		case n.Left >= 0 && (n.Left <= self || n.Right <= self || n.Left >= end || n.Right >= end):
+			return fmt.Errorf("ml: tree node %d has children (%d, %d) outside (%d, %d)", i, n.Left, n.Right, i, len(nodes))
+		case n.Left >= 0 && n.Feature < 0:
+			return fmt.Errorf("ml: tree node %d splits on feature %d", i, n.Feature)
 		}
 		t.nodes[i] = treeNode{n.Feature, n.Threshold, n.Left, n.Right, n.Value}
 	}

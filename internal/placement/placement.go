@@ -115,6 +115,8 @@ type Simulator struct {
 	// memos only cache derivations of the installed models and solos, so
 	// it lives until gen moves.
 	scorers map[string]*scorer
+	// predictions counts the backend evaluations Score has run.
+	predictions uint64
 
 	// soloCache is struct-keyed: rendering a string key per lookup would
 	// dominate tight scheduling loops.
@@ -151,6 +153,10 @@ func (s *Simulator) SetModel(backendName, nf string, m backend.Model) {
 // every SetModel and SeedSolo (lazy model install, online promotion,
 // solo recalibration) and on nothing else.
 func (s *Simulator) Generation() uint64 { return s.gen }
+
+// Predictions counts the backend evaluations Score has actually run —
+// one per member it could not answer from its memo.
+func (s *Simulator) Predictions() uint64 { return s.predictions }
 
 // HasModel reports whether the backend's model for an NF is installed.
 func (s *Simulator) HasModel(backendName, nf string) bool {
@@ -366,19 +372,127 @@ func (sc Score) Admits(sla float64) bool {
 	return sc.ResidentsOK && !(sc.Predicted < (1-sla)*sc.Solo)
 }
 
+// Bounds of a scorer's sequence memo. Wider sequences are computed
+// unmemoized; a full table is cleared wholesale, as a generation bump
+// clears it.
+const (
+	seqWidth      = 8       // members per key, newcomer included
+	maxSeqTypes   = 1 << 12 // interned (NF, profile) types
+	maxSeqEntries = 1 << 14 // memoized sequences, ~170 bytes each
+)
+
+// seqKey is an ordered member sequence — residents in index order, then
+// the newcomer — as interned type numbers.
+type seqKey struct {
+	n   uint16
+	ids [seqWidth]uint16
+}
+
+// seqScores is what one member sequence's predictions came to: each
+// member's predicted co-located and measured solo throughput, filled in
+// index order as far as some Score has walked (n members).
+type seqScores struct {
+	n               int
+	predicted, solo [seqWidth]float64
+}
+
 // scorer is one backend's evaluator for the generation it was built at:
-// the backend's memoizing Batch and a competitor slice that grows once
-// and is re-sliced per prediction.
+// the backend's memoizing Batch, a competitor slice that grows once and
+// is re-sliced per prediction, and the sequence memo. A member's
+// prediction depends on the member types and their order and on the
+// generation — never on an SLA — so one sequence's scores answer every
+// NIC holding it, whatever its residents' SLAs. The memo's tables wait
+// for the generation's second sequence: the first one is kept inline in
+// firstSeq, so a one-shot Score (serve's admit path builds a simulator
+// per request) allocates neither.
 type scorer struct {
 	gen     uint64
 	batch   backend.Batch
 	compBuf []backend.Competitor
+
+	ids      map[backend.Key]uint16
+	memo     map[seqKey]*seqScores
+	firstN   int
+	firstSeq [seqWidth]Arrival
+	first    seqScores
+}
+
+// scores returns the memo entry for set+a, or nil when the sequence
+// bypasses the memo: wider than a key, or with a member whose profile is
+// not equal to itself (NaN), which would never be found again.
+func (e *scorer) scores(set []Arrival, a Arrival) *seqScores {
+	if len(set)+1 > seqWidth || a.Profile != a.Profile {
+		return nil
+	}
+	for i := range set {
+		if set[i].Profile != set[i].Profile {
+			return nil
+		}
+	}
+	if e.memo == nil {
+		if e.firstN == 0 {
+			e.firstN = len(set) + 1
+			copy(e.firstSeq[:], set)
+			e.firstSeq[len(set)] = a
+			return &e.first
+		}
+		e.ids, e.memo = map[backend.Key]uint16{}, map[seqKey]*seqScores{}
+		e.memo[e.key(e.firstSeq[:e.firstN-1], &e.firstSeq[e.firstN-1])] = &e.first
+	}
+	k := e.key(set, &a)
+	sc := e.memo[k]
+	if sc == nil {
+		if len(e.memo) >= maxSeqEntries {
+			clear(e.memo)
+		}
+		sc = new(seqScores)
+		e.memo[k] = sc
+	}
+	return sc
+}
+
+// key interns the member types of set+a. An intern table that could
+// overflow is cleared first, and the entries numbered by it with it.
+func (e *scorer) key(set []Arrival, a *Arrival) seqKey {
+	if len(e.ids)+len(set)+1 > maxSeqTypes {
+		clear(e.ids)
+		clear(e.memo)
+	}
+	k := seqKey{n: uint16(len(set) + 1)}
+	for i := range set {
+		k.ids[i] = e.intern(&set[i])
+	}
+	k.ids[len(set)] = e.intern(a)
+	return k
+}
+
+// intern numbers one member's type.
+func (e *scorer) intern(m *Arrival) uint16 {
+	t := backend.Key{NF: m.Name, Profile: m.Profile}
+	id, ok := e.ids[t]
+	if !ok {
+		id = uint16(len(e.ids))
+		e.ids[t] = id
+	}
+	return id
+}
+
+// member is the i-th member of set+a: a resident, or the newcomer last.
+func member(set []Arrival, a Arrival, i int) Arrival {
+	if i < len(set) {
+		return set[i]
+	}
+	return a
 }
 
 // Score predicts every member of set+a beside the others. Targets and
 // competitors are visited in index order, newcomer last: feature
 // accumulation is order-sensitive, so the order is part of the result.
-// The core budget is not consulted — callers pair Score with Fits.
+// Each member's prediction is memoized by the ordered member types (see
+// scorer) and filled lazily, so which models and solos are consulted,
+// and which error surfaces, are the same as on a first walk; only the
+// SLA compare runs on every call. The core budget is not consulted —
+// callers pair Score with Fits.
 func (s *Simulator) Score(set []Arrival, a Arrival, strat Strategy) (Score, error) {
 	if strat.kind != kindPredict {
 		return Score{}, fmt.Errorf("placement: Score does not support strategy %v", strat)
@@ -392,49 +506,59 @@ func (s *Simulator) Score(set []Arrival, a Arrival, strat Strategy) (Score, erro
 		e = &scorer{gen: s.gen, batch: backend.NewBatch(b)}
 		s.scorers[strat.backend] = e
 	}
-	at := func(i int) Arrival {
-		if i < len(set) {
-			return set[i]
-		}
-		return a
-	}
+	sc := e.scores(set, a)
 	for ti := 0; ; ti++ {
-		target := at(ti)
-		solo, err := s.solo(target)
-		if err != nil {
-			return Score{}, err
-		}
-		model, err := s.Model(strat.backend, target.Name)
-		if err != nil {
-			return Score{}, err
-		}
-		comps := e.compBuf[:0]
-		// Skip by index, not value: two identical arrivals (same NF,
-		// profile and SLA) are distinct residents and contend with each
-		// other.
-		for oi := 0; oi <= len(set); oi++ {
-			if oi == ti {
-				continue
-			}
-			other := at(oi)
-			m, err := s.solo(other)
-			if err != nil {
+		var predicted, solo float64
+		if sc != nil && ti < sc.n {
+			predicted, solo = sc.predicted[ti], sc.solo[ti]
+		} else {
+			var err error
+			if predicted, solo, err = s.predict(e, strat.backend, set, a, ti); err != nil {
 				return Score{}, err
 			}
-			comps = append(comps, backend.Competitor{NF: other.Name, Profile: other.Profile, Solo: m})
-		}
-		e.compBuf = comps[:0]
-		predicted, err := e.batch.Predict(model, backend.Key{NF: target.Name, Profile: target.Profile}, comps, solo.Throughput)
-		if err != nil {
-			return Score{}, err
+			if sc != nil {
+				sc.predicted[ti], sc.solo[ti], sc.n = predicted, solo, ti+1
+			}
 		}
 		if ti == len(set) {
-			return Score{ResidentsOK: true, Predicted: predicted, Solo: solo.Throughput}, nil
+			return Score{ResidentsOK: true, Predicted: predicted, Solo: solo}, nil
 		}
-		if predicted < (1-target.SLA)*solo.Throughput {
+		if predicted < (1-set[ti].SLA)*solo {
 			return Score{}, nil
 		}
 	}
+}
+
+// predict runs the backend for member ti of set+a beside the others,
+// returning its predicted co-located and measured solo throughput.
+func (s *Simulator) predict(e *scorer, backendName string, set []Arrival, a Arrival, ti int) (predicted, solo float64, err error) {
+	target := member(set, a, ti)
+	sm, err := s.solo(target)
+	if err != nil {
+		return 0, 0, err
+	}
+	model, err := s.Model(backendName, target.Name)
+	if err != nil {
+		return 0, 0, err
+	}
+	comps := e.compBuf[:0]
+	// Skip by index, not value: two identical arrivals (same NF, profile
+	// and SLA) are distinct residents and contend with each other.
+	for oi := 0; oi <= len(set); oi++ {
+		if oi == ti {
+			continue
+		}
+		other := member(set, a, oi)
+		m, err := s.solo(other)
+		if err != nil {
+			return 0, 0, err
+		}
+		comps = append(comps, backend.Competitor{NF: other.Name, Profile: other.Profile, Solo: m})
+	}
+	e.compBuf = comps[:0]
+	s.predictions++
+	predicted, err = e.batch.Predict(model, backend.Key{NF: target.Name, Profile: target.Profile}, comps, sm.Throughput)
+	return predicted, sm.Throughput, err
 }
 
 // Violations counts residents whose ground-truth throughput breaks
