@@ -7,15 +7,19 @@ import (
 )
 
 // DefaultCriticalPackages are the replay-determinism-critical packages:
-// everything a recorded trace's bit-identical replay flows through. A
-// map iteration or wall-clock read here can silently change scheduling
-// outcomes between two runs of the same scenario.
+// everything a recorded trace's bit-identical replay flows through, plus
+// the testbed, whose runs are seeded by call order, and the experiments
+// that drive it. A map iteration or wall-clock read here can silently
+// change scheduling outcomes or reported numbers between two runs of
+// the same scenario.
 var DefaultCriticalPackages = []string{
 	"internal/sim",
 	"internal/placement",
 	"internal/trace",
 	"internal/cluster",
 	"internal/wire",
+	"internal/testbed",
+	"internal/experiments",
 }
 
 // keyCollectionOnly recognizes the one blessed map-range shape: a loop

@@ -420,10 +420,17 @@ func (e *Env) ensureModels(ce *classEnv, strat placement.Strategy, names []strin
 // hardware class — and seeds each class simulator's solo-measurement
 // cache for the scenario's (NF, profile) pool. Decisions during the run
 // then measure scheduling, not lazy model training or first-touch
-// measurements — and every policy starts from identical cache state. The
-// context cancels the warm-up between models and measurements.
+// measurements — and every policy starts from identical cache state.
+//
+// The pool's footprints do not depend on the order they are measured
+// in, so each class measures them in one testbed batch across cores.
+// The solo runs do (the testbed numbers runs in call order), so they
+// stay one serial loop in NF-then-profile order, and any measurement
+// error surfaces from that loop in the same order. The context cancels
+// the warm-up between models and measurements.
 func (e *Env) Prewarm(ctx context.Context, sc Scenario, policies []string) error {
 	sc = sc.WithDefaults()
+	pool := sc.ProfilePool()
 	for _, slot := range sc.classSlots() {
 		ce, err := e.classEnv(slot)
 		if err != nil {
@@ -439,8 +446,11 @@ func (e *Env) Prewarm(ctx context.Context, sc Scenario, policies []string) error
 				}
 			}
 		}
+		if err := ce.sim.TB.WarmWorkloads(ctx, sc.NFs, pool); err != nil {
+			return err
+		}
 		for _, name := range sc.NFs {
-			for _, prof := range sc.ProfilePool() {
+			for _, prof := range pool {
 				if err := ctx.Err(); err != nil {
 					return err
 				}

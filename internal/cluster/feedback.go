@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/backend"
@@ -135,7 +136,11 @@ func (l *onlineLoop) promote(k feedback.Key, m backend.Model) error {
 			base = 1
 		}
 		tb := testbed.New(ce.cfg.WithFrequencyScale(base*scale), l.env.seed)
-		for _, prof := range l.sc.ProfilePool() {
+		pool := l.sc.ProfilePool()
+		if err := tb.WarmWorkloads(context.Background(), []string{k.NF}, pool); err != nil {
+			return err
+		}
+		for _, prof := range pool {
 			meas, err := tb.SoloNF(k.NF, prof)
 			if err != nil {
 				return err

@@ -105,6 +105,23 @@ func TestRunIndependentOfOrder(t *testing.T) {
 	}
 }
 
+// TestTable6Deterministic: Table 6's strategies share one simulator
+// whose testbed numbers its runs in call order, so two runs at one seed
+// must print the same report byte for byte.
+func TestTable6Deterministic(t *testing.T) {
+	first, err := Run("table6", 1, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Run("table6", 1, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.String() != second.String() {
+		t.Fatalf("table6 differs between two runs at one seed:\n%s\nvs\n%s", first, second)
+	}
+}
+
 func TestByIDUnknown(t *testing.T) {
 	if _, err := ByID(tinyLab(), "fig99"); err == nil {
 		t.Fatal("expected error")

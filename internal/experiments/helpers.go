@@ -119,6 +119,7 @@ func (l *Lab) synthComposition(name string, pattern nicsim.ExecPattern) (map[cor
 		preds[regexOnlyKey] = append(preds[regexOnlyKey], regexT)
 	}
 	out := map[core.Composition]float64{}
+	//yalalint:ignore detmap each entry is computed from its own key alone, so iteration order cannot be observed
 	for c, p := range preds {
 		out[c] = ml.MAPE(p, truths)
 	}

@@ -257,13 +257,13 @@ func Table6(l *Lab) (*Report, error) {
 	rng := sim.NewRNG(l.Seed ^ 0x7ab6)
 	sequences := l.n(12, 3)
 	arrivals := l.n(60, 24)
-	type agg struct{ wastage, violations, runs float64 }
-	sums := map[placement.Strategy]*agg{}
-	for _, st := range []placement.Strategy{
+	// Strategies share the simulator's co-run cache and testbed, whose
+	// runs are numbered in call order: they must run in a fixed order.
+	strategies := []placement.Strategy{
 		placement.Monopolization, placement.Greedy, placement.SLOMOAware, placement.YalaAware,
-	} {
-		sums[st] = &agg{}
 	}
+	type agg struct{ wastage, violations, runs float64 }
+	sums := make([]agg, len(strategies))
 	for seq := 0; seq < sequences; seq++ {
 		var arr []placement.Arrival
 		for i := 0; i < arrivals; i++ {
@@ -277,21 +277,20 @@ func Table6(l *Lab) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		for st, a := range sums {
+		for i, st := range strategies {
 			res, err := ps.Place(arr, st)
 			if err != nil {
 				return nil, err
 			}
+			a := &sums[i]
 			a.wastage += 100 * float64(res.NICsUsed-oracle.NICsUsed) / float64(oracle.NICsUsed)
 			a.violations += 100 * float64(res.Violations) / float64(res.Total)
 			a.runs++
 		}
 	}
 	var rows [][]string
-	for _, st := range []placement.Strategy{
-		placement.Monopolization, placement.Greedy, placement.SLOMOAware, placement.YalaAware,
-	} {
-		a := sums[st]
+	for i, st := range strategies {
+		a := sums[i]
 		rows = append(rows, []string{
 			st.String(), f1(a.wastage / a.runs), f1(a.violations / a.runs),
 		})

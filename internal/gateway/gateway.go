@@ -257,11 +257,14 @@ func (g *Gateway) Close() {
 
 // healthLoop actively probes every replica and replays missed reload
 // fan-outs on recovery. Passive marking (a failed proxy) reacts faster
-// than the probe period; this loop is what brings replicas back.
+// than the probe period; this loop is what brings replicas back. The
+// first probe runs at once, so wire upstreams are discovered at boot
+// rather than one HealthInterval later.
 func (g *Gateway) healthLoop() {
 	defer g.wg.Done()
 	ticker := time.NewTicker(g.cfg.HealthInterval)
 	defer ticker.Stop()
+	g.probeAll()
 	for {
 		select {
 		case <-g.stop:

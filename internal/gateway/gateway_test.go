@@ -98,9 +98,13 @@ func (s *stubReplica) handler() http.Handler {
 			return
 		}
 		s.mu.Lock()
-		s.served++
-		s.paths[r.URL.Path]++
-		s.lastRID = r.Header.Get("X-Request-Id")
+		// The gateway's health loop reads /v2/stats for wire discovery,
+		// from boot on: like /healthz, that probe is not a served request.
+		if r.URL.Path != "/v2/stats" {
+			s.served++
+			s.paths[r.URL.Path]++
+			s.lastRID = r.Header.Get("X-Request-Id")
+		}
 		isReload := strings.HasSuffix(r.URL.Path, ":reload")
 		if isReload {
 			s.reloads++

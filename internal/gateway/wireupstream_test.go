@@ -78,6 +78,55 @@ func TestGatewayWireUpstreamDiscovery(t *testing.T) {
 	}
 }
 
+// TestGatewayProbesAtBoot: a new gateway probes its replicas at once
+// instead of after the first HealthInterval tick, so with an hour-long
+// interval a routed predict still reaches the replica over the wire
+// listener it advertises within a second of boot.
+func TestGatewayProbesAtBoot(t *testing.T) {
+	reps, err := SpawnReplicas(1, quickServiceConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { CloseReplicas(reps) })
+	// Train the model first, over HTTP straight to the replica, so the
+	// deadline below times routing, not training.
+	params := yalaclient.PredictParams{}
+	if _, err := yalaclient.New(reps[0].URL).Predict(context.Background(), yalaclient.ModelID{NF: "FlowStats"}, "", params); err != nil {
+		t.Fatal(err)
+	}
+	g, err := New(Config{Backends: []string{reps[0].URL}, HealthInterval: time.Hour, EdgeCacheEntries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	ts := httptest.NewServer(g.Handler())
+	t.Cleanup(ts.Close)
+
+	client := yalaclient.New(ts.URL)
+	wireServed := func() int {
+		resp, err := http.Get(reps[0].URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		if m := wireCountRe.FindSubmatch(raw); m != nil {
+			n, _ := strconv.Atoi(string(m[1]))
+			return n
+		}
+		return 0
+	}
+	deadline := time.Now().Add(time.Second)
+	for wireServed() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no routed predict reached the replica over wire within 1s of boot")
+		}
+		if _, err := client.Predict(context.Background(), yalaclient.ModelID{NF: "FlowStats"}, "", params); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestRetryAfterCrossesGateway: a replica's 429 reaches the client with
 // its Retry-After backoff hint intact, whether the gateway reached the
 // replica over HTTP or tunneled the call over a wire upstream — one

@@ -220,6 +220,62 @@ func TestWireCallTunnel(t *testing.T) {
 	}
 }
 
+// TestWireUnknownFrameType: a frame type the server does not know is
+// answered with a TypeError under the same request ID — 400,
+// invalid_argument, naming the type — and the connection keeps serving:
+// a predict on it right after is answered normally.
+func TestWireUnknownFrameType(t *testing.T) {
+	_, _, ws := wireTestServer(t, nil)
+	c, err := net.Dial("tcp", ws.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fr := wire.NewFramer(c)
+	exchange := func(typ byte, id uint64, payload []byte) wire.Frame {
+		t.Helper()
+		if err := fr.WriteFrame(typ, id, payload); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fr.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.ID != id {
+			t.Fatalf("frame type %d id %d answered with id %d", typ, id, f.ID)
+		}
+		return f
+	}
+	if f := exchange(wire.TypeHello, 1, wire.AppendHello(nil, "")); f.Type != wire.TypeHelloAck {
+		t.Fatalf("handshake answered with type %d", f.Type)
+	}
+
+	f := exchange(42, 77, []byte("whatever"))
+	if f.Type != wire.TypeError {
+		t.Fatalf("unknown frame type answered with type %d, want TypeError", f.Type)
+	}
+	e, err := wire.DecodeError(f.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Status != http.StatusBadRequest || e.Code != api.CodeInvalidArgument || !strings.Contains(e.Message, "42") {
+		t.Fatalf("unknown frame type error %+v, want 400 %s naming type 42", e, api.CodeInvalidArgument)
+	}
+
+	req := wire.PredictRequest{NF: "ACL", Backend: "fake", Competitors: []wire.Competitor{{Name: "NIDS"}}}
+	f = exchange(wire.TypePredict, 78, wire.AppendPredictRequest(nil, &req))
+	if f.Type != wire.TypePredictResp {
+		t.Fatalf("predict after the unknown frame answered with type %d", f.Type)
+	}
+	res, err := wire.DecodePredictResponse(f.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NF != "ACL" || res.PredictedPPS <= 0 {
+		t.Fatalf("predict after the unknown frame: %+v", res)
+	}
+}
+
 // TestWireGateRefusal: the tenant gate refuses over the wire with the
 // same status/code/Retry-After triple the HTTP middleware sends, and
 // the refusal does not tear the connection down.

@@ -3,10 +3,27 @@
 // the paper's evaluation runs on: measure an NF's footprint under a
 // traffic profile, co-run it with competitors or contention generators,
 // and read back throughputs and counters.
+//
+// A Testbed splits into a part whose results do not depend on call
+// order and a part whose results do:
+//
+//   - Footprints (Workload, WarmWorkloads) are seeded by their (NF,
+//     profile) key alone. They may be measured from any number of
+//     goroutines at once: each key is measured once, by whoever asks
+//     first, and every caller gets the same *nicsim.Workload.
+//   - Runs (Run, RunSolo, SoloNF and the With* co-runs) are single-caller.
+//     Each run is seeded by its position in call order, so a caller that
+//     wants reproducible measurements issues them from one goroutine in
+//     a fixed order.
 package testbed
 
 import (
+	"context"
 	"fmt"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/nf"
 	"repro/internal/nfbench"
@@ -21,7 +38,8 @@ type Testbed struct {
 	cfg  nicsim.Config
 	seed uint64
 
-	workloads map[workloadKey]*nicsim.Workload
+	mu        sync.Mutex // guards workloads
+	workloads map[workloadKey]*footprint
 	runSeq    uint64
 }
 
@@ -30,12 +48,24 @@ type workloadKey struct {
 	profile traffic.Profile
 }
 
+// footprint is one cache entry: done closes once w or err is set. A
+// failed measurement is dropped from the cache after its waiters are
+// released, so the next caller measures again and sees the same error.
+type footprint struct {
+	done chan struct{}
+	w    *nicsim.Workload
+	err  error
+}
+
+// nfMeasure is the footprint measurement behind every cache miss.
+var nfMeasure = nf.Measure
+
 // New returns a testbed on the given NIC model.
 func New(cfg nicsim.Config, seed uint64) *Testbed {
 	return &Testbed{
 		cfg:       cfg,
 		seed:      seed,
-		workloads: map[workloadKey]*nicsim.Workload{},
+		workloads: map[workloadKey]*footprint{},
 	}
 }
 
@@ -43,12 +73,33 @@ func New(cfg nicsim.Config, seed uint64) *Testbed {
 func (tb *Testbed) Config() nicsim.Config { return tb.cfg }
 
 // Workload measures (or returns the cached) hardware footprint of the
-// named catalog NF under a traffic profile.
+// named catalog NF under a traffic profile. It is safe for concurrent
+// use: callers asking for a key that is being measured wait for that
+// measurement instead of repeating it.
 func (tb *Testbed) Workload(name string, prof traffic.Profile) (*nicsim.Workload, error) {
 	key := workloadKey{name, prof}
-	if w, ok := tb.workloads[key]; ok {
-		return w, nil
+	tb.mu.Lock()
+	fp, ok := tb.workloads[key]
+	if !ok {
+		fp = &footprint{done: make(chan struct{})}
+		tb.workloads[key] = fp
 	}
+	tb.mu.Unlock()
+	if ok {
+		<-fp.done
+		return fp.w, fp.err
+	}
+	fp.w, fp.err = tb.measure(name, prof)
+	if fp.err != nil {
+		tb.mu.Lock()
+		delete(tb.workloads, key)
+		tb.mu.Unlock()
+	}
+	close(fp.done)
+	return fp.w, fp.err
+}
+
+func (tb *Testbed) measure(name string, prof traffic.Profile) (*nicsim.Workload, error) {
 	n, err := nf.New(name)
 	if err != nil {
 		return nil, err
@@ -60,16 +111,54 @@ func (tb *Testbed) Workload(name string, prof traffic.Profile) (*nicsim.Workload
 		h = h*31 + uint64(c)
 	}
 	h ^= uint64(prof.Flows)<<32 ^ uint64(prof.PktSize)<<16 ^ uint64(prof.MTBR)
-	w, err := nf.Measure(n, prof, h)
-	if err != nil {
-		return nil, err
+	return nfMeasure(n, prof, h)
+}
+
+// WarmWorkloads measures the footprints of every named NF under every
+// profile that the cache does not hold yet, on up to GOMAXPROCS
+// goroutines, largest flow count first. Footprints do not depend on the
+// order they are measured in, so a warmed cache answers later Workload
+// calls exactly as a cold one would. Measurement errors are not reported
+// here: a failed key stays uncached, and the caller's own Workload call
+// reports it in the caller's order. A cancelled context stops handing
+// out keys; WarmWorkloads returns ctx.Err() once every goroutine it
+// started has finished.
+func (tb *Testbed) WarmWorkloads(ctx context.Context, names []string, profs []traffic.Profile) error {
+	var keys []workloadKey
+	tb.mu.Lock()
+	for _, name := range names {
+		for _, prof := range profs {
+			if _, ok := tb.workloads[workloadKey{name, prof}]; !ok {
+				keys = append(keys, workloadKey{name, prof})
+			}
+		}
 	}
-	tb.workloads[key] = w
-	return w, nil
+	tb.mu.Unlock()
+	// A footprint's cost grows with its flow table: start the largest
+	// first so the longest measurement does not begin last.
+	sort.SliceStable(keys, func(i, j int) bool { return keys[i].profile.Flows > keys[j].profile.Flows })
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(keys)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= len(keys) {
+					return
+				}
+				tb.Workload(keys[i].name, keys[i].profile) // errors resurface at the caller's Workload
+			}
+		}()
+	}
+	wg.Wait()
+	return ctx.Err()
 }
 
 // Run co-locates workloads on a fresh NIC instance (distinct measurement
-// seed per run) and returns their measurements in input order.
+// seed per run) and returns their measurements in input order. Runs are
+// numbered in call order and are not safe for concurrent use.
 func (tb *Testbed) Run(ws ...*nicsim.Workload) ([]nicsim.Measurement, error) {
 	tb.runSeq++
 	nic := nicsim.New(tb.cfg, tb.seed+tb.runSeq*0x9e3779b9)

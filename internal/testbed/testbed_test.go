@@ -1,8 +1,14 @@
 package testbed
 
 import (
+	"context"
+	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/nf"
 	"repro/internal/nfbench"
 	"repro/internal/nicsim"
 	"repro/internal/traffic"
@@ -27,6 +33,129 @@ func TestWorkloadCaching(t *testing.T) {
 	}
 	if w3 == w1 {
 		t.Fatal("distinct profiles shared a workload")
+	}
+}
+
+// TestWorkloadConcurrent: eight goroutines — two of them through
+// WarmWorkloads — ask one testbed for overlapping keys in different
+// orders. Each key is measured once, every caller gets the same
+// workload, and each footprint equals a serial testbed's bit for bit.
+func TestWorkloadConcurrent(t *testing.T) {
+	names := []string{"FlowStats", "ACL", "NIDS", "IPRouter"}
+	profs := []traffic.Profile{
+		traffic.Default,
+		{Flows: 1000, PktSize: 64, MTBR: 0},
+		{Flows: 50000, PktSize: 256, MTBR: 600},
+	}
+	type key struct {
+		name string
+		prof traffic.Profile
+	}
+	var keys []key
+	for _, name := range names {
+		for _, prof := range profs {
+			keys = append(keys, key{name, prof})
+		}
+	}
+
+	var mu sync.Mutex
+	measured := map[key]int{}
+	defer func(orig func(nf.NF, traffic.Profile, uint64) (*nicsim.Workload, error)) { nfMeasure = orig }(nfMeasure)
+	nfMeasure = func(n nf.NF, prof traffic.Profile, seed uint64) (*nicsim.Workload, error) {
+		mu.Lock()
+		measured[key{n.Name(), prof}]++
+		mu.Unlock()
+		return nf.Measure(n, prof, seed)
+	}
+
+	tb := New(nicsim.BlueField2(), 1)
+	const callers = 8
+	got := make([][]*nicsim.Workload, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%4 == 0 {
+				if err := tb.WarmWorkloads(context.Background(), names, profs); err != nil {
+					t.Error(err)
+				}
+			}
+			got[g] = make([]*nicsim.Workload, len(keys))
+			for i := range keys {
+				k := keys[(i+g*5)%len(keys)] // a different order per caller
+				w, err := tb.Workload(k.name, k.prof)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g][(i+g*5)%len(keys)] = w
+			}
+			if _, err := tb.Workload("Nope", traffic.Default); err == nil {
+				t.Error("unknown NF measured")
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	serial := New(nicsim.BlueField2(), 1)
+	for i, k := range keys {
+		if n := measured[k]; n != 1 {
+			t.Errorf("%s %v measured %d times, want once", k.name, k.prof, n)
+		}
+		for g := 1; g < callers; g++ {
+			if got[g][i] != got[0][i] {
+				t.Errorf("%s %v: callers 0 and %d got different workloads", k.name, k.prof, g)
+			}
+		}
+		want, err := serial.Workload(k.name, k.prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := footprintRow(k.name, k.prof, got[0][i]), footprintRow(k.name, k.prof, want); g != w {
+			t.Errorf("concurrent footprint differs from serial:\n got %s\nwant %s", g, w)
+		}
+	}
+}
+
+// TestWarmWorkloadsCanceled: cancelling a batch stops handing out keys,
+// and WarmWorkloads returns ctx.Err() only once the measurements in
+// flight have finished, so no worker outlives the call.
+func TestWarmWorkloadsCanceled(t *testing.T) {
+	started, release := make(chan struct{}, 8), make(chan struct{})
+	var inFlight, total atomic.Int64
+	defer func(orig func(nf.NF, traffic.Profile, uint64) (*nicsim.Workload, error)) { nfMeasure = orig }(nfMeasure)
+	nfMeasure = func(n nf.NF, prof traffic.Profile, seed uint64) (*nicsim.Workload, error) {
+		inFlight.Add(1)
+		defer inFlight.Add(-1)
+		total.Add(1)
+		started <- struct{}{}
+		<-release
+		return nf.Measure(n, prof, seed)
+	}
+	names := []string{"ACL", "NAT", "FlowStats", "NIDS"}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- New(nicsim.BlueField2(), 1).WarmWorkloads(ctx, names, []traffic.Profile{traffic.Default})
+	}()
+	workers := min(runtime.GOMAXPROCS(0), len(names))
+	for i := 0; i < workers; i++ {
+		<-started
+	}
+	cancel()
+	close(release)
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("WarmWorkloads returned %v, want context.Canceled", err)
+	}
+	if n := inFlight.Load(); n != 0 {
+		t.Fatalf("%d measurements still running after WarmWorkloads returned", n)
+	}
+	if n := total.Load(); n != int64(workers) {
+		t.Fatalf("%d keys measured, want only the %d in flight at cancel", n, workers)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -22,6 +23,17 @@ const Version = 1
 // layer's request-body cap (api.MaxBodyBytes) and the response-read
 // caps: no peer can make the other side buffer more than this.
 const MaxPayload = 10 << 20
+
+// maxKeptBuf is the largest buffer kept for reuse once its frame is
+// done, both by a Framer between reads and by the encode-buffer pool:
+// one large frame must not pin megabytes for a connection's lifetime.
+const maxKeptBuf = 1 << 20
+
+// payloadStep is the largest payload a Framer allocates up front. A
+// longer payload grows its buffer as its bytes arrive, from this step
+// on, doubling, so a header declaring more than the peer sends cannot
+// make the reader allocate the declared length.
+const payloadStep = 64 << 10
 
 // headerSize is the fixed frame prefix: magic(2) version(1) type(1)
 // length(4, big-endian) request-id(8, big-endian).
@@ -132,6 +144,9 @@ func (f *Framer) WriteFrame(typ byte, id uint64, payload []byte) error {
 // between-frames close so server loops can distinguish hangup from
 // protocol damage.
 func (f *Framer) ReadFrame() (Frame, error) {
+	if cap(f.rbuf) > maxKeptBuf {
+		f.rbuf = nil // the previous frame is done; do not idle on its buffer
+	}
 	if _, err := io.ReadFull(f.br, f.hdr[:]); err != nil {
 		if err == io.EOF {
 			return Frame{}, io.EOF
@@ -148,14 +163,38 @@ func (f *Framer) ReadFrame() (Frame, error) {
 	if n > MaxPayload {
 		return Frame{}, fmt.Errorf("%w: %v", ErrTransport, errOversized)
 	}
-	if cap(f.rbuf) < int(n) {
-		f.rbuf = make([]byte, n)
-	}
-	f.rbuf = f.rbuf[:n]
-	if _, err := io.ReadFull(f.br, f.rbuf); err != nil {
+	if err := f.readPayload(int(n)); err != nil {
 		return Frame{}, fmt.Errorf("%w: %v", ErrTransport, errTruncated)
 	}
 	return Frame{Type: f.hdr[3], ID: binary.BigEndian.Uint64(f.hdr[8:16]), Payload: f.rbuf}, nil
+}
+
+// readPayload reads an n-byte payload into f.rbuf. A payload that fits
+// the buffer, or is at most payloadStep long, is read in one go; a
+// longer one is read in steps that grow the buffer only as far as the
+// bytes that have arrived justify.
+func (f *Framer) readPayload(n int) error {
+	if n > cap(f.rbuf) && n <= payloadStep {
+		f.rbuf = make([]byte, n)
+	}
+	if n <= cap(f.rbuf) {
+		f.rbuf = f.rbuf[:n]
+		_, err := io.ReadFull(f.br, f.rbuf)
+		return err
+	}
+	buf := f.rbuf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), payloadStep)))
+		}
+		m, err := io.ReadFull(f.br, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return err
+		}
+	}
+	f.rbuf = buf
+	return nil
 }
 
 // bufPool recycles encode buffers so the steady-state hot path
@@ -181,7 +220,7 @@ func GetBuf() []byte {
 // pool. Oversized buffers are dropped so one huge batch doesn't pin
 // megabytes in the pool forever.
 func PutBuf(b []byte) {
-	if cap(b) > 1<<20 {
+	if cap(b) > maxKeptBuf {
 		return
 	}
 	h := hdrPool.Get().(*[]byte)
