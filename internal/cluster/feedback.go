@@ -137,7 +137,7 @@ func (l *onlineLoop) promote(k feedback.Key, m backend.Model) error {
 		}
 		tb := testbed.New(ce.cfg.WithFrequencyScale(base*scale), l.env.seed)
 		pool := l.sc.ProfilePool()
-		if err := tb.WarmWorkloads(context.Background(), []string{k.NF}, pool); err != nil {
+		if err := tb.WarmWorkloads(context.TODO(), []string{k.NF}, pool); err != nil {
 			return err
 		}
 		for _, prof := range pool {

@@ -54,5 +54,8 @@
 //     transport-independent.
 //
 // Both sides cap payloads at MaxPayload (10 MiB), mirroring the HTTP
-// layer's request-body and response-read caps.
+// layer's request-body and response-read caps. A reader allocates a
+// declared length only up to 64 KiB; a longer payload grows its buffer
+// as its bytes arrive, so a header alone cannot make a peer allocate the
+// cap, and a buffer above 1 MiB is not kept once its frame is done.
 package wire
