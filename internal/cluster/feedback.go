@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/backend"
@@ -136,11 +135,7 @@ func (l *onlineLoop) promote(k feedback.Key, m backend.Model) error {
 			base = 1
 		}
 		tb := testbed.New(ce.cfg.WithFrequencyScale(base*scale), l.env.seed)
-		pool := l.sc.ProfilePool()
-		if err := tb.WarmWorkloads(context.TODO(), []string{k.NF}, pool); err != nil {
-			return err
-		}
-		for _, prof := range pool {
+		for _, prof := range l.sc.ProfilePool() {
 			meas, err := tb.SoloNF(k.NF, prof)
 			if err != nil {
 				return err

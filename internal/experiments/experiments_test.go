@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/israce"
 	"repro/internal/nicsim"
 	"repro/internal/traffic"
 )
@@ -109,6 +110,9 @@ func TestRunIndependentOfOrder(t *testing.T) {
 // whose testbed numbers its runs in call order, so two runs at one seed
 // must print the same report byte for byte.
 func TestTable6Deterministic(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("two full trainings on one goroutine; the race detector adds minutes and finds nothing here")
+	}
 	first, err := Run("table6", 1, 0.05)
 	if err != nil {
 		t.Fatal(err)

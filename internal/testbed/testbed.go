@@ -48,9 +48,9 @@ type workloadKey struct {
 	profile traffic.Profile
 }
 
-// footprint is one cache entry: done closes once w or err is set. A
-// failed measurement is dropped from the cache after its waiters are
-// released, so the next caller measures again and sees the same error.
+// footprint is one cache entry: done closes once w and err are set. An
+// error is cached like a workload, since whether a measurement fails
+// depends on its key alone.
 type footprint struct {
 	done chan struct{}
 	w    *nicsim.Workload
@@ -85,18 +85,29 @@ func (tb *Testbed) Workload(name string, prof traffic.Profile) (*nicsim.Workload
 		tb.workloads[key] = fp
 	}
 	tb.mu.Unlock()
-	if ok {
-		<-fp.done
-		return fp.w, fp.err
+	if !ok {
+		tb.fill(key, fp)
 	}
-	fp.w, fp.err = tb.measure(name, prof)
-	if fp.err != nil {
-		tb.mu.Lock()
-		delete(tb.workloads, key)
-		tb.mu.Unlock()
-	}
-	close(fp.done)
+	<-fp.done
 	return fp.w, fp.err
+}
+
+// fill measures fp's key and releases its waiters. If the measurement
+// panics, the waiters get an error, the key is left uncached so the next
+// caller measures it again, and the panic goes on up the caller's stack.
+func (tb *Testbed) fill(key workloadKey, fp *footprint) {
+	measured := false
+	defer func() {
+		if !measured {
+			fp.err = fmt.Errorf("testbed: measuring %s under %v panicked", key.name, key.profile)
+			tb.mu.Lock()
+			delete(tb.workloads, key)
+			tb.mu.Unlock()
+		}
+		close(fp.done)
+	}()
+	fp.w, fp.err = tb.measure(key.name, key.profile)
+	measured = true
 }
 
 func (tb *Testbed) measure(name string, prof traffic.Profile) (*nicsim.Workload, error) {
@@ -119,10 +130,11 @@ func (tb *Testbed) measure(name string, prof traffic.Profile) (*nicsim.Workload,
 // goroutines, largest flow count first. Footprints do not depend on the
 // order they are measured in, so a warmed cache answers later Workload
 // calls exactly as a cold one would. Measurement errors are not reported
-// here: a failed key stays uncached, and the caller's own Workload call
-// reports it in the caller's order. A cancelled context stops handing
-// out keys; WarmWorkloads returns ctx.Err() once every goroutine it
-// started has finished.
+// here: a failed key caches its error, and the caller's own Workload call
+// reports it in the caller's order. A key whose measurement panics stays
+// uncached, so that call measures it again and panics on the caller's
+// goroutine. A cancelled context stops handing out keys; WarmWorkloads
+// returns ctx.Err() once every goroutine it started has finished.
 func (tb *Testbed) WarmWorkloads(ctx context.Context, names []string, profs []traffic.Profile) error {
 	var keys []workloadKey
 	tb.mu.Lock()
@@ -148,12 +160,19 @@ func (tb *Testbed) WarmWorkloads(ctx context.Context, names []string, profs []tr
 				if i >= len(keys) {
 					return
 				}
-				tb.Workload(keys[i].name, keys[i].profile) // errors resurface at the caller's Workload
+				tb.warm(keys[i])
 			}
 		}()
 	}
 	wg.Wait()
 	return ctx.Err()
+}
+
+// warm measures one key for WarmWorkloads. Its error is cached and its
+// panic left for the caller's own Workload call to meet again.
+func (tb *Testbed) warm(k workloadKey) {
+	defer func() { recover() }()
+	tb.Workload(k.name, k.profile)
 }
 
 // Run co-locates workloads on a fresh NIC instance (distinct measurement

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/nf"
 	"repro/internal/nfbench"
@@ -157,6 +159,125 @@ func TestWarmWorkloadsCanceled(t *testing.T) {
 	if n := total.Load(); n != int64(workers) {
 		t.Fatalf("%d keys measured, want only the %d in flight at cancel", n, workers)
 	}
+}
+
+// TestWorkloadErrorCached: a failed measurement is cached with its key,
+// so every later caller gets the same error without measuring again.
+func TestWorkloadErrorCached(t *testing.T) {
+	var calls atomic.Int64
+	defer func(orig func(nf.NF, traffic.Profile, uint64) (*nicsim.Workload, error)) { nfMeasure = orig }(nfMeasure)
+	nfMeasure = func(nf.NF, traffic.Profile, uint64) (*nicsim.Workload, error) {
+		calls.Add(1)
+		return nil, errors.New("rig down")
+	}
+	tb := New(nicsim.BlueField2(), 1)
+	if err := tb.WarmWorkloads(context.Background(), []string{"ACL"}, []traffic.Profile{traffic.Default}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := tb.Workload("ACL", traffic.Default); err == nil || err.Error() != "rig down" {
+			t.Fatalf("call %d: error %v, want the cached measurement error", i, err)
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("failed key measured %d times, want once", n)
+	}
+}
+
+// waitingOnFootprint reports whether some goroutine is parked in
+// Workload on another caller's measurement.
+func waitingOnFootprint() bool {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		lines := strings.SplitN(g, "\n", 3)
+		if len(lines) >= 2 && strings.Contains(lines[0], "[chan receive") &&
+			strings.HasPrefix(lines[1], "repro/internal/testbed.(*Testbed).Workload(") {
+			return true
+		}
+	}
+	return false
+}
+
+// TestWorkloadPanic: a measurement that panics releases the callers
+// waiting on it with an error, panics in the caller that measured, and
+// leaves the key uncached, so the next caller measures it again.
+func TestWorkloadPanic(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int64
+	defer func(orig func(nf.NF, traffic.Profile, uint64) (*nicsim.Workload, error)) { nfMeasure = orig }(nfMeasure)
+	nfMeasure = func(n nf.NF, prof traffic.Profile, seed uint64) (*nicsim.Workload, error) {
+		if calls.Add(1) == 1 {
+			close(started)
+			<-release
+			panic("measurement blew up")
+		}
+		return nf.Measure(n, prof, seed)
+	}
+	tb := New(nicsim.BlueField2(), 1)
+
+	measurer := make(chan any, 1)
+	go func() { measurer <- panicOf(func() { tb.Workload("ACL", traffic.Default) }) }()
+	<-started
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := tb.Workload("ACL", traffic.Default)
+		waiter <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); !waitingOnFootprint(); {
+		if time.Now().After(deadline) {
+			t.Fatal("second caller never waited on the first caller's measurement")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+
+	if r := <-measurer; r != "measurement blew up" {
+		t.Fatalf("measuring caller panicked with %v, want the measurement's panic", r)
+	}
+	select {
+	case err := <-waiter:
+		if err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("waiting caller got %v, want a panicked-measurement error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiting caller still blocked after the measurement panicked")
+	}
+	if w, err := tb.Workload("ACL", traffic.Default); err != nil || w == nil {
+		t.Fatalf("re-measure after the panic: %v, %v", w, err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("%d measurements, want the panicking one and one re-measure", n)
+	}
+}
+
+// TestWarmWorkloadsPanic: a key whose measurement panics inside the batch
+// does not take the batch down; it stays uncached and the caller's own
+// Workload call meets the panic on the caller's goroutine.
+func TestWarmWorkloadsPanic(t *testing.T) {
+	defer func(orig func(nf.NF, traffic.Profile, uint64) (*nicsim.Workload, error)) { nfMeasure = orig }(nfMeasure)
+	nfMeasure = func(n nf.NF, prof traffic.Profile, seed uint64) (*nicsim.Workload, error) {
+		if n.Name() == "NAT" {
+			panic("measurement blew up")
+		}
+		return nf.Measure(n, prof, seed)
+	}
+	tb := New(nicsim.BlueField2(), 1)
+	if err := tb.WarmWorkloads(context.Background(), []string{"ACL", "NAT", "FlowStats"}, []traffic.Profile{traffic.Default}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.Workload("ACL", traffic.Default); err != nil {
+		t.Fatal(err)
+	}
+	if r := panicOf(func() { tb.Workload("NAT", traffic.Default) }); r != "measurement blew up" {
+		t.Fatalf("Workload after the batch panicked with %v, want the measurement's panic", r)
+	}
+}
+
+// panicOf runs f and returns what it panicked with, or nil.
+func panicOf(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
 }
 
 func TestWorkloadUnknownNF(t *testing.T) {
