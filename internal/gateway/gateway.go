@@ -7,7 +7,7 @@
 // Routing is rendezvous hashing on (NF, hardware class, backend), so
 // every scenario for one model keeps landing on the same replica and
 // that replica's LRU stays hot for its key range; when a replica is
-// marked down — by the active health loop (pkg/yalaclient probes) or
+// marked down — by the active health loop (GET /healthz probes) or
 // passively by a transport failure mid-proxy — the same ranking yields
 // the next-best replica, which is exactly consistent-hashing failover:
 // only the dead replica's key range moves. Every proxied verb is
@@ -15,10 +15,19 @@
 // retries transparently on the next replica in rank order and clients
 // see zero errors across a replica kill.
 //
+// The gateway reaches a replica through one HTTP client (send's HTTP
+// half, a bounded read) plus the wire pool a replica advertises.
+// Routed traffic and reloads ride wire when it is up; control reads —
+// probes, wire discovery, Attach, both stats handlers and the /metrics
+// scrape — stay on HTTP and are not timed as upstream latency.
+//
 // The mutating custom method (:reload) fans out to every replica so no
-// replica serves a stale model; a replica that misses a fan-out while
-// down has the reload queued and replayed by the health loop when it
-// recovers, so it never rejoins stale. :batchPredict
+// replica serves a stale model. One function (reload) sends every
+// reload — a client's fan-out, a feedback promotion, a pending replay —
+// under one rule: a 2xx applied it; a transport error, 5xx or 429
+// queues it for replay by the health loop (or the next Attach), so a
+// replica never rejoins stale; any other 4xx means the reload is
+// invalid everywhere and nothing is queued. :batchPredict
 // scatters its elements to their home replicas in per-replica
 // sub-batches and gathers the responses back in request order.
 //
@@ -39,13 +48,17 @@ package gateway
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"maps"
 	"net/http"
+	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -79,8 +92,8 @@ type Config struct {
 	// shedding before any fan-out (see internal/tenant).
 	Gate *tenant.Gate
 	// HealthInterval is the active probe period (default 500ms);
-	// HealthTimeout bounds one probe or pending-reload replay (default
-	// 2s).
+	// HealthTimeout bounds one control read (probe, stats, scrape) and
+	// one replica's answer to a reload (default 2s).
 	HealthInterval time.Duration
 	HealthTimeout  time.Duration
 	// EdgeCacheEntries sizes the gateway's response cache: 0 selects the
@@ -118,18 +131,27 @@ type replica struct {
 
 	healthy atomic.Bool
 
-	// pending holds reload fan-outs this slot missed while its backend
-	// was down or the slot vacant, keyed "backend|nf"; the health loop
-	// (or the next Attach) replays them so a rejoining replica never
-	// serves a stale model. The seq guards replay-vs-new-failure races:
-	// a drain only clears the entry it actually replayed.
+	// pending holds reloads this slot missed while its backend was down
+	// or the slot vacant, keyed "backend|nf"; the health loop (or the
+	// next Attach) replays them so a rejoining replica never serves a
+	// stale model. The seq guards replay-vs-new-failure races: a drain
+	// only clears the entry it actually replayed.
 	mu      sync.Mutex
 	pending map[string]pendingReload
 }
 
 type pendingReload struct {
-	backend, nf string
-	seq         uint64
+	req reloadReq
+	seq uint64
+}
+
+// reloadReq is one reload as every replica is sent it. backend and nf
+// name its pending-queue entry and the edge entries it evicts; uri,
+// contentType and body are the exchange itself, replayed verbatim.
+type reloadReq struct {
+	backend, nf      string
+	uri, contentType string
+	body             []byte
 }
 
 // Gateway routes /v2 traffic across replicas.
@@ -184,8 +206,8 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Slots < len(cfg.Backends) {
 		cfg.Slots = len(cfg.Backends)
 	}
-	// The forwarding client keeps a deep idle-connection pool per
-	// replica, like the SDK's.
+	// The one HTTP client toward every replica (roundTrip) keeps a deep
+	// idle-connection pool per replica, like the SDK's.
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConns = 256
 	tr.MaxIdleConnsPerHost = 256
@@ -195,30 +217,22 @@ func New(cfg Config) (*Gateway, error) {
 		edge:  serve.NewCache(cfg.EdgeCacheEntries),
 		stop:  make(chan struct{}),
 	}
-	eps := make([]*endpoint, len(cfg.Backends))
-	for i, u := range cfg.Backends {
-		// A phantom empty-URL replica would boot optimistically healthy
-		// and then fail every send and probe forever — reject the typo
-		// (e.g. a trailing comma) at construction.
-		ep, err := newEndpoint(u)
-		if err != nil {
-			return nil, fmt.Errorf("gateway: backend %d: %w", i, err)
-		}
-		eps[i] = ep
-	}
+	g.initObs()
 	for slot := 0; slot < cfg.Slots; slot++ {
 		rep := &replica{slot: slot, pending: map[string]pendingReload{}}
-		if slot < len(eps) {
-			rep.ep.Store(eps[slot])
+		if slot < len(cfg.Backends) {
+			// A phantom empty-URL replica would boot optimistically healthy
+			// and then fail every send and probe forever — reject the typo
+			// (e.g. a trailing comma) at construction.
+			ep, err := newEndpoint(cfg.Backends[slot])
+			if err != nil {
+				return nil, fmt.Errorf("gateway: backend %d: %w", slot, err)
+			}
+			g.registerEndpointObs(rep, ep)
+			rep.ep.Store(ep)
 			rep.healthy.Store(true)
 		}
 		g.replicas = append(g.replicas, rep)
-	}
-	g.initObs()
-	for _, rep := range g.replicas {
-		if ep := rep.ep.Load(); ep != nil {
-			g.registerEndpointObs(rep, ep)
-		}
 	}
 	if cfg.Gate != nil {
 		// The gate's queue-pressure signal is the gateway's in-flight
@@ -276,27 +290,58 @@ func (g *Gateway) healthLoop() {
 }
 
 func (g *Gateway) probeAll() {
-	var wg sync.WaitGroup
-	for _, rep := range g.replicas {
-		ep := rep.ep.Load()
-		if ep == nil {
-			continue // vacant slot: nothing to probe
+	each(g.replicas, func(_ int, rep *replica, ep *endpoint) {
+		if _, err := g.fetch(context.Background(), ep, "/healthz"); err != nil {
+			rep.healthy.Store(false)
+			return
 		}
-		wg.Add(1)
-		go func(rep *replica, ep *endpoint) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), g.cfg.HealthTimeout)
-			defer cancel()
-			if err := ep.client.Health(ctx); err != nil {
-				rep.healthy.Store(false)
-				return
-			}
-			g.drainPending(rep)
-			g.discoverWire(ctx, ep)
-			rep.healthy.Store(true)
-		}(rep, ep)
+		g.drainPending(rep)
+		g.discoverWire(ep)
+		rep.healthy.Store(true)
+	})
+}
+
+// each runs fn concurrently on every attached replica in reps — ep is
+// the endpoint snapshot the call works on, so a concurrent Detach
+// cannot nil it mid-use — and waits for all of them. It returns the
+// snapshots by index; vacant slots are nil and never see fn.
+func each(reps []*replica, fn func(i int, rep *replica, ep *endpoint)) []*endpoint {
+	eps := make([]*endpoint, len(reps))
+	var wg sync.WaitGroup
+	for i, rep := range reps {
+		if eps[i] = rep.ep.Load(); eps[i] != nil {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fn(i, rep, eps[i])
+			}()
+		}
 	}
 	wg.Wait()
+	return eps
+}
+
+// fetch is the gateway's control read: GET path from one replica over
+// HTTP through roundTrip (bounded by api.MaxBodyBytes) within
+// HealthTimeout, anything but a 200 an error. It is deliberately not
+// timed into gateway_upstream_seconds, which measures routed traffic.
+func (g *Gateway) fetch(ctx context.Context, ep *endpoint, path string) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, g.cfg.HealthTimeout)
+	defer cancel()
+	status, _, body, err := g.roundTrip(ctx, http.MethodGet, ep.url+path, "", nil)
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("gateway: GET %s%s answered %d", ep.url, path, status)
+	}
+	return body, err
+}
+
+// stats fetches one replica's /v2/stats.
+func (g *Gateway) stats(ctx context.Context, ep *endpoint) (st yalaclient.Stats, err error) {
+	body, err := g.fetch(ctx, ep, "/v2/stats")
+	if err == nil {
+		err = json.Unmarshal(body, &st)
+	}
+	return st, err
 }
 
 // discoverWire asks a healthy replica (once per attachment, re-armed
@@ -304,30 +349,27 @@ func (g *Gateway) probeAll() {
 // the binary upstream pool when it does. A replica without one simply
 // stays on HTTP; a failed stats probe re-arms so a later probe
 // retries.
-func (g *Gateway) discoverWire(ctx context.Context, ep *endpoint) {
+func (g *Gateway) discoverWire(ep *endpoint) {
 	if ep.wireProbed.Swap(true) {
 		return
 	}
-	st, err := ep.client.Stats(ctx)
+	st, err := g.stats(context.Background(), ep)
 	if err != nil {
 		ep.wireProbed.Store(false)
 		return
 	}
-	if st.WireAddr == "" {
-		return
+	if st.WireAddr != "" {
+		ep.wire.Store(wire.NewPool(st.WireAddr, "", 8))
 	}
-	ep.wire.Store(wire.NewPool(st.WireAddr, "", 8))
 }
 
-// drainPending replays the reload fan-outs a replica missed while down.
-// Server-side reloads are idempotent (drop model, evict entries), so a
-// duplicate replay is harmless; an entry clears on success or on a 4xx
-// (the reload was invalid everywhere — nothing to catch up on).
+// drainPending replays, one at a time through reload, the reloads a
+// replica missed while down. Server-side reloads are idempotent (drop
+// model, evict entries), so a duplicate replay is harmless. An entry
+// clears once its replay is applied or found invalid. A replay that
+// reload queues again is re-added with a fresh seq, so the seq check
+// below leaves it for the next probe.
 func (g *Gateway) drainPending(rep *replica) {
-	ep := rep.ep.Load()
-	if ep == nil {
-		return
-	}
 	rep.mu.Lock()
 	missed := make([]pendingReload, 0, len(rep.pending))
 	for _, p := range rep.pending {
@@ -335,28 +377,19 @@ func (g *Gateway) drainPending(rep *replica) {
 	}
 	rep.mu.Unlock()
 	for _, p := range missed {
-		ctx, cancel := context.WithTimeout(context.Background(), g.cfg.HealthTimeout)
-		err := ep.client.Reload(ctx, yalaclient.ModelID{NF: p.nf}, p.backend)
-		cancel()
-		var apiErr *yalaclient.APIError
-		if err == nil || (errors.As(err, &apiErr) && apiErr.StatusCode < 500) {
-			key := p.backend + "|" + p.nf
-			rep.mu.Lock()
-			if cur, ok := rep.pending[key]; ok && cur.seq == p.seq {
-				delete(rep.pending, key)
-			}
-			rep.mu.Unlock()
+		g.reload(context.Background(), []*replica{rep}, p.req)
+		key := p.req.backend + "|" + p.req.nf
+		rep.mu.Lock()
+		if cur, ok := rep.pending[key]; ok && cur.seq == p.seq {
+			delete(rep.pending, key)
 		}
+		rep.mu.Unlock()
 	}
 }
 
-func (g *Gateway) addPending(rep *replica, backendName, nfName string) {
+func (g *Gateway) addPending(rep *replica, req reloadReq) {
 	rep.mu.Lock()
-	rep.pending[backendName+"|"+nfName] = pendingReload{
-		backend: backendName,
-		nf:      nfName,
-		seq:     g.pendingSeq.Add(1),
-	}
+	rep.pending[req.backend+"|"+req.nf] = pendingReload{req: req, seq: g.pendingSeq.Add(1)}
 	rep.mu.Unlock()
 }
 
@@ -654,16 +687,11 @@ func (g *Gateway) sendWithFailover(ctx context.Context, key, method, uri, conten
 // rather than proxying an unbounded body through the gateway's memory.
 var errUpstreamTooLarge = fmt.Errorf("gateway: upstream response exceeds %d-byte cap", api.MaxBodyBytes)
 
-// send performs one proxied exchange and slurps the response, bounded
-// by api.MaxBodyBytes (the request-side cap — a replica must not be
-// able to balloon the gateway's memory with one response). When the
-// endpoint advertised a wire listener the exchange rides a persistent
-// binary frame; any wire transport failure drops the pool and falls
-// back to HTTP for this and subsequent calls until a probe
-// rediscovers it. The request ID the gateway middleware attached
-// travels upstream as X-Request-Id — the replica adopts it into its
-// own envelope and metrics log line, so one ID names the request end
-// to end.
+// send performs one proxied exchange, timed into the endpoint's
+// gateway_upstream_seconds. When the endpoint advertised a wire
+// listener the exchange rides a persistent binary frame; any wire
+// transport failure drops the pool and falls back to HTTP for this and
+// subsequent calls until a probe rediscovers it.
 func (g *Gateway) send(ctx context.Context, ep *endpoint, method, uri, contentType string, body []byte) (int, http.Header, []byte, error) {
 	if wp := ep.wire.Load(); wp != nil {
 		status, hdr, data, err := g.sendWire(ctx, ep, wp, method, uri, contentType, body)
@@ -680,11 +708,25 @@ func (g *Gateway) send(ctx context.Context, ep *endpoint, method, uri, contentTy
 		}
 		ep.dropWire(wp)
 	}
+	start := time.Now()
+	status, hdr, data, err := g.roundTrip(ctx, method, ep.url+uri, contentType, body)
+	ep.upstream.Observe(time.Since(start).Seconds())
+	return status, hdr, data, err
+}
+
+// roundTrip is the gateway's one HTTP exchange with a replica, on its
+// one client, and slurps the response bounded by api.MaxBodyBytes (the
+// request-side cap — a replica must not be able to balloon the
+// gateway's memory with one response). The request ID the gateway
+// middleware attached travels upstream as X-Request-Id — the replica
+// adopts it into its own envelope and metrics log line, so one ID
+// names the request end to end.
+func (g *Gateway) roundTrip(ctx context.Context, method, rawURL, contentType string, body []byte) (int, http.Header, []byte, error) {
 	var rd io.Reader
 	if len(body) > 0 {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, ep.url+uri, rd)
+	req, err := http.NewRequestWithContext(ctx, method, rawURL, rd)
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -694,11 +736,7 @@ func (g *Gateway) send(ctx context.Context, ep *endpoint, method, uri, contentTy
 	if rid := api.RequestID(ctx); rid != "" {
 		req.Header.Set("X-Request-Id", rid)
 	}
-	start := time.Now()
 	resp, err := g.httpc.Do(req)
-	if ep.upstream != nil {
-		ep.upstream.Observe(time.Since(start).Seconds())
-	}
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -750,113 +788,125 @@ func (g *Gateway) sendWire(ctx context.Context, ep *endpoint, wp *wire.Pool, met
 		return nil
 	})
 	wire.PutBuf(buf)
-	if ep.upstream != nil {
-		ep.upstream.Observe(time.Since(start).Seconds())
-	}
+	ep.upstream.Observe(time.Since(start).Seconds())
 	if err != nil {
 		return 0, nil, nil, err
 	}
 	return status, hdr, data, nil
 }
 
-// fanoutReload forwards a mutating reload to every replica — healthy or
-// not — so no replica serves a stale model. Replicas that fail the
-// fan-out (transport error or 5xx) get the reload queued for replay on
-// recovery. The response is the first success if any replica applied it
-// (stragglers catch up via the pending queue), a replica's own 4xx if
-// the reload was invalid (deterministic catalogs: invalid on one is
-// invalid on all), and a 503 only when nothing answered.
-func (g *Gateway) fanoutReload(w http.ResponseWriter, r *http.Request, rt route, body []byte) {
-	backendName, nfName := rt.backend, rt.nf
-	if backendName == "" {
-		backendName = yalaclient.DefaultBackend
-	}
-	g.fanouts.Add(1)
+// reloadOutcome is the fleet's one rule for a replica's answer to a
+// reload.
+type reloadOutcome int
 
-	type result struct {
-		rep    *replica
-		ep     *endpoint // nil: slot was vacant, nothing dialed
-		status int
-		hdr    http.Header
-		body   []byte
-		err    error
-	}
-	results := make([]result, len(g.replicas))
-	dialed := 0
-	var wg sync.WaitGroup
-	for i, rep := range g.replicas {
-		ep := rep.ep.Load()
-		results[i] = result{rep: rep, ep: ep}
-		if ep == nil {
-			// Vacant slot: a future occupant catches up via the pending
-			// queue the post-processing below fills.
-			continue
-		}
-		dialed++
-		wg.Add(1)
-		go func(i int, rep *replica, ep *endpoint) {
-			defer wg.Done()
-			status, hdr, respBody, err := g.send(r.Context(), ep, r.Method, r.URL.RequestURI(), r.Header.Get("Content-Type"), body)
-			results[i] = result{rep, ep, status, hdr, respBody, err}
-			if err == nil {
-				ep.requests.Add(1)
-				if status < 400 {
-					ep.fanouts.Add(1)
-				}
-			}
-		}(i, rep, ep)
-	}
-	wg.Wait()
+const (
+	reloadApplied reloadOutcome = iota // 2xx (any status below 400)
+	reloadQueued                       // vacant slot, transport error, 5xx or 429: replay later
+	reloadInvalid                      // any other 4xx: invalid on every replica
+)
 
-	var success, clientErr *result
-	applied := 0
-	for i := range results {
-		res := &results[i]
-		switch {
-		case res.ep != nil && res.err == nil && res.status < 400:
-			applied++
-			if success == nil {
-				success = res
-			}
-		case res.ep != nil && res.err == nil && res.status < 500:
-			if clientErr == nil {
-				clientErr = res
-			}
-		}
-	}
-	// Queue catch-up reloads for replicas that missed an applied (or
-	// ambiguously applied) fan-out — including vacant slots, whose next
-	// occupant must not serve the pre-reload model; a pure client error
-	// applied nowhere and needs no catch-up.
-	if clientErr == nil && nfName != "" {
-		for i := range results {
-			res := &results[i]
-			if res.ep == nil || res.err != nil || res.status >= 500 {
-				if res.ep != nil && res.err != nil && r.Context().Err() == nil {
-					res.rep.healthy.Store(false)
-					res.ep.errors.Add(1)
-				}
-				g.addPending(res.rep, backendName, nfName)
-			}
-		}
-		// Pre-reload responses memoized at the edge are stale the moment
-		// any replica reloads.
-		g.evictEdge(nfName)
-	}
+// reloadAnswer is one target's answer to a reload.
+type reloadAnswer struct {
+	ep     *endpoint // nil: vacant slot, nothing dialed
+	status int
+	hdr    http.Header
+	body   []byte
+	err    error
+}
 
+func (a reloadAnswer) outcome() reloadOutcome {
 	switch {
-	case clientErr != nil:
-		api.CopyForwarded(w.Header(), clientErr.hdr)
-		w.WriteHeader(clientErr.status)
-		w.Write(clientErr.body)
-	case applied > 0:
-		api.CopyForwarded(w.Header(), success.hdr)
-		w.Header().Set("X-Gateway-Fanout", fmt.Sprintf("%d/%d", applied, dialed))
-		w.WriteHeader(success.status)
-		w.Write(success.body)
-	default:
-		g.writeProxyError(w, r, fmt.Errorf("reload fan-out reached no replica"))
+	case a.ep == nil || a.err != nil || a.status >= 500 || a.status == http.StatusTooManyRequests:
+		return reloadQueued
+	case a.status >= 400:
+		return reloadInvalid
 	}
+	return reloadApplied
+}
+
+// reload sends every reload the gateway issues — a client's fan-out, a
+// feedback promotion, a pending replay — to each target at once, each
+// answer bounded by HealthTimeout, and applies the one rule to the
+// answers: unless some replica found the reload invalid (deterministic
+// catalogs: invalid on one is invalid on all), every target that did
+// not apply it, vacant slots included, has it queued for replay, and
+// the edge sheds the NF's responses, stale the moment any replica
+// reloads. A transport failure marks the replica down unless ctx, the
+// caller's, is what gave up. Answers come back in target order.
+func (g *Gateway) reload(ctx context.Context, targets []*replica, req reloadReq) []reloadAnswer {
+	answers := make([]reloadAnswer, len(targets))
+	tctx, cancel := context.WithTimeout(ctx, g.cfg.HealthTimeout)
+	defer cancel()
+	each(targets, func(i int, rep *replica, ep *endpoint) {
+		a := &answers[i]
+		a.ep = ep
+		a.status, a.hdr, a.body, a.err = g.send(tctx, ep, http.MethodPost, req.uri, req.contentType, req.body)
+		if a.err != nil {
+			ep.errors.Add(1)
+			if ctx.Err() == nil {
+				rep.healthy.Store(false)
+			}
+			return
+		}
+		ep.requests.Add(1)
+		if a.outcome() == reloadApplied {
+			ep.fanouts.Add(1)
+		}
+	})
+	if slices.ContainsFunc(answers, func(a reloadAnswer) bool { return a.outcome() == reloadInvalid }) {
+		return answers
+	}
+	for i := range answers {
+		if answers[i].outcome() == reloadQueued {
+			g.addPending(targets[i], req)
+		}
+	}
+	g.evictEdge(req.nf)
+	return answers
+}
+
+// fanoutReload forwards a client's mutating reload to every replica —
+// healthy or not — so no replica serves a stale model. The response is
+// a replica's own 4xx if the reload was invalid, else the first
+// success with X-Gateway-Fanout applied/dialed if any replica applied
+// it (the rest catch up via the pending queue), else a replica's own
+// refusal (a 429 keeps its Retry-After), and a 503 only when nothing
+// answered.
+func (g *Gateway) fanoutReload(w http.ResponseWriter, r *http.Request, rt route, body []byte) {
+	g.fanouts.Add(1)
+	answers := g.reload(r.Context(), g.replicas, reloadReq{
+		backend: rt.backend, nf: rt.nf,
+		uri: r.URL.RequestURI(), contentType: r.Header.Get("Content-Type"), body: body,
+	})
+	var first [reloadInvalid + 1]*reloadAnswer // first replica answer per outcome
+	applied, dialed := 0, 0
+	for i := range answers {
+		a := &answers[i]
+		if a.ep != nil {
+			dialed++
+		}
+		if a.ep == nil || a.err != nil {
+			continue // no replica answer to forward
+		}
+		o := a.outcome()
+		if o == reloadApplied {
+			applied++
+		}
+		if first[o] == nil {
+			first[o] = a
+		}
+	}
+	res := cmp.Or(first[reloadInvalid], first[reloadApplied], first[reloadQueued])
+	if res == nil {
+		g.writeProxyError(w, r, fmt.Errorf("reload fan-out reached no replica"))
+		return
+	}
+	if res == first[reloadApplied] {
+		w.Header().Set("X-Gateway-Fanout", fmt.Sprintf("%d/%d", applied, dialed))
+	}
+	api.CopyForwarded(w.Header(), res.hdr)
+	w.WriteHeader(res.status)
+	w.Write(res.body)
 }
 
 // evictEdge drops edge-cached responses a reload of nf could
@@ -891,26 +941,16 @@ func (g *Gateway) handleGatewayStats(w http.ResponseWriter, r *http.Request) {
 	es := g.edge.Stats()
 	out.EdgeHits, out.EdgeMisses, out.EdgeEntries = es.Hits, es.Misses, es.Entries
 
-	eps := make([]*endpoint, len(g.replicas))
 	entries := make([]int, len(g.replicas))
-	var wg sync.WaitGroup
-	for i, rep := range g.replicas {
+	eps := each(g.replicas, func(i int, rep *replica, ep *endpoint) {
 		entries[i] = -1
-		eps[i] = rep.ep.Load()
-		if eps[i] == nil || !rep.healthy.Load() {
-			continue
+		if !rep.healthy.Load() {
+			return
 		}
-		wg.Add(1)
-		go func(i int, ep *endpoint) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), g.cfg.HealthTimeout)
-			defer cancel()
-			if st, err := ep.client.Stats(ctx); err == nil {
-				entries[i] = st.Cache.Entries
-			}
-		}(i, eps[i])
-	}
-	wg.Wait()
+		if st, err := g.stats(r.Context(), ep); err == nil {
+			entries[i] = st.Cache.Entries
+		}
+	})
 	for i, rep := range g.replicas {
 		ep := eps[i]
 		if ep == nil {
@@ -932,18 +972,10 @@ func (g *Gateway) handleGatewayStats(w http.ResponseWriter, r *http.Request) {
 	}
 	out.Slots = len(g.replicas)
 	if g.cfg.Gate != nil {
+		// A conversion, not a field copy: the wire row and the gate's
+		// snapshot must keep one shape, and a drifted field fails to build.
 		for _, snap := range g.cfg.Gate.Snapshots() {
-			out.Tenants = append(out.Tenants, yalaclient.GatewayTenantStats{
-				Tenant:      snap.Tenant,
-				Limited:     snap.Limited,
-				Requests:    snap.Requests,
-				Interactive: snap.Interactive,
-				Bulk:        snap.Bulk,
-				Shed:        snap.Shed,
-				RateLimited: snap.RateLimited,
-				Overloaded:  snap.Overloaded,
-				Errors:      snap.Errors,
-			})
+			out.Tenants = append(out.Tenants, yalaclient.GatewayTenantStats(snap))
 		}
 	}
 	api.WriteJSON(w, http.StatusOK, out)
@@ -955,38 +987,25 @@ func (g *Gateway) handleGatewayStats(w http.ResponseWriter, r *http.Request) {
 // sum to aggregate capacity, the model list and backend set are unions,
 // uptime is the oldest replica's.
 func (g *Gateway) handleAggregateStats(w http.ResponseWriter, r *http.Request) {
-	type fetched struct {
-		st  yalaclient.Stats
-		err error
-	}
-	results := make([]fetched, len(g.replicas))
-	var wg sync.WaitGroup
-	for i, rep := range g.replicas {
-		results[i].err = fmt.Errorf("unhealthy")
-		ep := rep.ep.Load()
-		if ep == nil || !rep.healthy.Load() {
-			continue
+	fetched := make([]*yalaclient.Stats, len(g.replicas))
+	each(g.replicas, func(i int, rep *replica, ep *endpoint) {
+		if !rep.healthy.Load() {
+			return
 		}
-		wg.Add(1)
-		go func(i int, ep *endpoint) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), g.cfg.HealthTimeout)
-			defer cancel()
-			results[i].st, results[i].err = ep.client.Stats(ctx)
-		}(i, ep)
-	}
-	wg.Wait()
+		if st, err := g.stats(r.Context(), ep); err == nil {
+			fetched[i] = &st
+		}
+	})
 
 	agg := yalaclient.Stats{Requests: map[string]uint64{}}
 	models := map[string]yalaclient.ModelInfo{}
 	backends := map[string]bool{}
 	answered := 0
-	for _, res := range results {
-		if res.err != nil {
+	for _, st := range fetched {
+		if st == nil {
 			continue
 		}
 		answered++
-		st := res.st
 		// Uptime is the oldest replica's and start time the earliest —
 		// never a sum: five replicas up an hour each is still an
 		// hour-old fleet.
@@ -1054,22 +1073,9 @@ func (g *Gateway) handleAggregateStats(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, r, http.StatusServiceUnavailable, api.CodeUnavailable, "no healthy replica answered /v2/stats")
 		return
 	}
-	for b := range backends {
-		agg.Backends = append(agg.Backends, b)
-	}
-	sort.Strings(agg.Backends)
-	for _, m := range models {
-		agg.Models = append(agg.Models, m)
-	}
-	sort.Slice(agg.Models, func(i, j int) bool {
-		a, b := agg.Models[i], agg.Models[j]
-		if a.NF != b.NF {
-			return a.NF < b.NF
-		}
-		if a.HW != b.HW {
-			return a.HW < b.HW
-		}
-		return a.Backend < b.Backend
+	agg.Backends = slices.Sorted(maps.Keys(backends))
+	agg.Models = slices.SortedFunc(maps.Values(models), func(a, b yalaclient.ModelInfo) int {
+		return cmp.Or(cmp.Compare(a.NF, b.NF), cmp.Compare(a.HW, b.HW), cmp.Compare(a.Backend, b.Backend))
 	})
 	api.WriteJSON(w, http.StatusOK, agg)
 }
@@ -1245,46 +1251,24 @@ func (g *Gateway) handleIngestScatter(w http.ResponseWriter, r *http.Request) {
 // (backend, nf) pair — dropping its in-memory model so the next
 // request re-reads the promoted artifact from the shared model
 // directory — and the gateway's edge cache sheds every response the
-// retired model computed. Replicas that cannot be reached get the
-// reload queued for replay on recovery, exactly like a client-driven
-// :reload fan-out. exceptURL names the promoting replica, which
-// already swapped atomically and must not be told to drop the model it
-// just installed.
+// retired model computed. It is a reload fan-out like a client's
+// :reload, under the same rule: replicas that cannot apply it now
+// (vacant slots included) get it queued for replay. exceptURL names
+// the promoting replica, which already swapped atomically and must not
+// be told to drop the model it just installed.
 func (g *Gateway) PromoteReload(backendName, nfName, exceptURL string) {
 	if backendName == "" {
 		backendName = yalaclient.DefaultBackend
 	}
 	g.fanouts.Add(1)
-	var wg sync.WaitGroup
+	targets := make([]*replica, 0, len(g.replicas))
 	for _, rep := range g.replicas {
-		ep := rep.ep.Load()
-		if ep == nil {
-			// A vacant slot's next occupant must not serve the retired
-			// model.
-			g.addPending(rep, backendName, nfName)
-			continue
+		if ep := rep.ep.Load(); ep == nil || ep.url != exceptURL {
+			targets = append(targets, rep)
 		}
-		if ep.url == exceptURL {
-			continue
-		}
-		wg.Add(1)
-		go func(rep *replica, ep *endpoint) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), g.cfg.HealthTimeout)
-			defer cancel()
-			err := ep.client.Reload(ctx, yalaclient.ModelID{NF: nfName}, backendName)
-			var apiErr *yalaclient.APIError
-			if err != nil && !(errors.As(err, &apiErr) && apiErr.StatusCode < 500) {
-				ep.errors.Add(1)
-				g.addPending(rep, backendName, nfName)
-				return
-			}
-			ep.requests.Add(1)
-			ep.fanouts.Add(1)
-		}(rep, ep)
 	}
-	wg.Wait()
-	g.evictEdge(nfName)
+	uri := "/v2/models/" + url.PathEscape(nfName) + "/" + url.PathEscape(backendName) + ":reload"
+	g.reload(context.Background(), targets, reloadReq{backend: backendName, nf: nfName, uri: uri})
 }
 
 // remapIndices rewrites "<marker><i>]" references in a replica's

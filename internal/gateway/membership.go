@@ -9,18 +9,18 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/wire"
-	"repro/pkg/yalaclient"
 )
 
 // endpoint is one attachment of a backend URL to a replica slot. The
 // slot (hash identity, pending-reload queue, health flag) outlives
-// attachments; the endpoint (URL, client, traffic counters, latency
+// attachments; the endpoint (URL, wire pool, traffic counters, latency
 // histogram) is created per attachment so a slot re-attached to a new
 // URL starts clean metric series instead of cross-contaminating the old
-// URL's. A vacant slot has a nil endpoint and is skipped by routing.
+// URL's. It holds no HTTP client of its own: every HTTP exchange with
+// the replica goes through the gateway's one client (roundTrip). A
+// vacant slot has a nil endpoint and is skipped by routing.
 type endpoint struct {
-	url    string
-	client *yalaclient.Client // health probes and pending-reload replay
+	url string
 
 	requests atomic.Uint64
 	errors   atomic.Uint64
@@ -61,7 +61,7 @@ func newEndpoint(url string) (*endpoint, error) {
 	if url == "" {
 		return nil, fmt.Errorf("gateway: empty replica URL")
 	}
-	return &endpoint{url: url, client: yalaclient.New(url)}, nil
+	return &endpoint{url: url}, nil
 }
 
 // Attach occupies a vacant slot with a live backend: probe until the
@@ -86,7 +86,7 @@ func (g *Gateway) Attach(slot int, url string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.HealthTimeout)
 	defer cancel()
 	for {
-		if err := ep.client.Health(ctx); err == nil {
+		if _, err := g.fetch(ctx, ep, "/healthz"); err == nil {
 			break
 		} else if ctx.Err() != nil {
 			return fmt.Errorf("gateway: attaching %s to slot %d: backend never became healthy: %w", ep.url, slot, err)

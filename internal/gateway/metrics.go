@@ -1,11 +1,11 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"log"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/api"
@@ -88,39 +88,22 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // scrapeReplicas fetches and parses every healthy replica's /metrics.
+// The read is fetch's, bounded by api.MaxBodyBytes: a replica whose
+// exposition runs past the cap is left out like a failed scrape.
 func (g *Gateway) scrapeReplicas(ctx context.Context) []*obs.Exposition {
 	exps := make([]*obs.Exposition, len(g.replicas))
-	var wg sync.WaitGroup
-	for i, rep := range g.replicas {
-		ep := rep.ep.Load()
-		if ep == nil || !rep.healthy.Load() {
-			continue
+	each(g.replicas, func(i int, rep *replica, ep *endpoint) {
+		if !rep.healthy.Load() {
+			return
 		}
-		wg.Add(1)
-		go func(i int, ep *endpoint) {
-			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, g.cfg.HealthTimeout)
-			defer cancel()
-			req, err := http.NewRequestWithContext(sctx, http.MethodGet, ep.url+"/metrics", nil)
-			if err != nil {
-				return
-			}
-			resp, err := g.httpc.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return
-			}
-			exp, err := obs.ParseExposition(resp.Body)
-			if err != nil {
-				return
-			}
+		body, err := g.fetch(ctx, ep, "/metrics")
+		if err != nil {
+			return
+		}
+		if exp, err := obs.ParseExposition(bytes.NewReader(body)); err == nil {
 			exps[i] = exp
-		}(i, ep)
-	}
-	wg.Wait()
+		}
+	})
 	return exps
 }
 
