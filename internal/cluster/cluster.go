@@ -49,12 +49,13 @@ import (
 
 // ModelSource supplies per-NF prediction models to the schedulers, keyed
 // by backend and hardware class — the seam between the orchestrator and
-// the serving layer. In production serve.ModelRegistry implements it
+// the serving layer. A source resolves what a class name means itself:
+// in production serve.ModelRegistry implements it over ClassConfig
 // (models load once per (backend, class, NF) and are shared by every
 // policy in a comparison); tests may supply pre-built maps. The empty
-// class is the environment's base hardware.
+// class is the source's default hardware.
 type ModelSource interface {
-	ModelOn(backendName, class string, nic nicsim.Config, name string) (backend.Model, error)
+	ModelOn(backendName, class, name string) (backend.Model, error)
 }
 
 // MapModels is a static ModelSource over pre-built model handles, keyed
@@ -64,7 +65,7 @@ type ModelSource interface {
 type MapModels map[string]map[string]backend.Model
 
 // ModelOn returns the mapped model, whatever the class.
-func (m MapModels) ModelOn(backendName, class string, nic nicsim.Config, name string) (backend.Model, error) {
+func (m MapModels) ModelOn(backendName, class, name string) (backend.Model, error) {
 	if mm, ok := m[backendName][name]; ok {
 		return mm, nil
 	}
@@ -407,7 +408,7 @@ func (e *Env) ensureModels(ce *classEnv, strat placement.Strategy, names []strin
 		if ce.sim.HasModel(bname, name) {
 			continue
 		}
-		m, err := e.Models.ModelOn(bname, ce.key.name, ce.cfg, name)
+		m, err := e.Models.ModelOn(bname, ce.key.name, name)
 		if err != nil {
 			return err
 		}

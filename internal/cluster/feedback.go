@@ -22,15 +22,6 @@ type onlineLoop struct {
 	sc    Scenario
 	bname string
 	ctrl  *feedback.Controller
-	// cal is each key's effective calibration — the frequency factor
-	// the current live model was trained at (1 until a promotion).
-	// pending holds a shadowing candidate's factor until promotion
-	// confirms it. The gate's ratio is measured against the *current*
-	// live model, so successive retrains compound: a second trip at
-	// ratio r on a model calibrated at c trains at c·r, converging on
-	// the true hardware rather than re-deriving from nominal.
-	cal     map[feedback.Key]float64
-	pending map[feedback.Key]float64
 }
 
 // newOnlineLoop wires the loop for one prediction-guided policy run; a
@@ -40,13 +31,7 @@ func newOnlineLoop(e *Env, sc Scenario, policy Scheduler) *onlineLoop {
 	if !ok {
 		return nil
 	}
-	l := &onlineLoop{
-		env:     e,
-		sc:      sc,
-		bname:   strat.Backend(),
-		cal:     map[feedback.Key]float64{},
-		pending: map[feedback.Key]float64{},
-	}
+	l := &onlineLoop{env: e, sc: sc, bname: strat.Backend()}
 	cfg := feedback.Config{
 		// Cluster-scale defaults: enforcement probes arrive far less
 		// often than serving-path ingests, so the gate warms up on less
@@ -80,10 +65,8 @@ func (l *onlineLoop) classCfg(class string) (*classEnv, error) {
 }
 
 // train is the drift gate's retrain callback: the calibrated retrain
-// (feedback.TrainCalibrated) against the class's hardware preset. The
-// gate's ratio is relative to the current live model, so it compounds
-// with that model's own calibration; the factor actually trained at
-// waits in pending for promotion to confirm it.
+// (feedback.TrainCalibrated) against the class's hardware preset, at
+// the controller's absolute factor.
 func (l *onlineLoop) train(k feedback.Key, scale float64) (backend.Model, error) {
 	ce, err := l.classCfg(k.HW)
 	if err != nil {
@@ -93,38 +76,20 @@ func (l *onlineLoop) train(k feedback.Key, scale float64) (backend.Model, error)
 	if l.env.TrainOptions != nil {
 		opts = l.env.TrainOptions(k.Backend)
 	}
-	m, eff, err := feedback.TrainCalibrated(k, backend.TrainEnv{
+	return feedback.TrainCalibrated(k, backend.TrainEnv{
 		NIC:     ce.cfg,
 		Seed:    l.env.seed,
 		Options: opts,
-	}, l.effective(k)*scale)
-	if err != nil {
-		return nil, err
-	}
-	l.pending[k] = eff
-	return m, nil
-}
-
-// effective is the key's current live-model calibration factor.
-func (l *onlineLoop) effective(k feedback.Key) float64 {
-	if c := l.cal[k]; c > 0 {
-		return c
-	}
-	return 1
+	}, scale)
 }
 
 // promote installs a winning candidate as the live model for every
 // class environment sharing the key's class, and reseeds the promoted
-// NF's solo baselines from the calibrated hardware — feasibility
-// compares predicted co-run throughput against (1-SLA)·solo, so a
-// recalibrated model needs recalibrated solos to express the same
-// contention ratios the measurements showed.
-func (l *onlineLoop) promote(k feedback.Key, m backend.Model) error {
-	scale := l.pending[k]
-	if scale <= 0 {
-		scale = 1
-	}
-	l.cal[k] = scale
+// NF's solo baselines from the hardware the candidate was calibrated
+// to — feasibility compares predicted co-run throughput against
+// (1-SLA)·solo, so a recalibrated model needs recalibrated solos to
+// express the same contention ratios the measurements showed.
+func (l *onlineLoop) promote(k feedback.Key, m backend.Model, scale float64) error {
 	for _, key := range l.env.sortedClassKeys() {
 		if key.name != k.HW {
 			continue

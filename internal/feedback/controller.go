@@ -1,7 +1,10 @@
 package feedback
 
 import (
+	"errors"
+	"maps"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,15 +17,6 @@ type Key struct {
 	NF      string
 	HW      string
 	Backend string
-}
-
-// String renders the key as its /v2 resource ID: "<nf>[@<hw>]/<backend>".
-func (k Key) String() string {
-	stem := k.NF
-	if k.HW != "" {
-		stem += "@" + k.HW
-	}
-	return stem + "/" + k.Backend
 }
 
 // Observation is one ground-truth throughput measurement paired with
@@ -83,13 +77,16 @@ type Config struct {
 	// goroutine — the deterministic mode simulations and tests use.
 	Synchronous bool
 	// Train builds a candidate model for a drifted key. scale is the
-	// gate's calibration estimate — the trusted median
-	// measured/predicted ratio. Called outside the controller's lock.
+	// candidate's absolute frequency factor against nominal hardware:
+	// the live model's factor (1 until a promotion) times the gate's
+	// trusted median measured/predicted ratio, clamped to
+	// [0.25, 4]. Called outside the controller's lock.
 	Train func(k Key, scale float64) (backend.Model, error)
-	// Promote installs a winning candidate as the live model. Called
-	// outside the controller's lock. A nil Promote disables promotion:
-	// candidates shadow until aborted.
-	Promote func(k Key, m backend.Model) error
+	// Promote installs a winning candidate as the live model; scale is
+	// the factor the candidate was trained at, which becomes the key's
+	// live factor. Called outside the controller's lock. A nil Promote
+	// disables promotion: candidates shadow until aborted.
+	Promote func(k Key, m backend.Model, scale float64) error
 }
 
 func (c Config) withDefaults() Config {
@@ -116,14 +113,33 @@ const (
 	statePromoting
 )
 
-// keyState is one key's window, quarantine set, and candidate
-// lifecycle.
+// Calibration bounds for feedback-driven retraining: the factor a
+// candidate trains at is clamped so one pathological window cannot
+// train against absurd hardware.
+const (
+	minCalibrationScale = 0.25
+	maxCalibrationScale = 4.0
+)
+
+// keyState is one key's window, quarantine set, calibration, and
+// candidate lifecycle.
 type keyState struct {
 	win *window
 	// quarantined is the latest gate evaluation's quarantine set.
 	quarantined map[string]bool
-	state       int
-	shadow      backend.Model
+	// factor is the live model's frequency factor against nominal
+	// hardware: 1 until a promotion installs a calibrated candidate.
+	// The gate's ratio is measured against the live model, so a second
+	// trip at ratio r trains at factor·r — retrains compound toward the
+	// true hardware rather than re-deriving from nominal.
+	factor float64
+	// epoch counts resets; a retrain that started in an earlier epoch
+	// trained for a model that is gone and is discarded when it lands.
+	epoch  uint64
+	state  int
+	shadow backend.Model
+	// shadowScale is the factor the shadow candidate was trained at.
+	shadowScale float64
 	// Shadow scoring: cumulative relative error of the live and shadow
 	// models over ground-truth-bearing observations since the candidate
 	// appeared.
@@ -136,6 +152,7 @@ type keyState struct {
 type trainJob struct {
 	key   Key
 	scale float64
+	epoch uint64
 }
 
 // Stats is the controller's counter snapshot — the source for the
@@ -221,7 +238,7 @@ func (c *Controller) Close() {
 func (c *Controller) keyStateLocked(k Key) *keyState {
 	ks := c.keys[k]
 	if ks == nil {
-		ks = &keyState{win: newWindow(c.cfg.WindowSize)}
+		ks = &keyState{win: newWindow(c.cfg.WindowSize), factor: 1}
 		c.keys[k] = ks
 	}
 	return ks
@@ -229,7 +246,7 @@ func (c *Controller) keyStateLocked(k Key) *keyState {
 
 // relErr is the relative prediction error against ground truth.
 func relErr(measured, pred float64) float64 {
-	return abs(measured-pred) / measured
+	return math.Abs(measured-pred) / measured
 }
 
 // Observe ingests one measurement: records it in the key's window,
@@ -259,10 +276,11 @@ func (c *Controller) Observe(o Observation) Result {
 
 	var (
 		promoteModel backend.Model
-		doPromote    bool
+		promoteScale float64
 		doTrain      bool
 		trainScale   float64
 	)
+	epoch := ks.epoch
 	if res.Accepted && ks.state == stateShadowing && o.HasShadow && o.ShadowPred > 0 {
 		ks.liveErrSum += relErr(o.Measured, o.LivePred)
 		ks.shadowErrSum += relErr(o.Measured, o.ShadowPred)
@@ -271,8 +289,7 @@ func (c *Controller) Observe(o Observation) Result {
 		switch {
 		case ks.shadowN >= c.cfg.MinPromoteSamples && ks.shadowErrSum < ks.liveErrSum && c.cfg.Promote != nil:
 			ks.state = statePromoting
-			promoteModel = ks.shadow
-			doPromote = true
+			promoteModel, promoteScale = ks.shadow, ks.shadowScale
 		case ks.shadowN >= 4*c.cfg.MinPromoteSamples:
 			// The candidate had four times the required evidence and
 			// never beat live — discard it and rearm the gate.
@@ -289,16 +306,16 @@ func (c *Controller) Observe(o Observation) Result {
 		if ks.state == stateIdle && c.cfg.Train != nil {
 			ks.state = stateTraining
 			doTrain = true
-			trainScale = g.scale
+			trainScale = math.Min(math.Max(ks.factor*g.scale, minCalibrationScale), maxCalibrationScale)
 		}
 	}
 	c.mu.Unlock()
 
-	if doPromote {
-		c.promote(o.Key, promoteModel)
+	if promoteModel != nil {
+		c.promote(o.Key, epoch, promoteModel, promoteScale)
 	}
 	if doTrain {
-		job := trainJob{key: o.Key, scale: trainScale}
+		job := trainJob{key: o.Key, scale: trainScale, epoch: epoch}
 		if c.cfg.Synchronous {
 			c.runTrain(job)
 		} else {
@@ -308,7 +325,7 @@ func (c *Controller) Observe(o Observation) Result {
 				// Queue full: drop and rearm — a later drift decision
 				// re-requests.
 				c.mu.Lock()
-				if ks := c.keys[o.Key]; ks != nil && ks.state == stateTraining {
+				if ks.epoch == job.epoch && ks.state == stateTraining {
 					ks.state = stateIdle
 				}
 				c.mu.Unlock()
@@ -331,7 +348,8 @@ func (c *Controller) trainer() {
 	}
 }
 
-// runTrain executes one retrain and transitions the key to shadowing.
+// runTrain executes one retrain and transitions the key to shadowing,
+// unless the key was reset while the retrain ran.
 func (c *Controller) runTrain(job trainJob) {
 	m, err := c.cfg.Train(job.key, job.scale)
 	if err == nil && m == nil {
@@ -339,7 +357,7 @@ func (c *Controller) runTrain(job trainJob) {
 	}
 	c.mu.Lock()
 	ks := c.keys[job.key]
-	if ks != nil && ks.state == stateTraining {
+	if ks.epoch == job.epoch && ks.state == stateTraining {
 		if err != nil {
 			c.trainFailures.Add(1)
 			ks.state = stateIdle
@@ -347,33 +365,65 @@ func (c *Controller) runTrain(job trainJob) {
 			c.retrains.Add(1)
 			ks.state = stateShadowing
 			ks.shadow = m
+			ks.shadowScale = job.scale
 			ks.liveErrSum, ks.shadowErrSum, ks.shadowN = 0, 0, 0
 		}
 	}
 	c.mu.Unlock()
 }
 
-// promote installs a winning candidate and resets the key: the window
-// empties (its ratios described the retired model) and the quarantine
-// set clears.
-func (c *Controller) promote(k Key, m backend.Model) {
-	err := c.cfg.Promote(k, m)
+// promote installs a winning candidate, resets the key and records the
+// candidate's factor as the live one — unless a Forget reset the key
+// while the Promote callback ran.
+func (c *Controller) promote(k Key, epoch uint64, m backend.Model, scale float64) {
+	err := c.cfg.Promote(k, m, scale)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	ks := c.keys[k]
-	if ks != nil && ks.state == statePromoting {
-		if err != nil {
-			c.trainFailures.Add(1)
-			ks.state = stateIdle
-			ks.shadow = nil
-		} else {
-			c.promotions.Add(1)
-			ks.state = stateIdle
-			ks.shadow = nil
-			ks.win.reset()
-			ks.quarantined = nil
+	if ks.epoch != epoch {
+		return
+	}
+	if err != nil {
+		c.trainFailures.Add(1)
+		ks.state = stateIdle
+		ks.shadow = nil
+		return
+	}
+	c.promotions.Add(1)
+	c.resetLocked(ks)
+	ks.factor = scale
+}
+
+// resetLocked returns a key to a fresh live model's starting point:
+// the window empties (its ratios described the retired model), the
+// quarantine set and any candidate are dropped, the factor returns to
+// nominal, and the epoch moves on so a retrain still running for the
+// retired model is discarded when it lands.
+func (c *Controller) resetLocked(ks *keyState) {
+	ks.win.reset()
+	ks.quarantined = nil
+	ks.factor = 1
+	ks.epoch++
+	ks.state = stateIdle
+	ks.shadow = nil
+}
+
+// Forget resets every key match selects, as if its live model had just
+// been loaded: serving layers call it when a reload replaces a model
+// from outside the controller, because evidence and calibration about
+// the retired model say nothing about its replacement. match runs
+// outside the controller's lock.
+func (c *Controller) Forget(match func(Key) bool) {
+	c.mu.Lock()
+	keys := slices.Collect(maps.Keys(c.keys))
+	c.mu.Unlock()
+	for _, k := range keys {
+		if match(k) {
+			c.mu.Lock()
+			c.resetLocked(c.keys[k])
+			c.mu.Unlock()
 		}
 	}
-	c.mu.Unlock()
 }
 
 // ShadowModel returns the key's shadow candidate when one is being
@@ -392,7 +442,7 @@ func (c *Controller) ShadowModel(k Key) (backend.Model, bool) {
 
 // RecordShadowCompare notes one live-traffic request where both models
 // predicted (no ground truth — scoring happens in Observe).
-func (c *Controller) RecordShadowCompare(k Key, livePred, shadowPred float64) {
+func (c *Controller) RecordShadowCompare() {
 	c.shadowCompares.Add(1)
 }
 
@@ -413,8 +463,4 @@ func (c *Controller) Stats() Stats {
 }
 
 // errNilModel guards against a Train callback returning (nil, nil).
-var errNilModel = errNil{}
-
-type errNil struct{}
-
-func (errNil) Error() string { return "feedback: Train returned a nil model" }
+var errNilModel = errors.New("feedback: Train returned a nil model")

@@ -14,7 +14,8 @@
 //	   │           │             │              models; candidate output recorded,
 //	   │           │             │              never returned to clients
 //	   │           │             └─ candidate trained through the Backend
-//	   │           │                interface, calibrated by the gate's
+//	   │           │                interface at the live model's frequency
+//	   │           │                factor times the gate's
 //	   │           │                measured/predicted ratio
 //	   │           └─ dDCA-style fusion: a data signal (windowed
 //	   │              prediction-error ratio) gated by diagnostic signals

@@ -155,7 +155,7 @@ func TestSlowDriftTripsAndPromotes(t *testing.T) {
 			trainScale = scale
 			return stubModel{nf: k.NF}, nil
 		},
-		Promote: func(gotK Key, m backend.Model) error {
+		Promote: func(gotK Key, m backend.Model, _ float64) error {
 			if gotK != k {
 				return errors.New("promote called with wrong key")
 			}
@@ -221,7 +221,7 @@ func TestShadowAbort(t *testing.T) {
 		MinPromoteSamples: 3,
 		Synchronous:       true,
 		Train:             func(Key, float64) (backend.Model, error) { return stubModel{nf: k.NF}, nil },
-		Promote:           func(Key, backend.Model) error { return errors.New("must not be called") },
+		Promote:           func(Key, backend.Model, float64) error { return errors.New("must not be called") },
 	})
 	defer c.Close()
 
@@ -249,7 +249,7 @@ func TestShadowAbort(t *testing.T) {
 }
 
 // TestConcurrentHammer races ingest against background retraining,
-// shadow reads and stats — run under -race.
+// shadow reads, stats and reload resets — run under -race.
 func TestConcurrentHammer(t *testing.T) {
 	k := Key{NF: "FlowStats", Backend: "yala"}
 	c := New(Config{
@@ -260,7 +260,7 @@ func TestConcurrentHammer(t *testing.T) {
 			time.Sleep(200 * time.Microsecond)
 			return stubModel{nf: k.NF}, nil
 		},
-		Promote: func(Key, backend.Model) error { return nil },
+		Promote: func(Key, backend.Model, float64) error { return nil },
 	})
 
 	const workers, perWorker = 8, 200
@@ -275,7 +275,7 @@ func TestConcurrentHammer(t *testing.T) {
 				if sm, ok := c.ShadowModel(k); ok && sm != nil {
 					o.ShadowPred = o.Measured * 1.01
 					o.HasShadow = true
-					c.RecordShadowCompare(k, o.LivePred, o.ShadowPred)
+					c.RecordShadowCompare()
 				}
 				c.Observe(o)
 			}
@@ -284,8 +284,11 @@ func TestConcurrentHammer(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for {
+		for i := 0; ; i++ {
 			c.ShadowModel(k)
+			if i%16 == 15 {
+				c.Forget(func(got Key) bool { return got == k }) // a reload racing the loop
+			}
 			if st := c.Stats(); st.Observations >= workers*perWorker {
 				return
 			}
@@ -299,5 +302,125 @@ func TestConcurrentHammer(t *testing.T) {
 
 	if st := c.Stats(); st.Observations != workers*perWorker {
 		t.Fatalf("lost observations: %+v", st)
+	}
+}
+
+// TestRetrainsCompoundCalibration: the gate's ratio is measured against
+// the live model, so after a promotion at factor 3 a second trip at
+// ratio 2 trains at the product — clamped to the calibration ceiling.
+func TestRetrainsCompoundCalibration(t *testing.T) {
+	k := Key{NF: "FlowStats", Backend: "yala"}
+	var trained, promoted []float64
+	c := New(Config{
+		WindowSize:        64,
+		MinSamples:        8,
+		MinPromoteSamples: 3,
+		Synchronous:       true,
+		Train: func(_ Key, scale float64) (backend.Model, error) {
+			trained = append(trained, scale)
+			return stubModel{nf: k.NF}, nil
+		},
+		Promote: func(_ Key, _ backend.Model, scale float64) error {
+			promoted = append(promoted, scale)
+			return nil
+		},
+	})
+	defer c.Close()
+
+	for i := 0; i < 8; i++ {
+		c.Observe(obs(k, 3, ""))
+	}
+	for i := 0; i < 3; i++ {
+		c.Observe(Observation{Key: k, Measured: 3000, LivePred: 1000, ShadowPred: 3000, HasShadow: true})
+	}
+	for i := 0; i < 8; i++ {
+		c.Observe(obs(k, 2, ""))
+	}
+	if len(trained) != 2 || trained[0] != 3 || trained[1] != 4 {
+		t.Fatalf("Train scales %v, want [3 4] (3 × 2 clamped to 4)", trained)
+	}
+	if len(promoted) != 1 || promoted[0] != 3 {
+		t.Fatalf("Promote scales %v, want [3]", promoted)
+	}
+}
+
+// TestForgetResetsKey: a reload's Forget drops the key's evidence and
+// its calibration — the next sample is back in warmup, and the next
+// trip trains from nominal hardware — while other keys keep theirs.
+func TestForgetResetsKey(t *testing.T) {
+	k := Key{NF: "FlowStats", Backend: "yala"}
+	other := Key{NF: "ACL", Backend: "yala"}
+	var trained []float64
+	c := New(Config{
+		WindowSize:        64,
+		MinSamples:        8,
+		MinPromoteSamples: 3,
+		Synchronous:       true,
+		Train: func(_ Key, scale float64) (backend.Model, error) {
+			trained = append(trained, scale)
+			return stubModel{nf: k.NF}, nil
+		},
+		Promote: func(Key, backend.Model, float64) error { return nil },
+	})
+	defer c.Close()
+
+	// Promote a candidate at factor 2, then build up 7 samples of
+	// evidence against it and 8 against an unrelated key.
+	for i := 0; i < 8; i++ {
+		c.Observe(obs(k, 2, ""))
+	}
+	for i := 0; i < 3; i++ {
+		c.Observe(Observation{Key: k, Measured: 2000, LivePred: 1000, ShadowPred: 2000, HasShadow: true})
+	}
+	for i := 0; i < 7; i++ {
+		c.Observe(obs(k, 1.5, ""))
+	}
+	for i := 0; i < 8; i++ {
+		c.Observe(obs(other, 1, ""))
+	}
+
+	c.Forget(func(got Key) bool { return got == k })
+	if res := c.Observe(obs(k, 1.5, "")); res.Decision != DecisionWarmup {
+		t.Fatalf("evidence survived Forget: %+v", res)
+	}
+	if res := c.Observe(obs(other, 1, "")); res.Decision != DecisionOK {
+		t.Fatalf("Forget reset an unmatched key: %+v", res)
+	}
+	for i := 0; i < 7; i++ {
+		c.Observe(obs(k, 1.5, ""))
+	}
+	if len(trained) != 2 || trained[1] != 1.5 {
+		t.Fatalf("Train scales %v, want the post-Forget trip at nominal × 1.5", trained)
+	}
+}
+
+// TestForgetDiscardsInflightRetrain: a retrain still running when its
+// key is forgotten trained for the retired model; when it lands it
+// becomes neither a shadow nor a counted retrain.
+func TestForgetDiscardsInflightRetrain(t *testing.T) {
+	k := Key{NF: "FlowStats", Backend: "yala"}
+	started, release := make(chan struct{}), make(chan struct{})
+	c := New(Config{
+		WindowSize: 64,
+		MinSamples: 8,
+		Train: func(Key, float64) (backend.Model, error) {
+			close(started)
+			<-release
+			return stubModel{nf: k.NF}, nil
+		},
+	})
+	for i := 0; i < 8; i++ {
+		c.Observe(obs(k, 0.5, ""))
+	}
+	<-started
+	c.Forget(func(Key) bool { return true })
+	close(release)
+	c.Close() // waits for the in-flight retrain to land
+
+	if st := c.Stats(); st.Retrains != 0 || st.TrainFailures != 0 {
+		t.Fatalf("discarded retrain was counted: %+v", st)
+	}
+	if _, ok := c.ShadowModel(k); ok {
+		t.Fatal("discarded retrain became a shadow candidate")
 	}
 }

@@ -1,6 +1,9 @@
 package feedback
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Gate decisions, in the order the gate checks them. Only Drift ever
 // starts a retrain; Hold is the gate refusing to act on a signal it
@@ -44,9 +47,10 @@ const (
 // gateResult is one evaluation of a key's window.
 type gateResult struct {
 	decision string
-	// scale is the trusted median measured/predicted ratio — the
-	// calibration factor retraining applies. 1 when no trusted
-	// consensus exists.
+	// scale is the trusted median measured/predicted ratio: how far
+	// off the live model is. Retraining multiplies it into the live
+	// model's own calibration factor. 1 when no trusted consensus
+	// exists.
 	scale float64
 	// quarantined is the set of sources whose windowed samples are
 	// mostly outliers against the window median; nil when none are.
@@ -76,7 +80,7 @@ func evaluate(cfg Config, all []sample) gateResult {
 	type srcStat struct{ n, out int }
 	bySrc := map[string]*srcStat{}
 	for i, s := range all {
-		outlier[i] = abs(s.ratio-med)/med > outlierDev
+		outlier[i] = math.Abs(s.ratio-med)/med > outlierDev
 		if s.source == "" {
 			continue
 		}
@@ -115,14 +119,14 @@ func evaluate(cfg Config, all []sample) gateResult {
 	rt := median(trusted)
 	devs := make([]float64, len(trusted))
 	for i, q := range trusted {
-		devs[i] = abs(q - rt)
+		devs[i] = math.Abs(q - rt)
 	}
 	if median(devs)/rt > cfg.ConsistencyMax {
 		res.decision = DecisionHold
 		return res
 	}
 	res.scale = rt
-	if abs(rt-1) > driftThreshold {
+	if math.Abs(rt-1) > driftThreshold {
 		res.decision = DecisionDrift
 	} else {
 		res.decision = DecisionOK
@@ -139,11 +143,4 @@ func median(xs []float64) float64 {
 		return xs[n/2]
 	}
 	return (xs[n/2-1] + xs[n/2]) / 2
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -38,8 +38,9 @@ func (w *window) samples() []sample {
 	return w.buf[:w.next]
 }
 
-// reset empties the window — promotion does this, because ratios
-// measured against the retired model say nothing about the new one.
+// reset empties the window — a promotion or a reload does this,
+// because ratios measured against the retired model say nothing about
+// the new one.
 func (w *window) reset() {
 	w.next = 0
 	w.full = false

@@ -108,16 +108,15 @@ func (s *Service) shadowPredict(backendName Backend, hw, name string, prof traff
 // calibrated retrain (feedback.TrainCalibrated) against the key's NIC
 // preset with the registry's training configuration.
 func (s *Service) feedbackTrain(k feedback.Key, scale float64) (backend.Model, error) {
-	nic, err := s.hwNIC(k.HW)
+	nic, err := presetFor(k.HW)
 	if err != nil {
 		return nil, err
 	}
-	m, _, err := feedback.TrainCalibrated(k, backend.TrainEnv{
+	return feedback.TrainCalibrated(k, backend.TrainEnv{
 		NIC:     nic,
 		Seed:    s.cfg.Registry.Seed,
 		Options: s.cfg.Registry.trainOptions(k.Backend),
 	}, scale)
-	return m, err
 }
 
 // feedbackPromote is the controller's default Promote callback: the
@@ -127,7 +126,7 @@ func (s *Service) feedbackTrain(k feedback.Key, scale float64) (backend.Model, e
 // with the retired model, and the promote hook — when the service runs
 // behind a gateway — fans the reload out to sibling replicas and
 // evicts the gateway's edge cache for the NF.
-func (s *Service) feedbackPromote(k feedback.Key, m backend.Model) error {
+func (s *Service) feedbackPromote(k feedback.Key, m backend.Model, _ float64) error {
 	if err := s.reg.Install(k.Backend, k.HW, k.NF, m); err != nil {
 		return err
 	}

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -322,5 +323,103 @@ func TestPromotionUnderLoadZeroDrops(t *testing.T) {
 	}
 	if got := s.fb.Stats().Promotions; got == 0 {
 		t.Fatal("no promotion happened under load")
+	}
+}
+
+// ingestUntil ingests single measurements at pps until the controller
+// has promoted want candidates, failing after max ingests.
+func ingestUntil(t *testing.T, s *Service, pps float64, want uint64, max int) {
+	t.Helper()
+	for i := 0; s.fb.Stats().Promotions < want; i++ {
+		if i == max {
+			t.Fatalf("no promotion %d after %d ingests at %v: %+v", want, max, pps, s.fb.Stats())
+		}
+		if _, err := s.Ingest(context.Background(), driftMeasurements(pps, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSecondShiftPromotesAgain: calibration compounds across
+// promotions. After the hardware doubles and a candidate at factor 2
+// is promoted, a second doubling trips at ratio 2 against the new live
+// model and retrains at factor 4, not at nominal × 2 — which would
+// rebuild the live model and never beat it.
+func TestSecondShiftPromotesAgain(t *testing.T) {
+	s := driftService(t, true)
+	prof := ProfileSpec{}.Profile()
+	ingestUntil(t, s, 2e6, 1, 100)
+	ingestUntil(t, s, 4e6, 2, 100)
+
+	st := s.fb.Stats()
+	if st.Promotions != 2 || st.Retrains != 2 || st.ShadowAborts != 0 {
+		t.Fatalf("want 2 retrains and 2 promotions, no aborts: %+v", st)
+	}
+	live, err := s.predictCached("drifty", "", "FlowStats", prof, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.PredictedPPS != 4e6 {
+		t.Fatalf("live model after the second shift predicts %v, want 4e6", live.PredictedPPS)
+	}
+}
+
+// TestReloadResetsEvidence: a reload replaces the live model, so the
+// evidence gathered against the retired one must not judge its
+// replacement. Seven measurements at 2e6 (one short of the warmup
+// floor) against the 1e6 model, then a reload of a 2e6 model and a
+// stream that matches it: the gate never trips.
+func TestReloadResetsEvidence(t *testing.T) {
+	s := driftService(t, true)
+	ctx := context.Background()
+	if _, err := s.Ingest(ctx, driftMeasurements(2e6, 7)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(s.cfg.Registry.Dir, "FlowStats.drifty.json")
+	if err := (driftyBackend{}).Save(driftyModel{Name: "FlowStats", PPS: 2e6}, path); err != nil {
+		t.Fatal(err)
+	}
+	s.Reload("drifty", "FlowStats")
+	if _, err := s.Ingest(ctx, driftMeasurements(2e6, 60)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.fb.Stats(); st.Trips != 0 || st.Retrains != 0 {
+		t.Fatalf("evidence about the retired model judged the reloaded one: %+v", st)
+	}
+}
+
+// TestReloadDiscardsInflightRetrain: in async mode, a retrain that is
+// still running when its model is reloaded was trained for the retired
+// model; it becomes neither a shadow nor a counted retrain.
+func TestReloadDiscardsInflightRetrain(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	var s *Service
+	s = NewService(ServiceConfig{
+		Registry: testRegistryConfig(t),
+		Workers:  2,
+		Feedback: &feedback.Config{
+			WindowSize: 64,
+			MinSamples: 8,
+			Train: func(k feedback.Key, scale float64) (backend.Model, error) {
+				close(started)
+				<-release
+				return s.feedbackTrain(k, scale)
+			},
+		},
+	})
+	t.Cleanup(s.Close)
+	if _, err := s.Ingest(context.Background(), driftMeasurements(5e5, 8)); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	s.Reload("drifty", "FlowStats")
+	close(release)
+	s.fb.Close() // waits for the in-flight retrain to land
+
+	if st := s.fb.Stats(); st.Retrains != 0 || st.TrainFailures != 0 {
+		t.Fatalf("retrain for the retired model was counted: %+v", st)
+	}
+	if _, ok := s.fb.ShadowModel(feedback.Key{NF: "FlowStats", Backend: "drifty"}); ok {
+		t.Fatal("retrain for the retired model became a shadow candidate")
 	}
 }

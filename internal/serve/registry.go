@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/backend"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/nicsim"
 	"repro/internal/slomo"
@@ -37,6 +38,23 @@ type RegistryConfig struct {
 // defaultNIC is the hardware preset behind the empty hardware key —
 // what unqualified models train and predict against. Read-only.
 var defaultNIC = nicsim.BlueField2()
+
+// presetFor resolves a hardware key to its NIC preset — the one place
+// that decides what a key means: the empty key is defaultNIC, named
+// keys are the fleet hardware classes (cluster.ClassConfig), which share
+// the registry's hardware-keyed on-disk layout with cluster runs. Any
+// other key is a bad request, so no model or measurement work ever
+// starts under it.
+func presetFor(hw string) (nicsim.Config, error) {
+	if hw == "" {
+		return defaultNIC, nil
+	}
+	cfg, err := cluster.ClassConfig(hw)
+	if err != nil {
+		return nicsim.Config{}, badRequestf("unknown hardware class %q (have %s)", hw, strings.Join(cluster.ClassNames(), ", "))
+	}
+	return cfg, nil
+}
 
 func (c RegistryConfig) withDefaults() RegistryConfig {
 	if c.Seed == 0 {
@@ -89,11 +107,6 @@ type ModelRegistry struct {
 
 	models FlightGroup[entryKey, backend.Model]
 
-	// hwMu guards hwConfigs, the NIC preset recorded per hardware key so
-	// Models() and retries agree on what a key means.
-	hwMu      sync.Mutex
-	hwConfigs map[string]nicsim.Config
-
 	// persistFails counts model-persistence failures; lastPersistErr
 	// keeps the most recent one. A persist failure must not discard a
 	// trained model or fail the request — serving stays up, the operator
@@ -139,74 +152,25 @@ func (r *ModelRegistry) modelPath(key entryKey) string {
 	return filepath.Join(r.cfg.Dir, fmt.Sprintf("%s.%s.json", key.stem(), key.backend))
 }
 
-// validHW rejects hardware keys that cannot serve as a file-name
-// component or would alias the default layout.
-func validHW(hw string) error {
-	if hw == "" {
-		return nil
-	}
-	for _, c := range hw {
-		switch {
-		case c >= 'a' && c <= 'z', c >= '0' && c <= '9', c == '-', c == '_':
-		default:
-			return fmt.Errorf("serve: invalid hardware key %q (want lowercase [a-z0-9-_])", hw)
-		}
-	}
-	return nil
-}
-
-// hwConfig resolves the NIC preset for a hardware key, recording it on
-// first use: "" is the registry's default NIC; a named key must supply
-// its config on first use and later lookups may omit it (zero Config).
-func (r *ModelRegistry) hwConfig(hw string, nic nicsim.Config) (nicsim.Config, error) {
-	if hw == "" {
-		return defaultNIC, nil
-	}
-	if err := validHW(hw); err != nil {
-		return nicsim.Config{}, err
-	}
-	r.hwMu.Lock()
-	defer r.hwMu.Unlock()
-	if r.hwConfigs == nil {
-		r.hwConfigs = map[string]nicsim.Config{}
-	}
-	known, seen := r.hwConfigs[hw]
-	if nic.Name != "" {
-		// A key means one hardware preset for the registry's lifetime:
-		// models cached and persisted under it were trained against that
-		// preset, so a conflicting re-registration must fail rather than
-		// silently serve old-hardware models for a new meaning of the key.
-		if seen && known.Name != nic.Name {
-			return nicsim.Config{}, fmt.Errorf("serve: hardware key %q already bound to NIC %q, cannot rebind to %q", hw, known.Name, nic.Name)
-		}
-		r.hwConfigs[hw] = nic
-		return nic, nil
-	}
-	if seen {
-		return known, nil
-	}
-	return nicsim.Config{}, fmt.Errorf("serve: hardware key %q has no NIC config registered", hw)
-}
-
 // Model returns the named backend's model for an NF on the registry's
 // default NIC, loading it from the model directory or training it on
 // demand on first use.
 func (r *ModelRegistry) Model(backendName, name string) (backend.Model, error) {
-	return r.ModelOn(backendName, "", nicsim.Config{}, name)
+	return r.ModelOn(backendName, "", name)
 }
 
 // ModelOn is the hardware-keyed lookup behind heterogeneous fleets: it
-// returns the backend's model for an NF trained against the given NIC
-// preset, keyed (and persisted) under hw. The empty hw selects the
-// registry's default NIC and the unqualified on-disk layout;
-// duplicate-load suppression applies per (backend, hw, NF) key. It is
-// the serve-side implementation of cluster.ModelSource.
-func (r *ModelRegistry) ModelOn(backendName, hw string, nic nicsim.Config, name string) (backend.Model, error) {
+// returns the backend's model for an NF trained against hw's NIC
+// preset (presetFor), keyed (and persisted) under hw. The empty hw
+// selects the registry's default NIC and the unqualified on-disk
+// layout; duplicate-load suppression applies per (backend, hw, NF)
+// key. It is the serve-side implementation of cluster.ModelSource.
+func (r *ModelRegistry) ModelOn(backendName, hw, name string) (backend.Model, error) {
 	b, ok := backend.Get(backendName)
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown backend %q (have %s)", backendName, strings.Join(backend.Names(), ", "))
 	}
-	cfg, err := r.hwConfig(hw, nic)
+	cfg, err := presetFor(hw)
 	if err != nil {
 		return nil, err
 	}
@@ -284,7 +248,7 @@ func (r *ModelRegistry) Install(backendName, hw, nf string, m backend.Model) err
 	if !ok {
 		return fmt.Errorf("serve: unknown backend %q (have %s)", backendName, strings.Join(backend.Names(), ", "))
 	}
-	if err := validHW(hw); err != nil {
+	if _, err := presetFor(hw); err != nil {
 		return err
 	}
 	key := entryKey{backendName, hw, nf}

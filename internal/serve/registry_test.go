@@ -9,7 +9,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/ml"
-	"repro/internal/nicsim"
 	"repro/internal/profiling"
 	"repro/internal/slomo"
 )
@@ -119,7 +118,7 @@ func TestRegistryConcurrentKeyedLoad(t *testing.T) {
 			wg.Add(1)
 			go func(w, i int, r req) {
 				defer wg.Done()
-				v, err := reg.ModelOn(r.backend, r.hw, nicForHW(r.hw), r.name)
+				v, err := reg.ModelOn(r.backend, r.hw, r.name)
 				if err != nil {
 					t.Errorf("%s/%s@%q: %v", r.backend, r.name, r.hw, err)
 					return
@@ -152,7 +151,7 @@ func TestRegistryConcurrentKeyedLoad(t *testing.T) {
 	// next round re-reads each key from disk rather than retraining.
 	reg.Reload("yala", "FlowStats")
 	for _, hw := range []string{"", "bluefield2", "pensando"} {
-		if _, err := reg.ModelOn("yala", hw, nicForHW(hw), "FlowStats"); err != nil {
+		if _, err := reg.ModelOn("yala", hw, "FlowStats"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,42 +165,19 @@ func TestRegistryConcurrentKeyedLoad(t *testing.T) {
 }
 
 // TestRegistryRejectsBadHW covers hardware-key hygiene: keys that cannot
-// name a file and named keys with no registered config.
+// name a file and keys outside the hardware-class catalogue.
 func TestRegistryRejectsBadHW(t *testing.T) {
 	reg := NewRegistry(testRegistryConfig(t))
-	if _, err := reg.ModelOn("yala", "Bad/Key", nicForHW("pensando"), "FlowStats"); err == nil {
+	if _, err := reg.ModelOn("yala", "Bad/Key", "FlowStats"); err == nil {
 		t.Fatal("path-hostile hardware key accepted")
 	}
-	if _, err := reg.ModelOn("yala", "mystery", nicsim.Config{}, "FlowStats"); err == nil {
-		t.Fatal("unknown hardware key with no config accepted")
-	}
-	// A key binds to one preset for the registry's lifetime: models under
-	// it were trained on that hardware, so rebinding must fail loudly.
-	if _, err := reg.ModelOn("yala", "edge", nicsim.BlueField2(), "FlowStats"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.ModelOn("yala", "edge", nicsim.Pensando(), "ACL"); err == nil {
-		t.Fatal("conflicting rebind of hardware key accepted")
-	}
-	if _, err := reg.ModelOn("yala", "edge", nicsim.Config{}, "FlowStats"); err != nil {
-		t.Fatalf("config-less lookup of bound key failed: %v", err)
+	if _, err := reg.ModelOn("yala", "mystery", "FlowStats"); err == nil {
+		t.Fatal("hardware key outside the class catalogue accepted")
 	}
 	// An unregistered backend is an error naming the registered set.
 	if _, err := reg.Model("mystery", "FlowStats"); err == nil {
 		t.Fatal("unregistered backend accepted")
 	}
-}
-
-// nicForHW maps a test hardware key to its preset; the empty key lets
-// the registry use its default.
-func nicForHW(hw string) nicsim.Config {
-	switch hw {
-	case "pensando":
-		return nicsim.Pensando()
-	case "bluefield2":
-		return nicsim.BlueField2()
-	}
-	return nicsim.Config{}
 }
 
 // TestRegistryPersistsAndReloads checks the train-on-demand path writes a
@@ -306,7 +282,7 @@ func TestRegistryReloadRace(t *testing.T) {
 			defer loaders.Done()
 			for i := 0; i < 100; i++ {
 				hw := hws[(w+i)%len(hws)]
-				m, err := reg.ModelOn("fake", hw, nicForHW(hw), "FlowStats")
+				m, err := reg.ModelOn("fake", hw, "FlowStats")
 				if err != nil || m == nil || m.NF() != "FlowStats" {
 					t.Errorf("loader %d iter %d: m=%v err=%v", w, i, m, err)
 					return
@@ -320,7 +296,7 @@ func TestRegistryReloadRace(t *testing.T) {
 
 	// The registry settles into a servable state: one more load per key.
 	for _, hw := range hws {
-		if _, err := reg.ModelOn("fake", hw, nicForHW(hw), "FlowStats"); err != nil {
+		if _, err := reg.ModelOn("fake", hw, "FlowStats"); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/cluster"
 	"repro/internal/feedback"
 	"repro/internal/nicsim"
 	"repro/internal/obs"
@@ -206,9 +205,14 @@ func (s *Service) Registry() *ModelRegistry { return s.reg }
 // co-run measurements. Entries for unrelated (backend, NF) pairs keep
 // serving warm — a single-model push must not cold-start every key the
 // server holds. The solo-measurement memo survives: measurements depend
-// only on the testbed, not on models.
+// only on the testbed, not on models. The pair's drift evidence and
+// calibration reset on every hardware key too (feedback's Forget): they
+// described the retired model, not the one the directory now holds.
 func (s *Service) Reload(backendName Backend, name string) {
 	s.reg.Reload(string(backendName), name)
+	s.fb.Forget(func(k feedback.Key) bool {
+		return k.Backend == string(backendName) && k.NF == name
+	})
 	s.cache.EvictMatching(func(key string) bool {
 		return reloadAffects(key, string(backendName), name)
 	})
@@ -366,34 +370,12 @@ func callerCanceled(ctx context.Context, err error) bool {
 		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }
 
-// hwNIC resolves a request's hardware qualifier to a NIC preset: the
-// empty qualifier is the registry's default NIC; named qualifiers are
-// the fleet hardware classes (cluster.ClassConfig), which share the
-// registry's hardware-keyed on-disk layout with cluster runs.
-func (s *Service) hwNIC(hw string) (nicsim.Config, error) {
-	if hw == "" {
-		return defaultNIC, nil
-	}
-	cfg, err := cluster.ClassConfig(hw)
-	if err != nil {
-		return nicsim.Config{}, badRequestf("unknown hardware class %q (have %s)", hw, strings.Join(cluster.ClassNames(), ", "))
-	}
-	return cfg, nil
-}
-
-// validateHW rejects hardware qualifiers outside the known classes
-// before any model or measurement work happens.
-func (s *Service) validateHW(hw string) error {
-	_, err := s.hwNIC(hw)
-	return err
-}
-
 // freshTestbed returns a new testbed at the hardware class's NIC preset
 // and the service's seed. Measurements on a fresh testbed are
 // deterministic regardless of request interleaving — the property the
 // response cache relies on.
 func (s *Service) freshTestbed(hw string) (*testbed.Testbed, error) {
-	nic, err := s.hwNIC(hw)
+	nic, err := presetFor(hw)
 	if err != nil {
 		return nil, err
 	}
@@ -572,11 +554,7 @@ func (s *Service) predictUncached(backendName Backend, hw, name string, prof tra
 	if err != nil {
 		return PredictResponse{}, err
 	}
-	nic, err := s.hwNIC(hw)
-	if err != nil {
-		return PredictResponse{}, err
-	}
-	model, err := s.reg.ModelOn(string(backendName), hw, nic, name)
+	model, err := s.reg.ModelOn(string(backendName), hw, name)
 	if err != nil {
 		return PredictResponse{}, err
 	}
@@ -587,11 +565,11 @@ func (s *Service) predictUncached(backendName Backend, hw, name string, prof tra
 	fbKey := feedback.Key{NF: name, HW: hw, Backend: string(backendName)}
 	if sm, ok := s.fb.ShadowModel(fbKey); ok {
 		// Shadow-serve the candidate on live traffic: it predicts the
-		// same scenario and the divergence is recorded, but its output
-		// goes nowhere — the response below is built exclusively from
-		// the live model's prediction.
-		if sp, serr := b.Predict(sm, sc); serr == nil {
-			s.fb.RecordShadowCompare(fbKey, pred.PredictedPPS, sp.PredictedPPS)
+		// same scenario and the compare is counted, but its output goes
+		// nowhere — the response below is built exclusively from the
+		// live model's prediction.
+		if _, serr := b.Predict(sm, sc); serr == nil {
+			s.fb.RecordShadowCompare()
 		}
 	}
 	resp := PredictResponse{
@@ -611,9 +589,10 @@ func (s *Service) predictUncached(backendName Backend, hw, name string, prof tra
 	return resp, nil
 }
 
-// validateScenarioOn is validateScenario plus the hardware qualifier.
+// validateScenarioOn is validateScenario plus the hardware qualifier,
+// rejected before any model or measurement work happens.
 func (s *Service) validateScenarioOn(hw, nfName string, prof ProfileSpec, comps []CompetitorSpec, backendName string) (Backend, error) {
-	if err := s.validateHW(hw); err != nil {
+	if _, err := presetFor(hw); err != nil {
 		return "", err
 	}
 	return validateScenario(nfName, prof, comps, backendName)
@@ -847,7 +826,7 @@ type AdmitResponse struct {
 // core budget.
 func (s *Service) AdmitOn(ctx context.Context, hw string, req AdmitRequest) (AdmitResponse, error) {
 	s.admits.Add(1)
-	if err := s.validateHW(hw); err != nil {
+	if _, err := presetFor(hw); err != nil {
 		s.errors.Add(1)
 		return AdmitResponse{}, err
 	}
@@ -901,16 +880,12 @@ func (s *Service) admit(backendName Backend, hw, key string, residents []ColoNF,
 		return resp, nil
 	}
 
-	nic, err := s.hwNIC(hw)
-	if err != nil {
-		return AdmitResponse{}, err
-	}
 	names := map[string]bool{candidate.Name: true}
 	for _, r := range residents {
 		names[r.Name] = true
 	}
 	for name := range names {
-		m, err := s.reg.ModelOn(string(backendName), hw, nic, name)
+		m, err := s.reg.ModelOn(string(backendName), hw, name)
 		if err != nil {
 			return AdmitResponse{}, err
 		}

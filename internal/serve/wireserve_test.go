@@ -173,6 +173,33 @@ func TestWireTransportMetrics(t *testing.T) {
 	}
 }
 
+// TestWireIngestUsesHTTP: WithWire names Predict and PredictBatch only,
+// so an IngestBatch from a wire-configured client moves the HTTP
+// request counter and leaves the wire one alone.
+func TestWireIngestUsesHTTP(t *testing.T) {
+	svc, ts, ws := wireTestServer(t, nil)
+	wc := yalaclient.New(ts.URL, yalaclient.WithWire(ws.Addr()))
+	defer wc.Close()
+	res, err := wc.IngestBatch(context.Background(), []yalaclient.Measurement{
+		{Model: yalaclient.ModelID{NF: "ACL"}, Backend: "fake", MeasuredPPS: 1e6},
+	})
+	if err != nil || res.Accepted != 1 {
+		t.Fatalf("ingest: %+v, %v", res, err)
+	}
+	var sb strings.Builder
+	if err := svc.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`yala_requests_total{transport="http"} 1`,
+		`yala_requests_total{transport="wire"} 0`,
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, sb.String())
+		}
+	}
+}
+
 // TestWireCallTunnel exercises the generic TypeCall path the gateway's
 // wire upstreams ride: a stats GET tunneled through the real HTTP
 // handler, answering with the HTTP status, forwarded headers and body.

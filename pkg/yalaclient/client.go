@@ -449,9 +449,8 @@ func (c *Client) Ingest(ctx context.Context, m Measurement) (IngestResult, error
 // IngestBatch reports many ground-truth measurements in one round
 // trip. Ingestion is idempotent in aggregate terms — the server's
 // feedback windows are bounded rings, so a retried batch merely
-// re-observes — which makes the standard retry schedule safe; with
-// WithWire configured the exchange rides the binary transport,
-// falling back to HTTP transparently.
+// re-observes — which makes the standard retry schedule safe. It always
+// uses HTTP, like every call WithWire does not name.
 func (c *Client) IngestBatch(ctx context.Context, items []Measurement) (IngestResult, error) {
 	body := struct {
 		Measurements []measurementWire `json:"measurements"`
@@ -464,12 +463,6 @@ func (c *Client) IngestBatch(ctx context.Context, items []Measurement) (IngestRe
 			Competitors: it.Competitors,
 			MeasuredPPS: it.MeasuredPPS,
 			Source:      it.Source,
-		}
-	}
-	if c.wireReady() {
-		out, err := c.wireIngest(ctx, body)
-		if !c.wireFallback(err) {
-			return out, err
 		}
 	}
 	var out IngestResult

@@ -2,7 +2,6 @@ package yalaclient
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -148,44 +147,6 @@ func (c *Client) wirePredictBatch(ctx context.Context, items []BatchItem) (out B
 			out.Responses[i] = fromWireResponse(resp.Responses[i])
 		}
 		out.Errors = resp.Errors
-		return nil
-	})
-	return out, err
-}
-
-// wireIngest runs one IngestBatch exchange over the wire transport,
-// tunneled as a Call frame (the server runs the identical /v2/ingest
-// HTTP handler behind it, so validation and envelopes match exactly).
-func (c *Client) wireIngest(ctx context.Context, body any) (out IngestResult, err error) {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return out, fmt.Errorf("yalaclient: encoding /v2/ingest request: %w", err)
-	}
-	call := wire.Call{
-		Method:      http.MethodPost,
-		URI:         "/v2/ingest",
-		ContentType: "application/json",
-		Body:        payload,
-	}
-	buf := wire.AppendCall(wire.GetBuf(), &call)
-	err = c.exchange(ctx, wire.TypeCall, wire.TypeCallResp, buf, func(payload []byte) error {
-		resp, derr := wire.DecodeCallResp(payload)
-		if derr != nil {
-			return fmt.Errorf("%w: %v", wire.ErrTransport, derr)
-		}
-		if resp.Status != http.StatusOK {
-			hdr := make(http.Header, len(resp.Headers))
-			for _, kv := range resp.Headers {
-				hdr.Set(kv.Key, kv.Value)
-			}
-			if resp.Status == http.StatusTooManyRequests {
-				return rateLimitError(resp.Status, resp.Body, hdr)
-			}
-			return apiError(resp.Status, resp.Body)
-		}
-		if derr := json.Unmarshal(resp.Body, &out); derr != nil {
-			return fmt.Errorf("%w: decoding /v2/ingest response: %v", wire.ErrTransport, derr)
-		}
 		return nil
 	})
 	return out, err
