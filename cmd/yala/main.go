@@ -308,7 +308,7 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8844", "listen address")
 	models := fs.String("models", "", "model directory (persisted models; trained on demand when absent)")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "compute slots: requests predicting at once (0 = GOMAXPROCS)")
 	cache := fs.Int("cache", 0, "prediction cache capacity (0 = default 8192, negative disables)")
 	seed := fs.Uint64("seed", 1, "testbed and on-demand training seed")
 	full := fs.Bool("full", false, "use the full offline training protocol for on-demand training (slow; default is the quick serving config)")
@@ -399,7 +399,7 @@ func cmdGateway(args []string) error {
 	replicas := fs.Int("replicas", 0, "spawn this many in-process serve replicas")
 	backends := fs.String("backends", "", "comma-separated external replica base URLs (alternative to -replicas)")
 	models := fs.String("models", "", "model directory shared by in-process replicas (required with -replicas)")
-	workers := fs.Int("workers", 0, "per-replica worker pool size (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "per-replica compute slots (0 = GOMAXPROCS)")
 	cache := fs.Int("cache", 0, "per-replica prediction cache capacity (0 = default 8192, negative disables)")
 	edge := fs.Int("edgecache", 0, "gateway edge response cache capacity (0 = default 8192, negative disables)")
 	seed := fs.Uint64("seed", 1, "replica testbed and on-demand training seed")

@@ -368,11 +368,7 @@ func (e *Env) shiftedEnv(key classKey, scale float64) *classEnv {
 	if !ok {
 		base = e.class[classKey{}]
 	}
-	f := base.cfg.FreqScale
-	if f <= 0 {
-		f = 1
-	}
-	cfg := base.cfg.WithFrequencyScale(f * scale)
+	cfg := base.cfg.ScaleFrequency(scale)
 	sim := placement.NewSimulator(testbed.New(cfg, e.seed))
 	sim.NICCores = base.sim.NICCores
 	sim.NFCores = base.sim.NFCores

@@ -95,11 +95,7 @@ func (l *onlineLoop) promote(k feedback.Key, m backend.Model, scale float64) err
 			continue
 		}
 		ce := l.env.class[key]
-		base := ce.cfg.FreqScale
-		if base <= 0 {
-			base = 1
-		}
-		tb := testbed.New(ce.cfg.WithFrequencyScale(base*scale), l.env.seed)
+		tb := testbed.New(ce.cfg.ScaleFrequency(scale), l.env.seed)
 		for _, prof := range l.sc.ProfilePool() {
 			meas, err := tb.SoloNF(k.NF, prof)
 			if err != nil {

@@ -21,10 +21,6 @@ func TrainCalibrated(k Key, env backend.TrainEnv, scale float64) (backend.Model,
 	if !ok {
 		return nil, fmt.Errorf("feedback: unknown backend %q (have %s)", k.Backend, strings.Join(backend.Names(), ", "))
 	}
-	base := env.NIC.FreqScale
-	if base <= 0 {
-		base = 1
-	}
-	env.NIC = env.NIC.WithFrequencyScale(base * scale)
+	env.NIC = env.NIC.ScaleFrequency(scale)
 	return b.Train(env, k.NF)
 }

@@ -313,3 +313,63 @@ func TestCanceledClientIs499(t *testing.T) {
 		t.Fatalf("exposition missing gateway_client_canceled_total:\n%s", raw)
 	}
 }
+
+// TestEdgeDropsMissHeldAcrossReload: an edge miss whose upstream answer
+// is still in flight when a :reload for its NF fans out may carry the
+// retired model's prediction, so the edge must not serve it afterwards.
+func TestEdgeDropsMissHeldAcrossReload(t *testing.T) {
+	stub := newSlowStub(t)
+	// The replica applies reloads at once and holds everything else on
+	// the stub's gate.
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, ":reload") {
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprint(w, `{}`)
+			return
+		}
+		stub.srv.Config.Handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(replica.Close)
+	g, err := New(Config{Backends: []string{replica.URL}, HealthInterval: 20 * time.Millisecond, HealthTimeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	ts := httptest.NewServer(g.Handler())
+	t.Cleanup(ts.Close)
+
+	post := func(verb, body string) *http.Response {
+		resp, err := http.Post(ts.URL+"/v2/models/FlowStats/yala:"+verb, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+	const scenario = `{"profile":{"flows":1000}}`
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		post("predict", scenario)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); stub.calls.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the predict never reached the replica")
+		}
+	}
+	if resp := post("reload", ""); resp == nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("reload fan-out: %v", resp)
+	}
+	close(stub.release)
+	<-held
+	resp := post("predict", scenario)
+	if resp == nil {
+		return
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Gateway-Cache") == "hit" {
+		t.Fatalf("predict after the reload: status %d, X-Gateway-Cache %q; want a fresh upstream answer",
+			resp.StatusCode, resp.Header.Get("X-Gateway-Cache"))
+	}
+}

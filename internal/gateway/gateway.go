@@ -67,6 +67,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/flight"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/tenant"
@@ -176,18 +177,10 @@ type Gateway struct {
 	// The deterministic verbs this applies to make sharing safe, and the
 	// edge cache only helps after a response lands — coalescing is what
 	// keeps a thundering herd on a cold key down to one upstream call.
-	flight serve.FlightGroup[string, proxyResult]
+	flight flight.Group[string, proxyResult]
 
 	obs        *obs.Registry
 	reqSeconds *obs.Histogram
-
-	// reloadGen counts edge-cache invalidations. A proxied miss records
-	// the generation before its replica round trip and re-checks it
-	// around the Put: without that, a response computed against the
-	// pre-reload model could be inserted just after a concurrent
-	// fan-out's eviction swept the cache, and would then serve stale
-	// forever.
-	reloadGen atomic.Uint64
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -616,21 +609,15 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 // 200 at the edge. It runs once per coalesced group, on the leader.
 func (g *Gateway) proxyOnce(ctx context.Context, rt route, r *http.Request, body []byte) (proxyResult, error) {
 	ekey := edgeKey(r.URL.RequestURI(), body)
-	gen := g.reloadGen.Load()
+	// The response may predate a reload fan-out that sweeps the edge
+	// while it is in flight: PutAt drops it then.
+	epoch := g.edge.Epoch()
 	ep, status, hdr, respBody, err := g.sendWithFailover(ctx, rt.key, r.Method, r.URL.RequestURI(), r.Header.Get("Content-Type"), body)
 	if err != nil {
 		return proxyResult{}, err
 	}
 	if status == http.StatusOK && len(respBody) <= maxEdgeEntryBytes {
-		g.edge.Put(ekey, edgeEntry{contentType: hdr.Get("Content-Type"), body: respBody})
-		// A reload fan-out may have swept the cache while this response
-		// was in flight — the response could predate the reload. The
-		// eviction bumps reloadGen before scanning, so either the sweep
-		// saw this entry, or the generation moved and the entry removes
-		// itself here. Over-removal only costs a re-proxy.
-		if g.reloadGen.Load() != gen {
-			g.edge.EvictMatching(func(k string) bool { return k == ekey })
-		}
+		g.edge.PutAt(ekey, edgeEntry{contentType: hdr.Get("Content-Type"), body: respBody}, epoch)
 	}
 	return proxyResult{replicaURL: ep.url, status: status, hdr: hdr, body: respBody}, nil
 }
@@ -917,10 +904,6 @@ func (g *Gateway) fanoutReload(w http.ResponseWriter, r *http.Request, rt route,
 // Over-eviction merely costs a re-proxy to a replica whose own eviction
 // is exact.
 func (g *Gateway) evictEdge(nf string) {
-	// Bump the generation before sweeping: in-flight misses re-check it
-	// around their Put (handleProxy), so a stale response can never be
-	// inserted behind the sweep and survive.
-	g.reloadGen.Add(1)
 	g.edge.EvictMatching(func(key string) bool {
 		return strings.Contains(key, nf)
 	})

@@ -55,7 +55,7 @@ func (g *Gateway) WirePromote(rep *Replica) {
 // -replicas N`. The replicas share one model directory, and therefore
 // one set of persisted models (training persists via atomic rename, so
 // concurrent on-demand training converges on identical files), but
-// each keeps a private worker pool and response cache — exactly the
+// each keeps its own compute slots and response cache — exactly the
 // per-process resources the gateway shards traffic across. On error,
 // already-spawned replicas are closed before returning.
 func SpawnReplicas(n int, cfg serve.ServiceConfig) ([]*Replica, error) {

@@ -113,6 +113,13 @@ func (c Config) WithFrequencyScale(f float64) Config {
 	return c
 }
 
+// ScaleFrequency returns a copy of the config with its cores running at
+// scale times their current effective frequency (an unset FreqScale
+// counts as 1). It panics on non-positive scales.
+func (c Config) ScaleFrequency(scale float64) Config {
+	return c.WithFrequencyScale(c.freqScale() * scale)
+}
+
 // freqScale returns the effective DVFS factor.
 func (c *Config) freqScale() float64 {
 	if c.FreqScale <= 0 {

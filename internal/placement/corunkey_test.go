@@ -25,15 +25,15 @@ func TestCoRunKeyPinned(t *testing.T) {
 	planted := []nicsim.Measurement{{Throughput: 1}, {Throughput: 2}, {Throughput: 3}}
 	s.coRunCache[key] = planted
 	for _, residents := range [][]Arrival{{a, b, c}, {c, b, a}, {b, a, c}, {c, a, b}} {
-		ms, ordered, err := s.coRun(residents)
+		ms, ordered, err := s.CoRun(residents)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(ms, planted) {
-			t.Fatalf("coRun(%v) did not look up %q: measured %v", residents, key, ms)
+			t.Fatalf("CoRun(%v) did not look up %q: measured %v", residents, key, ms)
 		}
 		if want := []Arrival{c, b, a}; !reflect.DeepEqual(ordered, want) {
-			t.Fatalf("coRun(%v) ordered the residents %v, want %v", residents, ordered, want)
+			t.Fatalf("CoRun(%v) ordered the residents %v, want %v", residents, ordered, want)
 		}
 	}
 	if len(s.coRunCache) != 1 {
@@ -46,12 +46,12 @@ func TestCoRunKeyPinned(t *testing.T) {
 	s.coRunCache["NAT@(16000, 1500, 600)"] = planted[:1]
 	s.coRunCache["NAT@(16000, 1500, 600)|NAT@(16000, 1500, 600)"] = planted[:2]
 	for _, residents := range [][]Arrival{{lo}, {hi, lo}, {lo, hi}} {
-		ms, ordered, err := s.coRun(residents)
+		ms, ordered, err := s.CoRun(residents)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(ms) != len(residents) || !reflect.DeepEqual(ordered, residents) {
-			t.Fatalf("coRun(%v) answered %v for %v", residents, ms, ordered)
+			t.Fatalf("CoRun(%v) answered %v for %v", residents, ms, ordered)
 		}
 	}
 }

@@ -195,11 +195,14 @@ func (s *Simulator) solo(a Arrival) (*nicsim.Measurement, error) {
 	return &m, nil
 }
 
-// coRun measures a NIC's residents together, cached by the (sorted)
-// resident multiset. The returned slice is ordered by the sorted keys:
-// each resident is rendered once and inserted in place — bytewise over
-// the rendered key, residents with equal keys keeping the given order.
-func (s *Simulator) coRun(residents []Arrival) ([]nicsim.Measurement, []Arrival, error) {
+// CoRun measures a NIC's residents together, cached by the (sorted)
+// resident multiset, so repeated probes of an unchanged NIC are free. It
+// is the ground truth the online-feedback loop (internal/cluster) scores
+// model predictions against. The returned slice is ordered by the sorted
+// keys: each resident is rendered once and inserted in place — bytewise
+// over the rendered key, residents with equal keys keeping the given
+// order.
+func (s *Simulator) CoRun(residents []Arrival) ([]nicsim.Measurement, []Arrival, error) {
 	ordered, keys := make([]Arrival, len(residents)), make([]string, len(residents))
 	for i, a := range residents {
 		k, j := arrivalKey(a), i
@@ -252,7 +255,7 @@ func (s *Simulator) Place(seq []Arrival, strat Strategy) (Result, error) {
 	}
 	res := Result{NICsUsed: len(nics), Total: len(seq)}
 	for _, n := range nics {
-		v, err := s.violations(n.residents)
+		v, err := s.Violations(n.residents)
 		if err != nil {
 			return Result{}, err
 		}
@@ -324,7 +327,7 @@ func (s *Simulator) Feasible(residents []Arrival, a Arrival, strat Strategy) (bo
 		sc, err := s.Score(residents, a, strat)
 		return sc.Admits(a.SLA), err
 	}
-	ms, ordered, err := s.coRun(append(append([]Arrival(nil), residents...), a))
+	ms, ordered, err := s.CoRun(append(append([]Arrival(nil), residents...), a))
 	if err != nil {
 		return false, err
 	}
@@ -561,24 +564,6 @@ func (s *Simulator) predict(e *scorer, backendName string, set []Arrival, a Arri
 	return predicted, sm.Throughput, err
 }
 
-// Violations counts residents whose ground-truth throughput breaks
-// their SLA when co-run together. It is the enforcement probe the fleet
-// orchestrator (internal/cluster) applies after every placement and
-// drift; co-runs are cached by resident multiset, so re-checking an
-// unchanged NIC is a lookup.
-func (s *Simulator) Violations(residents []Arrival) (int, error) {
-	return s.violations(residents)
-}
-
-// CoRun exposes the simulator's cached ground-truth co-run measurements
-// for a resident set, ordered by the canonical (sorted) arrival key. It
-// is the measurement probe the online-feedback loop (internal/cluster)
-// scores model predictions against; the cache keeps repeated probes of
-// an unchanged NIC free.
-func (s *Simulator) CoRun(residents []Arrival) ([]nicsim.Measurement, []Arrival, error) {
-	return s.coRun(residents)
-}
-
 // PredictWith predicts target's co-located throughput among others
 // using an explicit model handle instead of the installed one. It is
 // the shadow-evaluation primitive: a retrained candidate predicts live
@@ -613,13 +598,16 @@ func (s *Simulator) PredictWith(backendName string, m backend.Model, target Arri
 	return pred.PredictedPPS, nil
 }
 
-// violations counts residents whose ground-truth throughput breaks their
-// SLA.
-func (s *Simulator) violations(residents []Arrival) (int, error) {
+// Violations counts residents whose ground-truth throughput breaks
+// their SLA when co-run together. It is the enforcement probe the fleet
+// orchestrator (internal/cluster) applies after every placement and
+// drift; co-runs are cached by resident multiset, so re-checking an
+// unchanged NIC is a lookup.
+func (s *Simulator) Violations(residents []Arrival) (int, error) {
 	if len(residents) <= 1 {
 		return 0, nil
 	}
-	ms, ordered, err := s.coRun(residents)
+	ms, ordered, err := s.CoRun(residents)
 	if err != nil {
 		return 0, err
 	}

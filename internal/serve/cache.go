@@ -9,18 +9,22 @@ import (
 
 // cacheShards is the shard count; a power of two so the hash maps to a
 // shard with a mask. 16 shards keep lock contention negligible at the
-// concurrency levels the worker pool allows.
+// concurrency levels the compute slots allow.
 const cacheShards = 16
 
 // Cache is a sharded LRU for prediction responses. Predictions are
 // deterministic functions of (backend, NF, competitor multiset, traffic
 // profile) given the loaded models, so entries never go stale under a
 // fixed model set; capacity is the only eviction pressure. Swapping a
-// model (Service.Reload) evicts exactly the entries computed with it
-// (EvictMatching).
+// model evicts exactly the entries computed with it (EvictMatching), and
+// PutAt keeps a response computed across that swap from landing behind
+// the sweep.
 type Cache struct {
 	shards [cacheShards]cacheShard
 	seed   maphash.Seed
+	// epoch counts EvictMatching sweeps; each advances it before taking
+	// its first shard lock (see PutAt).
+	epoch atomic.Uint64
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -113,14 +117,32 @@ func (c *Cache) touch(s *cacheShard, el *list.Element, count bool) (any, bool) {
 }
 
 // Put inserts or refreshes key, evicting the shard's least-recently-used
-// entry when over capacity.
-func (c *Cache) Put(key string, val any) {
+// entry when over capacity. It is PutAt at the current epoch.
+func (c *Cache) Put(key string, val any) { c.PutAt(key, val, c.epoch.Load()) }
+
+// Epoch is the cache's invalidation epoch. A caller about to compute a
+// value from state an EvictMatching sweep invalidates — a model — reads
+// the epoch first and stores the value with PutAt.
+func (c *Cache) Epoch() uint64 { return c.epoch.Load() }
+
+// PutAt is Put for a value computed after Epoch returned epoch. If a
+// sweep has begun since, the value may come from the state that sweep
+// retired, and it is dropped instead of stored. The check shares the
+// shard lock with the insert, and a sweep advances the epoch before it
+// locks any shard, so a sweep the check misses reaches this shard after
+// the insert and judges the entry itself: a stale value never outlives
+// the sweep that retired its state. Dropping a fresh value only costs a
+// recomputation.
+func (c *Cache) PutAt(key string, val any, epoch uint64) {
 	s := c.shard(key)
 	if s.cap <= 0 {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if c.epoch.Load() != epoch {
+		return
+	}
 	if el, ok := s.items[key]; ok {
 		el.Value.(*cacheEntry).val = val
 		s.ll.MoveToFront(el)
@@ -140,7 +162,9 @@ func (c *Cache) Put(key string, val any) {
 // reload touching one backend+NF) uses this instead of Flush so entries
 // computed from unrelated models keep serving warm. Dropped entries do
 // not count toward the eviction stat — that tracks capacity pressure.
+// Every call advances the epoch first (see PutAt).
 func (c *Cache) EvictMatching(match func(key string) bool) int {
+	c.epoch.Add(1)
 	dropped := 0
 	for i := range c.shards {
 		s := &c.shards[i]

@@ -133,3 +133,21 @@ func TestCacheConcurrent(t *testing.T) {
 		t.Fatalf("hits+misses = %d, want %d", st.Hits+st.Misses, 8*1000)
 	}
 }
+
+// TestCachePutAtEpoch: a value computed after Epoch read e is dropped by
+// PutAt once a sweep has begun since — even one whose predicate matches
+// nothing resident, since the value may come from the state it retired —
+// and stored when no sweep intervened.
+func TestCachePutAtEpoch(t *testing.T) {
+	c := NewCache(256)
+	e := c.Epoch()
+	c.EvictMatching(func(string) bool { return false })
+	c.PutAt("k", 1, e)
+	if _, ok := c.getQuiet("k"); ok {
+		t.Fatal("a value read before a sweep was stored after it")
+	}
+	c.PutAt("k", 2, c.Epoch())
+	if v, ok := c.getQuiet("k"); !ok || v != 2 {
+		t.Fatalf("PutAt at the current epoch: %v, %v", v, ok)
+	}
+}

@@ -141,11 +141,10 @@ func (r ClusterRunRequest) scenario() (cluster.Scenario, error) {
 // service's model registry as the shared model source: every model loads
 // (or quick-trains) once and is reused across policies and across runs.
 // The run executes on the caller's goroutine — it is a batch job, not a
-// prediction unit, so it must not occupy the worker pool that bounds
-// request-path compute. Instead it is bounded by its own single-slot
-// semaphore (a second run waits its turn or gives up with the caller's
-// context), and the run itself stops at the next event once the caller
-// goes away.
+// prediction unit, so it takes no compute slot. Instead it holds the
+// service's single cluster slot (a second run waits its turn or gives up
+// with the caller's context), and the run itself stops at the next event
+// once the caller goes away.
 func (s *Service) ClusterRun(ctx context.Context, req ClusterRunRequest) (cluster.Comparison, error) {
 	s.clusterRuns.Add(1)
 	sc, err := req.scenario()
@@ -153,34 +152,14 @@ func (s *Service) ClusterRun(ctx context.Context, req ClusterRunRequest) (cluste
 		s.errors.Add(1)
 		return cluster.Comparison{}, err
 	}
-	// Same closed-service contract as the worker-pool paths: after Close
-	// the request fails with ErrClosed (HTTP 503) instead of starting a
-	// multi-second simulation on a shutting-down service.
-	s.closeMu.RLock()
-	closed := s.closed
-	s.closeMu.RUnlock()
-	if closed {
-		return cluster.Comparison{}, ErrClosed
-	}
-	select {
-	case s.clusterSem <- struct{}{}:
-		defer func() { <-s.clusterSem }()
-	case <-ctx.Done():
-		return cluster.Comparison{}, ctx.Err()
-	}
-	env := cluster.NewEnv(defaultNIC, sc.Seed, s.reg)
-	// Scheduler telemetry (decision latency, slots scanned) lands in the
-	// server's /metrics; the whole run is the request's predict stage.
-	env.SetObs(s.obs)
-	sp := obs.StartSpan(ctx, "predict")
-	cmp, err := cluster.Run(ctx, env, sc, req.Policies)
-	sp.End()
-	if err != nil {
-		// A run abandoned by its own caller is a 499, not a server error.
-		if !callerCanceled(ctx, err) {
-			s.errors.Add(1)
-		}
-		return cluster.Comparison{}, err
-	}
-	return cmp, nil
+	return withSlot(ctx, s, &s.clusterSlot, func() (cluster.Comparison, error) {
+		env := cluster.NewEnv(defaultNIC, sc.Seed, s.reg)
+		// Scheduler telemetry (decision latency, slots scanned) lands in
+		// the server's /metrics; the whole run is the request's predict
+		// stage.
+		env.SetObs(s.obs)
+		sp := obs.StartSpan(ctx, "predict")
+		defer sp.End()
+		return cluster.Run(ctx, env, sc, req.Policies)
+	})
 }

@@ -51,7 +51,7 @@ func (s *Service) Ingest(ctx context.Context, items []IngestMeasurement) (Ingest
 			return IngestResult{}, badRequestf("measurements[%d]: measured_pps must be positive and finite", i)
 		}
 	}
-	return submit(ctx, s, func() (IngestResult, error) {
+	return withSlot(ctx, s, &s.computeSlots, func() (IngestResult, error) {
 		var res IngestResult
 		for _, it := range items {
 			backendName, _ := ParseBackend(it.Backend)

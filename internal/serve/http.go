@@ -33,7 +33,7 @@ func (s *Service) Handler() http.Handler {
 	if s.cfg.Gate != nil {
 		// The admission gate sits inside withObs — its 429/401 envelopes
 		// carry the request ID the trace middleware minted — and outside
-		// the business mux, so shed requests never reach a worker.
+		// the business mux, so shed requests never take a compute slot.
 		h = s.cfg.Gate.Middleware(h)
 	}
 	return s.withObs(h)

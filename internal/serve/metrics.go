@@ -35,7 +35,7 @@ func (s *Service) initObs() {
 	r.CounterFunc("yala_cache_misses_total", s.cache.Misses)
 	r.CounterFunc("yala_cache_evictions_total", s.cache.Evictions)
 	r.GaugeFunc("yala_cache_entries", func() float64 { return float64(s.cache.Len()) })
-	r.GaugeFunc("yala_queue_depth", func() float64 { return float64(len(s.jobs)) })
+	r.GaugeFunc("yala_queue_depth", func() float64 { return float64(s.computeSlots.waiting.Load()) })
 	r.GaugeFunc("yala_workers", func() float64 { return float64(s.cfg.Workers) })
 	r.GaugeFunc("yala_uptime_seconds", func() float64 { return time.Since(s.started).Seconds() })
 	r.GaugeFunc("yala_start_time_seconds", func() float64 { return float64(s.started.Unix()) })

@@ -13,6 +13,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/nicsim"
 	"repro/internal/slomo"
 	"repro/internal/traffic"
@@ -97,7 +98,7 @@ type entryKey struct {
 // ModelRegistry loads persisted per-NF models lazily and concurrently
 // safely: the first Get for a key performs the load (or trains and
 // persists when no model file exists) while every concurrent Get for the
-// same key blocks until that one attempt resolves (flightGroup). Failed
+// same key blocks until that one attempt resolves (a flight.Group). Failed
 // loads are not cached; the next Get retries. The registry is fully
 // backend-generic — every load, train, persist and listing path goes
 // through the internal/backend interface, so registering a new backend
@@ -105,7 +106,7 @@ type entryKey struct {
 type ModelRegistry struct {
 	cfg RegistryConfig
 
-	models FlightGroup[entryKey, backend.Model]
+	models flight.Group[entryKey, backend.Model]
 
 	// persistFails counts model-persistence failures; lastPersistErr
 	// keeps the most recent one. A persist failure must not discard a

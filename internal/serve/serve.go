@@ -9,12 +9,14 @@
 //
 //   - ModelRegistry discovers and lazily loads persisted per-NF models
 //     (Yala and the SLOMO baseline) from a model directory, suppressing
-//     duplicate loads under concurrency and training-and-persisting on
-//     demand when a model file is absent.
-//   - Service answers Predict / Compare / Admit / Diagnose requests
-//     through a bounded worker pool, with a sharded LRU cache keyed on
-//     (NF, competitor set, traffic profile) — sound because predictions
-//     are deterministic functions of that key.
+//     duplicate loads under concurrency (a flight.Group) and
+//     training-and-persisting on demand when a model file is absent.
+//   - Service answers Predict / Compare / Admit / Diagnose requests,
+//     each computing on its own goroutine under one of Workers compute
+//     slots, with a sharded LRU cache keyed on (NF, competitor set,
+//     traffic profile) — sound because predictions are deterministic
+//     functions of that key, and because a response computed across a
+//     Reload or promotion is never stored behind its sweep (Cache.PutAt).
 //   - Handler exposes the service over HTTP/JSON (yala serve). The /v2
 //     routes, error envelope, request-ID rule and URL grammar it
 //     implements are specified — and the shared parts written — in

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/feedback"
+	"repro/internal/flight"
 	"repro/internal/nicsim"
 	"repro/internal/obs"
 	"repro/internal/placement"
@@ -27,7 +28,8 @@ import (
 // ServiceConfig tunes a Service.
 type ServiceConfig struct {
 	Registry RegistryConfig
-	// Workers bounds concurrent prediction work; default GOMAXPROCS.
+	// Workers is the number of compute slots: how many requests may run
+	// predictor work at once; default GOMAXPROCS.
 	Workers int
 	// CacheEntries is the LRU capacity across all shards; default 8192.
 	// Negative disables caching.
@@ -67,34 +69,38 @@ type soloKey struct {
 	prof traffic.Profile
 }
 
-// queuePerWorker sizes the pending-request backlog, per worker, before
-// submitters block (backpressure).
+// queuePerWorker is the backlog, per compute slot, of requests waiting
+// for a slot at which the tenant gate's queue signal saturates.
 const queuePerWorker = 4
 
 // Service answers prediction-serving requests: Predict, Compare, Admit
-// and Diagnose run on a bounded worker pool, consult the model registry
-// through the backend interface, and memoize full responses in a sharded
-// LRU. Every measurement a request needs runs on a fresh deterministic
-// testbed, so a response is a pure function of the request (plus the
-// registry's models) and caching is exact, not approximate. The /v2 API
-// additionally serves hardware-qualified models ("nf@hw"): predictions
-// then run against that fleet class's NIC preset.
+// and Diagnose compute under a bounded number of slots, consult the
+// model registry through the backend interface, and memoize full
+// responses in a sharded LRU. Every measurement a request needs runs on
+// a fresh deterministic testbed, so a response is a pure function of the
+// request (plus the registry's models) and caching is exact, not
+// approximate. The /v2 API additionally serves hardware-qualified models
+// ("nf@hw"): predictions then run against that fleet class's NIC preset.
 type Service struct {
 	cfg   ServiceConfig
 	reg   *ModelRegistry
 	cache *Cache
 
-	solo FlightGroup[soloKey, nicsim.Measurement]
+	solo flight.Group[soloKey, nicsim.Measurement]
 
-	jobs    chan func()
+	// computeSlots bounds request-path predictor work to cfg.Workers
+	// requests at once. clusterSlot serializes cluster comparison runs:
+	// they are multi-second batch jobs that take no compute slot, so
+	// without a cap of their own abandoned or hostile requests could pin
+	// every CPU.
+	computeSlots slots
+	clusterSlot  slots
+
+	// wg counts the requests past withSlot's closed check; Close waits
+	// for them.
 	wg      sync.WaitGroup
 	closeMu sync.RWMutex
 	closed  bool
-
-	// clusterSem serializes cluster comparison runs: they are
-	// multi-second batch jobs that bypass the worker pool, so without a
-	// cap abandoned or hostile requests could pin every CPU.
-	clusterSem chan struct{}
 
 	started time.Time
 
@@ -143,7 +149,7 @@ type Service struct {
 	soloFlows   *obs.Counter
 }
 
-// NewService starts a service and its worker pool. Call Close to stop it.
+// NewService returns a running service. Call Close to stop it.
 func NewService(cfg ServiceConfig) *Service {
 	cfg = cfg.withDefaults()
 	// Resolve the registry defaults once: request paths (hardware
@@ -151,12 +157,12 @@ func NewService(cfg ServiceConfig) *Service {
 	// default quick-training configs are not free to construct.
 	cfg.Registry = cfg.Registry.withDefaults()
 	s := &Service{
-		cfg:        cfg,
-		reg:        NewRegistry(cfg.Registry),
-		cache:      NewCache(cfg.CacheEntries),
-		jobs:       make(chan func(), queuePerWorker*cfg.Workers),
-		clusterSem: make(chan struct{}, 1),
-		started:    time.Now(),
+		cfg:          cfg,
+		reg:          NewRegistry(cfg.Registry),
+		cache:        NewCache(cfg.CacheEntries),
+		computeSlots: slots{ch: make(chan struct{}, cfg.Workers)},
+		clusterSlot:  slots{ch: make(chan struct{}, 1)},
+		started:      time.Now(),
 	}
 	// The feedback controller defaults to this service's own training
 	// and promotion paths; a caller-supplied Config may override either
@@ -174,21 +180,14 @@ func NewService(cfg ServiceConfig) *Service {
 	s.fb = feedback.New(fbCfg)
 	s.initObs()
 	if cfg.Gate != nil {
-		// The gate's queue-pressure signal is this service's own job
-		// backlog; its yala_tenant_* series land in this /metrics registry.
+		// The gate's queue-pressure signal is this service's own backlog
+		// of requests waiting for a compute slot, saturating at
+		// queuePerWorker per slot; its yala_tenant_* series land in this
+		// /metrics registry.
 		cfg.Gate.SetQueueFunc(func() float64 {
-			return float64(len(s.jobs)) / float64(cap(s.jobs))
+			return min(float64(s.computeSlots.waiting.Load())/float64(queuePerWorker*cfg.Workers), 1)
 		})
 		cfg.Gate.SetObs(s.obs)
-	}
-	s.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go func() {
-			defer s.wg.Done()
-			for job := range s.jobs {
-				job()
-			}
-		}()
 	}
 	return s
 }
@@ -303,60 +302,70 @@ func admitKeyNames(colos, nf string) bool {
 // not a bad request.
 var ErrClosed = errors.New("serve: service closed")
 
-// Close drains the worker pool. In-flight requests finish; subsequent
-// requests fail with ErrClosed.
+// Close stops the service. Requests already admitted finish, those
+// still waiting for a slot included; later ones fail with ErrClosed.
 func (s *Service) Close() {
 	s.closeMu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.jobs)
-	}
+	s.closed = true
 	s.closeMu.Unlock()
 	s.wg.Wait()
 	s.fb.Close()
 }
 
-// enqueue hands a job to the pool. A full backlog applies backpressure
-// until the caller's context expires — abandoned clients must not keep
-// handler goroutines parked on the queue forever.
-func (s *Service) enqueue(ctx context.Context, job func()) error {
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
+// slots is a counting semaphore taken on the requesting goroutine.
+// waiting counts the callers blocked on a full one: the backlog
+// yala_queue_depth and the tenant gate's queue signal read.
+type slots struct {
+	ch      chan struct{}
+	waiting atomic.Int64
+}
+
+// acquire takes a slot, waiting for one until ctx ends — abandoned
+// clients must not keep handler goroutines parked forever.
+func (sl *slots) acquire(ctx context.Context) error {
 	select {
-	case s.jobs <- job:
+	case sl.ch <- struct{}{}:
+		return nil
+	default:
+	}
+	sl.waiting.Add(1)
+	defer sl.waiting.Add(-1)
+	select {
+	case sl.ch <- struct{}{}:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-// submit runs fn on the worker pool and waits for its result. A context
-// canceled while the job is still queued skips the compute.
-func submit[T any](ctx context.Context, s *Service, fn func() (T, error)) (T, error) {
-	type outcome struct {
-		v   T
-		err error
+func (sl *slots) release() { <-sl.ch }
+
+// withSlot runs fn on the caller's goroutine holding one of sl's slots.
+// It fails with ErrClosed after Close, and with the context's error when
+// the caller goes away before its slot frees, skipping the compute;
+// neither counts as a server error.
+func withSlot[T any](ctx context.Context, s *Service, sl *slots, fn func() (T, error)) (T, error) {
+	var zero T
+	s.closeMu.RLock()
+	if s.closed {
+		s.closeMu.RUnlock()
+		return zero, ErrClosed
 	}
-	ch := make(chan outcome, 1)
-	if err := s.enqueue(ctx, func() {
-		if ctx.Err() != nil {
-			ch <- outcome{err: ctx.Err()}
-			return
-		}
-		v, err := fn()
-		ch <- outcome{v, err}
-	}); err != nil {
-		var zero T
+	s.wg.Add(1)
+	s.closeMu.RUnlock()
+	defer s.wg.Done()
+	if err := sl.acquire(ctx); err != nil {
 		return zero, err
 	}
-	o := <-ch
-	if o.err != nil && !callerCanceled(ctx, o.err) {
+	defer sl.release()
+	if err := ctx.Err(); err != nil {
+		return zero, err
+	}
+	v, err := fn()
+	if err != nil && !callerCanceled(ctx, err) {
 		s.errors.Add(1)
 	}
-	return o.v, o.err
+	return v, err
 }
 
 // callerCanceled reports a failure whose cause is the caller's own
@@ -481,7 +490,8 @@ func predictKey(backendName Backend, hw, name string, prof traffic.Profile, comp
 }
 
 // predictCached answers one scenario through the shared predict cache,
-// on the caller's goroutine (pool scheduling is the caller's concern).
+// on the caller's goroutine (taking a compute slot is the caller's
+// concern).
 // Its lookup is quiet: the API entry point already counted this request
 // in the hit/miss stats.
 func (s *Service) predictCached(backendName Backend, hw, name string, prof traffic.Profile, comps []CompetitorSpec) (PredictResponse, error) {
@@ -490,6 +500,9 @@ func (s *Service) predictCached(backendName Backend, hw, name string, prof traff
 
 // predictKeyed is predictCached given the scenario's predictKey.
 func (s *Service) predictKeyed(key string, backendName Backend, hw, name string, prof traffic.Profile, comps []CompetitorSpec) (PredictResponse, error) {
+	// Read before the model resolves: a Reload or promotion that sweeps
+	// while this computes must not find the response stored behind it.
+	epoch := s.cache.Epoch()
 	if v, ok := s.cache.getQuiet(key); ok {
 		return v.(PredictResponse), nil
 	}
@@ -497,15 +510,14 @@ func (s *Service) predictKeyed(key string, backendName Backend, hw, name string,
 	if err != nil {
 		return PredictResponse{}, err
 	}
-	s.cache.Put(key, resp)
+	s.cache.PutAt(key, resp, epoch)
 	return resp, nil
 }
 
 // PredictOn estimates throughput for the request's scenario: hw names a
 // fleet hardware class ("" = the server's default NIC). Responses serve
-// from the response cache when the scenario has been answered before. Cache
-// hits answer synchronously on the caller's goroutine; only predictor
-// work goes through the worker pool — the pool bounds compute, and a
+// from the response cache when the scenario has been answered before. Only
+// predictor work takes a compute slot — the slots bound compute, and a
 // lookup is not compute.
 func (s *Service) PredictOn(ctx context.Context, hw string, req PredictRequest) (PredictResponse, error) {
 	return s.predictAt(ctx, hw, req, time.Time{})
@@ -516,8 +528,8 @@ func (s *Service) PredictOn(ctx context.Context, hw string, req PredictRequest) 
 // caller already read (zero: now). The key is rendered once, into a
 // stack buffer, and looked up as bytes, so a hit allocates nothing; a
 // miss (including the rare eviction race) makes the string and always
-// goes through the worker pool, so predictor work stays bounded no
-// matter the HTTP concurrency.
+// takes a compute slot, so predictor work stays bounded no matter the
+// HTTP concurrency.
 func (s *Service) predictAt(ctx context.Context, hw string, req PredictRequest, at time.Time) (PredictResponse, error) {
 	s.predicts.Add(1)
 	csp := obs.StartSpanAt(ctx, "cache", at)
@@ -537,7 +549,7 @@ func (s *Service) predictAt(ctx context.Context, hw string, req PredictRequest, 
 	psp := obs.StartSpanAt(ctx, "predict", at)
 	defer psp.End()
 	key, comps := string(kbytes), canonSpecs(req.Competitors)
-	return submit(ctx, s, func() (PredictResponse, error) {
+	return withSlot(ctx, s, &s.computeSlots, func() (PredictResponse, error) {
 		return s.predictKeyed(key, backendName, hw, req.NF, prof, comps)
 	})
 }
@@ -626,7 +638,7 @@ func (s *Service) predictBatchAt(ctx context.Context, items []hwPredict, _ time.
 }
 
 // predictBatch serves every scenario, each through the cache. Elements
-// run concurrently so a batch of misses overlaps on the worker pool
+// run concurrently so a batch of misses overlaps on the compute slots
 // instead of serializing; hits cost a lookup each.
 func (s *Service) predictBatch(ctx context.Context, items []hwPredict) (BatchResponse, error) {
 	// A malformed element fails the whole batch up front: element-level
@@ -698,8 +710,8 @@ func (s *Service) CompareOn(ctx context.Context, hw string, req CompareRequest) 
 	prof := req.Profile.Profile()
 	comps := canonSpecs(req.Competitors)
 	// Warm fast path: every piece already resident → assemble inline.
-	// Any missing piece (including an eviction race) goes through the
-	// worker pool; assembly itself is not compute.
+	// Any missing piece (including an eviction race) takes a compute
+	// slot; assembly itself is not compute.
 	csp := obs.StartSpan(ctx, "cache")
 	vy, okY := s.cache.Get(predictKey(BackendYala, hw, req.NF, prof, comps))
 	vs, okS := s.cache.Get(predictKey(BackendSLOMO, hw, req.NF, prof, comps))
@@ -715,7 +727,7 @@ func (s *Service) CompareOn(ctx context.Context, hw string, req CompareRequest) 
 	}
 	psp := obs.StartSpan(ctx, "predict")
 	defer psp.End()
-	return submit(ctx, s, func() (CompareResponse, error) {
+	return withSlot(ctx, s, &s.computeSlots, func() (CompareResponse, error) {
 		yala, err := s.predictCached(BackendYala, hw, req.NF, prof, comps)
 		if err != nil {
 			return CompareResponse{}, err
@@ -855,12 +867,13 @@ func (s *Service) AdmitOn(ctx context.Context, hw string, req AdmitRequest) (Adm
 	}
 	psp := obs.StartSpan(ctx, "predict")
 	defer psp.End()
-	return submit(ctx, s, func() (AdmitResponse, error) {
+	return withSlot(ctx, s, &s.computeSlots, func() (AdmitResponse, error) {
 		return s.admit(backendName, hw, key, residents, req.Candidate)
 	})
 }
 
 func (s *Service) admit(backendName Backend, hw, key string, residents []ColoNF, candidate ColoNF) (AdmitResponse, error) {
+	epoch := s.cache.Epoch() // before any model resolves, as in predictKeyed
 	// Load every model involved before building the simulator, so the
 	// feasibility pass never trains under its own latency budget. A fresh
 	// simulator per request keeps the answer a pure function of the
@@ -876,7 +889,7 @@ func (s *Service) admit(backendName Backend, hw, key string, residents []ColoNF,
 	// Fits check, and an infeasible core budget needs no predictions.
 	if !sim.Fits(len(residents)) {
 		resp := AdmitResponse{Admit: false, Backend: backendName, Residents: len(residents), Reason: "cores"}
-		s.cache.Put(key, resp)
+		s.cache.PutAt(key, resp, epoch)
 		return resp, nil
 	}
 
@@ -919,7 +932,7 @@ func (s *Service) admit(backendName Backend, hw, key string, residents []ColoNF,
 	if !ok {
 		resp.Reason = "sla"
 	}
-	s.cache.Put(key, resp)
+	s.cache.PutAt(key, resp, epoch)
 	return resp, nil
 }
 
@@ -1001,7 +1014,7 @@ func (s *Service) DiagnoseOn(ctx context.Context, hw string, req DiagnoseRequest
 	}
 	psp := obs.StartSpan(ctx, "predict")
 	defer psp.End()
-	return submit(ctx, s, func() (DiagnoseResponse, error) {
+	return withSlot(ctx, s, &s.computeSlots, func() (DiagnoseResponse, error) {
 		pred, err := s.predictCached(BackendYala, hw, req.NF, prof, comps)
 		if err != nil {
 			return DiagnoseResponse{}, err

@@ -20,7 +20,7 @@ import (
 
 // This file mounts the yalawire binary protocol (internal/wire) on a
 // Service: a persistent-connection listener that shares the Service's
-// cache, worker pool, tenant gate and observability with the HTTP
+// cache, compute slots, tenant gate and observability with the HTTP
 // front end. Typed frames (TypePredict, TypeBatch) run the hot path
 // with zero JSON through the request lifecycle in request.go; TypeCall
 // tunnels any other request through the real HTTP handler so

@@ -89,7 +89,8 @@ type Gate struct {
 	cfg GateConfig
 
 	// queue reports embedding-layer queue occupancy in [0,1] (serve:
-	// job-queue fill; gateway: inflight vs fleet capacity). Optional.
+	// requests waiting for a compute slot; gateway: inflight vs fleet
+	// capacity). Optional.
 	queue atomic.Pointer[func() float64]
 
 	// Sliding window over completed requests feeding the p99 and

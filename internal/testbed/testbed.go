@@ -9,8 +9,9 @@
 //
 //   - Footprints (Workload, WarmWorkloads) are seeded by their (NF,
 //     profile) key alone. They may be measured from any number of
-//     goroutines at once: each key is measured once, by whoever asks
-//     first, and every caller gets the same *nicsim.Workload.
+//     goroutines at once: a flight.Group measures each key once, by
+//     whoever asks first, and every caller gets the same
+//     *nicsim.Workload.
 //   - Runs (Run, RunSolo, SoloNF and the With* co-runs) are single-caller.
 //     Each run is seeded by its position in call order, so a caller that
 //     wants reproducible measurements issues them from one goroutine in
@@ -25,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/flight"
 	"repro/internal/nf"
 	"repro/internal/nfbench"
 	"repro/internal/nicsim"
@@ -38,8 +40,7 @@ type Testbed struct {
 	cfg  nicsim.Config
 	seed uint64
 
-	mu        sync.Mutex // guards workloads
-	workloads map[workloadKey]*footprint
+	workloads flight.Group[workloadKey, measured]
 	runSeq    uint64
 }
 
@@ -48,13 +49,11 @@ type workloadKey struct {
 	profile traffic.Profile
 }
 
-// footprint is one cache entry: done closes once w and err are set. An
-// error is cached like a workload, since whether a measurement fails
-// depends on its key alone.
-type footprint struct {
-	done chan struct{}
-	w    *nicsim.Workload
-	err  error
+// measured is one key's measurement. Its error is cached with it, since
+// whether a measurement fails depends on its key alone.
+type measured struct {
+	w   *nicsim.Workload
+	err error
 }
 
 // nfMeasure is the footprint measurement behind every cache miss.
@@ -62,11 +61,7 @@ var nfMeasure = nf.Measure
 
 // New returns a testbed on the given NIC model.
 func New(cfg nicsim.Config, seed uint64) *Testbed {
-	return &Testbed{
-		cfg:       cfg,
-		seed:      seed,
-		workloads: map[workloadKey]*footprint{},
-	}
+	return &Testbed{cfg: cfg, seed: seed}
 }
 
 // Config returns the NIC hardware configuration.
@@ -75,39 +70,21 @@ func (tb *Testbed) Config() nicsim.Config { return tb.cfg }
 // Workload measures (or returns the cached) hardware footprint of the
 // named catalog NF under a traffic profile. It is safe for concurrent
 // use: callers asking for a key that is being measured wait for that
-// measurement instead of repeating it.
+// measurement instead of repeating it. If the measurement panics, the
+// waiters get an error, the key is left uncached so the next caller
+// measures it again, and the panic goes on up the measuring caller's
+// stack.
 func (tb *Testbed) Workload(name string, prof traffic.Profile) (*nicsim.Workload, error) {
-	key := workloadKey{name, prof}
-	tb.mu.Lock()
-	fp, ok := tb.workloads[key]
-	if !ok {
-		fp = &footprint{done: make(chan struct{})}
-		tb.workloads[key] = fp
+	c := tb.workloads.Join(workloadKey{name, prof}, 0, func() (measured, error) {
+		w, err := tb.measure(name, prof)
+		return measured{w, err}, nil
+	})
+	<-c.Done()
+	m, err := c.Result()
+	if err != nil {
+		return nil, fmt.Errorf("testbed: measuring %s under %v: %w", name, prof, err)
 	}
-	tb.mu.Unlock()
-	if !ok {
-		tb.fill(key, fp)
-	}
-	<-fp.done
-	return fp.w, fp.err
-}
-
-// fill measures fp's key and releases its waiters. If the measurement
-// panics, the waiters get an error, the key is left uncached so the next
-// caller measures it again, and the panic goes on up the caller's stack.
-func (tb *Testbed) fill(key workloadKey, fp *footprint) {
-	measured := false
-	defer func() {
-		if !measured {
-			fp.err = fmt.Errorf("testbed: measuring %s under %v panicked", key.name, key.profile)
-			tb.mu.Lock()
-			delete(tb.workloads, key)
-			tb.mu.Unlock()
-		}
-		close(fp.done)
-	}()
-	fp.w, fp.err = tb.measure(key.name, key.profile)
-	measured = true
+	return m.w, m.err
 }
 
 func (tb *Testbed) measure(name string, prof traffic.Profile) (*nicsim.Workload, error) {
@@ -126,8 +103,8 @@ func (tb *Testbed) measure(name string, prof traffic.Profile) (*nicsim.Workload,
 }
 
 // WarmWorkloads measures the footprints of every named NF under every
-// profile that the cache does not hold yet, on up to GOMAXPROCS
-// goroutines, largest flow count first. Footprints do not depend on the
+// profile, on up to GOMAXPROCS goroutines, largest flow count first; a
+// footprint already cached or being measured costs a lookup. Footprints do not depend on the
 // order they are measured in, so a warmed cache answers later Workload
 // calls exactly as a cold one would. Measurement errors are not reported
 // here: a failed key caches its error, and the caller's own Workload call
@@ -137,15 +114,11 @@ func (tb *Testbed) measure(name string, prof traffic.Profile) (*nicsim.Workload,
 // returns ctx.Err() once every goroutine it started has finished.
 func (tb *Testbed) WarmWorkloads(ctx context.Context, names []string, profs []traffic.Profile) error {
 	var keys []workloadKey
-	tb.mu.Lock()
 	for _, name := range names {
 		for _, prof := range profs {
-			if _, ok := tb.workloads[workloadKey{name, prof}]; !ok {
-				keys = append(keys, workloadKey{name, prof})
-			}
+			keys = append(keys, workloadKey{name, prof})
 		}
 	}
-	tb.mu.Unlock()
 	// A footprint's cost grows with its flow table: start the largest
 	// first so the longest measurement does not begin last.
 	sort.SliceStable(keys, func(i, j int) bool { return keys[i].profile.Flows > keys[j].profile.Flows })

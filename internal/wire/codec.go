@@ -348,22 +348,6 @@ func (r *reader) profile() Profile {
 	return p
 }
 
-func (r *reader) predictRequest() PredictRequest {
-	out := PredictRequest{
-		NF:      r.str(),
-		HW:      r.str(),
-		Backend: r.str(),
-		Profile: r.profile(),
-	}
-	if n := r.count(); n > 0 {
-		out.Competitors = make([]Competitor, n)
-		for i := range out.Competitors {
-			out.Competitors[i] = Competitor{Name: r.str(), Profile: r.profile()}
-		}
-	}
-	return out
-}
-
 func (r *reader) predictResponse() PredictResponse {
 	out := PredictResponse{
 		NF:           r.str(),
@@ -392,9 +376,9 @@ func DecodeHello(b []byte) (string, error) {
 
 // DecodePredictRequest parses a TypePredict payload.
 func DecodePredictRequest(b []byte) (PredictRequest, error) {
-	r := reader{b: b}
-	out := r.predictRequest()
-	return out, r.done()
+	var k structSink
+	err := DecodeRequestsInto(TypePredict, b, &k)
+	return k.one, err
 }
 
 // DecodePredictResponse parses a TypePredictResp payload.
@@ -415,9 +399,10 @@ type RequestSink interface {
 	Competitor(name []byte, p Profile)
 }
 
-// DecodeRequestsInto is DecodePredictRequest (typ TypePredict) or
-// DecodeBatchRequest (TypeBatch) into a sink: same layout, same
-// checks. After an error the sink holds a prefix; discard it.
+// DecodeRequestsInto decodes a TypePredict (typ) or TypeBatch payload
+// into a sink; it is the one parser of the request layout, and the
+// struct decoders are sinks over it. After an error the sink holds a
+// prefix; discard it.
 func DecodeRequestsInto(typ byte, b []byte, sink RequestSink) error {
 	r := reader{b: b}
 	n := 1
@@ -443,15 +428,40 @@ func DecodeRequestsInto(typ byte, b []byte, sink RequestSink) error {
 
 // DecodeBatchRequest parses a TypeBatch payload.
 func DecodeBatchRequest(b []byte) (BatchRequest, error) {
-	r := reader{b: b}
-	var out BatchRequest
-	if n := r.count(); n > 0 {
-		out.Requests = make([]PredictRequest, n)
-		for i := range out.Requests {
-			out.Requests[i] = r.predictRequest()
-		}
+	var k structSink
+	err := DecodeRequestsInto(TypeBatch, b, &k)
+	return k.batch, err
+}
+
+// structSink is the RequestSink behind DecodePredictRequest and
+// DecodeBatchRequest: it rebuilds the requests it is fed as this
+// package's types, copying every name.
+type structSink struct {
+	one   PredictRequest // a TypePredict payload's request
+	batch BatchRequest   // a TypeBatch payload's
+	cur   *PredictRequest
+}
+
+func (k *structSink) Batch(n int) {
+	if n > 0 {
+		k.batch.Requests = make([]PredictRequest, 0, n)
 	}
-	return out, r.done()
+}
+
+func (k *structSink) Request(nf, hw, backend []byte, p Profile, competitors int) {
+	k.cur = &k.one
+	if k.batch.Requests != nil {
+		k.batch.Requests = append(k.batch.Requests, PredictRequest{})
+		k.cur = &k.batch.Requests[len(k.batch.Requests)-1]
+	}
+	*k.cur = PredictRequest{NF: string(nf), HW: string(hw), Backend: string(backend), Profile: p}
+	if competitors > 0 {
+		k.cur.Competitors = make([]Competitor, 0, competitors)
+	}
+}
+
+func (k *structSink) Competitor(name []byte, p Profile) {
+	k.cur.Competitors = append(k.cur.Competitors, Competitor{Name: string(name), Profile: p})
 }
 
 // DecodeBatchResponse parses a TypeBatchResp payload.
