@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§2's motivating figures and §7's results) on the simulated
 // testbed. Each experiment returns a Report with the same rows/series the
-// paper presents; EXPERIMENTS.md records a reference run against the
-// paper's numbers.
+// paper presents; cmd/experiments runs them and prints each in paper-style
+// form (go run ./cmd/experiments -run table2).
 package experiments
 
 import (

@@ -15,13 +15,21 @@
 // whatever the modeled 64 bytes a slot (entryBytes). A *FlowEntry is
 // valid until the table's next Insert.
 //
-// Two rules keep a measurement as cheap as the footprint needs. Populate
-// rule: before the measured packets, Measure sends one header-only packet
-// per flow through the NFs that keep per-flow state (the FlowReserver
-// set) and through no others — ACL, IPRouter and PacketFilter hold
-// nothing such a pass could change. Buffer-lifetime rule: the traffic
-// generator rebuilds its frames in place, so the packet handed to Process
-// belongs to the NF only for the duration of that call.
+// Three rules keep a measurement as cheap as the footprint needs.
+// Populate rule: before the measured packets, Measure sends one
+// header-only packet per flow through the NFs that keep per-flow state
+// (the FlowReserver set) and through no others — ACL, IPRouter and
+// PacketFilter hold nothing such a pass could change. Buffer-lifetime
+// rule: the traffic generator rebuilds its frames in place, so the packet
+// handed to Process belongs to the NF only for the duration of that call.
+// Storage rule: a measurement's flow table is not garbage once its
+// footprint is read. ReleaseFlows hands its arrays to one shared store,
+// and the next empty table's Reserve re-slices them and clears only the
+// probe slots it needs; it allocates only what nothing stored can hold.
+// Each Reserve on an empty table takes one stored table and each release
+// returns one, so the store retains at most one table per measurement
+// that can run at once — in a server, its compute slots plus the
+// testbed's GOMAXPROCS warm-up goroutines.
 package nf
 
 import (

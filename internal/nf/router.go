@@ -15,8 +15,7 @@ const routerFIBRoutes = 10000
 // decrements the TTL (Click, no accelerator). Its working set is the FIB,
 // independent of flow count — the paper's traffic-insensitive router.
 type IPRouter struct {
-	fib     *LPM
-	dropped uint64
+	fib *LPM
 }
 
 // routerFIB is the deterministic random FIB every IPRouter forwards by,
@@ -40,9 +39,9 @@ func (r *IPRouter) Pattern() nicsim.ExecPattern { return nicsim.RunToCompletion 
 // StateBytes implements NF.
 func (r *IPRouter) StateBytes() float64 { return r.fib.StateBytes() }
 
-// Reset implements NF: the FIB is static configuration, so only the drop
-// counter clears.
-func (r *IPRouter) Reset() { r.dropped = 0 }
+// Reset implements NF: the FIB is static configuration, and the router
+// keeps no other state.
+func (r *IPRouter) Reset() {}
 
 // Process implements NF.
 func (r *IPRouter) Process(p *packet.Packet, st *OpStats) error {
@@ -52,16 +51,12 @@ func (r *IPRouter) Process(p *packet.Packet, st *OpStats) error {
 	hop, steps := r.fib.Lookup(p.Tuple.DstIP)
 	st.TrieSteps += float64(steps)
 	if hop < 0 || !p.DecTTL() {
-		r.dropped++
 		st.Drops++
 	}
 	st.BytesTouched += headerBytes
 	st.Packets++
 	return nil
 }
-
-// Dropped reports packets dropped for missing routes or TTL expiry.
-func (r *IPRouter) Dropped() uint64 { return r.dropped }
 
 // tunnelEndpoints is the number of configured tunnel endpoints.
 const tunnelEndpoints = 256

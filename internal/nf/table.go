@@ -1,5 +1,7 @@
 package nf
 
+import "sync"
+
 // FlowEntry is one flow's state: the flow key hash and six 64-bit data
 // words for the owning NF. A *FlowEntry from Insert, Lookup or SlotEntry
 // is valid until the table's next Insert, which may move the entries.
@@ -51,11 +53,28 @@ func (t *FlowTable) Reset() { *t = *NewFlowTable() }
 
 // Reserve grows the table so n entries fit without triggering growth —
 // one allocation per array instead of a doubling cascade when the flow
-// population is known up front. It never shrinks.
+// population is known up front. It never shrinks. An empty table first
+// takes the storage a released table left in the spare store: a probe
+// array large enough is re-sliced to the slots the table needs and only
+// those are cleared, and an entries array large enough is reused at
+// length 0, since Insert's append overwrites whole entries. Only what
+// nothing stored can hold is allocated.
 func (t *FlowTable) Reserve(n int) {
 	need := minTableSlots
 	for float64(n) > maxLoad*float64(need) {
 		need *= 2
+	}
+	need = max(need, len(t.slots))
+	if len(t.entries) == 0 {
+		if s, ok := spare.take(need); ok {
+			if cap(s.slots) >= need {
+				t.slots = s.slots[:need]
+				clear(t.slots)
+			}
+			if cap(s.entries) >= n {
+				t.entries = s.entries
+			}
+		}
 	}
 	if need > len(t.slots) {
 		t.rehash(need)
@@ -63,6 +82,58 @@ func (t *FlowTable) Reserve(n int) {
 	if n > cap(t.entries) {
 		t.entries = append(make([]FlowEntry, 0, n), t.entries...)
 	}
+}
+
+// release hands the table's storage to the spare store for the next
+// empty table's Reserve. The table is left without storage: it must be
+// Reset before its next use.
+func (t *FlowTable) release() {
+	spare.put(FlowTable{slots: t.slots[:cap(t.slots)], entries: t.entries[:0]})
+	*t = FlowTable{}
+}
+
+// spare is the store of released table storage (the package doc's
+// storage rule, with its retention bound).
+var spare spareStore
+
+type spareStore struct {
+	mu     sync.Mutex
+	tables []FlowTable
+}
+
+// take removes the stored table best suited to a need-slot table: the
+// smallest probe array that holds need slots, else the largest, which
+// the caller outgrows and the store is better off without.
+func (s *spareStore) take(need int) (FlowTable, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fit, largest := -1, -1
+	for i, t := range s.tables {
+		c := cap(t.slots)
+		if c >= need && (fit < 0 || c < cap(s.tables[fit].slots)) {
+			fit = i
+		}
+		if largest < 0 || c > cap(s.tables[largest].slots) {
+			largest = i
+		}
+	}
+	i := fit
+	if i < 0 {
+		i = largest
+	}
+	if i < 0 {
+		return FlowTable{}, false
+	}
+	t, last := s.tables[i], len(s.tables)-1
+	s.tables[i], s.tables[last] = s.tables[last], FlowTable{}
+	s.tables = s.tables[:last]
+	return t, true
+}
+
+func (s *spareStore) put(t FlowTable) {
+	s.mu.Lock()
+	s.tables = append(s.tables, t)
+	s.mu.Unlock()
 }
 
 // Prefetch pulls the home slots of keys toward the cache ahead of the

@@ -508,3 +508,39 @@ func FuzzFlowTable(f *testing.F) {
 		replayTableOps(t, decodeTableOps(data))
 	})
 }
+
+// TestReleasedStorageMatchesReference replays op streams on tables whose
+// Reserve takes storage an earlier table released dirty: a small table on
+// a larger one's arrays, and a larger table on arrays a small one left
+// dirty last. Each answers every op as the reference does.
+func TestReleasedStorageMatchesReference(t *testing.T) {
+	// dirty Reserves a table for reserve entries, fills it with n keys
+	// and data, and releases it.
+	dirty := func(reserve, n int) {
+		tb := NewFlowTable()
+		tb.Reserve(reserve)
+		for i := range uint64(n) {
+			e, _, _ := tb.Insert(mixKey(i ^ 0x5eed))
+			e.Data = [6]uint64{i, i, i, i, i, ^i}
+		}
+		tb.release()
+	}
+	replay := func(t *testing.T, reserve, n int) {
+		ops := []tableOp{{kind: opReserve, key: uint64(reserve)}}
+		for i := range uint64(n) {
+			ops = append(ops,
+				tableOp{kind: opInsert, key: mixKey(i)},
+				tableOp{kind: opLookup, key: mixKey(i ^ 0x5eed)})
+		}
+		replayTableOps(t, ops)
+	}
+	t.Run("smaller-on-larger", func(t *testing.T) {
+		dirty(0, 200000)
+		replay(t, 5000, 5000)
+	})
+	t.Run("larger-on-smaller", func(t *testing.T) {
+		dirty(0, 200000)
+		dirty(5000, 5000)
+		replay(t, 60000, 60000)
+	})
+}

@@ -99,7 +99,13 @@ func (tb *Testbed) measure(name string, prof traffic.Profile) (*nicsim.Workload,
 		h = h*31 + uint64(c)
 	}
 	h ^= uint64(prof.Flows)<<32 ^ uint64(prof.PktSize)<<16 ^ uint64(prof.MTBR)
-	return nfMeasure(n, prof, h)
+	w, err := nfMeasure(n, prof, h)
+	// The footprint is read and the NF is dropped: its flow table's
+	// storage goes to the next measurement, not to the garbage collector.
+	if r, ok := n.(nf.FlowReserver); ok {
+		r.ReleaseFlows()
+	}
+	return w, err
 }
 
 // WarmWorkloads measures the footprints of every named NF under every
