@@ -198,11 +198,11 @@ func TestTreePicksInformativeFeature(t *testing.T) {
 		y = append(y, signal*signal)
 	}
 	tree := FitTree(X, y, TreeConfig{MaxDepth: 1, MinLeaf: 5})
-	if tree.nodes[0].left < 0 {
+	if tree.nodes[0].Left < 0 {
 		t.Fatal("no split found")
 	}
-	if tree.nodes[0].feature != 1 {
-		t.Fatalf("split on feature %d, want informative feature 1", tree.nodes[0].feature)
+	if tree.nodes[0].Feature != 1 {
+		t.Fatalf("split on feature %d, want informative feature 1", tree.nodes[0].Feature)
 	}
 }
 

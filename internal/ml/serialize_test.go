@@ -13,13 +13,13 @@ func walk(t *Tree, x []float64) (value float64, steps int) {
 	n := int32(0)
 	for steps = 1; steps <= len(t.nodes); steps++ {
 		node := &t.nodes[n]
-		if node.left < 0 {
-			return node.value, steps
+		if node.Left < 0 {
+			return node.Value, steps
 		}
-		if node.feature < len(x) && x[node.feature] <= node.threshold {
-			n = node.left
+		if node.Feature < len(x) && x[node.Feature] <= node.Threshold {
+			n = node.Left
 		} else {
-			n = node.right
+			n = node.Right
 		}
 	}
 	return math.NaN(), steps
@@ -32,13 +32,27 @@ func sameNodes(a, b *Tree) bool {
 	}
 	for i, x := range a.nodes {
 		y := b.nodes[i]
-		if x.feature != y.feature || x.left != y.left || x.right != y.right ||
-			math.Float64bits(x.threshold) != math.Float64bits(y.threshold) ||
-			math.Float64bits(x.value) != math.Float64bits(y.value) {
+		if x.Feature != y.Feature || x.Left != y.Left || x.Right != y.Right ||
+			math.Float64bits(x.Threshold) != math.Float64bits(y.Threshold) ||
+			math.Float64bits(x.Value) != math.Float64bits(y.Value) {
 			return false
 		}
 	}
 	return true
+}
+
+// decodeTree reaches the tree validator the way a model file does: data
+// is one tree's node array, built into a GBR through its persisted form.
+func decodeTree(data []byte) (*Tree, error) {
+	var nodes []Node
+	if err := json.Unmarshal(data, &nodes); err != nil {
+		return nil, err
+	}
+	g, err := NewGBR(GBRForm{Rate: 1, Trees: [][]Node{nodes}})
+	if err != nil {
+		return nil, err
+	}
+	return g.trees[0], nil
 }
 
 // FuzzTreeJSON holds the tree decoder to what model files reach it with:
@@ -46,15 +60,15 @@ func sameNodes(a, b *Tree) bool {
 // within len(nodes) steps on any input (Predict's loop has no other
 // bound), and marshal∘unmarshal gives back the same nodes and bytes.
 func FuzzTreeJSON(f *testing.F) {
-	fitted, err := json.Marshal(FitTree([][]float64{{0, 1}, {1, 0}, {2, 1}, {3, 0}}, []float64{1, 2, 3, 4}, TreeConfig{MaxDepth: 2, MinLeaf: 1}))
+	fitted, err := json.Marshal(FitTree([][]float64{{0, 1}, {1, 0}, {2, 1}, {3, 0}}, []float64{1, 2, 3, 4}, TreeConfig{MaxDepth: 2, MinLeaf: 1}).nodes)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(fitted)
 	f.Add([]byte(`[{"f":0,"t":0,"l":-1,"r":-1,"v":-0}]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var tree Tree
-		if json.Unmarshal(data, &tree) != nil {
+		tree, err := decodeTree(data)
+		if err != nil {
 			return
 		}
 		lo, hi := make([]float64, 64), make([]float64, 64)
@@ -62,7 +76,7 @@ func FuzzTreeJSON(f *testing.F) {
 			lo[i], hi[i] = math.Inf(-1), math.Inf(1)
 		}
 		for k, x := range [][]float64{nil, lo, hi} {
-			v, steps := walk(&tree, x)
+			v, steps := walk(tree, x)
 			if steps > len(tree.nodes) {
 				t.Fatalf("accepted %s: no leaf within %d steps on probe %d", data, len(tree.nodes), k)
 			}
@@ -70,18 +84,18 @@ func FuzzTreeJSON(f *testing.F) {
 				t.Fatalf("accepted %s: Predict = %v, walk = %v on probe %d", data, got, v, k)
 			}
 		}
-		out, err := json.Marshal(&tree)
+		out, err := json.Marshal(tree.nodes)
 		if err != nil {
 			t.Fatalf("accepted %s: marshal: %v", data, err)
 		}
-		var back Tree
-		if err := json.Unmarshal(out, &back); err != nil {
+		back, err := decodeTree(out)
+		if err != nil {
 			t.Fatalf("accepted %s, then rejected its own marshalling %s: %v", data, out, err)
 		}
-		if !sameNodes(&tree, &back) {
+		if !sameNodes(tree, back) {
 			t.Fatalf("accepted %s: round trip through %s changed the nodes", data, out)
 		}
-		if again, _ := json.Marshal(&back); !bytes.Equal(again, out) {
+		if again, _ := json.Marshal(back.nodes); !bytes.Equal(again, out) {
 			t.Fatalf("accepted %s: marshalled %s, then %s", data, out, again)
 		}
 	})
@@ -103,8 +117,7 @@ func TestTreeJSONRejectsUnwalkable(t *testing.T) {
 		"null":                `null`,
 		"children equal self": `[{"f":0,"t":1,"l":1,"r":1,"v":0},{"f":0,"t":1,"l":1,"r":1,"v":0}]`,
 	} {
-		var tree Tree
-		if err := json.Unmarshal([]byte(data), &tree); err == nil {
+		if _, err := decodeTree([]byte(data)); err == nil {
 			t.Errorf("%s: %s decoded", name, data)
 		}
 	}

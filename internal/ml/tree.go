@@ -8,18 +8,20 @@ type TreeConfig struct {
 	MinLeaf  int // minimum samples per leaf
 }
 
-// treeNode is one node of a regression tree, stored in a flat slice.
-// Leaves have left == -1.
-type treeNode struct {
-	feature     int
-	threshold   float64
-	left, right int32
-	value       float64 // leaf prediction
+// Node is one node of a regression tree, stored in a flat slice; the
+// slice is also the tree's persisted form (GBRForm). Leaves have
+// Left == -1.
+type Node struct {
+	Feature   int     `json:"f"`
+	Threshold float64 `json:"t"`
+	Left      int32   `json:"l"`
+	Right     int32   `json:"r"`
+	Value     float64 `json:"v"` // leaf prediction
 }
 
 // Tree is a fitted CART regression tree.
 type Tree struct {
-	nodes []treeNode
+	nodes []Node
 }
 
 // FitTree grows a regression tree on (X, y) minimizing the sum of squared
@@ -42,7 +44,7 @@ func FitTree(X [][]float64, y []float64, cfg TreeConfig) *Tree {
 
 // grow builds the subtree over idx and returns its node index.
 func (t *Tree) grow(X [][]float64, y []float64, idx []int, cfg TreeConfig, depth int) int32 {
-	node := treeNode{left: -1, right: -1, value: meanAt(y, idx)}
+	node := Node{Left: -1, Right: -1, Value: meanAt(y, idx)}
 	self := int32(len(t.nodes))
 	t.nodes = append(t.nodes, node)
 
@@ -66,10 +68,10 @@ func (t *Tree) grow(X [][]float64, y []float64, idx []int, cfg TreeConfig, depth
 	}
 	l := t.grow(X, y, left, cfg, depth+1)
 	r := t.grow(X, y, right, cfg, depth+1)
-	t.nodes[self].feature = feat
-	t.nodes[self].threshold = thr
-	t.nodes[self].left = l
-	t.nodes[self].right = r
+	t.nodes[self].Feature = feat
+	t.nodes[self].Threshold = thr
+	t.nodes[self].Left = l
+	t.nodes[self].Right = r
 	return self
 }
 
@@ -136,13 +138,13 @@ func (t *Tree) Predict(x []float64) float64 {
 	n := int32(0)
 	for {
 		node := &t.nodes[n]
-		if node.left < 0 {
-			return node.value
+		if node.Left < 0 {
+			return node.Value
 		}
-		if node.feature < len(x) && x[node.feature] <= node.threshold {
-			n = node.left
+		if node.Feature < len(x) && x[node.Feature] <= node.Threshold {
+			n = node.Left
 		} else {
-			n = node.right
+			n = node.Right
 		}
 	}
 }
@@ -152,11 +154,11 @@ func (t *Tree) Depth() int { return t.depthFrom(0) }
 
 func (t *Tree) depthFrom(n int32) int {
 	node := &t.nodes[n]
-	if node.left < 0 {
+	if node.Left < 0 {
 		return 0
 	}
-	l := t.depthFrom(node.left)
-	r := t.depthFrom(node.right)
+	l := t.depthFrom(node.Left)
+	r := t.depthFrom(node.Right)
 	if l > r {
 		return l + 1
 	}

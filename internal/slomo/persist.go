@@ -12,39 +12,21 @@ import (
 
 // SLOMO models persist as JSON exactly like Yala's (core/persist.go), so
 // the serving layer can load either predictor from a model directory
-// without re-profiling.
+// without re-profiling: one compact encode of modelFile to save, one
+// json.Unmarshal of the file's bytes into it to load.
 
-// modelJSON mirrors Model.
-type modelJSON struct {
+// modelFile is the persisted form of a Model.
+type modelFile struct {
 	Name         string          `json:"name"`
 	TrainProfile traffic.Profile `json:"train_profile"`
 	SoloAtTrain  float64         `json:"solo_at_train"`
-	GBR          *ml.GBR         `json:"gbr"`
+	GBR          ml.GBRForm      `json:"gbr"`
 }
 
-// MarshalJSON implements json.Marshaler.
-func (m *Model) MarshalJSON() ([]byte, error) {
-	return json.Marshal(modelJSON{m.Name, m.TrainProfile, m.SoloAtTrain, m.gbr})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (m *Model) UnmarshalJSON(data []byte) error {
-	var v modelJSON
-	if err := json.Unmarshal(data, &v); err != nil {
-		return err
-	}
-	if v.GBR == nil {
-		return fmt.Errorf("slomo: model without regressor")
-	}
-	m.Name, m.TrainProfile, m.SoloAtTrain, m.gbr = v.Name, v.TrainProfile, v.SoloAtTrain, v.GBR
-	return nil
-}
-
-// Save writes the model as JSON.
+// Save writes the model as compact JSON.
 func (m *Model) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(m); err != nil {
+	f := modelFile{Name: m.Name, TrainProfile: m.TrainProfile, SoloAtTrain: m.SoloAtTrain, GBR: m.gbr.Form()}
+	if err := json.NewEncoder(w).Encode(f); err != nil {
 		return fmt.Errorf("slomo: saving model %s: %w", m.Name, err)
 	}
 	return nil
@@ -65,19 +47,32 @@ func (m *Model) SaveFile(path string) error {
 
 // LoadModel reads a model saved with Save.
 func LoadModel(r io.Reader) (*Model, error) {
-	var m Model
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("slomo: loading model: %w", err)
 	}
-	return &m, nil
+	return decodeModel(data)
 }
 
 // LoadModelFile reads a model from a file.
 func LoadModelFile(path string) (*Model, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return LoadModel(f)
+	return decodeModel(data)
+}
+
+// decodeModel builds the model a file's bytes describe, rejecting any
+// that Predict could not evaluate.
+func decodeModel(data []byte) (*Model, error) {
+	var f modelFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		return nil, fmt.Errorf("slomo: loading model: %w", err)
+	}
+	g, err := ml.NewGBR(f.GBR)
+	if err != nil {
+		return nil, fmt.Errorf("slomo: model %q: %w", f.Name, err)
+	}
+	return &Model{Name: f.Name, TrainProfile: f.TrainProfile, SoloAtTrain: f.SoloAtTrain, gbr: g}, nil
 }
