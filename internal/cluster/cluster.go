@@ -41,6 +41,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/feedback"
+	"repro/internal/nf"
 	"repro/internal/nicsim"
 	"repro/internal/obs"
 	"repro/internal/placement"
@@ -105,11 +106,9 @@ func (n *NIC) arrivals() []placement.Arrival {
 
 // Fleet is the mutable cluster state a scheduler decides over.
 type Fleet struct {
+	// NICs carry their own core totals (classes differ); every NF takes
+	// nf.NFCores of them, as in the placement feasibility checks.
 	NICs []*NIC
-	// NFCores is the per-NF core allocation — mirrored from the
-	// placement simulators so scheduler capacity checks and feasibility
-	// checks agree. Per-NIC totals live on each NIC (classes differ).
-	NFCores int
 
 	// home maps each tenant placed through place to its NIC index — the
 	// orchestrator's O(1) locate, and (tenant IDs being stream-unique)
@@ -121,7 +120,7 @@ type Fleet struct {
 // NewFleet returns an empty homogeneous fleet of n NICs on the
 // environment's base hardware class.
 func (e *Env) NewFleet(n int) *Fleet {
-	f := &Fleet{NFCores: e.Sim.NFCores, home: map[int]int{}}
+	f := &Fleet{home: map[int]int{}}
 	for i := 0; i < n; i++ {
 		f.NICs = append(f.NICs, &NIC{ID: i, Cores: e.Sim.NICCores})
 	}
@@ -132,7 +131,7 @@ func (e *Env) NewFleet(n int) *Fleet {
 // resolving each class's simulator so per-NIC budgets agree with
 // feasibility checks.
 func (e *Env) ScenarioFleet(sc Scenario) (*Fleet, error) {
-	f := &Fleet{NFCores: e.Sim.NFCores, home: map[int]int{}}
+	f := &Fleet{home: map[int]int{}}
 	for _, slot := range sc.classSlots() {
 		ce, err := e.classEnv(slot)
 		if err != nil {
@@ -152,12 +151,12 @@ func (e *Env) ScenarioFleet(sc Scenario) (*Fleet, error) {
 
 // Fits reports whether NIC i has the core budget for one more NF.
 func (f *Fleet) Fits(i int) bool {
-	return (len(f.NICs[i].Tenants)+1)*f.NFCores <= f.NICs[i].Cores
+	return (len(f.NICs[i].Tenants)+1)*nf.NFCores <= f.NICs[i].Cores
 }
 
 // FreeCores is NIC i's unallocated core count.
 func (f *Fleet) FreeCores(i int) int {
-	return f.NICs[i].Cores - len(f.NICs[i].Tenants)*f.NFCores
+	return f.NICs[i].Cores - len(f.NICs[i].Tenants)*nf.NFCores
 }
 
 // TotalCores is the fleet-wide core budget across all classes.
@@ -330,9 +329,6 @@ func (e *Env) classEnv(spec ClassSpec) (*classEnv, error) {
 	if spec.Cores > 0 {
 		sim.NICCores = spec.Cores
 	}
-	// Per-NF allocation is fleet-wide; keep every class consistent with
-	// the base simulator (tests adjust e.Sim.NFCores before running).
-	sim.NFCores = e.Sim.NFCores
 	ce := &classEnv{key: key, cfg: cfg, sim: sim}
 	e.class[key] = ce
 	return ce, nil
@@ -371,7 +367,6 @@ func (e *Env) shiftedEnv(key classKey, scale float64) *classEnv {
 	cfg := base.cfg.ScaleFrequency(scale)
 	sim := placement.NewSimulator(testbed.New(cfg, e.seed))
 	sim.NICCores = base.sim.NICCores
-	sim.NFCores = base.sim.NFCores
 	ce := &classEnv{key: key, cfg: cfg, sim: sim}
 	e.shift[sk] = ce
 	return ce
@@ -384,7 +379,6 @@ func (e *Env) shiftedEnv(key classKey, scale float64) *classEnv {
 // contaminated environment.
 func (e *Env) fresh() *Env {
 	ne := NewEnv(e.base, e.seed, e.Models)
-	ne.Sim.NFCores = e.Sim.NFCores
 	ne.Sim.NICCores = e.Sim.NICCores
 	ne.Feedback = e.Feedback
 	ne.TrainOptions = e.TrainOptions

@@ -8,6 +8,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/ml"
+	"repro/internal/nf"
 	"repro/internal/nicsim"
 	"repro/internal/placement"
 	"repro/internal/profiling"
@@ -238,7 +239,7 @@ func TestEventOrdering(t *testing.T) {
 	env := testEnv(t, nil)
 	// One NIC, one tenant slot: admission outcomes depend entirely on
 	// event order.
-	env.Sim.NFCores = env.Sim.NICCores
+	env.Sim.NICCores = nf.NFCores
 	sc := Scenario{NICs: 1, Arrivals: 3, Seed: 5, NFs: testNFs, DriftProb: -1}.WithDefaults()
 	o, err := newOrchestrator(context.Background(), env, sc, firstFit{})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/nf"
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/sim"
@@ -183,7 +184,7 @@ func (e *Env) RunPolicyStream(ctx context.Context, sc Scenario, stream []TenantS
 // core-seconds integral.
 func (o *orchestrator) tick() {
 	now := o.engine.Now()
-	o.coreSeconds += float64(len(o.fleet.home)*o.fleet.NFCores) * (now - o.lastT)
+	o.coreSeconds += float64(len(o.fleet.home)*nf.NFCores) * (now - o.lastT)
 	o.lastT = now
 }
 

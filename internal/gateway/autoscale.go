@@ -11,37 +11,40 @@ import (
 	"repro/internal/serve"
 )
 
-// AutoscaleConfig tunes the elastic replica pool behind
-// `yala gateway -min/-max`.
+// AutoscaleConfig is what a deployment sets on the elastic replica
+// pool behind `yala gateway -min/-max`.
 type AutoscaleConfig struct {
 	// Min and Max bound the pool. Min replicas boot immediately; the
 	// ring is sized for Max so scale-ups never reshuffle key ranges.
 	Min, Max int
-	// Interval is the evaluation tick (default 1s).
-	Interval time.Duration
-	// TargetInflight is the per-replica in-flight request count the
-	// pressure score normalizes against (default 8): at score 1.0 the
-	// fleet is running exactly at target.
-	TargetInflight int
 	// P99SLO is the latency objective; the windowed p99 of the last tick
 	// over it also saturates the pressure score (default 250ms) — the
 	// combined-signal stance: queue depth alone misses a fleet that is
 	// slow but not backlogged.
 	P99SLO time.Duration
-	// UpAfter is how many consecutive ticks at score ≥ 1 trigger a
-	// scale-up (default 3) — hysteresis against one bursty tick.
-	UpAfter int
-	// DownAfter is how many consecutive ticks at score ≤ idleBelow
-	// trigger a scale-down (default 10): draining is cheap to defer and
-	// expensive to flap.
-	DownAfter int
-	// DrainGrace is how long a detached replica keeps running before its
-	// process closes, letting in-flight requests finish (default 1s).
-	DrainGrace time.Duration
 }
 
-// idleBelow is the pressure score under which a tick counts as idle.
-const idleBelow = 0.25
+// The pool's fixed policy. Each is the one value every deployment runs.
+const (
+	// autoscaleInterval is the evaluation tick.
+	autoscaleInterval = time.Second
+	// targetInflight is the per-replica in-flight request count the
+	// pressure score normalizes against: at score 1.0 the fleet is
+	// running exactly at target.
+	targetInflight = 8
+	// upAfter is how many consecutive busy ticks (score ≥ 1) trigger a
+	// scale-up — hysteresis against one bursty tick.
+	upAfter = 3
+	// downAfter is how many consecutive idle ticks (score ≤ idleBelow)
+	// trigger a scale-down: draining is cheap to defer and expensive to
+	// flap.
+	downAfter = 10
+	// idleBelow is the pressure score under which a tick counts as idle.
+	idleBelow = 0.25
+	// drainGrace is how long a detached replica keeps running before its
+	// process closes, letting in-flight requests finish.
+	drainGrace = time.Second
+)
 
 func (c *AutoscaleConfig) fillDefaults() error {
 	if c.Min <= 0 {
@@ -50,23 +53,8 @@ func (c *AutoscaleConfig) fillDefaults() error {
 	if c.Max < c.Min {
 		return fmt.Errorf("gateway: autoscale max %d < min %d", c.Max, c.Min)
 	}
-	if c.Interval <= 0 {
-		c.Interval = time.Second
-	}
-	if c.TargetInflight <= 0 {
-		c.TargetInflight = 8
-	}
 	if c.P99SLO <= 0 {
 		c.P99SLO = 250 * time.Millisecond
-	}
-	if c.UpAfter <= 0 {
-		c.UpAfter = 3
-	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 10
-	}
-	if c.DrainGrace <= 0 {
-		c.DrainGrace = time.Second
 	}
 	return nil
 }
@@ -87,6 +75,7 @@ type Autoscaler struct {
 	upTicks   int
 	downTicks int
 	lastCum   []uint64 // reqSeconds snapshot at the previous tick
+	lastShed  uint64   // the gate's overload sheds at the previous tick
 
 	scaleUps   atomic.Uint64
 	scaleDowns atomic.Uint64
@@ -99,14 +88,14 @@ type Autoscaler struct {
 // NewElastic boots an elastic serving fleet: cfg.Min in-process
 // replicas (SpawnReplicas over svcCfg), a gateway whose ring is sized
 // for cfg.Max, and the autoscaler loop that moves the pool between the
-// two bounds. gwCfg.Backends and gwCfg.Slots are derived and must be
-// empty/zero. Close the Autoscaler first, then the Gateway.
+// two bounds. gwCfg.Backends is derived and must be empty. Close the
+// Autoscaler first, then the Gateway.
 func NewElastic(gwCfg Config, svcCfg serve.ServiceConfig, asCfg AutoscaleConfig) (*Gateway, *Autoscaler, error) {
 	if err := asCfg.fillDefaults(); err != nil {
 		return nil, nil, err
 	}
-	if len(gwCfg.Backends) != 0 || gwCfg.Slots != 0 {
-		return nil, nil, fmt.Errorf("gateway: NewElastic derives Backends and Slots; set Min/Max instead")
+	if len(gwCfg.Backends) != 0 {
+		return nil, nil, fmt.Errorf("gateway: NewElastic derives Backends; set Min/Max instead")
 	}
 	replicas, err := SpawnReplicas(asCfg.Min, svcCfg)
 	if err != nil {
@@ -115,8 +104,7 @@ func NewElastic(gwCfg Config, svcCfg serve.ServiceConfig, asCfg AutoscaleConfig)
 	for _, rep := range replicas {
 		gwCfg.Backends = append(gwCfg.Backends, rep.URL)
 	}
-	gwCfg.Slots = asCfg.Max
-	g, err := New(gwCfg)
+	g, err := newGateway(gwCfg, asCfg.Max)
 	if err != nil {
 		CloseReplicas(replicas)
 		return nil, nil, err
@@ -135,9 +123,7 @@ func NewElastic(gwCfg Config, svcCfg serve.ServiceConfig, asCfg AutoscaleConfig)
 	if gwCfg.Gate != nil {
 		// Re-wire the gate's queue signal to the autoscaler's own
 		// target, so shedding and scaling read the same pressure.
-		gwCfg.Gate.SetQueueFunc(func() float64 {
-			return as.pressureFromInflight()
-		})
+		gwCfg.Gate.SetQueueFunc(as.pressureFromInflight)
 	}
 	g.obs.GaugeFunc("gateway_autoscale_pool", func() float64 { return float64(as.Active()) })
 	g.obs.CounterFunc("gateway_autoscale_up_total", as.scaleUps.Load)
@@ -166,13 +152,9 @@ func (as *Autoscaler) Active() int {
 	return len(as.pool)
 }
 
-// ScaleUps and ScaleDowns count lifecycle events (tests, metrics).
-func (as *Autoscaler) ScaleUps() uint64   { return as.scaleUps.Load() }
-func (as *Autoscaler) ScaleDowns() uint64 { return as.scaleDowns.Load() }
-
 func (as *Autoscaler) loop() {
 	defer as.wg.Done()
-	ticker := time.NewTicker(as.cfg.Interval)
+	ticker := time.NewTicker(autoscaleInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -191,7 +173,7 @@ func (as *Autoscaler) pressureFromInflight() float64 {
 	if active == 0 {
 		return 1
 	}
-	return float64(as.g.inflight.Load()) / float64(active*as.cfg.TargetInflight)
+	return float64(as.g.inflight.Load()) / float64(active*targetInflight)
 }
 
 // tick evaluates one interval and applies at most one scaling action.
@@ -204,14 +186,14 @@ func (as *Autoscaler) tick() {
 	case score >= 1:
 		as.downTicks = 0
 		as.upTicks++
-		if as.upTicks >= as.cfg.UpAfter && active < as.cfg.Max {
+		if as.upTicks >= upAfter && active < as.cfg.Max {
 			as.upTicks = 0
 			action = as.scaleUpLocked()
 		}
 	case score <= idleBelow:
 		as.upTicks = 0
 		as.downTicks++
-		if as.downTicks >= as.cfg.DownAfter && active > as.cfg.Min {
+		if as.downTicks >= downAfter && active > as.cfg.Min {
 			as.downTicks = 0
 			action = as.scaleDownLocked()
 		}
@@ -226,11 +208,26 @@ func (as *Autoscaler) tick() {
 
 // evaluate computes the pressure score for the tick that just ended:
 // the maximum of in-flight occupancy and the tick's windowed p99 over
-// SLO. Windowing subtracts the previous reqSeconds snapshot, so an old
-// latency spike cannot hold the score up forever.
+// SLO, and at least 1 when the tenant gate shed any request for
+// overload. Windowing subtracts the previous reqSeconds snapshot, so an
+// old latency spike cannot hold the score up forever.
+//
+// The gate reads the same in-flight occupancy but refuses work below
+// the 1.0 a busy tick needs (0.75 for bulk, 0.95 for interactive), and
+// its fast 429s pull the windowed p99 down, so without the shed signal
+// a gated pool sheds load instead of growing. Rate-limit sheds do not
+// count: a tenant over its own quota is not a fleet short of replicas.
 func (as *Autoscaler) evaluate() float64 {
 	uppers, cum := as.g.reqSeconds.CumulativeBuckets()
+	var shed uint64
+	if gate := as.g.cfg.Gate; gate != nil {
+		for _, snap := range gate.Snapshots() {
+			shed += snap.Overloaded
+		}
+	}
 	as.mu.Lock()
+	shedding := shed > as.lastShed
+	as.lastShed = shed
 	var delta []uint64
 	if len(as.lastCum) == len(cum) {
 		delta = make([]uint64, len(cum))
@@ -244,6 +241,9 @@ func (as *Autoscaler) evaluate() float64 {
 	as.mu.Unlock()
 
 	score := as.pressureFromInflight()
+	if shedding {
+		score = max(score, 1)
+	}
 	if total := delta[len(delta)-1]; total >= 4 {
 		// Too few samples and the p99 is one request's noise.
 		p99 := obs.BucketQuantile(uppers, delta, 0.99)
@@ -320,7 +320,7 @@ func (as *Autoscaler) scaleDownLocked() func() {
 		go func() {
 			defer as.wg.Done()
 			select {
-			case <-time.After(as.cfg.DrainGrace):
+			case <-time.After(drainGrace):
 			case <-as.stop:
 			}
 			rep.Close()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/tenant"
 	"repro/pkg/yalaclient"
 )
 
@@ -74,7 +75,7 @@ func TestAutoscalerSignals(t *testing.T) {
 	g, _ := testGateway(t, -1, a)
 	as := &Autoscaler{
 		g:    g,
-		cfg:  AutoscaleConfig{Min: 1, Max: 1, UpAfter: 3, DownAfter: 3},
+		cfg:  AutoscaleConfig{Min: 1, Max: 1},
 		pool: map[int]*Replica{0: nil},
 		stop: make(chan struct{}),
 	}
@@ -125,23 +126,69 @@ func TestAutoscalerSignals(t *testing.T) {
 	}
 }
 
+// TestAutoscalerCountsOverloadSheds: with the tenant gate mounted, the
+// gate refuses bulk work at 0.75 of the in-flight score a busy tick
+// needs at 1.0, so a gated pool would shed load instead of growing. A
+// tick in which the gate shed for overload counts as busy; a tick whose
+// only shed was a tenant over its own quota does not.
+func TestAutoscalerCountsOverloadSheds(t *testing.T) {
+	a := newStubReplica(t, "a")
+	reg, err := tenant.Parse([]byte(`{"tenants": [{"name": "capped", "key": "k", "rps": 0.001, "burst": 1}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := tenant.NewGate(reg, tenant.GateConfig{})
+	g, err := New(Config{Backends: []string{a.url()}, Gate: gate, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	as := &Autoscaler{
+		g:    g,
+		cfg:  AutoscaleConfig{Min: 1, Max: 1},
+		pool: map[int]*Replica{0: nil},
+		stop: make(chan struct{}),
+	}
+	if err := as.cfg.fillDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	gate.SetQueueFunc(as.pressureFromInflight) // as NewElastic wires it
+
+	// 7 in flight against 1 replica × target 8: mid-band on its own.
+	g.inflight.Store(7)
+	now := time.Unix(100, 0)
+	if d := gate.Admit("", tenant.ClassBulk, now); d.OK || d.RateLimited {
+		t.Fatalf("bulk admit at score 0.875 = %+v, want an overload shed", d)
+	}
+	as.tick()
+	if as.upTicks != 1 {
+		t.Fatalf("upTicks = %d after a tick with an overload shed, want 1", as.upTicks)
+	}
+
+	for i := 0; i < 2; i++ {
+		gate.Admit("k", tenant.ClassInteractive, now)
+	}
+	if capped, _ := reg.Lookup("k"); capped.Snapshot().RateLimited != 1 {
+		t.Fatalf("capped tenant = %+v, want one rate-limited shed", capped.Snapshot())
+	}
+	as.tick()
+	if as.upTicks != 0 {
+		t.Fatalf("upTicks = %d after a tick whose only shed was rate-limited, want 0", as.upTicks)
+	}
+}
+
 // TestElasticScaleUpAndDown is the acceptance run: a -min 1 -max 3
 // fleet of real replicas scales up under sustained concurrent load and
 // back down to min when idle, with zero client-visible errors across
-// both transitions.
+// both transitions. The test stops the pool's own 1s loop and drives
+// tick itself, so every scaling action is one of its ticks; pressure is
+// in-flight work the test adds to the gateway's count on top of the
+// real traffic.
 func TestElasticScaleUpAndDown(t *testing.T) {
 	g, as, err := NewElastic(
 		Config{HealthInterval: 20 * time.Millisecond, EdgeCacheEntries: -1},
 		quickServiceConfig(t.TempDir()),
-		AutoscaleConfig{
-			Min:            1,
-			Max:            3,
-			Interval:       25 * time.Millisecond,
-			TargetInflight: 1,
-			UpAfter:        2,
-			DownAfter:      4,
-			DrainGrace:     50 * time.Millisecond,
-		},
+		AutoscaleConfig{Min: 1, Max: 3},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -153,17 +200,22 @@ func TestElasticScaleUpAndDown(t *testing.T) {
 	if got := as.Active(); got != 1 {
 		t.Fatalf("boot pool = %d, want min 1", got)
 	}
+	as.stopOnce.Do(func() { close(as.stop) })
+	as.wg.Wait()
 
-	// Sustained concurrent load: 8 workers keep gateway in-flight well
-	// over the pool's aggregate target.
+	// Sustained concurrent load from 8 workers while the pool grows;
+	// scaling starts once every worker has had an answer.
 	stop := make(chan struct{})
 	var failures atomic.Int64
-	var wg sync.WaitGroup
+	var wg, answered sync.WaitGroup
 	models := []string{"FlowStats", "ACL"}
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
+		answered.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var first sync.Once
+			defer first.Do(answered.Done)
 			client := yalaclient.New(ts.URL)
 			for i := 0; ; i++ {
 				select {
@@ -176,36 +228,42 @@ func TestElasticScaleUpAndDown(t *testing.T) {
 					failures.Add(1)
 					t.Logf("predict %s: %v", m, err)
 				}
+				first.Do(answered.Done)
 			}
 		}(w)
 	}
+	answered.Wait()
 
-	deadline := time.Now().Add(30 * time.Second)
-	for as.Active() < 2 {
-		if time.Now().After(deadline) {
+	// Three pools' worth of extra in-flight work keeps every tick busy
+	// until the pool is at max.
+	const extra = 3 * targetInflight
+	g.inflight.Add(extra)
+	for i := 0; as.Active() < 3; i++ {
+		if i == 10*upAfter {
 			close(stop)
 			wg.Wait()
 			t.Fatalf("pool never scaled up under load (active=%d)", as.Active())
 		}
-		time.Sleep(10 * time.Millisecond)
+		as.tick()
 	}
+	g.inflight.Add(-extra)
 	close(stop)
 	wg.Wait()
 
-	// Idle: the pool must drain back to min.
-	deadline = time.Now().Add(30 * time.Second)
-	for as.Active() > 1 {
-		if time.Now().After(deadline) {
+	// Idle: the pool must drain back to min. The first ticks may still
+	// see the load's latency in their window.
+	for i := 0; as.Active() > 1; i++ {
+		if i == 10*downAfter {
 			t.Fatalf("pool never scaled down when idle (active=%d)", as.Active())
 		}
-		time.Sleep(10 * time.Millisecond)
+		as.tick()
 	}
 
 	if n := failures.Load(); n != 0 {
 		t.Fatalf("%d client errors across scale transitions, want 0", n)
 	}
-	if as.ScaleUps() == 0 || as.ScaleDowns() == 0 {
-		t.Fatalf("lifecycle counters up=%d down=%d, want both > 0", as.ScaleUps(), as.ScaleDowns())
+	if up, down := as.scaleUps.Load(), as.scaleDowns.Load(); up != 2 || down != 2 {
+		t.Fatalf("lifecycle counters up=%d down=%d, want 2/2", up, down)
 	}
 
 	// The fleet still answers after the churn, from the min-size pool.

@@ -53,7 +53,6 @@ func slowGateway(t *testing.T, stub *slowStub) (*Gateway, *httptest.Server) {
 	g, err := New(Config{
 		Backends:       []string{stub.srv.URL},
 		HealthInterval: 20 * time.Millisecond,
-		HealthTimeout:  time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +104,7 @@ func TestCoalesceIdenticalPredicts(t *testing.T) {
 	}
 	// Give every request time to send and reach the flight group while
 	// the leader's upstream call is pinned open, then let it answer.
-	time.Sleep(300 * time.Millisecond)
+	time.Sleep(300 * time.Millisecond) // no event marks a follower joining the flight group over its real socket
 	close(stub.release)
 	wg.Wait()
 
@@ -170,7 +169,7 @@ func TestCoalesceDistinctBodies(t *testing.T) {
 	// that is the proof they did not coalesce.
 	deadline := time.Now().Add(2 * time.Second)
 	for stub.calls.Load() < 2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond) // the calls reach the stub over real sockets
 	}
 	if stub.calls.Load() != 2 {
 		t.Fatalf("upstream saw %d concurrent calls, want 2 (distinct bodies coalesced?)", stub.calls.Load())
@@ -283,7 +282,7 @@ func TestCanceledClientIs499(t *testing.T) {
 	// Wait for the proxied call to pin upstream, then hang up.
 	deadline := time.Now().Add(2 * time.Second)
 	for stub.calls.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond) // the call reaches the stub over a real socket
 	}
 	if stub.calls.Load() == 0 {
 		t.Fatal("request never reached the stub")
@@ -295,7 +294,7 @@ func TestCanceledClientIs499(t *testing.T) {
 
 	deadline = time.Now().Add(2 * time.Second)
 	for g.canceled.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond) // the gateway counts the hang-up when its real socket read fails
 	}
 	if got := g.canceled.Load(); got != 1 {
 		t.Fatalf("canceled counter = %d, want 1", got)
@@ -330,7 +329,7 @@ func TestEdgeDropsMissHeldAcrossReload(t *testing.T) {
 		stub.srv.Config.Handler.ServeHTTP(w, r)
 	}))
 	t.Cleanup(replica.Close)
-	g, err := New(Config{Backends: []string{replica.URL}, HealthInterval: 20 * time.Millisecond, HealthTimeout: time.Second})
+	g, err := New(Config{Backends: []string{replica.URL}, HealthInterval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,6 +353,7 @@ func TestEdgeDropsMissHeldAcrossReload(t *testing.T) {
 		defer close(held)
 		post("predict", scenario)
 	}()
+	// Polls: the predict reaches the replica over a real socket.
 	for deadline := time.Now().Add(5 * time.Second); stub.calls.Load() == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the predict never reached the replica")

@@ -52,7 +52,7 @@ func TestFailoverKillMidLoadgen(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("loadgen never warmed both replicas")
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond) // loadgen reaches the replicas over real sockets
 	}
 	b.stop()
 	<-done
@@ -121,7 +121,7 @@ func TestPendingReloadReplay(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("recovered replica never received the queued reload")
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond) // the health loop replays over a real socket on its own ticker
 	}
 	// And the queue drains.
 	deadline = time.Now().Add(5 * time.Second)
@@ -142,7 +142,7 @@ func TestPendingReloadReplay(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("pending queue never drained: %+v", st.Replicas)
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond) // the health loop replays over a real socket on its own ticker
 	}
 }
 

@@ -82,21 +82,12 @@ const maxEdgeEntryBytes = 1 << 20
 type Config struct {
 	// Backends are the replica base URLs traffic shards across.
 	Backends []string
-	// Slots sizes the hash ring: len(Backends) (the default) for a
-	// static fleet, larger to leave vacant slots an autoscaler can
-	// Attach replicas into later. Keys hash against slot indices, so a
-	// ring sized for the maximum fleet keeps key→slot assignment stable
-	// as replicas come and go.
-	Slots int
 	// Gate, when set, mounts the multi-tenant admission gate on the
 	// gateway surface: API-key auth, per-tenant rate limits, and load
 	// shedding before any fan-out (see internal/tenant).
 	Gate *tenant.Gate
-	// HealthInterval is the active probe period (default 500ms);
-	// HealthTimeout bounds one control read (probe, stats, scrape) and
-	// one replica's answer to a reload (default 2s).
+	// HealthInterval is the active probe period (default 500ms).
 	HealthInterval time.Duration
-	HealthTimeout  time.Duration
 	// EdgeCacheEntries sizes the gateway's response cache: 0 selects the
 	// default 8192, negative disables edge caching entirely.
 	EdgeCacheEntries int
@@ -105,12 +96,13 @@ type Config struct {
 	AccessLog bool
 }
 
+// healthTimeout bounds one control read (probe, stats, scrape) and one
+// replica's answer to a reload.
+const healthTimeout = 2 * time.Second
+
 func (c Config) withDefaults() Config {
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 500 * time.Millisecond
-	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = 2 * time.Second
 	}
 	if c.EdgeCacheEntries == 0 {
 		c.EdgeCacheEntries = 8192
@@ -192,12 +184,18 @@ type Gateway struct {
 // first failed proxy) corrects that — so a gateway booted before its
 // replicas converges instead of blackholing. Call Close to stop.
 func New(cfg Config) (*Gateway, error) {
+	return newGateway(cfg, len(cfg.Backends))
+}
+
+// newGateway is New over a hash ring of slots ≥ len(cfg.Backends)
+// positions, the first len(cfg.Backends) of them attached. Keys hash
+// against slot indices, so an elastic pool sizes the ring for its
+// maximum fleet and keeps key→slot assignment stable as replicas come
+// and go.
+func newGateway(cfg Config, slots int) (*Gateway, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("gateway: need at least one replica backend URL")
-	}
-	if cfg.Slots < len(cfg.Backends) {
-		cfg.Slots = len(cfg.Backends)
 	}
 	// The one HTTP client toward every replica (roundTrip) keeps a deep
 	// idle-connection pool per replica, like the SDK's.
@@ -211,7 +209,7 @@ func New(cfg Config) (*Gateway, error) {
 		stop:  make(chan struct{}),
 	}
 	g.initObs()
-	for slot := 0; slot < cfg.Slots; slot++ {
+	for slot := 0; slot < slots; slot++ {
 		rep := &replica{slot: slot, pending: map[string]pendingReload{}}
 		if slot < len(cfg.Backends) {
 			// A phantom empty-URL replica would boot optimistically healthy
@@ -316,10 +314,10 @@ func each(reps []*replica, fn func(i int, rep *replica, ep *endpoint)) []*endpoi
 
 // fetch is the gateway's control read: GET path from one replica over
 // HTTP through roundTrip (bounded by api.MaxBodyBytes) within
-// HealthTimeout, anything but a 200 an error. It is deliberately not
+// healthTimeout, anything but a 200 an error. It is deliberately not
 // timed into gateway_upstream_seconds, which measures routed traffic.
 func (g *Gateway) fetch(ctx context.Context, ep *endpoint, path string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(ctx, healthTimeout)
 	defer cancel()
 	status, _, body, err := g.roundTrip(ctx, http.MethodGet, ep.url+path, "", nil)
 	if err == nil && status != http.StatusOK {
@@ -813,7 +811,7 @@ func (a reloadAnswer) outcome() reloadOutcome {
 
 // reload sends every reload the gateway issues — a client's fan-out, a
 // feedback promotion, a pending replay — to each target at once, each
-// answer bounded by HealthTimeout, and applies the one rule to the
+// answer bounded by healthTimeout, and applies the one rule to the
 // answers: unless some replica found the reload invalid (deterministic
 // catalogs: invalid on one is invalid on all), every target that did
 // not apply it, vacant slots included, has it queued for replay, and
@@ -822,7 +820,7 @@ func (a reloadAnswer) outcome() reloadOutcome {
 // caller's, is what gave up. Answers come back in target order.
 func (g *Gateway) reload(ctx context.Context, targets []*replica, req reloadReq) []reloadAnswer {
 	answers := make([]reloadAnswer, len(targets))
-	tctx, cancel := context.WithTimeout(ctx, g.cfg.HealthTimeout)
+	tctx, cancel := context.WithTimeout(ctx, healthTimeout)
 	defer cancel()
 	each(targets, func(i int, rep *replica, ep *endpoint) {
 		a := &answers[i]

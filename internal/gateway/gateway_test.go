@@ -195,7 +195,6 @@ func testGateway(t *testing.T, edgeEntries int, stubs ...*stubReplica) (*Gateway
 	g, err := New(Config{
 		Backends:         urls,
 		HealthInterval:   20 * time.Millisecond,
-		HealthTimeout:    time.Second,
 		EdgeCacheEntries: edgeEntries,
 	})
 	if err != nil {
@@ -549,7 +548,7 @@ func TestPromoteReload(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("recovered replica never received the queued promotion reload")
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond) // the health loop replays over a real socket on its own ticker
 	}
 }
 func TestAggregateStats(t *testing.T) {

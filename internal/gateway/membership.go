@@ -65,7 +65,7 @@ func newEndpoint(url string) (*endpoint, error) {
 }
 
 // Attach occupies a vacant slot with a live backend: probe until the
-// backend answers (bounded by HealthTimeout), expose its metric series,
+// backend answers (bounded by healthTimeout), expose its metric series,
 // make it routable, and replay every reload fan-out the slot missed
 // while vacant — the rejoining replica is never stale. The endpoint is
 // published before the drain, so a fan-out racing the attach dials the
@@ -83,7 +83,7 @@ func (g *Gateway) Attach(slot int, url string) error {
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), healthTimeout)
 	defer cancel()
 	for {
 		if _, err := g.fetch(ctx, ep, "/healthz"); err == nil {

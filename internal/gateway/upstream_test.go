@@ -39,7 +39,7 @@ func TestMetricsScrapeBounded(t *testing.T) {
 	})
 	flood := httptest.NewServer(mux)
 	t.Cleanup(flood.Close)
-	g, err := New(Config{Backends: []string{a.url(), flood.URL}, HealthInterval: 20 * time.Millisecond, HealthTimeout: 5 * time.Second})
+	g, err := New(Config{Backends: []string{a.url(), flood.URL}, HealthInterval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func (s *reloadRefuser) reloadCount() int {
 // replica's own 429 with its Retry-After.
 func TestReloadFanoutQueues429(t *testing.T) {
 	a, b := newStubReplica(t, "a"), newReloadRefuser(t, 1)
-	g, err := New(Config{Backends: []string{a.url(), b.srv.URL}, HealthInterval: 20 * time.Millisecond, HealthTimeout: time.Second})
+	g, err := New(Config{Backends: []string{a.url(), b.srv.URL}, HealthInterval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestReloadFanoutQueues429(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("the shed reload was never replayed (%d received, %d pending)", b.reloadCount(), pendingCount(g.replicas[1]))
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond) // the health loop replays over a real socket on its own ticker
 	}
 
 	// A fleet that only sheds: the client gets the replica's own 429,
@@ -215,7 +215,7 @@ func TestDropWireFallsBackToHTTP(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("the boot probe never discovered the replica's wire listener")
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond) // the boot probe reads the replica over a real socket
 	}
 	client := yalaclient.New(ts.URL)
 	params := yalaclient.PredictParams{}

@@ -44,7 +44,7 @@ func TestGatewayWireUpstreamDiscovery(t *testing.T) {
 		if ep := g.replicas[0].ep.Load(); ep != nil && ep.wire.Load() != nil {
 			break
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond) // the boot probe reads the replica over a real socket
 	}
 	ep := g.replicas[0].ep.Load()
 	if ep == nil || ep.wire.Load() == nil {
@@ -181,7 +181,7 @@ func TestRetryAfterCrossesGateway(t *testing.T) {
 					if time.Now().After(deadline) {
 						t.Fatal("gateway never discovered the stub's wire listener")
 					}
-					time.Sleep(10 * time.Millisecond)
+					time.Sleep(10 * time.Millisecond) // the boot probe reads the stub over a real socket
 				}
 			}
 

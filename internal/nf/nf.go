@@ -78,20 +78,25 @@ type NF interface {
 // the simulated SoC. Calibrated so solo NF throughputs land in the same
 // 0.1–1.5 Mpps range the paper reports for Click/DPDK NFs on BlueField-2.
 const (
-	baseCPUSec     = 850e-9    // rx/tx + framework overhead per packet
-	hashProbeSec   = 55e-9     // one table-slot inspection
-	trieStepSec    = 9e-9      // one trie node visit
-	ruleCheckSec   = 4e-9      // one ACL rule evaluation
-	byteTouchSec   = 0.30e-9   // one payload byte handled by the CPU
-	accelDispatch  = 60e-9     // enqueue/dequeue of one accelerator request
-	baseMemRefs    = 20.0      // descriptor, ring, header and buffer-metadata cache lines
-	probeMemRefs   = 4.0       // cache lines per table probe (entry + chain metadata)
-	trieMemRefs    = 1.0       // cache lines per trie step
-	ruleMemRefs    = 0.5       // cache lines per rule check
-	codeFootprint  = 192 << 10 // instruction/stack working set
-	defaultMemMLP  = 1.6       // modest overlap for pointer-chasing NFs
-	defaultNFCores = 2         // paper: each NF gets two dedicated cores
+	baseCPUSec    = 850e-9    // rx/tx + framework overhead per packet
+	hashProbeSec  = 55e-9     // one table-slot inspection
+	trieStepSec   = 9e-9      // one trie node visit
+	ruleCheckSec  = 4e-9      // one ACL rule evaluation
+	byteTouchSec  = 0.30e-9   // one payload byte handled by the CPU
+	accelDispatch = 60e-9     // enqueue/dequeue of one accelerator request
+	baseMemRefs   = 20.0      // descriptor, ring, header and buffer-metadata cache lines
+	probeMemRefs  = 4.0       // cache lines per table probe (entry + chain metadata)
+	trieMemRefs   = 1.0       // cache lines per trie step
+	ruleMemRefs   = 0.5       // cache lines per rule check
+	codeFootprint = 192 << 10 // instruction/stack working set
+	defaultMemMLP = 1.6       // modest overlap for pointer-chasing NFs
 )
+
+// NFCores is the cores one NF runs on: its workload's worker cores and
+// accelerator queues, and the allocation placement and the fleet
+// scheduler budget per NF on a NIC. The paper gives each NF two
+// dedicated cores.
+const NFCores = 2
 
 // Matcher is the shared compiled ruleset (the paper's NFs share one
 // ruleset [5]).
@@ -151,7 +156,7 @@ func Measure(n NF, prof traffic.Profile, seed uint64) (*nicsim.Workload, error) 
 	w := &nicsim.Workload{
 		Name:    n.Name(),
 		Pattern: n.Pattern(),
-		Cores:   defaultNFCores,
+		Cores:   NFCores,
 		CPUSecPerPkt: baseCPUSec +
 			st.HashProbes*per*hashProbeSec +
 			st.TrieSteps*per*trieStepSec +
@@ -176,7 +181,7 @@ func Measure(n NF, prof traffic.Profile, seed uint64) (*nicsim.Workload, error) 
 			ReqsPerPkt:    1,
 			BytesPerReq:   st.RegexBytes * per,
 			MatchesPerReq: st.RegexMatches * per,
-			Queues:        defaultNFCores,
+			Queues:        NFCores,
 		}
 	}
 	if st.CompressBytes > 0 {
@@ -184,7 +189,7 @@ func Measure(n NF, prof traffic.Profile, seed uint64) (*nicsim.Workload, error) 
 		w.Accel[nicsim.AccelCompress] = nicsim.AccelUse{
 			ReqsPerPkt:  1,
 			BytesPerReq: st.CompressBytes * per,
-			Queues:      defaultNFCores,
+			Queues:      NFCores,
 		}
 	}
 	return w, nil

@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"repro/internal/backend"
+	"repro/internal/nf"
 	"repro/internal/nicsim"
 	"repro/internal/testbed"
 	"repro/internal/traffic"
@@ -100,8 +101,7 @@ type Result struct {
 type Simulator struct {
 	TB *testbed.Testbed
 
-	// NFCores is the per-NF core allocation; NICCores the per-NIC total.
-	NFCores  int
+	// NICCores is the per-NIC core total; each NF takes nf.NFCores.
 	NICCores int
 
 	// models holds the prediction handles the prediction-aware
@@ -129,7 +129,6 @@ type Simulator struct {
 func NewSimulator(tb *testbed.Testbed) *Simulator {
 	return &Simulator{
 		TB:         tb,
-		NFCores:    2,
 		NICCores:   tb.Config().Cores,
 		models:     map[string]map[string]backend.Model{},
 		scorers:    map[string]*scorer{},
@@ -251,7 +250,7 @@ func (s *Simulator) Place(seq []Arrival, strat Strategy) (Result, error) {
 			idx = len(nics) - 1
 		}
 		nics[idx].residents = append(nics[idx].residents, a)
-		nics[idx].cores += s.NFCores
+		nics[idx].cores += nf.NFCores
 	}
 	res := Result{NICsUsed: len(nics), Total: len(seq)}
 	for _, n := range nics {
@@ -267,7 +266,7 @@ func (s *Simulator) Place(seq []Arrival, strat Strategy) (Result, error) {
 // chooseNIC returns the index of the NIC to place a on, or -1 for a new
 // NIC.
 func (s *Simulator) chooseNIC(nics []*nic, a Arrival, strat Strategy) (int, error) {
-	fits := func(n *nic) bool { return n.cores+s.NFCores <= s.NICCores }
+	fits := func(n *nic) bool { return n.cores+nf.NFCores <= s.NICCores }
 	switch strat.kind {
 	case kindMonopolization:
 		return -1, nil
@@ -301,7 +300,7 @@ func (s *Simulator) chooseNIC(nics []*nic, a Arrival, strat Strategy) (int, erro
 // Fits reports whether a NIC already hosting residents NFs has the core
 // budget for one more — the capacity half of the admission decision.
 func (s *Simulator) Fits(residents int) bool {
-	return (residents+1)*s.NFCores <= s.NICCores
+	return (residents+1)*nf.NFCores <= s.NICCores
 }
 
 // SeedSolo pre-populates the solo-measurement cache for an arrival. The

@@ -389,8 +389,10 @@ func TestCanceledRequestsKeepGateIdle(t *testing.T) {
 	if score := gate.LoadScore(); score != 0 {
 		t.Fatalf("gate load score %v after canceled flood, want 0", score)
 	}
-	if shed := gate.ShedTotal(); shed != 0 {
-		t.Fatalf("gate shed %d requests during a canceled flood", shed)
+	for _, snap := range gate.Snapshots() {
+		if snap.Shed != 0 {
+			t.Fatalf("gate shed %d of tenant %s's requests during a canceled flood", snap.Shed, snap.Tenant)
+		}
 	}
 	var sb strings.Builder
 	if err := svc.WriteMetrics(&sb); err != nil {

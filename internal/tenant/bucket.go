@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"math"
 	"sync"
 	"time"
 )
@@ -41,11 +42,12 @@ func (b *Bucket) Rate() float64 { return b.rate }
 func (b *Bucket) Burst() float64 { return b.burst }
 
 // Allow consumes one token if available. When the bucket is empty it
-// returns false and how long the caller must wait for the next token —
-// the Retry-After the admission gate advertises. now should come from
-// time.Now() so the refill reads the monotonic clock; out-of-order
-// timestamps (concurrent callers racing past each other) never refill
-// backwards and never push the balance negative.
+// returns false and how long the caller must wait for the next token,
+// at most maxRetryAfter — the Retry-After the admission gate
+// advertises. now should come from time.Now() so the refill reads the
+// monotonic clock; out-of-order timestamps (concurrent callers racing
+// past each other) never refill backwards and never push the balance
+// negative.
 func (b *Bucket) Allow(now time.Time) (ok bool, retryAfter time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -63,6 +65,17 @@ func (b *Bucket) Allow(now time.Time) (ok bool, retryAfter time.Duration) {
 		b.tokens--
 		return true, 0
 	}
-	// Time until the deficit refills to one whole token.
-	return false, time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
+	// Time until the deficit refills to one whole token, rounded up so
+	// waiting it out always earns the token.
+	wait := math.Ceil((1 - b.tokens) / b.rate * float64(time.Second))
+	if wait >= float64(maxRetryAfter) {
+		return false, maxRetryAfter
+	}
+	return false, time.Duration(wait)
 }
+
+// maxRetryAfter caps the wait a refusal advertises. A tenant file may
+// set any positive rate, and one token's refill time at a tiny rate
+// overflows time.Duration; a longer wait tells a client nothing an hour
+// does not.
+const maxRetryAfter = time.Hour

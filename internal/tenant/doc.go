@@ -22,23 +22,23 @@
 // windowed p99 latency against the gate's SLO, and the windowed server
 // error rate (the dDCA diagnostics exemplar: decisions from combined
 // signals separate real overload from noise on any one metric). Bulk
-// traffic sheds first (score ≥ BulkShedAt), interactive only near
-// saturation (score ≥ InteractiveShedAt).
+// traffic sheds first (score ≥ 0.75), interactive only near saturation
+// (score ≥ 0.95).
 //
 // A shed request is answered with the /v2 structured error envelope
 // (code "resource_exhausted"; the envelope is specified, and written,
 // in internal/api) plus a Retry-After header derived from the bucket's
 // refill time, so well-behaved clients (pkg/yalaclient) back off
-// precisely instead of hammering. Clients that hammer anyway are tarpitted: rate-limited
-// refusals stall ShedDelay before the 429 is written, so an unpaced
-// keep-alive abuser is bounded to ~1/ShedDelay attempts per connection
-// instead of consuming the server's CPU at line rate. The latency/error
-// window behind the pressure signals ages out after WindowAge — only
-// admitted requests are observed, so without the age-out a spike that
-// drives the gate to shed everything would latch it shut forever. Every
-// decision is accounted per tenant: request/shed counters and latency
-// histograms surface as yala_tenant_* metric series and as per-tenant
-// rows in /v2/gateway/stats.
+// precisely instead of hammering. Clients that hammer anyway are
+// tarpitted: rate-limited refusals stall 10ms before the 429 is
+// written, so an unpaced keep-alive abuser is bounded to ~100 attempts
+// per second per connection instead of consuming the server's CPU at
+// line rate. The latency/error window behind the pressure signals ages
+// out after 10s — only admitted requests are observed, so without the
+// age-out a spike that drives the gate to shed everything would latch
+// it shut forever. Every decision is accounted per tenant: request/shed
+// counters and latency histograms surface as yala_tenant_* metric
+// series and as per-tenant rows in /v2/gateway/stats.
 //
 // Both the scale-out gateway and a bare serve replica mount the same
 // middleware, and a replica's yalawire listener admits through the same

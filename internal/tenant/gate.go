@@ -12,66 +12,41 @@ import (
 	"repro/internal/obs"
 )
 
-// GateConfig tunes the admission gate. The zero value is completed by
-// NewGate with the defaults below.
+// GateConfig is what a deployment sets on the admission gate.
 type GateConfig struct {
-	// BulkShedAt is the load score at which bulk requests shed; default
-	// 0.75. Bulk work always sheds before interactive work.
-	BulkShedAt float64
-	// InteractiveShedAt is the load score at which interactive requests
-	// shed; default 0.95 — only near saturation.
-	InteractiveShedAt float64
 	// P99SLO is the latency objective the windowed p99 is normalized
 	// against; default 250ms.
 	P99SLO time.Duration
-	// MaxErrorRate normalizes the windowed server-error rate; default
-	// 0.10 (a 10% error rate alone saturates the signal).
-	MaxErrorRate float64
-	// WindowSize is the ring-buffer sample count behind the windowed p99
-	// and error-rate signals; default 512.
-	WindowSize int
-	// WindowAge bounds how long a completed request keeps feeding the
-	// pressure signals; default 10s. Only admitted requests are
-	// observed, so without an age-out a latency spike that drives the
-	// gate to shed everything would starve the window of fresh samples
-	// and latch the gate shut on the spike's stale p99 forever.
-	WindowAge time.Duration
-	// ShedDelay stalls each rate-limited refusal before the 429 is
-	// written, tarpitting abusers: a keep-alive client hammering past
-	// its quota spends its connection's time waiting on in-flight 429s
-	// instead of burning server CPU with ever more attempts. Only
-	// bucket sheds stall — overload sheds hit within-quota tenants who
-	// should hear "back off" as fast as possible. Default 10ms;
-	// negative disables.
-	ShedDelay time.Duration
 }
 
-func (c *GateConfig) fillDefaults() {
-	if c.BulkShedAt <= 0 {
-		c.BulkShedAt = 0.75
-	}
-	if c.InteractiveShedAt <= 0 {
-		c.InteractiveShedAt = 0.95
-	}
-	if c.P99SLO <= 0 {
-		c.P99SLO = 250 * time.Millisecond
-	}
-	if c.MaxErrorRate <= 0 {
-		c.MaxErrorRate = 0.10
-	}
-	if c.WindowSize <= 0 {
-		c.WindowSize = 512
-	}
-	if c.WindowAge <= 0 {
-		c.WindowAge = 10 * time.Second
-	}
-	if c.ShedDelay == 0 {
-		c.ShedDelay = 10 * time.Millisecond
-	}
-	if c.ShedDelay < 0 {
-		c.ShedDelay = 0
-	}
-}
+// The gate's fixed policy. Each is the one value every deployment runs.
+const (
+	// bulkShedAt is the load score at which bulk requests shed. Bulk
+	// work always sheds before interactive work.
+	bulkShedAt = 0.75
+	// interactiveShedAt is the load score at which interactive requests
+	// shed: only near saturation.
+	interactiveShedAt = 0.95
+	// maxErrorRate normalizes the windowed server-error rate: a 10%
+	// error rate alone saturates the signal.
+	maxErrorRate = 0.10
+	// windowSize is the ring-buffer sample count behind the windowed p99
+	// and error-rate signals.
+	windowSize = 512
+	// windowAge bounds how long a completed request keeps feeding the
+	// pressure signals. Only admitted requests are observed, so without
+	// an age-out a latency spike that drives the gate to shed everything
+	// would starve the window of fresh samples and latch the gate shut
+	// on the spike's stale p99 forever.
+	windowAge = 10 * time.Second
+	// shedDelay stalls each rate-limited refusal before the 429 is
+	// written, tarpitting abusers: a keep-alive client hammering past
+	// its quota spends its connection's time waiting on in-flight 429s
+	// instead of burning server CPU with ever more attempts. Only bucket
+	// sheds stall; overload sheds hit within-quota tenants who should
+	// hear "back off" as fast as possible.
+	shedDelay = 10 * time.Millisecond
+)
 
 // sample is one completed request in the sliding window.
 type sample struct {
@@ -107,8 +82,7 @@ type Gate struct {
 	scoreMu   sync.Mutex
 	epoch     time.Time
 
-	shedTotal atomic.Uint64
-	obsReg    atomic.Pointer[obs.Registry]
+	obsReg atomic.Pointer[obs.Registry]
 }
 
 // scoreTTL bounds how stale the cached load score may be.
@@ -120,10 +94,10 @@ func NewGate(reg *Registry, cfg GateConfig) *Gate {
 	if reg == nil {
 		reg = AnonymousOnly()
 	}
-	cfg.fillDefaults()
-	g := &Gate{reg: reg, cfg: cfg, epoch: time.Now()}
-	g.win = make([]sample, cfg.WindowSize)
-	return g
+	if cfg.P99SLO <= 0 {
+		cfg.P99SLO = 250 * time.Millisecond
+	}
+	return &Gate{reg: reg, cfg: cfg, epoch: time.Now(), win: make([]sample, windowSize)}
 }
 
 // Registry returns the tenant registry the gate admits against.
@@ -168,7 +142,7 @@ type Decision struct {
 	// RetryAfter is the advertised backoff on 429s; 0 on 401s.
 	RetryAfter time.Duration
 	// RateLimited marks a bucket shed (as opposed to an overload shed);
-	// these refusals are tarpitted by ShedDelay.
+	// these refusals are tarpitted by shedDelay.
 	RateLimited bool
 }
 
@@ -193,13 +167,12 @@ func (g *Gate) Admit(key string, class Class, now time.Time) Decision {
 	}
 	// Overload shedding first: a saturated server refuses work even
 	// from within-quota tenants, bulk class at a lower score.
-	threshold := g.cfg.InteractiveShedAt
+	threshold := interactiveShedAt
 	if class == ClassBulk {
-		threshold = g.cfg.BulkShedAt
+		threshold = bulkShedAt
 	}
 	if score := g.loadScoreAt(now); score >= threshold {
 		t.overloaded.Add(1)
-		g.shedTotal.Add(1)
 		return Decision{
 			Tenant:     t,
 			Class:      class,
@@ -212,7 +185,6 @@ func (g *Gate) Admit(key string, class Class, now time.Time) Decision {
 	if b := t.bucketFor(class); b != nil {
 		if ok, retry := b.Allow(now); !ok {
 			t.rateLimited.Add(1)
-			g.shedTotal.Add(1)
 			return Decision{
 				Tenant:      t,
 				Class:       class,
@@ -260,19 +232,18 @@ func (a Admission) Done(status int, now time.Time) {
 	if a.gate == nil || !a.OK || status == api.StatusClientClosedRequest {
 		return
 	}
-	a.gate.observe(a.Decision, now.Sub(a.start), status >= http.StatusInternalServerError, now.Sub(a.gate.epoch))
+	a.gate.observe(a.Decision, now.Sub(a.start), status >= http.StatusInternalServerError, now)
 }
 
 // Observe records one completed, admitted request: its latency lands in
 // the tenant's histogram and in the sliding window behind the pressure
 // signals.
 func (g *Gate) Observe(d Decision, dur time.Duration, isErr bool) {
-	g.observe(d, dur, isErr, time.Since(g.epoch))
+	g.observe(d, dur, isErr, time.Now())
 }
 
-// observe is Observe for a request that completed at after the gate's
-// epoch.
-func (g *Gate) observe(d Decision, dur time.Duration, isErr bool, at time.Duration) {
+// observe is Observe for a request that completed at now.
+func (g *Gate) observe(d Decision, dur time.Duration, isErr bool, now time.Time) {
 	if d.Tenant == nil {
 		return
 	}
@@ -283,7 +254,7 @@ func (g *Gate) observe(d Decision, dur time.Duration, isErr bool, at time.Durati
 		h.Observe(dur.Seconds())
 	}
 	g.winMu.Lock()
-	g.win[g.winPos] = sample{seconds: dur.Seconds(), isErr: isErr, at: at.Nanoseconds()}
+	g.win[g.winPos] = sample{seconds: dur.Seconds(), isErr: isErr, at: now.Sub(g.epoch).Nanoseconds()}
 	g.winPos = (g.winPos + 1) % len(g.win)
 	if g.winLen < len(g.win) {
 		g.winLen++
@@ -293,7 +264,7 @@ func (g *Gate) observe(d Decision, dur time.Duration, isErr bool, at time.Durati
 
 // LoadScore returns the current combined pressure score: the maximum of
 // queue occupancy, windowed p99 normalized by the SLO, and windowed
-// error rate normalized by MaxErrorRate. 0 is idle; 1 is saturated on
+// error rate normalized by maxErrorRate. 0 is idle; 1 is saturated on
 // at least one signal; values above 1 are possible (e.g. p99 past SLO).
 func (g *Gate) LoadScore() float64 { return g.loadScoreAt(time.Now()) }
 
@@ -307,35 +278,36 @@ func (g *Gate) loadScoreAt(now time.Time) float64 {
 	if at := g.scoreAt.Load(); at != 0 && mono-at < int64(scoreTTL) {
 		return math.Float64frombits(g.scoreBits.Load())
 	}
-	score := g.computeScore()
+	score := g.computeScore(now)
 	g.scoreBits.Store(math.Float64bits(score))
 	g.scoreAt.Store(mono)
 	return score
 }
 
-func (g *Gate) computeScore() float64 {
+// computeScore is the uncached score at now.
+func (g *Gate) computeScore(now time.Time) float64 {
 	var score float64
 	if fn := g.queue.Load(); fn != nil {
 		if q := (*fn)(); q > score {
 			score = q
 		}
 	}
-	p99, errRate := g.windowStats()
+	p99, errRate := g.windowStats(now)
 	if s := p99 / g.cfg.P99SLO.Seconds(); s > score {
 		score = s
 	}
-	if s := errRate / g.cfg.MaxErrorRate; s > score {
+	if s := errRate / maxErrorRate; s > score {
 		score = s
 	}
 	return score
 }
 
 // windowStats computes the p99 latency (seconds) and error rate over
-// the samples younger than WindowAge; zeros when too few to be
+// the samples younger than windowAge at now; zeros when too few to be
 // meaningful. The age cut means a spike's samples expire even when
 // full-on shedding leaves nothing admitted to overwrite them.
-func (g *Gate) windowStats() (p99, errRate float64) {
-	cutoff := time.Since(g.epoch).Nanoseconds() - g.cfg.WindowAge.Nanoseconds()
+func (g *Gate) windowStats(now time.Time) (p99, errRate float64) {
+	cutoff := now.Sub(g.epoch).Nanoseconds() - windowAge.Nanoseconds()
 	g.winMu.Lock()
 	lat := make([]float64, 0, g.winLen)
 	errs := 0
@@ -390,9 +362,6 @@ func nthSmallest(a []float64, k int) float64 {
 	}
 	return a[k]
 }
-
-// ShedTotal returns the number of requests this gate has shed (429s).
-func (g *Gate) ShedTotal() uint64 { return g.shedTotal.Load() }
 
 // Snapshots returns per-tenant accounting rows in stable name order.
 func (g *Gate) Snapshots() []Snapshot {

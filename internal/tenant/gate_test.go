@@ -121,7 +121,7 @@ func TestGateRateLimit(t *testing.T) {
 // score between the two thresholds, bulk sheds while interactive still
 // admits; past the interactive threshold both shed.
 func TestGateShedsBulkFirst(t *testing.T) {
-	g := NewGate(nil, GateConfig{BulkShedAt: 0.75, InteractiveShedAt: 0.95})
+	g := NewGate(nil, GateConfig{})
 	load := 0.0
 	g.SetQueueFunc(func() float64 { return load })
 
@@ -132,8 +132,8 @@ func TestGateShedsBulkFirst(t *testing.T) {
 		if d.OK != wantOK {
 			t.Fatalf("load=%.2f class=%s: OK=%v, want %v (%+v)", load, class, d.OK, wantOK, d)
 		}
-		if !d.OK && d.Code != api.CodeResourceExhausted {
-			t.Fatalf("shed code = %q, want resource_exhausted", d.Code)
+		if !d.OK && (d.Code != api.CodeResourceExhausted || d.RateLimited) {
+			t.Fatalf("shed = %q rate-limited=%v, want a resource_exhausted overload shed", d.Code, d.RateLimited)
 		}
 		// Step past the score cache so the next check recomputes.
 		now = now.Add(2 * scoreTTL)
@@ -155,23 +155,24 @@ func TestGateShedsBulkFirst(t *testing.T) {
 	}
 }
 
-// TestGateWindowSignals feeds slow and failing samples through Observe
-// and checks they raise the load score without any queue signal.
+// TestGateWindowSignals feeds slow and failing samples through the
+// window and checks they raise the load score without any queue signal.
 func TestGateWindowSignals(t *testing.T) {
-	g := NewGate(nil, GateConfig{P99SLO: 100 * time.Millisecond, WindowSize: 64})
+	g := NewGate(nil, GateConfig{P99SLO: 100 * time.Millisecond})
 	d := Decision{OK: true, Tenant: g.reg.anon}
+	now := g.epoch.Add(time.Minute)
 	for i := 0; i < 64; i++ {
-		g.Observe(d, 300*time.Millisecond, false) // 3x the SLO
+		g.observe(d, 300*time.Millisecond, false, now) // 3x the SLO
 	}
-	if score := g.computeScore(); score < 2.9 {
+	if score := g.computeScore(now); score < 2.9 {
 		t.Fatalf("score = %.2f after sustained 3x-SLO latency, want ≈3", score)
 	}
 
-	g2 := NewGate(nil, GateConfig{MaxErrorRate: 0.10, WindowSize: 64})
+	g2 := NewGate(nil, GateConfig{})
 	for i := 0; i < 64; i++ {
-		g2.Observe(d, time.Millisecond, i%5 == 0) // 20% errors
+		g2.observe(d, time.Millisecond, i%5 == 0, now) // 20% errors
 	}
-	if score := g2.computeScore(); score < 1.9 {
+	if score := g2.computeScore(now); score < 1.9 {
 		t.Fatalf("score = %.2f at 20%% errors vs 10%% budget, want ≈2", score)
 	}
 }
@@ -181,31 +182,27 @@ func TestGateWindowSignals(t *testing.T) {
 // fresh samples — the spike's samples have to expire by age for the
 // score to fall and the gate to reopen.
 func TestGateWindowAgesOut(t *testing.T) {
-	g := NewGate(nil, GateConfig{P99SLO: 100 * time.Millisecond, WindowSize: 64, WindowAge: 50 * time.Millisecond})
+	g := NewGate(nil, GateConfig{P99SLO: 100 * time.Millisecond})
 	d := Decision{OK: true, Tenant: g.reg.anon}
+	spike := g.epoch.Add(time.Minute)
 	for i := 0; i < 64; i++ {
-		g.Observe(d, time.Second, false) // 10x the SLO
+		g.observe(d, time.Second, false, spike) // 10x the SLO
 	}
-	if score := g.computeScore(); score < 9 {
-		t.Fatalf("score = %.2f right after a 10x-SLO spike, want ≈10", score)
+	if score := g.computeScore(spike.Add(windowAge - time.Nanosecond)); score < 9 {
+		t.Fatalf("score = %.2f while the 10x-SLO spike is in the window, want ≈10", score)
 	}
-	time.Sleep(80 * time.Millisecond)
-	if score := g.computeScore(); score != 0 {
+	if score := g.computeScore(spike.Add(windowAge + time.Nanosecond)); score != 0 {
 		t.Fatalf("score = %.2f after the spike aged out with nothing admitted since, want 0", score)
 	}
 }
 
-// TestShedTarpit: bucket sheds stall for ShedDelay (throttling the
+// TestShedTarpit: bucket sheds stall for shedDelay (throttling the
 // abuser's connection), overload sheds answer immediately (within-quota
-// tenants should hear "back off" fast).
+// tenants should hear "back off" fast). Both halves time the real
+// middleware, whose tarpit is a real-time timer.
 func TestShedTarpit(t *testing.T) {
-	reg, err := Parse([]byte(`{"tenants": [{"name": "capped", "key": "k", "rps": 0.001, "burst": 1}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := NewGate(reg, GateConfig{ShedDelay: 60 * time.Millisecond})
-	h := g.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	fire := func() (int, time.Duration) {
+	fire := func(g *Gate) (int, time.Duration) {
+		h := g.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 		req := httptest.NewRequest("POST", "/v2/models/FlowStats/yala:predict", nil)
 		req.Header.Set("X-API-Key", "k")
 		w := httptest.NewRecorder()
@@ -213,28 +210,76 @@ func TestShedTarpit(t *testing.T) {
 		h.ServeHTTP(w, req)
 		return w.Code, time.Since(start)
 	}
-	if code, _ := fire(); code != http.StatusOK {
+	reg, err := Parse([]byte(`{"tenants": [{"name": "capped", "key": "k", "rps": 0.001, "burst": 1}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGate(reg, GateConfig{})
+	if code, _ := fire(g); code != http.StatusOK {
 		t.Fatalf("first request = %d, want 200", code)
 	}
-	code, took := fire()
+	code, took := fire(g)
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("second request = %d, want 429", code)
 	}
-	if took < 50*time.Millisecond {
-		t.Fatalf("rate-limited shed answered in %v, want ≥ the 60ms tarpit", took)
+	if took < shedDelay {
+		t.Fatalf("rate-limited shed answered in %v, want ≥ the %v tarpit", took, shedDelay)
 	}
 
-	// Overload shed: saturate the queue signal; the same tenant's bucket
-	// no longer matters — the refusal must not stall. Wait out the score
-	// cache so the saturated signal is actually read.
+	// Overload shed: a gate over the same registry, its queue signal
+	// saturated from the first request on; the tenant's empty bucket no
+	// longer matters — the refusal must not stall. A stalled refusal
+	// takes at least shedDelay every time, so one fast answer out of
+	// five proves there is no stall without betting on a single
+	// scheduling slice.
+	g = NewGate(reg, GateConfig{})
 	g.SetQueueFunc(func() float64 { return 2.0 })
-	time.Sleep(2 * scoreTTL)
-	code, took = fire()
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("overloaded request = %d, want 429", code)
+	fastest := time.Hour
+	for i := 0; i < 5; i++ {
+		code, took := fire(g)
+		if code != http.StatusTooManyRequests {
+			t.Fatalf("overloaded request = %d, want 429", code)
+		}
+		fastest = min(fastest, took)
 	}
-	if took > 40*time.Millisecond {
-		t.Fatalf("overload shed stalled %v, want an immediate refusal", took)
+	if fastest >= shedDelay {
+		t.Fatalf("every overload shed stalled (fastest %v), want an immediate refusal", fastest)
+	}
+}
+
+// TestTinyRateRetryAfter: a tenant file may set any positive rate, and
+// the refill time of one token at a tiny rate overflows a Duration. The
+// refusal must still advertise a positive, bounded wait, on the
+// decision and as the HTTP Retry-After header.
+func TestTinyRateRetryAfter(t *testing.T) {
+	for _, rps := range []string{"1e-9", "1e-10", "1e-12", "5e-324"} {
+		gate := func() *Gate {
+			reg, err := Parse([]byte(`{"tenants": [{"name": "slow", "key": "k", "rps": ` + rps + `}]}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return NewGate(reg, GateConfig{})
+		}
+		g := gate()
+		now := time.Unix(50, 0)
+		if d := g.Admit("k", ClassInteractive, now); !d.OK {
+			t.Fatalf("rps %s: first request refused: %+v", rps, d)
+		}
+		if d := g.Admit("k", ClassInteractive, now); d.OK || d.RetryAfter != maxRetryAfter {
+			t.Fatalf("rps %s: second request OK=%v RetryAfter=%v, want a 429 advertising %v", rps, d.OK, d.RetryAfter, maxRetryAfter)
+		}
+
+		h := gate().Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+		var w *httptest.ResponseRecorder
+		for i := 0; i < 2; i++ {
+			req := httptest.NewRequest(http.MethodPost, "/v2/models/FlowStats/yala:predict", nil)
+			req.Header.Set("X-API-Key", "k")
+			w = httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+		}
+		if w.Code != http.StatusTooManyRequests || w.Header().Get("Retry-After") != "3600" {
+			t.Fatalf("rps %s: HTTP refusal %d Retry-After %q, want 429 with 3600", rps, w.Code, w.Header().Get("Retry-After"))
+		}
 	}
 }
 

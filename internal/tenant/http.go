@@ -53,12 +53,12 @@ func (g *Gate) Middleware(next http.Handler) http.Handler {
 		}
 		a := g.Enter(KeyFromRequest(r), ClassifyPath(r.URL.Path), time.Now())
 		if !a.OK {
-			if a.RateLimited && g.cfg.ShedDelay > 0 {
+			if a.RateLimited {
 				// Tarpit: stall the refusal so an unpaced keep-alive
-				// abuser is bounded by ShedDelay per connection, not by
+				// abuser is bounded by shedDelay per connection, not by
 				// how fast the server can write 429s.
 				select {
-				case <-time.After(g.cfg.ShedDelay):
+				case <-time.After(shedDelay):
 				case <-r.Context().Done():
 				}
 			}
