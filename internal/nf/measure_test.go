@@ -3,9 +3,11 @@ package nf
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/nicsim"
+	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
@@ -78,6 +80,51 @@ func TestMeasurePopulatesOnlyPerFlowState(t *testing.T) {
 	}
 	if fs.Flows() < prof.Flows*99/100 {
 		t.Errorf("FlowStats tracks %d flows after Measure, want ~%d", fs.Flows(), prof.Flows)
+	}
+}
+
+// flowTable exposes a FlowReserver's table to the tests below.
+func (s *flowState) flowTable() *FlowTable { return s.table }
+
+// TestMeasurePopulateLayout pins the populate pass's mechanism, where
+// footprints.golden pins only its outputs: after Measure, every
+// FlowReserver's probe array and entry keys are those of a fresh table
+// sized by Reserve(n) that then took each flow's key, Flow(i).Hash(), in
+// flow order — the measured packets add no entry and move none.
+func TestMeasurePopulateLayout(t *testing.T) {
+	const seed = 11
+	for _, flows := range []int{1, 5000, 123457, 400001} {
+		prof := traffic.Profile{Flows: flows, PktSize: 256, MTBR: 600}
+		gen := traffic.NewGenerator(prof, sim.NewRNG(seed))
+		want := NewFlowTable()
+		want.Reserve(gen.NumFlows())
+		for i := 0; i < gen.NumFlows(); i++ {
+			want.Insert(gen.Flow(i).Hash())
+		}
+		for _, name := range Names() {
+			n := MustNew(name)
+			r, ok := n.(interface{ flowTable() *FlowTable })
+			if !ok {
+				continue
+			}
+			if _, err := Measure(n, prof, seed); err != nil {
+				t.Fatalf("%s at %d flows: %v", name, flows, err)
+			}
+			got := r.flowTable()
+			if !slices.Equal(got.slots, want.slots) {
+				t.Errorf("%s at %d flows: probe array differs from Reserve + Insert in flow order", name, flows)
+			}
+			if len(got.entries) != len(want.entries) {
+				t.Errorf("%s at %d flows: %d entries, want %d", name, flows, len(got.entries), len(want.entries))
+				continue
+			}
+			for i := range got.entries {
+				if got.entries[i].key != want.entries[i].key {
+					t.Errorf("%s at %d flows: entry %d key %#x, want %#x", name, flows, i, got.entries[i].key, want.entries[i].key)
+					break
+				}
+			}
+		}
 	}
 }
 
