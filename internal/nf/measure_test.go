@@ -12,8 +12,8 @@ import (
 )
 
 // TestMeasureAllocs holds Measure to a constant number of allocations
-// (generator, table, frame buffers, the Workload itself) so a
-// per-packet or per-flow allocation cannot creep back.
+// (generator, table, the measured packets' frame, the Workload itself) so
+// a per-packet or per-flow allocation cannot creep back. It reads 11.
 func TestMeasureAllocs(t *testing.T) {
 	n := NewFlowMonitor()
 	prof := traffic.Profile{Flows: 100000, PktSize: 1500, MTBR: 600}
@@ -57,8 +57,8 @@ func TestMeasureBytesPerFlow(t *testing.T) {
 }
 
 // TestMeasurePopulatesOnlyPerFlowState: the populate pass runs for the
-// NFs that keep per-flow state — every catalog NF but the three with
-// nothing a header-only packet could change — and for no others.
+// NFs that keep per-flow state — every catalog NF but the three that hold
+// no flow table — and for no others.
 func TestMeasurePopulatesOnlyPerFlowState(t *testing.T) {
 	stateless := map[string]bool{"ACL": true, "IPRouter": true, "PacketFilter": true}
 	for _, name := range Names() {

@@ -16,16 +16,22 @@
 // valid until the table's next Insert.
 //
 // Three rules keep a measurement as cheap as the footprint needs.
-// Populate rule: before the measured packets, Measure sends one
-// header-only packet per flow through the NFs that keep per-flow state
-// (the FlowReserver set) and through no others — ACL, IPRouter and
-// PacketFilter hold nothing such a pass could change. Buffer-lifetime
-// rule: the traffic generator rebuilds its frames in place, so the packet
-// handed to Process belongs to the NF only for the duration of that call.
-// Storage rule: a measurement's flow table is not garbage once its
-// footprint is read. ReleaseFlows hands its arrays to one shared store,
-// and the next empty table's Reserve re-slices them and clears only the
-// probe slots it needs; it allocates only what nothing stored can hold.
+// Populate rule: before the measured packets, Measure seats every flow's
+// key, in flow order and with its data words at zero, in the table of each
+// NF that keeps per-flow state (the FlowReserver set); no packet goes
+// through Process, and ACL, IPRouter and PacketFilter, which hold no such
+// state, are not populated. This is exact because a FlowReserver's
+// per-packet op counts read only its table's probe layout — which key sits
+// in which slot — never its entries' data words or its own counters: a NAT
+// port, a tunnel endpoint or a classifier class changes what an NF writes,
+// not what it counts. Buffer-lifetime rule: the traffic generator rebuilds
+// its frame in place, so the packet handed to Process belongs to the NF
+// only for the duration of that call. Storage rule: a measurement's flow
+// table is not garbage once its footprint is read. ReleaseFlows hands its
+// arrays to one shared store, and the next empty table's Reserve re-slices
+// them, clearing only the probe slots it needs and reusing the entries
+// array at length 0, since Insert appends whole entries; it
+// allocates only what nothing stored can hold.
 // Each Reserve on an empty table takes one stored table and each release
 // returns one, so the store retains at most one table per measurement
 // that can run at once — in a server, its compute slots plus the
@@ -108,37 +114,19 @@ const measurePackets = 300
 
 // Measure profiles the NF's packet-processing code under the given
 // traffic profile and returns the equivalent hardware workload. The NF is
-// Reset first; if it keeps per-flow state its tables are populated with
-// one header-only packet per flow; then measurePackets full packets (with
+// Reset first; if it keeps per-flow state every flow's key is seated in its
+// table (the populate rule); then measurePackets full packets (with
 // synthesized payloads) are processed while counting operations.
 func Measure(n NF, prof traffic.Profile, seed uint64) (*nicsim.Workload, error) {
 	rng := sim.NewRNG(seed)
 	gen := traffic.NewGenerator(prof, rng)
 	n.Reset()
 
-	// Population phase, for NFs that keep per-flow state only: one cheap
-	// header-only packet per flow, so the state reaches its steady-state
-	// size and layout. The frames arrive in bursts — built, their table
-	// slots prefetched in one call, then processed back to back — so one
-	// burst's table misses overlap instead of queueing behind each other.
+	// Population phase, for NFs that keep per-flow state only: every
+	// flow's key is seated in the table, so the state reaches its
+	// steady-state size and layout (the populate rule).
 	if r, ok := n.(FlowReserver); ok {
-		r.ReserveFlows(gen.NumFlows())
-		var warm OpStats
-		keys := make([]uint64, 0, 32) // one burst's flow hashes
-		for first := 0; first < gen.NumFlows(); {
-			burst := gen.HeaderBurst(first)
-			first += len(burst)
-			keys = keys[:0]
-			for i := range burst {
-				keys = append(keys, burst[i].FlowHash())
-			}
-			r.PrefetchFlows(keys)
-			for i := range burst {
-				if err := n.Process(&burst[i], &warm); err != nil {
-					return nil, fmt.Errorf("nf %s: populate: %w", n.Name(), err)
-				}
-			}
-		}
+		r.PopulateFlows(gen)
 	}
 
 	// Measurement phase: full packets with payloads at the profile MTBR.

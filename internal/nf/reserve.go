@@ -1,17 +1,17 @@
 package nf
 
+import "repro/internal/traffic"
+
 // FlowReserver is implemented by the NFs that keep per-flow state. Measure
-// populates these and only these: it pre-sizes the state for the profile's
-// flow population (one allocation instead of a doubling cascade), then
-// sends one header-only packet per flow, prefetching each burst's table
-// slots — one call with the whole burst's flow hashes — before processing
-// it. A caller done with the NF after Measure calls ReleaseFlows, which
-// hands the table's storage to the next measurement (the storage rule in
-// the package doc); the NF then holds no state and must be Reset before
-// it processes another packet.
+// populates these and only these (the populate rule in the package doc):
+// PopulateFlows sizes the flow table for the generator's flow population
+// (one allocation instead of a doubling cascade) and seats every flow's
+// key in flow order, with its data words at zero. A caller done with the
+// NF after Measure calls ReleaseFlows, which hands the table's storage to
+// the next measurement (the storage rule); the NF then holds no state and
+// must be Reset before it processes another packet.
 type FlowReserver interface {
-	ReserveFlows(n int)
-	PrefetchFlows(keys []uint64) bool
+	PopulateFlows(gen *traffic.Generator)
 	ReleaseFlows()
 }
 
@@ -23,11 +23,30 @@ type flowState struct {
 
 func newFlowState() flowState { return flowState{table: NewFlowTable()} }
 
-// ReserveFlows implements FlowReserver.
-func (s *flowState) ReserveFlows(n int) { s.table.Reserve(n) }
+// populateBurst is how many flow keys PopulateFlows computes at a time:
+// short enough that a burst's keys and home slots stay in L1, long enough
+// that its table misses overlap. At 250k flows on a 2-vCPU Xeon, 128 ran
+// ~12 % faster than 32 or 64 and no slower than 256 or 512.
+const populateBurst = 128
 
-// PrefetchFlows implements FlowReserver.
-func (s *flowState) PrefetchFlows(keys []uint64) bool { return s.table.Prefetch(keys) }
+// PopulateFlows implements FlowReserver. It is software-pipelined: it
+// loads one burst's home slots, computes the next burst's keys while
+// those loads are in flight, and only then inserts the first burst.
+func (s *flowState) PopulateFlows(gen *traffic.Generator) {
+	t := s.table
+	t.Reserve(gen.NumFlows())
+	var bufs [2][populateBurst]uint64
+	burst := gen.FlowKeys(0, bufs[0][:])
+	for next, k := len(burst), 1; len(burst) > 0; k++ {
+		t.prefetch(burst)
+		following := gen.FlowKeys(next, bufs[k%2][:])
+		next += len(following)
+		for _, key := range burst {
+			t.Insert(key)
+		}
+		burst = following
+	}
+}
 
 // ReleaseFlows implements FlowReserver.
 func (s *flowState) ReleaseFlows() { s.table.release() }

@@ -136,18 +136,21 @@ func (s *spareStore) put(t FlowTable) {
 	s.mu.Unlock()
 }
 
-// Prefetch pulls the home slots of keys toward the cache ahead of the
-// Inserts or Lookups that will probe them, and reports whether any is
-// occupied. Given a whole burst's keys the loop is nothing but independent
-// loads, so the misses overlap — the rte_hash bulk-lookup shape. Go has
-// no prefetch intrinsic; the result keeps the loads alive.
-func (t *FlowTable) Prefetch(keys []uint64) bool {
+// prefetch pulls the home slots of keys toward the cache ahead of the
+// Inserts that will probe them. Given a whole burst's keys the loop is
+// nothing but independent loads, so the misses overlap — the rte_hash
+// bulk-lookup shape. Go has no prefetch intrinsic: the loads are kept
+// alive by the result, which a call that is never inlined must compute
+// even when its caller drops it.
+//
+//go:noinline
+func (t *FlowTable) prefetch(keys []uint64) uint64 {
 	mask := uint64(len(t.slots) - 1)
 	var occupied uint64
 	for _, key := range keys {
 		occupied |= t.slots[key&mask]
 	}
-	return occupied != 0
+	return occupied
 }
 
 // find probes for key. It returns the entry (nil if absent), the number

@@ -17,11 +17,6 @@ const markerPattern = "GET "
 // no rule consists solely of these characters.
 const fillerAlphabet = ".-~#_"
 
-// burstSize is how many header frames HeaderBurst builds per call: a
-// DPDK-style receive burst, short enough to stay in L1, long enough that
-// a consumer's table misses for one burst overlap.
-const burstSize = 32
-
 // drawsPerFlow is how many RNG draws define one flow's five-tuple.
 const drawsPerFlow = 4
 
@@ -30,17 +25,16 @@ const drawsPerFlow = 4
 // origin (sim.RNG.At). Packet draws flows uniformly (the paper's uniform
 // flow-size distribution).
 //
-// A Generator owns the frames it hands out and rebuilds them in place:
-// a packet from Packet or HeaderBurst is valid until the next call of
-// the same method. Consumers that need it longer copy it.
+// A Generator owns the one frame Packet hands out and rebuilds it in
+// place: it is valid until the next Packet call. Consumers that need it
+// longer copy it. Flow and FlowKeys build no frame.
 type Generator struct {
 	profile Profile
 	origin  sim.RNG // where flow 0's draws begin
 	rng     *sim.RNG
 
-	pkt   packet.Packet   // the frame Packet rebuilds and returns
-	perm  []int           // synthPayload's marker-slot scratch
-	burst []packet.Packet // the frames HeaderBurst rebuilds and returns
+	pkt  packet.Packet // the frame Packet rebuilds and returns
+	perm []int         // synthPayload's marker-slot scratch
 }
 
 // NewGenerator builds a generator for profile, drawing all randomness
@@ -57,16 +51,16 @@ func NewGenerator(profile Profile, rng *sim.RNG) *Generator {
 	return g
 }
 
-// drawFlow makes the drawsPerFlow draws that define a flow.
-func drawFlow(rng *sim.RNG) packet.FiveTuple {
-	dstPorts := [...]uint16{80, 443, 53, 22, 25}
-	return packet.FiveTuple{
-		SrcIP:   uint32(0x0a000000 + rng.Intn(1<<24)),
-		DstIP:   uint32(0xc0a80000 + rng.Intn(1<<16)),
-		SrcPort: uint16(1024 + rng.Intn(64000)),
-		DstPort: dstPorts[rng.Intn(len(dstPorts))],
-		Proto:   packet.ProtoTCP,
-	}
+// dstPorts are the destination ports a flow draws from.
+var dstPorts = [...]uint16{80, 443, 53, 22, 25}
+
+// drawFlow makes the drawsPerFlow draws that define a flow: its addresses
+// and ports. Every flow is TCP.
+func drawFlow(rng *sim.RNG) (srcIP, dstIP uint32, srcPort, dstPort uint16) {
+	return uint32(0x0a000000 + rng.Intn(1<<24)),
+		uint32(0xc0a80000 + rng.Intn(1<<16)),
+		uint16(1024 + rng.Intn(64000)),
+		dstPorts[rng.Intn(len(dstPorts))]
 }
 
 // Profile returns the generator's traffic profile, with the packet size
@@ -79,7 +73,23 @@ func (g *Generator) NumFlows() int { return g.profile.Flows }
 // Flow returns flow i's five-tuple, 0 <= i < NumFlows.
 func (g *Generator) Flow(i int) packet.FiveTuple {
 	rng := g.origin.At(uint64(i) * drawsPerFlow)
-	return drawFlow(&rng)
+	srcIP, dstIP, srcPort, dstPort := drawFlow(&rng)
+	return packet.FiveTuple{SrcIP: srcIP, DstIP: dstIP, SrcPort: srcPort, DstPort: dstPort, Proto: packet.ProtoTCP}
+}
+
+// FlowKeys fills keys with the keys of consecutive flows from flow first
+// on — key i is Flow(first+i).Hash() — and returns the filled prefix,
+// which is shorter than keys only at the last flows and empty past them.
+// It hashes the draws directly, building no tuple and no frame, and
+// draws nothing from the generator's RNG.
+func (g *Generator) FlowKeys(first int, keys []uint64) []uint64 {
+	keys = keys[:min(max(g.profile.Flows-first, 0), len(keys))]
+	rng := g.origin.At(uint64(first) * drawsPerFlow)
+	for i := range keys {
+		srcIP, dstIP, srcPort, dstPort := drawFlow(&rng)
+		keys[i] = packet.TupleHash(srcIP, dstIP, srcPort, dstPort, packet.ProtoTCP)
+	}
+	return keys
 }
 
 // Packet generates one packet: a uniformly drawn flow carrying a payload
@@ -89,29 +99,6 @@ func (g *Generator) Packet() *packet.Packet {
 	payload := g.pkt.Rebuild(g.Flow(g.rng.Intn(g.profile.Flows)), g.profile.PktSize)
 	g.perm = synthPayload(payload, g.profile.MTBR, g.rng, g.perm)
 	return &g.pkt
-}
-
-// HeaderBurst builds minimum-size, payload-free packets for the next few
-// (at most 32) consecutive flows starting at flow first, and returns them;
-// the burst is empty only past the last flow.
-// NFs use them to populate per-flow state cheaply during footprint
-// measurement, where payload contents are irrelevant. It draws nothing
-// from the generator's RNG; the packets are rebuilt in place by the next
-// call.
-func (g *Generator) HeaderBurst(first int) []packet.Packet {
-	if g.burst == nil {
-		g.burst = make([]packet.Packet, burstSize)
-		frames := make([]byte, burstSize*MinPktSize)
-		for i := range g.burst {
-			g.burst[i].Data = frames[i*MinPktSize : (i+1)*MinPktSize : (i+1)*MinPktSize]
-		}
-	}
-	burst := g.burst[:min(max(g.profile.Flows-first, 0), burstSize)]
-	rng := g.origin.At(uint64(first) * drawsPerFlow)
-	for i := range burst {
-		burst[i].Rebuild(drawFlow(&rng), MinPktSize)
-	}
-	return burst
 }
 
 // SynthPayload produces size bytes whose expected match count against the

@@ -111,39 +111,34 @@ func TestGeneratorPacketSize(t *testing.T) {
 	}
 }
 
-func TestHeaderBurstCoversFlowsInOrder(t *testing.T) {
-	const flows = 2*burstSize + 6
+// TestFlowKeysCoverFlowsInOrder: consecutive FlowKeys calls yield every
+// flow's key, Flow(i).Hash(), in flow order, full bursts then a short
+// tail, nothing past the last flow — and draw nothing from the RNG.
+func TestFlowKeysCoverFlowsInOrder(t *testing.T) {
+	const burst, flows = 32, 2*32 + 6
 	g := NewGenerator(Profile{Flows: flows, PktSize: 512, MTBR: 600}, sim.NewRNG(8))
 	quiet := NewGenerator(Profile{Flows: flows, PktSize: 512, MTBR: 600}, sim.NewRNG(8))
-	var seen []packet.FiveTuple
-	for first := 0; first < flows; first += burstSize {
-		burst := g.HeaderBurst(first)
-		if want := min(burstSize, flows-first); len(burst) != want {
-			t.Fatalf("burst at flow %d holds %d packets, want %d", first, len(burst), want)
+	var buf [burst]uint64
+	var seen []uint64
+	for first := 0; first < flows; first += burst {
+		keys := g.FlowKeys(first, buf[:])
+		if want := min(burst, flows-first); len(keys) != want {
+			t.Fatalf("keys from flow %d: %d, want %d", first, len(keys), want)
 		}
-		for i := range burst {
-			p := &burst[i]
-			if want := packet.Build(p.Tuple, MinPktSize, nil); string(p.Data) != string(want.Data) || p.PayloadOff != want.PayloadOff {
-				t.Fatalf("flow %d: header frame is not a fresh minimum-size frame", first+i)
-			}
-			seen = append(seen, p.Tuple)
-			// What an NF may do to a frame must not leak into the next burst.
-			p.SetSrcIP(0xc6336401)
-			p.DecTTL()
-		}
+		seen = append(seen, keys...)
 	}
-	if len(g.HeaderBurst(flows)) != 0 {
-		t.Fatal("burst past the last flow is not empty")
+	if len(g.FlowKeys(flows, buf[:])) != 0 {
+		t.Fatal("keys past the last flow are not empty")
 	}
-	for i, tp := range seen {
-		if tp != g.Flow(i) {
-			t.Fatalf("burst packet %d carries flow %v, want flow %d = %v", i, tp, i, g.Flow(i))
+	for i, key := range seen {
+		if want := g.Flow(i).Hash(); key != want {
+			t.Fatalf("key %d = %#x, want flow %d's %#x", i, key, i, want)
 		}
 	}
-	// Header packets draw nothing: the full packets that follow are the
-	// ones a generator that never built a burst produces.
+	// Keys draw nothing: the full packets that follow are the ones a
+	// generator that never computed a key produces.
 	if string(g.Packet().Data) != string(quiet.Packet().Data) {
-		t.Fatal("HeaderBurst advanced the generator's RNG")
+		t.Fatal("FlowKeys advanced the generator's RNG")
 	}
 }
 
@@ -215,7 +210,7 @@ type pinnedPacket struct {
 }
 
 // TestGeneratorStreamPinned pins the generator's output to literals — the
-// tuples of flows 0, 1, N/2 and N-1, the first three full packets, and the
+// tuples and keys of flows 0, 1, N/2 and N-1, the first three full packets, and the
 // RNG draw that follows them — so the flow set, the draw order and the
 // stream position after NewGenerator cannot move unnoticed.
 func TestGeneratorStreamPinned(t *testing.T) {
@@ -223,6 +218,7 @@ func TestGeneratorStreamPinned(t *testing.T) {
 		prof    Profile
 		seed    uint64
 		flows   [4]packet.FiveTuple // flows 0, 1, N/2, N-1
+		keys    [4]uint64           // their keys
 		packets [3]pinnedPacket
 		next    uint64
 	}{
@@ -234,6 +230,7 @@ func TestGeneratorStreamPinned(t *testing.T) {
 				{SrcIP: 0x0aca050c, DstIP: 0xc0a86b46, SrcPort: 39584, DstPort: 25, Proto: 6},
 				{SrcIP: 0x0a5cff0e, DstIP: 0xc0a84103, SrcPort: 11115, DstPort: 53, Proto: 6},
 			},
+			keys: [4]uint64{0x0833a5a56aeab925, 0xaa752ec4ce69c613, 0x291407ebf797d69a, 0xf46386cf2f8e396b},
 			packets: [3]pinnedPacket{
 				{packet.FiveTuple{SrcIP: 0x0a034d55, DstIP: 0xc0a81dc6, SrcPort: 59361, DstPort: 22, Proto: 6}, 0xe815dc3339248876},
 				{packet.FiveTuple{SrcIP: 0x0af5d96a, DstIP: 0xc0a86ab7, SrcPort: 7309, DstPort: 25, Proto: 6}, 0x7422c8406aa9d99a},
@@ -249,6 +246,7 @@ func TestGeneratorStreamPinned(t *testing.T) {
 				{SrcIP: 0x0a178700, DstIP: 0xc0a89741, SrcPort: 40661, DstPort: 25, Proto: 6},
 				{SrcIP: 0x0abbca83, DstIP: 0xc0a8bfb2, SrcPort: 45618, DstPort: 22, Proto: 6},
 			},
+			keys: [4]uint64{0xe564c5cf746fadf3, 0x3905d093a6301464, 0x00397e909f0a5817, 0x2a41340230fce4e8},
 			packets: [3]pinnedPacket{
 				{packet.FiveTuple{SrcIP: 0x0a5ea68b, DstIP: 0xc0a86ba8, SrcPort: 60741, DstPort: 53, Proto: 6}, 0xf2890226aeb2a9dd},
 				{packet.FiveTuple{SrcIP: 0x0a5fab75, DstIP: 0xc0a8898e, SrcPort: 47130, DstPort: 22, Proto: 6}, 0xb9dd0e2c81a5f455},
@@ -264,6 +262,7 @@ func TestGeneratorStreamPinned(t *testing.T) {
 				{SrcIP: 0x0a4914d5, DstIP: 0xc0a8607e, SrcPort: 13710, DstPort: 53, Proto: 6},
 				{SrcIP: 0x0a652f59, DstIP: 0xc0a8a046, SrcPort: 54647, DstPort: 22, Proto: 6},
 			},
+			keys: [4]uint64{0x87d43a961ee02c35, 0xd86f6607f5094544, 0x4bce6b1a8e1ca189, 0xc308f6d7f143b61a},
 			packets: [3]pinnedPacket{
 				{packet.FiveTuple{SrcIP: 0x0ac9829c, DstIP: 0xc0a8bb26, SrcPort: 1412, DstPort: 25, Proto: 6}, 0x177c0903c98a7df3},
 				{packet.FiveTuple{SrcIP: 0x0a5846d2, DstIP: 0xc0a8799f, SrcPort: 44283, DstPort: 443, Proto: 6}, 0x8c5e42062b4b2afb},
@@ -277,8 +276,12 @@ func TestGeneratorStreamPinned(t *testing.T) {
 		g := NewGenerator(c.prof, rng)
 		n := g.NumFlows()
 		for i, flow := range [4]int{0, 1, n / 2, n - 1} {
-			if got := g.HeaderBurst(flow)[0].Tuple; got != c.flows[i] {
+			if got := g.Flow(flow); got != c.flows[i] {
 				t.Errorf("%+v seed %#x: flow %d = %+v, want %+v", c.prof, c.seed, flow, got, c.flows[i])
+			}
+			var key [1]uint64
+			if got := g.FlowKeys(flow, key[:]); len(got) != 1 || got[0] != c.keys[i] {
+				t.Errorf("%+v seed %#x: flow %d key = %#x, want %#x", c.prof, c.seed, flow, got, c.keys[i])
 			}
 		}
 		for i, want := range c.packets {
