@@ -2,14 +2,20 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
+
+	"repro/internal/wire"
 )
 
-// FuzzProfileSpecValidate drives arbitrary JSON through the wire-profile
-// pipeline: decoding, validation and resolution must never panic, and
-// any spec that validates must resolve to a profile that round-trips
-// through SpecOf exactly (the property the cache keys and trace schema
-// rely on).
+// FuzzProfileSpecValidate drives arbitrary bytes through both routes a
+// wire profile takes into the service: JSON decoding into a ProfileSpec,
+// and a typed TypePredict frame decoded by the connection's requestSink,
+// whose profiles carry MTBR as raw float64 bits (NaN and infinities
+// included), then validateScenario. Neither route may panic, and every
+// profile that validates must resolve inside the validated bounds (or to
+// the defaults for absent attributes) and round-trip through SpecOf
+// exactly (the property the cache keys and trace schema rely on).
 func FuzzProfileSpecValidate(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
@@ -25,26 +31,45 @@ func FuzzProfileSpecValidate(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	for _, mtbr := range []float64{600, 0, -1, 1e300, math.Inf(1), math.NaN()} {
+		p := wire.Profile{Flows: 16000, PktSize: 1500, MTBR: &mtbr}
+		f.Add(wire.AppendPredictRequest(nil, &wire.PredictRequest{NF: "ACL", Profile: p}))
+		f.Add(wire.AppendPredictRequest(nil, &wire.PredictRequest{NF: "ACL", Competitors: []wire.Competitor{{Name: "NIDS", Profile: p}}}))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec ProfileSpec
-		if err := json.Unmarshal(data, &spec); err != nil {
+		if json.Unmarshal(data, &spec) == nil && spec.validate() == nil {
+			checkResolved(t, spec)
+		}
+		var sink requestSink
+		it, err := sink.predict(data)
+		if err != nil {
 			return
 		}
-		if err := spec.validate(); err != nil {
+		if _, err := validateScenario(it.req.NF, it.req.Profile, it.req.Competitors, it.req.Backend); err != nil {
 			return
 		}
-		prof := spec.Profile()
-		// Resolved profiles are fixed points: converting back to the wire
-		// form and resolving again must be the identity.
-		if got := SpecOf(prof).Profile(); got != prof {
-			t.Fatalf("SpecOf/Profile is not identity: %+v → %+v", prof, got)
-		}
-		// A valid spec resolves inside the validated bounds (or to the
-		// defaults for absent attributes).
-		if prof.Flows <= 0 || prof.PktSize <= 0 || prof.MTBR < 0 {
-			t.Fatalf("validated spec %+v resolved out of bounds: %+v", spec, prof)
+		checkResolved(t, it.req.Profile)
+		for _, c := range it.req.Competitors {
+			checkResolved(t, c.Profile)
 		}
 	})
+}
+
+// checkResolved holds a validated spec's resolved profile to the
+// validated bounds and to SpecOf∘Profile being the identity.
+func checkResolved(t *testing.T, spec ProfileSpec) {
+	t.Helper()
+	prof := spec.Profile()
+	if prof.Flows <= 0 || prof.Flows > maxProfileFlows || prof.PktSize <= 0 || prof.PktSize > maxProfilePktSize ||
+		!(prof.MTBR >= 0 && prof.MTBR <= maxProfileMTBR) {
+		t.Fatalf("validated spec %+v resolved out of bounds: %+v", spec, prof)
+	}
+	// Resolved profiles are fixed points: converting back to the wire
+	// form and resolving again must be the identity.
+	if got := SpecOf(prof).Profile(); got != prof {
+		t.Fatalf("SpecOf/Profile is not identity: %+v → %+v", prof, got)
+	}
 }
 
 // FuzzAdmitRequestValidate covers the composite request validator the

@@ -78,7 +78,9 @@ const (
 
 // validate rejects malformed traffic profiles. Zero values mean "use the
 // default attribute" on the wire, so only negative or absurd values are
-// errors.
+// errors. The MTBR check is written as "not inside the range" so that
+// NaN, which a typed frame's raw float64 bits can carry and which fails
+// every comparison, is refused too.
 func (p ProfileSpec) validate() error {
 	if p.Flows < 0 || p.Flows > maxProfileFlows {
 		return badRequestf("profile flows %d out of range [0, %d]", p.Flows, maxProfileFlows)
@@ -86,7 +88,7 @@ func (p ProfileSpec) validate() error {
 	if p.PktSize < 0 || p.PktSize > maxProfilePktSize {
 		return badRequestf("profile pktsize %d out of range [0, %d]", p.PktSize, maxProfilePktSize)
 	}
-	if p.MTBR != nil && (*p.MTBR < 0 || *p.MTBR > maxProfileMTBR) {
+	if p.MTBR != nil && !(*p.MTBR >= 0 && *p.MTBR <= maxProfileMTBR) {
 		return badRequestf("profile mtbr %g out of range [0, %g]", *p.MTBR, float64(maxProfileMTBR))
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -300,6 +301,63 @@ func TestWireUnknownFrameType(t *testing.T) {
 	}
 	if res.NF != "ACL" || res.PredictedPPS <= 0 {
 		t.Fatalf("predict after the unknown frame: %+v", res)
+	}
+}
+
+// TestWireNaNProfileRejected: a typed frame carries a profile's MTBR as
+// raw float64 bits, so unlike JSON it can carry NaN, which fails both of
+// a naive range check's comparisons. A NaN MTBR, on the target or on a
+// competitor, is answered with an invalid-argument error frame — not
+// measured, where it would panic the connection's goroutine and with it
+// the process — and the next predict on the same connection succeeds.
+func TestWireNaNProfileRejected(t *testing.T) {
+	_, _, ws := wireTestServer(t, nil)
+	c, err := net.Dial("tcp", ws.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fr := wire.NewFramer(c)
+	exchange := func(typ byte, id uint64, payload []byte) wire.Frame {
+		t.Helper()
+		if err := fr.WriteFrame(typ, id, payload); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fr.ReadFrame()
+		if err != nil {
+			t.Fatalf("frame %d: %v", id, err)
+		}
+		return f
+	}
+	if f := exchange(wire.TypeHello, 1, wire.AppendHello(nil, "")); f.Type != wire.TypeHelloAck {
+		t.Fatalf("handshake answered with type %d", f.Type)
+	}
+	nan := math.NaN()
+	bad := wire.Profile{Flows: 1000, MTBR: &nan}
+	for i, req := range []wire.PredictRequest{
+		{NF: "ACL", Backend: "fake", Profile: bad},
+		{NF: "ACL", Backend: "fake", Competitors: []wire.Competitor{{Name: "NIDS", Profile: bad}}},
+	} {
+		f := exchange(wire.TypePredict, uint64(10+i), wire.AppendPredictRequest(nil, &req))
+		if f.Type != wire.TypeError {
+			t.Fatalf("NaN-MTBR predict %d answered with type %d, want TypeError", i, f.Type)
+		}
+		e, err := wire.DecodeError(f.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Status != http.StatusBadRequest || e.Code != api.CodeInvalidArgument || !strings.Contains(e.Message, "mtbr") {
+			t.Fatalf("NaN-MTBR predict %d: error %+v, want 400 %s naming mtbr", i, e, api.CodeInvalidArgument)
+		}
+	}
+	mtbr := 600.0
+	req := wire.PredictRequest{NF: "ACL", Backend: "fake", Competitors: []wire.Competitor{{Name: "NIDS", Profile: wire.Profile{Flows: 1000, MTBR: &mtbr}}}}
+	f := exchange(wire.TypePredict, 20, wire.AppendPredictRequest(nil, &req))
+	if f.Type != wire.TypePredictResp {
+		t.Fatalf("predict after the NaN frames answered with type %d", f.Type)
+	}
+	if res, err := wire.DecodePredictResponse(f.Payload); err != nil || res.PredictedPPS <= 0 {
+		t.Fatalf("predict after the NaN frames: %+v, %v", res, err)
 	}
 }
 
