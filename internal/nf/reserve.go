@@ -35,16 +35,16 @@ const populateBurst = 128
 func (s *flowState) PopulateFlows(gen *traffic.Generator) {
 	t := s.table
 	t.Reserve(gen.NumFlows())
-	var bufs [2][populateBurst]uint64
-	burst := gen.FlowKeys(0, bufs[0][:])
-	for next, k := len(burst), 1; len(burst) > 0; k++ {
+	var a, b [populateBurst]uint64
+	burst, spare := gen.FlowKeys(0, a[:]), b[:]
+	for next := len(burst); len(burst) > 0; {
 		t.prefetch(burst)
-		following := gen.FlowKeys(next, bufs[k%2][:])
+		following := gen.FlowKeys(next, spare)
 		next += len(following)
 		for _, key := range burst {
 			t.Insert(key)
 		}
-		burst = following
+		burst, spare = following, burst[:cap(burst)]
 	}
 }
 

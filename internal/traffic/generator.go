@@ -51,12 +51,10 @@ func NewGenerator(profile Profile, rng *sim.RNG) *Generator {
 	return g
 }
 
-// dstPorts are the destination ports a flow draws from.
-var dstPorts = [...]uint16{80, 443, 53, 22, 25}
-
 // drawFlow makes the drawsPerFlow draws that define a flow: its addresses
 // and ports. Every flow is TCP.
 func drawFlow(rng *sim.RNG) (srcIP, dstIP uint32, srcPort, dstPort uint16) {
+	dstPorts := [...]uint16{80, 443, 53, 22, 25}
 	return uint32(0x0a000000 + rng.Intn(1<<24)),
 		uint32(0xc0a80000 + rng.Intn(1<<16)),
 		uint16(1024 + rng.Intn(64000)),
