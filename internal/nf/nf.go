@@ -30,12 +30,11 @@
 // table is not garbage once its footprint is read. ReleaseFlows hands its
 // arrays to one shared store, and the next empty table's Reserve re-slices
 // them, clearing only the probe slots it needs and reusing the entries
-// array at length 0, since Insert appends whole entries; it
-// allocates only what nothing stored can hold.
-// Each Reserve on an empty table takes one stored table and each release
-// returns one, so the store retains at most one table per measurement
-// that can run at once — in a server, its compute slots plus the
-// testbed's GOMAXPROCS warm-up goroutines.
+// array at length 0, since Insert appends whole entries; it allocates
+// only what nothing stored can hold. Each Reserve on an empty table takes
+// one stored table and each release returns one, so the store retains at
+// most one table per measurement that can run at once — in a server, its
+// compute slots plus the testbed's GOMAXPROCS warm-up goroutines.
 package nf
 
 import (

@@ -54,8 +54,8 @@ func (t FiveTuple) Hash() uint64 { return TupleHash(t.SrcIP, t.DstIP, t.SrcPort,
 // TupleHash is the Hash of the tuple with these fields, for a caller that
 // has a flow's fields but no FiveTuple. It is straight-line code, one
 // multiply per key byte, and too big to inline; a loop small enough to
-// inline runs about twice the instructions and hashed 250k flows' keys
-// half as fast, call included.
+// inline runs about twice the instructions, and on a 2-vCPU Xeon it hashed
+// 250k flows' keys half as fast, call included.
 func TupleHash(srcIP, dstIP uint32, srcPort, dstPort uint16, proto uint8) uint64 {
 	const offset64 = 14695981039346656037
 	h := fnv1a(offset64, byte(srcIP>>24))
