@@ -22,6 +22,9 @@
 //     registrations must not silently replace an existing series.
 //   - bodyclose: an *http.Response obtained in a function must have
 //     its Body closed there or escape to a caller.
+//   - unusedexport: every export under internal/ has a user outside
+//     tests somewhere in the module; a method callable through an
+//     interface its receiver satisfies counts as used.
 //
 // Findings are suppressed — one at a time, with a mandatory reason —
 // by a directive on the offending line or the line above:

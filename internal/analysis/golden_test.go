@@ -3,6 +3,7 @@ package analysis
 import (
 	"encoding/json"
 	"flag"
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,6 +68,7 @@ var goldenCases = []struct {
 	{"metricname", "repro/fixture/metricname", "metricname"},
 	{"bodyclose", "repro/fixture/bodyclose", "bodyclose"},
 	{"ignores", "repro/internal/trace", "yalalint"},
+	{"unusedexport", "repro/internal/unusedexport", "unusedexport"},
 }
 
 // TestGolden pins each analyzer's exact findings on its fixture. Every
@@ -165,5 +167,44 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for _, f := range rep.Findings {
 		t.Errorf("%s", f)
+	}
+}
+
+// TestUnusedexportSubsetRun: references come from the whole module, so
+// linting one package alone flags none of the exports other packages
+// use — although the package itself references some of its exports
+// nowhere.
+func TestUnusedexportSubsetRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads the whole module in -short mode")
+	}
+	root := filepath.Join("..", "..")
+	rep, err := Run(root, []string{"./internal/nf"}, []*Analyzer{Unusedexport()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Packages != 1 || len(rep.Findings) != 0 {
+		t.Fatalf("linting ./internal/nf alone: %d packages, findings %v", rep.Packages, rep.Findings)
+	}
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := l.LoadDir(filepath.Join(root, "internal", "nf"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := map[types.Object]bool{}
+	for _, obj := range pkg.Info.Uses {
+		own[obj] = true
+	}
+	outside := 0
+	for _, obj := range exportedDecls(pkg) {
+		if !own[obj] {
+			outside++
+		}
+	}
+	if outside == 0 {
+		t.Fatal("every nf export is used inside nf: the subset run proves nothing")
 	}
 }

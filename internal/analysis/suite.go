@@ -23,6 +23,7 @@ func DefaultAnalyzers() []*Analyzer {
 		Envelope(),
 		Metricname(),
 		Bodyclose(),
+		Unusedexport(),
 	}
 }
 

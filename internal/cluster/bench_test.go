@@ -18,7 +18,7 @@ func benchFleet(b *testing.B, env *Env, nics int) *Fleet {
 		b.Fatal(err)
 	}
 	pool := sc.ProfilePool()
-	f := env.NewFleet(nics)
+	f := newFleet(b, env, nics)
 	id := 0
 	for i := 0; i < nics; i++ {
 		for j := 0; j < 1+i%2; j++ {

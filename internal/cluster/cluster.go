@@ -24,7 +24,7 @@
 //     each keeps its SLA-independent placement.Score per arrival type
 //     for as long as its resident sequence and its class's model
 //     generation stand (see predictFit).
-//   - The orchestrator (Env.RunPolicy) replays a stream on sim.Engine,
+//   - The orchestrator (Env.RunPolicyStream) replays a stream on sim.Engine,
 //     enforces SLAs against simulator ground truth (a placement that
 //     immediately breaches an SLA is rolled back), migrates tenants whose
 //     drift pushes a NIC out of feasibility, and accounts violations,
@@ -117,16 +117,6 @@ type Fleet struct {
 	home map[int]int
 }
 
-// NewFleet returns an empty homogeneous fleet of n NICs on the
-// environment's base hardware class.
-func (e *Env) NewFleet(n int) *Fleet {
-	f := &Fleet{home: map[int]int{}}
-	for i := 0; i < n; i++ {
-		f.NICs = append(f.NICs, &NIC{ID: i, Cores: e.Sim.NICCores})
-	}
-	return f
-}
-
 // ScenarioFleet builds the scenario's (possibly heterogeneous) fleet,
 // resolving each class's simulator so per-NIC budgets agree with
 // feasibility checks.
@@ -164,15 +154,6 @@ func (f *Fleet) TotalCores() int {
 	total := 0
 	for _, n := range f.NICs {
 		total += n.Cores
-	}
-	return total
-}
-
-// Tenants is the fleet-wide resident count.
-func (f *Fleet) Tenants() int {
-	total := 0
-	for _, n := range f.NICs {
-		total += len(n.Tenants)
 	}
 	return total
 }

@@ -73,6 +73,16 @@ func testEnv(t testing.TB, models ModelSource) *Env {
 	return NewEnv(nicsim.BlueField2(), 1, models)
 }
 
+// newFleet is an empty fleet of n NICs on the environment's base class.
+func newFleet(t testing.TB, env *Env, n int) *Fleet {
+	t.Helper()
+	f, err := env.ScenarioFleet(Scenario{NICs: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func testScenario() Scenario {
 	return Scenario{
 		NICs:      4,
@@ -161,7 +171,7 @@ func TestWorkloadKindsDiffer(t *testing.T) {
 
 func TestFirstFitAndRandomPolicies(t *testing.T) {
 	env := testEnv(t, nil)
-	f := env.NewFleet(3)
+	f := newFleet(t, env, 3)
 	a := placement.Arrival{Name: "FlowStats", Profile: traffic.Default, SLA: 0.1}
 
 	ff, err := NewScheduler("firstfit", env, 1)
@@ -214,7 +224,7 @@ func TestFirstFitAndRandomPolicies(t *testing.T) {
 
 func TestPredictFitConsolidatesUnderGenerousSLA(t *testing.T) {
 	env := testEnv(t, testModels(t))
-	f := env.NewFleet(3)
+	f := newFleet(t, env, 3)
 	// NIC 1 holds one resident; a generous SLA makes co-location
 	// predicted-feasible, so best-fit must consolidate onto NIC 1 rather
 	// than open an empty NIC.
@@ -269,8 +279,10 @@ func TestEventOrdering(t *testing.T) {
 		t.Fatalf("admitted/rejected/departed = %d/%d/%d, want 2/1/2",
 			o.res.Admitted, o.res.Rejected, o.res.Departures)
 	}
-	if o.fleet.Tenants() != 0 {
-		t.Fatalf("%d tenants still resident after drain", o.fleet.Tenants())
+	for _, n := range o.fleet.NICs {
+		if len(n.Tenants) != 0 {
+			t.Fatalf("NIC %d still holds %d tenants after drain", n.ID, len(n.Tenants))
+		}
 	}
 }
 

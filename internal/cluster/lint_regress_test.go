@@ -90,7 +90,7 @@ func TestDecisionTimingIsReportingOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := env.RunPolicy(context.Background(), sc, policy)
+		res, err := env.RunPolicyStream(context.Background(), sc, sc.Stream(), policy)
 		if err != nil {
 			t.Fatal(err)
 		}

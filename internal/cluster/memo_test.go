@@ -224,7 +224,7 @@ func TestMemoSurvivesCallerMutations(t *testing.T) {
 // offer NIC 0 beside the error) and count no slot as scored.
 func TestChooseUnresolvedClass(t *testing.T) {
 	r := newMemoRig(t)
-	f := r.env.NewFleet(2)
+	f := newFleet(t, r.env, 2)
 	f.NICs[0].Class, f.NICs[0].key = "ghost", classKey{name: "ghost"}
 	f.place(0, r.tenant(0))
 	scored := r.reg.Counter("cluster_slots_scored_total", "policy", "yala")

@@ -86,7 +86,7 @@ type orchestrator struct {
 	err error
 }
 
-// newOrchestrator wires a run; RunPolicy drives it.
+// newOrchestrator wires a run; RunPolicyStream drives it.
 func newOrchestrator(ctx context.Context, env *Env, sc Scenario, policy Scheduler) (*orchestrator, error) {
 	fleet, err := env.ScenarioFleet(sc)
 	if err != nil {
@@ -122,17 +122,6 @@ func (o *orchestrator) halted() bool {
 		return true
 	}
 	return false
-}
-
-// RunPolicy generates the scenario's stream and replays it against one
-// scheduling policy. Deterministic given (env state, scenario, policy) —
-// only the reported decision latencies vary run to run.
-func (e *Env) RunPolicy(ctx context.Context, sc Scenario, policy Scheduler) (PolicyResult, error) {
-	sc = sc.WithDefaults()
-	if err := sc.Validate(); err != nil {
-		return PolicyResult{}, err
-	}
-	return e.RunPolicyStream(ctx, sc, sc.Stream(), policy)
 }
 
 // RunPolicyStream replays an explicit tenant stream — generated by the

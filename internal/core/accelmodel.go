@@ -110,11 +110,6 @@ func (a *AccelModel) PacketRate(m float64, competitors []AccelLoad) float64 {
 	return reqRate / rpp
 }
 
-// SoloPacketRate is the accelerator-stage packet rate with no contention.
-func (a *AccelModel) SoloPacketRate(m float64) float64 {
-	return a.PacketRate(m, nil)
-}
-
 // AccelSample is one calibration co-run outcome used for fitting.
 type AccelSample struct {
 	// Attr is the target traffic's accelerator-specific attribute value

@@ -28,7 +28,7 @@ func TestAccelServiceSecLinear(t *testing.T) {
 func TestAccelSoloRate(t *testing.T) {
 	m := testAccelModel()
 	want := 1 / m.ServiceSec(600)
-	if got := m.SoloPacketRate(600); math.Abs(got-want)/want > 1e-9 {
+	if got := m.PacketRate(600, nil); math.Abs(got-want)/want > 1e-9 {
 		t.Fatalf("solo rate = %v, want %v", got, want)
 	}
 }
@@ -86,7 +86,7 @@ func TestAccelQueueWeighting(t *testing.T) {
 func TestAccelReqsPerPktScaling(t *testing.T) {
 	m := testAccelModel()
 	m.ReqsPerPkt = 2
-	if got, want := m.SoloPacketRate(0), 1/(2*m.ServiceSec(0)); math.Abs(got-want)/want > 1e-9 {
+	if got, want := m.PacketRate(0, nil), 1/(2*m.ServiceSec(0)); math.Abs(got-want)/want > 1e-9 {
 		t.Fatalf("2 reqs/pkt rate %v, want %v", got, want)
 	}
 }

@@ -58,7 +58,7 @@ func TestTrafficAgnosticAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Mem.TrafficAware() {
+	if m.Mem.trafficAware {
 		t.Fatal("ablation model claims traffic awareness")
 	}
 	comp := nicsim.Counters{L2CRD: 70e6, L2CWR: 30e6, MEMRD: 30e6, MEMWR: 12e6, WSS: 8 << 20}

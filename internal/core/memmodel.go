@@ -84,9 +84,6 @@ func (m *MemModel) Predict(comp nicsim.Counters, prof traffic.Profile, solo floa
 	return solo * m.PredictRatio(comp, prof)
 }
 
-// TrafficAware reports whether the model uses the augmented features.
-func (m *MemModel) TrafficAware() bool { return m.trafficAware }
-
 // SoloModel predicts an NF's uncontended throughput as a function of its
 // traffic profile — the T_solo term of the composition equations. It is a
 // GBR over the traffic-attribute vector.

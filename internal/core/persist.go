@@ -66,15 +66,6 @@ func (m *Model) SaveFile(path string) error {
 	return f.Close()
 }
 
-// LoadModel reads a model saved with Save.
-func LoadModel(r io.Reader) (*Model, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: loading model: %w", err)
-	}
-	return decodeModel(data)
-}
-
 // LoadModelFile reads a model from a file.
 func LoadModelFile(path string) (*Model, error) {
 	data, err := os.ReadFile(path)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/ml"
@@ -28,7 +27,7 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	if err := model.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadModel(&buf)
+	loaded, err := decodeModel(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +72,10 @@ func TestModelSaveLoadFile(t *testing.T) {
 }
 
 func TestLoadModelRejectsGarbage(t *testing.T) {
-	if _, err := LoadModel(strings.NewReader("not json")); err == nil {
+	if _, err := decodeModel([]byte("not json")); err == nil {
 		t.Fatal("expected decode error")
 	}
-	if _, err := LoadModel(strings.NewReader(`{"Name":"x"}`)); err == nil {
+	if _, err := decodeModel([]byte(`{"Name":"x"}`)); err == nil {
 		t.Fatal("expected missing-submodel error")
 	}
 
@@ -86,7 +85,7 @@ func TestLoadModelRejectsGarbage(t *testing.T) {
 		gbr := func(tree string) string { return `{"gbr":{"bias":1,"rate":0.1,"trees":[` + tree + `]}}` }
 		return `{"Name":"x","Solo":` + gbr(tree) + `,"Mem":` + gbr(`[{"f":0,"t":0,"l":-1,"r":-1,"v":0}]`) + `}`
 	}
-	if _, err := LoadModel(strings.NewReader(model(`[{"f":0,"t":0,"l":-1,"r":-1,"v":2}]`))); err != nil {
+	if _, err := decodeModel([]byte(model(`[{"f":0,"t":0,"l":-1,"r":-1,"v":2}]`))); err != nil {
 		t.Fatalf("a one-leaf model did not load: %v", err)
 	}
 	for name, tree := range map[string]string{
@@ -95,7 +94,7 @@ func TestLoadModelRejectsGarbage(t *testing.T) {
 		"negative feature": `[{"f":-1,"t":1,"l":1,"r":2,"v":0},{"f":0,"t":0,"l":-1,"r":-1,"v":1},{"f":0,"t":0,"l":-1,"r":-1,"v":2}]`,
 		"negative right":   `[{"f":0,"t":1,"l":1,"r":-2,"v":0},{"f":0,"t":0,"l":-1,"r":-1,"v":1}]`,
 	} {
-		if _, err := LoadModel(strings.NewReader(model(tree))); err == nil {
+		if _, err := decodeModel([]byte(model(tree))); err == nil {
 			t.Errorf("a model with a %s tree loaded", name)
 		}
 	}
@@ -103,7 +102,7 @@ func TestLoadModelRejectsGarbage(t *testing.T) {
 	// Predict reads every accelerator model it holds; a null one would
 	// be a nil dereference there.
 	leaf := model(`[{"f":0,"t":0,"l":-1,"r":-1,"v":2}]`)
-	if _, err := LoadModel(strings.NewReader(leaf[:len(leaf)-1] + `,"Accels":{"0":null}}`)); err == nil {
+	if _, err := decodeModel([]byte(leaf[:len(leaf)-1] + `,"Accels":{"0":null}}`)); err == nil {
 		t.Error("a model with a null accelerator model loaded")
 	}
 }
@@ -151,11 +150,11 @@ func TestLoadIndentedArtifact(t *testing.T) {
 	if err := json.Indent(&indented, compact.Bytes(), "", " "); err != nil {
 		t.Fatal(err)
 	}
-	a, err := LoadModel(&compact)
+	a, err := decodeModel(compact.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := LoadModel(&indented)
+	b, err := decodeModel(indented.Bytes())
 	if err != nil {
 		t.Fatalf("the indented file did not load: %v", err)
 	}
@@ -204,7 +203,7 @@ func FuzzModelJSON(f *testing.F) {
 		},
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := LoadModel(bytes.NewReader(data))
+		m, err := decodeModel(data)
 		if err != nil {
 			return
 		}
@@ -218,7 +217,7 @@ func FuzzModelJSON(f *testing.F) {
 		if err := m.Save(&out); err != nil {
 			t.Fatalf("accepted %s: save: %v", data, err)
 		}
-		back, err := LoadModel(bytes.NewReader(out.Bytes()))
+		back, err := decodeModel(out.Bytes())
 		if err != nil {
 			t.Fatalf("accepted %s, then rejected its own save %s: %v", data, out.Bytes(), err)
 		}

@@ -99,7 +99,7 @@ func TestTrainFlowMonitorHasRegexModelAndPattern(t *testing.T) {
 		t.Fatalf("pattern = %v, want pipeline", model.Pattern)
 	}
 	// Service time must grow with MTBR and predict lower stage rates.
-	if am.SoloPacketRate(1000) >= am.SoloPacketRate(100) {
+	if am.PacketRate(1000, nil) >= am.PacketRate(100, nil) {
 		t.Fatal("regex stage rate should fall with MTBR")
 	}
 }
@@ -180,5 +180,59 @@ func TestPredictWithCompositionBaselines(t *testing.T) {
 	min := model.PredictWith(ComposeMin, traffic.Default, []Competitor{comp})
 	if sum.Throughput > min.Throughput {
 		t.Fatalf("sum composition %v should not exceed min %v", sum.Throughput, min.Throughput)
+	}
+}
+
+// TestYalaDiagnosisShiftsWithMTBR is the paper's diagnosis use case
+// (§7.5.2) on the predictor itself: as MTBR sweeps under fixed memory and
+// regex contention, the simulator's bottleneck moves between the memory
+// subsystem and the regex engine, and the prediction's Bottleneck tracks
+// it.
+func TestYalaDiagnosisShiftsWithMTBR(t *testing.T) {
+	tb := testbed.New(nicsim.BlueField2(), 41)
+	model, err := NewTrainer(tb, DefaultTrainConfig()).Train("FlowMonitor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	memB := nfbench.MemBench(120e6, 10<<20)
+	regexB := nfbench.RegexBench(0.58e6, 1000, 2000, 1)
+	memSolo, err := tb.RunSolo(memB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regexSolo, err := tb.RunSolo(regexB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comps := []Competitor{CompetitorFromMeasurement(memSolo), CompetitorFromMeasurement(regexSolo)}
+
+	mtbrs := []float64{40, 80, 800, 1000, 1100}
+	seen := map[nicsim.Resource]bool{}
+	var actual, predicted []nicsim.Resource
+	correct := 0
+	for _, mtbr := range mtbrs {
+		prof := traffic.Default.With(traffic.AttrMTBR, mtbr)
+		w, err := tb.Workload("FlowMonitor", prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, err := tb.Run(w, memB, regexB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := model.Predict(prof, comps).Bottleneck
+		actual, predicted = append(actual, ms[0].Bottleneck), append(predicted, got)
+		seen[ms[0].Bottleneck] = true
+		if got == ms[0].Bottleneck {
+			correct++
+		}
+	}
+	// The bottleneck must actually shift across the sweep (ground truth),
+	// and Yala should track it with high accuracy.
+	if len(seen) < 2 {
+		t.Fatalf("ground-truth bottleneck never shifted: %v", actual)
+	}
+	if acc := 100 * float64(correct) / float64(len(mtbrs)); acc < 80 {
+		t.Fatalf("Yala diagnosis accuracy %.0f%%: predicted %v, actual %v", acc, predicted, actual)
 	}
 }

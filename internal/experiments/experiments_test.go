@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -68,13 +69,37 @@ func TestTable4CompositionOrdering(t *testing.T) {
 	}
 }
 
+// TestTable7DiagnosisBeatsBaseline: on every NF Yala identifies the
+// bottleneck at least as often as memory-only SLOMO, and more often on
+// one or more — SLOMO cannot see the accelerator side at all.
 func TestTable7DiagnosisBeatsBaseline(t *testing.T) {
 	l := tinyLab()
 	rep, err := Table7(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Log("\n" + rep.String())
+	rows, better := 0, 0
+	for _, line := range rep.Lines {
+		f := strings.Fields(line)
+		if len(f) != 3 {
+			continue
+		}
+		slomo, errS := strconv.ParseFloat(f[1], 64)
+		yala, errY := strconv.ParseFloat(f[2], 64)
+		if errS != nil || errY != nil {
+			continue
+		}
+		rows++
+		if yala < slomo {
+			t.Errorf("%s: Yala %.1f%% correct, below SLOMO's %.1f%%", f[0], yala, slomo)
+		}
+		if yala > slomo {
+			better++
+		}
+	}
+	if rows != 3 || better == 0 {
+		t.Fatalf("want 3 NF rows with Yala ahead on one or more, got %d rows, %d ahead:\n%s", rows, better, rep)
+	}
 }
 
 func TestTable9Pensando(t *testing.T) {

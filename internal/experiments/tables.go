@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/core"
-	"repro/internal/diagnose"
 	"repro/internal/nf"
 	"repro/internal/nfbench"
 	"repro/internal/nicsim"
@@ -320,6 +319,14 @@ func Table7(l *Lab) (*Report, error) {
 		core.CompetitorFromMeasurement(regexSolo),
 	}
 	mtbrs := []float64{0, 40, 80, 200, 400, 600, 800, 900, 1000, 1100}
+	// CPU-bound cases count as memory-side for both predictors (the
+	// paper's hotspot buckets are memory vs accelerator).
+	bucket := func(r nicsim.Resource) nicsim.Resource {
+		if r == nicsim.ResCPU {
+			return nicsim.ResMemory
+		}
+		return r
+	}
 
 	var rows [][]string
 	for _, name := range []string{"FlowStats", "FlowMonitor", "IPCompGateway"} {
@@ -327,7 +334,7 @@ func Table7(l *Lab) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		var yv, sv []diagnose.Verdict
+		var yalaOK, slomoOK float64
 		for _, mtbr := range mtbrs {
 			prof := traffic.Default.With(traffic.AttrMTBR, mtbr)
 			w, err := l.TB.Workload(name, prof)
@@ -338,20 +345,19 @@ func Table7(l *Lab) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			actual := ms[0].Bottleneck
-			// CPU-bound cases count as memory-side for both predictors
-			// (the paper's hotspot buckets are memory vs accelerator).
-			if actual == nicsim.ResCPU {
-				actual = nicsim.ResMemory
+			actual := bucket(ms[0].Bottleneck)
+			// Yala attributes the slowdown through its per-resource
+			// breakdown; SLOMO models only memory, so it always says
+			// memory — the failure mode this table quantifies.
+			if bucket(model.Predict(prof, comps).Bottleneck) == actual {
+				yalaOK++
 			}
-			yd := diagnose.YalaDiagnosis(model, prof, comps, actual)
-			if yd.Predicted == nicsim.ResCPU {
-				yd.Predicted = nicsim.ResMemory
+			if actual == nicsim.ResMemory {
+				slomoOK++
 			}
-			yv = append(yv, yd)
-			sv = append(sv, diagnose.SLOMODiagnosis(actual))
 		}
-		rows = append(rows, []string{name, f1(diagnose.Accuracy(sv)), f1(diagnose.Accuracy(yv))})
+		n := float64(len(mtbrs))
+		rows = append(rows, []string{name, f1(100 * slomoOK / n), f1(100 * yalaOK / n)})
 	}
 	r.table([]string{"NF", "SLOMO", "Yala"}, rows)
 	return r, nil

@@ -170,32 +170,44 @@ func TestGatewayMetricsAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := exp.Value("gateway_requests_total", ""); !ok || v < 2 {
+	if v, ok := expValue(exp, "gateway_requests_total", ""); !ok || v < 2 {
 		t.Fatalf("gateway_requests_total = %g (ok=%v), want >= 2", v, ok)
 	}
-	if v, ok := exp.Value("gateway_replica_up", a.url()); !ok || v != 1 {
+	if v, ok := expValue(exp, "gateway_replica_up", a.url()); !ok || v != 1 {
 		t.Fatalf("gateway_replica_up{%s} = %g (ok=%v), want 1", a.url(), v, ok)
 	}
 	// Each stub reports its own served count; the merged exposition sums
 	// them — both replicas saw at least one request each or one saw all,
 	// either way the sum is the fleet total (>= 2 predicts + scrapes).
-	if v, ok := exp.Value("yala_requests_total", `verb="predict"`); !ok || v < 2 {
+	if v, ok := expValue(exp, "yala_requests_total", `verb="predict"`); !ok || v < 2 {
 		t.Fatalf("merged yala_requests_total = %g (ok=%v), want >= 2", v, ok)
 	}
-	if v, ok := exp.Value("yala_uptime_seconds", ""); !ok || v != 100 {
+	if v, ok := expValue(exp, "yala_uptime_seconds", ""); !ok || v != 100 {
 		t.Fatalf("merged yala_uptime_seconds = %g (ok=%v), want max 100", v, ok)
 	}
-	if v, ok := exp.Value("yala_start_time_seconds", ""); !ok || v != 1700000000 {
+	if v, ok := expValue(exp, "yala_start_time_seconds", ""); !ok || v != 1700000000 {
 		t.Fatalf("merged yala_start_time_seconds = %g (ok=%v), want min 1700000000", v, ok)
 	}
-	if v, ok := exp.Value("yala_stage_seconds_count", `stage="predict"`); !ok || v != 2 {
+	if v, ok := expValue(exp, "yala_stage_seconds_count", `stage="predict"`); !ok || v != 2 {
 		t.Fatalf("merged yala_stage_seconds_count = %g (ok=%v), want 2 (one per replica)", v, ok)
 	}
 	// The two proxied predicts each went through send(), so the
 	// per-replica upstream histograms hold two observations between them.
-	va, _ := exp.Value("gateway_upstream_seconds_count", a.url())
-	vb, _ := exp.Value("gateway_upstream_seconds_count", b.url())
+	va, _ := expValue(exp, "gateway_upstream_seconds_count", a.url())
+	vb, _ := expValue(exp, "gateway_upstream_seconds_count", b.url())
 	if va+vb < 2 {
 		t.Fatalf("upstream latency histograms recorded %g+%g observations, want >= 2", va, vb)
 	}
+}
+
+// expValue returns the value of the first sample named name whose label
+// block contains labelSubstr (empty matches any), and whether one was
+// found.
+func expValue(e *obs.Exposition, name, labelSubstr string) (float64, bool) {
+	for _, s := range e.Samples {
+		if s.Name == name && strings.Contains(s.Labels, labelSubstr) {
+			return s.Value, true
+		}
+	}
+	return 0, false
 }

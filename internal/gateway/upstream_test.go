@@ -56,10 +56,10 @@ func TestMetricsScrapeBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := exp.Value("gateway_replica_up", flood.URL); !ok {
+	if _, ok := expValue(exp, "gateway_replica_up", flood.URL); !ok {
 		t.Fatal("gateway's own series missing beside an oversized replica scrape")
 	}
-	if _, ok := exp.Value("yala_uptime_seconds", ""); !ok {
+	if _, ok := expValue(exp, "yala_uptime_seconds", ""); !ok {
 		t.Fatal("the well-behaved replica's series missing from the merged exposition")
 	}
 	if _, ok := exp.Types["yala_flood_total"]; ok {

@@ -5,12 +5,6 @@
 // Everything is implemented from scratch on the standard library.
 package ml
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
-
 // Dataset is a supervised regression dataset: feature rows X and targets Y.
 type Dataset struct {
 	X [][]float64
@@ -21,54 +15,4 @@ type Dataset struct {
 func (d *Dataset) Add(x []float64, y float64) {
 	d.X = append(d.X, append([]float64(nil), x...))
 	d.Y = append(d.Y, y)
-}
-
-// Len returns the number of samples.
-func (d *Dataset) Len() int { return len(d.Y) }
-
-// Dims returns the feature dimensionality (0 for an empty dataset).
-func (d *Dataset) Dims() int {
-	if len(d.X) == 0 {
-		return 0
-	}
-	return len(d.X[0])
-}
-
-// Merge appends all samples of other.
-func (d *Dataset) Merge(other *Dataset) {
-	d.X = append(d.X, other.X...)
-	d.Y = append(d.Y, other.Y...)
-}
-
-// Validate reports structural problems (ragged rows, mismatched lengths).
-func (d *Dataset) Validate() error {
-	if len(d.X) != len(d.Y) {
-		return fmt.Errorf("ml: %d feature rows vs %d targets", len(d.X), len(d.Y))
-	}
-	dims := d.Dims()
-	for i, row := range d.X {
-		if len(row) != dims {
-			return fmt.Errorf("ml: row %d has %d features, want %d", i, len(row), dims)
-		}
-	}
-	return nil
-}
-
-// Split partitions the dataset into train/test with the given train
-// fraction, shuffling deterministically with rng.
-func (d *Dataset) Split(trainFrac float64, rng *sim.RNG) (train, test *Dataset) {
-	n := d.Len()
-	perm := rng.Perm(n)
-	nTrain := int(trainFrac * float64(n))
-	train, test = &Dataset{}, &Dataset{}
-	for i, p := range perm {
-		if i < nTrain {
-			train.X = append(train.X, d.X[p])
-			train.Y = append(train.Y, d.Y[p])
-		} else {
-			test.X = append(test.X, d.X[p])
-			test.Y = append(test.Y, d.Y[p])
-		}
-	}
-	return train, test
 }

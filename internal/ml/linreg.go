@@ -54,17 +54,6 @@ func FitLinear(X [][]float64, y []float64, ridge float64) (*LinearModel, error) 
 	return &LinearModel{Intercept: sol[0], Coef: sol[1:]}, nil
 }
 
-// Predict evaluates the model at x.
-func (m *LinearModel) Predict(x []float64) float64 {
-	y := m.Intercept
-	for i, c := range m.Coef {
-		if i < len(x) {
-			y += c * x[i]
-		}
-	}
-	return y
-}
-
 // solveGaussian solves A·x = b with partial pivoting, destroying A and b.
 func solveGaussian(A [][]float64, b []float64) ([]float64, error) {
 	k := len(A)

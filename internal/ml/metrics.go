@@ -53,19 +53,6 @@ func AccWithin(pred, truth []float64, tol float64) float64 {
 	return 100 * float64(hit) / float64(n)
 }
 
-// RMSE is the root mean squared error.
-func RMSE(pred, truth []float64) float64 {
-	if len(truth) == 0 {
-		return 0
-	}
-	var sum float64
-	for i := range truth {
-		d := pred[i] - truth[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(truth)))
-}
-
 // Quantile returns the q-quantile (0..1) of values using linear
 // interpolation on a sorted copy.
 func Quantile(values []float64, q float64) float64 {

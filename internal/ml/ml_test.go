@@ -75,12 +75,6 @@ func TestQuantileAndMedian(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	if got := RMSE([]float64{3, 5}, []float64{0, 1}); math.Abs(got-3.53553) > 1e-4 {
-		t.Fatalf("RMSE = %v", got)
-	}
-}
-
 func TestFitLinearRecoversCoefficients(t *testing.T) {
 	rng := sim.NewRNG(1)
 	var X [][]float64
@@ -164,8 +158,8 @@ func TestTreeConstantTarget(t *testing.T) {
 	X := [][]float64{{1}, {2}, {3}, {4}}
 	y := []float64{5, 5, 5, 5}
 	tree := FitTree(X, y, TreeConfig{MaxDepth: 5, MinLeaf: 1})
-	if tree.Depth() != 0 {
-		t.Fatalf("constant target grew depth %d", tree.Depth())
+	if len(tree.nodes) != 1 {
+		t.Fatalf("constant target grew %d nodes, want one leaf", len(tree.nodes))
 	}
 	if got := tree.Predict([]float64{10}); got != 5 {
 		t.Fatalf("predict = %v", got)
@@ -182,9 +176,18 @@ func TestTreeRespectsMaxDepth(t *testing.T) {
 		y = append(y, math.Sin(v)*rng.Range(0.5, 1.5))
 	}
 	tree := FitTree(X, y, TreeConfig{MaxDepth: 3, MinLeaf: 1})
-	if d := tree.Depth(); d > 3 {
+	if d := treeDepth(tree, 0); d > 3 {
 		t.Fatalf("depth %d exceeds max 3", d)
 	}
+}
+
+// treeDepth is the depth of the subtree at node n (a leaf is depth 0).
+func treeDepth(t *Tree, n int32) int {
+	node := &t.nodes[n]
+	if node.Left < 0 {
+		return 0
+	}
+	return 1 + max(treeDepth(t, node.Left), treeDepth(t, node.Right))
 }
 
 func TestTreePicksInformativeFeature(t *testing.T) {
@@ -232,7 +235,7 @@ func TestGBRBeatsLinearOnNonlinear(t *testing.T) {
 		x := []float64{rng.Range(0, 12), rng.Range(-1, 1)}
 		truth = append(truth, target(x))
 		gbrPred = append(gbrPred, g.Predict(x))
-		linPred = append(linPred, lin.Predict(x))
+		linPred = append(linPred, lin.Intercept+lin.Coef[0]*x[0]+lin.Coef[1]*x[1])
 	}
 	gm, lm := MAPE(gbrPred, truth), MAPE(linPred, truth)
 	if gm >= lm {
@@ -285,38 +288,6 @@ func TestGBRErrors(t *testing.T) {
 	}
 }
 
-func TestDatasetSplit(t *testing.T) {
-	var d Dataset
-	for i := 0; i < 100; i++ {
-		d.Add([]float64{float64(i)}, float64(i))
-	}
-	train, test := d.Split(0.8, sim.NewRNG(7))
-	if train.Len() != 80 || test.Len() != 20 {
-		t.Fatalf("split sizes %d/%d", train.Len(), test.Len())
-	}
-	seen := map[float64]bool{}
-	for _, v := range append(append([]float64{}, train.Y...), test.Y...) {
-		if seen[v] {
-			t.Fatal("duplicate sample after split")
-		}
-		seen[v] = true
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDatasetValidate(t *testing.T) {
-	d := Dataset{X: [][]float64{{1, 2}, {3}}, Y: []float64{1, 2}}
-	if err := d.Validate(); err == nil {
-		t.Fatal("expected ragged-row error")
-	}
-	d2 := Dataset{X: [][]float64{{1}}, Y: []float64{1, 2}}
-	if err := d2.Validate(); err == nil {
-		t.Fatal("expected length-mismatch error")
-	}
-}
-
 func TestDatasetAddCopies(t *testing.T) {
 	var d Dataset
 	x := []float64{1, 2}
@@ -324,15 +295,5 @@ func TestDatasetAddCopies(t *testing.T) {
 	x[0] = 99
 	if d.X[0][0] != 1 {
 		t.Fatal("Add did not copy the feature vector")
-	}
-}
-
-func TestDatasetMerge(t *testing.T) {
-	var a, b Dataset
-	a.Add([]float64{1}, 1)
-	b.Add([]float64{2}, 2)
-	a.Merge(&b)
-	if a.Len() != 2 || a.Y[1] != 2 {
-		t.Fatalf("merge failed: %+v", a)
 	}
 }

@@ -148,19 +148,3 @@ func (t *Tree) Predict(x []float64) float64 {
 		}
 	}
 }
-
-// Depth reports the tree's depth (a single leaf is depth 0).
-func (t *Tree) Depth() int { return t.depthFrom(0) }
-
-func (t *Tree) depthFrom(n int32) int {
-	node := &t.nodes[n]
-	if node.Left < 0 {
-		return 0
-	}
-	l := t.depthFrom(node.Left)
-	r := t.depthFrom(node.Right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}

@@ -40,15 +40,6 @@ func Known(name string) bool {
 	return ok
 }
 
-// MustNew is New for static names; it panics on unknown names.
-func MustNew(name string) NF {
-	n, err := New(name)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 // Names lists the catalog in sorted order.
 func Names() []string {
 	names := make([]string, 0, len(constructors))

@@ -65,9 +65,6 @@ func (f *FlowStats) Process(p *packet.Packet, st *OpStats) error {
 	return nil
 }
 
-// Flows reports the number of tracked flows.
-func (f *FlowStats) Flows() int { return f.table.Len() }
-
 // FlowClassifier assigns each flow to one of nClasses service classes and
 // counts per-class traffic (DPDK ip_pipeline-style).
 type FlowClassifier struct {

@@ -98,9 +98,6 @@ func (n *NIDS) Process(p *packet.Packet, st *OpStats) error {
 	return nil
 }
 
-// AlertedFlows reports the number of flows with at least one alert.
-func (n *NIDS) AlertedFlows() int { return int(n.alerted) }
-
 // PacketFilter drops packets whose payload matches the ruleset (DOCA +
 // regex), run-to-completion.
 type PacketFilter struct {
@@ -138,9 +135,6 @@ func (f *PacketFilter) Process(p *packet.Packet, st *OpStats) error {
 	st.Packets++
 	return nil
 }
-
-// Dropped reports packets dropped by the filter.
-func (f *PacketFilter) Dropped() uint64 { return f.dropped }
 
 // IPCompGateway scans payloads and compresses them toward the tunnel
 // peer (Click + regex + compression), the paper's dual-accelerator NF.

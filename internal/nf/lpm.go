@@ -17,9 +17,6 @@ func NewLPM() *LPM {
 	return &LPM{root: make([]int32, 1<<16)}
 }
 
-// Routes returns the number of inserted routes.
-func (l *LPM) Routes() int { return l.routes }
-
 // StateBytes is the FIB's memory footprint.
 func (l *LPM) StateBytes() float64 {
 	return float64(4*len(l.root) + 4*256*len(l.chunks))

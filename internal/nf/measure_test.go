@@ -42,7 +42,7 @@ func TestMeasureBytesPerFlow(t *testing.T) {
 		{"FlowStats", 80 * flows},
 		{"ACL", 64 << 10},
 	} {
-		n := MustNew(c.name)
+		n := constructors[c.name]()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if _, err := Measure(n, prof, 1); err != nil {
@@ -62,7 +62,7 @@ func TestMeasureBytesPerFlow(t *testing.T) {
 func TestMeasurePopulatesOnlyPerFlowState(t *testing.T) {
 	stateless := map[string]bool{"ACL": true, "IPRouter": true, "PacketFilter": true}
 	for _, name := range Names() {
-		if _, keeps := MustNew(name).(FlowReserver); keeps == stateless[name] {
+		if _, keeps := constructors[name]().(FlowReserver); keeps == stateless[name] {
 			t.Errorf("%s: FlowReserver = %v, want %v", name, keeps, !stateless[name])
 		}
 	}
@@ -78,8 +78,8 @@ func TestMeasurePopulatesOnlyPerFlowState(t *testing.T) {
 	if _, err := Measure(fs, prof, 1); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Flows() < prof.Flows*99/100 {
-		t.Errorf("FlowStats tracks %d flows after Measure, want ~%d", fs.Flows(), prof.Flows)
+	if len(fs.table.entries) < prof.Flows*99/100 {
+		t.Errorf("FlowStats tracks %d flows after Measure, want ~%d", len(fs.table.entries), prof.Flows)
 	}
 }
 
@@ -102,7 +102,7 @@ func TestMeasurePopulateLayout(t *testing.T) {
 			want.Insert(gen.Flow(i).Hash())
 		}
 		for _, name := range Names() {
-			n := MustNew(name)
+			n := constructors[name]()
 			r, ok := n.(interface{ flowTable() *FlowTable })
 			if !ok {
 				continue
@@ -155,7 +155,7 @@ func BenchmarkMeasure(b *testing.B) {
 	prof := traffic.Profile{Flows: 250000, PktSize: 1500, MTBR: 600}
 	for _, name := range []string{"FlowStats", "ACL", "NAT", "FlowMonitor", "NIDS"} {
 		b.Run(name, func(b *testing.B) {
-			n := MustNew(name)
+			n := constructors[name]()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

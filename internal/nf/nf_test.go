@@ -44,21 +44,12 @@ func TestNewUnknown(t *testing.T) {
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustNew("NoSuchNF")
-}
-
 func TestFlowStatsCountsFlows(t *testing.T) {
 	f := NewFlowStats()
 	prof := traffic.Profile{Flows: 200, PktSize: 256, MTBR: 0}
 	processBatch(t, f, prof, 3000)
-	if f.Flows() < 180 || f.Flows() > 200 {
-		t.Fatalf("Flows = %d, want ~200", f.Flows())
+	if len(f.table.entries) < 180 || len(f.table.entries) > 200 {
+		t.Fatalf("Flows = %d, want ~200", len(f.table.entries))
 	}
 }
 
@@ -103,8 +94,8 @@ func TestNATRewritesSource(t *testing.T) {
 	if !p.VerifyIPChecksum() {
 		t.Fatal("checksum broken by NAT")
 	}
-	if n.Translations() != 1 {
-		t.Fatalf("Translations = %d", n.Translations())
+	if len(n.table.entries) != 1 {
+		t.Fatalf("Translations = %d", len(n.table.entries))
 	}
 }
 
@@ -132,8 +123,8 @@ func TestNIDSAlertsOnMatches(t *testing.T) {
 	if err := n.Process(evil, &st); err != nil {
 		t.Fatal(err)
 	}
-	if n.AlertedFlows() != 1 {
-		t.Fatalf("AlertedFlows = %d", n.AlertedFlows())
+	if n.alerted != 1 {
+		t.Fatalf("AlertedFlows = %d", n.alerted)
 	}
 	if st.RegexMatches == 0 || st.RegexBytes == 0 {
 		t.Fatalf("regex stats empty: %+v", st)
@@ -150,8 +141,8 @@ func TestPacketFilterDrops(t *testing.T) {
 	if err := f.Process(packet.Build(tp, 256, []byte("~~~~innocuous~~~~")), &st); err != nil {
 		t.Fatal(err)
 	}
-	if f.Dropped() != 1 || st.Drops != 1 {
-		t.Fatalf("Dropped = %d, st.Drops = %v", f.Dropped(), st.Drops)
+	if f.dropped != 1 || st.Drops != 1 {
+		t.Fatalf("Dropped = %d, st.Drops = %v", f.dropped, st.Drops)
 	}
 }
 
@@ -243,7 +234,7 @@ func TestMeasurePacketSizeSensitivity(t *testing.T) {
 
 func TestMeasureProducesValidWorkloads(t *testing.T) {
 	for _, name := range Names() {
-		w, err := Measure(MustNew(name), traffic.Default, 1)
+		w, err := Measure(constructors[name](), traffic.Default, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,14 +257,15 @@ func TestMeasuredSoloThroughputsPlausible(t *testing.T) {
 	// 0.1–5 Mpps ballpark for all catalog NFs.
 	nic := nicsim.New(nicsim.BlueField2(), 99)
 	for _, name := range Table1Names() {
-		w, err := Measure(MustNew(name), traffic.Default, 1)
+		w, err := Measure(constructors[name](), traffic.Default, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := nic.RunSolo(w)
+		ms, err := nic.Run(w)
 		if err != nil {
 			t.Fatal(err)
 		}
+		m := ms[0]
 		if m.Throughput < 0.05e6 || m.Throughput > 10e6 {
 			t.Errorf("%s solo throughput %.2f Mpps implausible", name, m.Throughput/1e6)
 		}

@@ -156,6 +156,3 @@ func (n *NAT) Process(p *packet.Packet, st *OpStats) error {
 	st.Packets++
 	return nil
 }
-
-// Translations reports the number of active NAT entries.
-func (n *NAT) Translations() int { return n.table.Len() }

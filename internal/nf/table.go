@@ -42,9 +42,6 @@ func NewFlowTable() *FlowTable {
 	return &FlowTable{slots: make([]uint64, minTableSlots)}
 }
 
-// Len returns the number of live entries.
-func (t *FlowTable) Len() int { return len(t.entries) }
-
 // StateBytes is the table's memory footprint in bytes.
 func (t *FlowTable) StateBytes() float64 { return float64(len(t.slots) * entryBytes) }
 
@@ -172,13 +169,6 @@ func (t *FlowTable) find(key uint64) (*FlowEntry, int, int) {
 		idx = (idx + 1) & mask
 	}
 	return nil, len(t.slots), -1
-}
-
-// Lookup finds the entry for key. It returns the entry (nil if absent)
-// and the number of slots probed.
-func (t *FlowTable) Lookup(key uint64) (*FlowEntry, int) {
-	e, probes, _ := t.find(key)
-	return e, probes
 }
 
 // Insert finds or creates the entry for key, growing the table if needed.

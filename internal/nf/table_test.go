@@ -15,21 +15,21 @@ func TestFlowTableInsertLookup(t *testing.T) {
 		t.Fatal("first insert not created")
 	}
 	e.Data[0] = 7
-	got, _ := tb.Lookup(42)
+	got, _, _ := tb.find(42)
 	if got == nil || got.Data[0] != 7 {
 		t.Fatal("lookup after insert failed")
 	}
 	if _, _, created := tb.Insert(42); created {
 		t.Fatal("re-insert reported created")
 	}
-	if tb.Len() != 1 {
-		t.Fatalf("Len = %d", tb.Len())
+	if len(tb.entries) != 1 {
+		t.Fatalf("Len = %d", len(tb.entries))
 	}
 }
 
 func TestFlowTableMissingKey(t *testing.T) {
 	tb := NewFlowTable()
-	if e, _ := tb.Lookup(99); e != nil {
+	if e, _, _ := tb.find(99); e != nil {
 		t.Fatal("lookup of absent key returned entry")
 	}
 }
@@ -41,11 +41,11 @@ func TestFlowTableGrowthPreservesEntries(t *testing.T) {
 		e, _, _ := tb.Insert(i * 2654435761)
 		e.Data[0] = i
 	}
-	if tb.Len() != n {
-		t.Fatalf("Len = %d, want %d", tb.Len(), n)
+	if len(tb.entries) != n {
+		t.Fatalf("Len = %d, want %d", len(tb.entries), n)
 	}
 	for i := uint64(0); i < n; i++ {
-		e, _ := tb.Lookup(i * 2654435761)
+		e, _, _ := tb.find(i * 2654435761)
 		if e == nil || e.Data[0] != i {
 			t.Fatalf("entry %d lost after growth", i)
 		}
@@ -62,7 +62,7 @@ func TestFlowTableStateBytesGrows(t *testing.T) {
 		t.Fatal("StateBytes did not grow with entries")
 	}
 	tb.Reset()
-	if tb.StateBytes() != before || tb.Len() != 0 {
+	if tb.StateBytes() != before || len(tb.entries) != 0 {
 		t.Fatal("Reset did not restore initial size")
 	}
 }
@@ -72,7 +72,7 @@ func TestFlowTableLoadFactorBound(t *testing.T) {
 	for i := uint64(0); i < 50000; i++ {
 		tb.Insert(i + 1)
 	}
-	load := float64(tb.Len()) / (tb.StateBytes() / entryBytes)
+	load := float64(len(tb.entries)) / (tb.StateBytes() / entryBytes)
 	if load > maxLoad+0.01 {
 		t.Fatalf("load factor %v exceeds bound %v", load, maxLoad)
 	}
@@ -86,11 +86,11 @@ func TestFlowTableProperty(t *testing.T) {
 			tb.Insert(k)
 			seen[k] = true
 		}
-		if tb.Len() != len(seen) {
+		if len(tb.entries) != len(seen) {
 			return false
 		}
 		for k := range seen {
-			if e, _ := tb.Lookup(k); e == nil {
+			if e, _, _ := tb.find(k); e == nil {
 				return false
 			}
 		}
@@ -143,8 +143,8 @@ func TestLPMLongestWinsInsertionOrder(t *testing.T) {
 func TestLPMPopulateRandom(t *testing.T) {
 	l := NewLPM()
 	l.PopulateRandom(5000, sim.NewRNG(1))
-	if l.Routes() != 5000 {
-		t.Fatalf("Routes = %d", l.Routes())
+	if l.routes != 5000 {
+		t.Fatalf("Routes = %d", l.routes)
 	}
 	if l.StateBytes() <= 4*65536 {
 		t.Fatal("no chunks allocated for long prefixes")
@@ -313,7 +313,7 @@ func replayTableOps(t *testing.T, ops []tableOp) {
 	var named []uint64
 	seen := map[uint64]bool{}
 	lookup := func(at string, key uint64) {
-		ge, gp := got.Lookup(key)
+		ge, gp, _ := got.find(key)
 		we, wp := want.Lookup(key)
 		if gp != wp || (ge == nil) != (we == nil) {
 			t.Fatalf("%s: Lookup(%#x) = (present %v, %d probes), reference (present %v, %d probes)",
@@ -356,9 +356,9 @@ func replayTableOps(t *testing.T, ops []tableOp) {
 			seen[op.key] = true
 			named = append(named, op.key)
 		}
-		if got.Len() != want.Len() || got.StateBytes() != want.StateBytes() {
+		if len(got.entries) != want.Len() || got.StateBytes() != want.StateBytes() {
 			t.Fatalf("%s: Len %d StateBytes %v, reference Len %d StateBytes %v",
-				at, got.Len(), got.StateBytes(), want.Len(), want.StateBytes())
+				at, len(got.entries), got.StateBytes(), want.Len(), want.StateBytes())
 		}
 	}
 	for _, key := range named {

@@ -10,11 +10,12 @@ import (
 func TestMemBenchTargetsCAR(t *testing.T) {
 	nic := nicsim.New(nicsim.BlueField2(), 1)
 	for _, target := range []float64{50e6, 120e6, 200e6} {
-		m, err := nic.RunSolo(MemBench(target, 4<<20))
+		ms, err := nic.Run(MemBench(target, 4<<20))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := m.Counters.CAR()
+		m := ms[0]
+		got := m.Counters.L2CRD + m.Counters.L2CWR
 		if rel := math.Abs(got-target) / target; rel > 0.10 {
 			t.Errorf("target CAR %.0fM: achieved %.0fM (%.0f%% off)",
 				target/1e6, got/1e6, rel*100)
@@ -26,14 +27,15 @@ func TestMemBenchSelfLimitsAtExtremeWSS(t *testing.T) {
 	// A giant working set with a huge CAR target cannot be met; the bench
 	// must degrade gracefully rather than error.
 	nic := nicsim.New(nicsim.BlueField2(), 2)
-	m, err := nic.RunSolo(MemBench(500e6, 64<<20))
+	ms, err := nic.Run(MemBench(500e6, 64<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Counters.CAR() >= 500e6 {
+	m := ms[0]
+	if m.Counters.L2CRD+m.Counters.L2CWR >= 500e6 {
 		t.Fatal("physically impossible CAR achieved")
 	}
-	if m.Counters.CAR() <= 0 {
+	if m.Counters.L2CRD+m.Counters.L2CWR <= 0 {
 		t.Fatal("bench produced no traffic")
 	}
 }
@@ -51,10 +53,11 @@ func TestRegexBenchMatchScaling(t *testing.T) {
 
 func TestRegexBenchAchievesRate(t *testing.T) {
 	nic := nicsim.New(nicsim.BlueField2(), 3)
-	m, err := nic.RunSolo(RegexBench(0.5e6, 1000, 600, 1))
+	ms, err := nic.Run(RegexBench(0.5e6, 1000, 600, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := ms[0]
 	st := m.AccelStats[nicsim.AccelRegex]
 	if rel := math.Abs(st.RequestRate-0.5e6) / 0.5e6; rel > 0.1 {
 		t.Fatalf("request rate %v, want ~0.5e6", st.RequestRate)
@@ -63,10 +66,11 @@ func TestRegexBenchAchievesRate(t *testing.T) {
 
 func TestCompressBenchUsesCompressor(t *testing.T) {
 	nic := nicsim.New(nicsim.BlueField2(), 4)
-	m, err := nic.RunSolo(CompressBench(0.4e6, 1400, 1))
+	ms, err := nic.Run(CompressBench(0.4e6, 1400, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := ms[0]
 	if _, ok := m.AccelStats[nicsim.AccelCompress]; !ok {
 		t.Fatal("no compression stats")
 	}
@@ -74,10 +78,11 @@ func TestCompressBenchUsesCompressor(t *testing.T) {
 
 func TestRegexNFSaturates(t *testing.T) {
 	nic := nicsim.New(nicsim.BlueField2(), 5)
-	m, err := nic.RunSolo(RegexNF(4096, 400, 1))
+	ms, err := nic.Run(RegexNF(4096, 400, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := ms[0]
 	if m.Bottleneck != nicsim.ResRegex {
 		t.Fatalf("regex-NF bottleneck %v, want regex", m.Bottleneck)
 	}

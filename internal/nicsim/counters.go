@@ -15,10 +15,6 @@ type Counters struct {
 	WSS   float64 // working set size, bytes
 }
 
-// CAR is the cache access rate: the sum of cache read and write rates,
-// the contention metric the paper plots throughout (Mref/s).
-func (c Counters) CAR() float64 { return c.L2CRD + c.L2CWR }
-
 // Vector returns the counters as an ML feature vector in a fixed order.
 func (c Counters) Vector() []float64 {
 	return []float64{c.IPC, c.IRT, c.L2CRD, c.L2CWR, c.MEMRD, c.MEMWR, c.WSS}

@@ -65,7 +65,7 @@ func TestSoloDominatesColocated(t *testing.T) {
 				ReqsPerPkt: 1, BytesPerReq: 1400, MatchesPerReq: 1, Queues: 2,
 			}
 		}
-		solo, err := nic.RunSolo(target)
+		solo, err := runSolo(nic, target)
 		if err != nil {
 			return false
 		}
@@ -101,15 +101,15 @@ func TestCountersScaleWithThroughput(t *testing.T) {
 			MemMLP: 2, PktBytes: 512, OfferedRate: offered,
 		}
 	}
-	slow, err := nic.RunSolo(mk(0.2e6))
+	slow, err := runSolo(nic, mk(0.2e6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := nic.RunSolo(mk(0.4e6))
+	fast, err := runSolo(nic, mk(0.4e6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := fast.Counters.CAR() / slow.Counters.CAR()
+	ratio := car(fast.Counters) / car(slow.Counters)
 	if ratio < 1.9 || ratio > 2.1 {
 		t.Fatalf("CAR ratio %v, want ~2", ratio)
 	}

@@ -169,16 +169,6 @@ func (n *NIC) Run(ws ...*Workload) ([]Measurement, error) {
 	return measurements, nil
 }
 
-// RunSolo measures a single workload with the NIC to itself — the paper's
-// baseline configuration.
-func (n *NIC) RunSolo(w *Workload) (Measurement, error) {
-	ms, err := n.Run(w)
-	if err != nil {
-		return Measurement{}, err
-	}
-	return ms[0], nil
-}
-
 // cpuSec is the workload's per-packet CPU time under the configured
 // DVFS frequency scale.
 func (n *NIC) cpuSec(w *Workload) float64 {

@@ -5,6 +5,20 @@ import (
 	"testing"
 )
 
+// runSolo measures one workload with the NIC to itself — the paper's
+// baseline configuration.
+func runSolo(n *NIC, w *Workload) (Measurement, error) {
+	ms, err := n.Run(w)
+	if err != nil {
+		return Measurement{}, err
+	}
+	return ms[0], nil
+}
+
+// car is the cache access rate the paper plots throughout: cache reads
+// plus writes per second.
+func car(c Counters) float64 { return c.L2CRD + c.L2CWR }
+
 // nfLike builds a representative NF workload.
 func nfLike(name string, pattern ExecPattern, regex bool) *Workload {
 	w := &Workload{
@@ -39,14 +53,14 @@ func memBenchLike(carTarget float64, wss float64) *Workload {
 
 func TestRunSoloPositiveThroughput(t *testing.T) {
 	nic := New(BlueField2(), 1)
-	m, err := nic.RunSolo(nfLike("nf", RunToCompletion, true))
+	m, err := runSolo(nic, nfLike("nf", RunToCompletion, true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Throughput <= 0 {
 		t.Fatal("zero solo throughput")
 	}
-	if m.Counters.WSS <= 0 || m.Counters.CAR() <= 0 {
+	if m.Counters.WSS <= 0 || car(m.Counters) <= 0 {
 		t.Fatalf("counters not derived: %+v", m.Counters)
 	}
 }
@@ -54,7 +68,7 @@ func TestRunSoloPositiveThroughput(t *testing.T) {
 func TestRunContentionReducesThroughput(t *testing.T) {
 	nic := New(BlueField2(), 2)
 	target := nfLike("target", RunToCompletion, true)
-	solo, err := nic.RunSolo(target)
+	solo, err := runSolo(nic, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +94,10 @@ func TestRunCompetitorCountersVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms[0].Competitors.CAR() < 50e6 {
-		t.Fatalf("competitor CAR %v, want ~100e6", ms[0].Competitors.CAR())
+	if car(ms[0].Competitors) < 50e6 {
+		t.Fatalf("competitor CAR %v, want ~100e6", car(ms[0].Competitors))
 	}
-	if ms[1].Competitors.CAR() <= 0 {
+	if car(ms[1].Competitors) <= 0 {
 		t.Fatal("mem-bench sees no competitor counters")
 	}
 }
@@ -126,7 +140,7 @@ func TestRTCCompoundsContention(t *testing.T) {
 	// added resource's contention.
 	nic := New(BlueField2(), 5)
 	r := nfLike("r-nf", RunToCompletion, true)
-	solo, err := nic.RunSolo(r)
+	solo, err := runSolo(nic, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +190,7 @@ func TestRunErrors(t *testing.T) {
 func TestOpenLoopRespectsOfferedRate(t *testing.T) {
 	nic := New(BlueField2(), 7)
 	mb := memBenchLike(50e6, 1<<20)
-	m, err := nic.RunSolo(mb)
+	m, err := runSolo(nic, mb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +204,7 @@ func TestBottleneckAttributionMemory(t *testing.T) {
 	w := nfLike("memheavy", RunToCompletion, false)
 	w.MemRefsPerPkt = 400
 	w.WSSBytes = 24 << 20
-	m, err := nic.RunSolo(w)
+	m, err := runSolo(nic, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +219,7 @@ func TestBottleneckAttributionCPU(t *testing.T) {
 	w.CPUSecPerPkt = 5e-6
 	w.MemRefsPerPkt = 5
 	w.WSSBytes = 1 << 16
-	m, err := nic.RunSolo(w)
+	m, err := runSolo(nic, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +230,7 @@ func TestBottleneckAttributionCPU(t *testing.T) {
 
 func TestPensandoPresetRuns(t *testing.T) {
 	nic := New(Pensando(), 10)
-	m, err := nic.RunSolo(nfLike("fw", RunToCompletion, false))
+	m, err := runSolo(nic, nfLike("fw", RunToCompletion, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +242,7 @@ func TestPensandoPresetRuns(t *testing.T) {
 func TestMeasurementDeterministicPerSeed(t *testing.T) {
 	run := func() float64 {
 		nic := New(BlueField2(), 42)
-		m, err := nic.RunSolo(nfLike("nf", RunToCompletion, true))
+		m, err := runSolo(nic, nfLike("nf", RunToCompletion, true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +256,7 @@ func TestMeasurementDeterministicPerSeed(t *testing.T) {
 func TestAccelStatsPopulated(t *testing.T) {
 	nic := New(BlueField2(), 11)
 	w := nfLike("nf", RunToCompletion, true)
-	m, err := nic.RunSolo(w)
+	m, err := runSolo(nic, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,11 +323,11 @@ func TestDVFSScalesCPUBoundThroughput(t *testing.T) {
 	cpuBound := nfLike("cpu", RunToCompletion, false)
 	cpuBound.CPUSecPerPkt = 3e-6
 	cpuBound.MemRefsPerPkt = 4
-	a, err := New(base, 1).RunSolo(cpuBound)
+	a, err := runSolo(New(base, 1), cpuBound)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(slow, 1).RunSolo(cpuBound)
+	b, err := runSolo(New(slow, 1), cpuBound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,11 +339,11 @@ func TestDVFSScalesCPUBoundThroughput(t *testing.T) {
 	memBound.CPUSecPerPkt = 100e-9
 	memBound.MemRefsPerPkt = 400
 	memBound.WSSBytes = 32 << 20
-	c, err := New(base, 2).RunSolo(memBound)
+	c, err := runSolo(New(base, 2), memBound)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := New(slow, 2).RunSolo(memBound)
+	d, err := runSolo(New(slow, 2), memBound)
 	if err != nil {
 		t.Fatal(err)
 	}

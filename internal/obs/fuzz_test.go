@@ -12,7 +12,7 @@ import (
 // the gateway re-serves after a merge parses back to itself.
 func FuzzParseExposition(f *testing.F) {
 	r := NewRegistry()
-	r.Counter("yala_requests_total", "path", `a"b\c`).Inc()
+	r.Counter("yala_requests_total", "path", `a"b\c`).Add(1)
 	r.Histogram("yala_stage_seconds", nil, "stage", "decode").Observe(0.002)
 	var sb strings.Builder
 	r.WriteProm(&sb)

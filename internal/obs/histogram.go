@@ -90,13 +90,6 @@ func (h *Histogram) snapshotCumulative() []uint64 {
 	return cum
 }
 
-// Quantile estimates the p-quantile (0..1) of the observed
-// distribution from the bucket counts, with BucketQuantile's clamping
-// semantics — it never returns NaN.
-func (h *Histogram) Quantile(p float64) float64 {
-	return BucketQuantile(h.uppers, h.snapshotCumulative(), p)
-}
-
 // BucketQuantile estimates the p-quantile from cumulative bucket
 // counts. uppers holds the finite upper bounds; cum must have
 // len(uppers)+1 elements, the last being the +Inf bucket's cumulative

@@ -13,7 +13,7 @@ func TestCounterAndExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("yala_requests_total", "verb", "predict")
 	c.Add(3)
-	c.Inc()
+	c.Add(1)
 	if got := c.Load(); got != 4 {
 		t.Fatalf("Load = %d, want 4", got)
 	}
@@ -21,7 +21,7 @@ func TestCounterAndExposition(t *testing.T) {
 	if r.Counter("yala_requests_total", "verb", "predict") != c {
 		t.Fatal("re-lookup returned a different counter")
 	}
-	r.Counter("yala_requests_total", "verb", "admit").Inc()
+	r.Counter("yala_requests_total", "verb", "admit").Add(1)
 	r.GaugeFunc("yala_workers", func() float64 { return 8 })
 	r.CounterFunc("yala_cache_hits_total", func() uint64 { return 42 })
 
@@ -65,7 +65,7 @@ func TestLabelCanonicalization(t *testing.T) {
 
 func TestLabelValueEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("m", "path", `a"b\c`).Inc()
+	r.Counter("m", "path", `a"b\c`).Add(1)
 	var sb strings.Builder
 	r.WriteProm(&sb)
 	if !strings.Contains(sb.String(), `m{path="a\"b\\c"} 1`) {
@@ -173,7 +173,7 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 			}
 			var sb strings.Builder
 			r.WriteProm(&sb)
-			h.Quantile(0.5)
+			BucketQuantile(h.uppers, h.snapshotCumulative(), 0.5)
 		}
 	}()
 	for w := 0; w < workers; w++ {
@@ -182,7 +182,7 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
 				h.Observe(float64(i%100) / 100)
-				r.Counter("hammer_total", "w", "shared").Inc()
+				r.Counter("hammer_total", "w", "shared").Add(1)
 			}
 		}(w)
 	}
@@ -240,9 +240,9 @@ func TestBucketQuantileClamps(t *testing.T) {
 			}
 		})
 	}
-	// Histogram.Quantile on a fresh histogram must not NaN either.
-	h := NewHistogram(nil)
-	if q := h.Quantile(0.99); q != 0 || math.IsNaN(q) {
+	// A fresh histogram's buckets must not NaN either.
+	uppers, cum := NewHistogram(nil).CumulativeBuckets()
+	if q := BucketQuantile(uppers, cum, 0.99); q != 0 || math.IsNaN(q) {
 		t.Fatalf("empty histogram Quantile = %g", q)
 	}
 }
@@ -310,13 +310,13 @@ func TestParseAndMergeExpositions(t *testing.T) {
 	}
 	m := MergeExpositions([]*Exposition{a, b, nil}, rule)
 
-	if v, ok := m.Value("yala_requests_total", `verb="predict"`); !ok || v != 8 {
+	if v, ok := expValue(m, "yala_requests_total", `verb="predict"`); !ok || v != 8 {
 		t.Fatalf("merged requests = %v, %v", v, ok)
 	}
-	if v, ok := m.Value("yala_uptime_seconds", ""); !ok || v != 100 {
+	if v, ok := expValue(m, "yala_uptime_seconds", ""); !ok || v != 100 {
 		t.Fatalf("merged uptime = %v (must be max, not sum)", v)
 	}
-	if v, ok := m.Value("yala_start_time_seconds", ""); !ok || v != 1000 {
+	if v, ok := expValue(m, "yala_start_time_seconds", ""); !ok || v != 1000 {
 		t.Fatalf("merged start = %v (must be min)", v)
 	}
 	// Histogram components summed.
@@ -387,16 +387,16 @@ yala_stage_seconds_count{stage="decode"} 12
 	if got, ok := weird.Label("missing"); ok || got != "" {
 		t.Fatalf("missing label = %q (ok=%v), want absent", got, ok)
 	}
-	if _, ok := exp.Value("valueless", ""); ok {
+	if _, ok := expValue(exp, "valueless", ""); ok {
 		t.Fatal("value-less line should have been dropped")
 	}
-	if v, ok := exp.Value("yala_uptime_seconds", ""); !ok || v != 123.5 {
+	if v, ok := expValue(exp, "yala_uptime_seconds", ""); !ok || v != 123.5 {
 		t.Fatalf("unlabeled gauge = %g (ok=%v), want 123.5", v, ok)
 	}
 	if _, ok := exp.Samples[3].Label("le"); ok {
 		t.Fatalf("unlabeled sample answered a label: %+v", exp.Samples[3])
 	}
-	if v, ok := exp.Value("yala_stage_seconds_bucket", `le="+Inf"`); !ok || v != 12 {
+	if v, ok := expValue(exp, "yala_stage_seconds_bucket", `le="+Inf"`); !ok || v != 12 {
 		t.Fatalf("+Inf bucket = %g (ok=%v), want 12", v, ok)
 	}
 	uppers, cum, sum, count, ok := exp.HistogramSeries("yala_stage_seconds", `stage="decode"`)
@@ -406,4 +406,16 @@ yala_stage_seconds_count{stage="decode"} 12
 	if exp.Types["m"] != "counter" || exp.Types["yala_uptime_seconds"] != "gauge" {
 		t.Fatalf("TYPE lines: %v", exp.Types)
 	}
+}
+
+// expValue returns the value of the first sample named name whose label
+// block contains labelSubstr (empty matches any), and whether one was
+// found.
+func expValue(e *Exposition, name, labelSubstr string) (float64, bool) {
+	for _, s := range e.Samples {
+		if s.Name == name && strings.Contains(s.Labels, labelSubstr) {
+			return s.Value, true
+		}
+	}
+	return 0, false
 }

@@ -228,18 +228,6 @@ func (e *Exposition) Render(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Value returns the value of the first sample whose name matches and
-// whose label block contains labelSubstr (empty matches any), plus
-// whether one was found. Convenience for tests and smoke checks.
-func (e *Exposition) Value(name, labelSubstr string) (float64, bool) {
-	for _, s := range e.Samples {
-		if s.Name == name && (labelSubstr == "" || strings.Contains(s.Labels, labelSubstr)) {
-			return s.Value, true
-		}
-	}
-	return 0, false
-}
-
 // HistogramSeries extracts one labeled histogram from the exposition:
 // the finite bucket upper bounds (ascending) with cumulative counts,
 // aligned so cum has one extra trailing element for +Inf, plus sum and

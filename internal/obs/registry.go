@@ -19,9 +19,6 @@ type Counter struct {
 // Add increments the counter by n.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Load reads the current count. The method name matches
 // atomic.Uint64's so a Counter can drop into code that held one.
 func (c *Counter) Load() uint64 { return c.v.Load() }

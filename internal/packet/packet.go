@@ -102,6 +102,8 @@ func (p *Packet) FlowHash() uint64 {
 // Build constructs an Ethernet+IPv4+L4 frame of exactly size bytes carrying
 // payload (truncated or zero-padded to fit). size must leave room for the
 // headers; Build panics otherwise, since callers control sizes.
+//
+//yalalint:ignore unusedexport nf's TestNATRewritesSource, TestNIDSAlertsOnMatches and TestPacketFilterDrops build their frames with it
 func Build(t FiveTuple, size int, payload []byte) *Packet {
 	p := new(Packet)
 	copy(p.Rebuild(t, size), payload)
@@ -270,6 +272,8 @@ func foldChecksum(sum uint32) uint16 {
 }
 
 // VerifyIPChecksum reports whether the IPv4 header checksum in p is valid.
+//
+//yalalint:ignore unusedexport nf's TestNATRewritesSource checks the rewritten header against this independent checksum
 func (p *Packet) VerifyIPChecksum() bool {
 	if len(p.Data) < EthHeaderLen+IPv4HeaderLen {
 		return false

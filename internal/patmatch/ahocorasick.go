@@ -19,8 +19,6 @@ import "fmt"
 // Matcher is a compiled multi-pattern matcher. Build one with Compile; a
 // Matcher is immutable and safe for concurrent use.
 type Matcher struct {
-	patterns []string
-
 	// next[s<<8|c] is the state reached from state s on byte c; state 0
 	// is the root. outs[s] is the number of pattern occurrences ending at
 	// state s, accumulated through suffix links at compile time.
@@ -43,9 +41,8 @@ func Compile(patterns []string) (*Matcher, error) {
 		}
 	}
 	m := &Matcher{
-		patterns: append([]string(nil), patterns...),
-		next:     make([]int32, 256),
-		outs:     []int32{0},
+		next: make([]int32, 256),
+		outs: []int32{0},
 	}
 	// Trie construction. No trie edge leads back to the root, so until the
 	// BFS below fills a row in, a zero entry in it means "no child".
@@ -91,12 +88,6 @@ func Compile(patterns []string) (*Matcher, error) {
 	return m, nil
 }
 
-// NumPatterns reports how many patterns the matcher was compiled from.
-func (m *Matcher) NumPatterns() int { return len(m.patterns) }
-
-// NumStates reports the automaton size, a proxy for compiled-rule memory.
-func (m *Matcher) NumStates() int { return len(m.outs) }
-
 // Count returns the total number of pattern occurrences in data,
 // including overlapping occurrences.
 func (m *Matcher) Count(data []byte) int {
@@ -110,28 +101,4 @@ func (m *Matcher) Count(data []byte) int {
 		total += int(m.outs[s])
 	}
 	return total
-}
-
-// Contains reports whether any pattern occurs in data, stopping at the
-// first match.
-func (m *Matcher) Contains(data []byte) bool {
-	var s int32
-	for i := 0; i < len(data); i++ {
-		if s == 0 && m.idle[data[i]] {
-			continue
-		}
-		s = m.next[int(s)<<8|int(data[i])]
-		if m.outs[s] > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// MTBR returns the match-to-byte ratio of data in matches per megabyte.
-func (m *Matcher) MTBR(data []byte) float64 {
-	if len(data) == 0 {
-		return 0
-	}
-	return float64(m.Count(data)) / float64(len(data)) * 1e6
 }

@@ -39,9 +39,6 @@ type Plan struct {
 	SoloObs []SoloObs
 }
 
-// Cost is the number of contended samples the plan collects.
-func (p *Plan) Cost() int { return len(p.Samples) }
-
 // Config tunes adaptive profiling (Algorithm 1's hyperparameters).
 type Config struct {
 	// Quota bounds the number of contended samples (q).

@@ -41,8 +41,8 @@ func TestAdaptiveRespectsQuota(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan.Cost() != quota {
-			t.Fatalf("cost %d, want quota %d", plan.Cost(), quota)
+		if len(plan.Samples) != quota {
+			t.Fatalf("cost %d, want quota %d", len(plan.Samples), quota)
 		}
 	}
 }
@@ -78,8 +78,8 @@ func TestAdaptiveInsensitiveNFSamplesDefaultProfile(t *testing.T) {
 			t.Fatalf("sample at %v, want default profile", s.Profile)
 		}
 	}
-	if plan.Cost() != 50 {
-		t.Fatalf("cost %d", plan.Cost())
+	if len(plan.Samples) != 50 {
+		t.Fatalf("cost %d", len(plan.Samples))
 	}
 }
 
@@ -105,8 +105,8 @@ func TestAdaptiveErrors(t *testing.T) {
 
 func TestRandomPlan(t *testing.T) {
 	plan := Random(100, 3)
-	if plan.Cost() != 100 {
-		t.Fatalf("cost %d", plan.Cost())
+	if len(plan.Samples) != 100 {
+		t.Fatalf("cost %d", len(plan.Samples))
 	}
 	distinct := map[traffic.Profile]bool{}
 	for _, s := range plan.Samples {
@@ -124,8 +124,8 @@ func TestRandomPlan(t *testing.T) {
 func TestFullPlan(t *testing.T) {
 	grid := traffic.FullGrid(4, 5)
 	plan := Full(grid, 3, 1)
-	if plan.Cost() != 60 {
-		t.Fatalf("cost %d, want 60", plan.Cost())
+	if len(plan.Samples) != 60 {
+		t.Fatalf("cost %d, want 60", len(plan.Samples))
 	}
 }
 

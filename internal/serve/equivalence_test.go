@@ -83,7 +83,7 @@ func predictionOfWire(r wire.PredictResponse) equivPrediction {
 func equivCounters(t *testing.T, svc *Service, transport, tenantName string) map[string]float64 {
 	t.Helper()
 	var sb strings.Builder
-	if err := svc.WriteMetrics(&sb); err != nil {
+	if err := svc.Obs().WriteProm(&sb); err != nil {
 		t.Fatal(err)
 	}
 	exp, err := obs.ParseExposition(strings.NewReader(sb.String()))
@@ -92,7 +92,7 @@ func equivCounters(t *testing.T, svc *Service, transport, tenantName string) map
 	}
 	out := map[string]float64{}
 	read := func(as, name, labels string) {
-		v, _ := exp.Value(name, labels)
+		v, _ := expValue(exp, name, labels)
 		out[as] = v
 	}
 	for _, verb := range []string{"predict", "compare", "admit", "diagnose", "cluster_run", "ingest"} {
@@ -427,4 +427,16 @@ func equivWire(t *testing.T, pool *wire.Pool, typ byte, payload []byte) equivOut
 		t.Fatalf("wire exchange: %v", err)
 	}
 	return out
+}
+
+// expValue returns the value of the first sample named name whose label
+// block contains labelSubstr (empty matches any), and whether one was
+// found.
+func expValue(e *obs.Exposition, name, labelSubstr string) (float64, bool) {
+	for _, s := range e.Samples {
+		if s.Name == name && strings.Contains(s.Labels, labelSubstr) {
+			return s.Value, true
+		}
+	}
+	return 0, false
 }

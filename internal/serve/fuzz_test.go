@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"math"
 	"testing"
@@ -90,5 +91,27 @@ func FuzzAdmitRequestValidate(f *testing.F) {
 			return
 		}
 		_ = req.validate()
+	})
+}
+
+// FuzzPageToken drives arbitrary page_token values — bytes straight off
+// GET /v2/models's query string — through the continuation-token parser:
+// it never panics, every token it accepts names an offset ≥ 0, and for
+// every offset n ≥ 0 the token the listing hands out parses back to n.
+func FuzzPageToken(f *testing.F) {
+	f.Add(encodePageToken(2), 2) // a real next-page token
+	f.Add("!!", 0)
+	f.Add(base64.RawURLEncoding.EncodeToString([]byte("off=-1")), -1)
+	f.Add(base64.RawURLEncoding.EncodeToString([]byte("off=99999999999999999999")), math.MaxInt)
+	f.Fuzz(func(t *testing.T, tok string, n int) {
+		if off, err := decodePageToken(tok); err == nil && off < 0 {
+			t.Fatalf("token %q accepted with offset %d", tok, off)
+		}
+		if n < 0 {
+			n = -(n + 1) // every n ≥ 0, math.MaxInt included
+		}
+		if got, err := decodePageToken(encodePageToken(n)); err != nil || got != n {
+			t.Fatalf("offset %d: token %q parses to %d, %v", n, encodePageToken(n), got, err)
+		}
 	})
 }

@@ -119,7 +119,7 @@ func TestWireBatchStagesOnce(t *testing.T) {
 	}
 	counts := func() map[string]float64 {
 		var sb strings.Builder
-		if err := svc.WriteMetrics(&sb); err != nil {
+		if err := svc.Obs().WriteProm(&sb); err != nil {
 			t.Fatal(err)
 		}
 		exp, err := obs.ParseExposition(strings.NewReader(sb.String()))
@@ -127,10 +127,10 @@ func TestWireBatchStagesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := map[string]float64{}
-		out["request"], _ = exp.Value("yala_request_seconds_count", "")
+		out["request"], _ = expValue(exp, "yala_request_seconds_count", "")
 		for _, st := range stageNames {
-			out[st], _ = exp.Value("yala_stage_seconds_count", `stage="`+st+`"`)
-			out[st+" sum"], _ = exp.Value("yala_stage_seconds_sum", `stage="`+st+`"`)
+			out[st], _ = expValue(exp, "yala_stage_seconds_count", `stage="`+st+`"`)
+			out[st+" sum"], _ = expValue(exp, "yala_stage_seconds_sum", `stage="`+st+`"`)
 		}
 		return out
 	}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"io"
 	"net/http"
 	"time"
 
@@ -72,10 +71,6 @@ func (s *Service) stageHistogram(name string) *obs.Histogram {
 // components (the cluster scheduler) that publish into the server's
 // exposition.
 func (s *Service) Obs() *obs.Registry { return s.obs }
-
-// WriteMetrics renders the service's metrics in Prometheus text
-// exposition format.
-func (s *Service) WriteMetrics(w io.Writer) error { return s.obs.WriteProm(w) }
 
 // promContentType is the Prometheus text exposition media type.
 const promContentType = "text/plain; version=0.0.4; charset=utf-8"

@@ -537,7 +537,7 @@ func TestSoloMeasureMetric(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	if err := s.WriteMetrics(&sb); err != nil {
+	if err := s.Obs().WriteProm(&sb); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"yala_solo_measure_seconds_count 2\n", "yala_solo_measure_flows_total 12919\n"} {

@@ -150,7 +150,7 @@ func TestWireTransportMetrics(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	if err := svc.WriteMetrics(&sb); err != nil {
+	if err := svc.Obs().WriteProm(&sb); err != nil {
 		t.Fatal(err)
 	}
 	exposition := sb.String()
@@ -188,7 +188,7 @@ func TestWireIngestUsesHTTP(t *testing.T) {
 		t.Fatalf("ingest: %+v, %v", res, err)
 	}
 	var sb strings.Builder
-	if err := svc.WriteMetrics(&sb); err != nil {
+	if err := svc.Obs().WriteProm(&sb); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
@@ -453,7 +453,7 @@ func TestCanceledRequestsKeepGateIdle(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	if err := svc.WriteMetrics(&sb); err != nil {
+	if err := svc.Obs().WriteProm(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), fmt.Sprintf("yala_client_canceled_total %d", flood)) {

@@ -62,9 +62,6 @@ func NewEngine() *Engine {
 // Now reports the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending reports the number of events waiting to fire.
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // At schedules action to run at absolute simulated time t. Scheduling in
 // the past (t < Now) fires the event at the current time instead, which
 // keeps the clock monotonic.
@@ -93,17 +90,6 @@ func (e *Engine) Step() bool {
 	e.now = ev.Time
 	ev.Action()
 	return true
-}
-
-// RunUntil fires events in time order until the clock would pass deadline
-// or the queue drains. The clock is left at min(deadline, last event time).
-func (e *Engine) RunUntil(deadline float64) {
-	for len(e.queue) > 0 && e.queue[0].Time <= deadline {
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
 }
 
 // Run fires events until the queue is empty.

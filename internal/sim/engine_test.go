@@ -66,24 +66,6 @@ func TestEnginePastSchedulingClamps(t *testing.T) {
 	}
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	for i := 1; i <= 10; i++ {
-		e.At(float64(i), func() { fired++ })
-	}
-	e.RunUntil(5)
-	if fired != 5 {
-		t.Fatalf("fired %d events by t=5, want 5", fired)
-	}
-	if e.Now() != 5 {
-		t.Fatalf("clock %v, want 5", e.Now())
-	}
-	if e.Pending() != 5 {
-		t.Fatalf("pending %d, want 5", e.Pending())
-	}
-}
-
 func TestEngineStepEmpty(t *testing.T) {
 	e := NewEngine()
 	if e.Step() {

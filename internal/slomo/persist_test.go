@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/ml"
@@ -15,7 +14,7 @@ import (
 
 func TestLoadModelRejectsGarbage(t *testing.T) {
 	model := func(gbr string) string { return `{"name":"x","gbr":` + gbr + `}` }
-	if _, err := LoadModel(strings.NewReader(model(`{"bias":1,"rate":0.1,"trees":[[{"f":0,"t":0,"l":-1,"r":-1,"v":2}]]}`))); err != nil {
+	if _, err := decodeModel([]byte(model(`{"bias":1,"rate":0.1,"trees":[[{"f":0,"t":0,"l":-1,"r":-1,"v":2}]]}`))); err != nil {
 		t.Fatalf("a one-leaf model did not load: %v", err)
 	}
 	for name, data := range map[string]string{
@@ -26,7 +25,7 @@ func TestLoadModelRejectsGarbage(t *testing.T) {
 		"self loop":     model(`{"bias":1,"rate":0.1,"trees":[[{"f":0,"t":1,"l":0,"r":0,"v":0}]]}`),
 		"trailing junk": model(`{"bias":1,"rate":0.1,"trees":[]}`) + "}",
 	} {
-		if _, err := LoadModel(strings.NewReader(data)); err == nil {
+		if _, err := decodeModel([]byte(data)); err == nil {
 			t.Errorf("%s: %s loaded", name, data)
 		}
 	}
@@ -51,11 +50,11 @@ func TestLoadIndentedArtifact(t *testing.T) {
 	if err := json.Indent(&indented, compact.Bytes(), "", " "); err != nil {
 		t.Fatal(err)
 	}
-	a, err := LoadModel(&compact)
+	a, err := decodeModel(compact.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := LoadModel(&indented)
+	b, err := decodeModel(indented.Bytes())
 	if err != nil {
 		t.Fatalf("the indented file did not load: %v", err)
 	}

@@ -27,7 +27,7 @@ func TestRegistryParse(t *testing.T) {
 		t.Fatalf("tenants = %d, want 3 (two keyed + anonymous)", got)
 	}
 	acme, ok := reg.Lookup("k-acme")
-	if !ok || acme.Name() != "acme" {
+	if !ok || acme.name != "acme" {
 		t.Fatalf("Lookup(k-acme) = %v, %v", acme, ok)
 	}
 	if acme.shared.Rate() != 5 || acme.shared.Burst() != 10 {
@@ -41,7 +41,7 @@ func TestRegistryParse(t *testing.T) {
 		t.Fatalf("default burst = %v, want 2·rps = 200", globex.shared.Burst())
 	}
 	anon, ok := reg.Lookup("")
-	if !ok || anon.Name() != AnonymousName || !anon.Limited() {
+	if !ok || anon.name != AnonymousName || !anon.Limited() {
 		t.Fatalf("anonymous tenant = %v, ok=%v, limited=%v", anon, ok, anon != nil && anon.Limited())
 	}
 	if _, ok := reg.Lookup("nope"); ok {

@@ -90,9 +90,6 @@ type Tenant struct {
 	latency atomic.Pointer[obs.Histogram]
 }
 
-// Name returns the tenant's display name.
-func (t *Tenant) Name() string { return t.name }
-
 // Limited reports whether the tenant has any rate limit configured.
 func (t *Tenant) Limited() bool { return t.shared != nil || t.bulk != nil }
 

@@ -39,7 +39,8 @@ func reuseProfiles(t *testing.T) []traffic.Profile {
 func flowKeepers() []string {
 	var names []string
 	for _, name := range nf.Names() {
-		if _, ok := nf.MustNew(name).(nf.FlowReserver); ok {
+		n, _ := nf.New(name)
+		if _, ok := n.(nf.FlowReserver); ok {
 			names = append(names, name)
 		}
 	}

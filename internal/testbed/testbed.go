@@ -192,12 +192,6 @@ func (tb *Testbed) WithMemBench(target *nicsim.Workload, car, wss float64) (nics
 	return ms[0], nil
 }
 
-// WithRegexBench co-runs the target with regex-bench at the given request
-// rate, request size and MTBR, returning both measurements (target first).
-func (tb *Testbed) WithRegexBench(target *nicsim.Workload, reqRate, bytesPerReq, mtbr float64) ([]nicsim.Measurement, error) {
-	return tb.Run(target, nfbench.RegexBench(reqRate, bytesPerReq, mtbr, 1))
-}
-
 // MemContention describes a mem-bench setting used across profiling and
 // the experiments.
 type MemContention struct {

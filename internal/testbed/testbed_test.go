@@ -326,18 +326,21 @@ func TestWithMemBenchReducesThroughput(t *testing.T) {
 	}
 }
 
+// TestWithRegexBenchReturnsBoth: a target co-run with regex-bench, the
+// accelerator competitor Table 7 and the trainer use, measures both
+// workloads, target first.
 func TestWithRegexBenchReturnsBoth(t *testing.T) {
 	tb := New(nicsim.BlueField2(), 3)
 	w, err := tb.Workload("NIDS", traffic.Default)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := tb.WithRegexBench(w, 1e6, 1000, 1500)
+	ms, err := tb.Run(w, nfbench.RegexBench(1e6, 1000, 1500, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != 2 || ms[1].Name != "regex-bench" {
-		t.Fatalf("unexpected measurements: %d", len(ms))
+	if len(ms) != 2 || ms[0].Name != w.Name || ms[1].Name != "regex-bench" {
+		t.Fatalf("unexpected measurements: %+v", ms)
 	}
 }
 

@@ -99,20 +99,13 @@ func (g *Generator) Packet() *packet.Packet {
 	return &g.pkt
 }
 
-// SynthPayload produces size bytes whose expected match count against the
-// default ruleset is mtbr·size/1e6 (matches per MB), by inserting the
-// marker pattern into non-matching filler at stochastically rounded
+// synthPayload fills buf with bytes whose expected match count against
+// the default ruleset is mtbr·len(buf)/1e6 (matches per MB), by inserting
+// the marker pattern into non-matching filler at stochastically rounded
 // density. This is the exrex role from the paper: payloads with a
-// controlled match-to-byte ratio.
-func SynthPayload(size int, mtbr float64, rng *sim.RNG) []byte {
-	buf := make([]byte, size)
-	synthPayload(buf, mtbr, rng, nil)
-	return buf
-}
-
-// synthPayload is SynthPayload in place over buf. perm is scratch for the
-// marker-slot permutation; the (possibly grown) scratch is returned for
-// the next call.
+// controlled match-to-byte ratio. perm is scratch for the marker-slot
+// permutation; the (possibly grown) scratch is returned for the next
+// call.
 func synthPayload(buf []byte, mtbr float64, rng *sim.RNG, perm []int) []int {
 	for i := range buf {
 		buf[i] = fillerAlphabet[rng.Intn(len(fillerAlphabet))]

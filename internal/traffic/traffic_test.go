@@ -155,13 +155,20 @@ func TestGeneratorClampsDegenerate(t *testing.T) {
 	}
 }
 
+// synth is a fresh size-byte payload at the given MTBR.
+func synth(size int, mtbr float64, rng *sim.RNG) []byte {
+	buf := make([]byte, size)
+	synthPayload(buf, mtbr, rng, nil)
+	return buf
+}
+
 func TestSynthPayloadMTBRAccuracy(t *testing.T) {
 	m := patmatch.CompileDefault()
 	rng := sim.NewRNG(5)
 	for _, target := range []float64{100, 600, 1000} {
 		var bytes, matches int
 		for i := 0; i < 400; i++ {
-			pl := SynthPayload(1460, target, rng)
+			pl := synth(1460, target, rng)
 			bytes += len(pl)
 			matches += m.Count(pl)
 		}
@@ -176,7 +183,7 @@ func TestSynthPayloadZeroMTBRNoMatches(t *testing.T) {
 	m := patmatch.CompileDefault()
 	rng := sim.NewRNG(6)
 	for i := 0; i < 100; i++ {
-		if n := m.Count(SynthPayload(1460, 0, rng)); n != 0 {
+		if n := m.Count(synth(1460, 0, rng)); n != 0 {
 			t.Fatalf("filler produced %d matches", n)
 		}
 	}
@@ -184,10 +191,10 @@ func TestSynthPayloadZeroMTBRNoMatches(t *testing.T) {
 
 func TestSynthPayloadTiny(t *testing.T) {
 	rng := sim.NewRNG(7)
-	if got := len(SynthPayload(2, 600, rng)); got != 2 {
+	if got := len(synth(2, 600, rng)); got != 2 {
 		t.Fatalf("len = %d", got)
 	}
-	if got := len(SynthPayload(0, 600, rng)); got != 0 {
+	if got := len(synth(0, 600, rng)); got != 0 {
 		t.Fatalf("len = %d", got)
 	}
 }

@@ -426,16 +426,9 @@ func DecodeRequestsInto(typ byte, b []byte, sink RequestSink) error {
 	return r.done()
 }
 
-// DecodeBatchRequest parses a TypeBatch payload.
-func DecodeBatchRequest(b []byte) (BatchRequest, error) {
-	var k structSink
-	err := DecodeRequestsInto(TypeBatch, b, &k)
-	return k.batch, err
-}
-
-// structSink is the RequestSink behind DecodePredictRequest and
-// DecodeBatchRequest: it rebuilds the requests it is fed as this
-// package's types, copying every name.
+// structSink is the RequestSink behind DecodePredictRequest: it rebuilds
+// the requests it is fed as this package's types, copying every name. It
+// rebuilds a TypeBatch payload into batch.
 type structSink struct {
 	one   PredictRequest // a TypePredict payload's request
 	batch BatchRequest   // a TypeBatch payload's

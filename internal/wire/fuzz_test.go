@@ -73,7 +73,7 @@ func checkDecoders(t *testing.T, p []byte) {
 	roundTrip(t, p, DecodeHello, AppendHello)
 	roundTrip(t, p, DecodePredictRequest, func(b []byte, v PredictRequest) []byte { return AppendPredictRequest(b, &v) })
 	roundTrip(t, p, DecodePredictResponse, func(b []byte, v PredictResponse) []byte { return AppendPredictResponse(b, &v) })
-	roundTrip(t, p, DecodeBatchRequest, func(b []byte, v BatchRequest) []byte { return AppendBatchRequest(b, &v) })
+	roundTrip(t, p, decodeBatchRequest, func(b []byte, v BatchRequest) []byte { return AppendBatchRequest(b, &v) })
 	roundTrip(t, p, DecodeBatchResponse, func(b []byte, v BatchResponse) []byte { return AppendBatchResponse(b, &v) })
 	roundTrip(t, p, DecodeError, func(b []byte, v ErrorFrame) []byte { return AppendError(b, &v) })
 	roundTrip(t, p, DecodeCall, func(b []byte, v Call) []byte { return AppendCall(b, &v) })
@@ -82,7 +82,7 @@ func checkDecoders(t *testing.T, p []byte) {
 	// The decode-into entry point accepts exactly what the struct
 	// decoders accept, and rebuilds the same requests.
 	single, singleErr := DecodePredictRequest(p)
-	batch, batchErr := DecodeBatchRequest(p)
+	batch, batchErr := decodeBatchRequest(p)
 	for _, c := range []struct {
 		typ  byte
 		want []PredictRequest

