@@ -105,49 +105,29 @@ type Backend interface {
 	Load(path string) (Model, error)
 }
 
-// Key identifies one (NF, traffic profile) pair — the memo key batched
-// evaluation reuses derived features under.
+// Key identifies one (NF, traffic profile) pair: the type of a member
+// in a scheduling loop, and the key of the memos that scheduling keeps
+// over such members (solo measurements, interned sequence types).
 type Key struct {
 	NF      string
 	Profile traffic.Profile
 }
 
-// Batch is the amortized evaluation surface for tight scheduling loops:
-// per-decision state whose Predict memoizes per-(NF, profile) derived
-// features across many evaluations, so scoring a whole fleet reuses
-// conversions instead of redoing them per slot. A Batch is not safe for
-// concurrent use; create one per scheduling decision (or longer — the
-// memos only cache deterministic derivations). Predict must agree
-// exactly with the owning backend's Model-level Predict on throughput.
-type Batch interface {
-	// Predict estimates the target's co-located throughput. solo is the
-	// target's measured solo throughput at target.Profile.
-	Predict(m Model, target Key, comps []Competitor, solo float64) (float64, error)
-}
-
-// Batcher is the optional fast-path interface a Backend may implement.
-// Backends without one are served by the generic fallback in NewBatch.
-type Batcher interface {
-	NewBatch() Batch
-}
-
-// NewBatch returns the backend's batched evaluator, or a generic
-// adapter over Backend.Predict when the backend does not provide one.
-func NewBatch(b Backend) Batch {
-	if br, ok := b.(Batcher); ok {
-		return br.NewBatch()
-	}
-	return genericBatch{b}
-}
-
-// genericBatch answers batched queries through the plain Predict path —
-// correct for any backend, just without cross-evaluation memoization.
-type genericBatch struct {
+// Batch is the throughput-only adapter scheduling loops evaluate
+// through: one Predict over the owning backend's Backend.Predict, with
+// the target's measured solo already in hand. It keeps no state, so it
+// agrees with Backend.Predict exactly, whatever it is handed.
+type Batch struct {
 	b Backend
 }
 
-func (g genericBatch) Predict(m Model, target Key, comps []Competitor, solo float64) (float64, error) {
-	pred, err := g.b.Predict(m, Scenario{
+// NewBatch returns the throughput-only adapter over b.Predict.
+func NewBatch(b Backend) Batch { return Batch{b} }
+
+// Predict estimates the target's co-located throughput. solo is the
+// target's measured solo throughput at target.Profile.
+func (bt Batch) Predict(m Model, target Key, comps []Competitor, solo float64) (float64, error) {
+	pred, err := bt.b.Predict(m, Scenario{
 		Profile:     target.Profile,
 		Competitors: comps,
 		Solo:        func() (float64, error) { return solo, nil },

@@ -127,7 +127,7 @@ func TestBuiltinRoundTrip(t *testing.T) {
 			t.Fatalf("%s: reloaded model diverged: %+v vs %+v", name, pred2, pred)
 		}
 
-		// The batched evaluator agrees exactly with the plain path.
+		// The throughput-only adapter agrees exactly with the plain path.
 		batch := NewBatch(b)
 		got, err := batch.Predict(m, Key{NF: "FlowStats", Profile: traffic.Default}, sc.Competitors, soloM.Throughput)
 		if err != nil {

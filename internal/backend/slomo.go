@@ -115,21 +115,3 @@ func (slomoBackend) Load(path string) (Model, error) {
 	}
 	return slomoModel{m}, nil
 }
-
-func (slomoBackend) NewBatch() Batch { return slomoBatch{} }
-
-// slomoBatch is stateless: counter aggregation per evaluation is the
-// whole feature assembly, so there is nothing worth memoizing.
-type slomoBatch struct{}
-
-func (slomoBatch) Predict(m Model, target Key, comps []Competitor, solo float64) (float64, error) {
-	sm, err := slomoBackend{}.own(m)
-	if err != nil {
-		return 0, err
-	}
-	var agg nicsim.Counters
-	for i := range comps {
-		agg.Add(comps[i].Solo.Counters)
-	}
-	return sm.PredictExtrapolated(agg, solo), nil
-}

@@ -111,47 +111,3 @@ func (yalaBackend) Load(path string) (Model, error) {
 	}
 	return yalaModel{m}, nil
 }
-
-func (yalaBackend) NewBatch() Batch {
-	return &yalaBatch{
-		comps:     map[Key]core.Competitor{},
-		soloPreds: map[Key]float64{},
-	}
-}
-
-// yalaBatch memoizes the per-(NF, profile) derivations a fleet-wide
-// scoring pass repeats: competitor feature vectors and the model's own
-// solo prediction per target. The competitor buffer grows once and is
-// re-sliced per evaluation.
-type yalaBatch struct {
-	comps     map[Key]core.Competitor
-	soloPreds map[Key]float64
-	buf       []core.Competitor
-}
-
-func (bt *yalaBatch) Predict(m Model, target Key, comps []Competitor, solo float64) (float64, error) {
-	ym, err := yalaBackend{}.own(m)
-	if err != nil {
-		return 0, err
-	}
-	buf := bt.buf[:0]
-	for i := range comps {
-		k := Key{comps[i].NF, comps[i].Profile}
-		c, ok := bt.comps[k]
-		if !ok {
-			c = core.CompetitorFromMeasurement(*comps[i].Solo)
-			bt.comps[k] = c
-		}
-		buf = append(buf, c)
-	}
-	bt.buf = buf[:0]
-	// The model predicts its own solo; the measured solo parameter is for
-	// extrapolating backends. Memoized because the model is per-NF, so
-	// the (NF, profile) key pins the value.
-	sp, ok := bt.soloPreds[target]
-	if !ok {
-		sp = ym.Solo.Predict(target.Profile)
-		bt.soloPreds[target] = sp
-	}
-	return ym.PredictThroughput(target.Profile, buf, sp), nil
-}

@@ -210,7 +210,6 @@ func FuzzModelJSON(f *testing.F) {
 		for _, prof := range []traffic.Profile{{}, traffic.Default} {
 			for _, comps := range [][]Competitor{nil, {regex}, {regex, {}}} {
 				m.Predict(prof, comps)
-				m.PredictThroughput(prof, comps, 0)
 			}
 		}
 		var out, again bytes.Buffer

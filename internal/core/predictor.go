@@ -112,44 +112,6 @@ var resourceOrder = func() []nicsim.Resource {
 	return order
 }()
 
-// PredictThroughput is the allocation-lean fast path for admission loops
-// (placement.FeasibleBatch): it composes the end-to-end throughput only,
-// skipping the per-resource map and bottleneck attribution Predict
-// builds. A positive solo is trusted as this model's solo prediction at
-// prof — batching callers memoize it across slots; pass a non-positive
-// value to recompute. Predict and PredictThroughput agree exactly on the
-// composed throughput.
-func (m *Model) PredictThroughput(prof traffic.Profile, comps []Competitor, solo float64) float64 {
-	if solo <= 0 {
-		solo = m.Solo.Predict(prof)
-	}
-	if solo <= 0 {
-		return 0
-	}
-	var agg nicsim.Counters
-	for i := range comps {
-		agg.Add(comps[i].Counters)
-	}
-	var dropBuf [4]float64
-	var loadBuf [16]AccelLoad
-	drops := append(dropBuf[:0], solo-m.Mem.Predict(agg, prof, solo))
-	for _, kind := range nicsim.AccelKinds() {
-		am, ok := m.Accels[kind]
-		if !ok {
-			continue
-		}
-		loads := loadBuf[:0]
-		for i := range comps {
-			if l, ok := comps[i].Accel[kind]; ok && l.Queues > 0 {
-				loads = append(loads, l)
-			}
-		}
-		stage := am.PacketRate(prof.Get(am.Attr), loads)
-		drops = append(drops, math.Max(0, solo-stage))
-	}
-	return Compose(ForPattern(m.Pattern), solo, drops)
-}
-
 // PredictWith composes with an explicit strategy (for the sum/min
 // baseline comparisons of §2.2.1 and Table 4).
 func (m *Model) PredictWith(c Composition, prof traffic.Profile, comps []Competitor) Prediction {

@@ -111,9 +111,9 @@ type Simulator struct {
 	// gen counts SetModel and SeedSolo calls — the only ways a
 	// prediction-side input changes under a fixed resident sequence.
 	gen uint64
-	// scorers holds one batched evaluator per prediction backend. Its
-	// memos only cache derivations of the installed models and solos, so
-	// it lives until gen moves.
+	// scorers holds one evaluator per prediction backend. Its sequence
+	// memo only caches predictions from the installed models and solos,
+	// so it lives until gen moves.
 	scorers map[string]*scorer
 	// predictions counts the backend evaluations Score has run.
 	predictions uint64
@@ -342,10 +342,9 @@ func (s *Simulator) Feasible(residents []Arrival, a Arrival, strat Strategy) (bo
 	return true, nil
 }
 
-// FeasibleBatch is Feasible over many candidate resident sets. The
-// amortization (solo resolution, the backend's feature and solo-model
-// memos) lives in the simulator's per-backend scorer, so the batch is
-// just the loop.
+// FeasibleBatch is Feasible over many candidate resident sets. What
+// amortizes across sets (solo resolution, the sequence memo) lives in
+// the simulator's per-backend scorer, so the batch is just the loop.
 func (s *Simulator) FeasibleBatch(sets [][]Arrival, a Arrival, strat Strategy) ([]bool, error) {
 	out := make([]bool, len(sets))
 	for i, set := range sets {
@@ -399,12 +398,13 @@ type seqScores struct {
 }
 
 // scorer is one backend's evaluator for the generation it was built at:
-// the backend's memoizing Batch, a competitor slice that grows once and
-// is re-sliced per prediction, and the sequence memo. A member's
-// prediction depends on the member types and their order and on the
-// generation — never on an SLA — so one sequence's scores answer every
-// NIC holding it, whatever its residents' SLAs. The memo's tables wait
-// for the generation's second sequence: the first one is kept inline in
+// the backend's throughput-only adapter (backend.Batch, one plain
+// Backend.Predict per miss), a competitor slice that grows once and is
+// re-sliced per prediction, and the sequence memo. A member's prediction
+// depends on the member types and their order and on the generation —
+// never on an SLA — so one sequence's scores answer every NIC holding
+// it, whatever its residents' SLAs. The memo's tables wait for the
+// generation's second sequence: the first one is kept inline in
 // firstSeq, so a one-shot Score (serve's admit path builds a simulator
 // per request) allocates neither.
 type scorer struct {

@@ -111,7 +111,7 @@ func TestPlacementStrategies(t *testing.T) {
 }
 
 // referenceScore derives a Score the slow way: one Model-level Predict
-// per member through PredictWith, no Batch and no memo.
+// per member through PredictWith, no scorer and no memo.
 func referenceScore(t *testing.T, s *Simulator, set []Arrival, a Arrival, backendName string) Score {
 	t.Helper()
 	predict := func(target Arrival, others []Arrival) (pred, solo float64) {
@@ -143,8 +143,8 @@ func referenceScore(t *testing.T, s *Simulator, set []Arrival, a Arrival, backen
 // per set over a spread of resident sets, candidates and strategies —
 // including sets at and over core capacity, and Oracle — and the Score
 // under both equals the Model-level reference bit for bit, also after
-// SeedSolo and SetModel have moved the generation under the long-lived
-// Batch.
+// SeedSolo and SetModel have moved the generation under the simulator's
+// scorers.
 func TestFeasibleBatchMatchesFeasible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model training is slow")
@@ -202,8 +202,8 @@ func TestFeasibleBatchMatchesFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Halve the throughput and double the counters: the first is read
-	// per prediction, the second feeds features the Batch memoizes.
+	// Halve the throughput and double the counters: the first is the
+	// measured solo, the second feeds every competitor's features.
 	recal := *meas
 	recal.Throughput *= 0.5
 	recal.Counters.Add(meas.Counters)
@@ -233,36 +233,6 @@ func TestFeasibleBatchMatchesFeasible(t *testing.T) {
 	// An unregistered prediction backend is an error, not a panic.
 	if _, err := bare.FeasibleBatch(sets[:3], pool[0], PredictionAware("nope")); err == nil {
 		t.Fatal("expected error for unregistered backend")
-	}
-}
-
-// TestPredictThroughputMatchesPredict checks the allocation-lean fast
-// path agrees exactly with the full predictor on composed throughput.
-func TestPredictThroughputMatchesPredict(t *testing.T) {
-	if testing.Short() {
-		t.Skip("model training is slow")
-	}
-	s, yala := buildSim(t)
-	pool := testArrivals(8, 11)
-	for _, target := range pool[:3] {
-		model := yala[target.Name]
-		var comps []core.Competitor
-		for _, other := range pool[3:6] {
-			m, err := s.solo(other)
-			if err != nil {
-				t.Fatal(err)
-			}
-			comps = append(comps, core.CompetitorFromMeasurement(*m))
-			full := model.Predict(target.Profile, comps)
-			fast := model.PredictThroughput(target.Profile, comps, 0)
-			if fast != full.Throughput {
-				t.Fatalf("%s with %d comps: fast %g != full %g", target.Name, len(comps), fast, full.Throughput)
-			}
-			hinted := model.PredictThroughput(target.Profile, comps, full.Solo)
-			if hinted != full.Throughput {
-				t.Fatalf("%s with %d comps: hinted %g != full %g", target.Name, len(comps), hinted, full.Throughput)
-			}
-		}
 	}
 }
 

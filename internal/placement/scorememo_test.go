@@ -149,9 +149,9 @@ func TestScoreMemoMatchesReference(t *testing.T) {
 			}
 		})
 	}
-	// Recalibrate solos (throughput read per prediction, counters feeding
-	// memoized features) and swap models between the trained NFs; NAT
-	// never gets one.
+	// Recalibrate solos (the throughput is the measured solo, the
+	// counters feed every competitor's features) and swap models between
+	// the trained NFs; NAT never gets one.
 	for k := 0; k < 4; k++ {
 		ops = append(ops, func() {
 			a := types[rng.Intn(len(types))]
