@@ -10,9 +10,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/pkg/yalaclient"
 )
 
@@ -182,6 +186,53 @@ func TestClusterE2E(t *testing.T) {
 	}
 	if _, _, code := run(t, "cluster", "-classes", "bluefield2:1O"); code == 0 {
 		t.Fatal("malformed class count exited 0")
+	}
+}
+
+// TestPaperVerbsE2E drives the paper's own verbs through the binary:
+// profile an NF, train and persist its model, predict it beside a
+// competitor against the measured co-run, and diagnose its bottleneck.
+func TestPaperVerbsE2E(t *testing.T) {
+	mustRun := func(args ...string) string {
+		t.Helper()
+		stdout, stderr, code := run(t, args...)
+		if code != 0 {
+			t.Fatalf("%v exited %d: %s%s", args, code, stdout, stderr)
+		}
+		return stdout
+	}
+	if out := mustRun("profile", "-nf", "ACL"); !strings.Contains(out, "NF ACL at") ||
+		!regexp.MustCompile(`solo throughput\s+\d+\.\d+ Mpps`).MatchString(out) {
+		t.Fatalf("profile output:\n%s", out)
+	}
+
+	model := filepath.Join(t.TempDir(), "acl.json")
+	mustRun("train", "-nf", "ACL", "-out", model)
+	m, err := core.LoadModelFile(model)
+	if err != nil {
+		t.Fatalf("train wrote a model LoadModelFile rejects: %v", err)
+	}
+	if m.Name != "ACL" {
+		t.Fatalf("trained model names %q, want ACL", m.Name)
+	}
+
+	out := mustRun("predict", "-nf", "ACL", "-with", "NIDS")
+	for _, line := range []string{"predicted solo", "predicted co-located", "measured  co-located"} {
+		if !strings.Contains(out, line) {
+			t.Fatalf("predict output missing %q:\n%s", line, out)
+		}
+	}
+	pct := regexp.MustCompile(`\(prediction error (\S+)%\)`).FindStringSubmatch(out)
+	if pct == nil {
+		t.Fatalf("predict output has no error percentage:\n%s", out)
+	}
+	if e, err := strconv.ParseFloat(pct[1], 64); err != nil || e < 0 {
+		t.Fatalf("prediction error %q: %v", pct[1], err)
+	}
+
+	out = mustRun("diagnose", "-nf", "NIDS")
+	if !regexp.MustCompile(`predicted bottleneck \w+, ground truth \w+`).MatchString(out) {
+		t.Fatalf("diagnose output:\n%s", out)
 	}
 }
 

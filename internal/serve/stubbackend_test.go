@@ -4,8 +4,9 @@ package serve
 // third prediction backend — a constant-throughput stub — registered
 // entirely from test code, with ZERO edits to registry.go or the HTTP
 // layer. The test walks it through the full serving surface: on-demand
-// training, persistence, reload-from-disk, model listing, and /v2
-// prediction.
+// training, persistence, reload-from-disk, model listing, /v2
+// prediction, admission control and a fleet run under it as the
+// scheduling policy.
 
 import (
 	"encoding/json"
@@ -18,6 +19,7 @@ import (
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/cluster"
 	"repro/internal/nf"
 )
 
@@ -156,5 +158,42 @@ func TestStubBackendHTTP(t *testing.T) {
 	}
 	if !hasFake {
 		t.Fatalf("policies %v missing the stub backend", policies.Policies)
+	}
+
+	// Admission runs the stub through placement's scorer. Beside one
+	// ACL resident the stub predicts 5e5 pps for each ACL, and each is
+	// held to (1-SLA) times its *measured* solo (~1.2 Mpps), not to the
+	// stub's 1e6.
+	for _, tc := range []struct {
+		sla    float64
+		admit  bool
+		reason string
+	}{
+		{sla: 0.9, admit: true},
+		{sla: 0.1, admit: false, reason: "sla"},
+	} {
+		adm := postAs[AdmitResponse](t, ts, "/v2/models/ACL/fake:admit", admitParamsV2{
+			Residents: []ColoNF{{Name: "ACL", SLA: tc.sla}},
+			SLA:       tc.sla,
+		})
+		if adm.Backend != "fake" || adm.Residents != 1 || adm.Admit != tc.admit || adm.Reason != tc.reason {
+			t.Fatalf("stub admit at SLA %g: %+v, want admit %v reason %q", tc.sla, adm, tc.admit, tc.reason)
+		}
+	}
+
+	// ... and the stub schedules a fleet as a cluster policy.
+	cmp := postAs[cluster.Comparison](t, ts, "/v2/cluster/runs", ClusterRunRequest{
+		NICs:     2,
+		Arrivals: 6,
+		Seed:     3,
+		NFs:      []string{"ACL"},
+		Policies: []string{"fake"},
+		Profiles: 1,
+	})
+	if len(cmp.Results) != 1 || cmp.Results[0].Policy != "fake" {
+		t.Fatalf("stub cluster run: %+v", cmp.Results)
+	}
+	if r := cmp.Results[0]; r.Admitted < 1 || r.Admitted+r.Rejected+r.Rollbacks != r.Arrivals {
+		t.Fatalf("stub policy admitted nothing or miscounted: %+v", r)
 	}
 }
