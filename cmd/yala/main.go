@@ -129,7 +129,11 @@ func cmdProfile(args []string) error {
 	fmt.Printf("  cpu/packet         %.0f ns\n", w.CPUSecPerPkt*1e9)
 	fmt.Printf("  mem refs/packet    %.1f\n", w.MemRefsPerPkt)
 	fmt.Printf("  working set        %.2f MB\n", w.WSSBytes/(1<<20))
-	for kind, u := range w.Accel {
+	for _, kind := range nicsim.AccelKinds() {
+		u, ok := w.Accel[kind]
+		if !ok {
+			continue
+		}
 		fmt.Printf("  %v: %.0f B/req, %.2f matches/req, %d queues\n",
 			kind, u.BytesPerReq, u.MatchesPerReq, u.Queues)
 	}
@@ -203,7 +207,7 @@ func cmdPredict(args []string) error {
 	pred := model.Predict(prof, comps)
 	fmt.Printf("predicted solo        %.3f Mpps\n", pred.Solo/1e6)
 	fmt.Printf("predicted co-located  %.3f Mpps\n", pred.Throughput/1e6)
-	for res, t := range pred.PerResource {
+	for res, t := range pred.Limits() {
 		fmt.Printf("  %-8v limit       %.3f Mpps\n", res, t/1e6)
 	}
 	fmt.Printf("predicted bottleneck  %v\n", pred.Bottleneck)

@@ -230,6 +230,14 @@ func TestPaperVerbsE2E(t *testing.T) {
 		t.Fatalf("prediction error %q: %v", pct[1], err)
 	}
 
+	// Per-resource limits print in the predictor's resource order, not in
+	// map order: memory before the regex engine, every run.
+	out = mustRun("predict", "-nf", "NIDS", "-with", "ACL")
+	mem, regex := strings.Index(out, "memory   limit"), strings.Index(out, "regex    limit")
+	if mem < 0 || regex < 0 || mem > regex {
+		t.Fatalf("predict -nf NIDS: want the memory limit line before the regex line:\n%s", out)
+	}
+
 	out = mustRun("diagnose", "-nf", "NIDS")
 	if !regexp.MustCompile(`predicted bottleneck \w+, ground truth \w+`).MatchString(out) {
 		t.Fatalf("diagnose output:\n%s", out)

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -21,6 +22,12 @@ var DefaultCriticalPackages = []string{
 	"internal/testbed",
 	"internal/experiments",
 }
+
+// detmapPackages are where detmap looks: the critical packages plus the
+// commands that print the product's reports, whose line order must not
+// change between two runs of the same command. Wallclock keeps the
+// critical list alone, because a command legitimately reads the clock.
+var detmapPackages = append(slices.Clip(DefaultCriticalPackages), "cmd/yala", "cmd/experiments")
 
 // keyCollectionOnly recognizes the one blessed map-range shape: a loop
 // whose body does nothing but append the key to a slice —
@@ -69,14 +76,15 @@ func inPackages(pass *Pass, rels []string) bool {
 	return false
 }
 
-// Detmap flags `range` over a map in determinism-critical packages. Map
+// Detmap flags `range` over a map in determinism-critical packages and
+// report-printing commands (detmapPackages when critical is nil). Map
 // iteration order is randomized per run; deterministic code must
 // collect the keys, sort them, and range over the slice. Provably
 // order-independent loops (pure counting, commutative folds reviewed by
 // a human) carry a //yalalint:ignore detmap annotation instead.
 func Detmap(critical ...string) *Analyzer {
 	if critical == nil {
-		critical = DefaultCriticalPackages
+		critical = detmapPackages
 	}
 	return &Analyzer{
 		Name: "detmap",

@@ -7,11 +7,14 @@
 // The suite enforces invariants the test suite can only sample:
 //
 //   - detmap: no ranging over maps in determinism-critical packages
-//     (internal/sim, placement, trace, cluster, wire) unless the loop
-//     only collects keys for sorting — replay determinism is the
-//     product's core guarantee.
-//   - wallclock: no time.Now/Since/Until or math/rand in those same
-//     packages; simulation time and seeded randomness only.
+//     (internal/sim, placement, trace, cluster, wire, testbed and
+//     experiments) or in the commands that print reports (cmd/yala,
+//     cmd/experiments) unless the loop only collects keys for sorting —
+//     replay determinism is the product's core guarantee, and a report
+//     prints its lines in the same order every run.
+//   - wallclock: no time.Now/Since/Until or math/rand in the seven
+//     determinism-critical packages (not the commands, which time real
+//     work); simulation time and seeded randomness only.
 //   - boundedread: no io.ReadAll on an http body or net.Conn without
 //     an io.LimitReader/http.MaxBytesReader cap, anywhere in the repo.
 //   - envelope: handlers in internal/serve and internal/gateway must

@@ -61,6 +61,7 @@ var goldenCases = []struct {
 	analyzer string
 }{
 	{"detmap", "repro/internal/sim", "detmap"},
+	{"detmapcmd", "repro/cmd/yala", "detmap"},
 	{"wallclock", "repro/internal/cluster", "wallclock"},
 	{"boundedread", "repro/fixture/boundedread", "boundedread"},
 	{"envelope", "repro/internal/serve", "envelope"},

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"iter"
 	"math"
 
 	"repro/internal/nicsim"
@@ -92,13 +93,26 @@ func (m *Model) Predict(prof traffic.Profile, comps []Competitor) Prediction {
 	// Bottleneck: the resource whose individual limit is lowest, scanned
 	// in fixed resource order so ties resolve identically every run.
 	best := math.Inf(1)
-	for _, res := range resourceOrder {
-		if t, ok := pred.PerResource[res]; ok && t < best {
+	for res, t := range pred.Limits() {
+		if t < best {
 			best = t
 			pred.Bottleneck = res
 		}
 	}
 	return pred
+}
+
+// Limits yields the prediction's per-resource throughputs in the fixed
+// resource order, skipping resources the model does not cover, so a
+// report lists them the same way every run.
+func (p Prediction) Limits() iter.Seq2[nicsim.Resource, float64] {
+	return func(yield func(nicsim.Resource, float64) bool) {
+		for _, res := range resourceOrder {
+			if t, ok := p.PerResource[res]; ok && !yield(res, t) {
+				return
+			}
+		}
+	}
 }
 
 // resourceOrder is the fixed order every walk over a prediction's
@@ -117,10 +131,8 @@ var resourceOrder = func() []nicsim.Resource {
 func (m *Model) PredictWith(c Composition, prof traffic.Profile, comps []Competitor) Prediction {
 	p := m.Predict(prof, comps)
 	drops := make([]float64, 0, len(p.PerResource))
-	for _, res := range resourceOrder {
-		if t, ok := p.PerResource[res]; ok {
-			drops = append(drops, math.Max(0, p.Solo-t))
-		}
+	for _, t := range p.Limits() {
+		drops = append(drops, math.Max(0, p.Solo-t))
 	}
 	p.Throughput = Compose(c, p.Solo, drops)
 	return p

@@ -123,6 +123,9 @@ type replica struct {
 	ep atomic.Pointer[endpoint]
 
 	healthy atomic.Bool
+	// failures counts markDown calls, so a probe can tell that an
+	// exchange failed while it was out (see probeAll).
+	failures atomic.Uint64
 
 	// pending holds reloads this slot missed while its backend was down
 	// or the slot vacant, keyed "backend|nf"; the health loop (or the
@@ -282,14 +285,25 @@ func (g *Gateway) healthLoop() {
 
 func (g *Gateway) probeAll() {
 	each(g.replicas, func(_ int, rep *replica, ep *endpoint) {
+		failures := rep.failures.Load()
 		if _, err := g.fetch(context.Background(), ep, "/healthz"); err != nil {
-			rep.healthy.Store(false)
+			rep.markDown()
 			return
 		}
 		g.drainPending(rep)
 		g.discoverWire(ep)
-		rep.healthy.Store(true)
+		// An exchange that failed while this probe was out is newer
+		// evidence than the probe's answer: the next probe decides.
+		if rep.failures.Load() == failures {
+			rep.healthy.Store(true)
+		}
 	})
+}
+
+// markDown marks the replica unhealthy after a failed exchange.
+func (rep *replica) markDown() {
+	rep.failures.Add(1)
+	rep.healthy.Store(false)
 }
 
 // each runs fn concurrently on every attached replica in reps — ep is
@@ -657,7 +671,7 @@ func (g *Gateway) sendWithFailover(ctx context.Context, key, method, uri, conten
 				// mark them down for our caller's impatience).
 				return nil, 0, nil, nil, lastErr
 			}
-			rr.rep.healthy.Store(false)
+			rr.rep.markDown()
 			continue
 		}
 		rr.ep.requests.Add(1)
@@ -829,7 +843,7 @@ func (g *Gateway) reload(ctx context.Context, targets []*replica, req reloadReq)
 		if a.err != nil {
 			ep.errors.Add(1)
 			if ctx.Err() == nil {
-				rep.healthy.Store(false)
+				rep.markDown()
 			}
 			return
 		}

@@ -10,31 +10,35 @@
 // flow table (and the WSS), larger packets carry more payload to the
 // regex engine, higher MTBR means more matches per request.
 //
-// The per-flow state is a FlowTable: on the host an 8-byte-per-slot probe
-// array (key tag + index) over a dense, insertion-ordered entry array,
-// whatever the modeled 64 bytes a slot (entryBytes). A *FlowEntry is
-// valid until the table's next Insert.
+// The per-flow state is a FlowTable: on the host a 4-byte-per-slot probe
+// array (a key index) over a dense, insertion-ordered array of 8-byte
+// keys, whatever the modeled 64 bytes a slot (entryBytes). A flow's six
+// data words are materialized, at zero, in a small side store the first
+// time the table hands that flow's *FlowEntry out; the pointer is valid
+// until the table's next Insert or SlotEntry.
 //
 // Three rules keep a measurement as cheap as the footprint needs.
 // Populate rule: before the measured packets, Measure seats every flow's
-// key, in flow order and with its data words at zero, in the table of each
-// NF that keeps per-flow state (the FlowReserver set); no packet goes
-// through Process, and ACL, IPRouter and PacketFilter, which hold no such
-// state, are not populated. This is exact because a FlowReserver's
-// per-packet op counts read only its table's probe layout — which key sits
-// in which slot — never its entries' data words or its own counters: a NAT
-// port, a tunnel endpoint or a classifier class changes what an NF writes,
-// not what it counts. Buffer-lifetime rule: the traffic generator rebuilds
+// key, in flow order, in the table of each NF that keeps per-flow state
+// (the FlowReserver set); its data words are not stored, and read as zero
+// when the flow is first touched. No packet goes through Process, and
+// ACL, IPRouter and PacketFilter, which hold no such state, are not
+// populated. This is exact because a FlowReserver's per-packet op counts
+// read only its table's probe layout — which key sits in which slot —
+// never its entries' data words or its own counters: a NAT port, a
+// tunnel endpoint or a classifier class changes what an NF writes, not
+// what it counts. Buffer-lifetime rule: the traffic generator rebuilds
 // its frame in place, so the packet handed to Process belongs to the NF
 // only for the duration of that call. Storage rule: a measurement's flow
 // table is not garbage once its footprint is read. ReleaseFlows hands its
-// arrays to one shared store, and the next empty table's Reserve re-slices
-// them, clearing only the probe slots it needs and reusing the entries
-// array at length 0, since Insert appends whole entries; it allocates
-// only what nothing stored can hold. Each Reserve on an empty table takes
-// one stored table and each release returns one, so the store retains at
-// most one table per measurement that can run at once — in a server, its
-// compute slots plus the testbed's GOMAXPROCS warm-up goroutines.
+// probe array, its key array and its emptied entry store to one shared
+// store, and the next empty table's Reserve re-slices them, clearing
+// only the probe slots it needs and reusing the key array at length 0,
+// since seating a key appends it; it allocates only what nothing stored
+// can hold. Each Reserve on an empty table takes one stored table and
+// each release returns one, so the store retains at most one table per
+// measurement that can run at once — in a server, its compute slots plus
+// the testbed's GOMAXPROCS warm-up goroutines.
 package nf
 
 import (

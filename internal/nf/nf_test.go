@@ -48,8 +48,8 @@ func TestFlowStatsCountsFlows(t *testing.T) {
 	f := NewFlowStats()
 	prof := traffic.Profile{Flows: 200, PktSize: 256, MTBR: 0}
 	processBatch(t, f, prof, 3000)
-	if len(f.table.entries) < 180 || len(f.table.entries) > 200 {
-		t.Fatalf("Flows = %d, want ~200", len(f.table.entries))
+	if len(f.table.keys) < 180 || len(f.table.keys) > 200 {
+		t.Fatalf("Flows = %d, want ~200", len(f.table.keys))
 	}
 }
 
@@ -80,6 +80,20 @@ func TestIPRouterDecsTTLAndDrops(t *testing.T) {
 	}
 }
 
+// TestIPRouterResetMatchesFresh: a router that has forwarded traffic and
+// been Reset forwards the next traffic exactly as a fresh router does.
+func TestIPRouterResetMatchesFresh(t *testing.T) {
+	prof := traffic.Profile{Flows: 2000, PktSize: 128}
+	used := NewIPRouter()
+	processBatch(t, used, traffic.Profile{Flows: 300, PktSize: 512}, 1000)
+	used.Reset()
+	got := processBatch(t, used, prof, 3000)
+	want := processBatch(t, NewIPRouter(), prof, 3000)
+	if got != want {
+		t.Fatalf("after Reset: %+v, fresh router: %+v", got, want)
+	}
+}
+
 func TestNATRewritesSource(t *testing.T) {
 	n := NewNAT()
 	tp := packet.FiveTuple{SrcIP: 0x0a000001, DstIP: 0x0a000002, SrcPort: 1000, DstPort: 80, Proto: packet.ProtoTCP}
@@ -94,8 +108,8 @@ func TestNATRewritesSource(t *testing.T) {
 	if !p.VerifyIPChecksum() {
 		t.Fatal("checksum broken by NAT")
 	}
-	if len(n.table.entries) != 1 {
-		t.Fatalf("Translations = %d", len(n.table.entries))
+	if len(n.table.keys) != 1 {
+		t.Fatalf("Translations = %d", len(n.table.keys))
 	}
 }
 

@@ -2,11 +2,12 @@ package nf
 
 import "sync"
 
-// FlowEntry is one flow's state: the flow key hash and six 64-bit data
-// words for the owning NF. A *FlowEntry from Insert, Lookup or SlotEntry
-// is valid until the table's next Insert, which may move the entries.
+// FlowEntry is one flow's state: six 64-bit data words for the owning
+// NF. A flow's entry is materialized, at zero, the first time Insert,
+// find or SlotEntry hands that flow out. A *FlowEntry is valid until the
+// table's next Insert or SlotEntry, either of which may materialize
+// another flow's entry and so move the entries.
 type FlowEntry struct {
-	key  uint64
 	Data [6]uint64
 }
 
@@ -19,15 +20,19 @@ const entryBytes = 64
 // probe counts so footprint measurement can translate lookups into cache
 // references, the way the paper's hash-table NFs stress the LLC.
 //
-// On the host the table is two arrays. slots is the probe array, 8 bytes
-// a slot: the key's high 32 bits as a tag over a 1-based index into
-// entries, 0 for an empty slot. entries is dense and in insertion order.
-// Probing touches only slots; a tag match is confirmed against the
-// entry's full key, so a lookup is exact. Home slot, probe sequence,
-// growth trigger and rehash order are those of the one-array table this
-// replaced, so probe counts are too (TestFlowTableMatchesReference).
+// On the host the table is a 4-byte-per-slot probe array over a dense
+// array of 8-byte keys. slots holds a 1-based index into keys, 0 for an
+// empty slot; keys is in insertion order. A probe confirms each occupied
+// slot against its full key, so a lookup is exact. Data words live apart,
+// in entries, and only for the flows something has been handed out for:
+// touched maps a key's 1-based index to its entry. Home slot, probe
+// sequence, growth trigger and rehash order are those of the one-array
+// table this replaced, so probe counts are too
+// (TestFlowTableMatchesReference).
 type FlowTable struct {
-	slots   []uint64
+	slots   []uint32
+	keys    []uint64
+	touched map[uint32]uint32
 	entries []FlowEntry
 }
 
@@ -39,7 +44,7 @@ const maxLoad = 0.75
 
 // NewFlowTable returns an empty table.
 func NewFlowTable() *FlowTable {
-	return &FlowTable{slots: make([]uint64, minTableSlots)}
+	return &FlowTable{slots: make([]uint32, minTableSlots)}
 }
 
 // StateBytes is the table's memory footprint in bytes.
@@ -48,36 +53,37 @@ func (t *FlowTable) StateBytes() float64 { return float64(len(t.slots) * entryBy
 // Reset drops all entries and shrinks back to the initial capacity.
 func (t *FlowTable) Reset() { *t = *NewFlowTable() }
 
-// Reserve grows the table so n entries fit without triggering growth —
-// one allocation per array instead of a doubling cascade when the flow
+// Reserve grows the table so n keys fit without triggering growth — one
+// allocation per array instead of a doubling cascade when the flow
 // population is known up front. It never shrinks. An empty table first
 // takes the storage a released table left in the spare store: a probe
 // array large enough is re-sliced to the slots the table needs and only
-// those are cleared, and an entries array large enough is reused at
-// length 0, since Insert's append overwrites whole entries. Only what
-// nothing stored can hold is allocated.
+// those are cleared, a key array large enough is reused at length 0,
+// since seating a key appends it, and the entry store is reused as
+// released, empty. Only what nothing stored can hold is allocated.
 func (t *FlowTable) Reserve(n int) {
 	need := minTableSlots
 	for float64(n) > maxLoad*float64(need) {
 		need *= 2
 	}
 	need = max(need, len(t.slots))
-	if len(t.entries) == 0 {
+	if len(t.keys) == 0 {
 		if s, ok := spare.take(need); ok {
 			if cap(s.slots) >= need {
 				t.slots = s.slots[:need]
 				clear(t.slots)
 			}
-			if cap(s.entries) >= n {
-				t.entries = s.entries
+			if cap(s.keys) >= n {
+				t.keys = s.keys
 			}
+			t.touched, t.entries = s.touched, s.entries
 		}
 	}
 	if need > len(t.slots) {
 		t.rehash(need)
 	}
-	if n > cap(t.entries) {
-		t.entries = append(make([]FlowEntry, 0, n), t.entries...)
+	if n > cap(t.keys) {
+		t.keys = append(make([]uint64, 0, n), t.keys...)
 	}
 }
 
@@ -85,7 +91,8 @@ func (t *FlowTable) Reserve(n int) {
 // empty table's Reserve. The table is left without storage: it must be
 // Reset before its next use.
 func (t *FlowTable) release() {
-	spare.put(FlowTable{slots: t.slots[:cap(t.slots)], entries: t.entries[:0]})
+	clear(t.touched)
+	spare.put(FlowTable{slots: t.slots[:cap(t.slots)], keys: t.keys[:0], touched: t.touched, entries: t.entries[:0]})
 	*t = FlowTable{}
 }
 
@@ -134,57 +141,98 @@ func (s *spareStore) put(t FlowTable) {
 }
 
 // prefetch pulls the home slots of keys toward the cache ahead of the
-// Inserts that will probe them. Given a whole burst's keys the loop is
+// seats that will probe them. Given a whole burst's keys the loop is
 // nothing but independent loads, so the misses overlap — the rte_hash
 // bulk-lookup shape. Go has no prefetch intrinsic: the loads are kept
 // alive by the result, which a call that is never inlined must compute
 // even when its caller drops it.
 //
 //go:noinline
-func (t *FlowTable) prefetch(keys []uint64) uint64 {
+func (t *FlowTable) prefetch(keys []uint64) uint32 {
 	mask := uint64(len(t.slots) - 1)
-	var occupied uint64
+	var occupied uint32
 	for _, key := range keys {
 		occupied |= t.slots[key&mask]
 	}
 	return occupied
 }
 
-// find probes for key. It returns the entry (nil if absent), the number
-// of slots probed, and — for an absent key — the empty slot that ended
-// the probe (-1 if the table is full).
-func (t *FlowTable) find(key uint64) (*FlowEntry, int, int) {
+// probe looks key up. It returns the key's 1-based index (0 if absent),
+// the number of slots probed, and — for an absent key — the empty slot
+// that ended the probe (-1 if the table is full).
+func (t *FlowTable) probe(key uint64) (uint32, int, int) {
 	mask := uint64(len(t.slots) - 1)
 	idx := key & mask
 	for probes := 1; probes <= len(t.slots); probes++ {
 		s := t.slots[idx]
 		if s == 0 {
-			return nil, probes, int(idx)
+			return 0, probes, int(idx)
 		}
-		if s>>32 == key>>32 {
-			if e := &t.entries[uint32(s)-1]; e.key == key {
-				return e, probes, 0
-			}
+		if t.keys[s-1] == key {
+			return s, probes, 0
 		}
 		idx = (idx + 1) & mask
 	}
-	return nil, len(t.slots), -1
+	return 0, len(t.slots), -1
+}
+
+// entry returns the entry of the key at 1-based index s, materializing it
+// at zero on first touch.
+func (t *FlowTable) entry(s uint32) *FlowEntry {
+	i, ok := t.touched[s]
+	if !ok {
+		if t.touched == nil {
+			t.touched = map[uint32]uint32{}
+		}
+		i = uint32(len(t.entries))
+		t.touched[s] = i
+		t.entries = append(t.entries, FlowEntry{})
+	}
+	return &t.entries[i]
+}
+
+// find probes for key. It returns the entry (nil if absent), the number
+// of slots probed, and — for an absent key — the empty slot that ended
+// the probe (-1 if the table is full).
+func (t *FlowTable) find(key uint64) (*FlowEntry, int, int) {
+	s, probes, free := t.probe(key)
+	if s == 0 {
+		return nil, probes, free
+	}
+	return t.entry(s), probes, 0
+}
+
+// add appends key and seats it in the empty slot free.
+func (t *FlowTable) add(key uint64, free int) {
+	t.keys = append(t.keys, key)
+	t.slots[free] = uint32(len(t.keys))
 }
 
 // Insert finds or creates the entry for key, growing the table if needed.
 // It returns the entry, the probe count, and whether the entry was newly
 // created.
 func (t *FlowTable) Insert(key uint64) (*FlowEntry, int, bool) {
-	if float64(len(t.entries)+1) > maxLoad*float64(len(t.slots)) {
+	if float64(len(t.keys)+1) > maxLoad*float64(len(t.slots)) {
 		t.rehash(2 * len(t.slots))
 	}
 	e, probes, free := t.find(key)
 	if e != nil {
 		return e, probes, false
 	}
-	t.entries = append(t.entries, FlowEntry{key: key})
-	t.slots[free] = key>>32<<32 | uint64(len(t.entries))
-	return &t.entries[len(t.entries)-1], probes, true
+	t.add(key, free)
+	return t.entry(uint32(len(t.keys))), probes, true
+}
+
+// seat is Insert for each of keys without handing an entry out, so it
+// materializes none, and without the growth check: the populate pass
+// seats every flow's key this way, into a table Reserved for all of
+// them, which never grows.
+func (t *FlowTable) seat(keys []uint64) {
+	for _, key := range keys {
+		if s, _, free := t.probe(key); s == 0 {
+			t.add(key, free)
+		}
+	}
 }
 
 // SlotEntry returns the entry held in slot i (modulo the slot count), nil
@@ -194,20 +242,21 @@ func (t *FlowTable) SlotEntry(i uint64) *FlowEntry {
 	if s == 0 {
 		return nil
 	}
-	return &t.entries[uint32(s)-1]
+	return t.entry(s)
 }
 
-// rehash re-seats every entry in a probe array of size slots, visiting
-// the old array in slot order.
+// rehash re-seats every key in a probe array of size slots, visiting the
+// old array in slot order. Key indices do not change, so neither does
+// touched.
 func (t *FlowTable) rehash(size int) {
 	old := t.slots
-	t.slots = make([]uint64, size)
+	t.slots = make([]uint32, size)
 	mask := uint64(size - 1)
 	for _, s := range old {
 		if s == 0 {
 			continue
 		}
-		idx := t.entries[uint32(s)-1].key & mask
+		idx := t.keys[s-1] & mask
 		for t.slots[idx] != 0 {
 			idx = (idx + 1) & mask
 		}

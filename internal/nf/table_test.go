@@ -22,8 +22,8 @@ func TestFlowTableInsertLookup(t *testing.T) {
 	if _, _, created := tb.Insert(42); created {
 		t.Fatal("re-insert reported created")
 	}
-	if len(tb.entries) != 1 {
-		t.Fatalf("Len = %d", len(tb.entries))
+	if len(tb.keys) != 1 {
+		t.Fatalf("Len = %d", len(tb.keys))
 	}
 }
 
@@ -41,8 +41,8 @@ func TestFlowTableGrowthPreservesEntries(t *testing.T) {
 		e, _, _ := tb.Insert(i * 2654435761)
 		e.Data[0] = i
 	}
-	if len(tb.entries) != n {
-		t.Fatalf("Len = %d, want %d", len(tb.entries), n)
+	if len(tb.keys) != n {
+		t.Fatalf("Len = %d, want %d", len(tb.keys), n)
 	}
 	for i := uint64(0); i < n; i++ {
 		e, _, _ := tb.find(i * 2654435761)
@@ -62,7 +62,7 @@ func TestFlowTableStateBytesGrows(t *testing.T) {
 		t.Fatal("StateBytes did not grow with entries")
 	}
 	tb.Reset()
-	if tb.StateBytes() != before || len(tb.entries) != 0 {
+	if tb.StateBytes() != before || len(tb.keys) != 0 {
 		t.Fatal("Reset did not restore initial size")
 	}
 }
@@ -72,7 +72,7 @@ func TestFlowTableLoadFactorBound(t *testing.T) {
 	for i := uint64(0); i < 50000; i++ {
 		tb.Insert(i + 1)
 	}
-	load := float64(len(tb.entries)) / (tb.StateBytes() / entryBytes)
+	load := float64(len(tb.keys)) / (tb.StateBytes() / entryBytes)
 	if load > maxLoad+0.01 {
 		t.Fatalf("load factor %v exceeds bound %v", load, maxLoad)
 	}
@@ -86,7 +86,7 @@ func TestFlowTableProperty(t *testing.T) {
 			tb.Insert(k)
 			seen[k] = true
 		}
-		if len(tb.entries) != len(seen) {
+		if len(tb.keys) != len(seen) {
 			return false
 		}
 		for k := range seen {
@@ -221,6 +221,15 @@ func (t *refTable) Lookup(key uint64) (*refEntry, int) {
 	return nil, len(t.slots)
 }
 
+// SlotEntry is FlowTable.SlotEntry on the one-array layout: the entry in
+// slot i (modulo the slot count), nil if the slot is empty.
+func (t *refTable) SlotEntry(i uint64) *refEntry {
+	if e := &t.slots[i&uint64(len(t.slots)-1)]; e.used {
+		return e
+	}
+	return nil
+}
+
 func (t *refTable) Insert(key uint64) (*refEntry, int, bool) {
 	if float64(t.count+1) > maxLoad*float64(len(t.slots)) {
 		t.grow()
@@ -269,9 +278,9 @@ func (t *refTable) rehash(size int) {
 // tableOp is one step of an op stream replayed against both tables.
 type tableOp struct {
 	kind byte   // one of the op* constants
-	key  uint64 // the flow key; for opReserve, the entry count
-	word int    // opWrite: which Data word
-	val  uint64 // opWrite: what to store there
+	key  uint64 // the flow key; for opReserve, the entry count; for opSlotWrite, the slot
+	word int    // opWrite, opSlotWrite: which Data word
+	val  uint64 // opWrite, opSlotWrite: what to store there
 }
 
 const (
@@ -280,6 +289,7 @@ const (
 	opWrite // Insert, then store val in Data[word]
 	opReserve
 	opReset
+	opSlotWrite // SlotEntry, then store val in Data[word] if the slot is full
 )
 
 // The key shapes the oracle tests lean on. A probe-array table that keeps
@@ -345,6 +355,18 @@ func replayTableOps(t *testing.T, ops []tableOp) {
 			}
 		case opLookup:
 			lookup(at, op.key)
+		case opSlotWrite:
+			// What the Firewall's flow walk does.
+			ge, we := got.SlotEntry(op.key), want.SlotEntry(op.key)
+			if (ge == nil) != (we == nil) {
+				t.Fatalf("%s: SlotEntry(%d) present %v, reference %v", at, op.key, ge != nil, we != nil)
+			}
+			if ge != nil {
+				if ge.Data != we.Data {
+					t.Fatalf("%s: SlotEntry(%d).Data = %v, reference %v", at, op.key, ge.Data, we.Data)
+				}
+				ge.Data[op.word], we.Data[op.word] = op.val, op.val
+			}
 		case opReserve:
 			got.Reserve(int(op.key))
 			want.Reserve(int(op.key))
@@ -356,9 +378,9 @@ func replayTableOps(t *testing.T, ops []tableOp) {
 			seen[op.key] = true
 			named = append(named, op.key)
 		}
-		if len(got.entries) != want.Len() || got.StateBytes() != want.StateBytes() {
+		if len(got.keys) != want.Len() || got.StateBytes() != want.StateBytes() {
 			t.Fatalf("%s: Len %d StateBytes %v, reference Len %d StateBytes %v",
-				at, len(got.entries), got.StateBytes(), want.Len(), want.StateBytes())
+				at, len(got.keys), got.StateBytes(), want.Len(), want.StateBytes())
 		}
 	}
 	for _, key := range named {
@@ -395,6 +417,21 @@ func TestFlowTableMatchesReference(t *testing.T) {
 		}
 		return ops
 	}
+	// walked follows every insert with a walk over the next few slots
+	// that writes each full one, as the Firewall does per packet.
+	walked := func(n int, seed uint64, key func(uint64) uint64) []tableOp {
+		rng := sim.NewRNG(seed)
+		var ops []tableOp
+		var slot uint64
+		for i := 0; i < n; i++ {
+			ops = append(ops, tableOp{kind: opWrite, key: key(uint64(rng.Intn(2 * n))), word: rng.Intn(5), val: rng.Uint64()})
+			for range firewallWalkEntries {
+				slot++
+				ops = append(ops, tableOp{kind: opSlotWrite, key: slot, word: rng.Intn(5), val: rng.Uint64()})
+			}
+		}
+		return ops
+	}
 	identity := func(v uint64) uint64 { return v }
 	cat := func(parts ...[]tableOp) []tableOp {
 		var ops []tableOp
@@ -417,6 +454,13 @@ func TestFlowTableMatchesReference(t *testing.T) {
 		{"equal-high-32-bits", mixed(20000, 6, func(v uint64) uint64 { return highCollider(mixKey(v)) })},
 		{"equal-high-32-bits-sequential", mixed(20000, 7, highCollider)},
 		{"equal-tag-and-home", mixed(4096, 8, tagAndHomeCollider)},
+		// The walk wraps the probe array several times between rehashes.
+		{"slot-walk", walked(20000, 14, mixKey)},
+		{"slot-walk-after-reserve", cat(
+			[]tableOp{{kind: opReserve, key: 3000}},
+			inserts(2000, mixKey),
+			walked(3000, 15, mixKey),
+		)},
 		{"reserve-mid-stream", cat(
 			inserts(500, mixKey),
 			[]tableOp{{kind: opReserve, key: 10000}},
@@ -452,7 +496,8 @@ const maxFuzzOps = 4096
 // an opcode byte (bits 0–2 the op, bits 3–4 the key shape, bits 5–6 how
 // far the operand is narrowed so keys repeat, bit 7 whether the key is
 // scrambled) and a 32-bit operand. One opcode is a run of up to 1200
-// inserts of consecutive operands, so five bytes reach a rehash cascade.
+// inserts of consecutive operands, so five bytes reach a rehash cascade;
+// another is a slot write, whose shaped operand names the slot.
 func decodeTableOps(data []byte) []tableOp {
 	var ops []tableOp
 	for ; len(data) >= 5 && len(ops) < maxFuzzOps; data = data[5:] {
@@ -485,8 +530,10 @@ func decodeTableOps(data []byte) []tableOp {
 			for j := uint64(0); j < val%1200 && len(ops) < maxFuzzOps; j++ {
 				ops = append(ops, tableOp{kind: opInsert, key: key(v + j + 1)})
 			}
-		case 3, 4:
+		case 3:
 			op.kind = opLookup
+		case 4:
+			op.kind, op.word, op.val = opSlotWrite, int(val%5), val
 		case 5:
 			op.kind, op.word, op.val = opWrite, int(val%5), val
 		case 6:
