@@ -37,7 +37,9 @@ func (r WireFloorReport) String() string {
 // WireEchoFloor measures the yalawire transport floor against a live
 // wire listener: workers persistent connections exchanging frames
 // round trips of TypeEcho frames carrying payloadBytes of opaque data,
-// through the same closed loop a serving run uses.
+// through the same closed loop a serving run uses. Its pool upgrades as
+// every wire client does, so against a loopback listener on Linux this
+// is the same-host socket's floor.
 func WireEchoFloor(addr string, workers, frames, payloadBytes int) (WireFloorReport, error) {
 	if workers <= 0 {
 		workers = 8

@@ -43,15 +43,19 @@ const minTableSlots = 1024
 const maxLoad = 0.75
 
 // NewFlowTable returns an empty table.
-func NewFlowTable() *FlowTable {
-	return &FlowTable{slots: make([]uint32, minTableSlots)}
+func NewFlowTable() *FlowTable { return &FlowTable{} }
+
+// StateBytes is the table's memory footprint in bytes. A table without
+// storage models the empty minTableSlots-slot table it stands for.
+func (t *FlowTable) StateBytes() float64 {
+	return float64(max(len(t.slots), minTableSlots) * entryBytes)
 }
 
-// StateBytes is the table's memory footprint in bytes.
-func (t *FlowTable) StateBytes() float64 { return float64(len(t.slots) * entryBytes) }
-
-// Reset drops all entries and shrinks back to the initial capacity.
-func (t *FlowTable) Reset() { *t = *NewFlowTable() }
+// Reset drops all entries and the storage that held them, back to the
+// initial capacity. It allocates nothing: the next Reserve sizes the
+// table (from the spare store when it can), or the first Insert
+// allocates minTableSlots slots.
+func (t *FlowTable) Reset() { *t = FlowTable{} }
 
 // Reserve grows the table so n keys fit without triggering growth — one
 // allocation per array instead of a doubling cascade when the flow
@@ -88,8 +92,8 @@ func (t *FlowTable) Reserve(n int) {
 }
 
 // release hands the table's storage to the spare store for the next
-// empty table's Reserve. The table is left without storage: it must be
-// Reset before its next use.
+// empty table's Reserve. The table is left without storage, as Reset
+// leaves it.
 func (t *FlowTable) release() {
 	clear(t.touched)
 	spare.put(FlowTable{slots: t.slots[:cap(t.slots)], keys: t.keys[:0], touched: t.touched, entries: t.entries[:0]})
@@ -173,6 +177,11 @@ func (t *FlowTable) probe(key uint64) (uint32, int, int) {
 		}
 		idx = (idx + 1) & mask
 	}
+	if len(t.slots) == 0 {
+		// No storage yet: probe as the empty minTableSlots-slot table
+		// would, one slot, with no slot to seat a key in.
+		return 0, 1, -1
+	}
 	return 0, len(t.slots), -1
 }
 
@@ -213,7 +222,7 @@ func (t *FlowTable) add(key uint64, free int) {
 // created.
 func (t *FlowTable) Insert(key uint64) (*FlowEntry, int, bool) {
 	if float64(len(t.keys)+1) > maxLoad*float64(len(t.slots)) {
-		t.rehash(2 * len(t.slots))
+		t.rehash(max(2*len(t.slots), minTableSlots))
 	}
 	e, probes, free := t.find(key)
 	if e != nil {
@@ -238,6 +247,9 @@ func (t *FlowTable) seat(keys []uint64) {
 // SlotEntry returns the entry held in slot i (modulo the slot count), nil
 // if the slot is empty: the view a walk over the table in slot order has.
 func (t *FlowTable) SlotEntry(i uint64) *FlowEntry {
+	if len(t.slots) == 0 {
+		return nil
+	}
 	s := t.slots[i&uint64(len(t.slots)-1)]
 	if s == 0 {
 		return nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/israce"
 	"repro/internal/sim"
 )
 
@@ -64,6 +65,32 @@ func TestFlowTableStateBytesGrows(t *testing.T) {
 	tb.Reset()
 	if tb.StateBytes() != before || len(tb.keys) != 0 {
 		t.Fatal("Reset did not restore initial size")
+	}
+}
+
+// TestFlowTableResetAllocs: every Measure resets its NF, and
+// the populate pass then Reserves the table, from the spare store when
+// it can, so a probe array Reset allocated would be thrown away unused.
+// A reset table still models the empty minTableSlots-slot table.
+func TestFlowTableResetAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	tb := NewFlowTable()
+	for i := uint64(0); i < 5000; i++ {
+		tb.Insert(mixKey(i))
+	}
+	if n := testing.AllocsPerRun(10, tb.Reset); n != 0 {
+		t.Errorf("Reset allocated %v times, want 0", n)
+	}
+	if got, want := tb.StateBytes(), float64(minTableSlots*entryBytes); got != want {
+		t.Errorf("StateBytes after Reset = %v, want %v", got, want)
+	}
+	if e, probes, _ := tb.find(mixKey(1)); e != nil || probes != 1 {
+		t.Errorf("lookup after Reset = (present %v, %d probes), want (false, 1)", e != nil, probes)
+	}
+	if tb.SlotEntry(7) != nil {
+		t.Error("SlotEntry after Reset returned an entry")
 	}
 }
 

@@ -28,6 +28,8 @@ func (s *Service) initObs() {
 	r.CounterFunc("yala_requests_total", s.ingests.Load, "verb", "ingest")
 	r.CounterFunc("yala_requests_total", s.httpRequests.Load, "transport", "http")
 	r.CounterFunc("yala_requests_total", s.wireRequests.Load, "transport", "wire")
+	r.CounterFunc("yala_wire_connections_total", s.wireConnsTCP.Load, "network", "tcp")
+	r.CounterFunc("yala_wire_connections_total", s.wireConnsUnix.Load, "network", "unix")
 	r.CounterFunc("yala_request_errors_total", s.errors.Load)
 	r.CounterFunc("yala_client_canceled_total", s.canceled.Load)
 	r.CounterFunc("yala_cache_hits_total", s.cache.Hits)

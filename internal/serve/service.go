@@ -131,6 +131,12 @@ type Service struct {
 	wireRequests atomic.Uint64
 	canceled     atomic.Uint64
 
+	// wireConnsTCP and wireConnsUnix count the connections the yalawire
+	// listeners accepted, by network: a same-host client's upgrade shows
+	// as one of each.
+	wireConnsTCP  atomic.Uint64
+	wireConnsUnix atomic.Uint64
+
 	// wireAddr is the yalawire listener's address when one is mounted
 	// ("" otherwise); /v2/stats advertises it so gateways can discover
 	// and upgrade to wire upstream transport.

@@ -3,9 +3,12 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
 	"net"
 	"net/http"
+	"runtime"
 	"sync"
 	"time"
 
@@ -44,11 +47,15 @@ func (s *Service) WireAddr() string {
 	return ""
 }
 
-// WireServer is a running yalawire listener bound to a Service.
+// WireServer is a running yalawire listener bound to a Service, and
+// beside a TCP listener on Linux the same-host socket (local) it offers
+// loopback peers in the HelloAck (internal/wire's doc.go).
 type WireServer struct {
 	svc     *Service
 	handler http.Handler
 	lis     net.Listener
+	local   net.Listener // nil when none is offered
+	offer   string       // local's name
 	ctx     context.Context
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
@@ -67,6 +74,7 @@ func (s *Service) ServeWire(lis net.Listener, handler http.Handler) *WireServer 
 		svc:     s,
 		handler: handler,
 		lis:     lis,
+		local:   listenLocal(lis),
 		ctx:     ctx,
 		cancel:  cancel,
 		conns:   map[net.Conn]struct{}{},
@@ -74,19 +82,55 @@ func (s *Service) ServeWire(lis net.Listener, handler http.Handler) *WireServer 
 	addr := lis.Addr().String()
 	s.wireAddr.Store(&addr)
 	ws.wg.Add(1)
-	go ws.acceptLoop()
+	go ws.acceptLoop(lis)
+	if ws.local != nil {
+		ws.offer = ws.local.Addr().String()
+		ws.wg.Add(1)
+		go ws.acceptLoop(ws.local)
+	}
 	return ws
+}
+
+// listenLocal opens the same-host socket a TCP wire listener offers: a
+// Unix stream socket in Linux's abstract namespace under a crypto/rand
+// name, so it creates no file, leaves nothing behind, and a restarted
+// server never answers to its predecessor's name. Other platforms,
+// other listeners and a failed listen get none; every peer stays on TCP.
+func listenLocal(lis net.Listener) net.Listener {
+	if runtime.GOOS != "linux" || lis.Addr().Network() != "tcp" {
+		return nil
+	}
+	var id [16]byte
+	rand.Read(id[:])
+	l, err := net.Listen("unix", "@yalawire-"+hex.EncodeToString(id[:]))
+	if err != nil {
+		return nil
+	}
+	return l
+}
+
+// offerTo is the same-host socket a HelloAck offers the peer at remote:
+// the local socket's name for a loopback TCP peer, "" for any other — a
+// remote peer cannot reach it, a peer already on it needs none.
+func (ws *WireServer) offerTo(remote net.Addr) string {
+	if !wire.Loopback(remote) {
+		return ""
+	}
+	return ws.offer
 }
 
 // Addr returns the listener's address.
 func (ws *WireServer) Addr() string { return ws.lis.Addr().String() }
 
-// Close stops accepting, tears down every connection, and withdraws
-// the wire_addr advertisement.
+// Close stops accepting on both listeners, tears down every connection,
+// and withdraws the wire_addr advertisement.
 func (ws *WireServer) Close() {
 	ws.cancel()
 	ws.svc.wireAddr.Store(new(string))
 	ws.lis.Close()
+	if ws.local != nil {
+		ws.local.Close()
+	}
 	ws.mu.Lock()
 	for c := range ws.conns {
 		c.Close()
@@ -95,14 +139,28 @@ func (ws *WireServer) Close() {
 	ws.wg.Wait()
 }
 
-func (ws *WireServer) acceptLoop() {
+// acceptLoop accepts lis's connections until it closes, counting them
+// by network. A connection accepted as Close runs is closed at once:
+// Close has canceled ctx before it walks conns, so every connection is
+// either in conns by then or sees ctx done here.
+func (ws *WireServer) acceptLoop(lis net.Listener) {
 	defer ws.wg.Done()
+	accepted := &ws.svc.wireConnsTCP
+	if lis.Addr().Network() == "unix" {
+		accepted = &ws.svc.wireConnsUnix
+	}
 	for {
-		c, err := ws.lis.Accept()
+		c, err := lis.Accept()
 		if err != nil {
 			return
 		}
+		accepted.Add(1)
 		ws.mu.Lock()
+		if ws.ctx.Err() != nil {
+			ws.mu.Unlock()
+			c.Close()
+			return
+		}
 		ws.conns[c] = struct{}{}
 		ws.mu.Unlock()
 		ws.wg.Add(1)
@@ -111,9 +169,10 @@ func (ws *WireServer) acceptLoop() {
 }
 
 // serveConn drives one connection: a Hello handshake binding the API
-// key, then strictly serial request frames until hangup or a framing
-// error. Frame-level damage tears the connection down — clients fall
-// back to HTTP and redial.
+// key, answered with the same-host offer this peer gets, then strictly
+// serial request frames until hangup or a framing error. Frame-level
+// damage tears the connection down — clients fall back to HTTP and
+// redial.
 func (ws *WireServer) serveConn(c net.Conn) {
 	defer ws.wg.Done()
 	defer func() {
@@ -133,7 +192,10 @@ func (ws *WireServer) serveConn(c net.Conn) {
 	if err != nil {
 		return
 	}
-	if fr.WriteFrame(wire.TypeHelloAck, f.ID, nil) != nil {
+	ack := wire.AppendHelloAck(wire.GetBuf(), ws.offerTo(c.RemoteAddr()))
+	err = fr.WriteFrame(wire.TypeHelloAck, f.ID, ack)
+	wire.PutBuf(ack)
+	if err != nil {
 		return
 	}
 	c.SetReadDeadline(time.Time{})

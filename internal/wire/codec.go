@@ -151,6 +151,15 @@ func appendPredictRequest(buf []byte, r *PredictRequest) []byte {
 // AppendHello encodes a Hello payload: the client's API key.
 func AppendHello(buf []byte, apiKey string) []byte { return appendStr(buf, apiKey) }
 
+// AppendHelloAck encodes a HelloAck payload: the same-host socket the
+// server offers, none (an empty payload) when local is "".
+func AppendHelloAck(buf []byte, local string) []byte {
+	if local == "" {
+		return buf
+	}
+	return appendStr(buf, local)
+}
+
 // AppendPredictRequest encodes a predict request payload.
 func AppendPredictRequest(buf []byte, r *PredictRequest) []byte {
 	return appendPredictRequest(buf, r)
@@ -372,6 +381,30 @@ func DecodeHello(b []byte) (string, error) {
 	r := reader{b: b}
 	key := r.str()
 	return key, r.done()
+}
+
+// maxLocalName is the longest same-host socket name a HelloAck may
+// offer: the path size of a Unix socket address, whose leading NUL (the
+// abstract namespace's mark) the name's "@" stands for.
+const maxLocalName = 108
+
+// DecodeHelloAck parses a HelloAck payload: the offered same-host socket
+// name, "" for none. An offer must name a socket in Linux's abstract
+// namespace ("@" first, at most maxLocalName bytes), so no server
+// can point a client at a socket file.
+func DecodeHelloAck(b []byte) (string, error) {
+	if len(b) == 0 {
+		return "", nil
+	}
+	r := reader{b: b}
+	local := r.str()
+	if err := r.done(); err != nil {
+		return "", err
+	}
+	if local != "" && (local[0] != '@' || len(local) > maxLocalName) {
+		return "", fmt.Errorf("%w: offered socket %q is not an abstract name", errBadPayload, local)
+	}
+	return local, nil
 }
 
 // DecodePredictRequest parses a TypePredict payload.

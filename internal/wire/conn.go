@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -24,6 +25,11 @@ func (cc *clientConn) close() { cc.c.Close() }
 // connection are strictly serial, so responses never interleave),
 // dialed lazily, handshaken once, and discarded on any transport
 // error — the next request dials fresh.
+//
+// A pool dialing a loopback address moves to the same-host socket the
+// server offers in its HelloAck (doc.go) and dials that first from then
+// on; local is the name it learned, refused the last name it could not
+// reach, which it does not try again.
 type Pool struct {
 	addr        string
 	apiKey      string
@@ -31,6 +37,10 @@ type Pool struct {
 	idle        chan *clientConn
 	nextID      atomic.Uint64
 	closed      atomic.Bool
+
+	mu      sync.Mutex
+	local   string
+	refused string
 }
 
 // NewPool builds a pool toward addr (host:port). maxIdle bounds the
@@ -65,13 +75,67 @@ func (p *Pool) Close() {
 	}
 }
 
-// dial establishes and handshakes one connection: Hello carrying the
-// API key, expect HelloAck.
+// Loopback reports whether addr is a TCP address on the loopback
+// interface: the only peers a server offers its same-host socket to,
+// and the only servers whose offer a pool follows.
+func Loopback(addr net.Addr) bool {
+	a, ok := addr.(*net.TCPAddr)
+	return ok && a.IP.IsLoopback()
+}
+
+// dial establishes and handshakes one connection: on the learned
+// same-host socket if there is one, else over TCP, moving to the socket
+// a loopback server offers unless that name has failed before. Any
+// failure on the socket leaves the connection on TCP and the name
+// refused; a learned name that fails is forgotten, and the TCP
+// handshake learns the server's current one.
 func (p *Pool) dial(ctx context.Context) (*clientConn, error) {
-	d := net.Dialer{Timeout: p.dialTimeout}
-	c, err := d.DialContext(ctx, "tcp", p.addr)
+	p.mu.Lock()
+	local, refused := p.local, p.refused
+	p.mu.Unlock()
+	if local != "" {
+		if cc, _, err := p.handshake(ctx, "unix", local); err == nil {
+			return cc, nil
+		}
+		p.refuse(local)
+		refused = local
+	}
+	cc, offer, err := p.handshake(ctx, "tcp", p.addr)
+	if err != nil || offer == "" || offer == refused || !Loopback(cc.c.RemoteAddr()) {
+		return cc, err
+	}
+	uc, _, err := p.handshake(ctx, "unix", offer)
 	if err != nil {
-		return nil, fmt.Errorf("%w: dial %s: %v", ErrTransport, p.addr, err)
+		p.refuse(offer)
+		return cc, nil
+	}
+	cc.close()
+	p.mu.Lock()
+	p.local = offer
+	p.mu.Unlock()
+	return uc, nil
+}
+
+// refuse records that name could not be reached, forgetting it if it
+// was the learned socket.
+func (p *Pool) refuse(name string) {
+	p.mu.Lock()
+	p.refused = name
+	if p.local == name {
+		p.local = ""
+	}
+	p.mu.Unlock()
+}
+
+// handshake dials addr on network and opens the connection: Hello
+// carrying the API key, expect HelloAck. It also returns the same-host
+// socket the ack offers: "" for none, or for an offer that does not
+// decode, which leaves the connection on the transport it dialed.
+func (p *Pool) handshake(ctx context.Context, network, addr string) (*clientConn, string, error) {
+	d := net.Dialer{Timeout: p.dialTimeout}
+	c, err := d.DialContext(ctx, network, addr)
+	if err != nil {
+		return nil, "", fmt.Errorf("%w: dial %s: %v", ErrTransport, addr, err)
 	}
 	cc := &clientConn{c: c, fr: NewFramer(c)}
 	if dl, ok := ctx.Deadline(); ok {
@@ -87,19 +151,20 @@ func (p *Pool) dial(ctx context.Context) (*clientConn, error) {
 	PutBuf(buf)
 	if err != nil {
 		cc.close()
-		return nil, err
+		return nil, "", err
 	}
 	f, err := cc.fr.ReadFrame()
 	if err != nil {
 		cc.close()
-		return nil, fmt.Errorf("%w: hello: %v", ErrTransport, err)
+		return nil, "", fmt.Errorf("%w: hello: %v", ErrTransport, err)
 	}
 	if f.Type != TypeHelloAck {
 		cc.close()
-		return nil, fmt.Errorf("%w: hello answered with frame type %d", ErrTransport, f.Type)
+		return nil, "", fmt.Errorf("%w: hello answered with frame type %d", ErrTransport, f.Type)
 	}
+	offer, _ := DecodeHelloAck(f.Payload)
 	c.SetDeadline(time.Time{})
-	return cc, nil
+	return cc, offer, nil
 }
 
 // Do performs one request/response exchange: write a frame of the

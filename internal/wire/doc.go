@@ -30,6 +30,26 @@
 // strictly serial per connection — a client pool (Pool) holds several
 // connections for concurrency instead of multiplexing one.
 //
+// # Same-host upgrade
+//
+// A TypeHelloAck payload is empty, or one uvarint-length string: the name
+// of a Unix stream socket in Linux's abstract namespace ("@" first, at
+// most 108 bytes) on which the same server speaks the same protocol. A
+// server listening on TCP on Linux opens one under a random name
+// (crypto/rand), which creates no file, and offers it only to a peer
+// whose TCP remote address is loopback; a remote peer, a peer already on
+// the socket and every peer on another platform get an empty payload.
+// Clients that predate the offer ignore the payload and stay on TCP.
+//
+// Pool follows an offer only from a loopback server: it dials the
+// socket, repeats Hello with the same API key, and on success closes
+// the TCP connection and dials the socket directly from then on. On any
+// failure it keeps the TCP connection and does not try that name again;
+// a learned name that stops answering (the server restarted) is
+// forgotten, and the next TCP handshake offers the new one. The frame
+// layout, the API key and the tenant gate are the same on both
+// transports, and wire_addr in /v2/stats stays the TCP address.
+//
 // Payload encodings are hand-rolled append-style encoders over pooled
 // buffers (GetBuf/PutBuf): uvarint-length strings, zigzag varints for
 // ints, fixed 8-byte big-endian floats. Decoders never panic on
@@ -40,7 +60,8 @@
 //
 //   - TypeEcho/TypeEchoAck — payload reflection, bypassing serving
 //     entirely; loadgen's -wirefloor mode uses it to measure the pure
-//     transport floor (framing + syscalls).
+//     transport floor (framing + syscalls) on whichever transport the
+//     pool ends up on: the same-host socket against a loopback server.
 //   - TypePredict/TypePredictResp, TypeBatch/TypeBatchResp — the typed
 //     hot path: binary predict and batch-predict, no JSON anywhere.
 //   - TypeCall/TypeCallResp — a generic HTTP-shaped tunnel (method,

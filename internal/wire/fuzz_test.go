@@ -31,6 +31,12 @@ func FuzzFrame(f *testing.F) {
 	resp := PredictResponse{NF: "ACL", Backend: "slomo", SoloPPS: 1.5e6, PredictedPPS: math.NaN(),
 		Bottleneck: "dram", PerResource: []ResourcePPS{{"dram", 7.2e5}}}
 	f.Add(frameBytes(TypeHello, 1, AppendHello(nil, "key")))
+	// HelloAck offers: none, a same-host socket, a truncated length, a
+	// length past the payload.
+	f.Add(frameBytes(TypeHelloAck, 1, nil))
+	f.Add(frameBytes(TypeHelloAck, 1, AppendHelloAck(nil, "@yalawire-00112233445566778899aabbccddeeff")))
+	f.Add(frameBytes(TypeHelloAck, 1, []byte{0x80}))
+	f.Add(frameBytes(TypeHelloAck, 1, []byte{0xff, 0x01, '@', 'x'}))
 	f.Add(frameBytes(TypePredict, 2, AppendPredictRequest(nil, &req)))
 	f.Add(frameBytes(TypePredictResp, 2, AppendPredictResponse(nil, &resp)))
 	f.Add(frameBytes(TypeBatch, 3, AppendBatchRequest(nil, &BatchRequest{Requests: []PredictRequest{req, {}}})))
@@ -71,6 +77,7 @@ func FuzzFrame(f *testing.F) {
 // checkDecoders runs every typed decoder over one payload.
 func checkDecoders(t *testing.T, p []byte) {
 	roundTrip(t, p, DecodeHello, AppendHello)
+	roundTrip(t, p, DecodeHelloAck, AppendHelloAck)
 	roundTrip(t, p, DecodePredictRequest, func(b []byte, v PredictRequest) []byte { return AppendPredictRequest(b, &v) })
 	roundTrip(t, p, DecodePredictResponse, func(b []byte, v PredictResponse) []byte { return AppendPredictResponse(b, &v) })
 	roundTrip(t, p, decodeBatchRequest, func(b []byte, v BatchRequest) []byte { return AppendBatchRequest(b, &v) })
