@@ -177,11 +177,6 @@ func (t *FlowTable) probe(key uint64) (uint32, int, int) {
 		}
 		idx = (idx + 1) & mask
 	}
-	if len(t.slots) == 0 {
-		// No storage yet: probe as the empty minTableSlots-slot table
-		// would, one slot, with no slot to seat a key in.
-		return 0, 1, -1
-	}
 	return 0, len(t.slots), -1
 }
 
@@ -206,7 +201,9 @@ func (t *FlowTable) entry(s uint32) *FlowEntry {
 func (t *FlowTable) find(key uint64) (*FlowEntry, int, int) {
 	s, probes, free := t.probe(key)
 	if s == 0 {
-		return nil, probes, free
+		// A table without storage probes no slot; it answers as the
+		// empty minTableSlots-slot table it stands for, after one.
+		return nil, max(probes, 1), free
 	}
 	return t.entry(s), probes, 0
 }
@@ -247,14 +244,11 @@ func (t *FlowTable) seat(keys []uint64) {
 // SlotEntry returns the entry held in slot i (modulo the slot count), nil
 // if the slot is empty: the view a walk over the table in slot order has.
 func (t *FlowTable) SlotEntry(i uint64) *FlowEntry {
-	if len(t.slots) == 0 {
+	i &= uint64(len(t.slots) - 1)
+	if i >= uint64(len(t.slots)) || t.slots[i] == 0 { // no storage, or an empty slot
 		return nil
 	}
-	s := t.slots[i&uint64(len(t.slots)-1)]
-	if s == 0 {
-		return nil
-	}
-	return t.entry(s)
+	return t.entry(t.slots[i])
 }
 
 // rehash re-seats every key in a probe array of size slots, visiting the
