@@ -562,7 +562,7 @@ func cmdLoadgen(args []string) error {
 	hot := fs.Int("hot", -1, "index of the hostile flooder among the tenants (unpaced; -1 = none)")
 	quietRPS := fs.Float64("quietrps", 20, "paced request rate per non-hot tenant")
 	wireAddr := fs.String("wire", "", "server's yalawire address: route Predict/PredictBatch over the binary protocol")
-	wireFloor := fs.Bool("wirefloor", false, "measure the raw yalawire echo floor instead of a serving run (requires -wire; uses -n/-c); against a loopback -wire on Linux it is the same-host Unix socket's floor, the transport wire predicts use there")
+	wireFloor := fs.Bool("wirefloor", false, "measure the raw yalawire echo floor instead of a serving run (requires -wire; uses -n/-c); against a loopback -wire on Linux, the floor of the same-host Unix socket wire clients move to")
 	jsonPath := fs.String("json", "", "write the machine-readable report to this path")
 	fs.Parse(args)
 

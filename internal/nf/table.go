@@ -51,10 +51,10 @@ func (t *FlowTable) StateBytes() float64 {
 	return float64(max(len(t.slots), minTableSlots) * entryBytes)
 }
 
-// Reset drops all entries and the storage that held them, back to the
-// initial capacity. It allocates nothing: the next Reserve sizes the
-// table (from the spare store when it can), or the first Insert
-// allocates minTableSlots slots.
+// Reset drops all entries and the storage that held them, leaving the
+// empty minTableSlots-slot table NewFlowTable returns. It allocates
+// nothing: the next Reserve sizes the table (from the spare store when
+// it can), or the first Insert allocates minTableSlots slots.
 func (t *FlowTable) Reset() { *t = FlowTable{} }
 
 // Reserve grows the table so n keys fit without triggering growth — one
