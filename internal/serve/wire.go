@@ -94,10 +94,14 @@ func (s *Service) ServeWire(lis net.Listener, handler http.Handler) *WireServer 
 // listenLocal opens the same-host socket a TCP wire listener offers: a
 // Unix stream socket in Linux's abstract namespace under a crypto/rand
 // name, so it creates no file, leaves nothing behind, and a restarted
-// server never answers to its predecessor's name. Other platforms,
-// other listeners and a failed listen get none; every peer stays on TCP.
+// server never answers to its predecessor's name. Only a TCP listener a
+// loopback peer can reach (bound to a loopback or an unspecified
+// address) gets one, as offerTo offers it to no other peer; other
+// platforms, other listeners and a failed listen get none, and every
+// peer stays on TCP.
 func listenLocal(lis net.Listener) net.Listener {
-	if runtime.GOOS != "linux" || lis.Addr().Network() != "tcp" {
+	a, ok := lis.Addr().(*net.TCPAddr)
+	if runtime.GOOS != "linux" || !ok || !(a.IP.IsLoopback() || a.IP.IsUnspecified()) {
 		return nil
 	}
 	var id [16]byte

@@ -96,8 +96,7 @@ func TestWireOffersSameHostSocket(t *testing.T) {
 }
 
 // TestWireSDKUpgrades: an SDK client pointed at the TCP address ends up
-// on the socket: its first connection is one of each, later ones the
-// socket's alone.
+// on the socket: its one pooled connection is accepted once on each.
 func TestWireSDKUpgrades(t *testing.T) {
 	requireLinux(t)
 	svc, ts, ws := wireTestServer(t, nil)
@@ -139,6 +138,40 @@ func TestWireOfferOnlyToLoopback(t *testing.T) {
 		t.Errorf("a server without a socket offered %q", got)
 	}
 }
+
+// TestWireLocalOnlyForLoopbackListeners: only a TCP listener bound to a
+// loopback or an unspecified address, the ones a loopback peer can
+// reach, opens the same-host socket.
+func TestWireLocalOnlyForLoopbackListeners(t *testing.T) {
+	requireLinux(t)
+	for _, c := range []struct {
+		addr net.Addr
+		want bool
+	}{
+		{&net.TCPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 8881}, true},
+		{&net.TCPAddr{IP: net.IPv6loopback, Port: 8881}, true},
+		{&net.TCPAddr{IP: net.IPv4zero, Port: 8881}, true},
+		{&net.TCPAddr{IP: net.IPv6unspecified, Port: 8881}, true},
+		{&net.TCPAddr{IP: net.IPv4(10, 0, 0, 5), Port: 8881}, false},
+		{&net.TCPAddr{IP: net.ParseIP("2001:db8::5"), Port: 8881}, false},
+		{&net.UnixAddr{Name: "@yalawire-x", Net: "unix"}, false},
+	} {
+		l := listenLocal(addrListener{c.addr})
+		if l != nil {
+			l.Close()
+		}
+		if got := l != nil; got != c.want {
+			t.Errorf("listener on %v opened a same-host socket: %v, want %v", c.addr, got, c.want)
+		}
+	}
+}
+
+// addrListener is a listener that only reports an address.
+type addrListener struct{ addr net.Addr }
+
+func (l addrListener) Accept() (net.Conn, error) { return nil, net.ErrClosed }
+func (l addrListener) Close() error              { return nil }
+func (l addrListener) Addr() net.Addr            { return l.addr }
 
 // TestWireCloseStopsBothListeners: Close returns with both accept loops
 // done and every connection torn down, live ones on either network

@@ -2,10 +2,12 @@ package wire
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -26,10 +28,10 @@ func (cc *clientConn) close() { cc.c.Close() }
 // dialed lazily, handshaken once, and discarded on any transport
 // error — the next request dials fresh.
 //
-// A pool dialing a loopback address moves to the same-host socket the
-// server offers in its HelloAck (doc.go) and dials that first from then
-// on; local is the name it learned, refused the last name it could not
-// reach, which it does not try again.
+// A pool dialing a loopback address moves each new connection to the
+// same-host socket the server offers in that connection's HelloAck
+// (doc.go); refused is the last offered name the pool could not reach,
+// which it does not try again.
 type Pool struct {
 	addr        string
 	apiKey      string
@@ -39,7 +41,6 @@ type Pool struct {
 	closed      atomic.Bool
 
 	mu      sync.Mutex
-	local   string
 	refused string
 }
 
@@ -83,48 +84,38 @@ func Loopback(addr net.Addr) bool {
 	return ok && a.IP.IsLoopback()
 }
 
-// dial establishes and handshakes one connection: on the learned
-// same-host socket if there is one, else over TCP, moving to the socket
-// a loopback server offers unless that name has failed before. Any
-// failure on the socket leaves the connection on TCP and the name
-// refused; a learned name that fails is forgotten, and the TCP
-// handshake learns the server's current one.
+// dial establishes and handshakes one connection over TCP, then moves
+// it to the same-host socket a loopback server offers in that handshake,
+// unless that name has failed before. The pool dials only a name the
+// server offered on a connection that is still open, never one it
+// remembers from an earlier one: a live server holds its name, so no
+// other process can be listening there to receive the API key, while a
+// name an exited server released can be bound by anyone. A failed
+// upgrade leaves the connection on TCP. The name is refused only when the
+// socket itself failed: not when ctx ended, nor when its listen backlog
+// was momentarily full (EAGAIN).
 func (p *Pool) dial(ctx context.Context) (*clientConn, error) {
-	p.mu.Lock()
-	local, refused := p.local, p.refused
-	p.mu.Unlock()
-	if local != "" {
-		if cc, _, err := p.handshake(ctx, "unix", local); err == nil {
-			return cc, nil
-		}
-		p.refuse(local)
-		refused = local
-	}
 	cc, offer, err := p.handshake(ctx, "tcp", p.addr)
-	if err != nil || offer == "" || offer == refused || !Loopback(cc.c.RemoteAddr()) {
+	if err != nil || offer == "" || !Loopback(cc.c.RemoteAddr()) {
 		return cc, err
+	}
+	p.mu.Lock()
+	refused := offer == p.refused
+	p.mu.Unlock()
+	if refused {
+		return cc, nil
 	}
 	uc, _, err := p.handshake(ctx, "unix", offer)
 	if err != nil {
-		p.refuse(offer)
+		if ctx.Err() == nil && !errors.Is(err, syscall.EAGAIN) {
+			p.mu.Lock()
+			p.refused = offer
+			p.mu.Unlock()
+		}
 		return cc, nil
 	}
 	cc.close()
-	p.mu.Lock()
-	p.local = offer
-	p.mu.Unlock()
 	return uc, nil
-}
-
-// refuse records that name could not be reached, forgetting it if it
-// was the learned socket.
-func (p *Pool) refuse(name string) {
-	p.mu.Lock()
-	p.refused = name
-	if p.local == name {
-		p.local = ""
-	}
-	p.mu.Unlock()
 }
 
 // handshake dials addr on network and opens the connection: Hello
@@ -135,7 +126,7 @@ func (p *Pool) handshake(ctx context.Context, network, addr string) (*clientConn
 	d := net.Dialer{Timeout: p.dialTimeout}
 	c, err := d.DialContext(ctx, network, addr)
 	if err != nil {
-		return nil, "", fmt.Errorf("%w: dial %s: %v", ErrTransport, addr, err)
+		return nil, "", fmt.Errorf("%w: dial %s: %w", ErrTransport, addr, err)
 	}
 	cc := &clientConn{c: c, fr: NewFramer(c)}
 	if dl, ok := ctx.Deadline(); ok {

@@ -35,19 +35,24 @@
 // A TypeHelloAck payload is empty, or one uvarint-length string: the name
 // of a Unix stream socket in Linux's abstract namespace ("@" first, at
 // most 108 bytes) on which the same server speaks the same protocol. A
-// server listening on TCP on Linux opens one under a random name
-// (crypto/rand), which creates no file, and offers it only to a peer
-// whose TCP remote address is loopback; a remote peer, a peer already on
-// the socket and every peer on another platform get an empty payload.
-// Clients that predate the offer ignore the payload and stay on TCP.
+// server listening on TCP on Linux at a loopback or unspecified address
+// opens one under a random name (crypto/rand), which creates no file,
+// and offers it only to a peer whose TCP remote address is loopback; a
+// remote peer, a peer already on the socket and every peer on another
+// platform get an empty payload. Clients that predate the offer ignore
+// the payload and stay on TCP.
 //
-// Pool follows an offer only from a loopback server: it dials the
-// socket, repeats Hello with the same API key, and on success closes
-// the TCP connection and dials the socket directly from then on. On any
-// failure it keeps the TCP connection and does not try that name again;
-// a learned name that stops answering (the server restarted) is
-// forgotten, and the next TCP handshake offers the new one. The frame
-// layout, the API key and the tenant gate are the same on both
+// Pool follows an offer only from a loopback server, and only the offer
+// it has just received: every new connection completes its TCP
+// handshake first, then dials the offered socket, repeats Hello with the
+// same API key, and on success closes the TCP connection. A name is
+// never dialed from memory: an abstract name has no permissions, and the
+// one an exited server released can be bound by any local process,
+// whereas the live server that just offered its name still holds it. A
+// failed upgrade keeps the TCP connection, and the pool does not try
+// that name again unless the failure was the caller's ctx ending or a
+// full listen backlog (EAGAIN); a restarted server offers a new name.
+// The frame layout, the API key and the tenant gate are the same on both
 // transports, and wire_addr in /v2/stats stays the TCP address.
 //
 // Payload encodings are hand-rolled append-style encoders over pooled

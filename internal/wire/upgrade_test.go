@@ -14,11 +14,13 @@ import (
 // offerServer is a wire listener on loopback TCP that offers, in every
 // TCP HelloAck, whatever name offer holds ("" for none). Each echo is
 // answered with the network the connection arrived on, so a test sees
-// which transport a pool exchange rode.
+// which transport a pool exchange rode. onHello, when set, runs as a TCP
+// Hello arrives, before its ack is written.
 type offerServer struct {
-	t     *testing.T
-	addr  string
-	offer atomic.Pointer[string]
+	t       *testing.T
+	addr    string
+	offer   atomic.Pointer[string]
+	onHello atomic.Pointer[func()]
 }
 
 func newOfferServer(t *testing.T, offer string) *offerServer {
@@ -81,6 +83,9 @@ func (s *offerServer) conn(c net.Conn) {
 	var offer string
 	if Loopback(c.RemoteAddr()) {
 		offer = *s.offer.Load()
+		if h := s.onHello.Load(); h != nil {
+			(*h)()
+		}
 	}
 	if fr.WriteFrame(TypeHelloAck, f.ID, AppendHelloAck(nil, offer)) != nil {
 		return
@@ -131,27 +136,28 @@ func TestPoolStaysOnTCPWithoutOffer(t *testing.T) {
 			t.Fatalf("exchange %d rode %s, want tcp", i, got)
 		}
 	}
-	if p.local != "" || p.refused != "" {
-		t.Fatalf("pool learned %q, refused %q with nothing offered", p.local, p.refused)
+	if p.refused != "" {
+		t.Fatalf("pool refused %q with nothing offered", p.refused)
 	}
 }
 
-// TestPoolUpgradesToOfferedSocket: a loopback server's offer moves the
-// pool to the socket, and later dials go there directly.
+// TestPoolUpgradesToOfferedSocket: a loopback server's offer moves each
+// new pool connection to the socket, and only while the server offers
+// it: the pool never dials a name on its own.
 func TestPoolUpgradesToOfferedSocket(t *testing.T) {
 	s := newOfferServer(t, "")
-	_, name := s.listenUnix()
+	s.listenUnix()
 	p := NewPool(s.addr, "key", 2)
 	defer p.Close()
 	if got := echoVia(t, p); got != "unix" {
 		t.Fatalf("first exchange rode %s, want unix", got)
 	}
-	if p.local != name {
-		t.Fatalf("pool learned %q, want %q", p.local, name)
-	}
-	s.offer.Store(new(string)) // a direct dial needs no offer
 	if got := via(t, p); got != "unix" {
-		t.Fatalf("a dial after the upgrade rode %s, want unix", got)
+		t.Fatalf("a second dial rode %s, want unix", got)
+	}
+	s.offer.Store(new(string))
+	if got := via(t, p); got != "tcp" {
+		t.Fatalf("a dial the server offered nothing rode %s, want tcp", got)
 	}
 }
 
@@ -171,8 +177,8 @@ func TestPoolRefusesUnreachableOffer(t *testing.T) {
 				t.Fatalf("dial %d rode %s, want tcp", i, got)
 			}
 		}
-		if p.local != "" || p.refused != *s.offer.Load() {
-			t.Fatalf("pool learned %q, refused %q", p.local, p.refused)
+		if p.refused != *s.offer.Load() {
+			t.Fatalf("pool refused %q, want the offer %q", p.refused, *s.offer.Load())
 		}
 	})
 	t.Run("handshake fails", func(t *testing.T) {
@@ -208,32 +214,77 @@ func TestPoolRefusesUnreachableOffer(t *testing.T) {
 	})
 }
 
-// TestPoolRelearnsAfterServerRestart: a learned socket that stops
-// answering (its server restarted under a new name) is forgotten; the
-// dial falls back to TCP, whose HelloAck teaches the new name, or
-// stays there if the server offers none.
-func TestPoolRelearnsAfterServerRestart(t *testing.T) {
+// TestPoolFollowsServerRestart: a server that restarts offers a new
+// name and the pool follows it. The released old name, bound by another
+// process, is never dialed, so the API key and the traffic never reach
+// it; nor is it dialed once the server offers no name at all.
+func TestPoolFollowsServerRestart(t *testing.T) {
 	s := newOfferServer(t, "")
 	old, first := s.listenUnix()
 	p := NewPool(s.addr, "key", 1)
 	defer p.Close()
-	if got := via(t, p); got != "unix" || p.local != first {
-		t.Fatalf("first dial rode %s and learned %q, want unix and %q", got, p.local, first)
+	if got := via(t, p); got != "unix" {
+		t.Fatalf("first dial rode %s, want unix", got)
 	}
 	old.Close()
-	restarted, second := s.listenUnix()
+	impostor, err := net.Listen("unix", first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer impostor.Close()
+	var taken atomic.Int64
+	go func() {
+		for {
+			c, err := impostor.Accept()
+			if err != nil {
+				return
+			}
+			taken.Add(1)
+			c.Close()
+		}
+	}()
+	s.listenUnix()
 	if got := via(t, p); got != "unix" {
 		t.Fatalf("dial after the restart rode %s, want unix", got)
 	}
-	if p.local != second || p.refused != first {
-		t.Fatalf("pool learned %q, refused %q; want %q, %q", p.local, p.refused, second, first)
-	}
-	// A server back without the offer: the dead name is forgotten, not
-	// dialed ahead of every TCP connection.
 	s.offer.Store(new(string))
-	restarted.Close()
-	if got := via(t, p); got != "tcp" || p.local != "" {
-		t.Fatalf("dial after the socket went away rode %s and kept %q, want tcp and none", got, p.local)
+	if got := via(t, p); got != "tcp" {
+		t.Fatalf("dial with nothing offered rode %s, want tcp", got)
+	}
+	if n := taken.Load(); n != 0 {
+		t.Fatalf("the released name's new listener was dialed %d times", n)
+	}
+	if p.refused != "" {
+		t.Fatalf("pool refused %q; no offered socket failed", p.refused)
+	}
+}
+
+// TestPoolUpgradeSurvivesCanceledContext: a caller's ctx that ends
+// between the TCP handshake and the socket's leaves that connection on
+// TCP but the name unrefused, so a later dial still upgrades.
+func TestPoolUpgradeSurvivesCanceledContext(t *testing.T) {
+	s := newOfferServer(t, "")
+	s.listenUnix()
+	p := NewPool(s.addr, "", 1)
+	defer p.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancelOnHello := func() { cancel() }
+	s.onHello.Store(&cancelOnHello)
+	cc, err := p.dial(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := cc.c.RemoteAddr().Network()
+	cc.close()
+	if got != "tcp" {
+		t.Fatalf("dial whose ctx ended before the upgrade rode %s, want tcp", got)
+	}
+	s.onHello.Store(nil)
+	if p.refused != "" {
+		t.Fatalf("a canceled ctx refused %q", p.refused)
+	}
+	if got := via(t, p); got != "unix" {
+		t.Fatalf("dial after the canceled one rode %s, want unix", got)
 	}
 }
 
