@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // Serving-hot-path benchmarks: the perf baseline future scaling PRs
@@ -61,7 +62,7 @@ func BenchmarkPredictCacheMiss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		req := PredictRequest{
 			NF:          "FlowStats",
-			Profile:     ProfileSpec{MTBR: F64(100 + float64(i%100000)*0.001)},
+			Profile:     ProfileSpec{MTBR: wire.F64(100 + float64(i%100000)*0.001)},
 			Competitors: []CompetitorSpec{{Name: "ACL"}},
 		}
 		if _, err := s.PredictOn(context.Background(), "", req); err != nil {
@@ -98,7 +99,7 @@ func BenchmarkMixedArrivalWorkload(b *testing.B) {
 				Competitors: []CompetitorSpec{{Name: nfs[rng.Intn(len(nfs))]}},
 			}
 			if rng.Float64() < 0.02 { // 2% cold tail
-				req.Profile = ProfileSpec{MTBR: F64(rng.Range(100, 1000))}
+				req.Profile = ProfileSpec{MTBR: wire.F64(rng.Range(100, 1000))}
 			}
 			if _, err := s.PredictOn(context.Background(), "", req); err != nil {
 				b.Fatal(err)

@@ -200,14 +200,6 @@ func (c *Cache) Hits() uint64      { return c.hits.Load() }
 func (c *Cache) Misses() uint64    { return c.misses.Load() }
 func (c *Cache) Evictions() uint64 { return c.evictions.Load() }
 
-// CacheStats is a point-in-time counter snapshot.
-type CacheStats struct {
-	Entries   int    `json:"entries"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-}
-
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
 	return CacheStats{

@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/wire"
 )
 
 var update = flag.Bool("update", false, "rewrite golden /v2 fixtures")
@@ -95,9 +96,9 @@ func TestV1V2Contract(t *testing.T) {
 		{
 			name: "batch",
 			direct: func() (any, error) {
-				return svc.predictBatch(ctx, []hwPredict{
-					{req: PredictRequest{NF: "FlowStats"}},
-					{req: PredictRequest{NF: "ACL", Competitors: []CompetitorSpec{{Name: "FlowStats"}}}},
+				return svc.predictBatch(ctx, []PredictRequest{
+					{NF: "FlowStats"},
+					{NF: "ACL", Competitors: []CompetitorSpec{{Name: "FlowStats"}}},
 				})
 			},
 			v2Path: "/v2/models:batchPredict", v2Body: `{"requests":[{"model":"FlowStats"},{"model":"ACL","competitors":[{"name":"FlowStats"}]}]}`,
@@ -239,7 +240,7 @@ func TestV2GoldenModelsPage(t *testing.T) {
 	}
 	checkGolden(t, "v2_models_page.json", canonJSON(t, body))
 
-	var page modelsPageV2
+	var page wire.ModelsPage
 	if err := json.Unmarshal(body, &page); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestV2GoldenModelsPage(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("page 2: status %d", resp.StatusCode)
 	}
-	var page2 modelsPageV2
+	var page2 wire.ModelsPage
 	if err := json.Unmarshal(body, &page2); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestV2PaginationDrift(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("page 1: status %d body %s", resp.StatusCode, body)
 	}
-	var page1 modelsPageV2
+	var page1 wire.ModelsPage
 	if err := json.Unmarshal(body, &page1); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +320,7 @@ func TestV2PaginationDrift(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stale token: status %d body %s (want empty final page)", resp.StatusCode, body)
 	}
-	var page2 modelsPageV2
+	var page2 wire.ModelsPage
 	if err := json.Unmarshal(body, &page2); err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +335,7 @@ func TestV2PaginationDrift(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("boundary token: status %d body %s", resp.StatusCode, body)
 	}
-	var page3 modelsPageV2
+	var page3 wire.ModelsPage
 	if err := json.Unmarshal(body, &page3); err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +345,7 @@ func TestV2PaginationDrift(t *testing.T) {
 
 	// A walk restarted from scratch sees the shrunken listing whole.
 	resp, body = roundTrip(t, ts, "GET", "/v2/models", "")
-	var page4 modelsPageV2
+	var page4 wire.ModelsPage
 	if err := json.Unmarshal(body, &page4); err != nil {
 		t.Fatal(err)
 	}
@@ -358,8 +359,8 @@ func TestV2PaginationDrift(t *testing.T) {
 // predictions, and an unknown class is rejected up front.
 func TestV2HardwareQualifiedPredict(t *testing.T) {
 	ts := testServer(t)
-	base := postAs[PredictResponse](t, ts, "/v2/models/FlowStats/fake:predict", predictParamsV2{})
-	qualified := postAs[PredictResponse](t, ts, "/v2/models/FlowStats@pensando/fake:predict", predictParamsV2{})
+	base := postAs[PredictResponse](t, ts, "/v2/models/FlowStats/fake:predict", wire.PredictParams{})
+	qualified := postAs[PredictResponse](t, ts, "/v2/models/FlowStats@pensando/fake:predict", wire.PredictParams{})
 	if base.HW != "" || qualified.HW != "pensando" {
 		t.Fatalf("hw labels: base %q, qualified %q", base.HW, qualified.HW)
 	}
@@ -390,7 +391,7 @@ func TestV2YalaHardwareQualified(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(ts.Close)
 
-	resp := postAs[PredictResponse](t, ts, "/v2/models/FlowStats@pensando/yala:predict", predictParamsV2{})
+	resp := postAs[PredictResponse](t, ts, "/v2/models/FlowStats@pensando/yala:predict", wire.PredictParams{})
 	if resp.HW != "pensando" || resp.PredictedPPS <= 0 {
 		t.Fatalf("hw-qualified yala prediction: %+v", resp)
 	}

@@ -326,17 +326,17 @@ func equivJSONRequest(t *testing.T, batch bool, reqs []wire.PredictRequest) (pat
 	}
 	var v any
 	if batch {
-		params := batchParamsV2{}
+		params := wire.BatchParams{}
 		for _, r := range reqs {
-			params.Requests = append(params.Requests, batchItemV2{
-				Model: modelOf(r), Backend: r.Backend, Profile: specOf(r.Profile), Competitors: compsOf(r.Competitors),
+			params.Requests = append(params.Requests, wire.BatchItem{
+				Model: wire.ModelID{NF: r.NF, HW: r.HW}, Backend: r.Backend, Profile: specOf(r.Profile), Competitors: compsOf(r.Competitors),
 			})
 		}
 		path, v = "/v2/models:batchPredict", params
 	} else {
 		r := reqs[0]
 		path = "/v2/models/" + modelOf(r) + "/" + r.Backend + ":predict"
-		v = predictParamsV2{Profile: specOf(r.Profile), Competitors: compsOf(r.Competitors)}
+		v = wire.PredictParams{Profile: specOf(r.Profile), Competitors: compsOf(r.Competitors)}
 	}
 	data, err := json.Marshal(v)
 	if err != nil {

@@ -11,7 +11,8 @@ import (
 )
 
 // IngestMeasurement is one ground-truth throughput report: the scenario
-// it was measured under and the observed co-located throughput.
+// it was measured under and the observed co-located throughput. It is a
+// /v2/ingest item (wire.Measurement) with its model ID resolved.
 type IngestMeasurement struct {
 	NF          string
 	HW          string
@@ -20,14 +21,6 @@ type IngestMeasurement struct {
 	Competitors []CompetitorSpec
 	MeasuredPPS float64
 	Source      string
-}
-
-// IngestResult summarizes one ingest batch: how many measurements
-// entered the feedback windows and how many were recorded under a
-// quarantined source.
-type IngestResult struct {
-	Accepted    int `json:"accepted"`
-	Quarantined int `json:"quarantined"`
 }
 
 // Ingest feeds ground-truth measurements into the online-feedback
@@ -55,7 +48,7 @@ func (s *Service) Ingest(ctx context.Context, items []IngestMeasurement) (Ingest
 		var res IngestResult
 		for _, it := range items {
 			backendName, _ := ParseBackend(it.Backend)
-			prof := it.Profile.Profile()
+			prof := profileOf(it.Profile)
 			comps := canonSpecs(it.Competitors)
 			live, err := s.predictCached(backendName, it.HW, it.NF, prof, comps)
 			if err != nil {

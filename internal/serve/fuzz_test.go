@@ -11,7 +11,7 @@ import (
 
 // FuzzProfileSpecValidate drives arbitrary bytes through both routes a
 // wire profile takes into the service: JSON decoding into a ProfileSpec,
-// and a typed TypePredict frame decoded by the connection's requestSink,
+// and a typed TypePredict frame decoded as a connection decodes it,
 // whose profiles carry MTBR as raw float64 bits (NaN and infinities
 // included), then validateScenario. Neither route may panic, and every
 // profile that validates must resolve inside the validated bounds (or to
@@ -39,19 +39,18 @@ func FuzzProfileSpecValidate(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec ProfileSpec
-		if json.Unmarshal(data, &spec) == nil && spec.validate() == nil {
+		if json.Unmarshal(data, &spec) == nil && validateProfile(spec) == nil {
 			checkResolved(t, spec)
 		}
-		var sink requestSink
-		it, err := sink.predict(data)
+		req, err := decodePredict(data)
 		if err != nil {
 			return
 		}
-		if _, err := validateScenario(it.req.NF, it.req.Profile, it.req.Competitors, it.req.Backend); err != nil {
+		if _, err := validateScenario(req.NF, req.Profile, req.Competitors, req.Backend); err != nil {
 			return
 		}
-		checkResolved(t, it.req.Profile)
-		for _, c := range it.req.Competitors {
+		checkResolved(t, req.Profile)
+		for _, c := range req.Competitors {
 			checkResolved(t, c.Profile)
 		}
 	})
@@ -61,14 +60,14 @@ func FuzzProfileSpecValidate(f *testing.F) {
 // validated bounds and to SpecOf∘Profile being the identity.
 func checkResolved(t *testing.T, spec ProfileSpec) {
 	t.Helper()
-	prof := spec.Profile()
+	prof := profileOf(spec)
 	if prof.Flows <= 0 || prof.Flows > maxProfileFlows || prof.PktSize <= 0 || prof.PktSize > maxProfilePktSize ||
 		!(prof.MTBR >= 0 && prof.MTBR <= maxProfileMTBR) {
 		t.Fatalf("validated spec %+v resolved out of bounds: %+v", spec, prof)
 	}
 	// Resolved profiles are fixed points: converting back to the wire
 	// form and resolving again must be the identity.
-	if got := SpecOf(prof).Profile(); got != prof {
+	if got := profileOf(SpecOf(prof)); got != prof {
 		t.Fatalf("SpecOf/Profile is not identity: %+v → %+v", prof, got)
 	}
 }

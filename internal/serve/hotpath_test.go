@@ -28,7 +28,7 @@ func TestPredictOnHitAllocs(t *testing.T) {
 	ctx := context.Background()
 	for _, comps := range [][]CompetitorSpec{
 		nil,
-		{{Name: "ACL", Profile: ProfileSpec{Flows: 8000, MTBR: F64(0.1)}}},
+		{{Name: "ACL", Profile: ProfileSpec{Flows: 8000, MTBR: wire.F64(0.1)}}},
 		{{Name: "NIDS"}, {Name: "ACL", Profile: ProfileSpec{Flows: 9000}}, {Name: "ACL", Profile: ProfileSpec{Flows: 10000}}},
 	} {
 		req := PredictRequest{NF: "FlowStats", Profile: ProfileSpec{Flows: 64000, PktSize: 512}, Competitors: comps, Backend: "fake"}

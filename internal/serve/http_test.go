@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/cluster"
+	"repro/internal/wire"
 )
 
 // httpModelDir is shared by every HTTP-layer test server: the first
@@ -120,7 +121,7 @@ func getAs[Resp any](t *testing.T, ts *httptest.Server, path string) Resp {
 
 func TestHTTPPredict(t *testing.T) {
 	ts := testServer(t)
-	resp := postAs[PredictResponse](t, ts, "/v2/models/FlowStats/yala:predict", predictParamsV2{
+	resp := postAs[PredictResponse](t, ts, "/v2/models/FlowStats/yala:predict", wire.PredictParams{
 		Competitors: []CompetitorSpec{{Name: "ACL"}},
 	})
 	if resp.NF != "FlowStats" || resp.SoloPPS <= 0 || resp.PredictedPPS <= 0 {
@@ -158,9 +159,9 @@ func TestHTTPPredictBadRequest(t *testing.T) {
 
 func TestHTTPPredictBatch(t *testing.T) {
 	ts := testServer(t)
-	resp := postAs[BatchResponse](t, ts, "/v2/models:batchPredict", batchParamsV2{Requests: []batchItemV2{
-		{Model: "FlowStats"},
-		{Model: "ACL", Competitors: []CompetitorSpec{{Name: "FlowStats"}}},
+	resp := postAs[BatchResponse](t, ts, "/v2/models:batchPredict", wire.BatchParams{Requests: []wire.BatchItem{
+		{Model: wire.ModelID{NF: "FlowStats"}},
+		{Model: wire.ModelID{NF: "ACL"}, Competitors: []CompetitorSpec{{Name: "FlowStats"}}},
 	}})
 	if len(resp.Responses) != 2 || len(resp.Errors) != 0 {
 		t.Fatalf("batch response: %+v", resp)
@@ -178,18 +179,18 @@ func TestHTTPPredictBatch(t *testing.T) {
 
 func TestHTTPCompareAdmitDiagnose(t *testing.T) {
 	ts := testServer(t)
-	cmp := postAs[CompareResponse](t, ts, "/v2/models/FlowStats:compare", compareParamsV2{Competitors: []CompetitorSpec{{Name: "ACL"}}})
+	cmp := postAs[CompareResponse](t, ts, "/v2/models/FlowStats:compare", wire.CompareParams{Competitors: []CompetitorSpec{{Name: "ACL"}}})
 	if cmp.Yala.PredictedPPS <= 0 || cmp.SLOMO.PredictedPPS <= 0 {
 		t.Fatalf("implausible compare: %+v", cmp)
 	}
-	adm := postAs[AdmitResponse](t, ts, "/v2/models/FlowStats/yala:admit", admitParamsV2{
+	adm := postAs[AdmitResponse](t, ts, "/v2/models/FlowStats/yala:admit", wire.AdmitParams{
 		Residents: []ColoNF{{Name: "ACL", SLA: 0.9}},
 		SLA:       0.9,
 	})
 	if adm.Residents != 1 {
 		t.Fatalf("admit response: %+v", adm)
 	}
-	diag := postAs[DiagnoseResponse](t, ts, "/v2/models/FlowStats:diagnose", predictParamsV2{Competitors: []CompetitorSpec{{Name: "ACL"}}})
+	diag := postAs[DiagnoseResponse](t, ts, "/v2/models/FlowStats:diagnose", wire.PredictParams{Competitors: []CompetitorSpec{{Name: "ACL"}}})
 	if diag.Bottleneck == "" {
 		t.Fatalf("diagnose response: %+v", diag)
 	}
@@ -202,7 +203,7 @@ func TestHTTPCompareAdmitDiagnose(t *testing.T) {
 
 func TestHTTPStatsModelsHealthz(t *testing.T) {
 	ts := testServer(t)
-	postAs[PredictResponse](t, ts, "/v2/models/FlowStats/yala:predict", predictParamsV2{})
+	postAs[PredictResponse](t, ts, "/v2/models/FlowStats/yala:predict", wire.PredictParams{})
 	stats := getAs[statsV2](t, ts, "/v2/stats")
 	if stats.Requests["predict"] != 1 || len(stats.Models) == 0 {
 		t.Fatalf("stats: %+v", stats)
@@ -215,7 +216,7 @@ func TestHTTPStatsModelsHealthz(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
-	models := getAs[modelsPageV2](t, ts, "/v2/models")
+	models := getAs[wire.ModelsPage](t, ts, "/v2/models")
 	if len(models.Models) == 0 {
 		t.Fatal("model listing empty after a predict")
 	}

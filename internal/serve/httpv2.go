@@ -16,6 +16,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/feedback"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // decodeV2 reads a /v2 request body strictly. An empty body decodes to
@@ -74,82 +75,24 @@ func v2Route(mux *http.ServeMux, method, pattern string, h http.HandlerFunc) {
 	})
 }
 
-// Wire shapes of the /v2 custom methods. The model and backend live in
-// the path, so the bodies carry only the scenario.
-type (
-	// predictParamsV2 is the body of :predict and :diagnose.
-	predictParamsV2 struct {
-		Profile     ProfileSpec      `json:"profile,omitzero"`
-		Competitors []CompetitorSpec `json:"competitors,omitempty"`
-	}
-	// compareParamsV2 is the body of :compare.
-	compareParamsV2 struct {
-		Profile     ProfileSpec      `json:"profile,omitzero"`
-		Competitors []CompetitorSpec `json:"competitors,omitempty"`
-		GroundTruth bool             `json:"ground_truth,omitempty"`
-	}
-	// admitParamsV2 is the body of :admit; the candidate NF is the path
-	// model, so only its profile and SLA appear here.
-	admitParamsV2 struct {
-		Residents []ColoNF    `json:"residents,omitempty"`
-		Profile   ProfileSpec `json:"profile,omitzero"`
-		SLA       float64     `json:"sla"`
-	}
-	// batchItemV2 is one element of :batchPredict — a fully qualified
-	// (model, backend, scenario) tuple, so one batch can span NFs,
-	// hardware classes and backends.
-	batchItemV2 struct {
-		Model       string           `json:"model"`
-		Backend     string           `json:"backend,omitempty"`
-		Profile     ProfileSpec      `json:"profile,omitzero"`
-		Competitors []CompetitorSpec `json:"competitors,omitempty"`
-	}
-	batchParamsV2 struct {
-		Requests []batchItemV2 `json:"requests"`
-	}
-	// ingestItemV2 is one ground-truth measurement of POST /v2/ingest —
-	// the scenario it was taken under plus the observed throughput.
-	ingestItemV2 struct {
-		Model       string           `json:"model"`
-		Backend     string           `json:"backend,omitempty"`
-		Profile     ProfileSpec      `json:"profile,omitzero"`
-		Competitors []CompetitorSpec `json:"competitors,omitempty"`
-		MeasuredPPS float64          `json:"measured_pps"`
-		Source      string           `json:"source,omitempty"`
-	}
-	ingestParamsV2 struct {
-		Measurements []ingestItemV2 `json:"measurements"`
-	}
-	// modelInfoV2 is one listing entry with its resource ID.
-	modelInfoV2 struct {
-		ID string `json:"id"`
-		ModelInfo
-	}
-	// statsV2 is the GET /v2/stats body: the service counters plus the
-	// registered backend list. UptimeSeconds repeats uptime_sec under
-	// the documented /v2 name; StartTime (Unix seconds) is the monotonic
-	// anchor a gateway aggregates by (min across replicas — uptimes must
-	// never be summed).
-	statsV2 struct {
-		ServiceStats
-		Backends      []string `json:"backends"`
-		UptimeSeconds float64  `json:"uptime_seconds"`
-		StartTime     int64    `json:"start_time"`
-		// WireAddr advertises the yalawire listener (host:port) when one
-		// is mounted — the discovery hook gateways use to upgrade their
-		// upstream transport.
-		WireAddr string `json:"wire_addr,omitempty"`
-		// Drift is the online-feedback controller's counter snapshot
-		// (ingest windows, gate decisions, shadow scoring, promotions).
-		Drift feedback.Stats `json:"drift"`
-	}
-	// modelsPageV2 is one page of the model listing.
-	modelsPageV2 struct {
-		Models        []modelInfoV2 `json:"models"`
-		NextPageToken string        `json:"next_page_token,omitempty"`
-		TotalSize     int           `json:"total_size"`
-	}
-)
+// statsV2 is the GET /v2/stats body: the service counters plus the
+// registered backend list. UptimeSeconds repeats uptime_sec under the
+// documented /v2 name; StartTime (Unix seconds) is the monotonic anchor
+// a gateway aggregates by (min across replicas — uptimes must never be
+// summed).
+type statsV2 struct {
+	ServiceStats
+	Backends      []string `json:"backends"`
+	UptimeSeconds float64  `json:"uptime_seconds"`
+	StartTime     int64    `json:"start_time"`
+	// WireAddr advertises the yalawire listener (host:port) when one is
+	// mounted — the discovery hook gateways use to upgrade their
+	// upstream transport.
+	WireAddr string `json:"wire_addr,omitempty"`
+	// Drift is the online-feedback controller's counter snapshot (ingest
+	// windows, gate decisions, shadow scoring, promotions).
+	Drift feedback.Stats `json:"drift"`
+}
 
 // Model-listing pagination bounds.
 const (
@@ -228,11 +171,12 @@ func (s *Service) handleListModels(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	all := s.reg.Models()
-	page := modelsPageV2{Models: []modelInfoV2{}, TotalSize: len(all)}
+	page := wire.ModelsPage{Models: []ModelInfo{}, TotalSize: len(all)}
 	if off < len(all) {
 		end := min(off+size, len(all))
 		for _, info := range all[off:end] {
-			page.Models = append(page.Models, modelInfoV2{ID: info.ResourceID(), ModelInfo: info})
+			info.ID = resourceID(info)
+			page.Models = append(page.Models, info)
 		}
 		if end < len(all) {
 			page.NextPageToken = encodePageToken(end)
@@ -265,13 +209,13 @@ func (s *Service) handleModelVerbV2(w http.ResponseWriter, r *http.Request) {
 	}
 	switch rt.Verb {
 	case "compare":
-		handleV2(w, r, func(p compareParamsV2) (CompareResponse, error) {
+		handleV2(w, r, func(p wire.CompareParams) (CompareResponse, error) {
 			return s.CompareOn(r.Context(), rt.HW, CompareRequest{
 				NF: rt.NF, Profile: p.Profile, Competitors: p.Competitors, GroundTruth: p.GroundTruth,
 			})
 		})
 	case "diagnose":
-		handleV2(w, r, func(p predictParamsV2) (DiagnoseResponse, error) {
+		handleV2(w, r, func(p wire.PredictParams) (DiagnoseResponse, error) {
 			return s.DiagnoseOn(r.Context(), rt.HW, DiagnoseRequest{
 				NF: rt.NF, Profile: p.Profile, Competitors: p.Competitors,
 			})
@@ -291,13 +235,13 @@ func (s *Service) handleBackendVerbV2(w http.ResponseWriter, r *http.Request) {
 	}
 	switch rt.Verb {
 	case "predict":
-		handleV2(w, r, func(p predictParamsV2) (PredictResponse, error) {
+		handleV2(w, r, func(p wire.PredictParams) (PredictResponse, error) {
 			return s.PredictOn(r.Context(), rt.HW, PredictRequest{
 				NF: rt.NF, Profile: p.Profile, Competitors: p.Competitors, Backend: rt.Backend,
 			})
 		})
 	case "admit":
-		handleV2(w, r, func(p admitParamsV2) (AdmitResponse, error) {
+		handleV2(w, r, func(p wire.AdmitParams) (AdmitResponse, error) {
 			return s.AdmitOn(r.Context(), rt.HW, AdmitRequest{
 				Residents: p.Residents,
 				Candidate: ColoNF{Name: rt.NF, Profile: p.Profile, SLA: p.SLA},
@@ -325,13 +269,13 @@ func (s *Service) handleBackendVerbV2(w http.ResponseWriter, r *http.Request) {
 // handleIngestV2 serves POST /v2/ingest — ground-truth measurements
 // flowing into the online-feedback loop.
 func (s *Service) handleIngestV2(w http.ResponseWriter, r *http.Request) {
-	var params ingestParamsV2
+	var params wire.IngestParams
 	if !decodeV2(w, r, &params) {
 		return
 	}
 	items := make([]IngestMeasurement, len(params.Measurements))
 	for i, it := range params.Measurements {
-		nf, hw, err := api.ParseModelID(it.Model)
+		nf, hw, err := api.ParseModelID(it.Model.String())
 		if err != nil {
 			api.WriteError(w, r, http.StatusBadRequest, api.CodeInvalidArgument,
 				fmt.Sprintf("measurements[%d]: %v", i, err))
@@ -350,21 +294,19 @@ func (s *Service) handleIngestV2(w http.ResponseWriter, r *http.Request) {
 // handleBatchPredictV2 serves POST /v2/models:batchPredict — the /v2
 // form of the batch endpoint, with a fully qualified model per element.
 func (s *Service) handleBatchPredictV2(w http.ResponseWriter, r *http.Request) {
-	var params batchParamsV2
+	var params wire.BatchParams
 	if !decodeV2(w, r, &params) {
 		return
 	}
-	items := make([]hwPredict, len(params.Requests))
+	items := make([]PredictRequest, len(params.Requests))
 	for i, it := range params.Requests {
-		nf, hw, err := api.ParseModelID(it.Model)
+		nf, hw, err := api.ParseModelID(it.Model.String())
 		if err != nil {
 			api.WriteError(w, r, http.StatusBadRequest, api.CodeInvalidArgument,
 				fmt.Sprintf("requests[%d]: %v", i, err))
 			return
 		}
-		items[i] = hwPredict{hw: hw, req: PredictRequest{
-			NF: nf, Profile: it.Profile, Competitors: it.Competitors, Backend: it.Backend,
-		}}
+		items[i] = PredictRequest{NF: nf, HW: hw, Backend: it.Backend, Profile: it.Profile, Competitors: it.Competitors}
 	}
 	resp, err := s.predictBatch(r.Context(), items)
 	respondV2(w, r, resp, err)

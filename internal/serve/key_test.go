@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/traffic"
+	"repro/internal/wire"
 )
 
 // The response-cache key text is a format, not an implementation
@@ -55,8 +56,8 @@ var keyRows = []keyRow{
 	},
 	{
 		name: "two competitors out of order, MTBR 0 and 0.1", backend: "fake", hw: "pensando", nf: "NAT", servable: true,
-		prof:    ProfileSpec{Flows: 1000, PktSize: 256, MTBR: F64(0)},
-		comps:   []CompetitorSpec{{Name: "NIDS", Profile: ProfileSpec{MTBR: F64(0.1)}}, {Name: "ACL", Profile: ProfileSpec{Flows: 8000}}},
+		prof:    ProfileSpec{Flows: 1000, PktSize: 256, MTBR: wire.F64(0)},
+		comps:   []CompetitorSpec{{Name: "NIDS", Profile: ProfileSpec{MTBR: wire.F64(0.1)}}, {Name: "ACL", Profile: ProfileSpec{Flows: 8000}}},
 		order:   []int{1, 0},
 		predict: "predict|fake|pensando|NAT@(1000, 256, 0)|ACL@(8000, 1500, 600),NIDS@(16000, 1500, 0.1)",
 		measure: "measure|pensando|NAT@(1000, 256, 0)|ACL@(8000, 1500, 600),NIDS@(16000, 1500, 0.1)",
@@ -73,8 +74,8 @@ var keyRows = []keyRow{
 	},
 	{
 		name: "already ordered, explicit defaults", backend: BackendYala, nf: "NIDS", servable: true,
-		prof:    ProfileSpec{Flows: 16000, PktSize: 1500, MTBR: F64(600)},
-		comps:   []CompetitorSpec{{Name: "ACL"}, {Name: "FlowStats", Profile: ProfileSpec{MTBR: F64(1e-7)}}, {Name: "NAT", Profile: ProfileSpec{MTBR: F64(12345.678)}}},
+		prof:    ProfileSpec{Flows: 16000, PktSize: 1500, MTBR: wire.F64(600)},
+		comps:   []CompetitorSpec{{Name: "ACL"}, {Name: "FlowStats", Profile: ProfileSpec{MTBR: wire.F64(1e-7)}}, {Name: "NAT", Profile: ProfileSpec{MTBR: wire.F64(12345.678)}}},
 		order:   []int{0, 1, 2},
 		predict: "predict|yala||NIDS@(16000, 1500, 600)|ACL@(16000, 1500, 600),FlowStats@(16000, 1500, 1e-07),NAT@(16000, 1500, 12345.678)",
 		measure: "measure||NIDS@(16000, 1500, 600)|ACL@(16000, 1500, 600),FlowStats@(16000, 1500, 1e-07),NAT@(16000, 1500, 12345.678)",
@@ -82,8 +83,8 @@ var keyRows = []keyRow{
 	{
 		// '2' < 'e' and '+' < '-': 12345.678, then 1e+21, then 1e-07.
 		name: "MTBR renderings order bytewise", backend: BackendYala, nf: "ACL",
-		prof:    ProfileSpec{MTBR: F64(1e21)},
-		comps:   []CompetitorSpec{{Name: "NIDS", Profile: ProfileSpec{MTBR: F64(1e21)}}, {Name: "NIDS", Profile: ProfileSpec{MTBR: F64(12345.678)}}, {Name: "NIDS", Profile: ProfileSpec{MTBR: F64(1e-7)}}},
+		prof:    ProfileSpec{MTBR: wire.F64(1e21)},
+		comps:   []CompetitorSpec{{Name: "NIDS", Profile: ProfileSpec{MTBR: wire.F64(1e21)}}, {Name: "NIDS", Profile: ProfileSpec{MTBR: wire.F64(12345.678)}}, {Name: "NIDS", Profile: ProfileSpec{MTBR: wire.F64(1e-7)}}},
 		order:   []int{1, 0, 2},
 		predict: "predict|yala||ACL@(16000, 1500, 1e+21)|NIDS@(16000, 1500, 12345.678),NIDS@(16000, 1500, 1e+21),NIDS@(16000, 1500, 1e-07)",
 		measure: "measure||ACL@(16000, 1500, 1e+21)|NIDS@(16000, 1500, 12345.678),NIDS@(16000, 1500, 1e+21),NIDS@(16000, 1500, 1e-07)",
@@ -117,7 +118,7 @@ func TestKeysPinned(t *testing.T) {
 					t.Errorf("canonical position %d holds %+v, want input %d %+v", i, canon[i], from, row.comps[from])
 				}
 			}
-			prof := row.prof.Profile()
+			prof := profileOf(row.prof)
 			if got := predictKey(row.backend, row.hw, row.nf, prof, canon); got != row.predict {
 				t.Errorf("predictKey\n got %q\nwant %q", got, row.predict)
 			}
@@ -171,7 +172,7 @@ func TestKeysPinned(t *testing.T) {
 			name: "one resident on a hardware class", hw: "pensando", backend: "slomo",
 			req: AdmitRequest{
 				Residents: []ColoNF{{Name: "ACL", Profile: ProfileSpec{Flows: 4000}, SLA: 1}},
-				Candidate: ColoNF{Name: "NIDS", Profile: ProfileSpec{MTBR: F64(0)}, SLA: 0},
+				Candidate: ColoNF{Name: "NIDS", Profile: ProfileSpec{MTBR: wire.F64(0)}, SLA: 0},
 			},
 			key: "admit|slomo|pensando|ACL@(4000, 1500, 600)~1|cand=NIDS@(16000, 1500, 0)~0",
 		},
@@ -182,7 +183,7 @@ func TestKeysPinned(t *testing.T) {
 			req: AdmitRequest{
 				Residents: []ColoNF{
 					{Name: "NIDS", SLA: 0.25},
-					{Name: "NAT", Profile: ProfileSpec{Flows: 8000, PktSize: 512, MTBR: F64(0.1)}, SLA: 1e-7},
+					{Name: "NAT", Profile: ProfileSpec{Flows: 8000, PktSize: 512, MTBR: wire.F64(0.1)}, SLA: 1e-7},
 					{Name: "NIDS", SLA: 0.1},
 				},
 				Candidate: ColoNF{Name: "ACL", Profile: ProfileSpec{PktSize: 64}, SLA: 0.123456789012},
@@ -212,7 +213,7 @@ func refProfile(p traffic.Profile) string {
 }
 
 func refSpecKey(c CompetitorSpec) string {
-	return fmt.Sprintf("%s@%s", c.Name, refProfile(c.Profile.Profile()))
+	return fmt.Sprintf("%s@%s", c.Name, refProfile(profileOf(c.Profile)))
 }
 
 func refCanonSpecs(specs []CompetitorSpec) []CompetitorSpec {
@@ -238,7 +239,7 @@ func refMeasureKey(hw, name string, prof traffic.Profile, comps []CompetitorSpec
 }
 
 func refColoKey(c ColoNF) string {
-	return fmt.Sprintf("%s@%s~%s", c.Name, refProfile(c.Profile.Profile()), strconv.FormatFloat(c.SLA, 'g', -1, 64))
+	return fmt.Sprintf("%s@%s~%s", c.Name, refProfile(profileOf(c.Profile)), strconv.FormatFloat(c.SLA, 'g', -1, 64))
 }
 
 // FuzzScenarioKey holds the production key builders to the reference
@@ -258,7 +259,7 @@ func FuzzScenarioKey(f *testing.F) {
 	f.Fuzz(func(t *testing.T, backendName, hw, name, c0, c1, c2 string, flows, pktsize int, mtbrBits uint64, n uint8) {
 		mtbr := math.Float64frombits(mtbrBits)
 		spec := ProfileSpec{Flows: flows, PktSize: pktsize, MTBR: &mtbr}
-		prof := spec.Profile()
+		prof := profileOf(spec)
 		// Competitors vary what the target does not: one takes the
 		// profile as is, one swaps the integer attributes, one leaves
 		// everything to the defaults.

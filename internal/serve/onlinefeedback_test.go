@@ -180,7 +180,7 @@ func TestShadowIsolationAndPromotion(t *testing.T) {
 	s := driftService(t, true)
 	ctx := context.Background()
 	key := feedback.Key{NF: "FlowStats", Backend: "drifty"}
-	prof := ProfileSpec{}.Profile()
+	prof := profileOf(ProfileSpec{})
 
 	// Baseline: the live model predicts 1e6 solo.
 	base, err := s.predictCached("drifty", "", "FlowStats", prof, nil)
@@ -212,7 +212,7 @@ func TestShadowIsolationAndPromotion(t *testing.T) {
 
 	// Shadow isolation: a fresh (uncached) scenario runs BOTH models,
 	// records the comparison, and returns only the live prediction.
-	prof2 := ProfileSpec{Flows: 4096}.Profile()
+	prof2 := profileOf(ProfileSpec{Flows: 4096})
 	live, err := s.predictCached("drifty", "", "FlowStats", prof2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +347,7 @@ func ingestUntil(t *testing.T, s *Service, pps float64, want uint64, max int) {
 // rebuild the live model and never beat it.
 func TestSecondShiftPromotesAgain(t *testing.T) {
 	s := driftService(t, true)
-	prof := ProfileSpec{}.Profile()
+	prof := profileOf(ProfileSpec{})
 	ingestUntil(t, s, 2e6, 1, 100)
 	ingestUntil(t, s, 4e6, 2, 100)
 

@@ -291,33 +291,15 @@ func (r *ModelRegistry) PersistFailures() (uint64, string) {
 	return r.persistFails, r.lastPersistErr
 }
 
-// ModelInfo describes one model the registry knows about. HW is empty
-// for models on the registry's default NIC preset. The /v2 listing
-// wraps it with a resource ID.
-type ModelInfo struct {
-	NF      string  `json:"nf"`
-	HW      string  `json:"hw,omitempty"`
-	Backend Backend `json:"backend"`
-	Loaded  bool    `json:"loaded"`
-	OnDisk  bool    `json:"on_disk"`
-	// Generation counts fresh model resolutions for this key in this
-	// process (load, train, or promotion); 0 means the model has only
-	// been seen on disk. TrainedAt is the Unix time of the latest one.
-	Generation uint64 `json:"generation,omitempty"`
-	TrainedAt  int64  `json:"trained_at,omitempty"`
-}
-
-// ResourceID is the /v2 resource name for the model: "<nf>[@<hw>]/<backend>".
-func (i ModelInfo) ResourceID() string {
-	return api.ModelID(i.NF, i.HW) + "/" + string(i.Backend)
-}
+// resourceID is the /v2 resource name of a model: "<nf>[@<hw>]/<backend>".
+func resourceID(i ModelInfo) string { return api.ModelID(i.NF, i.HW) + "/" + i.Backend }
 
 // infoOf renders one entry's listing form.
 func infoOf(key entryKey) *ModelInfo {
 	return &ModelInfo{
 		NF:      key.name,
 		HW:      key.hw,
-		Backend: Backend(key.backend),
+		Backend: key.backend,
 	}
 }
 

@@ -40,6 +40,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/nf"
 	"repro/internal/traffic"
+	"repro/internal/wire"
 )
 
 // ErrBadRequest tags request errors the client caused — unknown NF
@@ -76,12 +77,12 @@ const (
 	maxProfileMTBR    = 1e5
 )
 
-// validate rejects malformed traffic profiles. Zero values mean "use the
-// default attribute" on the wire, so only negative or absurd values are
-// errors. The MTBR check is written as "not inside the range" so that
-// NaN, which a typed frame's raw float64 bits can carry and which fails
-// every comparison, is refused too.
-func (p ProfileSpec) validate() error {
+// validateProfile rejects malformed traffic profiles. Zero values mean
+// "use the default attribute" on the wire, so only negative or absurd
+// values are errors. The MTBR check is written as "not inside the range"
+// so that NaN, which a typed frame's raw float64 bits can carry and
+// which fails every comparison, is refused too.
+func validateProfile(p ProfileSpec) error {
 	if p.Flows < 0 || p.Flows > maxProfileFlows {
 		return badRequestf("profile flows %d out of range [0, %d]", p.Flows, maxProfileFlows)
 	}
@@ -105,14 +106,14 @@ func validateScenario(nfName string, prof ProfileSpec, comps []CompetitorSpec, b
 	if err := validNF(nfName); err != nil {
 		return "", err
 	}
-	if err := prof.validate(); err != nil {
+	if err := validateProfile(prof); err != nil {
 		return "", err
 	}
 	for i, c := range comps {
 		if err := validNF(c.Name); err != nil {
 			return "", fmt.Errorf("competitors[%d]: %w", i, err)
 		}
-		if err := c.Profile.validate(); err != nil {
+		if err := validateProfile(c.Profile); err != nil {
 			return "", fmt.Errorf("competitors[%d]: %w", i, err)
 		}
 	}
@@ -143,22 +144,28 @@ func ParseBackend(s string) (Backend, error) {
 	return Backend(name), nil
 }
 
-// ProfileSpec is a traffic profile on the wire. Absent attributes fall
-// back to the paper's default profile. MTBR is a pointer because 0
-// matches/MB is a valid value (a match-free workload) that must remain
-// distinguishable from "not specified"; flows and packet size have
-// positive lower bounds, so 0 can mean absent there.
-type ProfileSpec struct {
-	Flows   int      `json:"flows,omitempty"`
-	PktSize int      `json:"pktsize,omitempty"`
-	MTBR    *float64 `json:"mtbr,omitempty"`
-}
+// The /v2 payloads have their one definition in internal/wire, shared
+// with the SDK and the frame codec; these are the service's names for
+// the ones its API takes and returns. AdmitRequest, CompareRequest,
+// DiagnoseRequest and IngestMeasurement are the service's own requests,
+// whose model the /v2 path or item names.
+type (
+	ProfileSpec      = wire.Profile
+	CompetitorSpec   = wire.Competitor
+	ColoNF           = wire.ColoNF
+	PredictRequest   = wire.PredictRequest
+	PredictResponse  = wire.PredictResponse
+	BatchResponse    = wire.BatchResponse
+	CompareResponse  = wire.CompareResponse
+	AdmitResponse    = wire.AdmitResponse
+	DiagnoseResponse = wire.DiagnoseResponse
+	ModelInfo        = wire.ModelInfo
+	IngestResult     = wire.IngestResult
+	CacheStats       = wire.CacheStats
+)
 
-// F64 builds the pointer form MTBR takes in a ProfileSpec literal.
-func F64(v float64) *float64 { return &v }
-
-// Profile resolves the spec against the default profile.
-func (p ProfileSpec) Profile() traffic.Profile {
+// profileOf resolves a profile spec against the default profile.
+func profileOf(p ProfileSpec) traffic.Profile {
 	prof := traffic.Default
 	if p.Flows > 0 {
 		prof.Flows = p.Flows
@@ -174,18 +181,12 @@ func (p ProfileSpec) Profile() traffic.Profile {
 
 // SpecOf converts a resolved profile back to its wire form.
 func SpecOf(p traffic.Profile) ProfileSpec {
-	return ProfileSpec{Flows: p.Flows, PktSize: p.PktSize, MTBR: F64(p.MTBR)}
-}
-
-// CompetitorSpec names one co-located NF and its traffic profile.
-type CompetitorSpec struct {
-	Name    string      `json:"name"`
-	Profile ProfileSpec `json:"profile,omitzero"`
+	return ProfileSpec{Flows: p.Flows, PktSize: p.PktSize, MTBR: wire.F64(p.MTBR)}
 }
 
 // appendSpecKey renders one competitor canonically: "name@(f, p, m)".
 func appendSpecKey(b []byte, c CompetitorSpec) []byte {
-	return c.Profile.Profile().AppendText(append(append(b, c.Name...), '@'))
+	return profileOf(c.Profile).AppendText(append(append(b, c.Name...), '@'))
 }
 
 // seg is one competitor's rendering in a scratch buffer and the

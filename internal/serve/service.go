@@ -426,7 +426,7 @@ func (s *Service) soloMeasurement(hw, name string, prof traffic.Profile) (nicsim
 func (s *Service) competitors(hw string, specs []CompetitorSpec) ([]backend.Competitor, error) {
 	comps := make([]backend.Competitor, 0, len(specs))
 	for _, spec := range specs {
-		prof := spec.Profile.Profile()
+		prof := profileOf(spec.Profile)
 		m, err := s.soloMeasurement(hw, spec.Name, prof)
 		if err != nil {
 			return nil, err
@@ -456,32 +456,6 @@ func (s *Service) scenarioFor(hw, name string, prof traffic.Profile, specs []Com
 			return m.Throughput, nil
 		},
 	}, nil
-}
-
-// PredictRequest asks for an NF's throughput under a co-location.
-type PredictRequest struct {
-	NF          string           `json:"nf"`
-	Profile     ProfileSpec      `json:"profile,omitzero"`
-	Competitors []CompetitorSpec `json:"competitors,omitempty"`
-	Backend     string           `json:"backend,omitempty"`
-}
-
-// PredictResponse is the predictor's answer. HW is set only for
-// hardware-qualified requests.
-type PredictResponse struct {
-	NF           string      `json:"nf"`
-	HW           string      `json:"hw,omitempty"`
-	Backend      Backend     `json:"backend"`
-	Profile      ProfileSpec `json:"profile"`
-	SoloPPS      float64     `json:"solo_pps"`
-	PredictedPPS float64     `json:"predicted_pps"`
-	// PerResourcePPS and Bottleneck carry a per-resource breakdown for
-	// backends that attribute (yala); extrapolating backends omit them.
-	PerResourcePPS map[string]float64 `json:"per_resource_pps,omitempty"`
-	Bottleneck     string             `json:"bottleneck,omitempty"`
-	// rows is PerResourcePPS sorted by resource, made once with the
-	// response: the wire encoding of a hit is byte-stable and ranges no map.
-	rows []wire.ResourcePPS
 }
 
 // appendPredictKey appends the shared cache key for one prediction
@@ -521,30 +495,32 @@ func (s *Service) predictKeyed(key string, backendName Backend, hw, name string,
 }
 
 // PredictOn estimates throughput for the request's scenario: hw names a
-// fleet hardware class ("" = the server's default NIC). Responses serve
-// from the response cache when the scenario has been answered before. Only
-// predictor work takes a compute slot — the slots bound compute, and a
-// lookup is not compute.
+// fleet hardware class ("" = the server's default NIC) and replaces
+// req.HW. Responses serve from the response cache when the scenario has
+// been answered before. Only predictor work takes a compute slot — the
+// slots bound compute, and a lookup is not compute.
 func (s *Service) PredictOn(ctx context.Context, hw string, req PredictRequest) (PredictResponse, error) {
-	return s.predictAt(ctx, hw, req, time.Time{})
+	req.HW = hw
+	return s.predictAt(ctx, req, time.Time{})
 }
 
-// predictAt is PredictOn with its "cache" stage — validation, key and
-// lookup: everything ahead of compute — starting at at, an instant the
-// caller already read (zero: now). The key is rendered once, into a
-// stack buffer, and looked up as bytes, so a hit allocates nothing; a
-// miss (including the rare eviction race) makes the string and always
-// takes a compute slot, so predictor work stays bounded no matter the
-// HTTP concurrency.
-func (s *Service) predictAt(ctx context.Context, hw string, req PredictRequest, at time.Time) (PredictResponse, error) {
+// predictAt is PredictOn on req.HW, and the typed predict frame's verb:
+// its "cache" stage — validation, key and lookup: everything ahead of
+// compute — starts at at, an instant the caller already read (zero:
+// now). The key is rendered once, into a stack buffer, and looked up as
+// bytes, so a hit allocates nothing; a miss (including the rare eviction
+// race) makes the string and always takes a compute slot, so predictor
+// work stays bounded no matter the HTTP concurrency.
+func (s *Service) predictAt(ctx context.Context, req PredictRequest, at time.Time) (PredictResponse, error) {
 	s.predicts.Add(1)
+	hw := req.HW
 	csp := obs.StartSpanAt(ctx, "cache", at)
 	backendName, err := s.validateScenarioOn(hw, req.NF, req.Profile, req.Competitors, req.Backend)
 	if err != nil {
 		s.errors.Add(1)
 		return PredictResponse{}, err
 	}
-	prof := req.Profile.Profile()
+	prof := profileOf(req.Profile)
 	var kb [256]byte
 	kbytes := appendPredictKey(kb[:0], backendName, hw, req.NF, prof, req.Competitors)
 	v, ok := s.cache.getBytes(kbytes)
@@ -593,7 +569,7 @@ func (s *Service) predictUncached(backendName Backend, hw, name string, prof tra
 	resp := PredictResponse{
 		NF:             name,
 		HW:             hw,
-		Backend:        backendName,
+		Backend:        string(backendName),
 		Profile:        SpecOf(prof),
 		SoloPPS:        pred.SoloPPS,
 		PredictedPPS:   pred.PredictedPPS,
@@ -601,9 +577,9 @@ func (s *Service) predictUncached(backendName Backend, hw, name string, prof tra
 		Bottleneck:     pred.Bottleneck,
 	}
 	for res, pps := range pred.PerResourcePPS {
-		resp.rows = append(resp.rows, wire.ResourcePPS{Resource: res, PPS: pps})
+		resp.PerResource = append(resp.PerResource, wire.ResourcePPS{Resource: res, PPS: pps})
 	}
-	sort.Slice(resp.rows, func(i, j int) bool { return resp.rows[i].Resource < resp.rows[j].Resource })
+	sort.Slice(resp.PerResource, func(i, j int) bool { return resp.PerResource[i].Resource < resp.PerResource[j].Resource })
 	return resp, nil
 }
 
@@ -616,42 +592,25 @@ func (s *Service) validateScenarioOn(hw, nfName string, prof ProfileSpec, comps 
 	return validateScenario(nfName, prof, comps, backendName)
 }
 
-// BatchResponse answers a batch — many prediction scenarios in one round
-// trip, the amortization lever for high-throughput clients (an operator
-// evaluating a whole arrival wave at once): one response per request,
-// in order. A scenario that fails reports its error in Errors at the
-// same index and a zero response; the batch itself still succeeds.
-type BatchResponse struct {
-	Responses []PredictResponse `json:"responses"`
-	Errors    []string          `json:"errors,omitempty"`
+// predictBatchAt is predictBatch as the typed wire frame's verb (each
+// element reads its own clock).
+func (s *Service) predictBatchAt(ctx context.Context, req wire.BatchRequest, _ time.Time) (BatchResponse, error) {
+	return s.predictBatch(ctx, req.Requests)
 }
 
-// hwPredict is one batch element with its hardware qualifier resolved
-// (parsed from the /v2 model ID or carried in the wire request).
-type hwPredict struct {
-	hw  string
-	req PredictRequest
-}
-
-// predictOne and predictBatchAt are the typed wire verbs, handed the
-// instant decoding ended (a batch's elements read their own clocks).
-func (s *Service) predictOne(ctx context.Context, it hwPredict, at time.Time) (PredictResponse, error) {
-	return s.predictAt(ctx, it.hw, it.req, at)
-}
-
-func (s *Service) predictBatchAt(ctx context.Context, items []hwPredict, _ time.Time) (BatchResponse, error) {
-	return s.predictBatch(ctx, items)
-}
-
-// predictBatch serves every scenario, each through the cache. Elements
-// run concurrently so a batch of misses overlaps on the compute slots
-// instead of serializing; hits cost a lookup each.
-func (s *Service) predictBatch(ctx context.Context, items []hwPredict) (BatchResponse, error) {
+// predictBatch serves every scenario, each on its own HW and through the
+// cache: many prediction scenarios in one round trip, the amortization
+// lever for high-throughput clients (an operator evaluating a whole
+// arrival wave at once). Elements run concurrently so a batch of misses
+// overlaps on the compute slots instead of serializing; hits cost a
+// lookup each. A scenario that fails reports its error in Errors at
+// the same index and a zero response; the batch itself still succeeds.
+func (s *Service) predictBatch(ctx context.Context, items []PredictRequest) (BatchResponse, error) {
 	// A malformed element fails the whole batch up front: element-level
 	// Errors are for scenarios the service could not answer, not for
 	// requests the client should not have sent.
 	for i, it := range items {
-		if _, err := s.validateScenarioOn(it.hw, it.req.NF, it.req.Profile, it.req.Competitors, it.req.Backend); err != nil {
+		if _, err := s.validateScenarioOn(it.HW, it.NF, it.Profile, it.Competitors, it.Backend); err != nil {
 			s.errors.Add(1)
 			return BatchResponse{}, fmt.Errorf("requests[%d]: %w", i, err)
 		}
@@ -662,9 +621,9 @@ func (s *Service) predictBatch(ctx context.Context, items []hwPredict) (BatchRes
 	var wg sync.WaitGroup
 	for i, it := range items {
 		wg.Add(1)
-		go func(i int, it hwPredict) {
+		go func(i int, it PredictRequest) {
 			defer wg.Done()
-			one, err := s.PredictOn(ctx, it.hw, it.req)
+			one, err := s.predictAt(ctx, it, time.Time{})
 			if err != nil {
 				errs[i] = err.Error()
 				failed.Store(true)
@@ -680,27 +639,13 @@ func (s *Service) predictBatch(ctx context.Context, items []hwPredict) (BatchRes
 	return resp, nil
 }
 
-// CompareRequest pits Yala against SLOMO on one scenario.
+// CompareRequest pits Yala against SLOMO on one scenario: the :compare
+// body (wire.CompareParams) for the path's NF.
 type CompareRequest struct {
-	NF          string           `json:"nf"`
-	Profile     ProfileSpec      `json:"profile,omitzero"`
-	Competitors []CompetitorSpec `json:"competitors,omitempty"`
-	// GroundTruth additionally co-runs the scenario on the simulator and
-	// reports each predictor's error against the measurement.
-	GroundTruth bool `json:"ground_truth,omitempty"`
-}
-
-// CompareResponse is the head-to-head result.
-type CompareResponse struct {
-	NF      string          `json:"nf"`
-	HW      string          `json:"hw,omitempty"`
-	Profile ProfileSpec     `json:"profile"`
-	Yala    PredictResponse `json:"yala"`
-	SLOMO   PredictResponse `json:"slomo"`
-
-	MeasuredPPS float64 `json:"measured_pps,omitempty"`
-	YalaErrPct  float64 `json:"yala_err_pct,omitempty"`
-	SLOMOErrPct float64 `json:"slomo_err_pct,omitempty"`
+	NF          string
+	Profile     ProfileSpec
+	Competitors []CompetitorSpec
+	GroundTruth bool
 }
 
 // CompareOn runs both predictors on the same scenario on hardware class
@@ -713,7 +658,7 @@ func (s *Service) CompareOn(ctx context.Context, hw string, req CompareRequest) 
 		s.errors.Add(1)
 		return CompareResponse{}, err
 	}
-	prof := req.Profile.Profile()
+	prof := profileOf(req.Profile)
 	comps := canonSpecs(req.Competitors)
 	// Warm fast path: every piece already resident → assemble inline.
 	// Any missing piece (including an eviction race) takes a compute
@@ -800,7 +745,7 @@ func (s *Service) measureScenario(hw, name string, prof traffic.Profile, specs [
 	}
 	ws = append(ws, w)
 	for _, spec := range specs {
-		cw, err := tb.Workload(spec.Name, spec.Profile.Profile())
+		cw, err := tb.Workload(spec.Name, profileOf(spec.Profile))
 		if err != nil {
 			return 0, err
 		}
@@ -813,29 +758,12 @@ func (s *Service) measureScenario(hw, name string, prof traffic.Profile, specs [
 	return ms[0].Throughput, nil
 }
 
-// ColoNF is one NF in an admission scenario: its traffic profile and SLA
-// (maximum tolerated throughput drop relative to solo, e.g. 0.1).
-type ColoNF struct {
-	Name    string      `json:"name"`
-	Profile ProfileSpec `json:"profile,omitzero"`
-	SLA     float64     `json:"sla"`
-}
-
 // AdmitRequest asks whether placing Candidate on a NIC already hosting
 // Residents keeps every SLA intact, per the chosen predictor.
 type AdmitRequest struct {
 	Residents []ColoNF `json:"residents"`
 	Candidate ColoNF   `json:"candidate"`
 	Backend   string   `json:"backend,omitempty"`
-}
-
-// AdmitResponse is the admission decision. Reason distinguishes a
-// core-capacity rejection from a predicted SLA violation.
-type AdmitResponse struct {
-	Admit     bool    `json:"admit"`
-	Backend   Backend `json:"backend"`
-	Residents int     `json:"residents"`
-	Reason    string  `json:"reason,omitempty"`
 }
 
 // AdmitOn answers an online admission-control query on hardware class
@@ -894,7 +822,7 @@ func (s *Service) admit(backendName Backend, hw, key string, residents []ColoNF,
 	// Core capacity first — placement always pairs the SLA check with the
 	// Fits check, and an infeasible core budget needs no predictions.
 	if !sim.Fits(len(residents)) {
-		resp := AdmitResponse{Admit: false, Backend: backendName, Residents: len(residents), Reason: "cores"}
+		resp := AdmitResponse{Admit: false, Backend: string(backendName), Residents: len(residents), Reason: "cores"}
 		s.cache.PutAt(key, resp, epoch)
 		return resp, nil
 	}
@@ -913,13 +841,9 @@ func (s *Service) admit(backendName Backend, hw, key string, residents []ColoNF,
 
 	arr := make([]placement.Arrival, len(residents))
 	for i, r := range residents {
-		arr[i] = placement.Arrival{Name: r.Name, Profile: r.Profile.Profile(), SLA: r.SLA}
+		arr[i] = placement.Arrival{Name: r.Name, Profile: profileOf(r.Profile), SLA: r.SLA}
 	}
-	cand := placement.Arrival{
-		Name:    candidate.Name,
-		Profile: candidate.Profile.Profile(),
-		SLA:     candidate.SLA,
-	}
+	cand := placement.Arrival{Name: candidate.Name, Profile: profileOf(candidate.Profile), SLA: candidate.SLA}
 	// Seed the simulator with the service's memoized solo measurements:
 	// the feasibility pass then runs no simulations of its own, and
 	// repeated admits over the same NFs reuse the same measurements.
@@ -934,7 +858,7 @@ func (s *Service) admit(backendName Backend, hw, key string, residents []ColoNF,
 	if err != nil {
 		return AdmitResponse{}, err
 	}
-	resp := AdmitResponse{Admit: ok, Backend: backendName, Residents: len(residents)}
+	resp := AdmitResponse{Admit: ok, Backend: string(backendName), Residents: len(residents)}
 	if !ok {
 		resp.Reason = "sla"
 	}
@@ -948,23 +872,23 @@ func (r AdmitRequest) validate() error {
 	if _, err := ParseBackend(r.Backend); err != nil {
 		return badRequestf("%v", err)
 	}
-	if err := r.Candidate.validate(); err != nil {
+	if err := validateColo(r.Candidate); err != nil {
 		return fmt.Errorf("candidate: %w", err)
 	}
 	for i, res := range r.Residents {
-		if err := res.validate(); err != nil {
+		if err := validateColo(res); err != nil {
 			return fmt.Errorf("residents[%d]: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// validate checks one admission participant.
-func (c ColoNF) validate() error {
+// validateColo checks one admission participant.
+func validateColo(c ColoNF) error {
 	if err := validNF(c.Name); err != nil {
 		return err
 	}
-	if err := c.Profile.validate(); err != nil {
+	if err := validateProfile(c.Profile); err != nil {
 		return err
 	}
 	if c.SLA < 0 || c.SLA > 1 {
@@ -977,31 +901,20 @@ func (c ColoNF) validate() error {
 // at full precision — a truncated rendering would alias near-equal SLAs
 // onto one cache key and serve the wrong admission decision.
 func coloKey(c ColoNF) string {
-	b := append(appendSpecKey(nil, CompetitorSpec{c.Name, c.Profile}), '~')
+	b := append(appendSpecKey(nil, CompetitorSpec{Name: c.Name, Profile: c.Profile}), '~')
 	return string(strconv.AppendFloat(b, c.SLA, 'g', -1, 64))
 }
 
-// DiagnoseRequest asks which resource bottlenecks the NF in a scenario.
+// DiagnoseRequest asks which resource bottlenecks the NF in a scenario:
+// the :diagnose body (wire.PredictParams) for the path's NF.
 type DiagnoseRequest struct {
-	NF          string           `json:"nf"`
-	Profile     ProfileSpec      `json:"profile,omitzero"`
-	Competitors []CompetitorSpec `json:"competitors,omitempty"`
-}
-
-// DiagnoseResponse is Yala's bottleneck attribution (§7.5.2).
-type DiagnoseResponse struct {
-	NF             string             `json:"nf"`
-	HW             string             `json:"hw,omitempty"`
-	Profile        ProfileSpec        `json:"profile"`
-	Bottleneck     string             `json:"bottleneck"`
-	SoloPPS        float64            `json:"solo_pps"`
-	PredictedPPS   float64            `json:"predicted_pps"`
-	DropPct        float64            `json:"drop_pct"`
-	PerResourcePPS map[string]float64 `json:"per_resource_pps"`
+	NF          string
+	Profile     ProfileSpec
+	Competitors []CompetitorSpec
 }
 
 // DiagnoseOn attributes the scenario's predicted slowdown on hardware
-// class hw to a resource. The response is pure derivation from the Yala
+// class hw to a resource (§7.5.2). The response is pure derivation from the Yala
 // prediction, so it shares the predict-keyed cache entry instead of
 // storing its own.
 func (s *Service) DiagnoseOn(ctx context.Context, hw string, req DiagnoseRequest) (DiagnoseResponse, error) {
@@ -1010,7 +923,7 @@ func (s *Service) DiagnoseOn(ctx context.Context, hw string, req DiagnoseRequest
 		s.errors.Add(1)
 		return DiagnoseResponse{}, err
 	}
-	prof := req.Profile.Profile()
+	prof := profileOf(req.Profile)
 	comps := canonSpecs(req.Competitors)
 	csp := obs.StartSpan(ctx, "cache")
 	v, ok := s.cache.Get(predictKey(BackendYala, hw, req.NF, prof, comps))

@@ -18,6 +18,7 @@ import (
 	"repro/internal/slomo"
 	"repro/internal/testbed"
 	"repro/internal/traffic"
+	"repro/internal/wire"
 	"repro/pkg/yalaclient"
 )
 
@@ -40,7 +41,7 @@ func TestPredictCacheMatchesDirectPredictor(t *testing.T) {
 	s := testService(t)
 	req := PredictRequest{
 		NF:      "FlowStats",
-		Profile: ProfileSpec{Flows: 32000, PktSize: 512, MTBR: F64(600)},
+		Profile: ProfileSpec{Flows: 32000, PktSize: 512, MTBR: wire.F64(600)},
 		Competitors: []CompetitorSpec{
 			{Name: "ACL"},
 			{Name: "NAT", Profile: ProfileSpec{Flows: 8000}},
@@ -79,13 +80,13 @@ func TestPredictCacheMatchesDirectPredictor(t *testing.T) {
 	}
 	var comps []core.Competitor
 	for _, spec := range req.Competitors {
-		m, err := testbed.New(nicsim.BlueField2(), cfg.Seed).SoloNF(spec.Name, spec.Profile.Profile())
+		m, err := testbed.New(nicsim.BlueField2(), cfg.Seed).SoloNF(spec.Name, profileOf(spec.Profile))
 		if err != nil {
 			t.Fatal(err)
 		}
 		comps = append(comps, core.CompetitorFromMeasurement(m))
 	}
-	direct := model.Predict(req.Profile.Profile(), comps)
+	direct := model.Predict(profileOf(req.Profile), comps)
 	if second.PredictedPPS != direct.Throughput || second.SoloPPS != direct.Solo {
 		t.Fatalf("cached response diverges from direct predictor: served (%.6f, %.6f), direct (%.6f, %.6f)",
 			second.PredictedPPS, second.SoloPPS, direct.Throughput, direct.Solo)
@@ -128,13 +129,13 @@ func TestSLOMOBackendMatchesDirectPredictor(t *testing.T) {
 	}
 	var agg nicsim.Counters
 	for _, spec := range req.Competitors {
-		m, err := testbed.New(nicsim.BlueField2(), cfg.Seed).SoloNF(spec.Name, spec.Profile.Profile())
+		m, err := testbed.New(nicsim.BlueField2(), cfg.Seed).SoloNF(spec.Name, profileOf(spec.Profile))
 		if err != nil {
 			t.Fatal(err)
 		}
 		agg.Add(m.Counters)
 	}
-	solo, err := testbed.New(nicsim.BlueField2(), cfg.Seed).SoloNF(req.NF, req.Profile.Profile())
+	solo, err := testbed.New(nicsim.BlueField2(), cfg.Seed).SoloNF(req.NF, profileOf(req.Profile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestCompare(t *testing.T) {
 	if resp.MeasuredPPS <= 0 {
 		t.Fatalf("ground truth missing: %+v", resp)
 	}
-	if resp.Yala.Backend != BackendYala || resp.SLOMO.Backend != BackendSLOMO {
+	if resp.Yala.Backend != string(BackendYala) || resp.SLOMO.Backend != string(BackendSLOMO) {
 		t.Fatalf("backend labels wrong: %+v", resp)
 	}
 }
@@ -328,7 +329,7 @@ func TestPredictBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := s.predictBatch(context.Background(), []hwPredict{{req: good}, {req: good}})
+	batch, err := s.predictBatch(context.Background(), []PredictRequest{good, good})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +339,7 @@ func TestPredictBatch(t *testing.T) {
 	if len(batch.Errors) != 0 {
 		t.Fatalf("good batch reported errors: %+v", batch.Errors)
 	}
-	_, err = s.predictBatch(context.Background(), []hwPredict{{req: good}, {req: PredictRequest{NF: "NoSuchNF"}}})
+	_, err = s.predictBatch(context.Background(), []PredictRequest{good, {NF: "NoSuchNF"}})
 	if !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("batch with unknown NF returned %v, want ErrBadRequest", err)
 	}
@@ -383,7 +384,7 @@ func TestReloadTargetedEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	prof := ProfileSpec{}.Profile()
+	prof := profileOf(ProfileSpec{})
 	has := func(key string) bool {
 		_, ok := s.cache.getQuiet(key)
 		return ok
@@ -456,7 +457,7 @@ func TestReloadTargetedEviction(t *testing.T) {
 // get wrong: NF names that are substrings of other NF names, hardware
 // qualifiers, and profile renderings containing separators.
 func TestReloadAffects(t *testing.T) {
-	prof := ProfileSpec{Flows: 32000}.Profile()
+	prof := profileOf(ProfileSpec{Flows: 32000})
 	cases := []struct {
 		key         string
 		backend, nf string
@@ -505,7 +506,7 @@ func TestSoloMeasureMetric(t *testing.T) {
 		}
 	}
 	simulations := s.soloSeconds.Count
-	novel := CompetitorSpec{Name: "NAT", Profile: ProfileSpec{Flows: 7919, PktSize: 701, MTBR: F64(123)}}
+	novel := CompetitorSpec{Name: "NAT", Profile: ProfileSpec{Flows: 7919, PktSize: 701, MTBR: wire.F64(123)}}
 
 	predict("FlowStats")
 	if got := simulations(); got != 0 {
@@ -529,7 +530,7 @@ func TestSoloMeasureMetric(t *testing.T) {
 	if got := s.soloFlows.Load(); got != 7919 {
 		t.Fatalf("yala_solo_measure_flows_total = %d after one 7919-flow simulation", got)
 	}
-	second := CompetitorSpec{Name: "NAT", Profile: ProfileSpec{Flows: 5000, PktSize: 701, MTBR: F64(123)}}
+	second := CompetitorSpec{Name: "NAT", Profile: ProfileSpec{Flows: 5000, PktSize: 701, MTBR: wire.F64(123)}}
 	for _, pass := range []string{"a never-seen 5000-flow competitor", "the same competitor again"} {
 		predict("FlowStats", second)
 		if got := s.soloFlows.Load(); got != 7919+5000 {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/cluster"
 	"repro/internal/nf"
+	"repro/internal/wire"
 )
 
 // fakeBackend predicts a constant solo throughput that degrades
@@ -122,7 +123,7 @@ func TestStubBackendEndToEnd(t *testing.T) {
 	for _, info := range reg2.Models() {
 		if info.Backend == "fake" && info.NF == "FlowStats" && info.OnDisk {
 			found = true
-			if got := info.ResourceID(); got != "FlowStats/fake" {
+			if got := resourceID(info); got != "FlowStats/fake" {
 				t.Fatalf("stub resource ID %q", got)
 			}
 		}
@@ -139,7 +140,7 @@ func TestStubBackendHTTP(t *testing.T) {
 	ts := testServer(t)
 
 	resp := postAs[PredictResponse](t, ts, "/v2/models/FlowStats/fake:predict",
-		predictParamsV2{Competitors: []CompetitorSpec{{Name: "ACL"}}})
+		wire.PredictParams{Competitors: []CompetitorSpec{{Name: "ACL"}}})
 	if resp.Backend != "fake" || resp.SoloPPS != 1e6 || resp.PredictedPPS != 5e5 {
 		t.Fatalf("stub /v2 prediction: %+v", resp)
 	}
@@ -172,7 +173,7 @@ func TestStubBackendHTTP(t *testing.T) {
 		{sla: 0.9, admit: true},
 		{sla: 0.1, admit: false, reason: "sla"},
 	} {
-		adm := postAs[AdmitResponse](t, ts, "/v2/models/ACL/fake:admit", admitParamsV2{
+		adm := postAs[AdmitResponse](t, ts, "/v2/models/ACL/fake:admit", wire.AdmitParams{
 			Residents: []ColoNF{{Name: "ACL", SLA: tc.sla}},
 			SLA:       tc.sla,
 		})

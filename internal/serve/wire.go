@@ -29,10 +29,10 @@ import (
 // tunnels any other request through the real HTTP handler so
 // middleware semantics are byte-identical.
 //
-// A typed frame decodes straight into the service's request type
-// (requestSink), names resolved to the registries' own strings as they
-// are read; a cached answer encodes from rows sorted when it was
-// computed, so two hits of one entry put the same bytes on the wire.
+// A typed frame decodes straight into the service's request type, names
+// interned to the registries' own strings as they are read (internName);
+// a cached answer encodes from rows sorted when it was computed, so two
+// hits of one entry put the same bytes on the wire.
 
 // wireTransportKey marks a TypeCall tunnel's context, so withObs counts
 // the request on the wire transport although it runs the HTTP handler.
@@ -186,7 +186,6 @@ func (ws *WireServer) serveConn(c net.Conn) {
 		c.Close()
 	}()
 	fr := wire.NewFramer(c)
-	var sink requestSink // reused by every typed frame on this connection
 	c.SetReadDeadline(time.Now().Add(10 * time.Second))
 	f, err := fr.ReadFrame()
 	if err != nil || f.Type != wire.TypeHello {
@@ -208,24 +207,24 @@ func (ws *WireServer) serveConn(c net.Conn) {
 		if err != nil {
 			return
 		}
-		if !ws.serveFrame(fr, f, apiKey, &sink) {
+		if !ws.serveFrame(fr, f, apiKey) {
 			return
 		}
 	}
 }
 
 // serveFrame answers one request frame; false tears the conn down.
-func (ws *WireServer) serveFrame(fr *wire.Framer, f wire.Frame, apiKey string, sink *requestSink) bool {
+func (ws *WireServer) serveFrame(fr *wire.Framer, f wire.Frame, apiKey string) bool {
 	switch f.Type {
 	case wire.TypeEcho:
 		// Pure transport floor: no gate, no counters, no serving.
 		return fr.WriteFrame(wire.TypeEchoAck, f.ID, f.Payload) == nil
 	case wire.TypePredict:
 		return serveTyped(ws, fr, f, apiKey, "predict", tenant.ClassInteractive, wire.TypePredictResp,
-			sink.predict, (*Service).predictOne, encodeWirePredict)
+			decodePredict, (*Service).predictAt, encodePredict)
 	case wire.TypeBatch:
 		return serveTyped(ws, fr, f, apiKey, "batchPredict", tenant.ClassBulk, wire.TypeBatchResp,
-			sink.batch, (*Service).predictBatchAt, encodeWireBatch)
+			decodeBatch, (*Service).predictBatchAt, encodeBatch)
 	case wire.TypeCall:
 		return ws.serveCall(fr, f, apiKey)
 	default:
@@ -318,71 +317,17 @@ func internName(b []byte) string {
 	return string(b)
 }
 
-// requestSink decodes typed frames straight into hwPredicts
-// (wire.RequestSink). One lives per connection, reset by every decode;
-// what a decode returns shares nothing with the next frame's.
-type requestSink struct {
-	one   hwPredict   // a TypePredict frame's request
-	items []hwPredict // a TypeBatch frame's
-	cur   *hwPredict
+// The typed verbs' codecs: frame payload → service request, service
+// response → frame payload.
+func decodePredict(b []byte) (PredictRequest, error) { return wire.DecodeRequest(b, internName) }
+
+func decodeBatch(b []byte) (wire.BatchRequest, error) { return wire.DecodeBatchRequest(b, internName) }
+
+func encodePredict(buf []byte, resp PredictResponse) []byte {
+	return wire.AppendPredictResponse(buf, &resp)
 }
 
-func (k *requestSink) predict(payload []byte) (hwPredict, error) {
-	*k = requestSink{}
-	err := wire.DecodeRequestsInto(wire.TypePredict, payload, k)
-	return k.one, err
-}
-
-func (k *requestSink) batch(payload []byte) ([]hwPredict, error) {
-	*k = requestSink{}
-	err := wire.DecodeRequestsInto(wire.TypeBatch, payload, k)
-	return k.items, err
-}
-
-func (k *requestSink) Batch(n int) { k.items = make([]hwPredict, 0, n) }
-
-func (k *requestSink) Request(nf, hw, backendName []byte, p wire.Profile, competitors int) {
-	k.cur = &k.one
-	if k.items != nil {
-		k.items = append(k.items, hwPredict{})
-		k.cur = &k.items[len(k.items)-1]
-	}
-	*k.cur = hwPredict{hw: internName(hw), req: PredictRequest{NF: internName(nf), Backend: internName(backendName), Profile: ProfileSpec(p)}}
-	if competitors > 0 {
-		k.cur.req.Competitors = make([]CompetitorSpec, 0, competitors)
-	}
-}
-
-func (k *requestSink) Competitor(name []byte, p wire.Profile) {
-	k.cur.req.Competitors = append(k.cur.req.Competitors, CompetitorSpec{Name: internName(name), Profile: ProfileSpec(p)})
-}
-
-// toWireResponse converts a service response to its wire shape.
-func toWireResponse(r *PredictResponse) wire.PredictResponse {
-	return wire.PredictResponse{
-		NF:           r.NF,
-		HW:           r.HW,
-		Backend:      string(r.Backend),
-		Profile:      wire.Profile(r.Profile),
-		SoloPPS:      r.SoloPPS,
-		PredictedPPS: r.PredictedPPS,
-		Bottleneck:   r.Bottleneck,
-		PerResource:  r.rows,
-	}
-}
-
-func encodeWirePredict(buf []byte, resp PredictResponse) []byte {
-	wresp := toWireResponse(&resp)
-	return wire.AppendPredictResponse(buf, &wresp)
-}
-
-func encodeWireBatch(buf []byte, resp BatchResponse) []byte {
-	wresp := wire.BatchResponse{Responses: make([]wire.PredictResponse, len(resp.Responses)), Errors: resp.Errors}
-	for i := range resp.Responses {
-		wresp.Responses[i] = toWireResponse(&resp.Responses[i])
-	}
-	return wire.AppendBatchResponse(buf, &wresp)
-}
+func encodeBatch(buf []byte, resp BatchResponse) []byte { return wire.AppendBatchResponse(buf, &resp) }
 
 // memResponse is the in-memory http.ResponseWriter TypeCall dispatch
 // renders into.

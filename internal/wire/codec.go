@@ -6,64 +6,9 @@ import (
 	"math"
 )
 
-// Profile is a traffic profile on the wire. Flows/PktSize zero means
-// "server default", matching the JSON ProfileSpec's omitempty
-// semantics; MTBR stays a pointer because 0 matches/MB must remain
-// distinguishable from "not specified".
-type Profile struct {
-	Flows   int
-	PktSize int
-	MTBR    *float64
-}
-
-// Competitor is one co-located NF and its profile.
-type Competitor struct {
-	Name    string
-	Profile Profile
-}
-
-// PredictRequest is the typed predict hot-path request: the same
-// (model, backend, scenario) tuple POST /v2/models/{nf}/{backend}:predict
-// carries, without the JSON.
-type PredictRequest struct {
-	NF          string
-	HW          string
-	Backend     string
-	Profile     Profile
-	Competitors []Competitor
-}
-
-// ResourcePPS is one per-resource throughput attribution row; the
-// slice form keeps encoding deterministic where the JSON shape uses a
-// map.
-type ResourcePPS struct {
-	Resource string
-	PPS      float64
-}
-
-// PredictResponse mirrors the /v2 predict response body.
-type PredictResponse struct {
-	NF           string
-	HW           string
-	Backend      string
-	Profile      Profile
-	SoloPPS      float64
-	PredictedPPS float64
-	Bottleneck   string
-	PerResource  []ResourcePPS
-}
-
 // BatchRequest is the typed :batchPredict payload.
 type BatchRequest struct {
 	Requests []PredictRequest
-}
-
-// BatchResponse returns one response per request in order; a failed
-// element has a zero response and its message at the same index in
-// Errors (all-empty Errors is encoded as absent, like the JSON shape).
-type BatchResponse struct {
-	Responses []PredictResponse
-	Errors    []string
 }
 
 // ErrorFrame carries a request failure with the same status/code/
@@ -244,12 +189,14 @@ func AppendCallResp(buf []byte, c *CallResp) []byte {
 // Decoders parse a full payload and must never panic on malformed
 // input: every length is checked against the remaining bytes, and any
 // damage surfaces as errBadPayload. Decoded strings and byte slices
-// are copies — safe to keep after the Framer's buffer is reused.
+// are copies (a request's names: what intern returns) — safe to keep
+// after the Framer's buffer is reused.
 
 type reader struct {
-	b   []byte
-	off int
-	bad bool
+	b      []byte
+	off    int
+	bad    bool
+	intern func([]byte) string // makes a request's names; nil copies
 }
 
 func (r *reader) fail() { r.bad = true }
@@ -301,7 +248,7 @@ func (r *reader) byteVal() byte {
 }
 
 // raw returns the next length-prefixed field as a view of the payload,
-// to be copied (str, bytesCopy) or resolved (RequestSink).
+// to be copied (str, bytesCopy) or interned (name).
 func (r *reader) raw() []byte {
 	n := r.uvarint()
 	if r.bad || uint64(len(r.b)-r.off) < n {
@@ -314,6 +261,14 @@ func (r *reader) raw() []byte {
 }
 
 func (r *reader) str() string { return string(r.raw()) }
+
+// name reads a request's NF, hardware or backend name through intern.
+func (r *reader) name() string {
+	if r.intern == nil {
+		return r.str()
+	}
+	return r.intern(r.raw())
+}
 
 func (r *reader) bytesCopy() []byte {
 	b := r.raw()
@@ -355,6 +310,17 @@ func (r *reader) profile() Profile {
 		p.MTBR = &v
 	}
 	return p
+}
+
+func (r *reader) request() PredictRequest {
+	req := PredictRequest{NF: r.name(), HW: r.name(), Backend: r.name(), Profile: r.profile()}
+	if n := r.count(); n > 0 {
+		req.Competitors = make([]Competitor, n)
+		for i := range req.Competitors {
+			req.Competitors[i] = Competitor{Name: r.name(), Profile: r.profile()}
+		}
+	}
+	return req
 }
 
 func (r *reader) predictResponse() PredictResponse {
@@ -407,87 +373,37 @@ func DecodeHelloAck(b []byte) (string, error) {
 	return local, nil
 }
 
-// DecodePredictRequest parses a TypePredict payload.
-func DecodePredictRequest(b []byte) (PredictRequest, error) {
-	var k structSink
-	err := DecodeRequestsInto(TypePredict, b, &k)
-	return k.one, err
+// DecodeRequest parses a TypePredict payload. intern makes each name's
+// string from its bytes, a view of b that must not be kept: a server
+// maps the names it knows to its own strings, so a known name costs no
+// allocation. A nil intern copies every name.
+func DecodeRequest(b []byte, intern func([]byte) string) (PredictRequest, error) {
+	r := reader{b: b, intern: intern}
+	req := r.request()
+	return req, r.done()
 }
+
+// DecodeBatchRequest parses a TypeBatch payload, names as DecodeRequest.
+func DecodeBatchRequest(b []byte, intern func([]byte) string) (BatchRequest, error) {
+	r := reader{b: b, intern: intern}
+	var out BatchRequest
+	if n := r.count(); n > 0 {
+		out.Requests = make([]PredictRequest, n)
+		for i := range out.Requests {
+			out.Requests[i] = r.request()
+		}
+	}
+	return out, r.done()
+}
+
+// DecodePredictRequest is DecodeRequest copying every name.
+func DecodePredictRequest(b []byte) (PredictRequest, error) { return DecodeRequest(b, nil) }
 
 // DecodePredictResponse parses a TypePredictResp payload.
 func DecodePredictResponse(b []byte) (PredictResponse, error) {
 	r := reader{b: b}
 	out := r.predictResponse()
 	return out, r.done()
-}
-
-// RequestSink receives predict requests field by field, so a server
-// builds its own request type with no PredictRequest in between. Name
-// arguments are views of the payload: resolve or copy, never keep them.
-type RequestSink interface {
-	// Batch opens a TypeBatch payload of n requests (n ≤ its bytes).
-	Batch(n int)
-	// Request opens the next request; its Competitor calls follow.
-	Request(nf, hw, backend []byte, p Profile, competitors int)
-	Competitor(name []byte, p Profile)
-}
-
-// DecodeRequestsInto decodes a TypePredict (typ) or TypeBatch payload
-// into a sink; it is the one parser of the request layout, and the
-// struct decoders are sinks over it. After an error the sink holds a
-// prefix; discard it.
-func DecodeRequestsInto(typ byte, b []byte, sink RequestSink) error {
-	r := reader{b: b}
-	n := 1
-	if typ == TypeBatch {
-		if n = r.count(); !r.bad {
-			sink.Batch(n)
-		}
-	}
-	for ; n > 0 && !r.bad; n-- {
-		nf, hw, backend, p, comps := r.raw(), r.raw(), r.raw(), r.profile(), r.count()
-		if r.bad {
-			break
-		}
-		sink.Request(nf, hw, backend, p, comps)
-		for ; comps > 0 && !r.bad; comps-- {
-			if name, cp := r.raw(), r.profile(); !r.bad {
-				sink.Competitor(name, cp)
-			}
-		}
-	}
-	return r.done()
-}
-
-// structSink is the RequestSink behind DecodePredictRequest: it rebuilds
-// the requests it is fed as this package's types, copying every name. It
-// rebuilds a TypeBatch payload into batch.
-type structSink struct {
-	one   PredictRequest // a TypePredict payload's request
-	batch BatchRequest   // a TypeBatch payload's
-	cur   *PredictRequest
-}
-
-func (k *structSink) Batch(n int) {
-	if n > 0 {
-		k.batch.Requests = make([]PredictRequest, 0, n)
-	}
-}
-
-func (k *structSink) Request(nf, hw, backend []byte, p Profile, competitors int) {
-	k.cur = &k.one
-	if k.batch.Requests != nil {
-		k.batch.Requests = append(k.batch.Requests, PredictRequest{})
-		k.cur = &k.batch.Requests[len(k.batch.Requests)-1]
-	}
-	*k.cur = PredictRequest{NF: string(nf), HW: string(hw), Backend: string(backend), Profile: p}
-	if competitors > 0 {
-		k.cur.Competitors = make([]Competitor, 0, competitors)
-	}
-}
-
-func (k *structSink) Competitor(name []byte, p Profile) {
-	k.cur.Competitors = append(k.cur.Competitors, Competitor{Name: string(name), Profile: p})
 }
 
 // DecodeBatchResponse parses a TypeBatchResp payload.

@@ -55,6 +55,19 @@
 // The frame layout, the API key and the tenant gate are the same on both
 // transports, and wire_addr in /v2/stats stays the TCP address.
 //
+// # Payload types
+//
+// This package also holds the one Go definition of every /v2 request
+// and response body (payload.go): the JSON front door in internal/serve
+// and the SDK in pkg/yalaclient name them through type aliases (the SDK
+// may import no other internal package), and the typed frames encode
+// the same PredictRequest and PredictResponse, so a field added here
+// reaches the server, the SDK and the codec together. A response's
+// PerResource rows are the frame form of its PerResourcePPS map, sorted
+// by resource; JSON carries only the map. The request decoders take a
+// name-interning callback, so a server turns the names it knows into
+// its own strings without copying them.
+//
 // Payload encodings are hand-rolled append-style encoders over pooled
 // buffers (GetBuf/PutBuf): uvarint-length strings, zigzag varints for
 // ints, fixed 8-byte big-endian floats. Decoders never panic on

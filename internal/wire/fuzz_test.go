@@ -80,28 +80,29 @@ func checkDecoders(t *testing.T, p []byte) {
 	roundTrip(t, p, DecodeHelloAck, AppendHelloAck)
 	roundTrip(t, p, DecodePredictRequest, func(b []byte, v PredictRequest) []byte { return AppendPredictRequest(b, &v) })
 	roundTrip(t, p, DecodePredictResponse, func(b []byte, v PredictResponse) []byte { return AppendPredictResponse(b, &v) })
-	roundTrip(t, p, decodeBatchRequest, func(b []byte, v BatchRequest) []byte { return AppendBatchRequest(b, &v) })
+	decodeBatch := func(b []byte) (BatchRequest, error) { return DecodeBatchRequest(b, nil) }
+	roundTrip(t, p, decodeBatch, func(b []byte, v BatchRequest) []byte { return AppendBatchRequest(b, &v) })
 	roundTrip(t, p, DecodeBatchResponse, func(b []byte, v BatchResponse) []byte { return AppendBatchResponse(b, &v) })
 	roundTrip(t, p, DecodeError, func(b []byte, v ErrorFrame) []byte { return AppendError(b, &v) })
 	roundTrip(t, p, DecodeCall, func(b []byte, v Call) []byte { return AppendCall(b, &v) })
 	roundTrip(t, p, DecodeCallResp, func(b []byte, v CallResp) []byte { return AppendCallResp(b, &v) })
 
-	// The decode-into entry point accepts exactly what the struct
-	// decoders accept, and rebuilds the same requests.
+	// An interning decode accepts exactly what the copying one accepts,
+	// and reads the same requests.
 	single, singleErr := DecodePredictRequest(p)
-	batch, batchErr := decodeBatchRequest(p)
+	batch, batchErr := decodeBatch(p)
+	internedOne, oneErr := DecodeRequest(p, internKnown)
+	interned, internedErr := DecodeBatchRequest(p, internKnown)
 	for _, c := range []struct {
-		typ  byte
-		want []PredictRequest
-		err  error
-	}{{TypePredict, []PredictRequest{single}, singleErr}, {TypeBatch, batch.Requests, batchErr}} {
-		var sink rebuildSink
-		err := DecodeRequestsInto(c.typ, p, &sink)
-		if (err == nil) != (c.err == nil) {
-			t.Fatalf("type %d payload %x: decode-into err %v, struct decoder err %v", c.typ, p, err, c.err)
+		typ            byte
+		copied, intern any
+		err, internErr error
+	}{{TypePredict, single, internedOne, singleErr, oneErr}, {TypeBatch, batch, interned, batchErr, internedErr}} {
+		if (c.err == nil) != (c.internErr == nil) {
+			t.Fatalf("type %d payload %x: interning err %v, copying err %v", c.typ, p, c.internErr, c.err)
 		}
-		if err == nil && len(c.want)+len(sink.requests) > 0 && !sameBits(reflect.ValueOf(sink.requests), reflect.ValueOf(c.want)) {
-			t.Fatalf("type %d payload %x:\n decode-into %+v\n struct      %+v", c.typ, p, sink.requests, c.want)
+		if c.err == nil && !sameBits(reflect.ValueOf(c.intern), reflect.ValueOf(c.copied)) {
+			t.Fatalf("type %d payload %x:\n interning %+v\n copying   %+v", c.typ, p, c.intern, c.copied)
 		}
 	}
 }
@@ -142,6 +143,16 @@ func sameBits(a, b reflect.Value) bool {
 		}
 		for i := 0; i < a.Len(); i++ {
 			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Map:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for _, k := range a.MapKeys() {
+			if !sameBits(a.MapIndex(k), b.MapIndex(k)) {
 				return false
 			}
 		}

@@ -124,7 +124,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		{NF: "B", Backend: "slomo", Profile: Profile{Flows: 7}},
 	}}
 	buf := AppendBatchRequest(GetBuf(), &req)
-	gotReq, err := decodeBatchRequest(buf)
+	gotReq, err := DecodeBatchRequest(buf, nil)
 	PutBuf(buf)
 	if err != nil || !reflect.DeepEqual(req, gotReq) {
 		t.Fatalf("batch request round trip: %+v (err %v)", gotReq, err)
@@ -190,7 +190,7 @@ func TestDecodeMalformedNeverPanics(t *testing.T) {
 	decoders := []func([]byte) error{
 		func(b []byte) error { _, err := DecodePredictRequest(b); return err },
 		func(b []byte) error { _, err := DecodePredictResponse(b); return err },
-		func(b []byte) error { _, err := decodeBatchRequest(b); return err },
+		func(b []byte) error { _, err := DecodeBatchRequest(b, nil); return err },
 		func(b []byte) error { _, err := DecodeBatchResponse(b); return err },
 		func(b []byte) error { _, err := DecodeError(b); return err },
 		func(b []byte) error { _, err := DecodeCall(b); return err },

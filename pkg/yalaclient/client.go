@@ -21,21 +21,6 @@ import (
 // DefaultBackend is the backend used when a call names none.
 const DefaultBackend = "yala"
 
-// ModelID names one model resource: an NF, optionally qualified by a
-// fleet hardware class. The zero HW selects the server's default NIC.
-type ModelID struct {
-	NF string
-	HW string
-}
-
-// String renders the /v2 resource name: "nf" or "nf@hw".
-func (m ModelID) String() string {
-	if m.HW == "" {
-		return m.NF
-	}
-	return m.NF + "@" + m.HW
-}
-
 // APIError is a structured error returned by the server's /v2 envelope.
 type APIError struct {
 	StatusCode int
@@ -424,19 +409,8 @@ func (c *Client) PredictBatch(ctx context.Context, items []BatchItem) (BatchResu
 
 // httpPredictBatch is the JSON round trip behind PredictBatch.
 func (c *Client) httpPredictBatch(ctx context.Context, items []BatchItem) (BatchResult, error) {
-	wire := struct {
-		Requests []batchItemWire `json:"requests"`
-	}{Requests: make([]batchItemWire, len(items))}
-	for i, it := range items {
-		wire.Requests[i] = batchItemWire{
-			Model:       it.Model.String(),
-			Backend:     it.Backend,
-			Profile:     it.Profile,
-			Competitors: it.Competitors,
-		}
-	}
 	var out BatchResult
-	err := c.do(ctx, http.MethodPost, "/v2/models:batchPredict", wire, &out)
+	err := c.do(ctx, http.MethodPost, "/v2/models:batchPredict", wire.BatchParams{Requests: items}, &out)
 	return out, err
 }
 
@@ -452,21 +426,8 @@ func (c *Client) Ingest(ctx context.Context, m Measurement) (IngestResult, error
 // re-observes — which makes the standard retry schedule safe. It always
 // uses HTTP, like every call WithWire does not name.
 func (c *Client) IngestBatch(ctx context.Context, items []Measurement) (IngestResult, error) {
-	body := struct {
-		Measurements []measurementWire `json:"measurements"`
-	}{Measurements: make([]measurementWire, len(items))}
-	for i, it := range items {
-		body.Measurements[i] = measurementWire{
-			Model:       it.Model.String(),
-			Backend:     it.Backend,
-			Profile:     it.Profile,
-			Competitors: it.Competitors,
-			MeasuredPPS: it.MeasuredPPS,
-			Source:      it.Source,
-		}
-	}
 	var out IngestResult
-	err := c.do(ctx, http.MethodPost, "/v2/ingest", body, &out)
+	err := c.do(ctx, http.MethodPost, "/v2/ingest", wire.IngestParams{Measurements: items}, &out)
 	return out, err
 }
 

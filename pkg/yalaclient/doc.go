@@ -56,8 +56,18 @@
 // misconfigured server cannot pin a retrying client indefinitely; the
 // caller's context deadline always wins over any backoff schedule.
 //
-// The package depends only on the standard library, so external tools
-// can vendor it without pulling in the simulator tree. See
+// # Payload types
+//
+// The request and response types (ProfileSpec, PredictParams,
+// PredictResult, BatchItem, ModelInfo, …) are aliases of the server's
+// own /v2 payload definitions in internal/wire, so a field the server
+// sends is a field here, with no copy to keep in step. A PredictResult
+// also has PerResource, the sorted frame form of PerResourcePPS; it is
+// nil in every answer a Client returns, on either transport.
+//
+// The package depends on the standard library and on internal/wire
+// alone (the frame codec and the payloads it carries), so external
+// tools can vendor it without pulling in the simulator tree. See
 // Example (package example) for an end-to-end walkthrough against an
 // in-process server.
 package yalaclient

@@ -1,176 +1,40 @@
 package yalaclient
 
-import "encoding/json"
+import (
+	"encoding/json"
 
-// ProfileSpec is a traffic profile on the wire. Absent attributes fall
-// back to the server's default profile; MTBR is a pointer because 0
-// matches/MB (a match-free workload) must stay distinguishable from
-// "not specified".
-type ProfileSpec struct {
-	Flows   int      `json:"flows,omitempty"`
-	PktSize int      `json:"pktsize,omitempty"`
-	MTBR    *float64 `json:"mtbr,omitempty"`
-}
+	"repro/internal/wire"
+)
+
+// The /v2 payloads have their one definition in the wire package, which
+// the server and the binary frame codec share; the SDK's names for them
+// are aliases, so every field the server sends is here as it is there.
+// A PredictResult's PerResource rows (the frame form of PerResourcePPS)
+// are nil in every answer the Client returns, whichever transport
+// carried it.
+type (
+	ModelID        = wire.ModelID
+	ProfileSpec    = wire.Profile
+	Competitor     = wire.Competitor
+	PredictParams  = wire.PredictParams
+	PredictResult  = wire.PredictResponse
+	BatchItem      = wire.BatchItem
+	BatchResult    = wire.BatchResponse
+	CompareParams  = wire.CompareParams
+	CompareResult  = wire.CompareResponse
+	Resident       = wire.ColoNF
+	AdmitParams    = wire.AdmitParams
+	AdmitResult    = wire.AdmitResponse
+	DiagnoseResult = wire.DiagnoseResponse
+	ModelInfo      = wire.ModelInfo
+	ModelsPage     = wire.ModelsPage
+	Measurement    = wire.Measurement
+	IngestResult   = wire.IngestResult
+	CacheStats     = wire.CacheStats
+)
 
 // F64 builds the pointer form MTBR takes in a ProfileSpec literal.
-func F64(v float64) *float64 { return &v }
-
-// Competitor names one co-located NF and its traffic profile.
-type Competitor struct {
-	Name    string      `json:"name"`
-	Profile ProfileSpec `json:"profile,omitzero"`
-}
-
-// PredictParams is the scenario body of Predict and Diagnose calls.
-type PredictParams struct {
-	Profile     ProfileSpec  `json:"profile,omitzero"`
-	Competitors []Competitor `json:"competitors,omitempty"`
-}
-
-// PredictResult is the server's prediction for one scenario.
-type PredictResult struct {
-	NF             string             `json:"nf"`
-	HW             string             `json:"hw,omitempty"`
-	Backend        string             `json:"backend"`
-	Profile        ProfileSpec        `json:"profile"`
-	SoloPPS        float64            `json:"solo_pps"`
-	PredictedPPS   float64            `json:"predicted_pps"`
-	PerResourcePPS map[string]float64 `json:"per_resource_pps,omitempty"`
-	Bottleneck     string             `json:"bottleneck,omitempty"`
-}
-
-// BatchItem is one element of a PredictBatch call: a fully qualified
-// (model, backend, scenario) tuple, so one batch can span NFs, hardware
-// classes and backends.
-type BatchItem struct {
-	Model       ModelID      `json:"-"`
-	Backend     string       `json:"backend,omitempty"`
-	Profile     ProfileSpec  `json:"profile,omitzero"`
-	Competitors []Competitor `json:"competitors,omitempty"`
-}
-
-// batchItemWire is BatchItem with the model rendered as its resource ID.
-type batchItemWire struct {
-	Model       string       `json:"model"`
-	Backend     string       `json:"backend,omitempty"`
-	Profile     ProfileSpec  `json:"profile,omitzero"`
-	Competitors []Competitor `json:"competitors,omitempty"`
-}
-
-// BatchResult returns one response per request, in order. An element
-// that failed carries its message in Errors at the same index and a
-// zero response; the batch call itself still succeeds.
-type BatchResult struct {
-	Responses []PredictResult `json:"responses"`
-	Errors    []string        `json:"errors,omitempty"`
-}
-
-// CompareParams is the scenario body of a Compare call.
-type CompareParams struct {
-	Profile     ProfileSpec  `json:"profile,omitzero"`
-	Competitors []Competitor `json:"competitors,omitempty"`
-	// GroundTruth additionally co-runs the scenario on the server's
-	// simulator and reports each predictor's error against it.
-	GroundTruth bool `json:"ground_truth,omitempty"`
-}
-
-// CompareResult is the Yala-vs-SLOMO head-to-head for one scenario.
-type CompareResult struct {
-	NF          string        `json:"nf"`
-	HW          string        `json:"hw,omitempty"`
-	Profile     ProfileSpec   `json:"profile"`
-	Yala        PredictResult `json:"yala"`
-	SLOMO       PredictResult `json:"slomo"`
-	MeasuredPPS float64       `json:"measured_pps,omitempty"`
-	YalaErrPct  float64       `json:"yala_err_pct,omitempty"`
-	SLOMOErrPct float64       `json:"slomo_err_pct,omitempty"`
-}
-
-// Resident is one NF already on the NIC in an Admit call.
-type Resident struct {
-	Name    string      `json:"name"`
-	Profile ProfileSpec `json:"profile,omitzero"`
-	SLA     float64     `json:"sla"`
-}
-
-// AdmitParams asks whether the path model can join Residents without
-// breaking any SLA: the candidate's profile and SLA, plus the resident
-// set.
-type AdmitParams struct {
-	Residents []Resident  `json:"residents,omitempty"`
-	Profile   ProfileSpec `json:"profile,omitzero"`
-	SLA       float64     `json:"sla"`
-}
-
-// AdmitResult is the admission decision. Reason distinguishes a
-// core-capacity rejection ("cores") from a predicted SLA violation
-// ("sla").
-type AdmitResult struct {
-	Admit     bool   `json:"admit"`
-	Backend   string `json:"backend"`
-	Residents int    `json:"residents"`
-	Reason    string `json:"reason,omitempty"`
-}
-
-// DiagnoseResult is the per-resource bottleneck attribution.
-type DiagnoseResult struct {
-	NF             string             `json:"nf"`
-	HW             string             `json:"hw,omitempty"`
-	Profile        ProfileSpec        `json:"profile"`
-	Bottleneck     string             `json:"bottleneck"`
-	SoloPPS        float64            `json:"solo_pps"`
-	PredictedPPS   float64            `json:"predicted_pps"`
-	DropPct        float64            `json:"drop_pct"`
-	PerResourcePPS map[string]float64 `json:"per_resource_pps"`
-}
-
-// ModelInfo describes one model the server knows about. Generation
-// counts fresh in-process model resolutions — initial train or load is
-// 1, each feedback-driven promotion bumps it — and TrainedAt is the
-// Unix time of the latest one; both are 0 for models the server has
-// only seen on disk.
-type ModelInfo struct {
-	ID         string `json:"id"`
-	NF         string `json:"nf"`
-	HW         string `json:"hw,omitempty"`
-	Backend    string `json:"backend"`
-	Loaded     bool   `json:"loaded"`
-	OnDisk     bool   `json:"on_disk"`
-	Generation uint64 `json:"generation,omitempty"`
-	TrainedAt  int64  `json:"trained_at,omitempty"`
-}
-
-// Measurement is one ground-truth throughput report for Ingest: the
-// model it concerns, the scenario it was measured under, and the
-// observed co-located throughput. Source optionally names the
-// measurement origin (a rig, an agent) so the server's drift gate can
-// quarantine origins whose reports disagree with the consensus.
-type Measurement struct {
-	Model       ModelID      `json:"-"`
-	Backend     string       `json:"backend,omitempty"`
-	Profile     ProfileSpec  `json:"profile,omitzero"`
-	Competitors []Competitor `json:"competitors,omitempty"`
-	MeasuredPPS float64      `json:"measured_pps"`
-	Source      string       `json:"source,omitempty"`
-}
-
-// measurementWire is Measurement with the model rendered as its
-// resource ID.
-type measurementWire struct {
-	Model       string       `json:"model"`
-	Backend     string       `json:"backend,omitempty"`
-	Profile     ProfileSpec  `json:"profile,omitzero"`
-	Competitors []Competitor `json:"competitors,omitempty"`
-	MeasuredPPS float64      `json:"measured_pps"`
-	Source      string       `json:"source,omitempty"`
-}
-
-// IngestResult summarizes one ingest batch: measurements accepted into
-// the feedback windows vs recorded under a quarantined source.
-type IngestResult struct {
-	Accepted    int `json:"accepted"`
-	Quarantined int `json:"quarantined"`
-}
+var F64 = wire.F64
 
 // DriftStats is the server's online-feedback counter snapshot: the
 // drift gate's decision stream and the candidate train/shadow/promote
@@ -192,14 +56,6 @@ type DriftStats struct {
 type ListModelsParams struct {
 	PageSize  int
 	PageToken string
-}
-
-// ModelsPage is one page of the listing; a non-empty NextPageToken
-// continues it.
-type ModelsPage struct {
-	Models        []ModelInfo `json:"models"`
-	NextPageToken string      `json:"next_page_token,omitempty"`
-	TotalSize     int         `json:"total_size"`
 }
 
 // ClusterRunParams shapes a fleet-orchestration comparison run. Zero
@@ -261,14 +117,6 @@ type ClusterPolicyResult struct {
 type ClusterComparison struct {
 	Scenario json.RawMessage       `json:"scenario"`
 	Results  []ClusterPolicyResult `json:"results"`
-}
-
-// CacheStats is the server's response-cache counter snapshot.
-type CacheStats struct {
-	Entries   int    `json:"entries"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
 }
 
 // GatewayReplicaStats is one replica's state as seen by a scale-out

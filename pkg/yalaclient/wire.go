@@ -103,21 +103,14 @@ func (c *Client) wirePredict(ctx context.Context, m ModelID, backendName string,
 	if backendName == "" {
 		backendName = DefaultBackend
 	}
-	var comps [4]wire.Competitor // the usual co-location fits: no allocation
-	req := wire.PredictRequest{
-		NF:          m.NF,
-		HW:          m.HW,
-		Backend:     backendName,
-		Profile:     toWireProfile(p.Profile),
-		Competitors: toWireCompetitors(comps[:0], p.Competitors),
-	}
+	req := wire.PredictRequest{NF: m.NF, HW: m.HW, Backend: backendName, Profile: p.Profile, Competitors: p.Competitors}
 	buf := wire.AppendPredictRequest(wire.GetBuf(), &req)
 	err = c.exchange(ctx, wire.TypePredict, wire.TypePredictResp, buf, func(payload []byte) error {
 		resp, derr := wire.DecodePredictResponse(payload)
 		if derr != nil {
 			return fmt.Errorf("%w: %v", wire.ErrTransport, derr)
 		}
-		out = fromWireResponse(resp)
+		out = asJSON(resp)
 		return nil
 	})
 	return out, err
@@ -128,13 +121,7 @@ func (c *Client) wirePredict(ctx context.Context, m ModelID, backendName string,
 func (c *Client) wirePredictBatch(ctx context.Context, items []BatchItem) (out BatchResult, err error) {
 	req := wire.BatchRequest{Requests: make([]wire.PredictRequest, len(items))}
 	for i, it := range items {
-		req.Requests[i] = wire.PredictRequest{
-			NF:          it.Model.NF,
-			HW:          it.Model.HW,
-			Backend:     it.Backend,
-			Profile:     toWireProfile(it.Profile),
-			Competitors: toWireCompetitors(nil, it.Competitors),
-		}
+		req.Requests[i] = wire.PredictRequest{NF: it.Model.NF, HW: it.Model.HW, Backend: it.Backend, Profile: it.Profile, Competitors: it.Competitors}
 	}
 	buf := wire.AppendBatchRequest(wire.GetBuf(), &req)
 	err = c.exchange(ctx, wire.TypeBatch, wire.TypeBatchResp, buf, func(payload []byte) error {
@@ -142,11 +129,13 @@ func (c *Client) wirePredictBatch(ctx context.Context, items []BatchItem) (out B
 		if derr != nil {
 			return fmt.Errorf("%w: %v", wire.ErrTransport, derr)
 		}
-		out.Responses = make([]PredictResult, len(resp.Responses))
 		for i := range resp.Responses {
-			out.Responses[i] = fromWireResponse(resp.Responses[i])
+			resp.Responses[i] = asJSON(resp.Responses[i])
 		}
-		out.Errors = resp.Errors
+		if resp.Responses == nil {
+			resp.Responses = []PredictResult{} // as JSON decodes an empty batch
+		}
+		out = resp
 		return nil
 	})
 	return out, err
@@ -175,33 +164,16 @@ func wireError(payload []byte) error {
 	return &ae
 }
 
-func toWireProfile(p ProfileSpec) wire.Profile {
-	return wire.Profile{Flows: p.Flows, PktSize: p.PktSize, MTBR: p.MTBR}
-}
-
-// toWireCompetitors appends cs, in wire form, to dst.
-func toWireCompetitors(dst []wire.Competitor, cs []Competitor) []wire.Competitor {
-	for _, cp := range cs {
-		dst = append(dst, wire.Competitor{Name: cp.Name, Profile: toWireProfile(cp.Profile)})
-	}
-	return dst
-}
-
-func fromWireResponse(r wire.PredictResponse) PredictResult {
-	out := PredictResult{
-		NF:           r.NF,
-		HW:           r.HW,
-		Backend:      r.Backend,
-		Profile:      ProfileSpec{Flows: r.Profile.Flows, PktSize: r.Profile.PktSize, MTBR: r.Profile.MTBR},
-		SoloPPS:      r.SoloPPS,
-		PredictedPPS: r.PredictedPPS,
-		Bottleneck:   r.Bottleneck,
-	}
+// asJSON moves a decoded answer's per-resource rows into PerResourcePPS,
+// so an answer is the value the JSON path decodes, rows nil, whichever
+// transport carried it.
+func asJSON(r PredictResult) PredictResult {
 	if len(r.PerResource) > 0 {
-		out.PerResourcePPS = make(map[string]float64, len(r.PerResource))
+		r.PerResourcePPS = make(map[string]float64, len(r.PerResource))
 		for _, rp := range r.PerResource {
-			out.PerResourcePPS[rp.Resource] = rp.PPS
+			r.PerResourcePPS[rp.Resource] = rp.PPS
 		}
 	}
-	return out
+	r.PerResource = nil
+	return r
 }
