@@ -759,11 +759,12 @@ func (s *Service) measureScenario(hw, name string, prof traffic.Profile, specs [
 }
 
 // AdmitRequest asks whether placing Candidate on a NIC already hosting
-// Residents keeps every SLA intact, per the chosen predictor.
+// Residents keeps every SLA intact, per the chosen predictor: the :admit
+// body (wire.AdmitParams) with the path's NF as the candidate.
 type AdmitRequest struct {
-	Residents []ColoNF `json:"residents"`
-	Candidate ColoNF   `json:"candidate"`
-	Backend   string   `json:"backend,omitempty"`
+	Residents []ColoNF
+	Candidate ColoNF
+	Backend   string
 }
 
 // AdmitOn answers an online admission-control query on hardware class

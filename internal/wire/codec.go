@@ -262,7 +262,8 @@ func (r *reader) raw() []byte {
 
 func (r *reader) str() string { return string(r.raw()) }
 
-// name reads a request's NF, hardware or backend name through intern.
+// name reads one of a request's names (NF, hardware class, backend or
+// competitor) through intern.
 func (r *reader) name() string {
 	if r.intern == nil {
 		return r.str()
@@ -280,13 +281,24 @@ func (r *reader) bytesCopy() []byte {
 	return out
 }
 
+// The fewest bytes one encoded element of each collection takes: a
+// string is at least its length byte, a profile its two varints and its
+// MTBR flag.
+const (
+	minCompetitor = 4  // name, profile
+	minRequest    = 7  // three names, profile, competitor count
+	minRow        = 9  // resource name, float
+	minResponse   = 24 // three names, profile, two floats, bottleneck, row count
+	minHeader     = 2  // key, value
+)
+
 // count validates a collection length against what the remaining bytes
-// could possibly hold (at least one byte per element) before any
-// allocation, so a forged huge count cannot make decode allocate
-// gigabytes.
-func (r *reader) count() int {
+// could possibly hold, minLen bytes per element, before any allocation:
+// a forged count fails here instead of making decode allocate for
+// elements whose bytes never arrived.
+func (r *reader) count(minLen int) int {
 	n := r.uvarint()
-	if r.bad || n > uint64(len(r.b)-r.off) {
+	if r.bad || n > uint64((len(r.b)-r.off)/minLen) {
 		r.fail()
 		return 0
 	}
@@ -314,7 +326,7 @@ func (r *reader) profile() Profile {
 
 func (r *reader) request() PredictRequest {
 	req := PredictRequest{NF: r.name(), HW: r.name(), Backend: r.name(), Profile: r.profile()}
-	if n := r.count(); n > 0 {
+	if n := r.count(minCompetitor); n > 0 {
 		req.Competitors = make([]Competitor, n)
 		for i := range req.Competitors {
 			req.Competitors[i] = Competitor{Name: r.name(), Profile: r.profile()}
@@ -333,7 +345,7 @@ func (r *reader) predictResponse() PredictResponse {
 		PredictedPPS: r.f64(),
 		Bottleneck:   r.str(),
 	}
-	if n := r.count(); n > 0 {
+	if n := r.count(minRow); n > 0 {
 		out.PerResource = make([]ResourcePPS, n)
 		for i := range out.PerResource {
 			out.PerResource[i] = ResourcePPS{Resource: r.str(), PPS: r.f64()}
@@ -387,7 +399,7 @@ func DecodeRequest(b []byte, intern func([]byte) string) (PredictRequest, error)
 func DecodeBatchRequest(b []byte, intern func([]byte) string) (BatchRequest, error) {
 	r := reader{b: b, intern: intern}
 	var out BatchRequest
-	if n := r.count(); n > 0 {
+	if n := r.count(minRequest); n > 0 {
 		out.Requests = make([]PredictRequest, n)
 		for i := range out.Requests {
 			out.Requests[i] = r.request()
@@ -410,7 +422,7 @@ func DecodePredictResponse(b []byte) (PredictResponse, error) {
 func DecodeBatchResponse(b []byte) (BatchResponse, error) {
 	r := reader{b: b}
 	var out BatchResponse
-	n := r.count()
+	n := r.count(minResponse)
 	hasErrs := r.byteVal() == 1
 	if n > 0 {
 		out.Responses = make([]PredictResponse, n)
@@ -458,7 +470,7 @@ func DecodeCallResp(b []byte) (CallResp, error) {
 	r := reader{b: b}
 	var out CallResp
 	out.Status = int(r.uvarint())
-	if n := r.count(); n > 0 {
+	if n := r.count(minHeader); n > 0 {
 		out.Headers = make([]HeaderKV, n)
 		for i := range out.Headers {
 			out.Headers[i] = HeaderKV{Key: r.str(), Value: r.str()}

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/israce"
@@ -100,5 +101,35 @@ func TestCodecPredictAllocs(t *testing.T) {
 		t.Errorf("a predict's codec round trip allocates %.0f times, want ≤ 14", got)
 	} else {
 		t.Logf("%.0f allocations per predict codec round trip", got)
+	}
+}
+
+// TestDecodeAllocatesWhatArrives: a declared count makes the request
+// decoders allocate only for elements the payload's bytes could hold. A
+// count that promises more fails before allocating; one the bytes can
+// hold costs a bounded multiple of them, as honest elements would.
+func TestDecodeAllocatesWhatArrives(t *testing.T) {
+	const size = 4096
+	header := AppendPredictRequest(nil, &PredictRequest{NF: "ACL"})
+	header = header[:len(header)-1] // drop the competitor count
+	for _, c := range []struct {
+		name   string
+		decode func([]byte) error
+		prefix []byte
+	}{
+		{"batch", func(b []byte) error { _, err := DecodeBatchRequest(b, nil); return err }, nil},
+		{"competitors", func(b []byte) error { _, err := DecodePredictRequest(b); return err }, header},
+	} {
+		for _, n := range []uint64{size / 8, size / 2, size} {
+			payload := binary.AppendUvarint(append([]byte(nil), c.prefix...), n)
+			payload = append(payload, make([]byte, size)...)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			c.decode(payload)
+			runtime.ReadMemStats(&after)
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16*size {
+				t.Errorf("%s: a count of %d over %d bytes allocated %d bytes", c.name, n, len(payload), alloc)
+			}
+		}
 	}
 }

@@ -57,22 +57,23 @@
 //
 // # Payload types
 //
-// This package also holds the one Go definition of every /v2 request
-// and response body (payload.go): the JSON front door in internal/serve
-// and the SDK in pkg/yalaclient name them through type aliases (the SDK
-// may import no other internal package), and the typed frames encode
-// the same PredictRequest and PredictResponse, so a field added here
-// reaches the server, the SDK and the codec together. A response's
-// PerResource rows are the frame form of its PerResourcePPS map, sorted
-// by resource; JSON carries only the map. The request decoders take a
-// name-interning callback, so a server turns the names it knows into
-// its own strings without copying them.
+// This package also holds the one Go definition of the /v2 model
+// methods' request and response bodies (payload.go): predict, batch,
+// compare, admit, diagnose, ingest and the model listing. The JSON front
+// door in internal/serve and the SDK in pkg/yalaclient name them through
+// type aliases (the SDK may import no other internal package), and the
+// typed frames encode the same PredictRequest and PredictResponse, so a
+// field added here reaches the server, the SDK and the codec together. A
+// response's PerResource rows are the frame form of its PerResourcePPS
+// map, sorted by resource; JSON carries only the map. The request
+// decoders take a name-interning callback, so a server turns the names
+// it knows into its own strings without copying them.
 //
 // Payload encodings are hand-rolled append-style encoders over pooled
 // buffers (GetBuf/PutBuf): uvarint-length strings, zigzag varints for
 // ints, fixed 8-byte big-endian floats. Decoders never panic on
-// malformed input and validate collection counts against the actual
-// remaining bytes before allocating.
+// malformed input and, before allocating, check a collection's count
+// against the remaining bytes at each element's minimal encoded size.
 //
 // # Frame types
 //

@@ -2,13 +2,14 @@ package wire
 
 import "strings"
 
-// This file declares the /v2 payloads: each body the JSON front door
-// reads or writes has its one Go definition here. The server
-// (internal/serve) and the SDK (pkg/yalaclient) name them through type
-// aliases, and the frame codec in codec.go encodes the ones the typed
-// frames carry, so a field added here reaches every side at once. The
-// model and backend of a custom method live in its path, so the
-// *Params bodies carry only the scenario.
+// This file declares the /v2 payloads of the model methods (predict,
+// batch, compare, admit, diagnose, ingest, the listing): each has its
+// one Go definition here. The server (internal/serve) and the SDK
+// (pkg/yalaclient) name them through type aliases, and the frame codec
+// in codec.go encodes the ones the typed frames carry, so a field added
+// here reaches every side at once. The model and backend of a custom
+// method live in its path, so the *Params bodies carry only the
+// scenario.
 
 // Profile is a traffic profile. Absent attributes (zero Flows or
 // PktSize, nil MTBR) fall back to the server's default profile; MTBR is
