@@ -82,6 +82,10 @@ type Tenant struct {
 
 // NIC is one fleet member's state: its hardware class, per-NIC core
 // budget, and the tenants currently resident on it.
+//
+// Read Tenants freely. Fill it by hand only before the fleet's first
+// Choose; from then on the Fleet's own place and remove are its only
+// writers (see Fleet).
 type NIC struct {
 	ID int
 	// Class names the hardware class ("" = the environment's base
@@ -105,6 +109,14 @@ func (n *NIC) arrivals() []placement.Arrival {
 }
 
 // Fleet is the mutable cluster state a scheduler decides over.
+//
+// The fleet owns its mutations. A caller may fill NIC.Tenants by hand
+// while setting a fleet up, before its first Choose; the first Choose
+// builds the free-core index from whatever Tenants hold then. From then
+// on place and remove are the only mutators: each moves one NIC within
+// the index and stamps it with a new version, so a scheduler's memo of
+// that NIC is current exactly while its stamp holds. A direct write
+// after the first Choose is invisible to both.
 type Fleet struct {
 	// NICs carry their own core totals (classes differ); every NF takes
 	// nf.NFCores of them, as in the placement feasibility checks.
@@ -112,9 +124,28 @@ type Fleet struct {
 
 	// home maps each tenant placed through place to its NIC index — the
 	// orchestrator's O(1) locate, and (tenant IDs being stream-unique)
-	// its resident count. Direct writes to NIC.Tenants bypass it; only
-	// code that mutates solely through place/remove may read it.
+	// its resident count. Tenants filled in by hand are not in it.
 	home map[int]int
+
+	// ix is the free-core index; nil until the first Choose.
+	ix *fleetIndex
+}
+
+// fleetIndex files every NIC with room for one more NF under its
+// free-core count, so a best-fit walk visits fitting NICs in (free
+// cores, index) order without looking at the rest. Membership changes
+// locally: place and remove move one bit.
+type fleetIndex struct {
+	// fits[c] is the bitmap (by NIC index) of fitting NICs with exactly
+	// c free cores, count[c] its population; empty marks the NICs that
+	// hold no tenant.
+	fits  [][]uint64
+	count []int
+	empty []uint64
+	// ver stamps each NIC's resident sequence: a fleet-wide counter,
+	// drawn anew by every place and remove, so a stamp names one state.
+	ver   []uint64
+	clock uint64
 }
 
 // ScenarioFleet builds the scenario's (possibly heterogeneous) fleet,
@@ -160,8 +191,10 @@ func (f *Fleet) TotalCores() int {
 
 // place adds a tenant to NIC i.
 func (f *Fleet) place(i int, t Tenant) {
+	f.file(i, false)
 	f.NICs[i].Tenants = append(f.NICs[i].Tenants, t)
 	f.home[t.ID] = i
+	f.file(i, true)
 }
 
 // remove deletes the tenant by ID from NIC i, reporting the removed
@@ -170,12 +203,68 @@ func (f *Fleet) remove(i, id int) (Tenant, bool) {
 	n := f.NICs[i]
 	for j, t := range n.Tenants {
 		if t.ID == id {
+			f.file(i, false)
 			n.Tenants = append(n.Tenants[:j], n.Tenants[j+1:]...)
 			delete(f.home, id)
+			f.file(i, true)
 			return t, true
 		}
 	}
 	return Tenant{}, false
+}
+
+// index returns the free-core index, building it from the NICs' current
+// Tenants on first use (and again should NICs have changed length).
+func (f *Fleet) index() *fleetIndex {
+	if f.ix != nil && len(f.ix.ver) == len(f.NICs) {
+		return f.ix
+	}
+	words := (len(f.NICs) + 63) / 64
+	ix := &fleetIndex{empty: make([]uint64, words), ver: make([]uint64, len(f.NICs))}
+	if f.ix != nil {
+		ix.clock = f.ix.clock
+	}
+	for _, n := range f.NICs {
+		for len(ix.fits) <= n.Cores {
+			ix.fits = append(ix.fits, make([]uint64, words))
+			ix.count = append(ix.count, 0)
+		}
+	}
+	f.ix = ix
+	for i := range f.NICs {
+		f.file(i, true)
+	}
+	return ix
+}
+
+// file takes NIC i out of the index (in=false) or files it under its
+// current free cores with a new version stamp (in=true). Before the
+// first Choose there is no index and nothing to do.
+func (f *Fleet) file(i int, in bool) {
+	ix := f.ix
+	if ix == nil {
+		return
+	}
+	w, bit := i>>6, uint64(1)<<(i&63)
+	if !in {
+		if f.Fits(i) {
+			c := f.FreeCores(i)
+			ix.fits[c][w] &^= bit
+			ix.count[c]--
+		}
+		ix.empty[w] &^= bit
+		return
+	}
+	ix.clock++
+	ix.ver[i] = ix.clock
+	if f.Fits(i) {
+		c := f.FreeCores(i)
+		ix.fits[c][w] |= bit
+		ix.count[c]++
+	}
+	if len(f.NICs[i].Tenants) == 0 {
+		ix.empty[w] |= bit
+	}
 }
 
 // locate finds the NIC hosting tenant id, or -1: lifecycle events may

@@ -143,23 +143,15 @@ func (r *memoRig) decide(f *Fleet) uint64 {
 }
 
 // TestMemoSurvivesCallerMutations mutates state between decisions the
-// ways real callers do and requires the long-lived scheduler to keep
-// agreeing with a fresh one — and the slot the mutation touched to be
-// re-scored rather than answered from the memo.
+// ways real callers do — through the Fleet's methods, the class
+// simulator, or another fleet — and requires the long-lived scheduler to
+// keep agreeing with a fresh one, and the slot the mutation touched to
+// be re-scored rather than answered from the memo.
 func TestMemoSurvivesCallerMutations(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(r *memoRig, f *Fleet)
 	}{
-		{"direct append to NIC.Tenants", func(r *memoRig, f *Fleet) {
-			f.NICs[0].Tenants = append(f.NICs[0].Tenants, r.tenant(5))
-		}},
-		{"direct overwrite of a resident", func(r *memoRig, f *Fleet) {
-			f.NICs[0].Tenants[1] = r.tenant(4)
-		}},
-		{"direct SLA edit", func(r *memoRig, f *Fleet) {
-			f.NICs[0].Tenants[0].SLA = 0.01
-		}},
 		// remove shifts the backing array in place: a snapshot aliasing
 		// it would shift too and still compare equal.
 		{"remove shifts the backing array", func(r *memoRig, f *Fleet) {

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/backend"
 	"repro/internal/obs"
@@ -103,24 +105,29 @@ func (firstFit) Choose(f *Fleet, a placement.Arrival) (int, error) {
 // outright: admission control in the paper's §7.5.1 sense, applied
 // fleet-wide.
 //
-// A decision costs what changed, not the fleet. One cheap pass buckets
-// the NICs with core capacity by free cores; candidates are then visited
-// tightest first and the first feasible one wins, so looser NICs are
-// never scored. A visit is answered at two levels. First the slot's
-// memo: the SLA-independent placement.Score per arriving (NF, profile),
-// finished by one compare against the arrival's own SLA. A slot's scores
-// hold while the NIC's resident sequence equals the copied snapshot they
-// were computed from and its class simulator's Generation is unchanged
-// (no model install, promotion or solo recalibration since); anything
-// else — a direct write to NIC.Tenants, a departure's in-place shift, a
-// drift re-placing a tenant at the tail, another fleet's *NIC at that
-// index — fails that compare and the slot is re-scored. The memo reads
-// nothing but the *Fleet handed to Choose, so wrapping the scheduler
-// cannot stale it. A re-scored slot then asks the class simulator, whose
-// Score memoizes predictions by the ordered (NF, profile) sequence of
-// residents plus newcomer: every NIC holding the same types in the same
-// order shares one predictor run, whatever their residents' SLAs, so
+// A decision costs what changed, not the fleet. The Fleet keeps its
+// fitting NICs filed by free cores (see Fleet), so Choose walks them
+// tightest first straight off that index, and the first feasible one
+// wins: looser NICs are never visited, and no NIC is looked at just to
+// be bucketed. A visited NIC is answered at two levels. First the
+// slot's memo: the SLA-independent placement.Score per arriving (NF,
+// profile), finished by one compare against the arrival's own SLA. A
+// memoized score is current exactly while the NIC pointer, its class
+// simulator's Generation (no model install, promotion or solo
+// recalibration since) and the NIC's version stamp are unchanged. The
+// stamp moves with every place and remove — a departure's in-place
+// shift, a drift re-placing a tenant at the tail — and another fleet's
+// *NIC at that index fails the pointer compare, so the slot is
+// re-scored. That is why the Fleet's methods must be its only mutators
+// after the first Choose: a write to NIC.Tenants by hand would leave the
+// stamp, and the memo, standing. The memo reads nothing but the *Fleet
+// handed to Choose, so wrapping the scheduler cannot stale it. A
+// re-scored slot then asks the class simulator, whose Score memoizes
+// predictions by the ordered (NF, profile) sequence of residents plus
+// newcomer: every NIC holding the same types in the same order shares
+// one predictor run, whatever their residents' SLAs, so
 // cluster_predictions_total counts only sequences new to the simulator.
+// cluster_slots_scanned_total counts the NICs a walk visits.
 //
 // bench's cluster.choose_us_* rungs time cold Choose calls — each is a
 // never-seen (fleet, arrival type) pair for the slot memo — so they show
@@ -136,54 +143,67 @@ type predictFit struct {
 	// construction; nil without a registry.
 	scanned, scored, predictions *obs.Counter
 
+	// bound is the fleet index the slots were last checked against: a
+	// fleet's NICs are fixed once it has an index, so their pointers are
+	// compared only when Choose meets another index.
+	bound *fleetIndex
 	slots []slotMemo // by NIC index
 	// types numbers the arrival types seen — (NF, profile) is all a Score
-	// depends on from the arrival — to index each slot's scores.
-	types  map[backend.Key]int
-	byFree [][]int  // fitting NIC indices by free cores, reused per decision
-	names  []string // ensureModels argument, reused per miss
+	// depends on from the arrival — to index scores.
+	types map[backend.Key]int
+	// scores holds the memoized scores by arrival type, then NIC index:
+	// one decision reads one row.
+	scores [][]memoScore
+	// classes are the class environments the slots resolved to; gens
+	// their simulators' generations, read once per decision, and ready
+	// whether this decision's newcomer has its model in each.
+	classes []*classEnv
+	gens    []uint64
+	ready   []bool
+	// names and seq are ensureModels' and Score's arguments, reused per
+	// miss.
+	names []string
+	seq   []placement.Arrival
 }
 
-// slotMemo is one NIC's scores and what they were computed from.
+// slotMemo is which NIC a slot's scores describe, its class (-1 until
+// first scored), and the NIC version whose residents' models are known
+// installed (models are never uninstalled, so that holds until the
+// residents change).
 type slotMemo struct {
-	nic    *NIC
-	ce     *classEnv
-	gen    uint64
-	seq    []placement.Arrival
-	scores []knownScore // by arrival-type index
+	nic   *NIC
+	class int
+	ready uint64
 }
 
-// knownScore is a Score slot; the zero value is "not scored yet".
-type knownScore struct {
-	placement.Score
-	known bool
+// memoScore is one slot's placement.Score for one arrival type, with
+// the NIC version, class and class generation it was computed at. A
+// zero version never matches: the fleet's stamps start at 1.
+type memoScore struct {
+	ver, gen        uint64
+	class           int32
+	residentsOK     bool
+	predicted, solo float64
+}
+
+// admits is placement.Score.Admits on the memoized fields.
+func (m *memoScore) admits(sla float64) bool {
+	return m.residentsOK && !(m.predicted < (1-sla)*m.solo)
 }
 
 func (p *predictFit) Name() string { return p.name }
 
 func (p *predictFit) Choose(f *Fleet, a placement.Arrival) (int, error) {
-	scored := 0
+	visited, scored := 0, 0
 	defer func() {
 		if p.scanned != nil {
-			p.scanned.Add(uint64(len(f.NICs)))
+			p.scanned.Add(uint64(visited))
 			p.scored.Add(uint64(scored))
 		}
 	}()
-	if len(p.slots) != len(f.NICs) {
-		p.slots = make([]slotMemo, len(f.NICs))
-	}
-	for free := range p.byFree {
-		p.byFree[free] = p.byFree[free][:0]
-	}
-	for i := range f.NICs {
-		if !f.Fits(i) {
-			continue
-		}
-		free := f.FreeCores(i)
-		for len(p.byFree) <= free {
-			p.byFree = append(p.byFree, nil)
-		}
-		p.byFree[free] = append(p.byFree[free], i)
+	ix := f.index()
+	if p.bound != ix {
+		p.bind(f, ix)
 	}
 	// One hash per decision; visited slots then index by it.
 	key := backend.Key{NF: a.Name, Profile: a.Profile}
@@ -191,88 +211,130 @@ func (p *predictFit) Choose(f *Fleet, a placement.Arrival) (int, error) {
 	if !ok {
 		ti = len(p.types)
 		p.types[key] = ti
+		p.scores = append(p.scores, nil)
 	}
-	for _, bucket := range p.byFree {
-		for _, i := range bucket {
-			// An empty NIC is feasible by construction — alone, the NF
-			// runs at its solo throughput — so no prediction is consulted.
-			if len(f.NICs[i].Tenants) == 0 {
-				return i, nil
-			}
-			sc, fresh, err := p.score(&p.slots[i], f.NICs[i], a, ti)
-			if err != nil {
-				return -1, err
-			}
-			if fresh {
-				scored++
-			}
-			if sc.Admits(a.SLA) {
-				return i, nil
+	if p.scores[ti] == nil {
+		p.scores[ti] = make([]memoScore, len(f.NICs))
+	}
+	row := p.scores[ti]
+	for k, ce := range p.classes {
+		p.gens[k], p.ready[k] = ce.sim.Generation(), false
+	}
+	for c, words := range ix.fits {
+		if ix.count[c] == 0 {
+			continue
+		}
+		for w, word := range words {
+			empty := ix.empty[w]
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				word &= word - 1
+				i := w<<6 | b
+				visited++
+				// An empty NIC is feasible by construction — alone, the NF
+				// runs at its solo throughput — so no prediction is consulted.
+				if empty&(1<<b) != 0 {
+					return i, nil
+				}
+				m := &row[i]
+				if m.ver != ix.ver[i] || m.gen != p.gens[m.class] {
+					fresh, err := p.score(m, i, ix.ver[i], a)
+					if err != nil {
+						return -1, err
+					}
+					if fresh {
+						scored++
+					}
+				}
+				if m.admits(a.SLA) {
+					return i, nil
+				}
 			}
 		}
 	}
 	return -1, nil
 }
 
-// score answers one occupied NIC from its memo, re-deriving whatever the
-// memo no longer covers; fresh reports that a predictor ran.
-func (p *predictFit) score(m *slotMemo, n *NIC, a placement.Arrival, ti int) (sc placement.Score, fresh bool, err error) {
-	if m.nic != n {
-		ce, ok := p.env.class[n.key]
-		if !ok {
-			return sc, false, fmt.Errorf("cluster: NIC %d has unresolved class %q", n.ID, n.Class)
+// bind checks every slot against the fleet's NICs, dropping the scores
+// of each slot that held another NIC.
+func (p *predictFit) bind(f *Fleet, ix *fleetIndex) {
+	if len(p.slots) != len(f.NICs) {
+		p.slots = make([]slotMemo, len(f.NICs))
+		clear(p.scores)
+	}
+	for i, n := range f.NICs {
+		if p.slots[i].nic == n {
+			continue
 		}
-		m.nic, m.ce, m.seq = n, ce, m.seq[:0]
-		clear(m.scores)
-	}
-	// The class simulator's own core budget gates like the fleet's (they
-	// agree by construction) and is never memoized.
-	if !m.ce.sim.Fits(len(n.Tenants)) {
-		return sc, false, nil
-	}
-	if ti < len(m.scores) && m.scores[ti].known && m.current(n) {
-		return m.scores[ti].Score, false, nil
-	}
-	p.names = append(p.names[:0], a.Name)
-	for _, t := range n.Tenants {
-		p.names = append(p.names, t.Name)
-	}
-	if err := p.env.ensureModels(m.ce, p.strat, p.names); err != nil {
-		return sc, false, err
-	}
-	// Compared only now: a lazy model install above moves the generation.
-	if !m.current(n) {
-		m.gen, m.seq = m.ce.sim.Generation(), m.seq[:0]
-		for _, t := range n.Tenants {
-			m.seq = append(m.seq, t.Arrival)
+		p.slots[i] = slotMemo{nic: n, class: -1}
+		for _, row := range p.scores {
+			if row != nil {
+				row[i] = memoScore{}
+			}
 		}
-		clear(m.scores)
 	}
-	ran := m.ce.sim.Predictions()
-	sc, err = m.ce.sim.Score(m.seq, a, p.strat)
-	if p.predictions != nil {
-		p.predictions.Add(m.ce.sim.Predictions() - ran)
-	}
-	if err != nil {
-		return sc, false, err
-	}
-	for len(m.scores) <= ti {
-		m.scores = append(m.scores, knownScore{})
-	}
-	m.scores[ti] = knownScore{sc, true}
-	return sc, true, nil
+	p.bound = ix
 }
 
-// current reports whether the memo's scores still describe n: same model
-// generation, same resident sequence.
-func (m *slotMemo) current(n *NIC) bool {
-	if m.gen != m.ce.sim.Generation() || len(m.seq) != len(n.Tenants) {
-		return false
-	}
-	for j, r := range m.seq {
-		if r != n.Tenants[j].Arrival {
-			return false
+// score re-derives slot i's score for a into m; fresh reports that a
+// predictor ran. A NIC its class simulator's own core budget refuses
+// leaves m unadmitting and unmemoized (the budgets agree by
+// construction). The models Score needs are installed first, newcomer
+// then residents, each set checked once: the newcomer's per class per
+// decision, the residents' per NIC version.
+func (p *predictFit) score(m *memoScore, i int, ver uint64, a placement.Arrival) (fresh bool, err error) {
+	*m = memoScore{}
+	s := &p.slots[i]
+	n := s.nic
+	if s.class < 0 {
+		ce, ok := p.env.class[n.key]
+		if !ok {
+			return false, fmt.Errorf("cluster: NIC %d has unresolved class %q", n.ID, n.Class)
+		}
+		s.class = slices.Index(p.classes, ce)
+		if s.class < 0 {
+			s.class = len(p.classes)
+			p.classes = append(p.classes, ce)
+			p.gens = append(p.gens, ce.sim.Generation())
+			p.ready = append(p.ready, false)
 		}
 	}
-	return true
+	ce := p.classes[s.class]
+	if !ce.sim.Fits(len(n.Tenants)) {
+		return false, nil
+	}
+	if !p.ready[s.class] {
+		p.names = append(p.names[:0], a.Name)
+		if err := p.env.ensureModels(ce, p.strat, p.names); err != nil {
+			return false, err
+		}
+		p.ready[s.class] = true
+	}
+	if s.ready != ver {
+		p.names = p.names[:0]
+		for _, t := range n.Tenants {
+			p.names = append(p.names, t.Name)
+		}
+		if err := p.env.ensureModels(ce, p.strat, p.names); err != nil {
+			return false, err
+		}
+		s.ready = ver
+	}
+	// Read only now: a lazy model install above moves the generation.
+	p.gens[s.class] = ce.sim.Generation()
+	p.seq = p.seq[:0]
+	for _, t := range n.Tenants {
+		p.seq = append(p.seq, t.Arrival)
+	}
+	ran := ce.sim.Predictions()
+	sc, err := ce.sim.Score(p.seq, a, p.strat)
+	if p.predictions != nil {
+		p.predictions.Add(ce.sim.Predictions() - ran)
+	}
+	if err != nil {
+		return false, err
+	}
+	*m = memoScore{ver: ver, gen: p.gens[s.class], class: int32(s.class),
+		residentsOK: sc.ResidentsOK, predicted: sc.Predicted, solo: sc.Solo}
+	return true, nil
 }

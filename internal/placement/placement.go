@@ -15,6 +15,7 @@ package placement
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/backend"
@@ -414,9 +415,43 @@ type scorer struct {
 
 	ids      map[backend.Key]uint16
 	memo     map[seqKey]*seqScores
+	hot      *hotCache
 	firstN   int
 	firstSeq [seqWidth]Arrival
 	first    seqScores
+}
+
+// hotCache fronts a scorer's ids and memo with direct-mapped caches. A
+// scheduling loop scores the same few types and sequences over and
+// over, and one compare against a cached key is cheaper than hashing
+// the key into a map. An entry is a copy of a table entry, so the cache
+// is cleared with the tables.
+type hotCache struct {
+	types [256]struct {
+		key backend.Key
+		id  uint16
+		ok  bool
+	}
+	seqs [1024]struct {
+		key seqKey
+		sc  *seqScores
+	}
+}
+
+// typeSlot is a member type's slot in hotCache.types.
+func typeSlot(m *Arrival) uint {
+	h := (uint64(m.Profile.Flows)*0x9e3779b97f4a7c15 ^ uint64(m.Profile.PktSize)) * 0xc2b2ae3d27d4eb4f
+	h = (h ^ math.Float64bits(m.Profile.MTBR) ^ uint64(len(m.Name))) * 0x9e3779b97f4a7c15
+	return uint(h >> 56)
+}
+
+// seqSlot is a sequence's slot in hotCache.seqs.
+func seqSlot(k *seqKey) uint {
+	h := uint64(k.n)
+	for _, id := range k.ids[:k.n] {
+		h = (h ^ uint64(id)) * 0x100000001b3
+	}
+	return uint((h * 0x9e3779b97f4a7c15) >> 54)
 }
 
 // scores returns the memo entry for set+a, or nil when the sequence
@@ -438,18 +473,24 @@ func (e *scorer) scores(set []Arrival, a Arrival) *seqScores {
 			e.firstSeq[len(set)] = a
 			return &e.first
 		}
-		e.ids, e.memo = map[backend.Key]uint16{}, map[seqKey]*seqScores{}
+		e.ids, e.memo, e.hot = map[backend.Key]uint16{}, map[seqKey]*seqScores{}, new(hotCache)
 		e.memo[e.key(e.firstSeq[:e.firstN-1], &e.firstSeq[e.firstN-1])] = &e.first
 	}
 	k := e.key(set, &a)
+	c := &e.hot.seqs[seqSlot(&k)]
+	if c.sc != nil && c.key == k {
+		return c.sc
+	}
 	sc := e.memo[k]
 	if sc == nil {
 		if len(e.memo) >= maxSeqEntries {
 			clear(e.memo)
+			clear(e.hot.seqs[:])
 		}
 		sc = new(seqScores)
 		e.memo[k] = sc
 	}
+	c.key, c.sc = k, sc
 	return sc
 }
 
@@ -459,6 +500,7 @@ func (e *scorer) key(set []Arrival, a *Arrival) seqKey {
 	if len(e.ids)+len(set)+1 > maxSeqTypes {
 		clear(e.ids)
 		clear(e.memo)
+		*e.hot = hotCache{}
 	}
 	k := seqKey{n: uint16(len(set) + 1)}
 	for i := range set {
@@ -470,12 +512,17 @@ func (e *scorer) key(set []Arrival, a *Arrival) seqKey {
 
 // intern numbers one member's type.
 func (e *scorer) intern(m *Arrival) uint16 {
+	c := &e.hot.types[typeSlot(m)]
+	if c.ok && c.key.NF == m.Name && c.key.Profile == m.Profile {
+		return c.id
+	}
 	t := backend.Key{NF: m.Name, Profile: m.Profile}
 	id, ok := e.ids[t]
 	if !ok {
 		id = uint16(len(e.ids))
 		e.ids[t] = id
 	}
+	c.key, c.id, c.ok = t, id, true
 	return id
 }
 

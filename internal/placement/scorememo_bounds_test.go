@@ -192,6 +192,46 @@ func TestScoreMemoBounds(t *testing.T) {
 	check(types[:1], types[0])
 }
 
+// TestScoreHotCacheClearedWithTables holds the scorer's direct-mapped
+// caches to the tables they front. Clearing the intern table hands a
+// cached type's number to another type, so neither a type nor a
+// sequence cached under the old numbers may answer afterwards.
+func TestScoreHotCacheClearedWithTables(t *testing.T) {
+	s, types := stubSim(1, maxSeqTypes+3)
+	ref := NewSimulator(s.TB)
+	ref.soloCache, ref.models = s.soloCache, s.models
+	check := func(set []Arrival, a Arrival) {
+		t.Helper()
+		want, err := ref.Score(set, a, stubStrategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.gen++
+		got, err := s.Score(set, a, stubStrategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameScore(got, want) {
+			t.Fatalf("%v + %v: Score %+v, fresh %+v", set, a, got, want)
+		}
+	}
+	last := len(types) - 1
+	check(types[:1], types[1])
+	check(types[1:2], types[0]) // builds the tables: types 0 and 1 are numbered 0 and 1
+	e := scorerOf(t, s)
+	for i := 2; len(e.ids) < maxSeqTypes-2; i++ {
+		e.intern(&types[i])
+	}
+	// Both types and both sequences cached under the old numbers.
+	check(types[:1], types[1])
+	check(types[1:2], types[0])
+	check(types[last-2:last-1], types[last-1]) // fills the table
+	// Clears it: the never-seen type last takes number 0, type 0 number 1.
+	check(types[last:], types[0])
+	check(types[:1], types[0])
+	check(types[1:2], types[0])
+}
+
 // BenchmarkScoreHit times memo hits the way a scheduling decision
 // makes them: one newcomer scored beside several resident sets.
 func BenchmarkScoreHit(b *testing.B) {
