@@ -38,7 +38,12 @@
 // emits, {"error": {code, message, request_id}}, with a machine-readable
 // Code* constant. Status 499 (StatusClientClosedRequest) answers a
 // request whose own client went away. A 429 carries Retry-After in
-// whole seconds (SetRetryAfter).
+// whole seconds (SetRetryAfter). A body that does not decode answers
+// 400 invalid_argument with DecodeErrorMessage's text, in JSON's terms
+// only: the path of the offending value and the kinds found and
+// expected ("requests[0].model: got number, want string"), an unknown
+// field's path, or where malformed JSON broke off. The gateway's batch
+// split and a replica's decoder word the same failure the same way.
 //
 // # Request IDs
 //

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/pkg/yalaclient"
 )
 
@@ -149,5 +150,49 @@ func TestGatewayErrorEnvelope(t *testing.T) {
 	}
 	if apiErr.StatusCode != http.StatusServiceUnavailable || apiErr.RequestID == "" {
 		t.Fatalf("SDK saw status %d, request ID %q; want 503 with the gateway's ID", apiErr.StatusCode, apiErr.RequestID)
+	}
+}
+
+// TestDecodeErrorsSpeakJSON sends bodies that fail to decode through the
+// gateway to real replicas. Whether the gateway's own batch split or the
+// replica rejects a body, the envelope names the JSON path and JSON
+// kinds, and none of either tier's Go types.
+func TestDecodeErrorsSpeakJSON(t *testing.T) {
+	reps, err := SpawnReplicas(1, quickServiceConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { CloseReplicas(reps) })
+	g, err := New(Config{Backends: []string{reps[0].URL}, HealthInterval: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	ts := httptest.NewServer(g.Handler())
+	t.Cleanup(ts.Close)
+
+	for _, tc := range []struct{ path, body, want string }{
+		// Routed whole: the replica rejects it.
+		{"/v2/models:batchPredict", `{"requests":[{"model":7}]}`, "requests[0].model: got number, want string"},
+		{"/v2/models:batchPredict", `{"requests":[{"model":"ACL","mdl":"x"}]}`, "requests[0].mdl: unknown field"},
+		{"/v2/models/FlowStats/yala:predict", `{"competitors":[{"name":"ACL"},{"name":true}]}`, "competitors[1].name: got boolean, want string"},
+		// The gateway's own split rejects these.
+		{"/v2/models:batchPredict", `{"requests":7}`, "requests: got number, want array"},
+		{"/v2/models:batchPredict", `{"requests":[{"model":"ACL"`, "requests[0]: invalid JSON: unexpected end of JSON input"},
+		{"/v2/ingest", `{"measurements":{}}`, "measurements: got object, want array"},
+	} {
+		status, body := post(t, ts.URL+tc.path, tc.body)
+		var env api.ErrorBody
+		if err := json.Unmarshal([]byte(body), &env); err != nil || status != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, body %s (%v)", tc.body, status, body, err)
+		}
+		if want := "decoding request body: " + tc.want; env.Error.Message != want || env.Error.Code != api.CodeInvalidArgument {
+			t.Errorf("%s: %s %q, want %q", tc.body, env.Error.Code, env.Error.Message, want)
+		}
+		for _, leak := range []string{"Go ", "json:", "wire.", "of type", "RawMessage", "ModelID", "BatchItem"} {
+			if strings.Contains(env.Error.Message, leak) {
+				t.Errorf("%s: message %q names %q", tc.body, env.Error.Message, leak)
+			}
+		}
 	}
 }

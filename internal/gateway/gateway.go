@@ -1109,7 +1109,7 @@ func (g *Gateway) scatter(w http.ResponseWriter, r *http.Request, field, uri str
 	}
 	if len(bytes.TrimSpace(body)) > 0 {
 		if err := json.Unmarshal(body, &params); err != nil {
-			api.WriteError(w, r, http.StatusBadRequest, api.CodeInvalidArgument, "decoding request body: "+err.Error())
+			api.WriteError(w, r, http.StatusBadRequest, api.CodeInvalidArgument, api.DecodeErrorMessage(body, &params, err))
 			return 0, nil, false
 		}
 	}

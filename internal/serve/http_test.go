@@ -177,6 +177,37 @@ func TestHTTPPredictBatch(t *testing.T) {
 	}
 }
 
+// decodeFailures are request bodies that fail to decode, with the
+// message the /v2 envelope must carry for each.
+var decodeFailures = []struct{ path, body, want string }{
+	{"/v2/models:batchPredict", `{"requests":[{"model":7}]}`, "requests[0].model: got number, want string"},
+	{"/v2/models:batchPredict", `{"requests":7}`, "requests: got number, want array"},
+	{"/v2/models:batchPredict", `{"requests":[{"model":"ACL","mdl":"x"}]}`, "requests[0].mdl: unknown field"},
+	{"/v2/models:batchPredict", `{"requests":[{"model":"ACL"`, "requests[0]: invalid JSON: unexpected end of JSON input"},
+	{"/v2/models/FlowStats/yala:predict", `{"competitors":[{"name":"ACL"},{"name":true}]}`, "competitors[1].name: got boolean, want string"},
+}
+
+// TestHTTPDecodeErrorsSpeakJSON holds every decode failure's message to
+// the JSON path and JSON kinds, naming none of the server's Go types.
+func TestHTTPDecodeErrorsSpeakJSON(t *testing.T) {
+	ts := testServer(t)
+	for _, tc := range decodeFailures {
+		status, body := postRaw(t, ts, tc.path, tc.body)
+		var env api.ErrorBody
+		if err := json.Unmarshal([]byte(body), &env); err != nil || status != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, body %s (%v)", tc.body, status, body, err)
+		}
+		if want := "decoding request body: " + tc.want; env.Error.Message != want || env.Error.Code != api.CodeInvalidArgument {
+			t.Errorf("%s: %s %q, want %q", tc.body, env.Error.Code, env.Error.Message, want)
+		}
+		for _, leak := range []string{"Go ", "json:", "wire.", "of type", "ModelID", "BatchItem", "PredictRequest"} {
+			if strings.Contains(env.Error.Message, leak) {
+				t.Errorf("%s: message %q names %q", tc.body, env.Error.Message, leak)
+			}
+		}
+	}
+}
+
 func TestHTTPCompareAdmitDiagnose(t *testing.T) {
 	ts := testServer(t)
 	cmp := postAs[CompareResponse](t, ts, "/v2/models/FlowStats:compare", wire.CompareParams{Competitors: []CompetitorSpec{{Name: "ACL"}}})

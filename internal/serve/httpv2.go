@@ -35,7 +35,7 @@ func decodeV2[Req any](w http.ResponseWriter, r *http.Request, req *Req) bool {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
-		api.WriteError(w, r, http.StatusBadRequest, api.CodeInvalidArgument, "decoding request body: "+err.Error())
+		api.WriteError(w, r, http.StatusBadRequest, api.CodeInvalidArgument, api.DecodeErrorMessage(body, req, err))
 		return false
 	}
 	return true
