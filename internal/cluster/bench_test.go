@@ -2,23 +2,26 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"testing"
 
+	"repro/internal/israce"
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/traffic"
 )
 
 // benchFleet builds a half-loaded fleet over a prewarmed environment —
 // the steady state the scheduling hot path runs in.
-func benchFleet(b *testing.B, env *Env, nics int) *Fleet {
-	b.Helper()
+func benchFleet(tb testing.TB, env *Env, nics int) *Fleet {
+	tb.Helper()
 	sc := Scenario{NICs: nics, NFs: testNFs, Profiles: 2, Seed: 1}.WithDefaults()
 	if err := env.Prewarm(context.Background(), sc, []string{"yala", "slomo"}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	pool := sc.ProfilePool()
-	f := newFleet(b, env, nics)
+	f := newFleet(tb, env, nics)
 	id := 0
 	for i := 0; i < nics; i++ {
 		for j := 0; j < 1+i%2; j++ {
@@ -33,11 +36,13 @@ func benchFleet(b *testing.B, env *Env, nics int) *Fleet {
 	return f
 }
 
-// benchChoose measures one policy's scheduling decision over a 32-NIC
-// fleet — the hot path every arrival, drift and migration goes through.
-func benchChoose(b *testing.B, policy string) {
+// benchChoose measures one policy's scheduling decision over a
+// half-loaded fleet of the given size — the hot path every arrival,
+// drift and migration goes through. The fleet is unchanged between
+// decisions, so a guided policy answers every visited NIC from its memo.
+func benchChoose(b *testing.B, policy string, nics int) {
 	env := testEnv(b, testModels(b))
-	f := benchFleet(b, env, 32)
+	f := benchFleet(b, env, nics)
 	a := placement.Arrival{Name: "FlowStats", Profile: traffic.Default, SLA: 0.2}
 	sched, err := NewScheduler(policy, env, 1)
 	if err != nil {
@@ -54,9 +59,42 @@ func benchChoose(b *testing.B, policy string) {
 	}
 }
 
-func BenchmarkChooseYala(b *testing.B)     { benchChoose(b, "yala") }
-func BenchmarkChooseSLOMO(b *testing.B)    { benchChoose(b, "slomo") }
-func BenchmarkChooseFirstFit(b *testing.B) { benchChoose(b, "firstfit") }
+func BenchmarkChooseYala(b *testing.B) {
+	for _, nics := range []int{32, 1024, 10000} {
+		b.Run(fmt.Sprintf("nics=%d", nics), func(b *testing.B) { benchChoose(b, "yala", nics) })
+	}
+}
+func BenchmarkChooseSLOMO(b *testing.B)    { benchChoose(b, "slomo", 32) }
+func BenchmarkChooseFirstFit(b *testing.B) { benchChoose(b, "firstfit", 32) }
+
+// TestChooseAllocs holds a memo-hit decision to zero allocations: once
+// every NIC a walk visits has been scored for the arrival's type, a
+// decision reads the fleet's index and the memo and nothing else.
+func TestChooseAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	env := testEnv(t, testModels(t))
+	env.SetObs(obs.NewRegistry())
+	f := benchFleet(t, env, 256)
+	sched, err := NewScheduler("yala", env, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sla := range []float64{0.2, 0.9} {
+		a := placement.Arrival{Name: "FlowStats", Profile: traffic.Default, SLA: sla}
+		if _, err := sched.Choose(f, a); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := sched.Choose(f, a); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("a memo-hit decision (SLA %.1f) allocated %v times, want 0", sla, n)
+		}
+	}
+}
 
 // referenceScenario is the committed benchmark's 16-NIC/120-arrival
 // reference shape (the default fleet and stream sizes over the test NF

@@ -20,10 +20,12 @@
 //   - Scheduler is the pluggable placement policy: random, first-fit,
 //     and prediction-guided best-fit driven by Yala or SLOMO models. A
 //     guided decision costs what changed since the last one, not the
-//     fleet: NICs are visited tightest first until one is feasible, and
-//     each keeps its SLA-independent placement.Score per arrival type
-//     for as long as its resident sequence and its class's model
-//     generation stand (see predictFit).
+//     fleet. The Fleet owns its mutations: it files its fitting NICs by
+//     free cores and stamps a NIC with a new version on every place and
+//     remove, so a decision walks that index tightest first until a
+//     NIC is feasible, and each NIC keeps its SLA-independent
+//     placement.Score per arrival type for as long as its version and
+//     its class's model generation stand (see Fleet and predictFit).
 //   - The orchestrator (Env.RunPolicyStream) replays a stream on sim.Engine,
 //     enforces SLAs against simulator ground truth (a placement that
 //     immediately breaches an SLA is rolled back), migrates tenants whose
@@ -124,7 +126,9 @@ type Fleet struct {
 
 	// home maps each tenant placed through place to its NIC index — the
 	// orchestrator's O(1) locate, and (tenant IDs being stream-unique)
-	// its resident count. Tenants filled in by hand are not in it.
+	// its resident count. Tenants filled in by hand before the first
+	// Choose are not in it; after that place and remove are the only
+	// writers, so it holds every tenant placed since.
 	home map[int]int
 
 	// ix is the free-core index; nil until the first Choose.

@@ -23,7 +23,10 @@ import (
 // dies while a load-generation run is in flight, and the client must
 // observe zero request errors — in-flight requests to the dead replica
 // retry on the survivor (passive marking) and the health loop keeps it
-// out of rotation afterward.
+// out of rotation afterward. The kill lands on a request by
+// construction: b holds one routed request and is stopped while it
+// does, so that request fails over to a whatever the health probe has
+// seen by then.
 func TestFailoverKillMidLoadgen(t *testing.T) {
 	a, b := newStubReplica(t, "a"), newStubReplica(t, "b")
 	g, ts := testGateway(t, -1, a, b) // edge off: every request must route
@@ -53,6 +56,11 @@ func TestFailoverKillMidLoadgen(t *testing.T) {
 			t.Fatal("loadgen never warmed both replicas")
 		}
 		time.Sleep(5 * time.Millisecond) // loadgen reaches the replicas over real sockets
+	}
+	select {
+	case <-b.parkNext():
+	case <-time.After(10 * time.Second):
+		t.Fatal("no routed request reached b to be held")
 	}
 	b.stop()
 	<-done

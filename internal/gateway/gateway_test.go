@@ -38,6 +38,20 @@ type stubReplica struct {
 	// (max uptime, min start) are observable.
 	uptimeSeconds float64
 	startTime     int64
+
+	// parked, when set by parkNext, is closed once a routed request is
+	// held; the request stays held until its connection closes.
+	parked chan struct{}
+}
+
+// parkNext makes the stub hold the next routed request — anything but
+// the gateway's /healthz and /v2/stats probes — until the stub stops.
+// The returned channel closes once that request is held.
+func (s *stubReplica) parkNext() <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.parked = make(chan struct{})
+	return s.parked
 }
 
 func newStubReplica(t *testing.T, id string) *stubReplica {
@@ -113,7 +127,17 @@ func (s *stubReplica) handler() http.Handler {
 		entries := s.entries
 		served := s.served
 		uptime, start := s.uptimeSeconds, s.startTime
+		park := s.parked
+		if r.URL.Path != "/v2/stats" {
+			s.parked = nil
+		}
 		s.mu.Unlock()
+
+		if park != nil && r.URL.Path != "/v2/stats" {
+			close(park)
+			<-r.Context().Done() // stop closes the connection
+			return
+		}
 
 		if r.URL.Path == "/metrics" {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
