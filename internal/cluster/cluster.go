@@ -115,10 +115,10 @@ func (n *NIC) arrivals() []placement.Arrival {
 // The fleet owns its mutations. A caller may fill NIC.Tenants by hand
 // while setting a fleet up, before its first Choose; the first Choose
 // builds the free-core index from whatever Tenants hold then. From then
-// on place and remove are the only mutators: each moves one NIC within
-// the index and stamps it with a new version, so a scheduler's memo of
-// that NIC is current exactly while its stamp holds. A direct write
-// after the first Choose is invisible to both.
+// on NICs is fixed, and place and remove are the only mutators: each
+// moves one NIC within the index and stamps it with a new version, so a
+// scheduler's memo of that NIC is current exactly while its stamp
+// holds. A direct write after the first Choose is invisible to both.
 type Fleet struct {
 	// NICs carry their own core totals (classes differ); every NF takes
 	// nf.NFCores of them, as in the placement feasibility checks.
@@ -218,16 +218,13 @@ func (f *Fleet) remove(i, id int) (Tenant, bool) {
 }
 
 // index returns the free-core index, building it from the NICs' current
-// Tenants on first use (and again should NICs have changed length).
+// Tenants on first use.
 func (f *Fleet) index() *fleetIndex {
-	if f.ix != nil && len(f.ix.ver) == len(f.NICs) {
+	if f.ix != nil {
 		return f.ix
 	}
 	words := (len(f.NICs) + 63) / 64
 	ix := &fleetIndex{empty: make([]uint64, words), ver: make([]uint64, len(f.NICs))}
-	if f.ix != nil {
-		ix.clock = f.ix.clock
-	}
 	for _, n := range f.NICs {
 		for len(ix.fits) <= n.Cores {
 			ix.fits = append(ix.fits, make([]uint64, words))
