@@ -24,8 +24,9 @@
 //     free cores and stamps a NIC with a new version on every place and
 //     remove, so a decision walks that index tightest first until a
 //     NIC is feasible, and each NIC keeps its SLA-independent
-//     placement.Score per arrival type for as long as its version and
-//     its class's model generation stand (see Fleet and predictFit).
+//     placement.Score per arrival type for as long as its residents and
+//     its class's model generation stand — proven by the version alone
+//     while it holds (see Fleet and predictFit).
 //   - The orchestrator (Env.RunPolicyStream) replays a stream on sim.Engine,
 //     enforces SLAs against simulator ground truth (a placement that
 //     immediately breaches an SLA is rolled back), migrates tenants whose
@@ -116,9 +117,10 @@ func (n *NIC) arrivals() []placement.Arrival {
 // while setting a fleet up, before its first Choose; the first Choose
 // builds the free-core index from whatever Tenants hold then. From then
 // on NICs is fixed, and place and remove are the only mutators: each
-// moves one NIC within the index and stamps it with a new version, so a
-// scheduler's memo of that NIC is current exactly while its stamp
-// holds. A direct write after the first Choose is invisible to both.
+// moves one NIC within the index and stamps it with a new version, so
+// while a NIC's stamp holds its residents are known unchanged and a
+// scheduler's memo of it needs no check. A direct write after the first
+// Choose is invisible to both.
 type Fleet struct {
 	// NICs carry their own core totals (classes differ); every NF takes
 	// nf.NFCores of them, as in the placement feasibility checks.

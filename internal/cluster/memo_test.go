@@ -209,6 +209,23 @@ func TestMemoSurvivesCallerMutations(t *testing.T) {
 			t.Fatalf("scored %d slots on the first pass and %d on the second, want some and none", first, second)
 		}
 	})
+
+	// Churn that ends where it began — an arrival and its departure, a
+	// drift that leaves the tail tenant as it was — moves the NIC's
+	// version but not its residents, so the memo still answers.
+	t.Run("churn back to the same residents is not re-scored", func(t *testing.T) {
+		r := newMemoRig(t)
+		f := r.fleet("bluefield2")
+		r.decide(f)
+		extra := r.tenant(5)
+		f.place(0, extra)
+		f.remove(0, extra.ID)
+		tail, _ := f.remove(0, f.NICs[0].Tenants[1].ID)
+		f.place(0, tail)
+		if n := r.decide(f); n != 0 {
+			t.Fatalf("re-scored %d slots after churn that restored every NIC's residents", n)
+		}
+	})
 }
 
 // TestChooseUnresolvedClass is the error path for a fleet NIC whose

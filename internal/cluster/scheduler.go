@@ -112,22 +112,25 @@ func (firstFit) Choose(f *Fleet, a placement.Arrival) (int, error) {
 // be bucketed. A visited NIC is answered at two levels. First the
 // slot's memo: the SLA-independent placement.Score per arriving (NF,
 // profile), finished by one compare against the arrival's own SLA. A
-// memoized score is current exactly while the NIC pointer, its class
-// simulator's Generation (no model install, promotion or solo
-// recalibration since) and the NIC's version stamp are unchanged. The
-// stamp moves with every place and remove — a departure's in-place
-// shift, a drift re-placing a tenant at the tail — and another fleet's
-// *NIC at that index fails the pointer compare, so the slot is
-// re-scored. That is why the Fleet's methods must be its only mutators
-// after the first Choose: a write to NIC.Tenants by hand would leave the
-// stamp, and the memo, standing. The memo reads nothing but the *Fleet
-// handed to Choose, so wrapping the scheduler cannot stale it. A
-// re-scored slot then asks the class simulator, whose Score memoizes
-// predictions by the ordered (NF, profile) sequence of residents plus
-// newcomer: every NIC holding the same types in the same order shares
-// one predictor run, whatever their residents' SLAs, so
-// cluster_predictions_total counts only sequences new to the simulator.
-// cluster_slots_scanned_total counts the NICs a walk visits.
+// slot's scores hold while its NIC pointer, its class simulator's
+// Generation (no model install, promotion or solo recalibration since)
+// and the NIC's resident sequence are unchanged. The NIC's version
+// stamp proves the sequence unchanged without looking at it: it moves
+// with every place and remove, so only a slot whose stamp moved compares
+// the residents with the copy its scores were computed from. A NIC that
+// churned back to that sequence — an arrival and its departure, a drift
+// that left the tail tenant as it was — keeps its scores; any other
+// change, and another fleet's *NIC at that index, re-scores the slot.
+// That is why the Fleet's methods must be its only mutators after the
+// first Choose: a write to NIC.Tenants by hand would leave the stamp,
+// and the memo, standing. The memo reads nothing but the *Fleet handed
+// to Choose, so wrapping the scheduler cannot stale it. A re-scored slot
+// then asks the class simulator, whose Score memoizes predictions by the
+// ordered (NF, profile) sequence of residents plus newcomer: every NIC
+// holding the same types in the same order shares one predictor run,
+// whatever their residents' SLAs, so cluster_predictions_total counts
+// only sequences new to the simulator. cluster_slots_scanned_total
+// counts the NICs a walk visits.
 //
 // bench's cluster.choose_us_* rungs time cold Choose calls — each is a
 // never-seen (fleet, arrival type) pair for the slot memo — so they show
@@ -160,28 +163,28 @@ type predictFit struct {
 	classes []*classEnv
 	gens    []uint64
 	ready   []bool
-	// names and seq are ensureModels' and Score's arguments, reused per
-	// miss.
-	names []string
-	seq   []placement.Arrival
+	names   []string // ensureModels argument, reused per miss
 }
 
-// slotMemo is which NIC a slot's scores describe, its class (-1 until
-// first scored), and the NIC version whose residents' models are known
-// installed (models are never uninstalled, so that holds until the
-// residents change).
+// slotMemo is what one NIC's scores were computed from. seq and gen are
+// the resident sequence and class generation, confirmed current at NIC
+// version ver; epoch numbers the (NIC, seq, gen) states the slot has
+// held, and a score holds while its epoch is the slot's. ready is the
+// epoch whose residents' models are known installed (models are never
+// uninstalled). class is -1 until the slot is first scored.
 type slotMemo struct {
-	nic   *NIC
-	class int
-	ready uint64
+	nic          *NIC
+	class        int
+	seq          []placement.Arrival
+	ver, gen     uint64
+	epoch, ready uint64
 }
 
-// memoScore is one slot's placement.Score for one arrival type, with
-// the NIC version, class and class generation it was computed at. A
-// zero version never matches: the fleet's stamps start at 1.
+// memoScore is one slot's placement.Score for one arrival type, and the
+// slot epoch it was computed in. Epoch 0 never matches: binding a slot
+// to a NIC moves its epoch past 0.
 type memoScore struct {
-	ver, gen        uint64
-	class           int32
+	epoch           uint64
 	residentsOK     bool
 	predicted, solo float64
 }
@@ -236,9 +239,15 @@ func (p *predictFit) Choose(f *Fleet, a placement.Arrival) (int, error) {
 				if empty&(1<<b) != 0 {
 					return i, nil
 				}
+				s := &p.slots[i]
+				if s.ver != ix.ver[i] || s.class < 0 || s.gen != p.gens[s.class] {
+					if err := p.confirm(s, ix.ver[i]); err != nil {
+						return -1, err
+					}
+				}
 				m := &row[i]
-				if m.ver != ix.ver[i] || m.gen != p.gens[m.class] {
-					fresh, err := p.score(m, i, ix.ver[i], a)
+				if m.epoch != s.epoch {
+					fresh, err := p.score(m, s, a)
 					if err != nil {
 						return -1, err
 					}
@@ -255,41 +264,31 @@ func (p *predictFit) Choose(f *Fleet, a placement.Arrival) (int, error) {
 	return -1, nil
 }
 
-// bind checks every slot against the fleet's NICs, dropping the scores
-// of each slot that held another NIC.
+// bind checks every slot against the fleet's NICs, starting a new epoch
+// for each slot that held another NIC.
 func (p *predictFit) bind(f *Fleet, ix *fleetIndex) {
 	if len(p.slots) != len(f.NICs) {
 		p.slots = make([]slotMemo, len(f.NICs))
 		clear(p.scores)
 	}
 	for i, n := range f.NICs {
-		if p.slots[i].nic == n {
-			continue
-		}
-		p.slots[i] = slotMemo{nic: n, class: -1}
-		for _, row := range p.scores {
-			if row != nil {
-				row[i] = memoScore{}
-			}
+		if s := &p.slots[i]; s.nic != n {
+			*s = slotMemo{nic: n, class: -1, seq: s.seq[:0], epoch: s.epoch + 1}
 		}
 	}
 	p.bound = ix
 }
 
-// score re-derives slot i's score for a into m; fresh reports that a
-// predictor ran. A NIC its class simulator's own core budget refuses
-// leaves m unadmitting and unmemoized (the budgets agree by
-// construction). The models Score needs are installed first, newcomer
-// then residents, each set checked once: the newcomer's per class per
-// decision, the residents' per NIC version.
-func (p *predictFit) score(m *memoScore, i int, ver uint64, a placement.Arrival) (fresh bool, err error) {
-	*m = memoScore{}
-	s := &p.slots[i]
+// confirm brings slot s up to NIC version ver: it resolves the slot's
+// class on first use and starts a new epoch, with a fresh copy of the
+// residents, unless the sequence and generation its scores came from
+// still hold.
+func (p *predictFit) confirm(s *slotMemo, ver uint64) error {
 	n := s.nic
 	if s.class < 0 {
 		ce, ok := p.env.class[n.key]
 		if !ok {
-			return false, fmt.Errorf("cluster: NIC %d has unresolved class %q", n.ID, n.Class)
+			return fmt.Errorf("cluster: NIC %d has unresolved class %q", n.ID, n.Class)
 		}
 		s.class = slices.Index(p.classes, ce)
 		if s.class < 0 {
@@ -299,8 +298,41 @@ func (p *predictFit) score(m *memoScore, i int, ver uint64, a placement.Arrival)
 			p.ready = append(p.ready, false)
 		}
 	}
+	if s.gen != p.gens[s.class] || !sameResidents(s.seq, n.Tenants) {
+		s.seq = s.seq[:0]
+		for _, t := range n.Tenants {
+			s.seq = append(s.seq, t.Arrival)
+		}
+		s.gen = p.gens[s.class]
+		s.epoch++
+	}
+	s.ver = ver
+	return nil
+}
+
+// sameResidents reports whether seq is the arrival sequence of ts.
+func sameResidents(seq []placement.Arrival, ts []Tenant) bool {
+	if len(seq) != len(ts) {
+		return false
+	}
+	for j := range seq {
+		if seq[j] != ts[j].Arrival {
+			return false
+		}
+	}
+	return true
+}
+
+// score re-derives slot s's score for a into m; fresh reports that a
+// predictor ran. A NIC its class simulator's own core budget refuses
+// leaves m unadmitting and unmemoized (the budgets agree by
+// construction). The models Score needs are installed first, newcomer
+// then residents, each set checked once: the newcomer's per class per
+// decision, the residents' per slot epoch.
+func (p *predictFit) score(m *memoScore, s *slotMemo, a placement.Arrival) (fresh bool, err error) {
+	*m = memoScore{}
 	ce := p.classes[s.class]
-	if !ce.sim.Fits(len(n.Tenants)) {
+	if !ce.sim.Fits(len(s.seq)) {
 		return false, nil
 	}
 	if !p.ready[s.class] {
@@ -310,31 +342,29 @@ func (p *predictFit) score(m *memoScore, i int, ver uint64, a placement.Arrival)
 		}
 		p.ready[s.class] = true
 	}
-	if s.ready != ver {
+	if s.ready != s.epoch {
 		p.names = p.names[:0]
-		for _, t := range n.Tenants {
-			p.names = append(p.names, t.Name)
+		for _, r := range s.seq {
+			p.names = append(p.names, r.Name)
 		}
 		if err := p.env.ensureModels(ce, p.strat, p.names); err != nil {
 			return false, err
 		}
-		s.ready = ver
 	}
-	// Read only now: a lazy model install above moves the generation.
-	p.gens[s.class] = ce.sim.Generation()
-	p.seq = p.seq[:0]
-	for _, t := range n.Tenants {
-		p.seq = append(p.seq, t.Arrival)
+	// Compared only now: a lazy model install above moves the generation.
+	if gen := ce.sim.Generation(); gen != s.gen {
+		p.gens[s.class], s.gen = gen, gen
+		s.epoch++
 	}
+	s.ready = s.epoch
 	ran := ce.sim.Predictions()
-	sc, err := ce.sim.Score(p.seq, a, p.strat)
+	sc, err := ce.sim.Score(s.seq, a, p.strat)
 	if p.predictions != nil {
 		p.predictions.Add(ce.sim.Predictions() - ran)
 	}
 	if err != nil {
 		return false, err
 	}
-	*m = memoScore{ver: ver, gen: p.gens[s.class], class: int32(s.class),
-		residentsOK: sc.ResidentsOK, predicted: sc.Predicted, solo: sc.Solo}
+	*m = memoScore{epoch: s.epoch, residentsOK: sc.ResidentsOK, predicted: sc.Predicted, solo: sc.Solo}
 	return true, nil
 }
