@@ -26,7 +26,7 @@ func DecodeErrorMessage(body []byte, v any, err error) string {
 	var se *json.SyntaxError
 	switch {
 	case errors.As(err, &te):
-		path := scanJSON(body, nil, func(_ string, end int64, _ string) bool { return end < te.Offset })
+		path := scanJSON(body, nil, func(end int64, _ string) bool { return end < te.Offset })
 		got, _, _ := strings.Cut(te.Value, " ")
 		if got == "bool" {
 			got = "boolean"
@@ -42,7 +42,7 @@ func DecodeErrorMessage(body []byte, v any, err error) string {
 	}
 	if q, ok := strings.CutPrefix(err.Error(), "json: unknown field "); ok {
 		if name, qerr := strconv.Unquote(q); qerr == nil {
-			path := scanJSON(body, reflect.TypeOf(v), func(_ string, _ int64, unknown string) bool {
+			path := scanJSON(body, reflect.TypeOf(v), func(_ int64, unknown string) bool {
 				return unknown != name
 			})
 			if path == "" {
@@ -62,13 +62,14 @@ func at(path, detail string) string {
 	return path + ": " + detail
 }
 
-// scanJSON walks body's tokens in document order, calling visit with
-// the path of every value and every object key and the input offset
-// just past its first token. When t, the type the body decodes into, is
-// given, unknown is set to a key that names no field of the struct
-// expected there. It returns the path where visit stopped it, or where
-// the input ended or stopped being JSON.
-func scanJSON(body []byte, t reflect.Type, visit func(path string, end int64, unknown string) bool) string {
+// scanJSON walks body's tokens in document order, calling visit for
+// every value and every object key with the input offset just past its
+// first token. When t, the type the body decodes into, is given, unknown
+// is set to a key that names no field of the struct expected there. It
+// returns the path where visit stopped it, or where the input ended or
+// stopped being JSON. The path is spelled out only then, so the walk
+// costs one step per token however deep the body nests.
+func scanJSON(body []byte, t reflect.Type, visit func(end int64, unknown string) bool) string {
 	type frame struct {
 		obj, wantKey bool
 		key          string
@@ -81,7 +82,9 @@ func scanJSON(body []byte, t reflect.Type, visit func(path string, end int64, un
 		for _, f := range stack {
 			switch {
 			case !f.obj && f.idx >= 0:
-				fmt.Fprintf(&b, "[%d]", f.idx)
+				b.WriteByte('[')
+				b.WriteString(strconv.Itoa(f.idx))
+				b.WriteByte(']')
 			case f.obj && !f.wantKey:
 				if b.Len() > 0 {
 					b.WriteByte('.')
@@ -91,6 +94,7 @@ func scanJSON(body []byte, t reflect.Type, visit func(path string, end int64, un
 		}
 		return b.String()
 	}
+	fields := map[reflect.Type][]reflect.StructField{}
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.UseNumber()
 	next := container(t)
@@ -114,12 +118,12 @@ func scanJSON(body []byte, t reflect.Type, visit func(path string, end int64, un
 		if top != nil && top.obj && top.wantKey {
 			top.key, top.wantKey = tok.(string), false
 			var known bool
-			next, known = field(top.t, top.key)
+			next, known = field(fields, top.t, top.key)
 			unknown := ""
 			if !known {
 				unknown = top.key
 			}
-			if visit != nil && !visit(path(), end, unknown) {
+			if visit != nil && !visit(end, unknown) {
 				return path()
 			}
 			continue
@@ -131,7 +135,7 @@ func scanJSON(body []byte, t reflect.Type, visit func(path string, end int64, un
 				next = container(top.t.Elem())
 			}
 		}
-		if visit != nil && !visit(path(), end, "") {
+		if visit != nil && !visit(end, "") {
 			return path()
 		}
 		if d, ok := tok.(json.Delim); ok {
@@ -172,8 +176,9 @@ func container(t reflect.Type) reflect.Type {
 // encoding/json does — tag name or field name, an exact match before a
 // case-insensitive one, embedded structs' fields promoted — returning
 // the member's container type and whether t has the key at all. Maps
-// and unknown containers take any key.
-func field(t reflect.Type, key string) (reflect.Type, bool) {
+// and unknown containers take any key. fields caches each struct's
+// visible fields for the walk.
+func field(fields map[reflect.Type][]reflect.StructField, t reflect.Type, key string) (reflect.Type, bool) {
 	if t == nil {
 		return nil, true
 	}
@@ -183,9 +188,14 @@ func field(t reflect.Type, key string) (reflect.Type, bool) {
 	if t.Kind() != reflect.Struct {
 		return nil, true
 	}
+	fs, ok := fields[t]
+	if !ok {
+		fs = reflect.VisibleFields(t)
+		fields[t] = fs
+	}
 	var fold reflect.Type
 	found := false
-	for _, f := range reflect.VisibleFields(t) {
+	for _, f := range fs {
 		ft := f.Type
 		if ft.Kind() == reflect.Pointer {
 			ft = ft.Elem()

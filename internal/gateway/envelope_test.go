@@ -196,3 +196,25 @@ func TestDecodeErrorsSpeakJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestDeepDecodeErrorIsPrompt: placing a decode error walks the body
+// once, however deep it nests. The split decodes the batch's elements
+// as raw JSON, so nested arrays pass until the misfit field after them.
+func TestDeepDecodeErrorIsPrompt(t *testing.T) {
+	_, ts := testGateway(t, 0, newStubReplica(t, "a"))
+	el := strings.Repeat("[", 9000) + strings.Repeat("]", 9000)
+	body := `{"requests":[` + strings.Repeat(el+",", 99) + el + `],"measurements":7}`
+	client := &http.Client{Timeout: 30 * time.Second}
+	resp, err := client.Post(ts.URL+"/v2/models:batchPredict", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %d-byte nested body: %v", len(body), err)
+	}
+	defer resp.Body.Close()
+	var env api.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d (%v)", resp.StatusCode, err)
+	}
+	if want := "decoding request body: measurements: got number, want array"; env.Error.Message != want {
+		t.Fatalf("message %q, want %q", env.Error.Message, want)
+	}
+}
