@@ -184,14 +184,8 @@ type slotMemo struct {
 // slot epoch it was computed in. Epoch 0 never matches: binding a slot
 // to a NIC moves its epoch past 0.
 type memoScore struct {
-	epoch           uint64
-	residentsOK     bool
-	predicted, solo float64
-}
-
-// admits is placement.Score.Admits on the memoized fields.
-func (m *memoScore) admits(sla float64) bool {
-	return m.residentsOK && !(m.predicted < (1-sla)*m.solo)
+	epoch uint64
+	placement.Score
 }
 
 func (p *predictFit) Name() string { return p.name }
@@ -255,7 +249,7 @@ func (p *predictFit) Choose(f *Fleet, a placement.Arrival) (int, error) {
 						scored++
 					}
 				}
-				if m.admits(a.SLA) {
+				if m.Admits(a.SLA) {
 					return i, nil
 				}
 			}
@@ -365,6 +359,6 @@ func (p *predictFit) score(m *memoScore, s *slotMemo, a placement.Arrival) (fres
 	if err != nil {
 		return false, err
 	}
-	*m = memoScore{epoch: s.epoch, residentsOK: sc.ResidentsOK, predicted: sc.Predicted, solo: sc.Solo}
+	*m = memoScore{epoch: s.epoch, Score: sc}
 	return true, nil
 }
